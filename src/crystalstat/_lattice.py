@@ -7,7 +7,8 @@ Fourier convention used throughout the package:
 
 With this convention a lattice convolution (K * a)(x) = sum_y K(x - y) a(y)
 becomes nodewise multiplication by the symbol Khat(theta) = sum_z K(z) e^{i z.theta}.
-Arrays carry the d grid axes first; component axes trail.
+Arrays carry the d grid axes first; component axes trail.  An ensemble of
+fields is one array (S, *grid, 2n) with a leading sample axis.
 """
 
 from __future__ import annotations
@@ -20,18 +21,37 @@ def theta_axis(L: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(L) / L
 
 
-def forward_fft(a: np.ndarray, d: int) -> np.ndarray:
-    """Lattice Fourier transform over the first d axes (e^{+i x.theta} convention)."""
-    axes = tuple(range(d))
-    L = a.shape[0]
-    return np.fft.ifftn(a, axes=axes) * float(L) ** d
+def forward_fft(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention)."""
+    L = a.shape[axes[0]]
+    return np.fft.ifftn(a, axes=axes) * float(L) ** len(axes)
 
 
-def inverse_fft(ahat: np.ndarray, d: int) -> np.ndarray:
+def inverse_fft(ahat: np.ndarray, axes: tuple) -> np.ndarray:
     """Inverse of :func:`forward_fft`."""
-    axes = tuple(range(d))
-    L = ahat.shape[0]
-    return np.fft.fftn(ahat, axes=axes) / float(L) ** d
+    L = ahat.shape[axes[0]]
+    return np.fft.fftn(ahat, axes=axes) / float(L) ** len(axes)
+
+
+def check_ensemble(Y) -> tuple:
+    """Validate an ensemble array (S, *grid, 2n); return (Y, L, d, n).
+
+    Samples run along the leading axis and components along the trailing one,
+    u components first, then v.  The array comes back C-contiguous float.
+    """
+    Y = np.ascontiguousarray(Y, dtype=float)
+    if Y.ndim < 3:
+        raise ValueError("ensemble needs a sample axis, grid axes and a component axis")
+    if Y.shape[0] < 1:
+        raise ValueError("empty ensemble")
+    grid = Y.shape[1:-1]
+    if any(g != grid[0] for g in grid):
+        raise ValueError(f"grid axes must have equal lengths, got {grid}")
+    if Y.shape[-1] % 2:
+        raise ValueError("component axis must hold 2n entries (u block, then v block)")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("field values must be finite")
+    return Y, grid[0], len(grid), Y.shape[-1] // 2
 
 
 def phase_grid(z, L: int, sign: int) -> np.ndarray:

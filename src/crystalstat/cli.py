@@ -254,6 +254,14 @@ def _effective_config(args, command: str) -> dict:
     return eff
 
 
+def _prepare(args, command: str):
+    """Shared preamble: effective config, output directory, kernel, thresholds, L."""
+    eff = _effective_config(args, command)
+    outdir = Path(eff["output"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return eff, outdir, _build_kernel(eff["kernel"]), eff["thresholds"], eff["L"]
+
+
 def _build_kernel(spec: dict):
     _check_spec(spec, _KERNEL_KEYS, "kernel")
     if spec["type"] == "nn":
@@ -345,16 +353,19 @@ def _write_manifest(outdir: Path, eff: dict) -> None:
 
 
 def _build_grid(kernel, L, delta_cross):
-    """Gate E1-E3 before the eigensolver so kernel defects exit with code 2."""
-    reports = check_E123(kernel)
-    if any(r.verdict == "fail" for r in reports):
-        raise ConditionFailure(reports)
-    return dispersion_grid(kernel, L, delta_cross)
+    """Gate E1-E3 before the eigensolver so kernel defects exit with code 2.
+
+    Returns the grid and the E1-E3 reports, for :func:`_condition_gate`.
+    """
+    e123 = check_E123(kernel)
+    if any(r.verdict == "fail" for r in e123):
+        raise ConditionFailure(e123)
+    return dispersion_grid(kernel, L, delta_cross), e123
 
 
-def _condition_gate(kernel, grid=None, need_spectral=False,
+def _condition_gate(e123, grid=None, need_spectral=False,
                     allow_degenerate=False, extra_reports=()):
-    reports = check_E123(kernel)
+    reports = list(e123)
     if grid is not None:
         reports += check_E4_E5(grid)
     reports += list(extra_reports)
@@ -387,13 +398,9 @@ def _power_fit(times, values):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_dispersion(args) -> int:
-    eff = _effective_config(args, "dispersion")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    grid = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
-    reports = _condition_gate(kernel, grid, need_spectral=False)
+    eff, outdir, kernel, thr, _ = _prepare(args, "dispersion")
+    grid, e123 = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
+    reports = _condition_gate(e123, grid, need_spectral=False)
     scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
                              thr["delta_null"])
     with open(outdir / "dispersion.csv", "w") as fh:
@@ -406,13 +413,9 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    eff = _effective_config(args, "critical")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    grid = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
-    reports = _condition_gate(kernel, grid, need_spectral=False)
+    eff, outdir, kernel, thr, _ = _prepare(args, "critical")
+    grid, e123 = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
+    reports = _condition_gate(e123, grid, need_spectral=False)
     scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
                              thr["delta_null"])
     _write_json(outdir / "critical.json", scan.to_jsonable())
@@ -424,14 +427,9 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_green(args) -> int:
-    eff = _effective_config(args, "green")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    _condition_gate(kernel)
+    eff, outdir, kernel, thr, L = _prepare(args, "green")
+    _condition_gate(check_E123(kernel))
     times = eff["times"] or [5.0, 10.0, 20.0, 40.0]
-    thr = eff["thresholds"]
-    L = eff["L"]
     radius = args.dump_radius
     if radius < 0 or 2 * radius + 1 > L:
         raise UsageError("--dump-radius must fit inside the lattice window")
@@ -467,14 +465,9 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    eff = _effective_config(args, "evolve")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(kernel, grid, need_spectral=True,
+    eff, outdir, kernel, thr, L = _prepare(args, "evolve")
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
+    _condition_gate(e123, grid, need_spectral=True,
                     allow_degenerate=args.allow_degenerate)
     q0, transform = _build_measure(eff["measure"], kernel, L)
     if transform is not None:
@@ -539,21 +532,16 @@ def _compare_to_theory(summary, theory_table, floor_scale):
 
 
 def _cmd_ensemble(args) -> int:
-    eff = _effective_config(args, "ensemble")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(kernel, grid, need_spectral=False)
+    eff, outdir, kernel, thr, L = _prepare(args, "ensemble")
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
+    _condition_gate(e123, grid, need_spectral=False)
     q0, transform = _build_measure(eff["measure"], kernel, L)
     times = eff["times"] or [50.0]
     t = times[-1]
-    states = gaussian_ensemble(q0, eff["ensemble"], eff["seed"])
+    Y = gaussian_ensemble(q0, eff["ensemble"], eff["seed"])
     if transform is not None:
-        states = [nonlinear_transform_sample(s, *transform) for s in states]
-    evolved = evolve_ensemble(states, kernel, t, grid=grid)
+        Y = nonlinear_transform_sample(Y, *transform)
+    evolved = evolve_ensemble(Y, kernel, t, grid=grid)
     offsets = _axis_offsets(kernel.d)
     summary = empirical_covariance(evolved, offsets)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
@@ -580,18 +568,13 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    eff = _effective_config(args, "limit")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
+    eff, outdir, kernel, thr, L = _prepare(args, "limit")
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
     q0, transform = _build_measure(eff["measure"], kernel, L)
     if transform is not None:
         raise UsageError("limit needs a Gaussian measure with an explicit density")
     es = check_ES(grid, q0, thr["delta_null"])
-    _condition_gate(kernel, grid, need_spectral=True,
+    _condition_gate(e123, grid, need_spectral=True,
                     allow_degenerate=args.allow_degenerate, extra_reports=[es])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
     offsets = _axis_offsets(kernel.d)
@@ -610,21 +593,16 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    eff = _effective_config(args, "gibbs")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(kernel, grid, need_spectral=True,
+    eff, outdir, kernel, thr, L = _prepare(args, "gibbs")
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
+    _condition_gate(e123, grid, need_spectral=True,
                     allow_degenerate=args.allow_degenerate)
     T1 = args.T1
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     times = eff["times"] or [50.0]
     t = times[-1]
-    states = gaussian_ensemble(q0, eff["ensemble"], eff["seed"])
-    evolved = evolve_ensemble(states, kernel, t, grid=grid)
+    evolved = evolve_ensemble(gaussian_ensemble(q0, eff["ensemble"], eff["seed"]),
+                              kernel, t, grid=grid)
     offsets = _axis_offsets(kernel.d)
     summary = empirical_covariance(evolved, offsets)
     qg = gibbs_density(T1, grid, thr["delta_null"])
@@ -644,16 +622,11 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    eff = _effective_config(args, "clt")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
+    eff, outdir, kernel, thr, L = _prepare(args, "clt")
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(kernel, grid, need_spectral=True,
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
+    _condition_gate(e123, grid, need_spectral=True,
                     allow_degenerate=args.allow_degenerate)
 
     measure = eff["measure"] or {
@@ -670,24 +643,24 @@ def _cmd_clt(args) -> int:
     times = eff["times"] or [50.0]
     t = times[-1]
 
-    states = gaussian_ensemble(base, eff["ensemble"], eff["seed"])
-    states = [nonlinear_transform_sample(s, *transform) for s in states]
+    Y = nonlinear_transform_sample(gaussian_ensemble(base, eff["ensemble"], eff["seed"]),
+                                   *transform)
     psi = TestField.delta(kernel.d, kernel.n, component=args.component)
 
-    samples0 = linear_functional_samples(states, psi)
+    samples0 = linear_functional_samples(Y, psi)
     gauss0 = gaussianity_report(samples0)
     platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0
 
     # support of the transformed field is inside the base support
     offsets = [z for z in np.ndindex(*((2 * nu0 - 1,) * kernel.d))]
     offsets = [tuple(int(c) - (nu0 - 1) for c in z) for z in offsets]
-    emp = empirical_covariance(states, offsets)
+    emp = empirical_covariance(Y, offsets)
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")
     es = check_ES(grid, q0, thr["delta_null"])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
 
-    evolved = evolve_ensemble(states, kernel, t, grid=grid)
+    evolved = evolve_ensemble(Y, kernel, t, grid=grid)
     samples_t = linear_functional_samples(evolved, psi)
     gauss_t = gaussianity_report(samples_t)
     char = characteristic_functional(samples_t, qinf, psi)
@@ -696,7 +669,7 @@ def _cmd_clt(args) -> int:
     moments_ok = (not gauss_t["degenerate"]) and \
         abs(gauss_t["z_skewness"]) < 4.0 and abs(gauss_t["z_kurtosis"]) < 4.0
     report = {
-        "t": t, "count": len(states), "seed": eff["seed"],
+        "t": t, "count": Y.shape[0], "seed": eff["seed"],
         "component": args.component,
         "initial_moments": gauss0,
         "initial_platykurtic": platykurtic,
@@ -717,14 +690,9 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    eff = _effective_config(args, "mixing")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    kernel = _build_kernel(eff["kernel"])
-    thr = eff["thresholds"]
-    L = eff["L"]
-    grid = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(kernel, grid, need_spectral=True,
+    eff, outdir, kernel, thr, L = _prepare(args, "mixing")
+    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
+    _condition_gate(e123, grid, need_spectral=True,
                     allow_degenerate=args.allow_degenerate)
     measure = eff["measure"] or {"type": "white", "T0": 1.0, "T1": 1.0}
     q0, transform = _build_measure(measure, kernel, L)
@@ -802,8 +770,6 @@ def _add_common(p: _Parser, with_measure=True):
     p.add_argument("--delta-null", type=float, dest="delta_null")
     p.add_argument("--eps", type=float, help="critical-set cutoff width")
     p.add_argument("--output", help="output directory (default: out)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; results do not depend on this")
     p.add_argument("--allow-degenerate", action="store_true",
                    help="proceed despite failed E4/E5 reports")
     if with_measure:
@@ -855,8 +821,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None and args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

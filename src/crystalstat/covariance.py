@@ -74,15 +74,6 @@ class TestField:
             out += phase_grid(x, L, +1)[..., None] * val
         return out
 
-    def pair(self, state) -> float:
-        """<Y, Psi> = sum_x u(x).Psi^0(x) + v(x).Psi^1(x)."""
-        n = state.n
-        total = 0.0
-        for x, val in zip(self.sites, self.values):
-            idx = tuple(int(c) % state.L for c in x)
-            total += float(state.u[idx] @ val[:n] + state.v[idx] @ val[n:])
-        return total
-
 
 @dataclass(eq=False)
 class LimitDensity(SpectralDensity):

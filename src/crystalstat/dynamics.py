@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import forward_fft, inverse_fft, real_part_checked
+from ._lattice import check_ensemble, forward_fft, inverse_fft, real_part_checked
 from .kernel import InteractionKernel
 from .spectral import (
     DELTA_CROSS,
@@ -125,61 +125,42 @@ def _grid_for(kernel: InteractionKernel, L: int, grid: DispersionGrid | None) ->
     return dispersion_grid(kernel, L)
 
 
-def _apply_rotation(grid: DispersionGrid, t: float, uhat: np.ndarray, vhat: np.ndarray):
-    """Rotate stacked Fourier fields (..., *grid, n) by Ghat(t) nodewise."""
+def _apply_rotation(grid: DispersionGrid, t: float, yhat: np.ndarray) -> np.ndarray:
+    """Rotate a Fourier ensemble (S, *grid, 2n) by Ghat(t) nodewise."""
+    n = grid.n
     B = grid.basis
+    Bh = np.conj(np.swapaxes(B, -1, -2))
     c, s, ns = _rotation_factors(grid.omega, t)
-    a = np.einsum("...kj,...j->...k", np.conj(np.swapaxes(B, -1, -2)), uhat)
-    b = np.einsum("...kj,...j->...k", np.conj(np.swapaxes(B, -1, -2)), vhat)
-    a2 = c * a + s * b
-    b2 = ns * a + c * b
-    return (
-        np.einsum("...jk,...k->...j", B, a2),
-        np.einsum("...jk,...k->...j", B, b2),
-    )
+    a = np.einsum("...kj,...j->...k", Bh, yhat[..., :n])
+    b = np.einsum("...kj,...j->...k", Bh, yhat[..., n:])
+    out = np.empty_like(yhat)
+    out[..., :n] = np.einsum("...jk,...k->...j", B, c * a + s * b)
+    out[..., n:] = np.einsum("...jk,...k->...j", B, ns * a + c * b)
+    return out
 
 
 def evolve(state: FieldState, kernel: InteractionKernel, t: float,
            grid: DispersionGrid | None = None) -> FieldState:
-    """Propagate a state by time t through the spectral solver.
+    """Propagate one state by time t: :func:`evolve_ensemble` on a batch of one."""
+    Y = evolve_ensemble(np.concatenate([state.u, state.v], axis=-1)[None], kernel, t, grid)
+    return FieldState(Y[0, ..., :state.n], Y[0, ..., state.n:], state.t + float(t))
 
-    Passing a prebuilt dispersion grid of matching resolution avoids repeated
-    diagonalization when evolving many states.
+
+def evolve_ensemble(Y, kernel: InteractionKernel, t: float,
+                    grid: DispersionGrid | None = None) -> np.ndarray:
+    """Propagate an ensemble array (S, *grid, 2n) by time t through the spectral solver.
+
+    All samples share one diagonalization and batched FFTs; each sample's
+    result does not depend on the others.  Passing a prebuilt dispersion grid
+    of matching resolution avoids repeated diagonalization.
     """
-    if state.n != kernel.n or state.d != kernel.d:
-        raise ValueError("state and kernel dimensions disagree")
-    grid = _grid_for(kernel, state.L, grid)
-    d = kernel.d
-    uhat = forward_fft(state.u, d)
-    vhat = forward_fft(state.v, d)
-    uhat2, vhat2 = _apply_rotation(grid, float(t), uhat, vhat)
-    u2 = real_part_checked(inverse_fft(uhat2, d), _IMAG_TOL, "evolve")
-    v2 = real_part_checked(inverse_fft(vhat2, d), _IMAG_TOL, "evolve")
-    return FieldState(u2, v2, state.t + float(t))
-
-
-def evolve_ensemble(states, kernel: InteractionKernel, t: float,
-                    grid: DispersionGrid | None = None) -> list:
-    """Evolve equal-shape states by t sharing one diagonalization and batched FFTs."""
-    states = list(states)
-    if not states:
-        raise ValueError("empty ensemble")
-    L, d = states[0].L, states[0].d
-    if any(s.L != L or s.d != d or s.n != kernel.n for s in states):
-        raise ValueError("ensemble states must share one lattice shape")
+    Y, L, d, n = check_ensemble(Y)
+    if n != kernel.n or d != kernel.d:
+        raise ValueError("field and kernel dimensions disagree")
     grid = _grid_for(kernel, L, grid)
     axes = tuple(range(1, d + 1))
-    scale = float(L) ** d
-    U = np.stack([s.u for s in states])
-    V = np.stack([s.v for s in states])
-    uhat = np.fft.ifftn(U, axes=axes) * scale
-    vhat = np.fft.ifftn(V, axes=axes) * scale
-    uhat2, vhat2 = _apply_rotation(grid, float(t), uhat, vhat)
-    U2 = real_part_checked(np.fft.fftn(uhat2, axes=axes) / scale, _IMAG_TOL, "evolve_ensemble")
-    V2 = real_part_checked(np.fft.fftn(vhat2, axes=axes) / scale, _IMAG_TOL, "evolve_ensemble")
-    return [
-        FieldState(U2[i], V2[i], states[i].t + float(t)) for i in range(len(states))
-    ]
+    yhat = _apply_rotation(grid, float(t), forward_fft(Y, axes))
+    return real_part_checked(inverse_fft(yhat, axes), _IMAG_TOL, "evolve_ensemble")
 
 
 def reference_evolve_ode(state: FieldState, kernel: InteractionKernel, t: float,
@@ -253,7 +234,7 @@ def green_function(kernel: InteractionKernel, t: float, L: int,
     grid = _grid_for(kernel, L, grid)
     _check_wraparound(grid, t)
     Ghat = _propagator_grid_matrix(grid, float(t))
-    G = inverse_fft(Ghat, kernel.d)
+    G = inverse_fft(Ghat, tuple(range(kernel.d)))
     return real_part_checked(G, _IMAG_TOL, "green_function")
 
 
@@ -326,7 +307,7 @@ def truncated_green(kernel: InteractionKernel, t: float, L: int, eps: float,
         if not np.any(g > 0):
             raise ValueError("cutoff removes the entire grid; reduce eps")
         Ghat = Ghat * g[..., None, None]
-    G = inverse_fft(Ghat, kernel.d)
+    G = inverse_fft(Ghat, tuple(range(kernel.d)))
     return real_part_checked(G, _IMAG_TOL, "truncated_green")
 
 

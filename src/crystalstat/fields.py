@@ -7,17 +7,27 @@ covariance are drawn by colouring iid real white noise in Fourier space with
 the nodewise Hermitian square root; reality of the samples is automatic since
 white noise drawn in real space carries the exact conjugate pairing
 What(-theta) = conj(What(theta)), including the self-conjugate nodes.
+
+Samplers and transforms work on whole ensembles: one float array of shape
+(S, *grid, 2n) whose leading axis indexes samples and whose trailing axis holds
+the u components followed by the v components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._lattice import forward_fft, inverse_fft, phase_grid, real_part_checked, theta_axis
-from .dynamics import FieldState
+from ._lattice import (
+    check_ensemble,
+    forward_fft,
+    inverse_fft,
+    phase_grid,
+    real_part_checked,
+    theta_axis,
+)
 
 __all__ = [
     "SpectralDensity",
@@ -26,7 +36,6 @@ __all__ = [
     "density_from_covariance",
     "density_to_jsonable",
     "density_from_jsonable",
-    "gaussian_sample",
     "gaussian_ensemble",
     "nonlinear_transform_sample",
     "empirical_mixing_support",
@@ -37,8 +46,7 @@ class SpectralDensity:
     """Spectral density of a translation-invariant measure on the L^d lattice.
 
     matrix has shape (L,)*d + (2n, 2n); the (i, j) block (i, j in {0, 1}) is
-    the density of the (u, v) cross-covariance.  resample, when set, rebuilds
-    the same analytic density at another resolution (used by refinement checks).
+    the density of the (u, v) cross-covariance.
     """
 
     L: int
@@ -46,7 +54,6 @@ class SpectralDensity:
     n: int
     matrix: np.ndarray
     provenance: str = "analytic"
-    resample: Optional[Callable[[int], "SpectralDensity"]] = None
     _sqrt_cache: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -117,7 +124,6 @@ def triangular_density(nu0: int, d: int, T0: float, T1: float, L: int) -> Spectr
     return SpectralDensity(
         L=L, d=d, n=1, matrix=matrix,
         provenance=f"analytic:triangular(nu0={nu0},T0={T0},T1={T1})",
-        resample=lambda L2: triangular_density(nu0, d, T0, T1, L2),
     )
 
 
@@ -132,7 +138,6 @@ def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> Spectra
     return SpectralDensity(
         L=L, d=d, n=n, matrix=matrix,
         provenance=f"analytic:white(T0={T0},T1={T1})",
-        resample=lambda L2: white_noise_density(T0, T1, n, d, L2),
     )
 
 
@@ -145,70 +150,59 @@ def _white_noise_draws(L: int, d: int, n: int, seed: int, indices) -> np.ndarray
     return out
 
 
-def gaussian_sample(density: SpectralDensity, seed: int, index: int = 0) -> FieldState:
-    """One Gaussian field with the given spectral density, at time 0.
-
-    Deterministic per (seed, index) and independent of generation order, so
-    ensembles may be produced in any order or in parallel.
-    """
-    return gaussian_ensemble(density, 1, seed, start_index=index)[0]
-
-
 def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
-                      start_index: int = 0) -> list:
-    """count iid Gaussian samples drawn at sample indices start_index, ..."""
+                      start_index: int = 0) -> np.ndarray:
+    """count iid Gaussian samples drawn at sample indices start_index, ...
+
+    Returns the ensemble array (count, *grid, 2n).  Each sample is
+    deterministic per (seed, index) and independent of generation order, so
+    consecutive index blocks concatenate to the array of the whole range.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     L, d, n = density.L, density.d, density.n
     R = density.hermitian_sqrt()
     W = _white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
     axes = tuple(range(1, d + 1))
-    scale = float(L) ** d
-    what = np.fft.ifftn(W, axes=axes) * scale
-    yhat = np.einsum("...ij,s...j->s...i", R, what)
-    Y = np.fft.fftn(yhat, axes=axes) / scale
-    Y = real_part_checked(Y, 1e-6, "gaussian_sample")
-    return [FieldState(Y[s][..., :n], Y[s][..., n:], 0.0) for s in range(count)]
+    yhat = np.einsum("...ij,s...j->s...i", R, forward_fft(W, axes))
+    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "gaussian_sample")
 
 
-def nonlinear_transform_sample(state: FieldState, a0: float, a1: float) -> FieldState:
-    """Apply the bounded odd map y -> a tanh(y / a) componentwise.
+def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
+    """Apply the bounded odd map y -> a tanh(y / a) componentwise to an ensemble.
 
     Displacements use amplitude a0, velocities a1.  The transform preserves
     translation invariance and zero mean while destroying gaussianity.
     """
     if a0 <= 0 or a1 <= 0:
         raise ValueError("transform amplitudes must be positive")
-    return FieldState(
-        a0 * np.tanh(state.u / a0),
-        a1 * np.tanh(state.v / a1),
-        state.t,
-    )
+    Y, _, _, n = check_ensemble(Y)
+    amplitude = np.repeat([float(a0), float(a1)], n)
+    return amplitude * np.tanh(Y / amplitude)
 
 
-def empirical_mixing_support(ensemble, r_max: int) -> dict:
-    """Estimate the correlation support radius from an ensemble.
+def empirical_mixing_support(Y, r_max: int) -> dict:
+    """Estimate the correlation support radius from an ensemble array.
 
     Returns the largest Chebyshev offset radius |z| <= r_max at which any
     covariance block differs from zero by more than three standard errors,
     together with the per-radius significance table.  Needs at least 100
     samples for the error bars to mean anything.
     """
-    ensemble = list(ensemble)
-    if len(ensemble) < 100:
+    Y, _, d, _ = check_ensemble(Y)
+    if Y.shape[0] < 100:
         raise ValueError("need at least 100 samples to resolve the support")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     from .stats import empirical_covariance
 
-    d = ensemble[0].d
     offsets = [
         z
         for z in np.ndindex(*([2 * r_max + 1] * d))
         if any(c != 0 for c in (np.asarray(z) - r_max))
     ]
     offsets = [tuple(int(c) for c in (np.asarray(z) - r_max)) for z in offsets]
-    summary = empirical_covariance(ensemble, offsets)
+    summary = empirical_covariance(Y, offsets)
     radius = 0
     table = {}
     for z in offsets:
@@ -223,7 +217,7 @@ def empirical_mixing_support(ensemble, r_max: int) -> dict:
     return {
         "radius": radius,
         "per_radius_significant": {int(k): bool(v) for k, v in sorted(table.items())},
-        "samples": len(ensemble),
+        "samples": Y.shape[0],
     }
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "SpectralPoint",
     "DispersionGrid",
     "CriticalSetEstimate",
-    "fourier_symbol",
     "spectral_point",
     "dispersion_grid",
     "branch_derivatives",
@@ -41,11 +40,6 @@ DELTA_CONST = 1e-8
 # gap below which two branches count as one constant-multiplicity family rather
 # than a crossing (relative to 1 + omega_max); see the crossing flag below
 _DEGENERATE_REL = 1e-12
-
-
-def fourier_symbol(kernel: InteractionKernel, theta) -> np.ndarray:
-    """Hermitian symbol Vhat(theta), shape (n, n)."""
-    return kernel.symbol(theta)
 
 
 def _clamped_frequencies(w: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Ensemble estimators: covariances, characteristic functionals, moment checks.
 
-Everything here consumes ensembles of FieldStates (or plain sample arrays) and
-produces numbers with Monte Carlo error bars attached, so that comparisons
-against the transported and limiting densities can be gated at 3 sigma.
+Everything here consumes ensemble arrays (S, *grid, 2n), u components first,
+or plain sample arrays, and produces numbers with Monte Carlo error bars
+attached, so that comparisons against the transported and limiting densities
+can be gated at 3 sigma.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import minimal_image
+from ._lattice import check_ensemble, minimal_image
 from .covariance import quadratic_form
 
 __all__ = [
@@ -29,48 +30,29 @@ class EnsembleSummary:
     """Per-offset empirical covariance blocks with jackknife standard errors."""
 
     count: int
-    t: float
     offsets: list
     mean: dict
     se: dict
 
 
-def _stack_states(ensemble):
-    """Validate a homogeneous ensemble and stack it into (samples, *grid, 2n)."""
-    ensemble = list(ensemble)
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    first = ensemble[0]
-    for s in ensemble[1:]:
-        if s.t != first.t:
-            raise ValueError(
-                f"mixed time stamps in ensemble (t={s.t} vs t={first.t})"
-            )
-        if (s.L, s.d, s.n) != (first.L, first.d, first.n):
-            raise ValueError("mixed lattice shapes in ensemble")
-    Y = np.stack([np.concatenate([s.u, s.v], axis=-1) for s in ensemble])
-    return ensemble, Y
-
-
-def empirical_covariance(ensemble, offsets) -> EnsembleSummary:
+def empirical_covariance(Y, offsets) -> EnsembleSummary:
     """Translation-averaged covariance estimate q(z) = E[Y(x+z) (x) Y(x)].
 
     Averages over base points x (stationarity makes every one an unbiased
     probe) and over samples; the quoted standard error is the leave-one-out
     jackknife of the sample mean, entrywise.
     """
-    ensemble, Y = _stack_states(ensemble)
-    S = len(ensemble)
+    Y, L, d, _ = check_ensemble(Y)
+    S = Y.shape[0]
     if S < 100:
         raise ValueError("need at least 100 samples for covariance error bars")
-    first = ensemble[0]
-    axes = tuple(range(1, 1 + first.d))
-    norm = float(first.L) ** first.d
+    axes = tuple(range(1, 1 + d))
+    norm = float(L) ** d
     offsets = [tuple(int(c) for c in z) for z in offsets]
     mean, se = {}, {}
     flat = Y.reshape(S, -1, Y.shape[-1])
     for z in offsets:
-        if len(z) != first.d:
+        if len(z) != d:
             raise ValueError(f"offset {z} has wrong dimension")
         # roll by -z puts Y(x+z) in slot x
         shifted = np.roll(Y, shift=tuple(-c for c in z), axis=axes)
@@ -80,25 +62,24 @@ def empirical_covariance(ensemble, offsets) -> EnsembleSummary:
         dev = per_sample - m
         mean[z] = m
         se[z] = np.sqrt(np.sum(dev * dev, axis=0) / (S * (S - 1)))
-    return EnsembleSummary(count=S, t=first.t, offsets=offsets, mean=mean, se=se)
+    return EnsembleSummary(count=S, offsets=offsets, mean=mean, se=se)
 
 
-def linear_functional_samples(ensemble, psi) -> np.ndarray:
-    """One real <Y_s, Psi> per sample, vectorized over the ensemble."""
-    ensemble, Y = _stack_states(ensemble)
-    first = ensemble[0]
-    if psi.d != first.d:
+def linear_functional_samples(Y, psi) -> np.ndarray:
+    """One real <Y_s, Psi> = sum_x Y_s(x) . Psi(x) per sample, vectorized over the ensemble."""
+    Y, L, d, n = check_ensemble(Y)
+    if psi.d != d:
         raise ValueError("test field dimension does not match the ensemble")
-    if psi.values.shape[1] != 2 * first.n:
+    if psi.values.shape[1] != 2 * n:
         raise ValueError("test field has wrong component count")
-    half = first.L // 2
-    out = np.zeros(len(ensemble))
+    half = L // 2
+    out = np.zeros(Y.shape[0])
     for x, val in zip(psi.sites, psi.values):
         if any(c < -half or c >= half for c in x):
             raise ValueError(
                 f"test-field site {tuple(int(c) for c in x)} outside the lattice window"
             )
-        idx = (slice(None),) + tuple(int(c) % first.L for c in x)
+        idx = (slice(None),) + tuple(int(c) % L for c in x)
         out += Y[idx] @ val
     return out
 

@@ -311,8 +311,7 @@ def test_criterion_08_central_limit():
     L, N, t = 256, 10000, 50.0
     grid = dispersion_grid(CHAIN, L)
     base = triangular_density(2, 1, 1.0, 1.0, L)
-    states = gaussian_ensemble(base, N, 0)
-    states = [nonlinear_transform_sample(s, 1.0, 1.0) for s in states]
+    states = nonlinear_transform_sample(gaussian_ensemble(base, N, 0), 1.0, 1.0)
     emp = empirical_covariance(states, [(-1,), (0,), (1,)])
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")

@@ -1,15 +1,18 @@
 """End-to-end checks of the command-line runner.
 
-Most cases call main() in process for speed; two subprocess tests confirm
-the installed console script wires exit codes through sys.exit.
+Most cases call main() in process for speed; one subprocess test confirms
+that the console-script entry point wires exit codes through sys.exit.
 """
 
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crystalstat
 from crystalstat.cli import main
 from crystalstat.fields import density_from_jsonable
 from crystalstat.kernel import InteractionKernel, kernel_to_json
@@ -238,20 +241,35 @@ def test_report_runs_all_stages(tmp_path, capsys):
     assert "stages" in capsys.readouterr().out
 
 
+def test_threads_flag_is_gone(capsys):
+    code = main(["dispersion"] + nn_args(L=32, threads=2))
+    assert code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 def test_console_script_exit_codes(tmp_path):
-    exe = shutil.which("crystalstat")
-    assert exe, "console script not installed"
+    # the console script is pyproject's crystalstat -> crystalstat.cli:main;
+    # `python -m crystalstat` runs the same main without an install
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["crystalstat"] == "crystalstat.cli:main"
+    exe = [sys.executable, "-m", "crystalstat"]
+    package_root = str(Path(crystalstat.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
     ok = subprocess.run(
-        [exe, "dispersion", "--nn", "d=1", "n=1", "m=1", "--L", "32",
-         "--output", str(tmp_path / "ok")],
-        capture_output=True, text=True)
+        exe + ["dispersion", "--nn", "d=1", "n=1", "m=1", "--L", "32",
+               "--output", str(tmp_path / "ok")],
+        capture_output=True, text=True, env=env)
     assert ok.returncode == 0
 
     path = tmp_path / "bad_kernel.json"
     path.write_text(kernel_to_json(InteractionKernel(1, 1, {(0,): [[-1.0]]})))
     bad = subprocess.run(
-        [exe, "dispersion", "--kernel-file", str(path), "--L", "32",
-         "--output", str(tmp_path / "bad")],
-        capture_output=True, text=True)
+        exe + ["dispersion", "--kernel-file", str(path), "--L", "32",
+               "--output", str(tmp_path / "bad")],
+        capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert "condition failure" in bad.stderr

@@ -10,9 +10,11 @@ from crystalstat import (
     dispersion_grid,
     evolve,
     evolve_density,
-    gaussian_sample,
+    evolve_ensemble,
+    gaussian_ensemble,
     gibbs_density,
     limit_density,
+    linear_functional_samples,
     mixing_integral,
     quadratic_form,
     triangular_density,
@@ -35,10 +37,10 @@ def closed_form_limit(q0):
 def test_delta_field_pairing(nn1, rng):
     psi = TestField.delta(1, 1, component=0, site=(3,))
     dens = triangular_density(2, 1, 1.0, 1.0, 32)
-    st = gaussian_sample(dens, seed=4)
-    assert psi.pair(st) == pytest.approx(float(st.u[3, 0]))
+    Y = gaussian_ensemble(dens, 1, seed=4)
+    assert linear_functional_samples(Y, psi)[0] == pytest.approx(float(Y[0, 3, 0]))
     psiv = TestField.delta(1, 1, component=1)
-    assert psiv.pair(st) == pytest.approx(float(st.v[0, 0]))
+    assert linear_functional_samples(Y, psiv)[0] == pytest.approx(float(Y[0, 0, 1]))
 
 
 def test_field_fourier_is_unit_modulus_phase():
@@ -96,8 +98,6 @@ def test_evolve_density_matches_state_transport(nn1, grid64):
     # Monte Carlo oracle stays far from exact identities, so use the exact
     # pullback instead: <Y_t, Psi> = <Y_0, G(t)^T Psi>
     samples = 4000
-    from crystalstat import gaussian_ensemble, evolve_ensemble, linear_functional_samples
-
     ens = evolve_ensemble(gaussian_ensemble(q0, samples, seed=11), nn1, 7.3)
     vals = linear_functional_samples(ens, psi)
     mc = float(np.mean(vals**2))

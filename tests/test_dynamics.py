@@ -1,7 +1,11 @@
 """Propagator, time evolution, Green's functions, energy."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalstat import (
     FieldState,
@@ -181,12 +185,44 @@ def test_truncated_green_zero_eps_is_plain(nn1):
 
 
 def test_evolve_ensemble_matches_single(nn1, rng):
-    states = [random_state(rng, 32, 1, 1) for _ in range(3)]
-    batch = evolve_ensemble(states, nn1, 6.0)
-    for st, out in zip(states, batch):
-        single = evolve(st, nn1, 6.0)
-        np.testing.assert_allclose(out.u, single.u, atol=1e-12)
-        np.testing.assert_allclose(out.v, single.v, atol=1e-12)
+    states = [random_state(rng, 32, 1, 1, t=0.5) for _ in range(3)]
+    batch = evolve_ensemble(np.stack([np.concatenate([s.u, s.v], axis=-1) for s in states]),
+                            nn1, 6.0)
+    assert batch.shape == (3, 32, 2)
+    for state, out in zip(states, batch):
+        single = evolve(state, nn1, 6.0)
+        np.testing.assert_array_equal(out[..., :1], single.u)
+        np.testing.assert_array_equal(out[..., 1:], single.v)
+        assert single.t == 6.5
+
+
+@lru_cache(maxsize=None)
+def _kernel_and_grid(d, n):
+    kernel = random_finite_range_kernel(d, n, 1, seed=10 * d + n)
+    return kernel, dispersion_grid(kernel, 16)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(-20.0, 20.0), data=st.data())
+def test_evolve_ensemble_is_batch_independent(d, n, count, seed, t, data):
+    kernel, grid = _kernel_and_grid(d, n)
+    Y = np.random.default_rng(seed).standard_normal((count,) + (grid.L,) * d + (2 * n,))
+    split = data.draw(st.integers(1, count - 1), label="split")
+    whole = evolve_ensemble(Y, kernel, t, grid=grid)
+    chunks = [evolve_ensemble(Y[:split], kernel, t, grid=grid),
+              evolve_ensemble(Y[split:], kernel, t, grid=grid)]
+    np.testing.assert_array_equal(whole, np.concatenate(chunks))
+    rows = [evolve_ensemble(Y[i:i + 1], kernel, t, grid=grid) for i in range(count)]
+    np.testing.assert_array_equal(whole, np.concatenate(rows))
+
+
+def test_evolve_rejects_dimension_mismatch(nn1):
+    with pytest.raises(ValueError, match="kernel dimensions"):
+        evolve_ensemble(np.zeros((2, 16, 4)), nn1, 1.0)
+    with pytest.raises(ValueError, match="kernel dimensions"):
+        evolve(FieldState(np.zeros((16, 16, 1)), np.zeros((16, 16, 1))), nn1, 1.0)
 
 
 def test_state_shape_validation():

@@ -2,20 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalstat import (
-    FieldState,
     covariance_from_density,
     density_from_covariance,
     density_from_jsonable,
     density_to_jsonable,
+    dispersion_grid,
     empirical_covariance,
     empirical_mixing_support,
     gaussian_ensemble,
-    gaussian_sample,
     gibbs_density,
     limit_density,
     nonlinear_transform_sample,
+    random_finite_range_kernel,
     triangular_density,
     white_noise_density,
 )
@@ -35,7 +37,7 @@ def test_triangular_density_psd_and_resample():
     dens = triangular_density(2, 1, 1.0, 1.0, 64)
     w = np.linalg.eigvalsh(dens.matrix)
     assert w.min() > -1e-12
-    finer = dens.resample(128)
+    finer = triangular_density(2, 1, 1.0, 1.0, L=128)
     assert finer.L == 128
     table = covariance_from_density(finer, [(0,), (1,)])
     np.testing.assert_allclose(table.matrix((0,)), 2.0 * np.eye(2), atol=1e-12)
@@ -51,26 +53,48 @@ def test_white_noise_covariance_is_delta():
 
 def test_gaussian_sampler_reproducible():
     dens = triangular_density(2, 1, 1.0, 1.0, 32)
-    a = gaussian_sample(dens, seed=5)
-    b = gaussian_sample(dens, seed=5)
-    c = gaussian_sample(dens, seed=6)
-    np.testing.assert_array_equal(a.u, b.u)
-    np.testing.assert_array_equal(a.v, b.v)
-    assert np.abs(a.u - c.u).max() > 1e-3
+    a = gaussian_ensemble(dens, 1, seed=5)
+    b = gaussian_ensemble(dens, 1, seed=5)
+    c = gaussian_ensemble(dens, 1, seed=6)
+    assert a.shape == (1, 32, 2)
+    np.testing.assert_array_equal(a, b)
+    assert np.abs(a[..., 0] - c[..., 0]).max() > 1e-3
 
 
 def test_gaussian_sampler_order_independent():
     dens = white_noise_density(1.0, 1.0, 1, 1, 32)
     batch = gaussian_ensemble(dens, 4, seed=9)
     tail = gaussian_ensemble(dens, 2, seed=9, start_index=2)
-    np.testing.assert_array_equal(batch[2].u, tail[0].u)
-    np.testing.assert_array_equal(batch[3].v, tail[1].v)
+    np.testing.assert_array_equal(batch[2:], tail)
+    one = gaussian_ensemble(dens, 1, seed=9, start_index=3)
+    np.testing.assert_array_equal(batch[3], one[0])
+
+
+def _correlated_density(d, n, L):
+    """Equilibrium density of a random kernel: non-diagonal blocks for n > 1."""
+    kernel = random_finite_range_kernel(d, n, 1, seed=10 * d + n)
+    return gibbs_density(1.0, dispersion_grid(kernel, L))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_gaussian_ensemble_blocks_concatenate_bitwise(d, n, count, seed, data):
+    dens = _correlated_density(d, n, 16)
+    start = data.draw(st.integers(0, 50), label="start_index")
+    split = data.draw(st.integers(1, count - 1), label="split")
+    whole = gaussian_ensemble(dens, count, seed, start_index=start)
+    head = gaussian_ensemble(dens, split, seed, start_index=start)
+    tail = gaussian_ensemble(dens, count - split, seed, start_index=start + split)
+    np.testing.assert_array_equal(whole, np.concatenate([head, tail]))
+    rows = [gaussian_ensemble(dens, 1, seed, start_index=start + i) for i in range(count)]
+    np.testing.assert_array_equal(whole, np.concatenate(rows))
 
 
 def test_gaussian_sampler_moments_match_density():
     dens = triangular_density(2, 1, 1.0, 1.0, 64)
     ens = gaussian_ensemble(dens, 3000, seed=1)
-    assert all(s.u.dtype == np.float64 for s in ens[:3])
+    assert ens.dtype == np.float64 and ens.flags.c_contiguous
     summary = empirical_covariance(ens, [(0,), (1,), (2,)])
     exact = covariance_from_density(dens, [(0,), (1,), (2,)])
     for z in [(0,), (1,), (2,)]:
@@ -81,21 +105,20 @@ def test_gaussian_sampler_moments_match_density():
 def test_gaussian_sample_zero_mean():
     dens = white_noise_density(1.0, 1.0, 1, 1, 64)
     ens = gaussian_ensemble(dens, 2000, seed=3)
-    mean_u = np.mean([s.u.mean() for s in ens])
+    mean_u = ens[..., 0].mean()
     assert abs(mean_u) < 4.0 / np.sqrt(2000 * 64)
 
 
 def test_transform_bounds_and_oddness():
-    st = FieldState(np.linspace(-5, 5, 16).reshape(16, 1),
-                    np.linspace(5, -5, 16).reshape(16, 1), t=2.0)
-    out = nonlinear_transform_sample(st, 0.8, 1.5)
-    assert np.abs(out.u).max() < 0.8
-    assert np.abs(out.v).max() < 1.5
-    assert out.t == 2.0
-    flipped = nonlinear_transform_sample(FieldState(-st.u, -st.v, 2.0), 0.8, 1.5)
-    np.testing.assert_allclose(flipped.u, -out.u, atol=1e-15)
+    Y = np.stack([np.linspace(-5, 5, 16), np.linspace(5, -5, 16)], axis=-1)[None]
+    out = nonlinear_transform_sample(Y, 0.8, 1.5)
+    assert out.shape == Y.shape
+    assert np.abs(out[..., 0]).max() < 0.8
+    assert np.abs(out[..., 1]).max() < 1.5
+    flipped = nonlinear_transform_sample(-Y, 0.8, 1.5)
+    np.testing.assert_allclose(flipped, -out, atol=1e-15)
     with pytest.raises(ValueError):
-        nonlinear_transform_sample(st, 0.0, 1.0)
+        nonlinear_transform_sample(Y, 0.0, 1.0)
 
 
 def test_mixing_support_radius():

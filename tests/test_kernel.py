@@ -35,24 +35,20 @@ def test_nn_kernel_vector_masses():
 
 def test_symbol_matches_direct_sum(rng):
     k = random_finite_range_kernel(2, 2, 2, seed=5)
-    from crystalstat import fourier_symbol
-
     for _ in range(10):
         theta = rng.uniform(-np.pi, np.pi, size=2)
         direct = sum(
             np.asarray(V, dtype=complex) * np.exp(1j * np.dot(theta, z))
             for z, V in k.entries.items()
         )
-        np.testing.assert_allclose(fourier_symbol(k, theta), direct, atol=1e-12)
+        np.testing.assert_allclose(k.symbol(theta), direct, atol=1e-12)
 
 
 def test_symbol_is_hermitian_on_random_kernels():
-    from crystalstat import fourier_symbol
-
     for seed in range(5):
         k = random_finite_range_kernel(1, 2, 2, seed)
         theta = np.array([0.7])
-        V = fourier_symbol(k, theta)
+        V = k.symbol(theta)
         np.testing.assert_allclose(V, V.conj().T, atol=1e-12)
 
 

@@ -56,14 +56,14 @@ def test_spectral_point_matches_grid_node(nn1, grid256):
 
 
 def test_spectral_point_eigendata(rng):
-    from crystalstat import fourier_symbol, random_finite_range_kernel
+    from crystalstat import random_finite_range_kernel
 
     k = random_finite_range_kernel(1, 2, 2, seed=17)
     theta = rng.uniform(-np.pi, np.pi, size=1)
     pt = spectral_point(k, theta)
     assert np.all(np.diff(pt.omega) >= 0)
     np.testing.assert_allclose(pt.basis.conj().T @ pt.basis, np.eye(2), atol=1e-12)
-    V = fourier_symbol(k, theta)
+    V = k.symbol(theta)
     np.testing.assert_allclose(
         pt.basis.conj().T @ V @ pt.basis, np.diag(pt.omega**2), atol=1e-10
     )

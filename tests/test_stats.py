@@ -19,15 +19,11 @@ from crystalstat import (
 
 
 def test_empirical_covariance_against_inline_oracle(rng):
-    # tiny random states, every number checked by hand-rolled averaging
+    # tiny random ensemble, every number checked by hand-rolled averaging
     S, L = 120, 4
-    ens = [
-        FieldState(rng.standard_normal((L, 1)), rng.standard_normal((L, 1)))
-        for _ in range(S)
-    ]
-    summary = empirical_covariance(ens, [(0,), (1,), (-1,)])
+    Y = rng.standard_normal((S, L, 2))
+    summary = empirical_covariance(Y, [(0,), (1,), (-1,)])
 
-    Y = np.stack([np.concatenate([s.u, s.v], axis=-1) for s in ens])
     for z in [(0,), (1,), (-1,)]:
         per = np.empty((S, 2, 2))
         for s in range(S):
@@ -41,9 +37,8 @@ def test_empirical_covariance_against_inline_oracle(rng):
 
 
 def test_empirical_covariance_needs_samples():
-    ens = [FieldState(np.zeros((8, 1)), np.zeros((8, 1))) for _ in range(5)]
     with pytest.raises(ValueError, match="100"):
-        empirical_covariance(ens, [(0,)])
+        empirical_covariance(np.zeros((5, 8, 2)), [(0,)])
 
 
 def test_empirical_covariance_consistent(nn1):
@@ -67,15 +62,16 @@ def test_jackknife_se_shrinks_like_root_n():
 
 
 def test_ensemble_validation():
-    a = FieldState(np.zeros((8, 1)), np.zeros((8, 1)), t=0.0)
-    b = FieldState(np.zeros((8, 1)), np.zeros((8, 1)), t=1.0)
-    with pytest.raises(ValueError, match="time stamps"):
-        empirical_covariance([a, b], [(0,)])
-    c = FieldState(np.zeros((16, 1)), np.zeros((16, 1)))
-    with pytest.raises(ValueError, match="lattice shapes"):
-        empirical_covariance([a, c], [(0,)])
+    with pytest.raises(ValueError, match="sample axis"):
+        empirical_covariance(np.zeros((8, 2)), [(0,)])
+    with pytest.raises(ValueError, match="2n entries"):
+        empirical_covariance(np.zeros((200, 8, 3)), [(0,)])
+    bad = np.zeros((200, 8, 2))
+    bad[17, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        empirical_covariance(bad, [(0,)])
     with pytest.raises(ValueError, match="empty"):
-        empirical_covariance([], [(0,)])
+        empirical_covariance(np.zeros((0, 8, 2)), [(0,)])
 
 
 def test_linear_functional_linearity():
@@ -85,6 +81,7 @@ def test_linear_functional_linearity():
     other = TestField.delta(1, 1, component=1, site=(5,))
     both = TestField(sites=[(2,), (5,)], values=[[1.0, 0.0], [0.0, 1.0]])
     s = linear_functional_samples(ens, both)
+    np.testing.assert_allclose(s, ens[:, 2, 0] + ens[:, 5, 1], atol=1e-12)
     np.testing.assert_allclose(
         s,
         linear_functional_samples(ens, one) + linear_functional_samples(ens, other),
