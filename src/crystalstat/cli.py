@@ -210,11 +210,7 @@ def _effective_config(args, command: str) -> dict:
         measure = {"type": "file", "path": args.measure_file}
     elif "measure" in cfg:
         measure = cfg["measure"]
-    if measure is not None and getattr(args, "transform", None) is not None:
-        kv = _parse_kv(args.transform, "transform", {"a0": float, "a1": float})
-        measure = {"type": "transformed", "base": measure,
-                   "a0": kv.get("a0", 1.0), "a1": kv.get("a1", 1.0)}
-    eff["measure"] = measure
+    eff["measure"] = _transformed(measure, getattr(args, "transform", None))
 
     if getattr(args, "t", None) is not None:
         eff["times"] = [float(args.t)]
@@ -254,12 +250,42 @@ def _effective_config(args, command: str) -> dict:
     return eff
 
 
-def _prepare(args, command: str):
-    """Shared preamble: effective config, output directory, kernel, thresholds, L."""
-    eff = _effective_config(args, command)
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return eff, outdir, _build_kernel(eff["kernel"]), eff["thresholds"], eff["L"]
+def _transformed(measure, tokens):
+    """Wrap a measure spec in the bounded transform of --transform tokens, if any."""
+    if measure is None or tokens is None:
+        return measure
+    kv = _parse_kv(tokens, "transform", {"a0": float, "a1": float})
+    return {"type": "transformed", "base": measure,
+            "a0": kv.get("a0", 1.0), "a1": kv.get("a1", 1.0)}
+
+
+class _Run:
+    """State of one command: effective config, output directory (created here),
+    and the kernel and dispersion grids, each built on first use.
+
+    The stages of ``report`` share one memo, so they share the kernel and the
+    grid at each resolution.  A build that raises is not stored: every stage
+    that needs it retries and records its own failure.
+    """
+
+    def __init__(self, eff: dict, memo: dict):
+        self.eff = eff
+        self.thr = eff["thresholds"]
+        self.L = eff["L"]
+        self.outdir = Path(eff["output"])
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        self.memo = memo
+
+    def kernel(self):
+        if "kernel" not in self.memo:
+            self.memo["kernel"] = _build_kernel(self.eff["kernel"])
+        return self.memo["kernel"]
+
+    def grid(self, L: int):
+        """(grid, E1-E3 reports) at resolution L, built by :func:`_build_grid`."""
+        if L not in self.memo:
+            self.memo[L] = _build_grid(self.kernel(), L, self.thr["delta_cross"])
+        return self.memo[L]
 
 
 def _build_kernel(spec: dict):
@@ -342,10 +368,11 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_manifest(outdir: Path, eff: dict) -> None:
+def _write_manifest(run: _Run) -> None:
     from . import __version__
 
-    _write_json(outdir / "manifest.json", {
+    eff = run.eff
+    _write_json(run.outdir / "manifest.json", {
         "package": {"name": "crystalstat", "version": __version__},
         "config": {k: v for k, v in eff.items() if k != "command"},
         "command": eff["command"],
@@ -355,7 +382,7 @@ def _write_manifest(outdir: Path, eff: dict) -> None:
 def _build_grid(kernel, L, delta_cross):
     """Gate E1-E3 before the eigensolver so kernel defects exit with code 2.
 
-    Returns the grid and the E1-E3 reports, for :func:`_condition_gate`.
+    Returns the grid and the E1-E3 reports, none of which failed.
     """
     e123 = check_E123(kernel)
     if any(r.verdict == "fail" for r in e123):
@@ -363,15 +390,12 @@ def _build_grid(kernel, L, delta_cross):
     return dispersion_grid(kernel, L, delta_cross), e123
 
 
-def _condition_gate(e123, grid=None, need_spectral=False,
-                    allow_degenerate=False, extra_reports=()):
-    reports = list(e123)
-    if grid is not None:
-        reports += check_E4_E5(grid)
-    reports += list(extra_reports)
-    hard = [r for r in reports if r.verdict == "fail" and r.condition in ("E1", "E2", "E3")]
-    soft = [r for r in reports if r.verdict == "fail" and r.condition not in ("E1", "E2", "E3")]
-    if hard or (need_spectral and soft and not allow_degenerate):
+def _condition_gate(e123, grid, thr, strict, extra_reports=()):
+    """E1-E3 plus E4/E5 at the run's thresholds plus extra_reports; when
+    strict, any failed report raises."""
+    reports = list(e123) + check_E4_E5(grid, thr["delta_cross"], thr["delta_hess"],
+                                       thr["delta_null"]) + list(extra_reports)
+    if strict and any(r.verdict == "fail" for r in reports):
         raise ConditionFailure(reports)
     return reports
 
@@ -397,41 +421,41 @@ def _power_fit(times, values):
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_dispersion(args) -> int:
-    eff, outdir, kernel, thr, _ = _prepare(args, "dispersion")
-    grid, e123 = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
-    reports = _condition_gate(e123, grid, need_spectral=False)
+def _cmd_dispersion(run) -> int:
+    thr, outdir = run.thr, run.outdir
+    grid, e123 = run.grid(run.eff["grid_L"])
+    reports = _condition_gate(e123, grid, thr, strict=False)
     scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
                              thr["delta_null"])
     with open(outdir / "dispersion.csv", "w") as fh:
         write_dispersion_csv(grid, scan, fh)
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_critical(args) -> int:
-    eff, outdir, kernel, thr, _ = _prepare(args, "critical")
-    grid, e123 = _build_grid(kernel, eff["grid_L"], thr["delta_cross"])
-    reports = _condition_gate(e123, grid, need_spectral=False)
+def _cmd_critical(run) -> int:
+    thr, outdir = run.thr, run.outdir
+    grid, e123 = run.grid(run.eff["grid_L"])
+    reports = _condition_gate(e123, grid, thr, strict=False)
     scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
                              thr["delta_null"])
     _write_json(outdir / "critical.json", scan.to_jsonable())
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     fr = scan.fractions()
     print(f"critical: combined fraction {fr['combined']:.6g} -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_green(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "green")
-    _condition_gate(check_E123(kernel))
-    times = eff["times"] or [5.0, 10.0, 20.0, 40.0]
-    radius = args.dump_radius
-    if radius < 0 or 2 * radius + 1 > L:
+def _cmd_green(run, dump_radius) -> int:
+    thr, outdir, L = run.thr, run.outdir, run.L
+    kernel = run.kernel()
+    grid, _ = run.grid(L)
+    times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
+    if dump_radius < 0 or 2 * dump_radius + 1 > L:
         raise UsageError("--dump-radius must fit inside the lattice window")
     sups = []
     with open(outdir / "green.csv", "w") as fh:
@@ -440,15 +464,15 @@ def _cmd_green(args) -> int:
                         + ["row", "col", "value"])
         for t in times:
             if thr["eps"] > 0:
-                G = truncated_green(kernel, t, L, thr["eps"],
+                G = truncated_green(kernel, t, L, thr["eps"], grid=grid,
                                     delta_cross=thr["delta_cross"],
                                     delta_hess=thr["delta_hess"],
                                     delta_null=thr["delta_null"])
             else:
-                G = green_function(kernel, t, L)
+                G = green_function(kernel, t, L, grid=grid)
             sups.append(float(np.max(np.abs(G))))
-            for x in np.ndindex(*((2 * radius + 1,) * kernel.d)):
-                off = tuple(int(c) - radius for c in x)
+            for x in np.ndindex(*((2 * dump_radius + 1,) * kernel.d)):
+                off = tuple(int(c) - dump_radius for c in x)
                 idx = tuple(c % L for c in off)
                 block = G[idx]
                 for r in range(block.shape[0]):
@@ -459,21 +483,21 @@ def _cmd_green(args) -> int:
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit,
                  "eps": thr["eps"]})
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"green: sup|G| fit slope {fit['slope']:.4f} (r2 {fit['r2']:.4f}) -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "evolve")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(e123, grid, need_spectral=True,
-                    allow_degenerate=args.allow_degenerate)
-    q0, transform = _build_measure(eff["measure"], kernel, L)
+def _cmd_evolve(run, allow_degenerate) -> int:
+    thr, outdir, L = run.thr, run.outdir, run.L
+    kernel = run.kernel()
+    grid, e123 = run.grid(L)
+    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    q0, transform = _build_measure(run.eff["measure"], kernel, L)
     if transform is not None:
         raise UsageError("evolve transports densities; transformed measures "
                          "have no closed-form density")
-    times = eff["times"] or [0.0, 10.0, 50.0]
+    times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
     es = check_ES(grid, q0, thr["delta_null"])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
@@ -502,7 +526,7 @@ def _cmd_evolve(args) -> int:
         "excluded_fraction": qinf.excluded_fraction,
         "es": es.to_jsonable(),
     })
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"evolve: wrote convergence table for t={times} -> {outdir}")
     return EXIT_OK
 
@@ -531,10 +555,11 @@ def _compare_to_theory(summary, theory_table, floor_scale):
     return rows, ok
 
 
-def _cmd_ensemble(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "ensemble")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(e123, grid, need_spectral=False)
+def _cmd_ensemble(run) -> int:
+    eff, outdir, L = run.eff, run.outdir, run.L
+    kernel = run.kernel()
+    grid, e123 = run.grid(L)
+    _condition_gate(e123, grid, run.thr, strict=False)
     q0, transform = _build_measure(eff["measure"], kernel, L)
     times = eff["times"] or [50.0]
     t = times[-1]
@@ -559,7 +584,7 @@ def _cmd_ensemble(args) -> int:
         ]
         report["all_pass"] = True
     _write_json(outdir / "ensemble.json", report)
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"ensemble: {summary.count} samples at t={t}, "
           f"{'all 3-sigma gates pass' if report['all_pass'] else 'GATE FAILURE'} -> {outdir}")
     if not report["all_pass"]:
@@ -567,15 +592,15 @@ def _cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _cmd_limit(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "limit")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    q0, transform = _build_measure(eff["measure"], kernel, L)
+def _cmd_limit(run, allow_degenerate, dump_density) -> int:
+    thr, outdir, L = run.thr, run.outdir, run.L
+    kernel = run.kernel()
+    grid, e123 = run.grid(L)
+    q0, transform = _build_measure(run.eff["measure"], kernel, L)
     if transform is not None:
         raise UsageError("limit needs a Gaussian measure with an explicit density")
     es = check_ES(grid, q0, thr["delta_null"])
-    _condition_gate(e123, grid, need_spectral=True,
-                    allow_degenerate=args.allow_degenerate, extra_reports=[es])
+    _condition_gate(e123, grid, thr, strict=not allow_degenerate, extra_reports=[es])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
     offsets = _axis_offsets(kernel.d)
     tab = covariance_from_density(qinf, offsets)
@@ -585,19 +610,18 @@ def _cmd_limit(args) -> int:
         "covariance": {_zkey(z): tab.matrix(z) for z in offsets},
     }
     _write_json(outdir / "limit.json", report)
-    if args.dump_density:
+    if dump_density:
         _write_json(outdir / "density.json", density_to_jsonable(qinf))
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"limit: excluded fraction {qinf.excluded_fraction:.6g} -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_gibbs(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "gibbs")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(e123, grid, need_spectral=True,
-                    allow_degenerate=args.allow_degenerate)
-    T1 = args.T1
+def _cmd_gibbs(run, allow_degenerate, T1) -> int:
+    eff, thr, outdir, L = run.eff, run.thr, run.outdir, run.L
+    kernel = run.kernel()
+    grid, e123 = run.grid(L)
+    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     times = eff["times"] or [50.0]
     t = times[-1]
@@ -613,7 +637,7 @@ def _cmd_gibbs(args) -> int:
               "offsets": rows, "all_pass": ok,
               "excluded_fraction": qg.excluded_fraction}
     _write_json(outdir / "gibbs.json", report)
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"gibbs: {summary.count} samples at t={t} vs equilibrium, "
           f"{'all 3-sigma gates pass' if ok else 'GATE FAILURE'} -> {outdir}")
     if not ok:
@@ -621,13 +645,13 @@ def _cmd_gibbs(args) -> int:
     return EXIT_OK
 
 
-def _cmd_clt(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "clt")
+def _cmd_clt(run, allow_degenerate, component) -> int:
+    eff, thr, outdir, L = run.eff, run.thr, run.outdir, run.L
+    kernel = run.kernel()
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(e123, grid, need_spectral=True,
-                    allow_degenerate=args.allow_degenerate)
+    grid, e123 = run.grid(L)
+    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
 
     measure = eff["measure"] or {
         "type": "transformed",
@@ -645,7 +669,7 @@ def _cmd_clt(args) -> int:
 
     Y = nonlinear_transform_sample(gaussian_ensemble(base, eff["ensemble"], eff["seed"]),
                                    *transform)
-    psi = TestField.delta(kernel.d, kernel.n, component=args.component)
+    psi = TestField.delta(kernel.d, kernel.n, component=component)
 
     samples0 = linear_functional_samples(Y, psi)
     gauss0 = gaussianity_report(samples0)
@@ -670,7 +694,7 @@ def _cmd_clt(args) -> int:
         abs(gauss_t["z_skewness"]) < 4.0 and abs(gauss_t["z_kurtosis"]) < 4.0
     report = {
         "t": t, "count": Y.shape[0], "seed": eff["seed"],
-        "component": args.component,
+        "component": component,
         "initial_moments": gauss0,
         "initial_platykurtic": platykurtic,
         "evolved_moments": gauss_t,
@@ -681,7 +705,7 @@ def _cmd_clt(args) -> int:
         "all_pass": platykurtic and moments_ok and sweep_ok,
     }
     _write_json(outdir / "clt.json", report)
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"clt: start kurtosis z={gauss0.get('z_kurtosis', 0.0):.2f}, "
           f"t={t} moments |z|<4: {moments_ok}, sweep: {sweep_ok} -> {outdir}")
     if not report["all_pass"]:
@@ -689,63 +713,62 @@ def _cmd_clt(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mixing(args) -> int:
-    eff, outdir, kernel, thr, L = _prepare(args, "mixing")
-    grid, e123 = _build_grid(kernel, L, thr["delta_cross"])
-    _condition_gate(e123, grid, need_spectral=True,
-                    allow_degenerate=args.allow_degenerate)
-    measure = eff["measure"] or {"type": "white", "T0": 1.0, "T1": 1.0}
+def _cmd_mixing(run, allow_degenerate, component) -> int:
+    thr, outdir, L = run.thr, run.outdir, run.L
+    kernel = run.kernel()
+    grid, e123 = run.grid(L)
+    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    measure = run.eff["measure"] or {"type": "white", "T0": 1.0, "T1": 1.0}
     q0, transform = _build_measure(measure, kernel, L)
     if transform is not None:
         raise UsageError("mixing needs a Gaussian measure with an explicit density")
     es = check_ES(grid, q0, thr["delta_null"])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
-    psi = TestField.delta(kernel.d, kernel.n, component=args.component)
-    times = eff["times"] or [0.0, 10.0, 40.0, 160.0]
+    psi = TestField.delta(kernel.d, kernel.n, component=component)
+    times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
     fit = _power_fit(times, values)
     _write_json(outdir / "mixing.json", {
         "times": times, "values": values, "fit": fit,
-        "component": args.component,
+        "component": component,
         "value_at_0": quadratic_form(qinf, psi),
     })
-    _write_manifest(outdir, eff)
+    _write_manifest(run)
     print(f"mixing: fit slope {fit['slope']:.4f} over t={times} -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    eff = _effective_config(args, "report")
-    outdir = Path(eff["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_report(run, allow_degenerate, transform) -> int:
+    """Dispersion, critical, limit and mixing into subdirectories, on one kernel
+    and grid; white noise T0=1 T1=1 stands in for a missing measure."""
     stages = {}
-    worst = EXIT_OK
-    for name, fn in (("dispersion", _cmd_dispersion), ("critical", _cmd_critical),
-                     ("limit", _cmd_limit), ("mixing", _cmd_mixing)):
-        sub = argparse.Namespace(**vars(args))
-        sub.output = str(outdir / name)
-        sub.component = getattr(args, "component", 0)
-        sub.dump_density = getattr(args, "dump_density", False)
-        if (eff["measure"] is None and sub.triangular is None
-                and sub.white is None and not sub.measure_file):
-            sub.white = ["T0=1.0", "T1=1.0"]
+    for name, body, options in (
+        ("dispersion", _cmd_dispersion, {}),
+        ("critical", _cmd_critical, {}),
+        ("limit", _cmd_limit, {"allow_degenerate": allow_degenerate,
+                               "dump_density": False}),
+        ("mixing", _cmd_mixing, {"allow_degenerate": allow_degenerate,
+                                 "component": 0}),
+    ):
+        stage_dir = run.outdir / name
         try:
-            code = fn(sub)
+            # inside the try: a bad --transform token is each stage's usage error
+            measure = run.eff["measure"] or _transformed(
+                {"type": "white", "T0": 1.0, "T1": 1.0}, transform)
+            stage = _Run(dict(run.eff, command=name, output=str(stage_dir),
+                              measure=measure), run.memo)
+            stages[name] = body(stage, **options)
         except ConditionFailure as exc:
-            (outdir / name).mkdir(parents=True, exist_ok=True)
-            _write_json(outdir / name / "conditions.json",
+            _write_json(stage_dir / "conditions.json",
                         [r.to_jsonable() for r in exc.reports])
-            code = EXIT_CONDITION
-        except GateFailure:
-            code = EXIT_GATE
-        except UsageError as exc:
+            stages[name] = EXIT_CONDITION
+        except (UsageError, ValueError) as exc:
             print(f"{name}: usage error: {exc}", file=sys.stderr)
-            code = EXIT_USAGE
-        stages[name] = code
-        worst = max(worst, code)
-    _write_json(outdir / "summary.json", {"stages": stages, "exit": worst})
-    _write_manifest(outdir, eff)
-    print(f"report: stages {stages} -> {outdir}")
+            stages[name] = EXIT_USAGE
+    worst = max(stages.values())
+    _write_json(run.outdir / "summary.json", {"stages": stages, "exit": worst})
+    _write_manifest(run)
+    print(f"report: stages {stages} -> {run.outdir}")
     return worst
 
 
@@ -787,21 +810,22 @@ def _build_parser() -> _Parser:
                      description="harmonic-crystal convergence experiments")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, fn, measure in (
-        ("dispersion", _cmd_dispersion, False),
-        ("critical", _cmd_critical, False),
-        ("green", _cmd_green, False),
-        ("evolve", _cmd_evolve, True),
-        ("ensemble", _cmd_ensemble, True),
-        ("limit", _cmd_limit, True),
-        ("gibbs", _cmd_gibbs, False),
-        ("clt", _cmd_clt, True),
-        ("mixing", _cmd_mixing, True),
-        ("report", _cmd_report, True),
+    # name, runner, measure flags, the parsed options the runner takes after the run
+    for name, fn, measure, options in (
+        ("dispersion", _cmd_dispersion, False, ()),
+        ("critical", _cmd_critical, False, ()),
+        ("green", _cmd_green, False, ("dump_radius",)),
+        ("evolve", _cmd_evolve, True, ("allow_degenerate",)),
+        ("ensemble", _cmd_ensemble, True, ()),
+        ("limit", _cmd_limit, True, ("allow_degenerate", "dump_density")),
+        ("gibbs", _cmd_gibbs, False, ("allow_degenerate", "T1")),
+        ("clt", _cmd_clt, True, ("allow_degenerate", "component")),
+        ("mixing", _cmd_mixing, True, ("allow_degenerate", "component")),
+        ("report", _cmd_report, True, ("allow_degenerate", "transform")),
     ):
         p = sub.add_parser(name)
         _add_common(p, with_measure=measure)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, options=options)
         if name == "green":
             p.add_argument("--dump-radius", type=int, default=8, dest="dump_radius",
                            help="dump |x| up to this Chebyshev radius")
@@ -821,7 +845,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        run = _Run(_effective_config(args, args.command), {})
+        return args.fn(run, **{k: getattr(args, k) for k in args.options})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

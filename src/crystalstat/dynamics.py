@@ -26,15 +26,12 @@ from .spectral import (
     DELTA_HESS,
     DELTA_NULL,
     DispersionGrid,
-    SpectralPoint,
     critical_set_scan,
     dispersion_grid,
 )
 
 __all__ = [
     "FieldState",
-    "PropagatorBlocks",
-    "propagator_blocks",
     "evolve",
     "evolve_ensemble",
     "reference_evolve_ode",
@@ -80,41 +77,12 @@ class FieldState:
         return FieldState(self.u.copy(), self.v.copy(), self.t)
 
 
-@dataclass(eq=False)
-class PropagatorBlocks:
-    """The four n x n blocks of Ghat(t) at one theta."""
-
-    cos_block: np.ndarray
-    sinc_block: np.ndarray       # Omega^-1 sin(Omega t) = t sinc(Omega t)
-    neg_sin_block: np.ndarray    # -Omega sin(Omega t)
-    t: float
-
-    def matrix(self) -> np.ndarray:
-        top = np.concatenate([self.cos_block, self.sinc_block], axis=-1)
-        bot = np.concatenate([self.neg_sin_block, self.cos_block], axis=-1)
-        return np.concatenate([top, bot], axis=-2)
-
-
 def _rotation_factors(omega: np.ndarray, t: float):
     """cos, t*sinc and -omega*sin factors of the phase rotation, elementwise."""
     c = np.cos(omega * t)
     s = t * np.sinc(omega * t / np.pi)
     ns = -omega * np.sin(omega * t)
     return c, s, ns
-
-
-def propagator_blocks(point: SpectralPoint, t: float) -> PropagatorBlocks:
-    """Exact propagator blocks at one theta from its eigendata."""
-    B = point.basis
-    c, s, ns = _rotation_factors(point.omega, float(t))
-    def conjugate(diag):
-        return B @ (diag[:, None] * B.conj().T)
-    return PropagatorBlocks(
-        cos_block=conjugate(c),
-        sinc_block=conjugate(s),
-        neg_sin_block=conjugate(ns),
-        t=float(t),
-    )
 
 
 def _grid_for(kernel: InteractionKernel, L: int, grid: DispersionGrid | None) -> DispersionGrid:

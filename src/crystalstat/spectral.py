@@ -20,10 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from .kernel import ConditionReport, InteractionKernel
 
 __all__ = [
-    "SpectralPoint",
     "DispersionGrid",
     "CriticalSetEstimate",
-    "spectral_point",
     "dispersion_grid",
     "branch_derivatives",
     "critical_set_scan",
@@ -74,43 +72,6 @@ def _cluster_ids(omega: np.ndarray, split_gap: float) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SpectralPoint:
-    """Symbol eigendata at a single theta: frequencies, unitary basis, clusters."""
-
-    theta: np.ndarray
-    omega: np.ndarray        # (n,) ascending
-    basis: np.ndarray        # (n, n) complex, columns are eigenvectors
-    cluster_id: np.ndarray   # (n,) ints, equal id = same near-degenerate cluster
-    crossing: bool           # True when some gap is suspicious (see dispersion_grid)
-
-    @property
-    def n(self) -> int:
-        return self.omega.size
-
-    def projections(self) -> list[np.ndarray]:
-        """Orthogonal projections onto each cluster's eigenspace."""
-        out = []
-        for cid in np.unique(self.cluster_id):
-            cols = self.basis[:, self.cluster_id == cid]
-            out.append(cols @ cols.conj().T)
-        return out
-
-
-def spectral_point(kernel: InteractionKernel, theta, delta_cross: float = DELTA_CROSS) -> SpectralPoint:
-    """Diagonalize the symbol at one theta and group near-degenerate branches."""
-    theta = np.asarray(theta, dtype=float)
-    w, B = np.linalg.eigh(kernel.symbol(theta))
-    omega = _clamped_frequencies(w)
-    omega_max = float(omega.max())
-    split = delta_cross * (1.0 + omega_max)
-    degen = _DEGENERATE_REL * (1.0 + omega_max)
-    ids = _cluster_ids(omega[None, :], split)[0]
-    gaps = np.diff(omega)
-    crossing = bool(np.any((gaps > degen) & (gaps < split)))
-    return SpectralPoint(theta=theta, omega=omega, basis=B, cluster_id=ids, crossing=crossing)
-
-
-@dataclass(eq=False)
 class DispersionGrid:
     """Symbol eigendata on the full grid plus branch continuation bookkeeping.
 
@@ -142,17 +103,6 @@ class DispersionGrid:
     @property
     def h(self) -> float:
         return 2.0 * np.pi / self.L
-
-    def point(self, node) -> SpectralPoint:
-        node = tuple(node)
-        theta = 2.0 * np.pi * np.asarray(node, dtype=float) / self.L
-        return SpectralPoint(
-            theta=theta,
-            omega=self.omega[node],
-            basis=self.basis[node],
-            cluster_id=self.cluster_id[node],
-            crossing=bool(self.crossing[node]),
-        )
 
     def branch_values(self) -> np.ndarray:
         """Continued branch frequencies W[..., b] = omega at the label of branch b."""

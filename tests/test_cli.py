@@ -10,14 +10,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crystalstat
+import crystalstat.cli as cli
+import crystalstat.dynamics as dynamics
 from crystalstat.cli import main
-from crystalstat.fields import density_from_jsonable
+from crystalstat.fields import density_from_jsonable, density_to_jsonable, white_noise_density
 from crystalstat.kernel import InteractionKernel, kernel_to_json
 
 CSV_HEADER = "theta_1,k,omega_k,grad_norm,D_k,flags"
+STAGES = ("dispersion", "critical", "limit", "mixing")
 
 
 @pytest.fixture(autouse=True)
@@ -239,6 +243,99 @@ def test_report_runs_all_stages(tmp_path, capsys):
     for stage in summary["stages"]:
         assert (out / stage / "manifest.json").exists()
     assert "stages" in capsys.readouterr().out
+
+
+def report_stages(out):
+    return json.loads((out / "summary.json").read_text())["stages"]
+
+
+def test_report_kernel_failing_E3_fails_every_stage(tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text(kernel_to_json(InteractionKernel(1, 1, {(0,): [[-1.0]]})))
+    out = tmp_path / "rep"
+    code = main(["report", "--kernel-file", str(path), "--L", "32", "--output", str(out)])
+    assert code == 2
+    assert report_stages(out) == {stage: 2 for stage in STAGES}
+    for stage in STAGES:
+        assert [f.name for f in (out / stage).iterdir()] == ["conditions.json"]
+
+
+@pytest.mark.parametrize("extra, spectral_code", [([], 2), (["--allow-degenerate"], 0)])
+def test_report_flat_kernel(tmp_path, extra, spectral_code):
+    # a constant symbol: every branch is flat, so E4 fails
+    path = tmp_path / "flat.json"
+    path.write_text(kernel_to_json(InteractionKernel(1, 2, {(0,): 4.0 * np.eye(2)})))
+    out = tmp_path / "rep"
+    code = main(["report", "--kernel-file", str(path), "--L", "32",
+                 "--output", str(out)] + extra)
+    assert code == spectral_code
+    assert report_stages(out) == {"dispersion": 0, "critical": 0,
+                                  "limit": spectral_code, "mixing": spectral_code}
+
+
+def test_report_transform_wraps_default_white_noise(tmp_path, capsys):
+    out = tmp_path / "rep"
+    code = main(["report"] + nn_args(L=32) + ["--transform", "a0=2", "--output", str(out)])
+    assert code == 1
+    assert report_stages(out) == {"dispersion": 0, "critical": 0, "limit": 1, "mixing": 1}
+    measure = {"type": "transformed", "base": {"type": "white", "T0": 1.0, "T1": 1.0},
+               "a0": 2.0, "a1": 1.0}
+    for stage in ("dispersion", "critical"):
+        manifest = json.loads((out / stage / "manifest.json").read_text())
+        assert manifest["command"] == stage
+        assert manifest["config"]["measure"] == measure
+        assert manifest["config"]["output"] == str(out / stage)
+    err = capsys.readouterr().err
+    assert "limit: usage error: limit needs a Gaussian measure" in err
+    assert "mixing: usage error: mixing needs a Gaussian measure" in err
+
+
+def test_report_records_value_error_per_stage(tmp_path, capsys):
+    doc = density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 32))
+    doc["matrix_re"][3][0][1] = 0.5  # breaks Hermitian symmetry at one node
+    path = tmp_path / "nonhermitian.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "rep"
+    code = main(["report"] + nn_args(L=32) + ["--measure-file", str(path),
+                                              "--output", str(out)])
+    assert code == 1
+    assert json.loads((out / "summary.json").read_text()) == {
+        "exit": 1, "stages": {"dispersion": 0, "critical": 0, "limit": 1, "mixing": 1}}
+    assert (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "limit: usage error: density is not Hermitian" in err
+    assert "mixing: usage error: density is not Hermitian" in err
+
+
+def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):
+    resolutions = []
+
+    def counting(kernel, L, *rest):
+        resolutions.append(L)
+        return crystalstat.dispersion_grid(kernel, L, *rest)
+
+    monkeypatch.setattr(cli, "dispersion_grid", counting)
+    monkeypatch.setattr(dynamics, "dispersion_grid", counting)
+    assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
+    assert resolutions == [32]
+    resolutions.clear()
+    assert main(["green"] + nn_args(L=64) + [
+        "--times", "1", "2", "3", "4", "--dump-radius", "1",
+        "--output", str(tmp_path / "green")]) == 0
+    assert resolutions == [64]
+
+
+def test_threshold_flags_reach_E4_E5(tmp_path):
+    # a Hessian threshold above every curvature flags all nodes and fails E4
+    out = tmp_path / "disp"
+    code = main(["dispersion"] + nn_args(L=64) + ["--delta-hess", "10",
+                                                  "--output", str(out)])
+    assert code == 0
+    rows = (out / "dispersion.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64 and all(row.endswith(",Ck") for row in rows)
+    reports = {r["condition"]: r for r in json.loads((out / "conditions.json").read_text())}
+    assert reports["E4"]["verdict"] == "fail"
+    assert reports["E4"]["tolerances"] == {"delta_hess": 10.0}
 
 
 def test_threads_flag_is_gone(capsys):

@@ -15,12 +15,11 @@ from crystalstat import (
     evolve_ensemble,
     green_function,
     hamiltonian,
-    propagator_blocks,
     random_finite_range_kernel,
     reference_evolve_ode,
-    spectral_point,
     truncated_green,
 )
+from crystalstat.dynamics import _propagator_grid_matrix
 
 
 def random_state(rng, L, d, n, t=0.0):
@@ -28,32 +27,31 @@ def random_state(rng, L, d, n, t=0.0):
     return FieldState(rng.standard_normal(shape), rng.standard_normal(shape), t)
 
 
-def test_propagator_blocks_oscillator_form(nn1):
-    pt = spectral_point(nn1, [0.9])
-    w = float(pt.omega[0])
+def test_propagator_blocks_oscillator_form(grid64):
     t = 3.7
-    blocks = propagator_blocks(pt, t)
-    np.testing.assert_allclose(blocks.cos_block, [[np.cos(w * t)]], atol=1e-13)
-    np.testing.assert_allclose(blocks.sinc_block, [[np.sin(w * t) / w]], atol=1e-13)
-    np.testing.assert_allclose(blocks.neg_sin_block, [[-w * np.sin(w * t)]], atol=1e-13)
-    M = blocks.matrix()
-    assert M.shape == (2, 2)
-    assert abs(np.linalg.det(M) - 1.0) < 1e-12
+    w = grid64.omega[:, 0]
+    G = _propagator_grid_matrix(grid64, t)
+    assert G.shape == (64, 2, 2)
+    np.testing.assert_allclose(G[:, 0, 0], np.cos(w * t), atol=1e-13)
+    np.testing.assert_allclose(G[:, 1, 1], np.cos(w * t), atol=1e-13)
+    np.testing.assert_allclose(G[:, 0, 1], np.sin(w * t) / w, atol=1e-13)
+    np.testing.assert_allclose(G[:, 1, 0], -w * np.sin(w * t), atol=1e-13)
+    np.testing.assert_allclose(np.linalg.det(G), 1.0, atol=1e-12)
 
 
 def test_propagator_zero_frequency_is_free_motion():
-    k = build_nn_kernel(1, 1, 0.0)
-    pt = spectral_point(k, [0.0])
-    M = propagator_blocks(pt, 2.5).matrix()
-    np.testing.assert_allclose(M, [[1.0, 2.5], [0.0, 1.0]], atol=1e-13)
+    g = dispersion_grid(build_nn_kernel(1, 1, 0.0), 16)
+    assert g.omega[0, 0] == 0.0
+    G = _propagator_grid_matrix(g, 2.5)
+    np.testing.assert_allclose(G[0], [[1.0, 2.5], [0.0, 1.0]], atol=1e-13)
+    np.testing.assert_allclose(np.linalg.det(G), 1.0, atol=1e-12)
 
 
 def test_propagator_group_law():
-    k = random_finite_range_kernel(1, 2, 2, seed=8)
-    pt = spectral_point(k, [1.3])
-    a = propagator_blocks(pt, 1.1).matrix()
-    b = propagator_blocks(pt, 2.6).matrix()
-    ab = propagator_blocks(pt, 3.7).matrix()
+    g = dispersion_grid(random_finite_range_kernel(1, 2, 2, seed=8), 16)
+    a = _propagator_grid_matrix(g, 1.1)
+    b = _propagator_grid_matrix(g, 2.6)
+    ab = _propagator_grid_matrix(g, 3.7)
     np.testing.assert_allclose(a @ b, ab, atol=1e-12)
     np.testing.assert_allclose(b @ a, ab, atol=1e-12)
 

@@ -13,7 +13,7 @@ from crystalstat import (
     check_ES,
     critical_set_scan,
     dispersion_grid,
-    spectral_point,
+    random_finite_range_kernel,
     triangular_density,
     white_noise_density,
     write_dispersion_csv,
@@ -48,25 +48,25 @@ def test_grid_frequencies_match_closed_form(grid256):
     assert abs(grid256.omega_max - np.sqrt(5.0)) < 1e-12
 
 
-def test_spectral_point_matches_grid_node(nn1, grid256):
+def test_grid_node_matches_symbol_eigh(nn1, grid256):
     node = (37,)
-    pt = spectral_point(nn1, grid256.point(node).theta)
-    np.testing.assert_allclose(pt.omega, grid256.omega[node], atol=1e-12)
-    assert pt.n == 1 and not pt.crossing
+    theta = 2.0 * np.pi * np.asarray(node, dtype=float) / grid256.L
+    w = np.linalg.eigh(nn1.symbol(theta))[0]
+    np.testing.assert_allclose(grid256.omega[node], np.sqrt(w), atol=1e-12)
+    assert grid256.n == 1 and not grid256.crossing[node]
 
 
-def test_spectral_point_eigendata(rng):
-    from crystalstat import random_finite_range_kernel
-
+def test_grid_eigendata_diagonalizes_symbol():
     k = random_finite_range_kernel(1, 2, 2, seed=17)
-    theta = rng.uniform(-np.pi, np.pi, size=1)
-    pt = spectral_point(k, theta)
-    assert np.all(np.diff(pt.omega) >= 0)
-    np.testing.assert_allclose(pt.basis.conj().T @ pt.basis, np.eye(2), atol=1e-12)
-    V = k.symbol(theta)
-    np.testing.assert_allclose(
-        pt.basis.conj().T @ V @ pt.basis, np.diag(pt.omega**2), atol=1e-10
-    )
+    g = dispersion_grid(k, 16)
+    for node in np.ndindex(g.omega.shape[:-1]):
+        theta = 2.0 * np.pi * np.asarray(node, dtype=float) / g.L
+        omega, B = g.omega[node], g.basis[node]
+        V = k.symbol(theta)
+        assert np.all(np.diff(omega) >= 0)
+        np.testing.assert_allclose(omega**2, np.linalg.eigh(V)[0], atol=1e-10)
+        np.testing.assert_allclose(B.conj().T @ B, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(B.conj().T @ V @ B, np.diag(omega**2), atol=1e-10)
 
 
 def test_gradient_peak_approaches_continuum_speed(nn1):
