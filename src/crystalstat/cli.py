@@ -391,13 +391,16 @@ def _build_grid(kernel, L, delta_cross):
 
 
 def _condition_gate(e123, grid, thr, strict, extra_reports=()):
-    """E1-E3 plus E4/E5 at the run's thresholds plus extra_reports; when
-    strict, any failed report raises."""
-    reports = list(e123) + check_E4_E5(grid, thr["delta_cross"], thr["delta_hess"],
-                                       thr["delta_null"]) + list(extra_reports)
+    """E1-E3 plus E4/E5 on the grid's critical-set scan at the run's thresholds
+    plus extra_reports; when strict, any failed report raises.
+
+    Returns the reports and the scan.
+    """
+    scan = critical_set_scan(grid, thr["delta_hess"], thr["delta_null"])
+    reports = list(e123) + check_E4_E5(grid, scan) + list(extra_reports)
     if strict and any(r.verdict == "fail" for r in reports):
         raise ConditionFailure(reports)
-    return reports
+    return reports, scan
 
 
 def _axis_offsets(d: int, radius: int = 2):
@@ -424,9 +427,7 @@ def _power_fit(times, values):
 def _cmd_dispersion(run) -> int:
     thr, outdir = run.thr, run.outdir
     grid, e123 = run.grid(run.eff["grid_L"])
-    reports = _condition_gate(e123, grid, thr, strict=False)
-    scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
-                             thr["delta_null"])
+    reports, scan = _condition_gate(e123, grid, thr, strict=False)
     with open(outdir / "dispersion.csv", "w") as fh:
         write_dispersion_csv(grid, scan, fh)
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
@@ -439,9 +440,7 @@ def _cmd_dispersion(run) -> int:
 def _cmd_critical(run) -> int:
     thr, outdir = run.thr, run.outdir
     grid, e123 = run.grid(run.eff["grid_L"])
-    reports = _condition_gate(e123, grid, thr, strict=False)
-    scan = critical_set_scan(grid, thr["delta_cross"], thr["delta_hess"],
-                             thr["delta_null"])
+    reports, scan = _condition_gate(e123, grid, thr, strict=False)
     _write_json(outdir / "critical.json", scan.to_jsonable())
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     _write_manifest(run)
@@ -465,7 +464,6 @@ def _cmd_green(run, dump_radius) -> int:
         for t in times:
             if thr["eps"] > 0:
                 G = truncated_green(kernel, t, L, thr["eps"], grid=grid,
-                                    delta_cross=thr["delta_cross"],
                                     delta_hess=thr["delta_hess"],
                                     delta_null=thr["delta_null"])
             else:
@@ -558,8 +556,7 @@ def _compare_to_theory(summary, theory_table, floor_scale):
 def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
-    grid, e123 = run.grid(L)
-    _condition_gate(e123, grid, run.thr, strict=False)
+    grid, _ = run.grid(L)
     q0, transform = _build_measure(eff["measure"], kernel, L)
     times = eff["times"] or [50.0]
     t = times[-1]
@@ -793,8 +790,6 @@ def _add_common(p: _Parser, with_measure=True):
     p.add_argument("--delta-null", type=float, dest="delta_null")
     p.add_argument("--eps", type=float, help="critical-set cutoff width")
     p.add_argument("--output", help="output directory (default: out)")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="proceed despite failed E4/E5 reports")
     if with_measure:
         p.add_argument("--triangular", nargs="+", metavar="KEY=VAL",
                        help="triangular measure, keys nu0 T0 T1")
@@ -826,6 +821,9 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         _add_common(p, with_measure=measure)
         p.set_defaults(fn=fn, options=options)
+        if "allow_degenerate" in options:
+            p.add_argument("--allow-degenerate", action="store_true",
+                           help="proceed despite failed E4/E5 reports")
         if name == "green":
             p.add_argument("--dump-radius", type=int, default=8, dest="dump_radius",
                            help="dump |x| up to this Chebyshev radius")

@@ -22,7 +22,6 @@ import numpy as np
 from ._lattice import check_ensemble, forward_fft, inverse_fft, real_part_checked
 from .kernel import InteractionKernel
 from .spectral import (
-    DELTA_CROSS,
     DELTA_HESS,
     DELTA_NULL,
     DispersionGrid,
@@ -235,43 +234,31 @@ def _smooth_ramp(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _quintic_ramp(x: np.ndarray) -> np.ndarray:
-    """C^2 polynomial ramp: 0 below 1/2, 1 above 1."""
-    u = np.clip((x - 0.5) * 2.0, 0.0, 1.0)
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
-_RAMPS = {"smooth": _smooth_ramp, "quintic": _quintic_ramp}
-
-
 def truncated_green(kernel: InteractionKernel, t: float, L: int, eps: float,
                     grid: DispersionGrid | None = None,
-                    delta_cross: float = DELTA_CROSS,
                     delta_hess: float = DELTA_HESS,
-                    delta_null: float = DELTA_NULL,
-                    ramp: str = "smooth") -> np.ndarray:
+                    delta_null: float = DELTA_NULL) -> np.ndarray:
     """Green's function with critical grid neighbourhoods cut out in theta.
 
     The multiplier g(theta) = ramp(dist(theta, flagged cells) / eps) vanishes
     within eps/2 of every flagged cell and equals one beyond eps (distances in
-    the grid Chebyshev metric scaled to angle units).  Away from the cut the
+    the grid Chebyshev metric scaled to angle units).  Crossing cells are the
+    grid's own flags, set at its delta_cross.  Away from the cut the
     phase is stationary only on nondegenerate sets, so the sup norm decays at
     the dimensional rate t^{-d/2}.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if ramp not in _RAMPS:
-        raise ValueError(f"unknown ramp {ramp!r}; choose from {sorted(_RAMPS)}")
     grid = _grid_for(kernel, L, grid)
     _check_wraparound(grid, t)
     Ghat = _propagator_grid_matrix(grid, float(t))
-    scan = critical_set_scan(grid, delta_cross, delta_hess, delta_null)
+    scan = critical_set_scan(grid, delta_hess, delta_null)
     flagged = scan.combined
     if eps > 0 and np.any(flagged):
         h = 2.0 * np.pi / L
         max_steps = int(math.ceil(eps / h)) + 1
         dist = _chebyshev_distance_steps(flagged, max_steps).astype(float) * h
-        g = _RAMPS[ramp](dist / eps)
+        g = _smooth_ramp(dist / eps)
         if not np.any(g > 0):
             raise ValueError("cutoff removes the entire grid; reduce eps")
         Ghat = Ghat * g[..., None, None]

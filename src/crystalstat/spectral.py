@@ -76,8 +76,9 @@ class DispersionGrid:
     """Symbol eigendata on the full grid plus branch continuation bookkeeping.
 
     labels[node, b] is the local (ascending) eigenvalue index carried by global
-    branch b at that node; edge_perms[node, axis, j] is the local index at
-    node + e_axis matched to local index j at node.  For n == 1 both are trivial.
+    branch b at that node (trivial for n == 1).  crossing flags the nodes whose
+    ascending frequency gap falls in the suspected-crossing band set by
+    delta_cross; every consumer of crossings reads this flag.
     """
 
     kernel: InteractionKernel
@@ -88,7 +89,6 @@ class DispersionGrid:
     cluster_id: np.ndarray
     crossing: np.ndarray
     labels: np.ndarray
-    edge_perms: np.ndarray | None
     omega_max: float
     _branch_cache: dict = field(default_factory=dict, repr=False)
 
@@ -188,33 +188,21 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     if n == 1:
         crossing = np.zeros((L,) * d, dtype=bool)
         labels = np.zeros((L,) * d + (1,), dtype=np.int64)
-        perms = None
     else:
         gaps = np.diff(omega, axis=-1)
         crossing = np.any((gaps > degen) & (gaps < split), axis=-1)
-        perms = np.empty((L,) * d + (d, n), dtype=np.int64)
+        # continue along a spanning tree: node x takes its labels from x - e_a,
+        # a the last axis with x_a != 0; that parent precedes x in C order
         flat_B = B.reshape(-1, n, n)
-        grid_shape = (L,) * d
-        for axis in range(d):
-            neighbor = np.roll(B, -1, axis=axis).reshape(-1, n, n)
-            matched = np.empty((flat_B.shape[0], n), dtype=np.int64)
-            for i in range(flat_B.shape[0]):
-                matched[i] = _edge_permutation(flat_B[i], neighbor[i])
-            perms[..., axis, :] = matched.reshape(grid_shape + (n,))
-        labels = np.empty((L,) * d + (n,), dtype=np.int64)
-        labels[(0,) * d] = np.arange(n)
-        # sweep axis by axis; each pass extends the filled region of the slab
-        # with trailing zero indices, so the whole grid is labelled once
-        for axis in range(d):
-            for i in range(1, L):
-                prev = (slice(None),) * axis + (i - 1,) + (0,) * (d - axis - 1)
-                here = (slice(None),) * axis + (i,) + (0,) * (d - axis - 1)
-                if axis == 0:
-                    labels[here] = perms[prev + (0,)][labels[prev]]
-                else:
-                    labels[here] = np.take_along_axis(
-                        perms[prev][..., axis, :], labels[prev], axis=-1
-                    )
+        labels = np.empty((L**d, n), dtype=np.int64)
+        labels[0] = np.arange(n)
+        for x in range(1, L**d):
+            step = 1
+            while x % (step * L) == 0:
+                step *= L
+            parent = x - step
+            labels[x] = _edge_permutation(flat_B[parent], flat_B[x])[labels[parent]]
+        labels = labels.reshape((L,) * d + (n,))
     return DispersionGrid(
         kernel=kernel,
         L=L,
@@ -224,7 +212,6 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
         cluster_id=ids,
         crossing=crossing,
         labels=labels,
-        edge_perms=perms,
         omega_max=omega_max,
     )
 
@@ -303,7 +290,6 @@ class CriticalSetEstimate:
 
 def critical_set_scan(
     grid: DispersionGrid,
-    delta_cross: float | None = None,
     delta_hess: float = DELTA_HESS,
     delta_null: float = DELTA_NULL,
 ) -> CriticalSetEstimate:
@@ -311,21 +297,10 @@ def critical_set_scan(
     surrogates.  Fractions of flagged cells are the measure estimate: they must
     shrink under grid refinement for the continuum sets to have measure zero.
 
-    delta_cross defaults to the value the grid was built with, keeping the
-    crossing flags consistent between the two.
+    The crossing flags are the grid's own, decided at grid.delta_cross.
     """
-    omega = grid.omega
-    omega_max = grid.omega_max
-    if delta_cross is None:
-        delta_cross = grid.delta_cross
-    c0 = omega.min(axis=-1) <= delta_null
-    split = delta_cross * (1.0 + omega_max)
-    degen = _DEGENERATE_REL * (1.0 + omega_max)
-    if grid.n == 1:
-        cstar = np.zeros(c0.shape, dtype=bool)
-    else:
-        gaps = np.diff(omega, axis=-1)
-        cstar = np.any((gaps > degen) & (gaps < split), axis=-1)
+    c0 = grid.omega.min(axis=-1) <= delta_null
+    cstar = grid.crossing
     D = grid.hessian_determinants()
     valid = ~cstar
     ck_branch = (np.abs(D) <= delta_hess) & valid[..., None]
@@ -340,7 +315,7 @@ def critical_set_scan(
     return CriticalSetEstimate(
         L=grid.L,
         thresholds={
-            "delta_cross": delta_cross,
+            "delta_cross": grid.delta_cross,
             "delta_hess": delta_hess,
             "delta_null": delta_null,
         },
@@ -352,21 +327,16 @@ def critical_set_scan(
     )
 
 
-def check_E4_E5(
-    grid: DispersionGrid,
-    delta_cross: float = DELTA_CROSS,
-    delta_hess: float = DELTA_HESS,
-    delta_null: float = DELTA_NULL,
-    delta_const: float = DELTA_CONST,
-) -> list[ConditionReport]:
+def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[ConditionReport]:
     """Numerical surrogates for the dispersion nondegeneracy conditions.
 
     E4: every branch must show nondegenerate curvature somewhere, i.e. some
-    unflagged node with |det Hess omega_k| > delta_hess.  E5: no pair of
-    branches may satisfy omega_k +- omega_l == const with const != 0, detected
-    as a variance collapse of the pointwise sums/differences.
+    node outside the scan's C_0 and C_* flags with |det Hess omega_k| above the
+    scan's delta_hess.  E5: no pair of branches may satisfy omega_k +- omega_l
+    == const with const != 0, detected as a variance collapse (DELTA_CONST) of
+    the pointwise sums/differences.
     """
-    scan = critical_set_scan(grid, delta_cross, delta_hess, delta_null)
+    delta_hess = scan.thresholds["delta_hess"]
     valid = ~(scan.cstar | scan.c0)
     D = scan.hess_det
     W = grid.branch_values()
@@ -409,7 +379,7 @@ def check_E4_E5(
                     s = (W[..., b] + sign * W[..., c])[valid]
                     mean = float(s.mean())
                     var = float(s.var())
-                    if var < delta_const**2 and abs(mean) > delta_const:
+                    if var < DELTA_CONST**2 and abs(mean) > DELTA_CONST:
                         verdict5 = "fail"
                         witnesses5.append(
                             {
@@ -423,7 +393,7 @@ def check_E4_E5(
         condition="E5",
         verdict=verdict5,
         witnesses=witnesses5,
-        tolerances={"delta_const": delta_const},
+        tolerances={"delta_const": DELTA_CONST},
         note="no branch pair with constant nonzero sum or difference",
     )
     return [report4, report5]

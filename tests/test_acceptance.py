@@ -370,11 +370,13 @@ def test_criterion_10_genericity_of_regularity():
     failing_seeds = []
     for seed in range(20):
         kernel = random_finite_range_kernel(1, 2, 2, seed)
-        reports = check_E4_E5(dispersion_grid(kernel, 64))
+        grid = dispersion_grid(kernel, 64)
+        reports = check_E4_E5(grid, critical_set_scan(grid))
         if any(r.verdict == "fail" for r in reports):
             failing_seeds.append(seed)
     flat = InteractionKernel(1, 2, {(0,): [[4.0, 0.0], [0.0, 4.0]]})
-    e4 = next(r for r in check_E4_E5(dispersion_grid(flat, 64))
+    flat_grid = dispersion_grid(flat, 64)
+    e4 = next(r for r in check_E4_E5(flat_grid, critical_set_scan(flat_grid))
               if r.condition == "E4")
     ok = not failing_seeds and e4.verdict == "fail" and len(e4.witnesses) > 0
     announce(10, "genericity of regularity checks", ok,

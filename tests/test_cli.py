@@ -344,6 +344,12 @@ def test_threads_flag_is_gone(capsys):
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
+def test_allow_degenerate_only_where_read(capsys):
+    code = main(["dispersion"] + nn_args(L=32) + ["--allow-degenerate"])
+    assert code == 1
+    assert "unrecognized arguments: --allow-degenerate" in capsys.readouterr().err
+
+
 def test_console_script_exit_codes(tmp_path):
     # the console script is pyproject's crystalstat -> crystalstat.cli:main;
     # `python -m crystalstat` runs the same main without an install

@@ -167,19 +167,11 @@ def test_truncated_green_removes_caustic_peak(nn1):
     assert cut < plain
 
 
-def test_truncated_green_ramp_options(nn1):
-    a = truncated_green(nn1, 10.0, 256, eps=0.3, ramp="smooth")
-    b = truncated_green(nn1, 10.0, 256, eps=0.3, ramp="quintic")
-    assert a.shape == b.shape == (256, 2, 2)
-    assert np.abs(a - b).max() > 0
-    with pytest.raises(ValueError):
-        truncated_green(nn1, 10.0, 256, eps=0.3, ramp="boxcar")
-
-
 def test_truncated_green_zero_eps_is_plain(nn1):
     a = truncated_green(nn1, 5.0, 128, eps=0.0)
     b = green_function(nn1, 5.0, 128)
     np.testing.assert_allclose(a, b, atol=1e-12)
+    assert truncated_green(nn1, 10.0, 256, eps=0.3).shape == (256, 2, 2)
 
 
 def test_evolve_ensemble_matches_single(nn1, rng):

@@ -1,10 +1,14 @@
 """Dispersion grids, branch calculus, critical-set surrogates, E4/E5/ES."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crystalstat import spectral
 from crystalstat import (
     InteractionKernel,
     build_nn_kernel,
@@ -15,6 +19,7 @@ from crystalstat import (
     dispersion_grid,
     random_finite_range_kernel,
     triangular_density,
+    truncated_green,
     white_noise_density,
     write_dispersion_csv,
 )
@@ -69,6 +74,28 @@ def test_grid_eigendata_diagonalizes_symbol():
         np.testing.assert_allclose(B.conj().T @ V @ B, np.diag(omega**2), atol=1e-10)
 
 
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**16))
+@example(d=2, n=2, seed=17)
+def test_continuation_matches_one_edge_per_node(d, n, seed):
+    # branch labels follow a spanning tree of the grid: L^d - 1 matched edges
+    k = random_finite_range_kernel(d, n, 1, seed)
+    match = spectral._edge_permutation
+    calls = []
+
+    def counting(B_here, B_next):
+        calls.append(1)
+        return match(B_here, B_next)
+
+    with mock.patch.object(spectral, "_edge_permutation", counting):
+        g = dispersion_grid(k, 16)
+    assert len(calls) == 16**d - 1
+    rows = g.labels.reshape(-1, n)
+    np.testing.assert_array_equal(np.sort(rows, axis=-1),
+                                  np.broadcast_to(np.arange(n), rows.shape))
+
+
 def test_gradient_peak_approaches_continuum_speed(nn1):
     g = dispersion_grid(nn1, 1024)
     scan = critical_set_scan(g)
@@ -117,6 +144,29 @@ def test_crossing_kernel_flags_and_guard():
     assert grad.shape == (1,)
 
 
+def test_grid_crossing_flags_reach_scan_and_cutoff():
+    # a dispersive branch crossing a shallower one: at delta_cross = 1e-2 the
+    # grid flags the nodes straddling the crossing, at the default none
+    k = InteractionKernel(
+        1,
+        2,
+        {
+            (0,): np.diag([3.0, 3.9]),
+            (1,): np.diag([-1.0, -0.5]),
+            (-1,): np.diag([-1.0, -0.5]),
+        },
+    )
+    wide = dispersion_grid(k, 256, delta_cross=1e-2)
+    default = dispersion_grid(k, 256)
+    assert wide.crossing.sum() == 57 and not default.crossing.any()
+    scan = critical_set_scan(wide)
+    np.testing.assert_array_equal(scan.cstar, wide.crossing)
+    assert scan.thresholds["delta_cross"] == 1e-2
+    cut_wide = truncated_green(k, 10.0, 256, 0.3, grid=wide)
+    cut_default = truncated_green(k, 10.0, 256, 0.3, grid=default)
+    assert np.abs(cut_wide - cut_default).max() > 0
+
+
 def test_exact_degeneracy_is_not_a_crossing():
     # two identical chains: branches coincide everywhere by symmetry
     twin = InteractionKernel(
@@ -150,14 +200,14 @@ def test_curvature_flags_sit_at_inflection(grid256):
 
 
 def test_E4_E5_pass_on_chain(grid256):
-    verdicts = {r.condition: r.verdict for r in check_E4_E5(grid256)}
+    verdicts = {r.condition: r.verdict for r in check_E4_E5(grid256, critical_set_scan(grid256))}
     assert verdicts == {"E4": "pass", "E5": "pass"}
 
 
 def test_E4_fails_on_flat_branch_with_witnesses():
     flat = InteractionKernel(1, 2, {(0,): np.eye(2) * 4.0})
     g = dispersion_grid(flat, 256)
-    reports = {r.condition: r for r in check_E4_E5(g)}
+    reports = {r.condition: r for r in check_E4_E5(g, critical_set_scan(g))}
     assert reports["E4"].verdict == "fail"
     assert reports["E4"].witnesses
 
@@ -174,7 +224,7 @@ def test_E5_pass_on_disjoint_band_pair():
         },
     )
     g = dispersion_grid(pair, 256)
-    verdicts = {r.condition: r.verdict for r in check_E4_E5(g)}
+    verdicts = {r.condition: r.verdict for r in check_E4_E5(g, critical_set_scan(g))}
     assert verdicts["E4"] == "pass" and verdicts["E5"] == "pass"
     assert not g.crossing.any()
 
