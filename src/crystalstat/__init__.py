@@ -32,8 +32,6 @@ from .spectral import (
     write_dispersion_csv,
 )
 from .dynamics import (
-    FieldState,
-    evolve,
     evolve_ensemble,
     green_function,
     hamiltonian,
@@ -92,8 +90,6 @@ __all__ = [
     "critical_set_scan",
     "dispersion_grid",
     "write_dispersion_csv",
-    "FieldState",
-    "evolve",
     "evolve_ensemble",
     "green_function",
     "hamiltonian",

@@ -140,6 +140,8 @@ def _load_config(path: str) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if "thresholds" in doc:
+        if not isinstance(doc["thresholds"], dict):
+            raise UsageError("config thresholds must be a JSON object")
         extra = set(doc["thresholds"]) - _THRESHOLD_KEYS
         if extra:
             raise UsageError(f"unknown threshold keys: {sorted(extra)}")
@@ -261,11 +263,12 @@ def _transformed(measure, tokens):
 
 class _Run:
     """State of one command: effective config, output directory (created here),
-    and the kernel and dispersion grids, each built on first use.
+    and the kernel, dispersion grids and condition reports, each built on
+    first use.
 
-    The stages of ``report`` share one memo, so they share the kernel and the
-    grid at each resolution.  A build that raises is not stored: every stage
-    that needs it retries and records its own failure.
+    The stages of ``report`` share one memo, so they share the kernel, and the
+    grid and its E1-E5 scan at each resolution.  A build that raises is not
+    stored: every stage that needs it retries and records its own failure.
     """
 
     def __init__(self, eff: dict, memo: dict):
@@ -286,6 +289,16 @@ class _Run:
         if L not in self.memo:
             self.memo[L] = _build_grid(self.kernel(), L, self.thr["delta_cross"])
         return self.memo[L]
+
+    def conditions(self, L: int):
+        """(E1-E5 reports, critical-set scan) of the grid at resolution L, the
+        scan taken at the run's thresholds."""
+        key = ("conditions", L)
+        if key not in self.memo:
+            grid, e123 = self.grid(L)
+            scan = critical_set_scan(grid, self.thr["delta_hess"], self.thr["delta_null"])
+            self.memo[key] = (list(e123) + check_E4_E5(grid, scan), scan)
+        return self.memo[key]
 
 
 def _build_kernel(spec: dict):
@@ -390,17 +403,12 @@ def _build_grid(kernel, L, delta_cross):
     return dispersion_grid(kernel, L, delta_cross), e123
 
 
-def _condition_gate(e123, grid, thr, strict, extra_reports=()):
-    """E1-E3 plus E4/E5 on the grid's critical-set scan at the run's thresholds
-    plus extra_reports; when strict, any failed report raises.
-
-    Returns the reports and the scan.
-    """
-    scan = critical_set_scan(grid, thr["delta_hess"], thr["delta_null"])
-    reports = list(e123) + check_E4_E5(grid, scan) + list(extra_reports)
+def _condition_gate(run, strict, extra_reports=()):
+    """E1-E5 at the run's lattice resolution plus extra_reports; when strict,
+    any failed report raises."""
+    reports = run.conditions(run.L)[0] + list(extra_reports)
     if strict and any(r.verdict == "fail" for r in reports):
         raise ConditionFailure(reports)
-    return reports, scan
 
 
 def _axis_offsets(d: int, radius: int = 2):
@@ -425,9 +433,9 @@ def _power_fit(times, values):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_dispersion(run) -> int:
-    thr, outdir = run.thr, run.outdir
-    grid, e123 = run.grid(run.eff["grid_L"])
-    reports, scan = _condition_gate(e123, grid, thr, strict=False)
+    outdir = run.outdir
+    grid, _ = run.grid(run.eff["grid_L"])
+    reports, scan = run.conditions(grid.L)
     with open(outdir / "dispersion.csv", "w") as fh:
         write_dispersion_csv(grid, scan, fh)
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
@@ -438,9 +446,9 @@ def _cmd_dispersion(run) -> int:
 
 
 def _cmd_critical(run) -> int:
-    thr, outdir = run.thr, run.outdir
-    grid, e123 = run.grid(run.eff["grid_L"])
-    reports, scan = _condition_gate(e123, grid, thr, strict=False)
+    outdir = run.outdir
+    grid, _ = run.grid(run.eff["grid_L"])
+    reports, scan = run.conditions(grid.L)
     _write_json(outdir / "critical.json", scan.to_jsonable())
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     _write_manifest(run)
@@ -489,8 +497,8 @@ def _cmd_green(run, dump_radius) -> int:
 def _cmd_evolve(run, allow_degenerate) -> int:
     thr, outdir, L = run.thr, run.outdir, run.L
     kernel = run.kernel()
-    grid, e123 = run.grid(L)
-    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    grid, _ = run.grid(L)
+    _condition_gate(run, strict=not allow_degenerate)
     q0, transform = _build_measure(run.eff["measure"], kernel, L)
     if transform is not None:
         raise UsageError("evolve transports densities; transformed measures "
@@ -592,12 +600,12 @@ def _cmd_ensemble(run) -> int:
 def _cmd_limit(run, allow_degenerate, dump_density) -> int:
     thr, outdir, L = run.thr, run.outdir, run.L
     kernel = run.kernel()
-    grid, e123 = run.grid(L)
+    grid, _ = run.grid(L)
     q0, transform = _build_measure(run.eff["measure"], kernel, L)
     if transform is not None:
         raise UsageError("limit needs a Gaussian measure with an explicit density")
     es = check_ES(grid, q0, thr["delta_null"])
-    _condition_gate(e123, grid, thr, strict=not allow_degenerate, extra_reports=[es])
+    _condition_gate(run, strict=not allow_degenerate, extra_reports=[es])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
     offsets = _axis_offsets(kernel.d)
     tab = covariance_from_density(qinf, offsets)
@@ -617,8 +625,8 @@ def _cmd_limit(run, allow_degenerate, dump_density) -> int:
 def _cmd_gibbs(run, allow_degenerate, T1) -> int:
     eff, thr, outdir, L = run.eff, run.thr, run.outdir, run.L
     kernel = run.kernel()
-    grid, e123 = run.grid(L)
-    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    grid, _ = run.grid(L)
+    _condition_gate(run, strict=not allow_degenerate)
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     times = eff["times"] or [50.0]
     t = times[-1]
@@ -647,8 +655,8 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     kernel = run.kernel()
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
-    grid, e123 = run.grid(L)
-    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    grid, _ = run.grid(L)
+    _condition_gate(run, strict=not allow_degenerate)
 
     measure = eff["measure"] or {
         "type": "transformed",
@@ -663,10 +671,10 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     base, transform = _build_measure(measure, kernel, L)
     times = eff["times"] or [50.0]
     t = times[-1]
+    psi = TestField.delta(kernel.d, kernel.n, component=component)
 
     Y = nonlinear_transform_sample(gaussian_ensemble(base, eff["ensemble"], eff["seed"]),
                                    *transform)
-    psi = TestField.delta(kernel.d, kernel.n, component=component)
 
     samples0 = linear_functional_samples(Y, psi)
     gauss0 = gaussianity_report(samples0)
@@ -713,8 +721,8 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
 def _cmd_mixing(run, allow_degenerate, component) -> int:
     thr, outdir, L = run.thr, run.outdir, run.L
     kernel = run.kernel()
-    grid, e123 = run.grid(L)
-    _condition_gate(e123, grid, thr, strict=not allow_degenerate)
+    grid, _ = run.grid(L)
+    _condition_gate(run, strict=not allow_degenerate)
     measure = run.eff["measure"] or {"type": "white", "T0": 1.0, "T1": 1.0}
     q0, transform = _build_measure(measure, kernel, L)
     if transform is not None:

@@ -60,6 +60,8 @@ class TestField:
     @classmethod
     def delta(cls, d: int, n: int, component: int = 0, site=None) -> "TestField":
         """Unit mass on one site and one of the 2n components (u block first)."""
+        if not 0 <= component < 2 * n:
+            raise ValueError(f"component {component} is outside 0..{2 * n - 1}")
         if site is None:
             site = (0,) * d
         values = np.zeros((1, 2 * n))

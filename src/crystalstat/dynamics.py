@@ -15,7 +15,6 @@ kept as an independent cross-check of the spectral route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "FieldState",
-    "evolve",
     "evolve_ensemble",
     "reference_evolve_ode",
     "green_function",
@@ -42,38 +39,12 @@ __all__ = [
 _IMAG_TOL = 1e-6
 
 
-@dataclass(eq=False)
-class FieldState:
-    """Displacement u and velocity v on the periodic lattice, shape (L,)*d + (n,)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.u.shape != self.v.shape:
-            raise ValueError("u and v must have identical shapes")
-        if self.u.ndim < 2:
-            raise ValueError("fields need grid axes plus one component axis")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("field values must be finite")
-
-    @property
-    def L(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[-1]
-
-    @property
-    def d(self) -> int:
-        return self.u.ndim - 1
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.u.copy(), self.v.copy(), self.t)
+def _check_field(Y, kernel: InteractionKernel) -> tuple:
+    """:func:`check_ensemble` on Y, which must also match the kernel's d and n."""
+    Y, L, d, n = check_ensemble(Y)
+    if n != kernel.n or d != kernel.d:
+        raise ValueError("field and kernel dimensions disagree")
+    return Y, L
 
 
 def _rotation_factors(omega: np.ndarray, t: float):
@@ -106,13 +77,6 @@ def _apply_rotation(grid: DispersionGrid, t: float, yhat: np.ndarray) -> np.ndar
     return out
 
 
-def evolve(state: FieldState, kernel: InteractionKernel, t: float,
-           grid: DispersionGrid | None = None) -> FieldState:
-    """Propagate one state by time t: :func:`evolve_ensemble` on a batch of one."""
-    Y = evolve_ensemble(np.concatenate([state.u, state.v], axis=-1)[None], kernel, t, grid)
-    return FieldState(Y[0, ..., :state.n], Y[0, ..., state.n:], state.t + float(t))
-
-
 def evolve_ensemble(Y, kernel: InteractionKernel, t: float,
                     grid: DispersionGrid | None = None) -> np.ndarray:
     """Propagate an ensemble array (S, *grid, 2n) by time t through the spectral solver.
@@ -121,27 +85,24 @@ def evolve_ensemble(Y, kernel: InteractionKernel, t: float,
     result does not depend on the others.  Passing a prebuilt dispersion grid
     of matching resolution avoids repeated diagonalization.
     """
-    Y, L, d, n = check_ensemble(Y)
-    if n != kernel.n or d != kernel.d:
-        raise ValueError("field and kernel dimensions disagree")
+    Y, L = _check_field(Y, kernel)
     grid = _grid_for(kernel, L, grid)
-    axes = tuple(range(1, d + 1))
+    axes = tuple(range(1, kernel.d + 1))
     yhat = _apply_rotation(grid, float(t), forward_fft(Y, axes))
     return real_part_checked(inverse_fft(yhat, axes), _IMAG_TOL, "evolve_ensemble")
 
 
-def reference_evolve_ode(state: FieldState, kernel: InteractionKernel, t: float,
-                         dt: float) -> FieldState:
+def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> np.ndarray:
     """Classical RK4 integration of u' = v, v' = -V * u in real space.
 
-    Independent of the Fourier route: the force is evaluated by direct periodic
-    convolution with the kernel stencil.  dt must satisfy dt <= 0.1 / omega_max.
+    Takes and returns an ensemble array (S, *grid, 2n).  Independent of the
+    Fourier route: the force is evaluated by direct periodic convolution with
+    the kernel stencil.  dt must satisfy dt <= 0.1 / omega_max.
     """
-    if state.n != kernel.n or state.d != kernel.d:
-        raise ValueError("state and kernel dimensions disagree")
+    Y, L = _check_field(Y, kernel)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w = np.linalg.eigvalsh(kernel.symbol_grid(state.L))
+    w = np.linalg.eigvalsh(kernel.symbol_grid(L))
     omega_max = float(np.sqrt(max(w.max(), 0.0)))
     if omega_max > 0 and dt > 0.1 / omega_max:
         raise ValueError(
@@ -149,8 +110,7 @@ def reference_evolve_ode(state: FieldState, kernel: InteractionKernel, t: float,
         )
     steps = max(1, int(math.ceil(abs(t) / dt)))
     h = float(t) / steps
-    u = state.u.copy()
-    v = state.v.copy()
+    u, v = Y[..., :kernel.n], Y[..., kernel.n:]
     force = lambda uu: -kernel.convolve(uu)
     for _ in range(steps):
         k1u, k1v = v, force(u)
@@ -159,7 +119,7 @@ def reference_evolve_ode(state: FieldState, kernel: InteractionKernel, t: float,
         k4u, k4v = v + h * k3v, force(u + h * k3u)
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return FieldState(u, v, state.t + float(t))
+    return np.concatenate([u, v], axis=-1)
 
 
 def _propagator_grid_matrix(grid: DispersionGrid, t: float) -> np.ndarray:
@@ -266,10 +226,10 @@ def truncated_green(kernel: InteractionKernel, t: float, L: int, eps: float,
     return real_part_checked(G, _IMAG_TOL, "truncated_green")
 
 
-def hamiltonian(state: FieldState, kernel: InteractionKernel) -> float:
-    """Energy 0.5 sum |v|^2 + 0.5 sum u . (V * u); conserved by evolve."""
-    if state.n != kernel.n or state.d != kernel.d:
-        raise ValueError("state and kernel dimensions disagree")
-    kinetic = 0.5 * float(np.sum(state.v**2))
-    potential = 0.5 * float(np.sum(state.u * kernel.convolve(state.u)))
-    return kinetic + potential
+def hamiltonian(Y, kernel: InteractionKernel) -> np.ndarray:
+    """Per-sample energy 0.5 sum |v|^2 + 0.5 sum u . (V * u), shape (S,);
+    conserved by :func:`evolve_ensemble`."""
+    Y, _ = _check_field(Y, kernel)
+    u, v = Y[..., :kernel.n], Y[..., kernel.n:]
+    axes = tuple(range(1, Y.ndim))
+    return 0.5 * np.sum(v**2, axis=axes) + 0.5 * np.sum(u * kernel.convolve(u), axis=axes)

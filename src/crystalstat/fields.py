@@ -165,7 +165,7 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
     W = _white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
     axes = tuple(range(1, d + 1))
     yhat = np.einsum("...ij,s...j->s...i", R, forward_fft(W, axes))
-    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "gaussian_sample")
+    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "gaussian_ensemble")
 
 
 def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
@@ -299,9 +299,13 @@ def density_to_jsonable(density: SpectralDensity) -> dict:
 
 
 def density_from_jsonable(doc: dict) -> SpectralDensity:
-    known = {"L", "d", "n", "provenance", "matrix_re", "matrix_im",
-             "excluded", "cluster_id"}
-    extra = set(doc) - known
+    if not isinstance(doc, dict):
+        raise ValueError("density file must contain a JSON object")
+    required = ("L", "d", "n", "matrix_re", "matrix_im")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"density file lacks fields {missing}")
+    extra = set(doc) - set(required) - {"provenance", "excluded", "cluster_id"}
     if extra:
         raise ValueError(f"unknown density fields: {sorted(extra)}")
     matrix = np.asarray(doc["matrix_re"], dtype=float) + 1j * np.asarray(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import theta_axis
+from ._lattice import phase_grid
 
 __all__ = [
     "InteractionKernel",
@@ -144,21 +144,16 @@ class InteractionKernel:
         """Symbol on the full theta grid, shape (L,)*d + (n, n)."""
         if L < 1:
             raise ValueError("L must be positive")
-        th = theta_axis(L)
         acc = np.zeros((L,) * self.d + (self.n, self.n), dtype=complex)
         for z, mat in self.entries.items():
-            phase = np.ones((L,) * self.d, dtype=complex)
-            for axis, c in enumerate(z):
-                shape = [1] * self.d
-                shape[axis] = L
-                phase = phase * np.exp(1j * c * th).reshape(shape)
-            acc += phase[..., None, None] * mat
+            acc += phase_grid(z, L, +1)[..., None, None] * mat
         return 0.5 * (acc + np.conj(np.swapaxes(acc, -1, -2)))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
-        """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (*grid, n)."""
+        """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (*grid, n) or a
+        batch of them (S, *grid, n); the grid axes are the d before the last."""
         out = np.zeros_like(u)
-        axes = tuple(range(self.d))
+        axes = tuple(range(u.ndim - 1 - self.d, u.ndim - 1))
         for z, mat in self.entries.items():
             shifted = np.roll(u, shift=z, axis=axes)
             out += shifted @ mat.T
@@ -327,11 +322,19 @@ def kernel_from_json(text: str) -> InteractionKernel:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("kernel file must contain a JSON object")
+    keys = ("d", "n", "N", "entries")
     for key in doc:
-        if key not in ("d", "n", "N", "entries"):
+        if key not in keys:
             raise ValueError(f"unknown kernel file key {key!r}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"kernel file lacks keys {missing}")
+    if not isinstance(doc["entries"], list):
+        raise ValueError("kernel file entries must be a list")
     entries = {}
     for item in doc["entries"]:
+        if not isinstance(item, dict) or not {"z", "matrix"} <= item.keys():
+            raise ValueError("each kernel file entry needs keys 'z' and 'matrix'")
         z = tuple(int(c) for c in item["z"])
         if not canonical_offset(z):
             raise ValueError(f"kernel file must list canonical offsets only, got {z}")

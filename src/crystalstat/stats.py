@@ -153,9 +153,9 @@ def gaussianity_report(samples) -> dict:
     }
 
 
-def weighted_norm(state, alpha: float) -> float:
-    """Sum of (|u(x)|^2+|v(x)|^2) (1+|x|^2)^alpha with minimal-image |x|."""
-    x = minimal_image(state.L, state.d).astype(float)
+def weighted_norm(Y, alpha: float) -> np.ndarray:
+    """Per-sample sum of |Y_s(x)|^2 (1+|x|^2)^alpha with minimal-image |x|, shape (S,)."""
+    Y, L, d, _ = check_ensemble(Y)
+    x = minimal_image(L, d).astype(float)
     weights = (1.0 + np.sum(x * x, axis=-1)) ** alpha
-    density = np.sum(state.u**2, axis=-1) + np.sum(state.v**2, axis=-1)
-    return float(np.sum(weights * density))
+    return np.sum(weights * np.sum(Y**2, axis=-1), axis=tuple(range(1, d + 1)))

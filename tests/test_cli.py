@@ -325,6 +325,49 @@ def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):
     assert resolutions == [64]
 
 
+def test_one_condition_scan_per_run(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "critical_set_scan", counting(crystalstat.critical_set_scan))
+    monkeypatch.setattr(cli, "check_E4_E5", counting(crystalstat.check_E4_E5))
+    assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
+    assert calls == ["critical_set_scan", "check_E4_E5"]
+
+
+@pytest.mark.parametrize("component", ["5", "-1"])
+def test_component_out_of_range_is_usage_error(tmp_path, capsys, component):
+    code = main(["mixing"] + nn_args(L=64) + ["--component", component,
+                                              "--output", str(tmp_path / "mix")])
+    assert code == 1
+    assert f"component {component} is outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--kernel-file", {"d": 1, "n": 1}, "kernel file lacks keys ['N', 'entries']"),
+    ("--kernel-file", {"d": 1, "n": 1, "N": 1, "entries": 3},
+     "kernel file entries must be a list"),
+    ("--kernel-file", {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0]}]},
+     "each kernel file entry needs keys 'z' and 'matrix'"),
+    ("--measure-file", {"L": 64},
+     "density file lacks fields ['d', 'n', 'matrix_re', 'matrix_im']"),
+    ("--config", {"thresholds": 3}, "config thresholds must be a JSON object"),
+])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ["mixing", "--L", "64", flag, str(path), "--output", str(tmp_path / "mix")]
+    if flag != "--kernel-file":
+        argv += nn_args()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_threshold_flags_reach_E4_E5(tmp_path):
     # a Hessian threshold above every curvature flags all nodes and fails E4
     out = tmp_path / "disp"

@@ -8,7 +8,6 @@ from crystalstat import (
     build_nn_kernel,
     covariance_from_density,
     dispersion_grid,
-    evolve,
     evolve_density,
     evolve_ensemble,
     gaussian_ensemble,

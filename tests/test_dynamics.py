@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalstat import (
-    FieldState,
     build_nn_kernel,
     dispersion_grid,
-    evolve,
     evolve_ensemble,
     green_function,
     hamiltonian,
@@ -22,9 +20,16 @@ from crystalstat import (
 from crystalstat.dynamics import _propagator_grid_matrix
 
 
-def random_state(rng, L, d, n, t=0.0):
-    shape = (L,) * d + (n,)
-    return FieldState(rng.standard_normal(shape), rng.standard_normal(shape), t)
+def random_field(rng, L, d, n):
+    """One sample (1, *grid, 2n) of standard normal values."""
+    return rng.standard_normal((1,) + (L,) * d + (2 * n,))
+
+
+def delta_field(L, component):
+    """One sample on a scalar chain with unit mass at site 0 in one component."""
+    Y = np.zeros((1, L, 2))
+    Y[0, 0, component] = 1.0
+    return Y
 
 
 def test_propagator_blocks_oscillator_form(grid64):
@@ -57,42 +62,34 @@ def test_propagator_group_law():
 
 
 def test_evolve_matches_rk4(nn1, rng):
-    st = random_state(rng, 16, 1, 1)
-    spectral = evolve(st, nn1, 2.0)
-    ode = reference_evolve_ode(st, nn1, 2.0, dt=0.005)
-    np.testing.assert_allclose(spectral.u, ode.u, atol=1e-7)
-    np.testing.assert_allclose(spectral.v, ode.v, atol=1e-7)
-    assert spectral.t == 2.0
+    Y = random_field(rng, 16, 1, 1)
+    spectral = evolve_ensemble(Y, nn1, 2.0)
+    ode = reference_evolve_ode(Y, nn1, 2.0, dt=0.005)
+    np.testing.assert_allclose(spectral, ode, atol=1e-7)
 
 
 def test_evolve_matches_rk4_two_component(rng):
     k = random_finite_range_kernel(1, 2, 1, seed=2)
-    st = random_state(rng, 16, 1, 2)
+    Y = random_field(rng, 16, 1, 2)
     g = dispersion_grid(k, 16)
     dt = 0.05 / g.omega_max
-    spectral = evolve(st, k, 1.5)
-    ode = reference_evolve_ode(st, k, 1.5, dt=dt)
-    np.testing.assert_allclose(spectral.u, ode.u, atol=1e-6)
-    np.testing.assert_allclose(spectral.v, ode.v, atol=1e-6)
+    spectral = evolve_ensemble(Y, k, 1.5)
+    ode = reference_evolve_ode(Y, k, 1.5, dt=dt)
+    np.testing.assert_allclose(spectral, ode, atol=1e-6)
 
 
 def test_evolve_identity_and_additivity(nn1, rng):
-    st = random_state(rng, 32, 1, 1, t=1.0)
-    same = evolve(st, nn1, 0.0)
-    np.testing.assert_allclose(same.u, st.u, atol=1e-14)
-    assert same.t == 1.0
-    one = evolve(evolve(st, nn1, 2.0), nn1, 3.0)
-    both = evolve(st, nn1, 5.0)
-    np.testing.assert_allclose(one.u, both.u, atol=1e-10)
-    np.testing.assert_allclose(one.v, both.v, atol=1e-10)
-    assert one.t == both.t == 6.0
+    Y = random_field(rng, 32, 1, 1)
+    np.testing.assert_allclose(evolve_ensemble(Y, nn1, 0.0), Y, atol=1e-14)
+    one = evolve_ensemble(evolve_ensemble(Y, nn1, 2.0), nn1, 3.0)
+    both = evolve_ensemble(Y, nn1, 5.0)
+    np.testing.assert_allclose(one, both, atol=1e-10)
 
 
 def test_evolve_backwards_inverts(nn1, rng):
-    st = random_state(rng, 32, 1, 1)
-    back = evolve(evolve(st, nn1, 4.0), nn1, -4.0)
-    np.testing.assert_allclose(back.u, st.u, atol=1e-10)
-    np.testing.assert_allclose(back.v, st.v, atol=1e-10)
+    Y = random_field(rng, 32, 1, 1)
+    back = evolve_ensemble(evolve_ensemble(Y, nn1, 4.0), nn1, -4.0)
+    np.testing.assert_allclose(back, Y, atol=1e-10)
 
 
 def test_energy_conserved_along_orbit(rng):
@@ -102,32 +99,29 @@ def test_energy_conserved_along_orbit(rng):
         random_finite_range_kernel(1, 2, 2, seed=6),
     ]
     for k in kernels:
-        st = random_state(rng, 32, 1, k.n)
-        H0 = hamiltonian(st, k)
+        Y = random_field(rng, 32, 1, k.n)
+        H0 = hamiltonian(Y, k)
+        assert H0.shape == (1,)
         for t in (1.0, 17.3, 100.0):
-            Ht = hamiltonian(evolve(st, k, t), k)
-            assert abs(Ht - H0) <= 1e-10 * (1.0 + abs(H0))
+            Ht = hamiltonian(evolve_ensemble(Y, k, t), k)
+            assert np.all(np.abs(Ht - H0) <= 1e-10 * (1.0 + np.abs(H0)))
 
 
 def test_delta_energy_value(nn1):
-    st = FieldState(np.zeros((32, 1)), np.zeros((32, 1)))
-    st.u[0, 0] = 1.0
-    assert abs(hamiltonian(st, nn1) - 1.5) < 1e-14
+    assert abs(hamiltonian(delta_field(32, 0), nn1)[0] - 1.5) < 1e-14
 
 
 def test_finite_propagation_speed(nn1):
     # the tail bound is a stationary-phase estimate: the slack 0.5 t must cover
     # a few decay lengths, so look at a moderately late time
     L, t = 256, 14.0
-    st = FieldState(np.zeros((L, 1)), np.zeros((L, 1)))
-    st.u[0, 0] = 1.0
-    out = evolve(st, nn1, t)
+    out = evolve_ensemble(delta_field(L, 0), nn1, t)[0]
     g = dispersion_grid(nn1, L)
     radius = (g.max_group_velocity() + 0.5) * t
     x = np.minimum(np.arange(L), L - np.arange(L))
     outside = x > radius
-    total = float(np.sum(out.u**2 + out.v**2))
-    mass = float(np.sum(out.u[outside] ** 2 + out.v[outside] ** 2))
+    total = float(np.sum(out**2))
+    mass = float(np.sum(out[outside] ** 2))
     assert mass < 1e-6 * total
 
 
@@ -135,22 +129,16 @@ def test_green_function_columns_are_delta_responses(nn1):
     L, t = 64, 4.0
     G = green_function(nn1, t, L)
     assert G.shape == (L, 2, 2)
-    st = FieldState(np.zeros((L, 1)), np.zeros((L, 1)))
-    st.u[0, 0] = 1.0
-    out = evolve(st, nn1, t)
-    np.testing.assert_allclose(G[:, 0, 0], out.u[:, 0], atol=1e-12)
-    np.testing.assert_allclose(G[:, 1, 0], out.v[:, 0], atol=1e-12)
+    out = evolve_ensemble(delta_field(L, 0), nn1, t)[0]
+    np.testing.assert_allclose(G[:, :, 0], out, atol=1e-12)
 
 
 def test_green_function_against_rk4_massless():
     k = build_nn_kernel(1, 1, 0.0)
     L, t = 256, 10.0
     G = green_function(k, t, L)
-    st = FieldState(np.zeros((L, 1)), np.zeros((L, 1)))
-    st.v[0, 0] = 1.0
-    ode = reference_evolve_ode(st, k, t, dt=0.005)
-    np.testing.assert_allclose(G[:, 0, 1], ode.u[:, 0], atol=1e-5)
-    np.testing.assert_allclose(G[:, 1, 1], ode.v[:, 0], atol=1e-5)
+    ode = reference_evolve_ode(delta_field(L, 1), k, t, dt=0.005)[0]
+    np.testing.assert_allclose(G[:, :, 1], ode, atol=1e-5)
 
 
 def test_green_function_wraparound_guard(nn1):
@@ -172,18 +160,6 @@ def test_truncated_green_zero_eps_is_plain(nn1):
     b = green_function(nn1, 5.0, 128)
     np.testing.assert_allclose(a, b, atol=1e-12)
     assert truncated_green(nn1, 10.0, 256, eps=0.3).shape == (256, 2, 2)
-
-
-def test_evolve_ensemble_matches_single(nn1, rng):
-    states = [random_state(rng, 32, 1, 1, t=0.5) for _ in range(3)]
-    batch = evolve_ensemble(np.stack([np.concatenate([s.u, s.v], axis=-1) for s in states]),
-                            nn1, 6.0)
-    assert batch.shape == (3, 32, 2)
-    for state, out in zip(states, batch):
-        single = evolve(state, nn1, 6.0)
-        np.testing.assert_array_equal(out[..., :1], single.u)
-        np.testing.assert_array_equal(out[..., 1:], single.v)
-        assert single.t == 6.5
 
 
 @lru_cache(maxsize=None)
@@ -212,9 +188,29 @@ def test_evolve_rejects_dimension_mismatch(nn1):
     with pytest.raises(ValueError, match="kernel dimensions"):
         evolve_ensemble(np.zeros((2, 16, 4)), nn1, 1.0)
     with pytest.raises(ValueError, match="kernel dimensions"):
-        evolve(FieldState(np.zeros((16, 16, 1)), np.zeros((16, 16, 1))), nn1, 1.0)
+        reference_evolve_ode(np.zeros((1, 16, 16, 2)), nn1, 1.0, dt=0.01)
+    with pytest.raises(ValueError, match="kernel dimensions"):
+        hamiltonian(np.zeros((1, 16, 16, 2)), nn1)
 
 
-def test_state_shape_validation():
-    with pytest.raises(ValueError):
-        FieldState(np.zeros((8, 1)), np.zeros((4, 1)))
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(-1.0, 1.0), data=st.data())
+def test_reference_and_energy_on_ensembles(d, n, count, seed, t, data):
+    kernel, grid = _kernel_and_grid(d, n)
+    Y = np.random.default_rng(seed).standard_normal((count,) + (grid.L,) * d + (2 * n,))
+    split = data.draw(st.integers(1, count - 1), label="split")
+    dt = 0.02 / grid.omega_max
+    ode = reference_evolve_ode(Y, kernel, t, dt)
+    np.testing.assert_array_equal(ode, np.concatenate(
+        [reference_evolve_ode(Y[:split], kernel, t, dt),
+         reference_evolve_ode(Y[split:], kernel, t, dt)]))
+    spectral = evolve_ensemble(Y, kernel, t, grid=grid)
+    np.testing.assert_allclose(ode, spectral, atol=1e-6)
+    H0 = hamiltonian(Y, kernel)
+    assert H0.shape == (count,)
+    np.testing.assert_array_equal(H0, np.concatenate(
+        [hamiltonian(Y[:split], kernel), hamiltonian(Y[split:], kernel)]))
+    Ht = hamiltonian(spectral, kernel)
+    assert np.all(np.abs(Ht - H0) <= 1e-10 * (1.0 + np.abs(H0)))

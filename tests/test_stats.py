@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crystalstat import (
-    FieldState,
     TestField,
     characteristic_functional,
     empirical_covariance,
@@ -136,14 +135,15 @@ def test_gaussianity_report_calibration(rng):
 
 
 def test_weighted_norm_values():
-    st = FieldState(np.zeros((8, 1)), np.zeros((8, 1)))
-    st.u[1, 0] = 1.0
-    assert weighted_norm(st, -1.0) == pytest.approx(0.5)
-    assert weighted_norm(st, 0.0) == pytest.approx(1.0)
-    st.v[7, 0] = 2.0  # minimal image of site 7 on L=8 is -1
-    assert weighted_norm(st, -1.0) == pytest.approx(0.5 + 4.0 * 0.5)
+    Y = np.zeros((1, 8, 2))
+    Y[0, 1, 0] = 1.0
+    assert weighted_norm(Y, -1.0) == pytest.approx([0.5])
+    assert weighted_norm(Y, 0.0) == pytest.approx([1.0])
+    Y[0, 7, 1] = 2.0  # minimal image of site 7 on L=8 is -1
+    assert weighted_norm(Y, -1.0) == pytest.approx([0.5 + 4.0 * 0.5])
 
 
 def test_weighted_norm_monotone_in_alpha(rng):
-    st = FieldState(rng.standard_normal((16, 1)), rng.standard_normal((16, 1)))
-    assert weighted_norm(st, -2.0) < weighted_norm(st, -1.0) < weighted_norm(st, 0.0)
+    Y = rng.standard_normal((3, 16, 2))
+    assert np.all(weighted_norm(Y, -2.0) < weighted_norm(Y, -1.0))
+    assert np.all(weighted_norm(Y, -1.0) < weighted_norm(Y, 0.0))
