@@ -16,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 
+class NumericalFault(ValueError):
+    """A computation produced a result its guards reject: an imaginary residue
+    above tolerance or an indefinite density.  The input may be well formed;
+    the numbers it leads to are not usable."""
+
+
 def theta_axis(L: int) -> np.ndarray:
     """Grid angles 2 pi k / L for one axis."""
     return 2.0 * np.pi * np.arange(L) / L
@@ -83,7 +89,7 @@ def real_part_checked(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     """Drop an imaginary residue after verifying it is below tol (absolute)."""
     resid = float(np.max(np.abs(a.imag))) if np.iscomplexobj(a) else 0.0
     if resid > tol:
-        raise ValueError(
+        raise NumericalFault(
             f"{what}: imaginary residue {resid:.3e} exceeds {tol:.1e}; "
             "input violates the reality symmetry"
         )

@@ -8,7 +8,13 @@ printed with %.17g, JSON keys are sorted, and no timestamps appear anywhere,
 so re-running a manifest reproduces every byte.
 
 Exit codes: 0 success, 1 usage error, 2 structural condition failure
-(a ConditionReport with verdict fail), 3 statistical acceptance-gate failure.
+(a ConditionReport with verdict fail), 3 statistical acceptance-gate failure,
+4 numerical fault (an imaginary residue above tolerance or an indefinite
+density).
+
+The sampling commands (ensemble, gibbs, clt) stream their samples through
+stats.stream_ensemble in fixed-byte chunks, so their memory does not grow with
+the ensemble size.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._lattice import NumericalFault
 from .covariance import (
     TestField,
     covariance_from_density,
@@ -31,13 +38,11 @@ from .covariance import (
     mixing_integral,
     quadratic_form,
 )
-from .dynamics import evolve_ensemble, green_function, truncated_green
+from .dynamics import green_function, truncated_green
 from .fields import (
     density_from_covariance,
     density_from_jsonable,
     density_to_jsonable,
-    gaussian_ensemble,
-    nonlinear_transform_sample,
     triangular_density,
     white_noise_density,
 )
@@ -60,9 +65,11 @@ from .spectral import (
 )
 from .stats import (
     characteristic_functional,
-    empirical_covariance,
+    covariance_products,
+    covariance_summary,
     gaussianity_report,
     linear_functional_samples,
+    stream_ensemble,
 )
 
 __all__ = ["main"]
@@ -71,6 +78,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONDITION = 2
 EXIT_GATE = 3
+EXIT_NUMERICAL = 4
 
 
 class UsageError(Exception):
@@ -568,12 +576,12 @@ def _cmd_ensemble(run) -> int:
     q0, transform = _build_measure(eff["measure"], kernel, L)
     times = eff["times"] or [50.0]
     t = times[-1]
-    Y = gaussian_ensemble(q0, eff["ensemble"], eff["seed"])
-    if transform is not None:
-        Y = nonlinear_transform_sample(Y, *transform)
-    evolved = evolve_ensemble(Y, kernel, t, grid=grid)
     offsets = _axis_offsets(kernel.d)
-    summary = empirical_covariance(evolved, offsets)
+    products, = stream_ensemble(
+        q0, eff["ensemble"], eff["seed"], grid, t,
+        lambda Y0, Yt: (covariance_products(Yt, offsets),),
+        "covariance error bars", transform=transform)
+    summary = covariance_summary(offsets, products)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
     if transform is None:
         qt = evolve_density(q0, grid, t)
@@ -630,10 +638,12 @@ def _cmd_gibbs(run, allow_degenerate, T1) -> int:
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     times = eff["times"] or [50.0]
     t = times[-1]
-    evolved = evolve_ensemble(gaussian_ensemble(q0, eff["ensemble"], eff["seed"]),
-                              kernel, t, grid=grid)
     offsets = _axis_offsets(kernel.d)
-    summary = empirical_covariance(evolved, offsets)
+    products, = stream_ensemble(
+        q0, eff["ensemble"], eff["seed"], grid, t,
+        lambda Y0, Yt: (covariance_products(Yt, offsets),),
+        "covariance error bars")
+    summary = covariance_summary(offsets, products)
     qg = gibbs_density(T1, grid, thr["delta_null"])
     tab = covariance_from_density(qg, offsets)
     scale = 1.0 + max(float(np.max(np.abs(tab.matrix(z)))) for z in offsets)
@@ -672,25 +682,26 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     times = eff["times"] or [50.0]
     t = times[-1]
     psi = TestField.delta(kernel.d, kernel.n, component=component)
-
-    Y = nonlinear_transform_sample(gaussian_ensemble(base, eff["ensemble"], eff["seed"]),
-                                   *transform)
-
-    samples0 = linear_functional_samples(Y, psi)
-    gauss0 = gaussianity_report(samples0)
-    platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0
-
     # support of the transformed field is inside the base support
     offsets = [z for z in np.ndindex(*((2 * nu0 - 1,) * kernel.d))]
     offsets = [tuple(int(c) - (nu0 - 1) for c in z) for z in offsets]
-    emp = empirical_covariance(Y, offsets)
+
+    products, samples0, samples_t = stream_ensemble(
+        base, eff["ensemble"], eff["seed"], grid, t,
+        lambda Y0, Yt: (covariance_products(Y0, offsets),
+                        linear_functional_samples(Y0, psi),
+                        linear_functional_samples(Yt, psi)),
+        "moment diagnostics", transform=transform)
+
+    gauss0 = gaussianity_report(samples0)
+    platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0
+
+    emp = covariance_summary(offsets, products)
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")
     es = check_ES(grid, q0, thr["delta_null"])
     qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
 
-    evolved = evolve_ensemble(Y, kernel, t, grid=grid)
-    samples_t = linear_functional_samples(evolved, psi)
     gauss_t = gaussianity_report(samples_t)
     char = characteristic_functional(samples_t, qinf, psi)
 
@@ -698,7 +709,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     moments_ok = (not gauss_t["degenerate"]) and \
         abs(gauss_t["z_skewness"]) < 4.0 and abs(gauss_t["z_kurtosis"]) < 4.0
     report = {
-        "t": t, "count": Y.shape[0], "seed": eff["seed"],
+        "t": t, "count": samples0.size, "seed": eff["seed"],
         "component": component,
         "initial_moments": gauss0,
         "initial_platykurtic": platykurtic,
@@ -767,6 +778,9 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
             _write_json(stage_dir / "conditions.json",
                         [r.to_jsonable() for r in exc.reports])
             stages[name] = EXIT_CONDITION
+        except NumericalFault as exc:
+            print(f"{name}: numerical fault: {exc}", file=sys.stderr)
+            stages[name] = EXIT_NUMERICAL
         except (UsageError, ValueError) as exc:
             print(f"{name}: usage error: {exc}", file=sys.stderr)
             stages[name] = EXIT_USAGE
@@ -864,6 +878,9 @@ def main(argv=None) -> int:
     except GateFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_GATE
+    except NumericalFault as exc:
+        print(f"numerical fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

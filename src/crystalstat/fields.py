@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ._lattice import (
+    NumericalFault,
     check_ensemble,
     forward_fft,
     inverse_fft,
@@ -85,7 +86,7 @@ class SpectralDensity:
             if float(w.min()) < -1e-10 * scale:
                 flat = int(np.argmin(w.min(axis=-1)))
                 node = np.unravel_index(flat, (self.L,) * self.d)
-                raise ValueError(
+                raise NumericalFault(
                     f"density is not positive semidefinite at node {node} "
                     f"(eigenvalue {float(w.min()):.3e})"
                 )

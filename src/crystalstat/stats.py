@@ -4,6 +4,12 @@ Everything here consumes ensemble arrays (S, *grid, 2n), u components first,
 or plain sample arrays, and produces numbers with Monte Carlo error bars
 attached, so that comparisons against the transported and limiting densities
 can be gated at 3 sigma.
+
+Estimators that average over samples come as a per-sample step and one
+reduction (covariance_products, then covariance_summary).  stream_ensemble
+draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
+per-sample statistics, so that peak memory does not grow with the sample
+count and the reduction sees the same arrays as for the whole ensemble at once.
 """
 
 from __future__ import annotations
@@ -14,9 +20,14 @@ import numpy as np
 
 from ._lattice import check_ensemble, minimal_image
 from .covariance import quadratic_form
+from .dynamics import evolve_ensemble
+from .fields import gaussian_ensemble, nonlinear_transform_sample
 
 __all__ = [
     "EnsembleSummary",
+    "stream_ensemble",
+    "covariance_products",
+    "covariance_summary",
     "empirical_covariance",
     "linear_functional_samples",
     "characteristic_functional",
@@ -35,29 +46,92 @@ class EnsembleSummary:
     se: dict
 
 
-def empirical_covariance(Y, offsets) -> EnsembleSummary:
-    """Translation-averaged covariance estimate q(z) = E[Y(x+z) (x) Y(x)].
+# Fewest samples each estimator accepts, by what it estimates.
+MIN_SAMPLES = {
+    "covariance error bars": 100,
+    "moment diagnostics": 1000,
+    "the characteristic functional": 1000,
+}
 
-    Averages over base points x (stationarity makes every one an unbiased
-    probe) and over samples; the quoted standard error is the leave-one-out
-    jackknife of the sample mean, entrywise.
+# Bytes of one complex copy of a chunk, (chunk, *grid, 2n) complex128, that
+# stream_ensemble aims for; its working set is a few such copies.
+CHUNK_BYTES = 8 * 2**20
+
+
+def _require_samples(count: int, purpose: str) -> None:
+    """Raise unless count reaches MIN_SAMPLES[purpose]."""
+    minimum = MIN_SAMPLES[purpose]
+    if count < minimum:
+        raise ValueError(f"need at least {minimum} samples for {purpose}")
+
+
+def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
+                    purpose: str, transform=None) -> tuple:
+    """Per-sample statistics of count samples, drawn and evolved chunk by chunk.
+
+    Each chunk of consecutive sample indices is drawn by gaussian_ensemble at
+    its start index, mapped by nonlinear_transform_sample when transform is
+    (a0, a1), and evolved to time t by evolve_ensemble on the dispersion grid's
+    kernel.  statistics(Y0, Yt) maps the chunk's initial and evolved arrays to
+    a tuple of arrays with a leading sample axis; only these are kept, and each
+    is concatenated over the chunks.  Since every step treats samples
+    independently, the result does not depend on the chunk size, while peak
+    memory does not grow with count.  The count is checked against the
+    estimator that will consume the result (purpose, a key of MIN_SAMPLES)
+    before the first draw.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    _require_samples(count, purpose)
+    size = max(1, CHUNK_BYTES // (16 * density.L**density.d * 2 * density.n))
+    parts = []
+    for start in range(0, count, size):
+        Y = gaussian_ensemble(density, min(size, count - start), seed, start_index=start)
+        if transform is not None:
+            Y = nonlinear_transform_sample(Y, *transform)
+        parts.append(statistics(Y, evolve_ensemble(Y, grid.kernel, t, grid=grid)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _offset_list(offsets) -> list:
+    return [tuple(int(c) for c in z) for z in offsets]
+
+
+def covariance_products(Y, offsets) -> np.ndarray:
+    """Per-sample step of :func:`empirical_covariance`, shape (S, len(offsets), 2n, 2n).
+
+    Entry [s, k] is sample s's translation average L^-d sum_x Y_s(x+z) (x) Y_s(x)
+    at offset z = offsets[k].  Samples do not interact, so blocks of samples
+    concatenate to the products of the whole ensemble.
     """
     Y, L, d, _ = check_ensemble(Y)
-    S = Y.shape[0]
-    if S < 100:
-        raise ValueError("need at least 100 samples for covariance error bars")
+    S, two_n = Y.shape[0], Y.shape[-1]
+    offsets = _offset_list(offsets)
     axes = tuple(range(1, 1 + d))
     norm = float(L) ** d
-    offsets = [tuple(int(c) for c in z) for z in offsets]
-    mean, se = {}, {}
-    flat = Y.reshape(S, -1, Y.shape[-1])
-    for z in offsets:
+    flat = Y.reshape(S, -1, two_n)
+    products = np.empty((S, len(offsets), two_n, two_n))
+    for k, z in enumerate(offsets):
         if len(z) != d:
             raise ValueError(f"offset {z} has wrong dimension")
         # roll by -z puts Y(x+z) in slot x
         shifted = np.roll(Y, shift=tuple(-c for c in z), axis=axes)
-        shifted = shifted.reshape(S, -1, Y.shape[-1])
-        per_sample = np.matmul(shifted.transpose(0, 2, 1), flat) / norm
+        shifted = shifted.reshape(S, -1, two_n)
+        products[:, k] = np.matmul(shifted.transpose(0, 2, 1), flat) / norm
+    return products
+
+
+def covariance_summary(offsets, products) -> EnsembleSummary:
+    """Reduction step of :func:`empirical_covariance`: the mean over samples of
+    each offset's products and its leave-one-out jackknife standard error."""
+    offsets = _offset_list(offsets)
+    S = products.shape[0]
+    _require_samples(S, "covariance error bars")
+    if products.shape[1] != len(offsets):
+        raise ValueError("one product block per offset required")
+    mean, se = {}, {}
+    for k, z in enumerate(offsets):
+        per_sample = np.ascontiguousarray(products[:, k])
         m = per_sample.mean(axis=0)
         dev = per_sample - m
         mean[z] = m
@@ -65,8 +139,21 @@ def empirical_covariance(Y, offsets) -> EnsembleSummary:
     return EnsembleSummary(count=S, offsets=offsets, mean=mean, se=se)
 
 
+def empirical_covariance(Y, offsets) -> EnsembleSummary:
+    """Translation-averaged covariance estimate q(z) = E[Y(x+z) (x) Y(x)].
+
+    Averages over base points x (stationarity makes every one an unbiased
+    probe) and over samples; the quoted standard error is the leave-one-out
+    jackknife of the sample mean, entrywise.
+    """
+    return covariance_summary(offsets, covariance_products(Y, offsets))
+
+
 def linear_functional_samples(Y, psi) -> np.ndarray:
-    """One real <Y_s, Psi> = sum_x Y_s(x) . Psi(x) per sample, vectorized over the ensemble."""
+    """One real <Y_s, Psi> = sum_x Y_s(x) . Psi(x) per sample, vectorized over the ensemble.
+
+    Each sample's value does not depend on the other samples of the batch.
+    """
     Y, L, d, n = check_ensemble(Y)
     if psi.d != d:
         raise ValueError("test field dimension does not match the ensemble")
@@ -80,7 +167,9 @@ def linear_functional_samples(Y, psi) -> np.ndarray:
                 f"test-field site {tuple(int(c) for c in x)} outside the lattice window"
             )
         idx = (slice(None),) + tuple(int(c) % L for c in x)
-        out += Y[idx] @ val
+        # an elementwise product summed per row, not a BLAS matrix-vector
+        # product, whose rounding depends on a row's place in the batch
+        out += np.sum(Y[idx] * val, axis=-1)
     return out
 
 
@@ -93,8 +182,7 @@ def characteristic_functional(samples, density_limit, psi,
     """
     s = np.asarray(samples, dtype=float).ravel()
     N = s.size
-    if N < 1000:
-        raise ValueError("need at least 1000 samples for the characteristic functional")
+    _require_samples(N, "the characteristic functional")
     Q = quadratic_form(density_limit, psi)
     sweep = []
     for lam in lambdas:
@@ -132,8 +220,7 @@ def gaussianity_report(samples) -> dict:
     """
     s = np.asarray(samples, dtype=float).ravel()
     N = s.size
-    if N < 1000:
-        raise ValueError("need at least 1000 samples for moment diagnostics")
+    _require_samples(N, "moment diagnostics")
     mean = float(s.mean())
     var = float(s.var(ddof=1))
     if var <= (1e-15 * (1.0 + abs(mean))) ** 2:

@@ -16,6 +16,8 @@ import pytest
 import crystalstat
 import crystalstat.cli as cli
 import crystalstat.dynamics as dynamics
+import crystalstat.stats as stats
+from crystalstat._lattice import NumericalFault
 from crystalstat.cli import main
 from crystalstat.fields import density_from_jsonable, density_to_jsonable, white_noise_density
 from crystalstat.kernel import InteractionKernel, kernel_to_json
@@ -419,3 +421,78 @@ def test_console_script_exit_codes(tmp_path):
         capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert "condition failure" in bad.stderr
+
+
+@pytest.mark.parametrize("command, count, message", [
+    ("clt", 999, "need at least 1000 samples for moment diagnostics"),
+    ("clt", 0, "count must be positive"),
+    ("ensemble", 99, "need at least 100 samples for covariance error bars"),
+    ("ensemble", -3, "count must be positive"),
+    ("gibbs", 99, "need at least 100 samples for covariance error bars"),
+    ("gibbs", 0, "count must be positive"),
+])
+def test_small_ensemble_fails_before_the_first_draw(tmp_path, monkeypatch, capsys,
+                                                    command, count, message):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return crystalstat.gaussian_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "gaussian_ensemble", counting)
+    measure = ["--white", "T0=1", "T1=1"] if command == "ensemble" else []
+    code = main([command] + nn_args(L=16) + measure + [
+        "--ensemble", str(count), "--t", "2", "--output", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, count, grid_values, report", [
+    (["clt", "--nn", "d=1", "n=1", "m=1", "--L", "16", "--t", "3"], 1000, 16 * 2,
+     "clt.json"),
+    (["ensemble", "--nn", "d=2", "n=2", "m=1,2", "--L", "16", "--white", "T0=1", "T1=2",
+      "--transform", "a0=1", "a1=1", "--t", "2"], 120, 16**2 * 4, "ensemble.json"),
+    (["gibbs", "--nn", "d=1", "n=3", "m=1,2,3", "--L", "16", "--t", "2"], 110, 16 * 6,
+     "gibbs.json"),
+])
+def test_sampling_outputs_do_not_depend_on_chunk_size(tmp_path, monkeypatch, capsys,
+                                                      argv, count, grid_values, report):
+    outputs = []
+    for per_chunk in (1, 7, count):
+        monkeypatch.setattr(stats, "CHUNK_BYTES", per_chunk * 16 * grid_values)
+        out = tmp_path / str(per_chunk)
+        code = main(argv + ["--ensemble", str(count), "--seed", "5", "--output", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((code, (out / report).read_bytes(), stdout))
+    assert outputs[0][0] in (0, 3)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_indefinite_measure_is_numerical_fault(tmp_path, capsys):
+    doc = density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16))
+    doc["matrix_re"][5][0][0] = -0.5  # negative displacement variance at one node
+    doc["matrix_re"][11][0][0] = -0.5  # and at its mirror node, keeping reality
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ensemble"] + nn_args(L=16) + [
+        "--measure-file", str(path), "--ensemble", "100", "--t", "2",
+        "--output", str(tmp_path / "ens")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical fault: density is not positive semidefinite")
+
+
+def test_report_records_numerical_fault_per_stage(tmp_path, monkeypatch, capsys):
+    def faulty(*args, **kwargs):
+        raise NumericalFault("limit: imaginary residue 1.000e-03 exceeds 1.0e-06")
+
+    monkeypatch.setattr(cli, "limit_density", faulty)
+    out = tmp_path / "rep"
+    code = main(["report"] + nn_args(L=32) + ["--output", str(out)])
+    assert code == 4
+    assert json.loads((out / "summary.json").read_text()) == {
+        "exit": 4, "stages": {"dispersion": 0, "critical": 0, "limit": 4, "mixing": 4}}
+    err = capsys.readouterr().err
+    assert "limit: numerical fault: limit: imaginary residue" in err
+    assert "mixing: numerical fault: limit: imaginary residue" in err

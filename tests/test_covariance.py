@@ -1,12 +1,17 @@
 """Covariance transport, the long-time limit, quadratic forms, mixing."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystalstat import (
     TestField,
     build_nn_kernel,
     covariance_from_density,
+    density_from_covariance,
     dispersion_grid,
     evolve_density,
     evolve_ensemble,
@@ -16,6 +21,7 @@ from crystalstat import (
     linear_functional_samples,
     mixing_integral,
     quadratic_form,
+    random_finite_range_kernel,
     triangular_density,
     white_noise_density,
 )
@@ -225,3 +231,69 @@ def test_resolution_mismatch_raises(nn1, grid64):
     q0 = triangular_density(2, 1, 1.0, 1.0, 128)
     with pytest.raises(ValueError):
         limit_density(q0, grid64)
+
+
+# ---------------------------------------------------------------- invariants
+# Properties of the exact transport over random kernels and random densities.
+# Tolerances are relative to the largest entry of the density compared.
+
+@lru_cache(maxsize=None)
+def _random_grid(d, n, kernel_range, kernel_seed):
+    kernel = random_finite_range_kernel(d, n, kernel_range, seed=kernel_seed)
+    return dispersion_grid(kernel, 16)
+
+
+def _random_density(d, n, L, seed):
+    """PSD density from random real covariances at a few short offsets."""
+    rng = np.random.default_rng(seed)
+    cov = {(0,) * d: rng.standard_normal((2 * n, 2 * n))}
+    for _ in range(3):
+        z = tuple(int(c) for c in rng.integers(-2, 3, d))
+        if z not in cov and tuple(-c for c in z) not in cov:
+            cov[z] = rng.standard_normal((2 * n, 2 * n))
+    return density_from_covariance(cov, L)
+
+
+def _scale(density):
+    return float(np.max(np.abs(density.matrix)))
+
+
+_models = dict(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+               kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
+               density_seed=st.integers(0, 2**32 - 1))
+_times = st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=_times, **_models)
+def test_transport_keeps_density_hermitian_psd(d, n, kernel_range, kernel_seed,
+                                               density_seed, t):
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    qt = evolve_density(_random_density(d, n, grid.L, density_seed), grid, t)
+    scale = _scale(qt)
+    gap = np.abs(qt.matrix - np.conj(np.swapaxes(qt.matrix, -1, -2)))
+    assert float(gap.max()) <= 1e-14 * scale
+    assert float(np.linalg.eigvalsh(qt.matrix).min()) >= -1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(t1=_times, t2=_times, **_models)
+def test_transport_is_a_group(d, n, kernel_range, kernel_seed, density_seed, t1, t2):
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    q0 = _random_density(d, n, grid.L, density_seed)
+    two_steps = evolve_density(evolve_density(q0, grid, t1), grid, t2)
+    one_step = evolve_density(q0, grid, t1 + t2)
+    gap = np.abs(two_steps.matrix - one_step.matrix)
+    assert float(gap.max()) <= 1e-10 * _scale(one_step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=_times, **_models)
+def test_limit_is_a_fixed_point_of_transport(d, n, kernel_range, kernel_seed,
+                                             density_seed, t):
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    qinf = limit_density(_random_density(d, n, grid.L, density_seed), grid)
+    keep = ~qinf.excluded
+    moved = evolve_density(qinf, grid, t)
+    gap = np.abs(moved.matrix[keep] - qinf.matrix[keep])
+    assert float(gap.max()) <= 1e-10 * _scale(qinf)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalstat import (
+    NumericalFault,
     covariance_from_density,
     density_from_covariance,
     density_from_jsonable,
@@ -21,6 +22,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
+from crystalstat._lattice import real_part_checked
 from crystalstat.fields import SpectralDensity
 
 
@@ -49,6 +51,17 @@ def test_white_noise_covariance_is_delta():
     np.testing.assert_allclose(table.matrix((0,)), np.diag([0.7, 1.3]), atol=1e-12)
     np.testing.assert_allclose(table.matrix((1,)), np.zeros((2, 2)), atol=1e-12)
     np.testing.assert_allclose(table.matrix((5,)), np.zeros((2, 2)), atol=1e-12)
+
+
+def test_numerical_faults_are_named():
+    a = np.array([1.0 + 2e-6j, 2.0 - 1e-9j])
+    with pytest.raises(NumericalFault, match="probe: imaginary residue 2.000e-06"):
+        real_part_checked(a, 1e-6, "probe")
+    np.testing.assert_array_equal(real_part_checked(a, 1e-5, "probe"), [1.0, 2.0])
+    matrix = white_noise_density(1.0, 1.0, 1, 1, 16).matrix.copy()
+    matrix[..., 0, 0] = -1.0
+    with pytest.raises(NumericalFault, match="not positive semidefinite"):
+        SpectralDensity(L=16, d=1, n=1, matrix=matrix).hermitian_sqrt()
 
 
 def test_gaussian_sampler_reproducible():

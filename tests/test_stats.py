@@ -1,16 +1,30 @@
 """Ensemble estimators, characteristic functionals, moment diagnostics."""
 
+from functools import lru_cache
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crystalstat.stats as stats
 from crystalstat import (
     TestField,
     characteristic_functional,
+    covariance_products,
+    covariance_summary,
+    dispersion_grid,
     empirical_covariance,
+    evolve_ensemble,
     gaussian_ensemble,
     gaussianity_report,
+    gibbs_density,
     limit_density,
     linear_functional_samples,
+    nonlinear_transform_sample,
+    random_finite_range_kernel,
+    stream_ensemble,
     triangular_density,
     weighted_norm,
     white_noise_density,
@@ -21,18 +35,72 @@ def test_empirical_covariance_against_inline_oracle(rng):
     # tiny random ensemble, every number checked by hand-rolled averaging
     S, L = 120, 4
     Y = rng.standard_normal((S, L, 2))
-    summary = empirical_covariance(Y, [(0,), (1,), (-1,)])
+    offsets = [(0,), (1,), (-1,)]
+    products = covariance_products(Y, offsets)
+    assert products.shape == (S, 3, 2, 2)
+    summary = covariance_summary(offsets, products)
 
-    for z in [(0,), (1,), (-1,)]:
+    for k, z in enumerate(offsets):
         per = np.empty((S, 2, 2))
         for s in range(S):
             shifted = np.roll(Y[s], -z[0], axis=0)
             per[s] = sum(np.outer(shifted[x], Y[s][x]) for x in range(L)) / L
+        np.testing.assert_allclose(products[:, k], per, atol=1e-13)
         mean = per.mean(axis=0)
         se = np.sqrt(np.sum((per - mean) ** 2, axis=0) / (S * (S - 1)))
         np.testing.assert_allclose(summary.mean[z], mean, atol=1e-13)
         np.testing.assert_allclose(summary.se[z], se, atol=1e-13)
     assert summary.count == S
+    whole = empirical_covariance(Y, offsets)
+    assert whole.offsets == summary.offsets == offsets
+    for z in offsets:
+        np.testing.assert_array_equal(whole.mean[z], summary.mean[z])
+        np.testing.assert_array_equal(whole.se[z], summary.se[z])
+
+
+@lru_cache(maxsize=None)
+def _random_model(d, n, L=16):
+    """Random kernel, its grid and its equilibrium density (correlated for n > 1)."""
+    kernel = random_finite_range_kernel(d, n, 1, seed=10 * d + n)
+    grid = dispersion_grid(kernel, L)
+    return kernel, grid, gibbs_density(1.0, grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+       count=st.integers(100, 130), seed=st.integers(0, 2**32 - 1),
+       transform=st.sampled_from([None, (0.7, 1.3)]), t=st.floats(-5.0, 5.0),
+       data=st.data())
+def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t, data):
+    kernel, grid, dens = _random_model(d, n)
+    offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d]
+    rng = np.random.default_rng(seed)
+    psi = TestField(sites=[(0,) * d, (2,) + (-1,) * (d - 1)],
+                    values=rng.standard_normal((2, 2 * n)))
+
+    def statistics(Y0, Yt):
+        return (covariance_products(Y0, offsets), covariance_products(Yt, offsets),
+                linear_functional_samples(Y0, psi), linear_functional_samples(Yt, psi))
+
+    Y0 = gaussian_ensemble(dens, count, seed)
+    if transform is not None:
+        Y0 = nonlinear_transform_sample(Y0, *transform)
+    Yt = evolve_ensemble(Y0, kernel, t, grid=grid)
+    whole = statistics(Y0, Yt)
+
+    sample_bytes = 16 * grid.L**d * 2 * n
+    for size in (1, data.draw(st.integers(2, count - 1), label="chunk"), count):
+        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes):
+            streamed = stream_ensemble(dens, count, seed, grid, t, statistics,
+                                       "covariance error bars", transform=transform)
+        assert len(streamed) == len(whole)
+        for got, want in zip(streamed, whole):
+            np.testing.assert_array_equal(got, want)
+    summary = covariance_summary(offsets, streamed[1])
+    direct = empirical_covariance(Yt, offsets)
+    for z in offsets:
+        np.testing.assert_array_equal(summary.mean[z], direct.mean[z])
+        np.testing.assert_array_equal(summary.se[z], direct.se[z])
 
 
 def test_empirical_covariance_needs_samples():
