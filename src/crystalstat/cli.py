@@ -50,7 +50,6 @@ from .kernel import (
     build_nn_kernel,
     check_E123,
     kernel_from_json,
-    kernel_to_jsonable,
     random_finite_range_kernel,
 )
 from .spectral import (
@@ -92,12 +91,6 @@ class ConditionFailure(Exception):
         super().__init__(f"condition failure: {failing}")
 
 
-class GateFailure(Exception):
-    def __init__(self, name, payload):
-        self.payload = payload
-        super().__init__(f"acceptance gate failed: {name}")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the contract wants 1."""
 
@@ -115,6 +108,8 @@ _KERNEL_KEYS = {
     "random": {"type", "d", "n", "range", "seed"},
     "file": {"type", "path"},
 }
+#: the measure that ``mixing`` and ``report`` use when none is given
+_WHITE_NOISE = {"type": "white", "T0": 1.0, "T1": 1.0}
 _MEASURE_KEYS = {
     "triangular": {"type", "nu0", "T0", "T1"},
     "white": {"type", "T0", "T1"},
@@ -271,12 +266,13 @@ def _transformed(measure, tokens):
 
 class _Run:
     """State of one command: effective config, output directory (created here),
-    and the kernel, dispersion grids and condition reports, each built on
-    first use.
+    and the kernel, dispersion grids, condition reports and limit of the
+    initial measure, each built on first use.
 
-    The stages of ``report`` share one memo, so they share the kernel, and the
-    grid and its E1-E5 scan at each resolution.  A build that raises is not
-    stored: every stage that needs it retries and records its own failure.
+    The stages of ``report`` share one memo, so they share the kernel, the
+    grid and its E1-E5 scan at each resolution, and the measure with its ES
+    check and limit.  A build that raises is not stored: every stage that
+    needs it retries and records its own failure.
     """
 
     def __init__(self, eff: dict, memo: dict):
@@ -307,6 +303,31 @@ class _Run:
             scan = critical_set_scan(grid, self.thr["delta_hess"], self.thr["delta_null"])
             self.memo[key] = (list(e123) + check_E4_E5(grid, scan), scan)
         return self.memo[key]
+
+    def limit(self, allow_degenerate, default_measure=None):
+        """(initial density, ES report, limit density) of the run's measure,
+        or of default_measure when the run names none.
+
+        E1-E5 are gated before the measure is read, ES once its density
+        exists (:meth:`limit_of`)."""
+        if "limit" not in self.memo:
+            _condition_gate(self.conditions(self.L)[0], allow_degenerate)
+            q0, transform = _build_measure(self.eff["measure"] or default_measure,
+                                           self.kernel(), self.L)
+            if transform is not None:
+                raise UsageError(f"{self.eff['command']} needs a Gaussian measure "
+                                 "with an explicit density")
+            self.memo["limit"] = (q0,) + self.limit_of(q0, allow_degenerate)
+        return self.memo["limit"]
+
+    def limit_of(self, q0, allow_degenerate):
+        """(ES report, limit density) of q0 on the grid at the run's resolution,
+        once E1-E5 and ES pass :func:`_condition_gate`.  ``clt`` calls it on
+        the density its samples estimate."""
+        grid, _ = self.grid(self.L)
+        es = check_ES(grid, q0, self.thr["delta_null"])
+        _condition_gate(self.conditions(self.L)[0] + [es], allow_degenerate)
+        return es, limit_density(q0, grid, es_report=es, delta_null=self.thr["delta_null"])
 
 
 def _build_kernel(spec: dict):
@@ -389,15 +410,19 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_manifest(run: _Run) -> None:
+def _stage(body, eff: dict, memo: dict, options: dict) -> int:
+    """Run one command body on a new :class:`_Run`; a body that returns, with
+    whatever code, leaves ``manifest.json``, and one that raises leaves none."""
     from . import __version__
 
-    eff = run.eff
+    run = _Run(eff, memo)
+    code = body(run, **options)
     _write_json(run.outdir / "manifest.json", {
         "package": {"name": "crystalstat", "version": __version__},
         "config": {k: v for k, v in eff.items() if k != "command"},
         "command": eff["command"],
     })
+    return code
 
 
 def _build_grid(kernel, L, delta_cross):
@@ -411,12 +436,20 @@ def _build_grid(kernel, L, delta_cross):
     return dispersion_grid(kernel, L, delta_cross), e123
 
 
-def _condition_gate(run, strict, extra_reports=()):
-    """E1-E5 at the run's lattice resolution plus extra_reports; when strict,
-    any failed report raises."""
-    reports = run.conditions(run.L)[0] + list(extra_reports)
-    if strict and any(r.verdict == "fail" for r in reports):
+def _condition_gate(reports, allow_degenerate):
+    """Raise ConditionFailure if a report failed; allow_degenerate waives E4
+    and E5 only."""
+    waived = ("E4", "E5") if allow_degenerate else ()
+    if any(r.verdict == "fail" and r.condition not in waived for r in reports):
         raise ConditionFailure(reports)
+
+
+def _gate_exit(ok, name) -> int:
+    """Exit code of a statistical acceptance gate; a failure is named on stderr."""
+    if ok:
+        return EXIT_OK
+    print(f"acceptance gate failed: {name}", file=sys.stderr)
+    return EXIT_GATE
 
 
 def _axis_offsets(d: int, radius: int = 2):
@@ -447,7 +480,6 @@ def _cmd_dispersion(run) -> int:
     with open(outdir / "dispersion.csv", "w") as fh:
         write_dispersion_csv(grid, scan, fh)
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    _write_manifest(run)
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
     return EXIT_OK
@@ -459,7 +491,6 @@ def _cmd_critical(run) -> int:
     reports, scan = run.conditions(grid.L)
     _write_json(outdir / "critical.json", scan.to_jsonable())
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    _write_manifest(run)
     fr = scan.fractions()
     print(f"critical: combined fraction {fr['combined']:.6g} -> {outdir}")
     return EXIT_OK
@@ -497,24 +528,17 @@ def _cmd_green(run, dump_radius) -> int:
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit,
                  "eps": thr["eps"]})
-    _write_manifest(run)
     print(f"green: sup|G| fit slope {fit['slope']:.4f} (r2 {fit['r2']:.4f}) -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_evolve(run, allow_degenerate) -> int:
-    thr, outdir, L = run.thr, run.outdir, run.L
+    outdir = run.outdir
     kernel = run.kernel()
-    grid, _ = run.grid(L)
-    _condition_gate(run, strict=not allow_degenerate)
-    q0, transform = _build_measure(run.eff["measure"], kernel, L)
-    if transform is not None:
-        raise UsageError("evolve transports densities; transformed measures "
-                         "have no closed-form density")
+    grid, _ = run.grid(run.L)
+    q0, es, qinf = run.limit(allow_degenerate)
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
-    es = check_ES(grid, q0, thr["delta_null"])
-    qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
     tab_inf = covariance_from_density(qinf, offsets)
     n2 = 2 * kernel.n
     with open(outdir / "convergence.csv", "w") as fh:
@@ -540,19 +564,34 @@ def _cmd_evolve(run, allow_degenerate) -> int:
         "excluded_fraction": qinf.excluded_fraction,
         "es": es.to_jsonable(),
     })
-    _write_manifest(run)
     print(f"evolve: wrote convergence table for t={times} -> {outdir}")
     return EXIT_OK
 
 
-def _compare_to_theory(summary, theory_table, floor_scale):
-    """3 sigma gates per offset entry; returns (rows, all_pass)."""
+def _sampled_covariance(run, q0, t, transform=None):
+    """Covariance summary at the axis offsets of the run's ensemble of q0,
+    transformed by transform if given, at time t."""
+    offsets = _axis_offsets(run.kernel().d)
+    grid, _ = run.grid(run.L)
+    products, = stream_ensemble(
+        q0, run.eff["ensemble"], run.eff["seed"], grid, t,
+        lambda Y0, Yt: (covariance_products(Yt, offsets),),
+        "covariance error bars", transform=transform)
+    return covariance_summary(offsets, products)
+
+
+def _compare_to_theory(summary, theory):
+    """3 sigma gates per offset entry of summary against the covariance of the
+    density theory; returns (rows, all_pass)."""
+    table = covariance_from_density(theory, summary.offsets)
+    floor_scale = 1.0 + max(float(np.max(np.abs(table.matrix(z))))
+                            for z in summary.offsets)
     rows = []
     ok = True
     for z in summary.offsets:
         emp = summary.mean[z]
         se = summary.se[z]
-        th = theory_table.matrix(z)
+        th = table.matrix(z)
         gap = np.abs(emp - th)
         bound = 3.0 * se + 1e-10 * floor_scale
         entry_ok = bool(np.all(gap <= bound))
@@ -571,51 +610,30 @@ def _compare_to_theory(summary, theory_table, floor_scale):
 
 def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
-    kernel = run.kernel()
     grid, _ = run.grid(L)
-    q0, transform = _build_measure(eff["measure"], kernel, L)
-    times = eff["times"] or [50.0]
-    t = times[-1]
-    offsets = _axis_offsets(kernel.d)
-    products, = stream_ensemble(
-        q0, eff["ensemble"], eff["seed"], grid, t,
-        lambda Y0, Yt: (covariance_products(Yt, offsets),),
-        "covariance error bars", transform=transform)
-    summary = covariance_summary(offsets, products)
+    q0, transform = _build_measure(eff["measure"], run.kernel(), L)
+    t = (eff["times"] or [50.0])[-1]
+    summary = _sampled_covariance(run, q0, t, transform)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
     if transform is None:
-        qt = evolve_density(q0, grid, t)
-        tab = covariance_from_density(qt, offsets)
-        scale = 1.0 + max(float(np.max(np.abs(tab.matrix(z)))) for z in offsets)
-        rows, ok = _compare_to_theory(summary, tab, scale)
-        report["offsets"] = rows
-        report["all_pass"] = ok
+        report["offsets"], report["all_pass"] = _compare_to_theory(
+            summary, evolve_density(q0, grid, t))
     else:
         report["offsets"] = [
             {"z": _zkey(z), "empirical": summary.mean[z], "se": summary.se[z]}
-            for z in offsets
+            for z in summary.offsets
         ]
         report["all_pass"] = True
     _write_json(outdir / "ensemble.json", report)
-    _write_manifest(run)
     print(f"ensemble: {summary.count} samples at t={t}, "
           f"{'all 3-sigma gates pass' if report['all_pass'] else 'GATE FAILURE'} -> {outdir}")
-    if not report["all_pass"]:
-        raise GateFailure("ensemble vs transported density", report)
-    return EXIT_OK
+    return _gate_exit(report["all_pass"], "ensemble vs transported density")
 
 
 def _cmd_limit(run, allow_degenerate, dump_density) -> int:
-    thr, outdir, L = run.thr, run.outdir, run.L
-    kernel = run.kernel()
-    grid, _ = run.grid(L)
-    q0, transform = _build_measure(run.eff["measure"], kernel, L)
-    if transform is not None:
-        raise UsageError("limit needs a Gaussian measure with an explicit density")
-    es = check_ES(grid, q0, thr["delta_null"])
-    _condition_gate(run, strict=not allow_degenerate, extra_reports=[es])
-    qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
-    offsets = _axis_offsets(kernel.d)
+    outdir = run.outdir
+    _, es, qinf = run.limit(allow_degenerate)
+    offsets = _axis_offsets(run.kernel().d)
     tab = covariance_from_density(qinf, offsets)
     report = {
         "excluded_fraction": qinf.excluded_fraction,
@@ -625,48 +643,35 @@ def _cmd_limit(run, allow_degenerate, dump_density) -> int:
     _write_json(outdir / "limit.json", report)
     if dump_density:
         _write_json(outdir / "density.json", density_to_jsonable(qinf))
-    _write_manifest(run)
     print(f"limit: excluded fraction {qinf.excluded_fraction:.6g} -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_gibbs(run, allow_degenerate, T1) -> int:
-    eff, thr, outdir, L = run.eff, run.thr, run.outdir, run.L
+    eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
     grid, _ = run.grid(L)
-    _condition_gate(run, strict=not allow_degenerate)
-    q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
-    times = eff["times"] or [50.0]
-    t = times[-1]
-    offsets = _axis_offsets(kernel.d)
-    products, = stream_ensemble(
-        q0, eff["ensemble"], eff["seed"], grid, t,
-        lambda Y0, Yt: (covariance_products(Yt, offsets),),
-        "covariance error bars")
-    summary = covariance_summary(offsets, products)
-    qg = gibbs_density(T1, grid, thr["delta_null"])
-    tab = covariance_from_density(qg, offsets)
-    scale = 1.0 + max(float(np.max(np.abs(tab.matrix(z)))) for z in offsets)
-    rows, ok = _compare_to_theory(summary, tab, scale)
+    _condition_gate(run.conditions(L)[0], allow_degenerate)
+    t = (eff["times"] or [50.0])[-1]
+    summary = _sampled_covariance(run, white_noise_density(0.0, T1, kernel.n, kernel.d, L), t)
+    qg = gibbs_density(T1, grid, run.thr["delta_null"])
+    rows, ok = _compare_to_theory(summary, qg)
     report = {"t": t, "T1": T1, "count": summary.count, "seed": eff["seed"],
               "offsets": rows, "all_pass": ok,
               "excluded_fraction": qg.excluded_fraction}
     _write_json(outdir / "gibbs.json", report)
-    _write_manifest(run)
     print(f"gibbs: {summary.count} samples at t={t} vs equilibrium, "
           f"{'all 3-sigma gates pass' if ok else 'GATE FAILURE'} -> {outdir}")
-    if not ok:
-        raise GateFailure("empirical covariance vs Gibbs density", report)
-    return EXIT_OK
+    return _gate_exit(ok, "empirical covariance vs Gibbs density")
 
 
 def _cmd_clt(run, allow_degenerate, component) -> int:
-    eff, thr, outdir, L = run.eff, run.thr, run.outdir, run.L
+    eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
     grid, _ = run.grid(L)
-    _condition_gate(run, strict=not allow_degenerate)
+    _condition_gate(run.conditions(L)[0], allow_degenerate)
 
     measure = eff["measure"] or {
         "type": "transformed",
@@ -679,8 +684,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
         raise UsageError("clt needs a transformed triangular measure")
     nu0 = int(base_spec.get("nu0", 2))
     base, transform = _build_measure(measure, kernel, L)
-    times = eff["times"] or [50.0]
-    t = times[-1]
+    t = (eff["times"] or [50.0])[-1]
     psi = TestField.delta(kernel.d, kernel.n, component=component)
     # support of the transformed field is inside the base support
     offsets = [z for z in np.ndindex(*((2 * nu0 - 1,) * kernel.d))]
@@ -699,8 +703,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     emp = covariance_summary(offsets, products)
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")
-    es = check_ES(grid, q0, thr["delta_null"])
-    qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
+    _, qinf = run.limit_of(q0, allow_degenerate)
 
     gauss_t = gaussianity_report(samples_t)
     char = characteristic_functional(samples_t, qinf, psi)
@@ -721,25 +724,16 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
         "all_pass": platykurtic and moments_ok and sweep_ok,
     }
     _write_json(outdir / "clt.json", report)
-    _write_manifest(run)
     print(f"clt: start kurtosis z={gauss0.get('z_kurtosis', 0.0):.2f}, "
           f"t={t} moments |z|<4: {moments_ok}, sweep: {sweep_ok} -> {outdir}")
-    if not report["all_pass"]:
-        raise GateFailure("central limit gates", report)
-    return EXIT_OK
+    return _gate_exit(report["all_pass"], "central limit gates")
 
 
 def _cmd_mixing(run, allow_degenerate, component) -> int:
-    thr, outdir, L = run.thr, run.outdir, run.L
+    outdir = run.outdir
     kernel = run.kernel()
-    grid, _ = run.grid(L)
-    _condition_gate(run, strict=not allow_degenerate)
-    measure = run.eff["measure"] or {"type": "white", "T0": 1.0, "T1": 1.0}
-    q0, transform = _build_measure(measure, kernel, L)
-    if transform is not None:
-        raise UsageError("mixing needs a Gaussian measure with an explicit density")
-    es = check_ES(grid, q0, thr["delta_null"])
-    qinf = limit_density(q0, grid, es_report=es, delta_null=thr["delta_null"])
+    grid, _ = run.grid(run.L)
+    _, _, qinf = run.limit(allow_degenerate, _WHITE_NOISE)
     psi = TestField.delta(kernel.d, kernel.n, component=component)
     times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
@@ -749,14 +743,14 @@ def _cmd_mixing(run, allow_degenerate, component) -> int:
         "component": component,
         "value_at_0": quadratic_form(qinf, psi),
     })
-    _write_manifest(run)
     print(f"mixing: fit slope {fit['slope']:.4f} over t={times} -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_report(run, allow_degenerate, transform) -> int:
-    """Dispersion, critical, limit and mixing into subdirectories, on one kernel
-    and grid; white noise T0=1 T1=1 stands in for a missing measure."""
+    """Dispersion, critical, limit and mixing into subdirectories, on one kernel,
+    grid, measure and limit; white noise T0=1 T1=1 stands in for a missing
+    measure."""
     stages = {}
     for name, body, options in (
         ("dispersion", _cmd_dispersion, {}),
@@ -769,11 +763,9 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
         stage_dir = run.outdir / name
         try:
             # inside the try: a bad --transform token is each stage's usage error
-            measure = run.eff["measure"] or _transformed(
-                {"type": "white", "T0": 1.0, "T1": 1.0}, transform)
-            stage = _Run(dict(run.eff, command=name, output=str(stage_dir),
-                              measure=measure), run.memo)
-            stages[name] = body(stage, **options)
+            measure = run.eff["measure"] or _transformed(_WHITE_NOISE, transform)
+            stages[name] = _stage(body, dict(run.eff, command=name, output=str(stage_dir),
+                                             measure=measure), run.memo, options)
         except ConditionFailure as exc:
             _write_json(stage_dir / "conditions.json",
                         [r.to_jsonable() for r in exc.reports])
@@ -786,7 +778,6 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
             stages[name] = EXIT_USAGE
     worst = max(stages.values())
     _write_json(run.outdir / "summary.json", {"stages": stages, "exit": worst})
-    _write_manifest(run)
     print(f"report: stages {stages} -> {run.outdir}")
     return worst
 
@@ -865,8 +856,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        run = _Run(_effective_config(args, args.command), {})
-        return args.fn(run, **{k: getattr(args, k) for k in args.options})
+        return _stage(args.fn, _effective_config(args, args.command), {},
+                      {k: getattr(args, k) for k in args.options})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -875,9 +866,6 @@ def main(argv=None) -> int:
                          sort_keys=True, indent=2))
         print(str(exc), file=sys.stderr)
         return EXIT_CONDITION
-    except GateFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_GATE
     except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,12 +10,12 @@ Gibbs density (T1/2) diag(Vhat^-1, I) as the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._lattice import phase_grid, real_part_checked, theta_axis
+from ._lattice import phase_grid, real_part_checked
 from .dynamics import _propagator_grid_matrix
 from .fields import SpectralDensity
 from .kernel import ConditionReport
@@ -241,6 +241,15 @@ class CovarianceTable:
         return self.matrices[tuple(int(c) for c in z)]
 
 
+def _unexcluded_matrix(density: SpectralDensity):
+    """(matrix, excluded fraction) of a density, the matrix zeroed at the
+    excluded nodes of a limit density; the density's own matrix if none are."""
+    excluded = getattr(density, "excluded", None)
+    if excluded is None or not np.any(excluded):
+        return density.matrix, 0.0
+    return np.where(excluded[..., None, None], 0.0, density.matrix), float(excluded.mean())
+
+
 def covariance_from_density(density: SpectralDensity, offsets) -> CovarianceTable:
     """Inverse Fourier evaluation q(z) = L^-d sum_theta e^{-i z.theta} qhat(theta).
 
@@ -248,13 +257,7 @@ def covariance_from_density(density: SpectralDensity, offsets) -> CovarianceTabl
     fraction is reported so callers can fold it into error budgets.
     """
     L, d = density.L, density.d
-    excluded = getattr(density, "excluded", None)
-    matrix = density.matrix
-    if excluded is not None and np.any(excluded):
-        matrix = np.where(excluded[..., None, None], 0.0, matrix)
-        frac = float(excluded.mean())
-    else:
-        frac = 0.0
+    matrix, frac = _unexcluded_matrix(density)
     scale = 1.0 + float(np.max(np.abs(matrix)))
     out = {}
     for z in offsets:
@@ -278,10 +281,7 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     """
     L, d = density.L, density.d
     psihat = psi.fourier(L)
-    excluded = getattr(density, "excluded", None)
-    matrix = density.matrix
-    if excluded is not None and np.any(excluded):
-        matrix = np.where(excluded[..., None, None], 0.0, matrix)
+    matrix, _ = _unexcluded_matrix(density)
     nodewise = np.einsum("...i,...ij,...j->...", np.conj(psihat), matrix, psihat)
     q_spectral = float(np.real(nodewise.sum()) / float(L) ** d)
 
@@ -318,9 +318,7 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     G = _propagator_grid_matrix(grid, float(t))
     p1 = psi1.fourier(grid.L)
     p2 = psi2.fourier(grid.L)
-    matrix = limit.matrix
-    if np.any(limit.excluded):
-        matrix = np.where(limit.excluded[..., None, None], 0.0, matrix)
+    matrix, _ = _unexcluded_matrix(limit)
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1), G, matrix, p2)
     total = complex(integrand.sum() / float(grid.L) ** grid.d)
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):

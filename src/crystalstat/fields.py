@@ -222,16 +222,15 @@ def empirical_mixing_support(Y, r_max: int) -> dict:
     }
 
 
-def density_from_covariance(cov: dict, L: int, clip_negative: bool = True,
+def density_from_covariance(cov: dict, L: int,
                             provenance: str = "empirical") -> SpectralDensity:
     """Assemble a density from finitely many real-space covariance matrices.
 
     cov maps offsets z (length-d integer tuples) to real (2n, 2n) matrices;
     qhat(theta) = sum_z q(z) e^{i z.theta}.  The input is symmetrized with its
     mirror q(-z) = q(z)^T, so supplying either half or both is fine, and the
-    result is Hermitized.  With clip_negative, nodewise negative eigenvalues
-    (estimation noise) are projected to zero; otherwise an indefinite result
-    raises in the density validator downstream.
+    result is Hermitized, and nodewise negative eigenvalues (estimation
+    noise) are projected to zero.
     """
     if not cov:
         raise ValueError("empty covariance table")
@@ -274,9 +273,8 @@ def density_from_covariance(cov: dict, L: int, clip_negative: bool = True,
     for z, mat in merged.items():
         out += phase_grid(z, L, +1)[..., None, None] * mat
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-    if clip_negative:
-        w, U = np.linalg.eigh(out)
-        out = np.einsum("...ik,...k,...jk->...ij", U, np.clip(w, 0.0, None), U.conj())
+    w, U = np.linalg.eigh(out)
+    out = np.einsum("...ik,...k,...jk->...ij", U, np.clip(w, 0.0, None), U.conj())
     return SpectralDensity(L=L, d=d, n=n, matrix=out, provenance=provenance)
 
 

@@ -200,16 +200,14 @@ def build_nn_kernel(d: int, n: int, masses) -> InteractionKernel:
     return InteractionKernel(d, n, entries)
 
 
-def random_finite_range_kernel(
-    d: int, n: int, N: int, seed: int, nonneg_shift: bool = True
-) -> InteractionKernel:
+def random_finite_range_kernel(d: int, n: int, N: int, seed: int) -> InteractionKernel:
     """Random kernel supported on the Chebyshev ball of radius N.
 
     Free coordinates (the symmetric part of V(0) and the full matrices at
     canonical offsets) are drawn iid standard normal from a generator seeded
-    with `seed`; the remaining entries follow from V(-z) = V(z)^T.  With
-    nonneg_shift the on-site matrix is shifted by c I so the symbol is
-    nonnegative on a scan grid, with a margin clear of the E3 inconclusive band.
+    with `seed`; the remaining entries follow from V(-z) = V(z)^T.  The
+    on-site matrix is then shifted by c I so the symbol is nonnegative on the
+    E3 scan grid, with a margin clear of the E3 inconclusive band.
     """
     if N < 0:
         raise ValueError("range N must be >= 0")
@@ -224,29 +222,26 @@ def random_finite_range_kernel(
             continue
         entries[z] = rng.standard_normal((n, n))
     kernel = InteractionKernel(d, n, entries)
-    if nonneg_shift:
-        L = _scan_resolution(d)
-        w = np.linalg.eigvalsh(kernel.symbol_grid(L))
-        c = max(0.0, -float(w.min())) + 1e-4
-        entries = dict(kernel.entries)
-        entries[(0,) * d] = entries[(0,) * d] + c * np.eye(n)
-        kernel = InteractionKernel(d, n, entries)
-    return kernel
+    w = np.linalg.eigvalsh(kernel.symbol_grid(_scan_resolution(d)))
+    c = max(0.0, -float(w.min())) + 1e-4
+    entries = dict(kernel.entries)
+    entries[(0,) * d] = entries[(0,) * d] + c * np.eye(n)
+    return InteractionKernel(d, n, entries)
 
 
-def check_E123(kernel: InteractionKernel, grid_resolution: int | None = None) -> list[ConditionReport]:
+def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
     """Check the structural kernel conditions; returns reports for E1, E2, E3.
 
     E1 (finite range): every stored offset lies in a finite Chebyshev ball and
     every entry is finite.  E2 (symmetry): V(-z) = V(z)^T bitwise over stored
-    entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over a theta grid.
+    entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over the theta
+    grid of the dimension's scan resolution (_SCAN_RESOLUTION).
     A strictly negative minimum beyond -1e-10*scale fails; an exact zero touch
     (|min| <= 1e-10*scale) passes, since frequencies are allowed to vanish on a
     null set; a strictly positive margin below 1e-6 is inconclusive because the
     grid cannot certify the continuum inequality.
     """
-    if grid_resolution is None:
-        grid_resolution = _scan_resolution(kernel.d)
+    grid_resolution = _scan_resolution(kernel.d)
     reports = []
 
     N = kernel.range

@@ -38,6 +38,21 @@ def nn_args(**extra):
     return argv
 
 
+def counting(calls, fn):
+    """fn, appending its name to calls on every call."""
+    def wrapped(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def flat_kernel_file(tmp_path):
+    """A constant symbol: every branch is flat, so E4 and E5 fail."""
+    path = tmp_path / "flat.json"
+    path.write_text(kernel_to_json(InteractionKernel(1, 2, {(0,): 4.0 * np.eye(2)})))
+    return path
+
+
 def test_dispersion_outputs(tmp_path, capsys):
     out = tmp_path / "disp"
     code = main(["dispersion"] + nn_args(L=64) + ["--output", str(out)])
@@ -184,6 +199,7 @@ def test_gibbs_small_ensemble_fails_gate(tmp_path, capsys):
     assert "acceptance gate failed" in capsys.readouterr().err
     report = json.loads((out / "gibbs.json").read_text())
     assert report["all_pass"] is False
+    assert (out / "manifest.json").exists()
 
 
 def test_clt_quick_run_passes(tmp_path, capsys):
@@ -264,11 +280,8 @@ def test_report_kernel_failing_E3_fails_every_stage(tmp_path):
 
 @pytest.mark.parametrize("extra, spectral_code", [([], 2), (["--allow-degenerate"], 0)])
 def test_report_flat_kernel(tmp_path, extra, spectral_code):
-    # a constant symbol: every branch is flat, so E4 fails
-    path = tmp_path / "flat.json"
-    path.write_text(kernel_to_json(InteractionKernel(1, 2, {(0,): 4.0 * np.eye(2)})))
     out = tmp_path / "rep"
-    code = main(["report", "--kernel-file", str(path), "--L", "32",
+    code = main(["report", "--kernel-file", str(flat_kernel_file(tmp_path)), "--L", "32",
                  "--output", str(out)] + extra)
     assert code == spectral_code
     assert report_stages(out) == {"dispersion": 0, "critical": 0,
@@ -329,17 +342,49 @@ def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):
 
 def test_one_condition_scan_per_run(tmp_path, monkeypatch):
     calls = []
-
-    def counting(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(cli, "critical_set_scan", counting(crystalstat.critical_set_scan))
-    monkeypatch.setattr(cli, "check_E4_E5", counting(crystalstat.check_E4_E5))
+    monkeypatch.setattr(cli, "critical_set_scan",
+                        counting(calls, crystalstat.critical_set_scan))
+    monkeypatch.setattr(cli, "check_E4_E5", counting(calls, crystalstat.check_E4_E5))
     assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
     assert calls == ["critical_set_scan", "check_E4_E5"]
+
+
+def test_one_limit_per_run(tmp_path, monkeypatch):
+    # report's limit and mixing stages share one density, ES check and limit
+    calls = []
+    monkeypatch.setattr(cli, "check_ES", counting(calls, crystalstat.check_ES))
+    monkeypatch.setattr(cli, "limit_density", counting(calls, crystalstat.limit_density))
+    assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
+    assert calls == ["check_ES", "limit_density"]
+
+
+@pytest.mark.parametrize("command", [["evolve"], ["mixing"], ["limit", "--allow-degenerate"]],
+                         ids=["evolve", "mixing", "limit-allow-degenerate"])
+def test_es_failure_is_condition_failure(tmp_path, capsys, command):
+    # the massless chain degenerates at theta = 0, where the inverse-frequency
+    # weight of white noise is not summable; --allow-degenerate waives E4/E5 only
+    out = tmp_path / "o"
+    code = main(command + ["--nn", "d=1", "n=1", "m=0", "--L", "256",
+                           "--white", "T0=1", "T1=1", "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "condition failure: ES\n"
+    reports = json.loads(captured.out)
+    assert [r["condition"] for r in reports] == ["E1", "E2", "E3", "E4", "E5", "ES"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "limit", "mixing"])
+def test_transformed_measure_has_no_limit(tmp_path, capsys, command):
+    transformed = ["--white", "T0=1", "T1=1", "--transform", "a0=2",
+                   "--output", str(tmp_path / "o")]
+    assert main([command] + nn_args(L=32) + transformed) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {command} needs a Gaussian measure with an explicit density\n")
+    # E1-E5 are gated before the measure is read
+    flat = ["--kernel-file", str(flat_kernel_file(tmp_path)), "--L", "32"]
+    assert main([command] + flat + transformed) == 2
+    assert capsys.readouterr().err == "condition failure: E4, E5\n"
 
 
 @pytest.mark.parametrize("component", ["5", "-1"])

@@ -1,0 +1,41 @@
+"""Every top-level import of a package module is used or re-exported.
+
+No linter ships with the test dependencies, so this walks each module's
+syntax tree with the standard library: a name bound by a module-level
+``import`` or ``from ... import`` must be read somewhere in the module or be
+listed in its ``__all__``.  ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalstat"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_found():
+    source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
+    assert unused_imports(source) == ["path", "json"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
