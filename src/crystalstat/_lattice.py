@@ -60,6 +60,16 @@ def check_ensemble(Y) -> tuple:
     return Y, grid[0], len(grid), Y.shape[-1] // 2
 
 
+def eigen_compose(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """B diag(values) B^H at every node, B the eigenbasis (columns) per node."""
+    return np.einsum("...ik,...k,...jk->...ij", basis, values, basis.conj())
+
+
+def guarded_reciprocal(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """1/x where ok holds and 0 elsewhere, without dividing by the masked entries."""
+    return np.where(ok, 1.0 / np.where(ok, x, 1.0), 0.0)
+
+
 def phase_grid(z, L: int, sign: int) -> np.ndarray:
     """exp(sign * i * z.theta) evaluated on the full theta grid, shape (L,)*d."""
     z = np.asarray(z, dtype=int)

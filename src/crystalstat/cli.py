@@ -38,7 +38,7 @@ from .covariance import (
     mixing_integral,
     quadratic_form,
 )
-from .dynamics import green_function, truncated_green
+from .dynamics import green_cutoff, green_function
 from .fields import (
     density_from_covariance,
     density_from_jsonable,
@@ -199,7 +199,7 @@ def _effective_config(args, command: str) -> dict:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
 
     eff["L"] = args.L if args.L is not None else int(cfg.get("L", 256))
-    eff["grid_L"] = (args.grid_L if args.grid_L is not None
+    eff["grid_L"] = (args.grid_L if getattr(args, "grid_L", None) is not None
                      else int(cfg.get("grid_L", eff["L"])))
 
     measure = None
@@ -497,26 +497,22 @@ def _cmd_critical(run) -> int:
 
 
 def _cmd_green(run, dump_radius) -> int:
-    thr, outdir, L = run.thr, run.outdir, run.L
-    kernel = run.kernel()
+    eps, outdir, L = run.thr["eps"], run.outdir, run.L
     grid, _ = run.grid(L)
     times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
     if dump_radius < 0 or 2 * dump_radius + 1 > L:
         raise UsageError("--dump-radius must fit inside the lattice window")
+    # the scan critical.json reports, at the run's thresholds
+    cutoff = green_cutoff(run.conditions(L)[1], eps)
     sups = []
     with open(outdir / "green.csv", "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{a + 1}" for a in range(kernel.d)]
+        writer.writerow(["t"] + [f"x{a + 1}" for a in range(grid.d)]
                         + ["row", "col", "value"])
         for t in times:
-            if thr["eps"] > 0:
-                G = truncated_green(kernel, t, L, thr["eps"], grid=grid,
-                                    delta_hess=thr["delta_hess"],
-                                    delta_null=thr["delta_null"])
-            else:
-                G = green_function(kernel, t, L, grid=grid)
+            G = green_function(grid, t, cutoff)
             sups.append(float(np.max(np.abs(G))))
-            for x in np.ndindex(*((2 * dump_radius + 1,) * kernel.d)):
+            for x in np.ndindex(*((2 * dump_radius + 1,) * grid.d)):
                 off = tuple(int(c) - dump_radius for c in x)
                 idx = tuple(c % L for c in off)
                 block = G[idx]
@@ -526,8 +522,7 @@ def _cmd_green(run, dump_radius) -> int:
                                         + [str(r), str(c), _fmt(block[r, c])])
     fit = _power_fit(times, sups)
     _write_json(outdir / "green_fit.json",
-                {"times": times, "sup_abs": sups, "fit": fit,
-                 "eps": thr["eps"]})
+                {"times": times, "sup_abs": sups, "fit": fit, "eps": eps})
     print(f"green: sup|G| fit slope {fit['slope']:.4f} (r2 {fit['r2']:.4f}) -> {outdir}")
     return EXIT_OK
 
@@ -792,8 +787,6 @@ def _add_common(p: _Parser, with_measure=True):
                    help="random finite-range kernel, keys d n range seed")
     p.add_argument("--kernel-file", help="kernel JSON file")
     p.add_argument("--L", type=int, help="lattice resolution per axis")
-    p.add_argument("--grid-L", type=int, dest="grid_L",
-                   help="dispersion grid resolution (defaults to L)")
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--ensemble", type=int, help="sample count")
     p.add_argument("--times", nargs="+", type=float, help="time stamps")
@@ -801,7 +794,6 @@ def _add_common(p: _Parser, with_measure=True):
     p.add_argument("--delta-cross", type=float, dest="delta_cross")
     p.add_argument("--delta-hess", type=float, dest="delta_hess")
     p.add_argument("--delta-null", type=float, dest="delta_null")
-    p.add_argument("--eps", type=float, help="critical-set cutoff width")
     p.add_argument("--output", help="output directory (default: out)")
     if with_measure:
         p.add_argument("--triangular", nargs="+", metavar="KEY=VAL",
@@ -837,7 +829,11 @@ def _build_parser() -> _Parser:
         if "allow_degenerate" in options:
             p.add_argument("--allow-degenerate", action="store_true",
                            help="proceed despite failed E4/E5 reports")
+        if name in ("dispersion", "critical", "report"):
+            p.add_argument("--grid-L", type=int, dest="grid_L",
+                           help="dispersion grid resolution (defaults to L)")
         if name == "green":
+            p.add_argument("--eps", type=float, help="critical-set cutoff width")
             p.add_argument("--dump-radius", type=int, default=8, dest="dump_radius",
                            help="dump |x| up to this Chebyshev radius")
         if name == "gibbs":

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._lattice import phase_grid, real_part_checked
+from ._lattice import eigen_compose, guarded_reciprocal, phase_grid, real_part_checked
 from .dynamics import _propagator_grid_matrix
 from .fields import SpectralDensity
 from .kernel import ConditionReport
-from .spectral import DELTA_NULL, DispersionGrid, check_ES
+from .spectral import DELTA_NULL, DispersionGrid, _require_match, check_ES
 
 __all__ = [
     "TestField",
@@ -104,7 +104,7 @@ class LimitDensity(SpectralDensity):
 
 def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> SpectralDensity:
     """Transport a spectral density through time t: qhat_t = Ghat qhat_0 Ghat*."""
-    _require_match(q0, grid)
+    _require_match(grid, q0.L, q0.d, q0.n)
     G = _propagator_grid_matrix(grid, float(t))
     qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
     qt = 0.5 * (qt + np.conj(np.swapaxes(qt, -1, -2)))
@@ -112,14 +112,6 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
         L=q0.L, d=q0.d, n=q0.n, matrix=qt,
         provenance=f"evolved(t={t}):{q0.provenance}",
     )
-
-
-def _require_match(density: SpectralDensity, grid: DispersionGrid) -> None:
-    if density.L != grid.L or density.d != grid.d or density.n != grid.n:
-        raise ValueError(
-            f"density (L={density.L}, d={density.d}, n={density.n}) does not match "
-            f"grid (L={grid.L}, d={grid.d}, n={grid.n})"
-        )
 
 
 def _eigenbasis_blocks(grid: DispersionGrid, matrix: np.ndarray):
@@ -151,7 +143,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     excluded.  When degenerate nodes exist the summability check (ES) must not
     have failed; it is evaluated here if no report is supplied.
     """
-    _require_match(q0, grid)
+    _require_match(grid, q0.L, q0.d, q0.n)
     omega = grid.omega
     c0 = omega.min(axis=-1) <= delta_null
     if np.any(c0):
@@ -162,8 +154,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
                 "the covariance limit does not exist"
             )
     A = _eigenbasis_blocks(grid, q0.matrix)
-    w_ok = omega > delta_null
-    winv = np.where(w_ok, 1.0 / np.where(w_ok, omega, 1.0), 0.0)
+    winv = guarded_reciprocal(omega, omega > delta_null)
     wl = omega[..., :, None]   # left factor index k
     wr = omega[..., None, :]   # right factor index l
     wil = winv[..., :, None]
@@ -213,9 +204,7 @@ def gibbs_density(T1: float, grid: DispersionGrid,
         raise ValueError("temperature must be nonnegative")
     omega = grid.omega
     w_ok = omega > delta_null
-    winv2 = np.where(w_ok, 1.0 / np.where(w_ok, omega**2, 1.0), 0.0)
-    B = grid.basis
-    Vinv = np.einsum("...ik,...k,...jk->...ij", B, winv2, B.conj())
+    Vinv = eigen_compose(grid.basis, guarded_reciprocal(omega**2, w_ok))
     n = grid.n
     out = np.zeros((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     out[..., :n, :n] = 0.5 * T1 * Vinv
@@ -314,7 +303,7 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     unexcluded nodes; decays to zero as t grows, which is the mixing property
     of the limit measure.
     """
-    _require_match(limit, grid)
+    _require_match(grid, limit.L, limit.d, limit.n)
     G = _propagator_grid_matrix(grid, float(t))
     p1 = psi1.fourier(grid.L)
     p2 = psi2.fourier(grid.L)

@@ -18,21 +18,21 @@ import math
 
 import numpy as np
 
-from ._lattice import check_ensemble, forward_fft, inverse_fft, real_part_checked
-from .kernel import InteractionKernel
-from .spectral import (
-    DELTA_HESS,
-    DELTA_NULL,
-    DispersionGrid,
-    critical_set_scan,
-    dispersion_grid,
+from ._lattice import (
+    check_ensemble,
+    eigen_compose,
+    forward_fft,
+    inverse_fft,
+    real_part_checked,
 )
+from .kernel import InteractionKernel
+from .spectral import CriticalSetEstimate, DispersionGrid, _require_match
 
 __all__ = [
     "evolve_ensemble",
     "reference_evolve_ode",
     "green_function",
-    "truncated_green",
+    "green_cutoff",
     "hamiltonian",
 ]
 
@@ -55,14 +55,6 @@ def _rotation_factors(omega: np.ndarray, t: float):
     return c, s, ns
 
 
-def _grid_for(kernel: InteractionKernel, L: int, grid: DispersionGrid | None) -> DispersionGrid:
-    if grid is not None:
-        if grid.L != L or grid.kernel is not kernel and grid.kernel != kernel:
-            raise ValueError("provided grid does not match kernel/resolution")
-        return grid
-    return dispersion_grid(kernel, L)
-
-
 def _apply_rotation(grid: DispersionGrid, t: float, yhat: np.ndarray) -> np.ndarray:
     """Rotate a Fourier ensemble (S, *grid, 2n) by Ghat(t) nodewise."""
     n = grid.n
@@ -77,17 +69,16 @@ def _apply_rotation(grid: DispersionGrid, t: float, yhat: np.ndarray) -> np.ndar
     return out
 
 
-def evolve_ensemble(Y, kernel: InteractionKernel, t: float,
-                    grid: DispersionGrid | None = None) -> np.ndarray:
+def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
     """Propagate an ensemble array (S, *grid, 2n) by time t through the spectral solver.
 
-    All samples share one diagonalization and batched FFTs; each sample's
-    result does not depend on the others.  Passing a prebuilt dispersion grid
-    of matching resolution avoids repeated diagonalization.
+    The field must live on the dispersion grid (same L, d and n).  All
+    samples share the grid's diagonalization and batched FFTs; each sample's
+    result does not depend on the others.
     """
-    Y, L = _check_field(Y, kernel)
-    grid = _grid_for(kernel, L, grid)
-    axes = tuple(range(1, kernel.d + 1))
+    Y, L, d, n = check_ensemble(Y)
+    _require_match(grid, L, d, n, what="field")
+    axes = tuple(range(1, d + 1))
     yhat = _apply_rotation(grid, float(t), forward_fft(Y, axes))
     return real_part_checked(inverse_fft(yhat, axes), _IMAG_TOL, "evolve_ensemble")
 
@@ -127,11 +118,9 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float) -> np.ndarray:
     B = grid.basis
     n = grid.n
     c, s, ns = _rotation_factors(grid.omega, t)
-    def conjugate(diag):
-        return np.einsum("...ik,...k,...jk->...ij", B, diag, B.conj())
-    C = conjugate(c)
-    S = conjugate(s)
-    N = conjugate(ns)
+    C = eigen_compose(B, c)
+    S = eigen_compose(B, s)
+    N = eigen_compose(B, ns)
     shape = C.shape[:-2] + (2 * n, 2 * n)
     G = np.empty(shape, dtype=complex)
     G[..., :n, :n] = C
@@ -141,28 +130,13 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float) -> np.ndarray:
     return G
 
 
-def _check_wraparound(grid: DispersionGrid, t: float) -> float:
+def _check_wraparound(grid: DispersionGrid, t: float) -> None:
     vmax = grid.max_group_velocity()
     if vmax * abs(t) >= grid.L / 2.0:
         raise ValueError(
             f"propagation cone v_max*|t| = {vmax * abs(t):.1f} reaches the periodic "
             f"boundary (L/2 = {grid.L / 2:.0f}); enlarge L or reduce t"
         )
-    return vmax
-
-
-def green_function(kernel: InteractionKernel, t: float, L: int,
-                   grid: DispersionGrid | None = None) -> np.ndarray:
-    """Real-space propagator kernel G(t, x), shape (L,)*d + (2n, 2n).
-
-    Columns are the response to unit initial data; x is indexed modulo L with
-    the propagation cone guarded against wraparound.
-    """
-    grid = _grid_for(kernel, L, grid)
-    _check_wraparound(grid, t)
-    Ghat = _propagator_grid_matrix(grid, float(t))
-    G = inverse_fft(Ghat, tuple(range(kernel.d)))
-    return real_part_checked(G, _IMAG_TOL, "green_function")
 
 
 def _chebyshev_distance_steps(mask: np.ndarray, max_steps: int) -> np.ndarray:
@@ -194,36 +168,48 @@ def _smooth_ramp(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def truncated_green(kernel: InteractionKernel, t: float, L: int, eps: float,
-                    grid: DispersionGrid | None = None,
-                    delta_hess: float = DELTA_HESS,
-                    delta_null: float = DELTA_NULL) -> np.ndarray:
-    """Green's function with critical grid neighbourhoods cut out in theta.
+def green_cutoff(scan: CriticalSetEstimate, eps: float) -> np.ndarray | None:
+    """Theta multiplier that cuts the scan's flagged cells out of the Green's function.
 
-    The multiplier g(theta) = ramp(dist(theta, flagged cells) / eps) vanishes
-    within eps/2 of every flagged cell and equals one beyond eps (distances in
-    the grid Chebyshev metric scaled to angle units).  Crossing cells are the
-    grid's own flags, set at its delta_cross.  Away from the cut the
-    phase is stationary only on nondegenerate sets, so the sup norm decays at
-    the dimensional rate t^{-d/2}.
+    The flagged cells are the scan's combined C0, C* and Ck flags; crossings
+    are the grid's own, set at its delta_cross.  g(theta) = ramp(dist(theta,
+    flagged cells) / eps) vanishes within eps/2 of every flagged cell and
+    equals one beyond eps (distances in the grid Chebyshev metric scaled to
+    angle units).  Returns None when eps is zero or nothing is flagged: the
+    plain propagator.  Away from the cut the phase is stationary only on
+    nondegenerate sets, so the sup norm decays at the dimensional rate t^{-d/2}.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    grid = _grid_for(kernel, L, grid)
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and nonnegative (got {eps})")
+    flagged = scan.combined
+    if eps == 0 or not np.any(flagged):
+        return None
+    h = 2.0 * np.pi / scan.L
+    max_steps = int(math.ceil(eps / h)) + 1
+    dist = _chebyshev_distance_steps(flagged, max_steps).astype(float) * h
+    g = _smooth_ramp(dist / eps)
+    if not np.any(g > 0):
+        raise ValueError("cutoff removes the entire grid; reduce eps")
+    return g
+
+
+def green_function(grid: DispersionGrid, t: float,
+                   cutoff: np.ndarray | None = None) -> np.ndarray:
+    """Real-space propagator kernel G(t, x), shape (L,)*d + (2n, 2n).
+
+    Columns are the response to unit initial data; x is indexed modulo L with
+    the propagation cone guarded against wraparound.  A cutoff from
+    :func:`green_cutoff` multiplies the propagator nodewise in theta first.
+    """
     _check_wraparound(grid, t)
     Ghat = _propagator_grid_matrix(grid, float(t))
-    scan = critical_set_scan(grid, delta_hess, delta_null)
-    flagged = scan.combined
-    if eps > 0 and np.any(flagged):
-        h = 2.0 * np.pi / L
-        max_steps = int(math.ceil(eps / h)) + 1
-        dist = _chebyshev_distance_steps(flagged, max_steps).astype(float) * h
-        g = _smooth_ramp(dist / eps)
-        if not np.any(g > 0):
-            raise ValueError("cutoff removes the entire grid; reduce eps")
-        Ghat = Ghat * g[..., None, None]
-    G = inverse_fft(Ghat, tuple(range(kernel.d)))
-    return real_part_checked(G, _IMAG_TOL, "truncated_green")
+    if cutoff is not None:
+        if cutoff.shape != Ghat.shape[:-2]:
+            raise ValueError(f"cutoff of shape {cutoff.shape} does not match "
+                             f"grid of shape {Ghat.shape[:-2]}")
+        Ghat = Ghat * cutoff[..., None, None]
+    G = inverse_fft(Ghat, tuple(range(grid.d)))
+    return real_part_checked(G, _IMAG_TOL, "green_function")
 
 
 def hamiltonian(Y, kernel: InteractionKernel) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from ._lattice import (
     NumericalFault,
     check_ensemble,
+    eigen_compose,
     forward_fft,
     inverse_fft,
     phase_grid,
@@ -91,9 +92,7 @@ class SpectralDensity:
                     f"(eigenvalue {float(w.min()):.3e})"
                 )
             w = np.clip(w, 0.0, None)
-            self._sqrt_cache = np.einsum(
-                "...ik,...k,...jk->...ij", U, np.sqrt(w), U.conj()
-            )
+            self._sqrt_cache = eigen_compose(U, np.sqrt(w))
         return self._sqrt_cache
 
 
@@ -274,7 +273,7 @@ def density_from_covariance(cov: dict, L: int,
         out += phase_grid(z, L, +1)[..., None, None] * mat
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     w, U = np.linalg.eigh(out)
-    out = np.einsum("...ik,...k,...jk->...ij", U, np.clip(w, 0.0, None), U.conj())
+    out = eigen_compose(U, np.clip(w, 0.0, None))
     return SpectralDensity(L=L, d=d, n=n, matrix=out, provenance=provenance)
 
 

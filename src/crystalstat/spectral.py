@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._lattice import eigen_compose, guarded_reciprocal
 from .kernel import ConditionReport, InteractionKernel
 
 __all__ = [
@@ -399,6 +400,17 @@ def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[Conditi
     return [report4, report5]
 
 
+def _require_match(grid: DispersionGrid, L: int, d: int, n: int,
+                   what: str = "density") -> None:
+    """Raise unless an object of resolution L, dimension d and n components
+    lives on the grid."""
+    if L != grid.L or d != grid.d or n != grid.n:
+        raise ValueError(
+            f"{what} (L={L}, d={d}, n={n}) does not match "
+            f"grid (L={grid.L}, d={grid.d}, n={grid.n})"
+        )
+
+
 def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
                               stride: int, delta_null: float) -> float:
     """Mean over a subgrid of ||Omega^-i qhat^{ij} Omega^-j||_F summed over blocks."""
@@ -407,8 +419,7 @@ def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
     omega = grid.omega[sl]
     B = grid.basis[sl]
     q = density_matrix[sl]
-    winv = np.where(omega > delta_null, 1.0 / np.where(omega > delta_null, omega, 1.0), 0.0)
-    Oinv = np.einsum("...ik,...k,...jk->...ij", B, winv, B.conj())
+    Oinv = eigen_compose(B, guarded_reciprocal(omega, omega > delta_null))
     total = 0.0
     for i in (0, 1):
         for j in (0, 1):
@@ -432,10 +443,7 @@ def check_ES(grid: DispersionGrid, density, delta_null: float = DELTA_NULL) -> C
     test is inconclusive.  When the symbol never degenerates the weights are
     bounded and the check is skipped with a pass.
     """
-    if density.L != grid.L:
-        raise ValueError(f"resolution mismatch: density L={density.L}, grid L={grid.L}")
-    if density.d != grid.d or density.n != grid.n:
-        raise ValueError("density and grid describe different lattices")
+    _require_match(grid, density.L, density.d, density.n)
     c0_fraction = float((grid.omega.min(axis=-1) <= delta_null).mean())
     if c0_fraction == 0.0:
         return ConditionReport(

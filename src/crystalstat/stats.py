@@ -71,10 +71,10 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
 
     Each chunk of consecutive sample indices is drawn by gaussian_ensemble at
     its start index, mapped by nonlinear_transform_sample when transform is
-    (a0, a1), and evolved to time t by evolve_ensemble on the dispersion grid's
-    kernel.  statistics(Y0, Yt) maps the chunk's initial and evolved arrays to
-    a tuple of arrays with a leading sample axis; only these are kept, and each
-    is concatenated over the chunks.  Since every step treats samples
+    (a0, a1), and evolved to time t by evolve_ensemble on the dispersion grid.
+    statistics(Y0, Yt) maps the chunk's initial and evolved arrays to a tuple
+    of arrays with a leading sample axis; only these are kept, and each is
+    concatenated over the chunks.  Since every step treats samples
     independently, the result does not depend on the chunk size, while peak
     memory does not grow with count.  The count is checked against the
     estimator that will consume the result (purpose, a key of MIN_SAMPLES)
@@ -89,7 +89,7 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
         Y = gaussian_ensemble(density, min(size, count - start), seed, start_index=start)
         if transform is not None:
             Y = nonlinear_transform_sample(Y, *transform)
-        parts.append(statistics(Y, evolve_ensemble(Y, grid.kernel, t, grid=grid)))
+        parts.append(statistics(Y, evolve_ensemble(Y, grid, t)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -26,10 +26,10 @@ from crystalstat.covariance import (
 )
 from crystalstat.dynamics import (
     evolve_ensemble,
+    green_cutoff,
     green_function,
     hamiltonian,
     reference_evolve_ode,
-    truncated_green,
 )
 from crystalstat.fields import (
     SpectralDensity,
@@ -75,7 +75,7 @@ def test_criterion_01_propagator_vs_rk4():
     L = 32
     Y = np.zeros((1, L, 2))
     Y[0, 0, 0] = 1.0
-    fast = evolve_ensemble(Y, CHAIN, 5.0)
+    fast = evolve_ensemble(Y, dispersion_grid(CHAIN, L), 5.0)
     slow = reference_evolve_ode(Y, CHAIN, 5.0, dt=0.002)
     gap = float(np.max(np.abs(fast - slow)))
     elapsed = time.perf_counter() - start
@@ -99,7 +99,7 @@ def test_criterion_02_energy_conservation():
                       for _ in range(10)])
         h0 = hamiltonian(Y, kernel)
         for t in (30.0, 100.0):
-            ht = hamiltonian(evolve_ensemble(Y, kernel, t, grid=grid), kernel)
+            ht = hamiltonian(evolve_ensemble(Y, grid, t), kernel)
             worst = max(worst, float(np.max(np.abs(ht - h0) / (1.0 + h0))))
     ok = worst <= 1e-8
     announce(2, "energy conservation", ok, f"worst relative drift {worst:.3e}")
@@ -111,16 +111,17 @@ def test_criterion_03_green_function_decay():
     L = 4096
     times = [10.0, 20.0, 40.0, 80.0]
     grid = dispersion_grid(CHAIN, L)
+    cutoff = green_cutoff(critical_set_scan(grid), 0.3)
     vmax = grid.max_group_velocity()
     x = np.abs(minimal_image(L))
     sups, cut_tails, plain_tails = [], [], []
     for t in times:
         outside = x >= 1.5 * vmax * t
-        Gc = truncated_green(CHAIN, t, L, 0.3, grid=grid)
+        Gc = green_function(grid, t, cutoff)
         flat = np.max(np.abs(Gc), axis=(-2, -1))
         sups.append(float(flat.max()))
         cut_tails.append(float(flat[outside].max()))
-        Gp = green_function(CHAIN, t, L, grid=grid)
+        Gp = green_function(grid, t)
         plain_tails.append(float(np.max(np.abs(Gp), axis=(-2, -1))[outside].max()))
     slope = fit_slope(times, sups)
     tail = max(cut_tails)
@@ -129,9 +130,9 @@ def test_criterion_03_green_function_decay():
     L2 = 512
     chain2 = build_nn_kernel(2, 1, 1.0)
     grid2 = dispersion_grid(chain2, L2)
+    cutoff2 = green_cutoff(critical_set_scan(grid2), 0.3)
     times2 = [10.0, 20.0, 40.0, 80.0, 160.0]
-    sups2 = {t: float(np.max(np.abs(truncated_green(chain2, t, L2, 0.3,
-                                                    grid=grid2))))
+    sups2 = {t: float(np.max(np.abs(green_function(grid2, t, cutoff2))))
              for t in times2}
     slope2_late = fit_slope([40.0, 80.0, 160.0],
                             [sups2[t] for t in (40.0, 80.0, 160.0)])
@@ -194,7 +195,7 @@ def test_criterion_05_gibbs_limit():
     grid = dispersion_grid(CHAIN, L)
     q0 = white_noise_density(0.0, 1.0, 1, 1, L)
     states = gaussian_ensemble(q0, N, 0)
-    evolved = evolve_ensemble(states, CHAIN, t, grid=grid)
+    evolved = evolve_ensemble(states, grid, t)
     summary = empirical_covariance(evolved, AXIS_OFFSETS)
     tab_gibbs = covariance_from_density(gibbs_density(1.0, grid), AXIS_OFFSETS)
     tab_t = covariance_from_density(evolve_density(q0, grid, t), AXIS_OFFSETS)
@@ -217,7 +218,7 @@ def test_criterion_05_gibbs_limit():
     acc = {z: [np.array(summary.mean[z])] for z in AXIS_OFFSETS}
     rolling = evolved
     for _ in range(10):
-        rolling = evolve_ensemble(rolling, CHAIN, 5.0, grid=grid)
+        rolling = evolve_ensemble(rolling, grid, 5.0)
         s = empirical_covariance(rolling, AXIS_OFFSETS)
         for z in AXIS_OFFSETS:
             acc[z].append(np.array(s.mean[z]))
@@ -313,7 +314,7 @@ def test_criterion_08_central_limit():
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")
     qinf = limit_density(q0, grid)
-    evolved = evolve_ensemble(states, CHAIN, t, grid=grid)
+    evolved = evolve_ensemble(states, grid, t)
 
     results = []
     for comp, name in ((0, "u"), (1, "v")):

@@ -330,7 +330,6 @@ def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):
         return crystalstat.dispersion_grid(kernel, L, *rest)
 
     monkeypatch.setattr(cli, "dispersion_grid", counting)
-    monkeypatch.setattr(dynamics, "dispersion_grid", counting)
     assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
     assert resolutions == [32]
     resolutions.clear()
@@ -347,6 +346,19 @@ def test_one_condition_scan_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "check_E4_E5", counting(calls, crystalstat.check_E4_E5))
     assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
     assert calls == ["critical_set_scan", "check_E4_E5"]
+
+
+def test_green_cutoff_once(tmp_path, monkeypatch):
+    # one scan and one distance transform, shared by every time stamp
+    calls = []
+    monkeypatch.setattr(cli, "critical_set_scan",
+                        counting(calls, crystalstat.critical_set_scan))
+    monkeypatch.setattr(dynamics, "_chebyshev_distance_steps",
+                        counting(calls, dynamics._chebyshev_distance_steps))
+    assert main(["green"] + nn_args(L=256) + [
+        "--eps", "0.3", "--times", "10", "20", "40", "80", "--dump-radius", "1",
+        "--output", str(tmp_path / "green")]) == 0
+    assert calls == ["critical_set_scan", "_chebyshev_distance_steps"]
 
 
 def test_one_limit_per_run(tmp_path, monkeypatch):
@@ -438,6 +450,29 @@ def test_allow_degenerate_only_where_read(capsys):
     code = main(["dispersion"] + nn_args(L=32) + ["--allow-degenerate"])
     assert code == 1
     assert "unrecognized arguments: --allow-degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["-0.5", "nan", "inf"])
+def test_bad_eps_is_usage_error(tmp_path, capsys, eps):
+    out = tmp_path / "green"
+    code = main(["green"] + nn_args(L=256) + ["--eps", eps, "--times", "10",
+                                              "--output", str(out)])
+    assert code == 1
+    assert ("usage error: eps must be finite and nonnegative"
+            in capsys.readouterr().err)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dispersion", ["--eps", "0.3"]),
+    ("report", ["--eps", "0.3"]),
+    ("green", ["--grid-L", "64"]),
+    ("limit", ["--grid-L", "64"]),
+])
+def test_eps_and_grid_L_only_where_read(capsys, command, flag):
+    code = main([command] + nn_args(L=32) + flag)
+    assert code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_console_script_exit_codes(tmp_path):

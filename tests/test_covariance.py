@@ -103,19 +103,12 @@ def test_evolve_density_matches_state_transport(nn1, grid64):
     # Monte Carlo oracle stays far from exact identities, so use the exact
     # pullback instead: <Y_t, Psi> = <Y_0, G(t)^T Psi>
     samples = 4000
-    ens = evolve_ensemble(gaussian_ensemble(q0, samples, seed=11), nn1, 7.3)
+    ens = evolve_ensemble(gaussian_ensemble(q0, samples, seed=11), grid64, 7.3)
     vals = linear_functional_samples(ens, psi)
     mc = float(np.mean(vals**2))
     se = float(np.std(vals**2, ddof=1) / np.sqrt(samples))
     assert abs(mc - direct) < 4.0 * se
     assert qt.provenance.startswith("evolved")
-
-
-def test_gibbs_density_is_stationary(grid64):
-    lim = gibbs_density(1.3, grid64)
-    for t in (1.0, 7.3):
-        moved = evolve_density(lim, grid64, t)
-        np.testing.assert_allclose(moved.matrix, lim.matrix, atol=1e-12)
 
 
 def test_limit_density_is_stationary_and_idempotent(grid256):
@@ -258,9 +251,9 @@ def _scale(density):
     return float(np.max(np.abs(density.matrix)))
 
 
-_models = dict(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
-               kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
-               density_seed=st.integers(0, 2**32 - 1))
+_kernels = dict(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2, 3]),
+                kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30))
+_models = dict(_kernels, density_seed=st.integers(0, 2**32 - 1))
 _times = st.floats(-100.0, 100.0)
 
 
@@ -297,3 +290,20 @@ def test_limit_is_a_fixed_point_of_transport(d, n, kernel_range, kernel_seed,
     moved = evolve_density(qinf, grid, t)
     gap = np.abs(moved.matrix[keep] - qinf.matrix[keep])
     assert float(gap.max()) <= 1e-10 * _scale(qinf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=_times, T1=st.floats(0.01, 10.0), **_kernels)
+def test_gibbs_density_is_stationary(grid64, d, n, kernel_range, kernel_seed, t, T1):
+    lim = gibbs_density(1.3, grid64)
+    for s in (1.0, 7.3):
+        moved = evolve_density(lim, grid64, s)
+        np.testing.assert_allclose(moved.matrix, lim.matrix, atol=1e-12)
+    # over random kernels: transport and the long-time limit both leave the
+    # Gibbs density in place off its excluded nodes
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    gibbs = gibbs_density(T1, grid)
+    keep = ~gibbs.excluded
+    for other in (evolve_density(gibbs, grid, t), limit_density(gibbs, grid)):
+        gap = np.abs(other.matrix[keep] - gibbs.matrix[keep])
+        assert float(gap.max()) <= 1e-10 * _scale(gibbs)

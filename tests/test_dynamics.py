@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalstat import (
+    InteractionKernel,
     build_nn_kernel,
+    critical_set_scan,
     dispersion_grid,
     evolve_ensemble,
+    green_cutoff,
     green_function,
     hamiltonian,
     random_finite_range_kernel,
     reference_evolve_ode,
-    truncated_green,
 )
 from crystalstat.dynamics import _propagator_grid_matrix
 
@@ -63,7 +65,7 @@ def test_propagator_group_law():
 
 def test_evolve_matches_rk4(nn1, rng):
     Y = random_field(rng, 16, 1, 1)
-    spectral = evolve_ensemble(Y, nn1, 2.0)
+    spectral = evolve_ensemble(Y, dispersion_grid(nn1, 16), 2.0)
     ode = reference_evolve_ode(Y, nn1, 2.0, dt=0.005)
     np.testing.assert_allclose(spectral, ode, atol=1e-7)
 
@@ -73,22 +75,24 @@ def test_evolve_matches_rk4_two_component(rng):
     Y = random_field(rng, 16, 1, 2)
     g = dispersion_grid(k, 16)
     dt = 0.05 / g.omega_max
-    spectral = evolve_ensemble(Y, k, 1.5)
+    spectral = evolve_ensemble(Y, g, 1.5)
     ode = reference_evolve_ode(Y, k, 1.5, dt=dt)
     np.testing.assert_allclose(spectral, ode, atol=1e-6)
 
 
 def test_evolve_identity_and_additivity(nn1, rng):
     Y = random_field(rng, 32, 1, 1)
-    np.testing.assert_allclose(evolve_ensemble(Y, nn1, 0.0), Y, atol=1e-14)
-    one = evolve_ensemble(evolve_ensemble(Y, nn1, 2.0), nn1, 3.0)
-    both = evolve_ensemble(Y, nn1, 5.0)
+    g = dispersion_grid(nn1, 32)
+    np.testing.assert_allclose(evolve_ensemble(Y, g, 0.0), Y, atol=1e-14)
+    one = evolve_ensemble(evolve_ensemble(Y, g, 2.0), g, 3.0)
+    both = evolve_ensemble(Y, g, 5.0)
     np.testing.assert_allclose(one, both, atol=1e-10)
 
 
 def test_evolve_backwards_inverts(nn1, rng):
     Y = random_field(rng, 32, 1, 1)
-    back = evolve_ensemble(evolve_ensemble(Y, nn1, 4.0), nn1, -4.0)
+    g = dispersion_grid(nn1, 32)
+    back = evolve_ensemble(evolve_ensemble(Y, g, 4.0), g, -4.0)
     np.testing.assert_allclose(back, Y, atol=1e-10)
 
 
@@ -100,10 +104,11 @@ def test_energy_conserved_along_orbit(rng):
     ]
     for k in kernels:
         Y = random_field(rng, 32, 1, k.n)
+        g = dispersion_grid(k, 32)
         H0 = hamiltonian(Y, k)
         assert H0.shape == (1,)
         for t in (1.0, 17.3, 100.0):
-            Ht = hamiltonian(evolve_ensemble(Y, k, t), k)
+            Ht = hamiltonian(evolve_ensemble(Y, g, t), k)
             assert np.all(np.abs(Ht - H0) <= 1e-10 * (1.0 + np.abs(H0)))
 
 
@@ -111,13 +116,12 @@ def test_delta_energy_value(nn1):
     assert abs(hamiltonian(delta_field(32, 0), nn1)[0] - 1.5) < 1e-14
 
 
-def test_finite_propagation_speed(nn1):
+def test_finite_propagation_speed(grid256):
     # the tail bound is a stationary-phase estimate: the slack 0.5 t must cover
     # a few decay lengths, so look at a moderately late time
     L, t = 256, 14.0
-    out = evolve_ensemble(delta_field(L, 0), nn1, t)[0]
-    g = dispersion_grid(nn1, L)
-    radius = (g.max_group_velocity() + 0.5) * t
+    out = evolve_ensemble(delta_field(L, 0), grid256, t)[0]
+    radius = (grid256.max_group_velocity() + 0.5) * t
     x = np.minimum(np.arange(L), L - np.arange(L))
     outside = x > radius
     total = float(np.sum(out**2))
@@ -125,41 +129,54 @@ def test_finite_propagation_speed(nn1):
     assert mass < 1e-6 * total
 
 
-def test_green_function_columns_are_delta_responses(nn1):
+def test_green_function_columns_are_delta_responses(grid64):
     L, t = 64, 4.0
-    G = green_function(nn1, t, L)
+    G = green_function(grid64, t)
     assert G.shape == (L, 2, 2)
-    out = evolve_ensemble(delta_field(L, 0), nn1, t)[0]
+    out = evolve_ensemble(delta_field(L, 0), grid64, t)[0]
     np.testing.assert_allclose(G[:, :, 0], out, atol=1e-12)
 
 
 def test_green_function_against_rk4_massless():
     k = build_nn_kernel(1, 1, 0.0)
     L, t = 256, 10.0
-    G = green_function(k, t, L)
+    G = green_function(dispersion_grid(k, L), t)
     ode = reference_evolve_ode(delta_field(L, 1), k, t, dt=0.005)[0]
     np.testing.assert_allclose(G[:, :, 1], ode, atol=1e-5)
 
 
 def test_green_function_wraparound_guard(nn1):
     with pytest.raises(ValueError, match="periodic boundary"):
-        green_function(nn1, 30.0, 32)
+        green_function(dispersion_grid(nn1, 32), 30.0)
 
 
-def test_truncated_green_removes_caustic_peak(nn1):
+def test_green_cutoff_removes_caustic_peak(nn1):
     # at late times the sup norm lives on the caustic; cutting the flat-
     # curvature neighbourhood must lower it
     L, t = 1024, 80.0
-    plain = np.abs(green_function(nn1, t, L)).max()
-    cut = np.abs(truncated_green(nn1, t, L, eps=0.3)).max()
+    grid = dispersion_grid(nn1, L)
+    plain = np.abs(green_function(grid, t)).max()
+    cut = np.abs(green_function(grid, t, green_cutoff(critical_set_scan(grid), 0.3))).max()
     assert cut < plain
 
 
-def test_truncated_green_zero_eps_is_plain(nn1):
-    a = truncated_green(nn1, 5.0, 128, eps=0.0)
-    b = green_function(nn1, 5.0, 128)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-    assert truncated_green(nn1, 10.0, 256, eps=0.3).shape == (256, 2, 2)
+def test_green_cutoff_zero_eps_is_plain(nn1, grid256):
+    scan = critical_set_scan(grid256)
+    assert scan.combined.any()
+    assert green_cutoff(scan, 0.0) is None
+    cutoff = green_cutoff(scan, 0.3)
+    assert cutoff.shape == (256,) and cutoff.min() == 0.0 and cutoff.max() == 1.0
+    assert green_function(grid256, 10.0, cutoff).shape == (256, 2, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        green_cutoff(scan, -0.5)
+    with pytest.raises(ValueError, match="does not match grid"):
+        green_function(dispersion_grid(nn1, 128), 5.0, cutoff)
+    with pytest.raises(ValueError, match="does not match grid"):
+        green_function(dispersion_grid(build_nn_kernel(2, 1, 1.0), 16), 1.0, np.ones(16))
+    # a flat symbol is critical everywhere: no cutoff is left
+    flat = dispersion_grid(InteractionKernel(1, 1, {(0,): np.eye(1)}), 64)
+    with pytest.raises(ValueError, match="entire grid"):
+        green_cutoff(critical_set_scan(flat), 0.3)
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +193,21 @@ def test_evolve_ensemble_is_batch_independent(d, n, count, seed, t, data):
     kernel, grid = _kernel_and_grid(d, n)
     Y = np.random.default_rng(seed).standard_normal((count,) + (grid.L,) * d + (2 * n,))
     split = data.draw(st.integers(1, count - 1), label="split")
-    whole = evolve_ensemble(Y, kernel, t, grid=grid)
-    chunks = [evolve_ensemble(Y[:split], kernel, t, grid=grid),
-              evolve_ensemble(Y[split:], kernel, t, grid=grid)]
+    whole = evolve_ensemble(Y, grid, t)
+    chunks = [evolve_ensemble(Y[:split], grid, t),
+              evolve_ensemble(Y[split:], grid, t)]
     np.testing.assert_array_equal(whole, np.concatenate(chunks))
-    rows = [evolve_ensemble(Y[i:i + 1], kernel, t, grid=grid) for i in range(count)]
+    rows = [evolve_ensemble(Y[i:i + 1], grid, t) for i in range(count)]
     np.testing.assert_array_equal(whole, np.concatenate(rows))
 
 
-def test_evolve_rejects_dimension_mismatch(nn1):
-    with pytest.raises(ValueError, match="kernel dimensions"):
-        evolve_ensemble(np.zeros((2, 16, 4)), nn1, 1.0)
+def test_evolve_rejects_dimension_mismatch(nn1, grid64):
+    with pytest.raises(ValueError, match=r"field \(L=64, d=1, n=2\) does not match grid"):
+        evolve_ensemble(np.zeros((2, 64, 4)), grid64, 1.0)
+    with pytest.raises(ValueError, match=r"field \(L=32, d=1, n=1\) does not match grid"):
+        evolve_ensemble(np.zeros((2, 32, 2)), grid64, 1.0)
+    with pytest.raises(ValueError, match=r"field \(L=64, d=2, n=1\) does not match grid"):
+        evolve_ensemble(np.zeros((2, 64, 64, 2)), grid64, 1.0)
     with pytest.raises(ValueError, match="kernel dimensions"):
         reference_evolve_ode(np.zeros((1, 16, 16, 2)), nn1, 1.0, dt=0.01)
     with pytest.raises(ValueError, match="kernel dimensions"):
@@ -206,7 +227,7 @@ def test_reference_and_energy_on_ensembles(d, n, count, seed, t, data):
     np.testing.assert_array_equal(ode, np.concatenate(
         [reference_evolve_ode(Y[:split], kernel, t, dt),
          reference_evolve_ode(Y[split:], kernel, t, dt)]))
-    spectral = evolve_ensemble(Y, kernel, t, grid=grid)
+    spectral = evolve_ensemble(Y, grid, t)
     np.testing.assert_allclose(ode, spectral, atol=1e-6)
     H0 = hamiltonian(Y, kernel)
     assert H0.shape == (count,)

@@ -17,9 +17,10 @@ from crystalstat import (
     check_ES,
     critical_set_scan,
     dispersion_grid,
+    green_cutoff,
+    green_function,
     random_finite_range_kernel,
     triangular_density,
-    truncated_green,
     white_noise_density,
     write_dispersion_csv,
 )
@@ -162,8 +163,9 @@ def test_grid_crossing_flags_reach_scan_and_cutoff():
     scan = critical_set_scan(wide)
     np.testing.assert_array_equal(scan.cstar, wide.crossing)
     assert scan.thresholds["delta_cross"] == 1e-2
-    cut_wide = truncated_green(k, 10.0, 256, 0.3, grid=wide)
-    cut_default = truncated_green(k, 10.0, 256, 0.3, grid=default)
+    cut_wide = green_function(wide, 10.0, green_cutoff(scan, 0.3))
+    cut_default = green_function(default, 10.0,
+                                 green_cutoff(critical_set_scan(default), 0.3))
     assert np.abs(cut_wide - cut_default).max() > 0
 
 

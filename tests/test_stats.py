@@ -60,10 +60,9 @@ def test_empirical_covariance_against_inline_oracle(rng):
 
 @lru_cache(maxsize=None)
 def _random_model(d, n, L=16):
-    """Random kernel, its grid and its equilibrium density (correlated for n > 1)."""
-    kernel = random_finite_range_kernel(d, n, 1, seed=10 * d + n)
-    grid = dispersion_grid(kernel, L)
-    return kernel, grid, gibbs_density(1.0, grid)
+    """Grid of a random kernel and its equilibrium density (correlated for n > 1)."""
+    grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed=10 * d + n), L)
+    return grid, gibbs_density(1.0, grid)
 
 
 @settings(max_examples=20, deadline=None)
@@ -72,7 +71,7 @@ def _random_model(d, n, L=16):
        transform=st.sampled_from([None, (0.7, 1.3)]), t=st.floats(-5.0, 5.0),
        data=st.data())
 def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t, data):
-    kernel, grid, dens = _random_model(d, n)
+    grid, dens = _random_model(d, n)
     offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d]
     rng = np.random.default_rng(seed)
     psi = TestField(sites=[(0,) * d, (2,) + (-1,) * (d - 1)],
@@ -85,7 +84,7 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
     Y0 = gaussian_ensemble(dens, count, seed)
     if transform is not None:
         Y0 = nonlinear_transform_sample(Y0, *transform)
-    Yt = evolve_ensemble(Y0, kernel, t, grid=grid)
+    Yt = evolve_ensemble(Y0, grid, t)
     whole = statistics(Y0, Yt)
 
     sample_bytes = 16 * grid.L**d * 2 * n
