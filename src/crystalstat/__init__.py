@@ -30,7 +30,6 @@ from .spectral import (
     check_ES,
     critical_set_scan,
     dispersion_grid,
-    write_dispersion_csv,
 )
 from .dynamics import (
     evolve_ensemble,
@@ -44,7 +43,6 @@ from .fields import (
     density_from_covariance,
     density_from_jsonable,
     density_to_jsonable,
-    empirical_mixing_support,
     gaussian_ensemble,
     nonlinear_transform_sample,
     triangular_density,
@@ -67,6 +65,7 @@ from .stats import (
     covariance_products,
     covariance_summary,
     empirical_covariance,
+    empirical_mixing_support,
     gaussianity_report,
     linear_functional_samples,
     stream_ensemble,
@@ -94,7 +93,6 @@ __all__ = [
     "check_ES",
     "critical_set_scan",
     "dispersion_grid",
-    "write_dispersion_csv",
     "evolve_ensemble",
     "green_cutoff",
     "green_function",
@@ -104,7 +102,6 @@ __all__ = [
     "density_from_covariance",
     "density_from_jsonable",
     "density_to_jsonable",
-    "empirical_mixing_support",
     "gaussian_ensemble",
     "nonlinear_transform_sample",
     "triangular_density",
@@ -123,6 +120,7 @@ __all__ = [
     "covariance_products",
     "covariance_summary",
     "empirical_covariance",
+    "empirical_mixing_support",
     "gaussianity_report",
     "linear_functional_samples",
     "stream_ensemble",

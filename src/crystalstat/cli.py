@@ -20,8 +20,8 @@ the ensemble size.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,7 +60,6 @@ from .spectral import (
     check_ES,
     critical_set_scan,
     dispersion_grid,
-    write_dispersion_csv,
 )
 from .stats import (
     characteristic_functional,
@@ -225,6 +224,8 @@ def _effective_config(args, command: str) -> dict:
         eff["times"] = [float(t) for t in cfg["times"]]
     else:
         eff["times"] = None
+    if not all(map(math.isfinite, eff["times"] or ())):
+        raise UsageError(f"times must be finite, got {eff['times']}")
 
     eff["ensemble"] = (args.ensemble if getattr(args, "ensemble", None) is not None
                        else int(cfg.get("ensemble", 10000)))
@@ -250,6 +251,10 @@ def _effective_config(args, command: str) -> dict:
         "eps": (args.eps if getattr(args, "eps", None) is not None
                 else float(thr.get("eps", 0.0))),
     }
+    # eps is checked where the cutoff is built, by green_cutoff
+    for key in ("delta_cross", "delta_hess", "delta_null"):
+        if not math.isfinite(eff["thresholds"][key]):
+            raise UsageError(f"{key} must be finite, got {eff['thresholds'][key]}")
     eff["output"] = args.output if args.output is not None else cfg.get("output", "out")
     eff["command"] = command
     return eff
@@ -406,8 +411,26 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+def _floats(a) -> list:
+    """%.17g strings of the entries of a float array (or scalar), in C order."""
+    return ["%.17g" % v for v in np.ravel(a).tolist()]
+
+
+def _indices(shape) -> list:
+    """Per-axis index lists of the entries of an array of this shape, in C order."""
+    return np.indices(shape).reshape(len(shape), -1).tolist()
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """A header line, then one row per index of the equal-length string columns.
+
+    No field holds a comma, a quote or a newline (numbers and the fixed flag
+    names), so joining with commas writes the bytes csv.writer would.  Rows
+    are joined as they are written, never into one string.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _stage(body, eff: dict, memo: dict, options: dict) -> int:
@@ -477,8 +500,19 @@ def _cmd_dispersion(run) -> int:
     outdir = run.outdir
     grid, _ = run.grid(run.eff["grid_L"])
     reports, scan = run.conditions(grid.L)
-    with open(outdir / "dispersion.csv", "w") as fh:
-        write_dispersion_csv(grid, scan, fh)
+    # one row per (node, branch); the flags of each of the 8 combinations of
+    # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
+    W = grid.branch_values
+    *node, branch = _indices(W.shape)
+    theta = _floats(2.0 * np.pi * np.arange(grid.L) / grid.L)
+    flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
+                      if combo >> bit & 1) for combo in range(8)]
+    code = np.repeat(scan.c0 + 2 * scan.cstar + 4 * scan.ck, grid.n).tolist()
+    _write_csv(outdir / "dispersion.csv", [f"theta_{a + 1}" for a in range(grid.d)]
+               + ["k", "omega_k", "grad_norm", "D_k", "flags"],
+               [[theta[c] for c in axis] for axis in node]
+               + [[str(b) for b in branch], _floats(W), _floats(scan.grad_norm),
+                  _floats(scan.hess_det), [flags[c] for c in code]])
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
@@ -504,22 +538,21 @@ def _cmd_green(run, dump_radius) -> int:
         raise UsageError("--dump-radius must fit inside the lattice window")
     # the scan critical.json reports, at the run's thresholds
     cutoff = green_cutoff(run.conditions(L)[1], eps)
-    sups = []
-    with open(outdir / "green.csv", "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{a + 1}" for a in range(grid.d)]
-                        + ["row", "col", "value"])
-        for t in times:
-            G = green_function(grid, t, cutoff)
-            sups.append(float(np.max(np.abs(G))))
-            for x in np.ndindex(*((2 * dump_radius + 1,) * grid.d)):
-                off = tuple(int(c) - dump_radius for c in x)
-                idx = tuple(c % L for c in off)
-                block = G[idx]
-                for r in range(block.shape[0]):
-                    for c in range(block.shape[1]):
-                        writer.writerow([_fmt(t)] + [str(c2) for c2 in off]
-                                        + [str(r), str(c), _fmt(block[r, c])])
+    # the window of offsets -r..r on every axis, wrapped onto the lattice
+    wrap = np.arange(-dump_radius, dump_radius + 1) % L
+    sups, windows = [], []
+    for t in times:
+        G = green_function(grid, t, cutoff)
+        sups.append(float(np.max(np.abs(G))))
+        windows.append(G[np.ix_(*(wrap,) * grid.d)])
+    window = np.stack(windows)  # (time, *offset, row, col)
+    stamp, *x, row, col = _indices(window.shape)
+    stamps = _floats(times)
+    _write_csv(outdir / "green.csv",
+               ["t"] + [f"x{a + 1}" for a in range(grid.d)] + ["row", "col", "value"],
+               [[stamps[e] for e in stamp]]
+               + [[str(c - dump_radius) for c in axis] for axis in x]
+               + [[str(r) for r in row], [str(c) for c in col], _floats(window)])
     fit = _power_fit(times, sups)
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit, "eps": eps})
@@ -534,27 +567,25 @@ def _cmd_evolve(run, allow_degenerate) -> int:
     q0, es, qinf = run.limit(allow_degenerate)
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
-    tab_inf = covariance_from_density(qinf, offsets)
-    n2 = 2 * kernel.n
-    with open(outdir / "convergence.csv", "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"z{a + 1}" for a in range(kernel.d)]
-                        + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"])
-        for t in times:
-            qt = evolve_density(q0, grid, t)
-            tab_t = covariance_from_density(qt, offsets)
-            for z in offsets:
-                Mt = tab_t.matrix(z)
-                Mi = tab_inf.matrix(z)
-                for a in range(n2):
-                    for b in range(n2):
-                        i, k = divmod(a, kernel.n)
-                        j, l = divmod(b, kernel.n)
-                        writer.writerow(
-                            [_fmt(t)] + [str(c) for c in z]
-                            + [str(i), str(j), str(k), str(l),
-                               _fmt(Mt[a, b]), _fmt(Mi[a, b]),
-                               _fmt(abs(Mt[a, b] - Mi[a, b]))])
+
+    def matrices(q):
+        """(offset, 2n, 2n) covariance matrices of the density q."""
+        table = covariance_from_density(q, offsets)
+        return np.stack([table.matrix(z) for z in offsets])
+
+    Mi = matrices(qinf)
+    Mt = np.stack([matrices(evolve_density(q0, grid, t)) for t in times])
+    # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
+    stamp, m, i, k, j, l = _indices(Mt.shape[:2] + (2, kernel.n, 2, kernel.n))
+    stamps = _floats(times)
+    _write_csv(outdir / "convergence.csv",
+               ["t"] + [f"z{a + 1}" for a in range(kernel.d)]
+               + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"],
+               [[stamps[e] for e in stamp]]
+               + [[str(offsets[e][a]) for e in m] for a in range(kernel.d)]
+               + [[str(v) for v in axis] for axis in (i, j, k, l)]
+               + [_floats(Mt), _floats(np.broadcast_to(Mi, Mt.shape)),
+                  _floats(np.abs(Mt - Mi))])
     _write_json(outdir / "limit.json", {
         "excluded_fraction": qinf.excluded_fraction,
         "es": es.to_jsonable(),

@@ -40,7 +40,6 @@ __all__ = [
     "density_from_jsonable",
     "gaussian_ensemble",
     "nonlinear_transform_sample",
-    "empirical_mixing_support",
 ]
 
 @dataclass(eq=False)
@@ -179,46 +178,6 @@ def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
     Y, _, _, n = check_ensemble(Y)
     amplitude = np.repeat([float(a0), float(a1)], n)
     return amplitude * np.tanh(Y / amplitude)
-
-
-def empirical_mixing_support(Y, r_max: int) -> dict:
-    """Estimate the correlation support radius from an ensemble array.
-
-    Returns the largest Chebyshev offset radius |z| <= r_max at which any
-    covariance block differs from zero by more than three standard errors,
-    together with the per-radius significance table.  Needs at least 100
-    samples for the error bars to mean anything.
-    """
-    Y, _, d, _ = check_ensemble(Y)
-    if Y.shape[0] < 100:
-        raise ValueError("need at least 100 samples to resolve the support")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    from .stats import empirical_covariance
-
-    offsets = [
-        z
-        for z in np.ndindex(*([2 * r_max + 1] * d))
-        if any(c != 0 for c in (np.asarray(z) - r_max))
-    ]
-    offsets = [tuple(int(c) for c in (np.asarray(z) - r_max)) for z in offsets]
-    summary = empirical_covariance(Y, offsets)
-    radius = 0
-    table = {}
-    for z in offsets:
-        r = max(abs(c) for c in z)
-        mean = summary.mean[z]
-        se = summary.se[z]
-        significant = bool(np.any(np.abs(mean) > 3.0 * np.maximum(se, 1e-300)))
-        table.setdefault(r, False)
-        table[r] = table[r] or significant
-        if significant:
-            radius = max(radius, r)
-    return {
-        "radius": radius,
-        "per_radius_significant": {int(k): bool(v) for k, v in sorted(table.items())},
-        "samples": Y.shape[0],
-    }
 
 
 def density_from_covariance(cov: dict, L: int,

@@ -11,8 +11,8 @@ flagged fraction shrinks under grid refinement.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,7 +28,6 @@ __all__ = [
     "critical_set_scan",
     "check_E4_E5",
     "check_ES",
-    "write_dispersion_csv",
 ]
 
 DELTA_CROSS = 1e-6
@@ -91,7 +90,6 @@ class DispersionGrid:
     crossing: np.ndarray
     labels: np.ndarray
     omega_max: float
-    _branch_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
@@ -105,56 +103,49 @@ class DispersionGrid:
     def h(self) -> float:
         return 2.0 * np.pi / self.L
 
+    @cached_property
     def branch_values(self) -> np.ndarray:
         """Continued branch frequencies W[..., b] = omega at the label of branch b."""
-        if "W" not in self._branch_cache:
-            self._branch_cache["W"] = np.take_along_axis(self.omega, self.labels, axis=-1)
-        return self._branch_cache["W"]
+        return np.take_along_axis(self.omega, self.labels, axis=-1)
 
+    @cached_property
     def branch_gradients(self) -> np.ndarray:
         """Central-difference gradients of continued branches, shape (*grid, n, d)."""
-        if "grad" not in self._branch_cache:
-            W = self.branch_values()
-            grads = np.empty(W.shape + (self.d,))
-            for axis in range(self.d):
-                grads[..., axis] = (
-                    np.roll(W, -1, axis=axis) - np.roll(W, 1, axis=axis)
-                ) / (2.0 * self.h)
-            self._branch_cache["grad"] = grads
-        return self._branch_cache["grad"]
+        W = self.branch_values
+        grads = np.empty(W.shape + (self.d,))
+        for axis in range(self.d):
+            grads[..., axis] = (
+                np.roll(W, -1, axis=axis) - np.roll(W, 1, axis=axis)
+            ) / (2.0 * self.h)
+        return grads
 
+    @cached_property
     def branch_hessians(self) -> np.ndarray:
         """Central-difference Hessians of continued branches, shape (*grid, n, d, d)."""
-        if "hess" not in self._branch_cache:
-            W = self.branch_values()
-            h = self.h
-            H = np.empty(W.shape + (self.d, self.d))
-            for a in range(self.d):
-                H[..., a, a] = (
-                    np.roll(W, -1, axis=a) - 2.0 * W + np.roll(W, 1, axis=a)
-                ) / h**2
-                for b in range(a + 1, self.d):
-                    pp = np.roll(np.roll(W, -1, axis=a), -1, axis=b)
-                    pm = np.roll(np.roll(W, -1, axis=a), 1, axis=b)
-                    mp = np.roll(np.roll(W, 1, axis=a), -1, axis=b)
-                    mm = np.roll(np.roll(W, 1, axis=a), 1, axis=b)
-                    H[..., a, b] = H[..., b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
-            self._branch_cache["hess"] = H
-        return self._branch_cache["hess"]
+        W = self.branch_values
+        h = self.h
+        H = np.empty(W.shape + (self.d, self.d))
+        for a in range(self.d):
+            H[..., a, a] = (
+                np.roll(W, -1, axis=a) - 2.0 * W + np.roll(W, 1, axis=a)
+            ) / h**2
+            for b in range(a + 1, self.d):
+                pp = np.roll(np.roll(W, -1, axis=a), -1, axis=b)
+                pm = np.roll(np.roll(W, -1, axis=a), 1, axis=b)
+                mp = np.roll(np.roll(W, 1, axis=a), -1, axis=b)
+                mm = np.roll(np.roll(W, 1, axis=a), 1, axis=b)
+                H[..., a, b] = H[..., b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
+        return H
 
+    @cached_property
     def hessian_determinants(self) -> np.ndarray:
         """det of the branch Hessians, shape (*grid, n)."""
-        if "D" not in self._branch_cache:
-            H = self.branch_hessians()
-            if self.d == 1:
-                self._branch_cache["D"] = H[..., 0, 0]
-            else:
-                self._branch_cache["D"] = np.linalg.det(H)
-        return self._branch_cache["D"]
+        H = self.branch_hessians
+        return H[..., 0, 0] if self.d == 1 else np.linalg.det(H)
 
     def max_group_velocity(self) -> float:
         """Max |grad omega| over branches and nodes away from crossing flags."""
-        speeds = np.linalg.norm(self.branch_gradients(), axis=-1)
+        speeds = np.linalg.norm(self.branch_gradients, axis=-1)
         ok = ~self.crossing
         if not np.any(ok):
             return float(speeds.max())
@@ -238,9 +229,9 @@ def branch_derivatives(grid: DispersionGrid, node, k: int):
                     stencil.append(tuple(p))
     if any(grid.crossing[p] for p in stencil):
         raise ValueError(f"node {node} is inside the crossing surrogate C_*")
-    grad = grid.branch_gradients()[node + (k,)]
-    hess = grid.branch_hessians()[node + (k,)]
-    det = grid.hessian_determinants()[node + (k,)]
+    grad = grid.branch_gradients[node + (k,)]
+    hess = grid.branch_hessians[node + (k,)]
+    det = grid.hessian_determinants[node + (k,)]
     return grad.copy(), hess.copy(), float(det)
 
 
@@ -302,7 +293,7 @@ def critical_set_scan(
     """
     c0 = grid.omega.min(axis=-1) <= delta_null
     cstar = grid.crossing
-    D = grid.hessian_determinants()
+    D = grid.hessian_determinants
     valid = ~cstar
     ck_branch = (np.abs(D) <= delta_hess) & valid[..., None]
     for axis in range(grid.d):
@@ -312,7 +303,7 @@ def critical_set_scan(
         ck_branch |= change
         ck_branch |= np.roll(change, 1, axis=axis)
     ck = np.any(ck_branch, axis=-1)
-    grad_norm = np.linalg.norm(grid.branch_gradients(), axis=-1)
+    grad_norm = np.linalg.norm(grid.branch_gradients, axis=-1)
     return CriticalSetEstimate(
         L=grid.L,
         thresholds={
@@ -340,7 +331,7 @@ def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[Conditi
     delta_hess = scan.thresholds["delta_hess"]
     valid = ~(scan.cstar | scan.c0)
     D = scan.hess_det
-    W = grid.branch_values()
+    W = grid.branch_values
 
     witnesses4 = []
     verdict4 = "pass"
@@ -473,35 +464,3 @@ def check_ES(grid: DispersionGrid, density, delta_null: float = DELTA_NULL) -> C
         note=f"refinement ratios over strides {strides}; C0 fraction {c0_fraction:.3e}",
     )
 
-
-def write_dispersion_csv(grid: DispersionGrid, scan: CriticalSetEstimate, fh) -> None:
-    """One row per (node, branch): theta coords, branch index, frequency,
-    gradient norm, Hessian determinant, flags."""
-    d, n, L = grid.d, grid.n, grid.L
-    W = grid.branch_values()
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        [f"theta_{a + 1}" for a in range(d)] + ["k", "omega_k", "grad_norm", "D_k", "flags"]
-    )
-    for flat in range(L**d):
-        node = np.unravel_index(flat, (L,) * d)
-        theta = [2.0 * np.pi * c / L for c in node]
-        tags = []
-        if scan.c0[node]:
-            tags.append("C0")
-        if scan.cstar[node]:
-            tags.append("Cstar")
-        if scan.ck[node]:
-            tags.append("Ck")
-        flags = "|".join(tags)
-        for k in range(n):
-            writer.writerow(
-                [f"{t:.17g}" for t in theta]
-                + [
-                    str(k),
-                    f"{W[node + (k,)]:.17g}",
-                    f"{scan.grad_norm[node + (k,)]:.17g}",
-                    f"{scan.hess_det[node + (k,)]:.17g}",
-                    flags,
-                ]
-            )

@@ -19,8 +19,11 @@ import crystalstat.dynamics as dynamics
 import crystalstat.stats as stats
 from crystalstat._lattice import NumericalFault
 from crystalstat.cli import main
+from crystalstat.covariance import covariance_from_density, evolve_density, limit_density
+from crystalstat.dynamics import green_cutoff, green_function
 from crystalstat.fields import density_from_jsonable, density_to_jsonable, white_noise_density
-from crystalstat.kernel import InteractionKernel, kernel_to_json
+from crystalstat.kernel import InteractionKernel, build_nn_kernel, kernel_to_json
+from crystalstat.spectral import critical_set_scan, dispersion_grid
 
 CSV_HEADER = "theta_1,k,omega_k,grad_norm,D_k,flags"
 STAGES = ("dispersion", "critical", "limit", "mixing")
@@ -67,6 +70,94 @@ def test_dispersion_outputs(tmp_path, capsys):
     assert manifest["command"] == "dispersion"
     assert manifest["config"]["kernel"] == {"type": "nn", "d": 1, "n": 1, "mass": 1.0}
     assert "omega_max" in capsys.readouterr().out
+
+
+def read_table(path):
+    """(header, rows) of a CSV table, each row a list of its fields."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+# a dispersive branch crossing a shallower one; at delta_cross = 1e-2 the grid
+# flags 57 nodes as crossings (Cstar), and the scan flags others Ck
+CROSSING = InteractionKernel(1, 2, {(0,): np.diag([3.0, 3.9]), (1,): np.diag([-1.0, -0.5]),
+                                    (-1,): np.diag([-1.0, -0.5])})
+
+
+@pytest.mark.parametrize("kernel, argv, delta_cross, L, flag", [
+    (CROSSING, ["--delta-cross", "1e-2"], 1e-2, 256, "Cstar"),
+    (build_nn_kernel(2, 2, 0.0), [], 1e-6, 16, "C0|Ck"),
+], ids=["crossing", "massless-d2"])
+def test_dispersion_table_holds_the_grid_values(tmp_path, kernel, argv, delta_cross, L,
+                                                flag):
+    path = tmp_path / "kernel.json"
+    path.write_text(kernel_to_json(kernel))
+    out = tmp_path / "disp"
+    assert main(["dispersion", "--kernel-file", str(path), "--L", str(L), "--output",
+                 str(out)] + argv) == 0
+    grid = dispersion_grid(kernel, L, delta_cross)
+    scan = critical_set_scan(grid)
+    d = grid.d
+    header, rows = read_table(out / "dispersion.csv")
+    assert header == [f"theta_{a + 1}" for a in range(d)] + [
+        "k", "omega_k", "grad_norm", "D_k", "flags"]
+    keys = list(np.ndindex(grid.branch_values.shape))
+    assert len(rows) == len(keys)
+    for key, row in zip(keys, rows):
+        node, k = key[:-1], key[-1]
+        assert [float(s) for s in row[:d]] == [2.0 * np.pi * c / L for c in node]
+        assert row[d] == str(k)
+        assert [float(s) for s in row[d + 1:d + 4]] == [
+            grid.branch_values[key], scan.grad_norm[key], scan.hess_det[key]]
+        assert row[d + 4] == "|".join(name for name, flags in (
+            ("C0", scan.c0), ("Cstar", scan.cstar), ("Ck", scan.ck)) if flags[node])
+    assert flag in {row[-1] for row in rows}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_green_table_holds_the_green_function(tmp_path, eps):
+    L, radius, times = 32, 2, [1.0, 2.5]
+    out = tmp_path / "green"
+    assert main(["green", "--nn", "d=2", "n=2", "m=1,2", "--L", str(L),
+                 "--times"] + [str(t) for t in times] + [
+                 "--dump-radius", str(radius), "--eps", str(eps), "--output", str(out)]) == 0
+    grid = dispersion_grid(build_nn_kernel(2, 2, [1.0, 2.0]), L)
+    cutoff = green_cutoff(critical_set_scan(grid), eps)
+    assert (cutoff is None) == (eps == 0.0)
+    header, rows = read_table(out / "green.csv")
+    assert header == ["t", "x1", "x2", "row", "col", "value"]
+    window = range(-radius, radius + 1)
+    keys = [(t, x1, x2, r, c) for t in times for x1 in window for x2 in window
+            for r in range(4) for c in range(4)]
+    assert [(float(row[0]),) + tuple(int(s) for s in row[1:5]) for row in rows] == keys
+    G = {t: green_function(grid, t, cutoff) for t in times}
+    for (t, x1, x2, r, c), row in zip(keys, rows):
+        assert float(row[5]) == G[t][x1 % L, x2 % L, r, c]
+
+
+def test_convergence_table_holds_the_covariances(tmp_path):
+    L, times = 16, [0.0, 3.5]
+    out = tmp_path / "ev"
+    assert main(["evolve", "--nn", "d=2", "n=2", "m=1,2", "--L", str(L), "--white",
+                 "T0=1", "T1=2", "--times"] + [str(t) for t in times]
+                + ["--output", str(out)]) == 0
+    grid = dispersion_grid(build_nn_kernel(2, 2, [1.0, 2.0]), L)
+    q0 = white_noise_density(1.0, 2.0, 2, 2, L)
+    offsets = [(0, 0), (1, 0), (2, 0)]
+    limit = covariance_from_density(limit_density(q0, grid), offsets)
+    header, rows = read_table(out / "convergence.csv")
+    assert header == ["t", "z1", "z2", "i", "j", "k", "l", "q_t", "q_inf", "abs_diff"]
+    # entry (a, b) of the 4 x 4 covariance matrix, (i, k) = divmod(a, 2), (j, l) = divmod(b, 2)
+    keys = [(t, z, a, b) for t in times for z in offsets for a in range(4) for b in range(4)]
+    assert len(rows) == len(keys)
+    current = {t: covariance_from_density(evolve_density(q0, grid, t), offsets)
+               for t in times}
+    for (t, z, a, b), row in zip(keys, rows):
+        (i, k), (j, l) = divmod(a, 2), divmod(b, 2)
+        assert float(row[0]) == t
+        assert row[1:7] == [str(c) for c in z + (i, j, k, l)]
+        qt, qinf = current[t].matrix(z)[a, b], limit.matrix(z)[a, b]
+        assert [float(s) for s in row[7:]] == [qt, qinf, abs(qt - qinf)]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -416,6 +507,9 @@ def test_component_out_of_range_is_usage_error(tmp_path, capsys, component):
     ("--measure-file", {"L": 64},
      "density file lacks fields ['d', 'n', 'matrix_re', 'matrix_im']"),
     ("--config", {"thresholds": 3}, "config thresholds must be a JSON object"),
+    ("--config", {"times": [10.0, float("inf")]}, "times must be finite, got [10.0, inf]"),
+    ("--config", {"thresholds": {"delta_null": float("nan")}},
+     "delta_null must be finite, got nan"),
 ])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, doc, message):
     path = tmp_path / "input.json"
@@ -452,15 +546,30 @@ def test_allow_degenerate_only_where_read(capsys):
     assert "unrecognized arguments: --allow-degenerate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["-0.5", "nan", "inf"])
-def test_bad_eps_is_usage_error(tmp_path, capsys, eps):
-    out = tmp_path / "green"
-    code = main(["green"] + nn_args(L=256) + ["--eps", eps, "--times", "10",
-                                              "--output", str(out)])
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param(["green", "--eps", eps, "--times", "10"],
+                   "eps must be finite and nonnegative", id=eps)
+      for eps in ("-0.5", "nan", "inf")),
+    # the other non-finite times and thresholds fail before the output exists
+    pytest.param(["evolve", "--triangular", "nu0=2", "--t", "inf"],
+                 "times must be finite, got [inf]", id="t-inf"),
+    pytest.param(["mixing", "--times", "0", "nan"],
+                 "times must be finite, got [0.0, nan]", id="times-nan"),
+    pytest.param(["dispersion", "--delta-hess", "nan"],
+                 "delta_hess must be finite, got nan", id="delta-hess-nan"),
+    pytest.param(["critical", "--delta-cross", "inf"],
+                 "delta_cross must be finite, got inf", id="delta-cross-inf"),
+    pytest.param(["limit", "--white", "T0=1", "--delta-null=-inf"],
+                 "delta_null must be finite, got -inf", id="delta-null--inf"),
+])
+def test_bad_eps_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = main(argv[:1] + nn_args(L=256) + argv[1:] + ["--output", str(out)])
     assert code == 1
-    assert ("usage error: eps must be finite and nonnegative"
-            in capsys.readouterr().err)
+    assert f"usage error: {message}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    if argv[0] != "green":
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [

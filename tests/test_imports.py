@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used or re-exported.
+"""Every top-level import of a package module is used or re-exported, and the
+package's public names match its modules' ``__all__`` lists.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library: a name bound by a module-level
@@ -7,11 +8,17 @@ listed in its ``__all__``.  ``from __future__`` imports are exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import crystalstat
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalstat"
+# the library modules; cli is the command-line entry point, not re-exported
+LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if not path.stem.startswith("_") and path.stem != "cli")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +46,15 @@ def test_unused_import_is_found():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["path", "json"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_module_exports_reach_the_package(module):
+    exported = importlib.import_module(f"crystalstat.{module}").__all__
+    assert [name for name in exported if name not in crystalstat.__all__] == []
+
+
+def test_package_exports_resolve():
+    missing = [name for name in crystalstat.__all__
+               if name != "__version__" and not hasattr(crystalstat, name)]
+    assert missing == []

@@ -1,6 +1,5 @@
 """Dispersion grids, branch calculus, critical-set surrogates, E4/E5/ES."""
 
-import io
 from unittest import mock
 
 import numpy as np
@@ -22,7 +21,6 @@ from crystalstat import (
     random_finite_range_kernel,
     triangular_density,
     white_noise_density,
-    write_dispersion_csv,
 )
 
 # nearest-neighbour chain with unit mass: omega^2 = 3 - 2 cos(theta),
@@ -251,18 +249,6 @@ def test_ES_passes_for_massless_3d():
     dens = white_noise_density(1.0, 1.0, 1, 3, 32)
     rep = check_ES(g, dens)
     assert rep.verdict == "pass"
-
-
-def test_dispersion_csv_layout(grid64):
-    scan = critical_set_scan(grid64)
-    buf = io.StringIO()
-    write_dispersion_csv(grid64, scan, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "theta_1,k,omega_k,grad_norm,D_k,flags"
-    assert len(lines) == 1 + 64
-    buf2 = io.StringIO()
-    write_dispersion_csv(grid64, scan, buf2)
-    assert buf.getvalue() == buf2.getvalue()
 
 
 def test_grid_requires_even_resolution(nn1):
