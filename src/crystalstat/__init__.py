@@ -19,13 +19,11 @@ from .kernel import (
     random_finite_range_kernel,
 )
 from .spectral import (
-    DELTA_CONST,
     DELTA_CROSS,
     DELTA_HESS,
     DELTA_NULL,
     CriticalSetEstimate,
     DispersionGrid,
-    branch_derivatives,
     check_E4_E5,
     check_ES,
     critical_set_scan,
@@ -82,13 +80,11 @@ __all__ = [
     "kernel_from_json",
     "kernel_to_json",
     "random_finite_range_kernel",
-    "DELTA_CONST",
     "DELTA_CROSS",
     "DELTA_HESS",
     "DELTA_NULL",
     "CriticalSetEstimate",
     "DispersionGrid",
-    "branch_derivatives",
     "check_E4_E5",
     "check_ES",
     "critical_set_scan",

@@ -60,9 +60,11 @@ def check_ensemble(Y) -> tuple:
     return Y, grid[0], len(grid), Y.shape[-1] // 2
 
 
-def eigen_compose(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """B diag(values) B^H at every node, B the eigenbasis (columns) per node."""
-    return np.einsum("...ik,...k,...jk->...ij", basis, values, basis.conj())
+def eigen_compose(basis: np.ndarray, values: np.ndarray,
+                  rows: slice = slice(None)) -> np.ndarray:
+    """B diag(values) B^H at every node, B the eigenbasis (columns) per node;
+    only the rows of the product that the slice rows selects."""
+    return np.einsum("...ik,...k,...jk->...ij", basis[..., rows, :], values, basis.conj())
 
 
 def guarded_reciprocal(x: np.ndarray, ok: np.ndarray) -> np.ndarray:

@@ -295,20 +295,32 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     return max(q_spectral, 0.0)
 
 
+def _support(psihat: np.ndarray) -> slice:
+    """The smallest range of components outside which psihat is zero at every node."""
+    live = np.flatnonzero(np.any(psihat != 0, axis=tuple(range(psihat.ndim - 1))))
+    return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+
+
 def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
                     psi2: TestField, t: float) -> float:
     """Equilibrium cross-correlation E <Y(t), Psi1> <Y(0), Psi2>.
 
     Evaluated as the Riemann sum of Psihat1* Ghat(t) qhat_inf Psihat2 over
     unexcluded nodes; decays to zero as t grows, which is the mixing property
-    of the limit measure.
+    of the limit measure.  Only the range of components where Psihat1 is
+    nonzero (rows of Ghat) and where Psihat2 is nonzero (columns of qhat_inf)
+    enters the sum; every term left out is an exact zero.
     """
     _require_match(grid, limit.L, limit.d, limit.n)
-    G = _propagator_grid_matrix(grid, float(t))
     p1 = psi1.fourier(grid.L)
     p2 = psi2.fourier(grid.L)
+    I, K = _support(p1), _support(p2)
+    G = _propagator_grid_matrix(grid, float(t), rows=I)
     matrix, _ = _unexcluded_matrix(limit)
-    integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1), G, matrix, p2)
+    # slices keep every operand's strides, so einsum sums the kept terms in
+    # the order it sums them over all 2n components
+    integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
+                          matrix[..., :, K], p2[..., K])
     total = complex(integrand.sum() / float(grid.L) ** grid.d)
     if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
         raise ValueError(f"mixing integral has imaginary residue {total.imag:.3e}")

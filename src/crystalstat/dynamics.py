@@ -113,20 +113,28 @@ def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> n
     return np.concatenate([u, v], axis=-1)
 
 
-def _propagator_grid_matrix(grid: DispersionGrid, t: float) -> np.ndarray:
-    """Full Ghat(t) as (*grid, 2n, 2n) complex."""
+def _propagator_grid_matrix(grid: DispersionGrid, t: float,
+                            rows: slice = slice(None)) -> np.ndarray:
+    """Rows of Ghat(t) as (*grid, rows, 2n) complex; all 2n rows by default.
+
+    Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
+    the cos, t*sinc and -omega*sin factors composed in the symbol eigenbasis.
+    rows is a slice with unit step; each requested row is composed from the
+    matching row of the basis only.
+    """
     B = grid.basis
     n = grid.n
+    r = range(2 * n)[rows]
+    top = slice(min(r.start, n), min(r.stop, n))
+    bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
+    k = top.stop - top.start
     c, s, ns = _rotation_factors(grid.omega, t)
-    C = eigen_compose(B, c)
-    S = eigen_compose(B, s)
-    N = eigen_compose(B, ns)
-    shape = C.shape[:-2] + (2 * n, 2 * n)
-    G = np.empty(shape, dtype=complex)
-    G[..., :n, :n] = C
-    G[..., :n, n:] = S
-    G[..., n:, :n] = N
-    G[..., n:, n:] = C
+    C = eigen_compose(B, c, top)
+    G = np.empty(B.shape[:-2] + (len(r), 2 * n), dtype=complex)
+    G[..., :k, :n] = C
+    G[..., :k, n:] = eigen_compose(B, s, top)
+    G[..., k:, :n] = eigen_compose(B, ns, bottom)
+    G[..., k:, n:] = C if bottom == top else eigen_compose(B, c, bottom)
     return G
 
 

@@ -11,6 +11,7 @@ flagged fraction shrinks under grid refinement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,6 @@ __all__ = [
     "DispersionGrid",
     "CriticalSetEstimate",
     "dispersion_grid",
-    "branch_derivatives",
     "critical_set_scan",
     "check_E4_E5",
     "check_ES",
@@ -38,6 +38,12 @@ DELTA_CONST = 1e-8
 # gap below which two branches count as one constant-multiplicity family rather
 # than a crossing (relative to 1 + omega_max); see the crossing flag below
 _DEGENERATE_REL = 1e-12
+
+# branch continuation: permutations are scored in bulk up to this many
+# branches, and an edge whose best two permutation scores differ by at most
+# this relative margin goes to the exact assignment solver
+_MAX_SCORED_BRANCHES = 4
+_TIE_REL = 1e-9
 
 
 def _clamped_frequencies(w: np.ndarray) -> np.ndarray:
@@ -161,6 +167,52 @@ def _edge_permutation(B_here: np.ndarray, B_next: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _branch_labels(B: np.ndarray) -> np.ndarray:
+    """Continue branch labels along a spanning tree of the grid.
+
+    Node x takes its labels from x - e_a, a the last axis with x_a != 0, through
+    the permutation that maximises the total eigenvector overlap across that
+    edge.  All edges are scored at once against every permutation; an edge
+    whose best two scores lie within a relative _TIE_REL is matched by
+    :func:`_edge_permutation`, so near-ties break exactly as the assignment
+    solver breaks them.  The labels are then composed along the tree one axis
+    at a time, in L vectorised steps per axis.
+    """
+    shape, n = B.shape[:-2], B.shape[-1]
+    d, L = len(shape), shape[0]
+    flat_B = B.reshape(-1, n, n)
+    nodes = np.arange(1, L**d)
+    step = np.ones_like(nodes)
+    while np.any(hit := nodes % (step * L) == 0):
+        step[hit] *= L
+    parents = nodes - step
+    # overlap[e, r, c] = |B_next^H B_here| for edge e: rows next-local, cols here-local
+    overlap = np.abs(np.einsum("ekr,ekc->erc", flat_B[nodes].conj(), flat_B[parents]))
+    perms = np.empty((L**d, n), dtype=np.int64)
+    if n <= _MAX_SCORED_BRANCHES:
+        # candidate[p, c]: next-local index that here-local column c takes under p
+        candidate = np.asarray(list(itertools.permutations(range(n))), dtype=np.int64)
+        scores = overlap[:, candidate, np.arange(n)].sum(axis=-1)
+        ranked = np.sort(scores, axis=-1)
+        best, second = ranked[:, -1], ranked[:, -2]
+        perms[1:] = candidate[np.argmax(scores, axis=-1)]
+        tied = np.flatnonzero(best - second <= _TIE_REL * best)
+    else:
+        tied = np.arange(nodes.size)
+    for e in tied:
+        perms[e + 1] = _edge_permutation(flat_B[parents[e]], flat_B[nodes[e]])
+    perms = perms.reshape(shape + (n,))
+    labels = np.empty(shape + (n,), dtype=np.int64)
+    labels[(0,) * d] = np.arange(n)
+    for a in range(d):
+        # the nodes whose later coordinates are all zero; x_a = 0 is labelled
+        tail = (slice(None),) * (a + 1) + (0,) * (d - a - 1)
+        lab, per = labels[tail], perms[tail]
+        for i in range(1, L):
+            lab[..., i, :] = np.take_along_axis(per[..., i, :], lab[..., i - 1, :], axis=-1)
+    return labels
+
+
 def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELTA_CROSS) -> DispersionGrid:
     """Diagonalize the symbol on the (2 pi / L) Z^d grid and continue branches.
 
@@ -183,18 +235,7 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     else:
         gaps = np.diff(omega, axis=-1)
         crossing = np.any((gaps > degen) & (gaps < split), axis=-1)
-        # continue along a spanning tree: node x takes its labels from x - e_a,
-        # a the last axis with x_a != 0; that parent precedes x in C order
-        flat_B = B.reshape(-1, n, n)
-        labels = np.empty((L**d, n), dtype=np.int64)
-        labels[0] = np.arange(n)
-        for x in range(1, L**d):
-            step = 1
-            while x % (step * L) == 0:
-                step *= L
-            parent = x - step
-            labels[x] = _edge_permutation(flat_B[parent], flat_B[x])[labels[parent]]
-        labels = labels.reshape((L,) * d + (n,))
+        labels = _branch_labels(B)
     return DispersionGrid(
         kernel=kernel,
         L=L,
@@ -206,33 +247,6 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
         labels=labels,
         omega_max=omega_max,
     )
-
-
-def branch_derivatives(grid: DispersionGrid, node, k: int):
-    """Gradient, Hessian and Hessian determinant of branch k at one node.
-
-    The node and its finite-difference stencil must be free of crossing flags;
-    inside that region the continued branch is smooth and central differences
-    carry their usual O(h^2) accuracy.
-    """
-    node = tuple(int(c) % grid.L for c in node)
-    if not 0 <= k < grid.n:
-        raise ValueError(f"branch index {k} out of range")
-    stencil = [node]
-    for a in range(grid.d):
-        for b in range(grid.d):
-            for sa in (-1, 0, 1):
-                for sb in (-1, 0, 1):
-                    p = list(node)
-                    p[a] = (p[a] + sa) % grid.L
-                    p[b] = (p[b] + sb) % grid.L
-                    stencil.append(tuple(p))
-    if any(grid.crossing[p] for p in stencil):
-        raise ValueError(f"node {node} is inside the crossing surrogate C_*")
-    grad = grid.branch_gradients[node + (k,)]
-    hess = grid.branch_hessians[node + (k,)]
-    det = grid.hessian_determinants[node + (k,)]
-    return grad.copy(), hess.copy(), float(det)
 
 
 @dataclass(eq=False)

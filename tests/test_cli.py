@@ -685,3 +685,40 @@ def test_report_records_numerical_fault_per_stage(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "limit: numerical fault: limit: imaginary residue" in err
     assert "mixing: numerical fault: limit: imaginary residue" in err
+
+
+def run_outputs(tmp_path, argv, threads):
+    """Every output file of a child-process run with BLAS/OpenMP pools at the
+    given size, by relative path; manifests without their output path."""
+    out = tmp_path / f"{argv[0]}-{threads}"
+    package_root = str(Path(crystalstat.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    env.pop("CRYSTALSTAT_SEED", None)
+    done = subprocess.run([sys.executable, "-m", "crystalstat"] + argv + ["--output", str(out)],
+                          capture_output=True, text=True, env=env)
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            assert manifest["config"].pop("output").startswith(str(out))
+            data = manifest
+        files[str(path.relative_to(out))] = data
+    return done.returncode, files
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--nn", "d=2", "n=2", "m=1,2", "--L", "16"],
+    ["clt", "--nn", "d=1", "n=1", "m=1", "--L", "64", "--ensemble", "1000", "--t", "20",
+     "--seed", "3"],
+], ids=["report", "clt"])
+def test_outputs_do_not_depend_on_thread_count(tmp_path, argv):
+    counts = sorted({1, min(2, os.cpu_count() or 1)})
+    if len(counts) < 2:
+        pytest.skip("one CPU: a single thread count to compare")
+    (code1, files1), (code2, files2) = (run_outputs(tmp_path, argv, c) for c in counts)
+    assert code1 == code2 and code1 in (0, 3)
+    assert files1 and files1 == files2

@@ -25,6 +25,9 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
+from crystalstat import dynamics
+from crystalstat._lattice import eigen_compose
+from crystalstat.covariance import _unexcluded_matrix
 from crystalstat.spectral import check_ES
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -307,3 +310,57 @@ def test_gibbs_density_is_stationary(grid64, d, n, kernel_range, kernel_seed, t,
     for other in (evolve_density(gibbs, grid, t), limit_density(gibbs, grid)):
         gap = np.abs(other.matrix[keep] - gibbs.matrix[keep])
         assert float(gap.max()) <= 1e-10 * _scale(gibbs)
+
+
+# ------------------------------------------------- support-restricted mixing
+# mixing_integral reads only the rows of Ghat and the columns of the limit
+# that its test fields reach; the oracles below build the full Ghat(t) and
+# sum over every component.
+
+def full_propagator(grid, t):
+    """Ghat(t) with all 2n rows, from the three composed factors."""
+    n = grid.n
+    c, s, ns = dynamics._rotation_factors(grid.omega, t)
+    C = eigen_compose(grid.basis, c)
+    G = np.empty(C.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    G[..., :n, :n] = C
+    G[..., :n, n:] = eigen_compose(grid.basis, s)
+    G[..., n:, :n] = eigen_compose(grid.basis, ns)
+    G[..., n:, n:] = C
+    return G
+
+
+def full_mixing_integral(limit, grid, G, psi1, psi2):
+    p1 = psi1.fourier(grid.L)
+    p2 = psi2.fourier(grid.L)
+    matrix, _ = _unexcluded_matrix(limit)
+    integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1), G, matrix, p2)
+    return float(complex(integrand.sum() / float(grid.L) ** grid.d).real)
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
+       density_seed=st.integers(0, 2**32 - 1))
+def test_mixing_integral_equals_the_full_propagator_sum(d, n, kernel_range, kernel_seed,
+                                                        density_seed):
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    limit = limit_density(_random_density(d, n, grid.L, density_seed), grid)
+    rng = np.random.default_rng(density_seed)
+    off = tuple(int(c) for c in rng.integers(-5, 6, d))
+    deltas = [TestField.delta(d, n, component=c, site=site)
+              for c in range(2 * n) for site in ((0,) * d, off)]
+    spread = TestField(sites=rng.integers(-4, 5, (3, d)),
+                       values=rng.standard_normal((3, 2 * n)))
+    zero = TestField(sites=[(0,) * d], values=np.zeros((1, 2 * n)))
+    for t in (0.0, 10.0):
+        G = full_propagator(grid, t)
+        np.testing.assert_array_equal(dynamics._propagator_grid_matrix(grid, t), G)
+        for rows in (slice(0, 1), slice(n - 1, n + 1), slice(n, 2 * n), slice(0, 0)):
+            np.testing.assert_array_equal(
+                dynamics._propagator_grid_matrix(grid, t, rows), G[..., rows, :])
+        pairs = [(a, b) for a in deltas for b in (a, spread)]
+        pairs += [(spread, a) for a in deltas + [spread, zero]] + [(zero, spread)]
+        for psi1, psi2 in pairs:
+            assert (mixing_integral(limit, grid, psi1, psi2, t)
+                    == full_mixing_integral(limit, grid, G, psi1, psi2))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from crystalstat import spectral
 from crystalstat import (
     InteractionKernel,
     build_nn_kernel,
-    branch_derivatives,
     check_E4_E5,
     check_ES,
     critical_set_scan,
@@ -73,26 +73,65 @@ def test_grid_eigendata_diagonalizes_symbol():
         np.testing.assert_allclose(B.conj().T @ V @ B, np.diag(omega**2), atol=1e-10)
 
 
+def tree_walk_labels(B):
+    """Branch labels from one exact assignment per spanning-tree edge, node by
+    node: x takes its labels from x - e_a, a the last axis with x_a != 0."""
+    shape, n = B.shape[:-2], B.shape[-1]
+    L, size = shape[0], int(np.prod(shape))
+    flat_B = B.reshape(-1, n, n)
+    labels = np.empty((size, n), dtype=np.int64)
+    labels[0] = np.arange(n)
+    for x in range(1, size):
+        step = 1
+        while x % (step * L) == 0:
+            step *= L
+        parent = x - step
+        overlap = np.abs(flat_B[x].conj().T @ flat_B[parent])
+        rows, cols = linear_sum_assignment(-overlap)
+        perm = np.empty(n, dtype=np.int64)
+        perm[cols] = rows
+        labels[x] = perm[labels[parent]]
+    return labels.reshape(shape + (n,))
+
+
 @settings(max_examples=12, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([2, 3]),
        seed=st.integers(0, 2**16))
 @example(d=2, n=2, seed=17)
+@example(d=3, n=3, seed=5)
+@example(d=1, n=5, seed=3)  # beyond the scored sizes: every edge is assigned
 def test_continuation_matches_one_edge_per_node(d, n, seed):
-    # branch labels follow a spanning tree of the grid: L^d - 1 matched edges
+    # batched branch matching gives the labels of the per-edge tree walk
     k = random_finite_range_kernel(d, n, 1, seed)
-    match = spectral._edge_permutation
+    g = dispersion_grid(k, 16)
+    np.testing.assert_array_equal(g.labels, tree_walk_labels(g.basis))
+    rows = g.labels.reshape(-1, n)
+    np.testing.assert_array_equal(np.sort(rows, axis=-1),
+                                  np.broadcast_to(np.arange(n), rows.shape))
+
+
+def test_continuation_sends_exact_ties_to_the_assignment_solver():
+    # a 2-branch basis that alternates between the identity and a 45-degree
+    # rotation on some edges: every overlap there is 1/sqrt(2), so both
+    # permutations score sqrt(2) and only the assignment solver can decide
+    L = 16
+    rotated = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    pattern = np.array([0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0])
+    B = np.where(pattern[:, None, None] == 1, rotated, np.eye(2)).astype(complex)
+    B = np.broadcast_to(B[:, None], (L, L, 2, 2)).copy()
     calls = []
+    match = spectral._edge_permutation
 
     def counting(B_here, B_next):
         calls.append(1)
         return match(B_here, B_next)
 
     with mock.patch.object(spectral, "_edge_permutation", counting):
-        g = dispersion_grid(k, 16)
-    assert len(calls) == 16**d - 1
-    rows = g.labels.reshape(-1, n)
-    np.testing.assert_array_equal(np.sort(rows, axis=-1),
-                                  np.broadcast_to(np.arange(n), rows.shape))
+        labels = spectral._branch_labels(B)
+    # edges along axis 0 change basis where the pattern switches; the axis-1
+    # edges join equal bases and are decided by their scores alone
+    assert len(calls) == int(np.count_nonzero(np.diff(pattern)))
+    np.testing.assert_array_equal(labels, tree_walk_labels(B))
 
 
 def test_gradient_peak_approaches_continuum_speed(nn1):
@@ -105,20 +144,19 @@ def test_gradient_peak_approaches_continuum_speed(nn1):
     assert abs(theta_peak - THETA_INFLECTION) < 0.01
 
 
-def test_branch_derivatives_against_analytic(grid256):
-    node, h = (17,), 2.0 * np.pi / 256
-    theta = 2.0 * np.pi * 17 / 256
-    grad, hess, det = branch_derivatives(grid256, node, 0)
+def test_branch_calculus_against_analytic(grid256):
+    node, k, h = 17, 0, 2.0 * np.pi / 256
+    theta = 2.0 * np.pi * node / 256
+    assert not grid256.crossing[node]
+    grad = grid256.branch_gradients[node, k]
+    hess = grid256.branch_hessians[node, k]
+    det = grid256.hessian_determinants[node, k]
     dw = np.sin(theta) / chain_omega(theta)
     d2w = (np.cos(theta) - dw * dw) / chain_omega(theta)
+    assert grad.shape == (1,) and hess.shape == (1, 1)
     assert abs(grad[0] - dw) < h * h
     assert abs(hess[0, 0] - d2w) < h * h * 10
     assert abs(det - d2w) < h * h * 10
-
-
-def test_branch_index_validation(grid256):
-    with pytest.raises(ValueError, match="out of range"):
-        branch_derivatives(grid256, (3,), 1)
 
 
 def test_crossing_kernel_flags_and_guard():
@@ -137,10 +175,6 @@ def test_crossing_kernel_flags_and_guard():
     angles = 2.0 * np.pi * flagged / 256
     angles = np.minimum(angles, 2.0 * np.pi - angles)
     assert np.all(np.abs(angles - theta_cross) < 0.2)
-    with pytest.raises(ValueError, match="crossing"):
-        branch_derivatives(g, (int(flagged[0]),), 0)
-    grad, _, _ = branch_derivatives(g, (10,), 0)
-    assert grad.shape == (1,)
 
 
 def test_grid_crossing_flags_reach_scan_and_cutoff():
