@@ -9,6 +9,12 @@ With this convention a lattice convolution (K * a)(x) = sum_y K(x - y) a(y)
 becomes nodewise multiplication by the symbol Khat(theta) = sum_z K(z) e^{i z.theta}.
 Arrays carry the d grid axes first; component axes trail.  An ensemble of
 fields is one array (S, *grid, 2n) with a leading sample axis.
+
+Inside a streamed chunk the sampler, the transform and the propagator keep a
+private component-major layout (S, 2n, *grid): each component of each sample
+is one contiguous grid block, the FFTs run over the trailing axes 2..d+1, and
+the nodewise matrices they apply are moved to (2n, 2n, *grid) or (n, n,
+*grid) C-contiguous copies.  :func:`moved_axes` converts between the layouts.
 """
 
 from __future__ import annotations
@@ -55,9 +61,23 @@ def check_ensemble(Y) -> tuple:
         raise ValueError(f"grid axes must have equal lengths, got {grid}")
     if Y.shape[-1] % 2:
         raise ValueError("component axis must hold 2n entries (u block, then v block)")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("field values must be finite")
+    require_finite(Y)
     return Y, grid[0], len(grid), Y.shape[-1] // 2
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise unless every value of the field array a is finite."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("field values must be finite")
+
+
+def moved_axes(a: np.ndarray, source, destination) -> np.ndarray:
+    """C-contiguous copy of a with axes moved as by np.moveaxis.
+
+    The copy matters: einsum's summation order, and so its last bits, can
+    depend on the strides of its operands, and a strided view is slower.
+    """
+    return np.ascontiguousarray(np.moveaxis(a, source, destination))
 
 
 def eigen_compose(basis: np.ndarray, values: np.ndarray,

@@ -196,6 +196,8 @@ def _effective_config(args, command: str) -> dict:
         eff["kernel"] = cfg["kernel"]
     else:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
+    if eff["kernel"]["type"] == "random":
+        _require_seed(int(eff["kernel"].get("seed", 0)))
 
     eff["L"] = args.L if args.L is not None else int(cfg.get("L", 256))
     eff["grid_L"] = (args.grid_L if getattr(args, "grid_L", None) is not None
@@ -214,7 +216,13 @@ def _effective_config(args, command: str) -> dict:
         measure = {"type": "file", "path": args.measure_file}
     elif "measure" in cfg:
         measure = cfg["measure"]
-    eff["measure"] = _transformed(measure, getattr(args, "transform", None))
+        if measure["type"] == "transformed":
+            _checked_amplitudes(measure.get("a0", 1.0), measure.get("a1", 1.0))
+    transform = _transform_amplitudes(getattr(args, "transform", None))
+    if transform is not None and measure is None and command != "report":
+        raise UsageError("--transform needs a measure "
+                         "(--triangular/--white/--measure-file or config)")
+    eff["measure"] = _transformed(measure, transform)
 
     if getattr(args, "t", None) is not None:
         eff["times"] = [float(args.t)]
@@ -239,6 +247,7 @@ def _effective_config(args, command: str) -> dict:
             raise UsageError("CRYSTALSTAT_SEED must be an integer")
     else:
         eff["seed"] = int(cfg.get("seed", 0))
+    _require_seed(eff["seed"])
 
     thr = dict(cfg.get("thresholds", {}))
     eff["thresholds"] = {
@@ -260,13 +269,36 @@ def _effective_config(args, command: str) -> dict:
     return eff
 
 
-def _transformed(measure, tokens):
-    """Wrap a measure spec in the bounded transform of --transform tokens, if any."""
-    if measure is None or tokens is None:
-        return measure
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _transform_amplitudes(tokens):
+    """(a0, a1) of --transform tokens; None without tokens."""
+    if tokens is None:
+        return None
     kv = _parse_kv(tokens, "transform", {"a0": float, "a1": float})
-    return {"type": "transformed", "base": measure,
-            "a0": kv.get("a0", 1.0), "a1": kv.get("a1", 1.0)}
+    return _checked_amplitudes(kv.get("a0", 1.0), kv.get("a1", 1.0))
+
+
+def _checked_amplitudes(a0, a1):
+    """(a0, a1) as floats once both are finite and positive."""
+    try:
+        amplitudes = (float(a0), float(a1))
+    except (TypeError, ValueError):
+        raise UsageError(f"transform amplitudes must be numbers, got a0={a0!r} a1={a1!r}")
+    if not all(0.0 < a < math.inf for a in amplitudes):
+        raise UsageError("transform amplitudes must be finite and positive, "
+                         f"got a0={amplitudes[0]} a1={amplitudes[1]}")
+    return amplitudes
+
+
+def _transformed(measure, amplitudes):
+    """Wrap a measure spec in the bounded transform with amplitudes (a0, a1), if any."""
+    if measure is None or amplitudes is None:
+        return measure
+    return {"type": "transformed", "base": measure, "a0": amplitudes[0], "a1": amplitudes[1]}
 
 
 class _Run:
@@ -777,6 +809,9 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
     """Dispersion, critical, limit and mixing into subdirectories, on one kernel,
     grid, measure and limit; white noise T0=1 T1=1 stands in for a missing
     measure."""
+    # the tokens were checked with the config, before the output directory existed
+    measure = (run.eff["measure"]
+               or _transformed(_WHITE_NOISE, _transform_amplitudes(transform)))
     stages = {}
     for name, body, options in (
         ("dispersion", _cmd_dispersion, {}),
@@ -788,8 +823,6 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
     ):
         stage_dir = run.outdir / name
         try:
-            # inside the try: a bad --transform token is each stage's usage error
-            measure = run.eff["measure"] or _transformed(_WHITE_NOISE, transform)
             stages[name] = _stage(body, dict(run.eff, command=name, output=str(stage_dir),
                                              measure=measure), run.memo, options)
         except ConditionFailure as exc:

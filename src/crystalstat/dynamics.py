@@ -23,6 +23,7 @@ from ._lattice import (
     eigen_compose,
     forward_fft,
     inverse_fft,
+    moved_axes,
     real_part_checked,
 )
 from .kernel import InteractionKernel
@@ -55,20 +56,6 @@ def _rotation_factors(omega: np.ndarray, t: float):
     return c, s, ns
 
 
-def _apply_rotation(grid: DispersionGrid, t: float, yhat: np.ndarray) -> np.ndarray:
-    """Rotate a Fourier ensemble (S, *grid, 2n) by Ghat(t) nodewise."""
-    n = grid.n
-    B = grid.basis
-    Bh = np.conj(np.swapaxes(B, -1, -2))
-    c, s, ns = _rotation_factors(grid.omega, t)
-    a = np.einsum("...kj,...j->...k", Bh, yhat[..., :n])
-    b = np.einsum("...kj,...j->...k", Bh, yhat[..., n:])
-    out = np.empty_like(yhat)
-    out[..., :n] = np.einsum("...jk,...k->...j", B, c * a + s * b)
-    out[..., n:] = np.einsum("...jk,...k->...j", B, ns * a + c * b)
-    return out
-
-
 def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
     """Propagate an ensemble array (S, *grid, 2n) by time t through the spectral solver.
 
@@ -78,9 +65,24 @@ def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
     """
     Y, L, d, n = check_ensemble(Y)
     _require_match(grid, L, d, n, what="field")
-    axes = tuple(range(1, d + 1))
-    yhat = _apply_rotation(grid, float(t), forward_fft(Y, axes))
-    return real_part_checked(inverse_fft(yhat, axes), _IMAG_TOL, "evolve_ensemble")
+    return moved_axes(_evolve_chunk(moved_axes(Y, -1, 1), grid, t), 1, -1)
+
+
+def _evolve_chunk(Z: np.ndarray, grid: DispersionGrid, t: float) -> np.ndarray:
+    """:func:`evolve_ensemble` on a component-major chunk (S, 2n, *grid) that
+    lives on the grid: Ghat(t) applied nodewise in the symbol eigenbasis."""
+    n = grid.n
+    axes = tuple(range(2, grid.d + 2))
+    zhat = forward_fft(Z, axes)
+    B = moved_axes(grid.basis, (-2, -1), (0, 1))
+    Bh = moved_axes(B.conj(), 1, 0)
+    c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
+    a = np.einsum("kj...,sj...->sk...", Bh, zhat[:, :n])
+    b = np.einsum("kj...,sj...->sk...", Bh, zhat[:, n:])
+    out = np.empty_like(zhat)
+    out[:, :n] = np.einsum("jk...,sk...->sj...", B, c * a + s * b)
+    out[:, n:] = np.einsum("jk...,sk...->sj...", B, ns * a + c * b)
+    return real_part_checked(inverse_fft(out, axes), _IMAG_TOL, "evolve_ensemble")
 
 
 def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> np.ndarray:

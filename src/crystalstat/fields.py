@@ -10,7 +10,9 @@ What(-theta) = conj(What(theta)), including the self-conjugate nodes.
 
 Samplers and transforms work on whole ensembles: one float array of shape
 (S, *grid, 2n) whose leading axis indexes samples and whose trailing axis holds
-the u components followed by the v components.
+the u components followed by the v components.  Their bodies run on the
+private component-major chunk (S, 2n, *grid) that stats.stream_ensemble keeps
+from the draw to the evolved field; the public functions transpose in and out.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ._lattice import (
     eigen_compose,
     forward_fft,
     inverse_fft,
+    moved_axes,
     phase_grid,
     real_part_checked,
     theta_axis,
@@ -159,12 +162,20 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
+    return moved_axes(_gaussian_chunk(density, count, seed, start_index), 1, -1)
+
+
+def _gaussian_chunk(density: SpectralDensity, count: int, seed: int,
+                    start_index: int) -> np.ndarray:
+    """The samples of :func:`gaussian_ensemble` as a component-major chunk
+    (count, 2n, *grid): white noise coloured in Fourier space by the
+    nodewise Hermitian square root."""
     L, d, n = density.L, density.d, density.n
-    R = density.hermitian_sqrt()
+    R = moved_axes(density.hermitian_sqrt(), (-2, -1), (0, 1))
     W = _white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
-    axes = tuple(range(1, d + 1))
-    yhat = np.einsum("...ij,s...j->s...i", R, forward_fft(W, axes))
-    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "gaussian_ensemble")
+    axes = tuple(range(2, d + 2))
+    zhat = np.einsum("ij...,sj...->si...", R, forward_fft(moved_axes(W, -1, 1), axes))
+    return real_part_checked(inverse_fft(zhat, axes), 1e-6, "gaussian_ensemble")
 
 
 def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
@@ -173,11 +184,17 @@ def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
     Displacements use amplitude a0, velocities a1.  The transform preserves
     translation invariance and zero mean while destroying gaussianity.
     """
-    if a0 <= 0 or a1 <= 0:
-        raise ValueError("transform amplitudes must be positive")
-    Y, _, _, n = check_ensemble(Y)
-    amplitude = np.repeat([float(a0), float(a1)], n)
-    return amplitude * np.tanh(Y / amplitude)
+    Y, _, _, _ = check_ensemble(Y)
+    return moved_axes(_transform_chunk(moved_axes(Y, -1, 1), a0, a1), 1, -1)
+
+
+def _transform_chunk(Z: np.ndarray, a0: float, a1: float) -> np.ndarray:
+    """:func:`nonlinear_transform_sample` on a component-major chunk (S, 2n, *grid)."""
+    if not (0.0 < a0 < np.inf and 0.0 < a1 < np.inf):
+        raise ValueError("transform amplitudes must be finite and positive")
+    n = Z.shape[1] // 2
+    amplitude = np.repeat([float(a0), float(a1)], n).reshape((2 * n,) + (1,) * (Z.ndim - 2))
+    return amplitude * np.tanh(Z / amplitude)
 
 
 def density_from_covariance(cov: dict, L: int,

@@ -10,6 +10,9 @@ reduction (covariance_products, then covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
+A chunk stays in the private component-major layout (S, 2n, *grid) from the
+draw to the evolved field, and is transposed to (S, *grid, 2n) only for the
+statistics.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import check_ensemble, minimal_image
+from ._lattice import check_ensemble, minimal_image, moved_axes, require_finite
 from .covariance import quadratic_form
-from .dynamics import evolve_ensemble
-from .fields import gaussian_ensemble, nonlinear_transform_sample
+from .dynamics import _evolve_chunk
+from .fields import _gaussian_chunk, _transform_chunk
+from .spectral import _require_match
 
 __all__ = [
     "EnsembleSummary",
@@ -54,9 +58,9 @@ MIN_SAMPLES = {
     "the characteristic functional": 1000,
 }
 
-# Bytes of one complex copy of a chunk, (chunk, *grid, 2n) complex128, that
+# Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
 # stream_ensemble aims for; its working set is a few such copies.
-CHUNK_BYTES = 8 * 2**20
+CHUNK_BYTES = 4 * 2**20
 
 
 def _require_samples(count: int, purpose: str) -> None:
@@ -70,27 +74,34 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
                     purpose: str, transform=None) -> tuple:
     """Per-sample statistics of count samples, drawn and evolved chunk by chunk.
 
-    Each chunk of consecutive sample indices is drawn by gaussian_ensemble at
-    its start index, mapped by nonlinear_transform_sample when transform is
-    (a0, a1), and evolved to time t by evolve_ensemble on the dispersion grid.
-    statistics(Y0, Yt) maps the chunk's initial and evolved arrays to a tuple
-    of arrays with a leading sample axis; only these are kept, and each is
+    Each chunk of consecutive sample indices holds the samples that
+    gaussian_ensemble draws at its start index, mapped as by
+    nonlinear_transform_sample when transform is (a0, a1), and evolved to
+    time t as by evolve_ensemble on the dispersion grid; the chunk runs these
+    steps in the component-major layout.  statistics(Y0, Yt) maps the
+    chunk's initial and evolved arrays (S, *grid, 2n) to a tuple of arrays
+    with a leading sample axis; only these are kept, and each is
     concatenated over the chunks.  Since every step treats samples
     independently, the result does not depend on the chunk size, while peak
     memory does not grow with count.  The count is checked against the
-    estimator that will consume the result (purpose, a key of MIN_SAMPLES)
-    before the first draw.
+    estimator that will consume the result (purpose, a key of MIN_SAMPLES),
+    and the density against the grid, before the first draw.
     """
     if count < 1:
         raise ValueError("count must be positive")
     _require_samples(count, purpose)
-    size = max(1, CHUNK_BYTES // (16 * density.L**density.d * 2 * density.n))
+    L, d, n = density.L, density.d, density.n
+    _require_match(grid, L, d, n, what="field")
+    size = max(1, CHUNK_BYTES // (16 * L**d * 2 * n))
     parts = []
     for start in range(0, count, size):
-        Y = gaussian_ensemble(density, min(size, count - start), seed, start_index=start)
+        Z0 = _gaussian_chunk(density, min(size, count - start), seed, start)
         if transform is not None:
-            Y = nonlinear_transform_sample(Y, *transform)
-        parts.append(statistics(Y, evolve_ensemble(Y, grid, t)))
+            require_finite(Z0)
+            Z0 = _transform_chunk(Z0, *transform)
+        require_finite(Z0)
+        Zt = _evolve_chunk(Z0, grid, t)
+        parts.append(statistics(moved_axes(Z0, 1, -1), moved_axes(Zt, 1, -1)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

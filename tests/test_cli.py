@@ -16,6 +16,7 @@ import pytest
 import crystalstat
 import crystalstat.cli as cli
 import crystalstat.dynamics as dynamics
+import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat._lattice import NumericalFault
 from crystalstat.cli import main
@@ -262,6 +263,85 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
     code = main(["dispersion"] + nn_args(L=32) + ["--output", str(tmp_path / "o")])
     assert code == 1
     assert "CRYSTALSTAT_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config", "random", "kernel spec"])
+def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsys, source):
+    argv = ["clt"] + nn_args(L=32) + ["--ensemble", "1000", "--t", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("CRYSTALSTAT_SEED", "-1")
+    elif source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    elif source == "random":
+        argv = ["dispersion", "--random", "d=1", "n=1", "seed=-1", "--L", "32"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": {"type": "random", "d": 1, "n": 1, "seed": -1},
+                                   "L": 32}))
+        argv = ["dispersion", "--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "ensemble", "limit", "clt", "mixing"])
+def test_transform_without_measure_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command] + nn_args(L=32) + ["--transform", "a0=2",
+                                             "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --transform needs a measure "
+        "(--triangular/--white/--measure-file or config)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["clt", "mixing", "report"])
+def test_bad_transform_token_is_usage_error_before_output(tmp_path, capsys, command):
+    # with or without a measure, the tokens are parsed before anything runs
+    for measure in ([], ["--triangular", "nu0=2"]):
+        out = tmp_path / f"o{len(measure)}"
+        assert main([command] + nn_args(L=32) + measure + [
+            "--transform", "bogus", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --transform expects key=value tokens, got 'bogus'\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("tokens, shown", [
+    (["a0=inf"], "a0=inf a1=1.0"),
+    (["a1=nan"], "a0=1.0 a1=nan"),
+    (["a0=0"], "a0=0.0 a1=1.0"),
+    (["a0=2", "a1=-1"], "a0=2.0 a1=-1.0"),
+])
+@pytest.mark.parametrize("command", ["ensemble", "clt", "report"])
+def test_transform_amplitudes_must_be_finite_and_positive(tmp_path, capsys, command,
+                                                          tokens, shown):
+    out = tmp_path / "o"
+    assert main([command] + nn_args(L=32) + ["--triangular", "nu0=2", "--transform"]
+                + tokens + ["--ensemble", "1000", "--t", "2", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: transform amplitudes must be finite and positive, got {shown}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a0, message", [
+    (-1.0, "transform amplitudes must be finite and positive, got a0=-1.0 a1=1.0"),
+    ("wide", "transform amplitudes must be numbers, got a0='wide' a1=1.0"),
+])
+def test_config_transform_amplitudes_are_checked(tmp_path, capsys, a0, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": {
+        "type": "transformed", "base": {"type": "triangular", "nu0": 2}, "a0": a0}}))
+    out = tmp_path / "o"
+    assert main(["clt"] + nn_args(L=32) + ["--config", str(cfg), "--ensemble", "1000",
+                                           "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_ensemble_gates_and_determinism(tmp_path):
@@ -623,12 +703,8 @@ def test_console_script_exit_codes(tmp_path):
 def test_small_ensemble_fails_before_the_first_draw(tmp_path, monkeypatch, capsys,
                                                     command, count, message):
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return crystalstat.gaussian_ensemble(*args, **kwargs)
-
-    monkeypatch.setattr(stats, "gaussian_ensemble", counting)
+    monkeypatch.setattr(fields, "_white_noise_draws",
+                        counting(calls, fields._white_noise_draws))
     measure = ["--white", "T0=1", "T1=1"] if command == "ensemble" else []
     code = main([command] + nn_args(L=16) + measure + [
         "--ensemble", str(count), "--t", "2", "--output", str(tmp_path / "o")])
@@ -714,7 +790,10 @@ def run_outputs(tmp_path, argv, threads):
     ["report", "--nn", "d=2", "n=2", "m=1,2", "--L", "16"],
     ["clt", "--nn", "d=1", "n=1", "m=1", "--L", "64", "--ensemble", "1000", "--t", "20",
      "--seed", "3"],
-], ids=["report", "clt"])
+    # multi-axis FFTs and 2 x 2 nodewise einsums of the sampler and the propagator
+    ["ensemble", "--nn", "d=2", "n=2", "m=1,2", "--L", "16", "--white", "T0=1", "T1=2",
+     "--transform", "a0=1", "a1=2", "--ensemble", "200", "--t", "3", "--seed", "3"],
+], ids=["report", "clt", "ensemble"])
 def test_outputs_do_not_depend_on_thread_count(tmp_path, argv):
     counts = sorted({1, min(2, os.cpu_count() or 1)})
     if len(counts) < 2:
