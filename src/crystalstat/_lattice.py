@@ -7,14 +7,13 @@ Fourier convention used throughout the package:
 
 With this convention a lattice convolution (K * a)(x) = sum_y K(x - y) a(y)
 becomes nodewise multiplication by the symbol Khat(theta) = sum_z K(z) e^{i z.theta}.
-Arrays carry the d grid axes first; component axes trail.  An ensemble of
-fields is one array (S, *grid, 2n) with a leading sample axis.
-
-Inside a streamed chunk the sampler, the transform and the propagator keep a
-private component-major layout (S, 2n, *grid): each component of each sample
-is one contiguous grid block, the FFTs run over the trailing axes 2..d+1, and
-the nodewise matrices they apply are moved to (2n, 2n, *grid) or (n, n,
-*grid) C-contiguous copies.  :func:`moved_axes` converts between the layouts.
+Nodewise matrices (densities, symbols, eigenbases) carry the d grid axes
+first and their component axes last.  An ensemble of fields is one array
+(S, 2n, *grid), component-major: a leading sample axis, then the u
+components followed by the v components, each one contiguous grid block, so
+that the FFTs run over the trailing axes 2..d+1.  The nodewise matrices that
+act on an ensemble are moved to (2n, 2n, *grid) or (n, n, *grid)
+C-contiguous copies by :func:`moved_axes`.
 """
 
 from __future__ import annotations
@@ -46,29 +45,24 @@ def inverse_fft(ahat: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 def check_ensemble(Y) -> tuple:
-    """Validate an ensemble array (S, *grid, 2n); return (Y, L, d, n).
+    """Validate an ensemble array (S, 2n, *grid); return (Y, L, d, n).
 
-    Samples run along the leading axis and components along the trailing one,
+    Samples run along the leading axis and components along the next one,
     u components first, then v.  The array comes back C-contiguous float.
     """
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim < 3:
-        raise ValueError("ensemble needs a sample axis, grid axes and a component axis")
+        raise ValueError("ensemble needs a sample axis, a component axis and grid axes")
     if Y.shape[0] < 1:
         raise ValueError("empty ensemble")
-    grid = Y.shape[1:-1]
+    grid = Y.shape[2:]
     if any(g != grid[0] for g in grid):
         raise ValueError(f"grid axes must have equal lengths, got {grid}")
-    if Y.shape[-1] % 2:
+    if Y.shape[1] % 2:
         raise ValueError("component axis must hold 2n entries (u block, then v block)")
-    require_finite(Y)
-    return Y, grid[0], len(grid), Y.shape[-1] // 2
-
-
-def require_finite(a: np.ndarray) -> None:
-    """Raise unless every value of the field array a is finite."""
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(Y)):
         raise ValueError("field values must be finite")
+    return Y, grid[0], len(grid), Y.shape[1] // 2
 
 
 def moved_axes(a: np.ndarray, source, destination) -> np.ndarray:

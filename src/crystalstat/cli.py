@@ -152,7 +152,9 @@ def _load_config(path: str) -> dict:
     if "measure" in doc:
         spec = _check_spec(doc["measure"], _MEASURE_KEYS, "measure")
         if spec["type"] == "transformed":
-            _check_spec(spec.get("base", {}), _MEASURE_KEYS, "measure")
+            base = _check_spec(spec.get("base", {}), _MEASURE_KEYS, "measure")
+            if base["type"] == "transformed":
+                raise UsageError("a transformed measure's base cannot itself be transformed")
     return doc
 
 
@@ -222,6 +224,9 @@ def _effective_config(args, command: str) -> dict:
     if transform is not None and measure is None and command != "report":
         raise UsageError("--transform needs a measure "
                          "(--triangular/--white/--measure-file or config)")
+    if transform is not None and measure is not None and measure["type"] == "transformed":
+        raise UsageError("--transform cannot wrap the config's transformed measure; "
+                         "set its a0 and a1 instead")
     eff["measure"] = _transformed(measure, transform)
 
     if getattr(args, "t", None) is not None:

@@ -57,23 +57,17 @@ def _rotation_factors(omega: np.ndarray, t: float):
 
 
 def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
-    """Propagate an ensemble array (S, *grid, 2n) by time t through the spectral solver.
+    """Propagate an ensemble array (S, 2n, *grid) by time t through the spectral solver.
 
-    The field must live on the dispersion grid (same L, d and n).  All
-    samples share the grid's diagonalization and batched FFTs; each sample's
-    result does not depend on the others.
+    The field must live on the dispersion grid (same L, d and n).  Ghat(t) is
+    applied nodewise in the symbol eigenbasis; all samples share the grid's
+    diagonalization and batched FFTs, and each sample's result does not
+    depend on the others.
     """
     Y, L, d, n = check_ensemble(Y)
     _require_match(grid, L, d, n, what="field")
-    return moved_axes(_evolve_chunk(moved_axes(Y, -1, 1), grid, t), 1, -1)
-
-
-def _evolve_chunk(Z: np.ndarray, grid: DispersionGrid, t: float) -> np.ndarray:
-    """:func:`evolve_ensemble` on a component-major chunk (S, 2n, *grid) that
-    lives on the grid: Ghat(t) applied nodewise in the symbol eigenbasis."""
-    n = grid.n
-    axes = tuple(range(2, grid.d + 2))
-    zhat = forward_fft(Z, axes)
+    axes = tuple(range(2, d + 2))
+    zhat = forward_fft(Y, axes)
     B = moved_axes(grid.basis, (-2, -1), (0, 1))
     Bh = moved_axes(B.conj(), 1, 0)
     c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
@@ -88,7 +82,7 @@ def _evolve_chunk(Z: np.ndarray, grid: DispersionGrid, t: float) -> np.ndarray:
 def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> np.ndarray:
     """Classical RK4 integration of u' = v, v' = -V * u in real space.
 
-    Takes and returns an ensemble array (S, *grid, 2n).  Independent of the
+    Takes and returns an ensemble array (S, 2n, *grid).  Independent of the
     Fourier route: the force is evaluated by direct periodic convolution with
     the kernel stencil.  dt must satisfy dt <= 0.1 / omega_max.
     """
@@ -103,7 +97,7 @@ def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> n
         )
     steps = max(1, int(math.ceil(abs(t) / dt)))
     h = float(t) / steps
-    u, v = Y[..., :kernel.n], Y[..., kernel.n:]
+    u, v = Y[:, :kernel.n], Y[:, kernel.n:]
     force = lambda uu: -kernel.convolve(uu)
     for _ in range(steps):
         k1u, k1v = v, force(u)
@@ -112,7 +106,7 @@ def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> n
         k4u, k4v = v + h * k3v, force(u + h * k3u)
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return np.concatenate([u, v], axis=-1)
+    return np.concatenate([u, v], axis=1)
 
 
 def _propagator_grid_matrix(grid: DispersionGrid, t: float,
@@ -226,6 +220,6 @@ def hamiltonian(Y, kernel: InteractionKernel) -> np.ndarray:
     """Per-sample energy 0.5 sum |v|^2 + 0.5 sum u . (V * u), shape (S,);
     conserved by :func:`evolve_ensemble`."""
     Y, _ = _check_field(Y, kernel)
-    u, v = Y[..., :kernel.n], Y[..., kernel.n:]
+    u, v = Y[:, :kernel.n], Y[:, kernel.n:]
     axes = tuple(range(1, Y.ndim))
     return 0.5 * np.sum(v**2, axis=axes) + 0.5 * np.sum(u * kernel.convolve(u), axis=axes)

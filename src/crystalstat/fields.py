@@ -9,10 +9,8 @@ white noise drawn in real space carries the exact conjugate pairing
 What(-theta) = conj(What(theta)), including the self-conjugate nodes.
 
 Samplers and transforms work on whole ensembles: one float array of shape
-(S, *grid, 2n) whose leading axis indexes samples and whose trailing axis holds
-the u components followed by the v components.  Their bodies run on the
-private component-major chunk (S, 2n, *grid) that stats.stream_ensemble keeps
-from the draw to the evolved field; the public functions transpose in and out.
+(S, 2n, *grid) whose leading axis indexes samples and whose second axis holds
+the u components followed by the v components, each a contiguous grid block.
 """
 
 from __future__ import annotations
@@ -144,7 +142,8 @@ def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> Spectra
 
 
 def _white_noise_draws(L: int, d: int, n: int, seed: int, indices) -> np.ndarray:
-    """Stacked standard-normal fields, one generator per (seed, sample index)."""
+    """Stacked standard-normal fields, one generator per (seed, sample index),
+    shape (S, *grid, 2n): each generator fills its sample in this order."""
     out = np.empty((len(indices),) + (L,) * d + (2 * n,))
     for row, index in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -156,20 +155,13 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
                       start_index: int = 0) -> np.ndarray:
     """count iid Gaussian samples drawn at sample indices start_index, ...
 
-    Returns the ensemble array (count, *grid, 2n).  Each sample is
+    Returns the ensemble array (count, 2n, *grid): white noise coloured in
+    Fourier space by the nodewise Hermitian square root.  Each sample is
     deterministic per (seed, index) and independent of generation order, so
     consecutive index blocks concatenate to the array of the whole range.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    return moved_axes(_gaussian_chunk(density, count, seed, start_index), 1, -1)
-
-
-def _gaussian_chunk(density: SpectralDensity, count: int, seed: int,
-                    start_index: int) -> np.ndarray:
-    """The samples of :func:`gaussian_ensemble` as a component-major chunk
-    (count, 2n, *grid): white noise coloured in Fourier space by the
-    nodewise Hermitian square root."""
     L, d, n = density.L, density.d, density.n
     R = moved_axes(density.hermitian_sqrt(), (-2, -1), (0, 1))
     W = _white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
@@ -184,17 +176,11 @@ def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
     Displacements use amplitude a0, velocities a1.  The transform preserves
     translation invariance and zero mean while destroying gaussianity.
     """
-    Y, _, _, _ = check_ensemble(Y)
-    return moved_axes(_transform_chunk(moved_axes(Y, -1, 1), a0, a1), 1, -1)
-
-
-def _transform_chunk(Z: np.ndarray, a0: float, a1: float) -> np.ndarray:
-    """:func:`nonlinear_transform_sample` on a component-major chunk (S, 2n, *grid)."""
+    Y, _, d, n = check_ensemble(Y)
     if not (0.0 < a0 < np.inf and 0.0 < a1 < np.inf):
         raise ValueError("transform amplitudes must be finite and positive")
-    n = Z.shape[1] // 2
-    amplitude = np.repeat([float(a0), float(a1)], n).reshape((2 * n,) + (1,) * (Z.ndim - 2))
-    return amplitude * np.tanh(Z / amplitude)
+    amplitude = np.repeat([float(a0), float(a1)], n).reshape((2 * n,) + (1,) * d)
+    return amplitude * np.tanh(Y / amplitude)
 
 
 def density_from_covariance(cov: dict, L: int,

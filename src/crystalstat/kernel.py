@@ -150,13 +150,15 @@ class InteractionKernel:
         return 0.5 * (acc + np.conj(np.swapaxes(acc, -1, -2)))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
-        """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (*grid, n) or a
-        batch of them (S, *grid, n); the grid axes are the d before the last."""
+        """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (n, *grid) or a
+        batch of them (S, n, *grid), component-major as ensembles are; the grid
+        axes are the last d."""
         out = np.zeros_like(u)
-        axes = tuple(range(u.ndim - 1 - self.d, u.ndim - 1))
+        axes = tuple(range(u.ndim - self.d, u.ndim))
+        flat = u.shape[:u.ndim - self.d] + (-1,)
         for z, mat in self.entries.items():
             shifted = np.roll(u, shift=z, axis=axes)
-            out += shifted @ mat.T
+            out += (mat @ shifted.reshape(flat)).reshape(u.shape)
         return out
 
     def __eq__(self, other):

@@ -1,6 +1,6 @@
 """Ensemble estimators: covariances, characteristic functionals, moment checks.
 
-Everything here consumes ensemble arrays (S, *grid, 2n), u components first,
+Everything here consumes ensemble arrays (S, 2n, *grid), u components first,
 or plain sample arrays, and produces numbers with Monte Carlo error bars
 attached, so that comparisons against the transported and limiting densities
 can be gated at 3 sigma.
@@ -10,9 +10,6 @@ reduction (covariance_products, then covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
-A chunk stays in the private component-major layout (S, 2n, *grid) from the
-draw to the evolved field, and is transposed to (S, *grid, 2n) only for the
-statistics.
 """
 
 from __future__ import annotations
@@ -21,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import check_ensemble, minimal_image, moved_axes, require_finite
+from ._lattice import check_ensemble, minimal_image, moved_axes
 from .covariance import quadratic_form
-from .dynamics import _evolve_chunk
-from .fields import _gaussian_chunk, _transform_chunk
+from .dynamics import evolve_ensemble
+from .fields import gaussian_ensemble, nonlinear_transform_sample
 from .spectral import _require_match
 
 __all__ = [
@@ -75,12 +72,11 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     """Per-sample statistics of count samples, drawn and evolved chunk by chunk.
 
     Each chunk of consecutive sample indices holds the samples that
-    gaussian_ensemble draws at its start index, mapped as by
+    gaussian_ensemble draws at its start index, mapped by
     nonlinear_transform_sample when transform is (a0, a1), and evolved to
-    time t as by evolve_ensemble on the dispersion grid; the chunk runs these
-    steps in the component-major layout.  statistics(Y0, Yt) maps the
-    chunk's initial and evolved arrays (S, *grid, 2n) to a tuple of arrays
-    with a leading sample axis; only these are kept, and each is
+    time t by evolve_ensemble on the dispersion grid.  statistics(Y0, Yt)
+    maps the chunk's initial and evolved arrays (S, 2n, *grid) to a tuple of
+    arrays with a leading sample axis; only these are kept, and each is
     concatenated over the chunks.  Since every step treats samples
     independently, the result does not depend on the chunk size, while peak
     memory does not grow with count.  The count is checked against the
@@ -95,13 +91,15 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     size = max(1, CHUNK_BYTES // (16 * L**d * 2 * n))
     parts = []
     for start in range(0, count, size):
-        Z0 = _gaussian_chunk(density, min(size, count - start), seed, start)
+        Y0 = gaussian_ensemble(density, min(size, count - start), seed, start)
         if transform is not None:
-            require_finite(Z0)
-            Z0 = _transform_chunk(Z0, *transform)
-        require_finite(Z0)
-        Zt = _evolve_chunk(Z0, grid, t)
-        parts.append(statistics(moved_axes(Z0, 1, -1), moved_axes(Zt, 1, -1)))
+            Y0 = nonlinear_transform_sample(Y0, *transform)
+        # Y0 and Yt stay bound until the next chunk replaces them.  Freed at
+        # the end of each chunk, they let malloc trim the heap, and the next
+        # chunk faults its pages in again: for clt at d=1 L=256 on a 2-vCPU
+        # glibc host, 13 times the minor page faults and a fifth more time.
+        Yt = evolve_ensemble(Y0, grid, t)
+        parts.append(statistics(Y0, Yt))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -117,6 +115,10 @@ def covariance_products(Y, offsets) -> np.ndarray:
     concatenate to the products of the whole ensemble.
     """
     Y, L, d, _ = check_ensemble(Y)
+    # Sample-major (S, *grid, 2n) for the products: every component-major form
+    # of the matmul below tried (matmul(shifted, flat.T), the flipped product,
+    # einsum) rounds differently, by up to 6e-15, and the CLI's bytes would move.
+    Y = moved_axes(Y, 1, -1)
     S, two_n = Y.shape[0], Y.shape[-1]
     offsets = _offset_list(offsets)
     axes = tuple(range(1, 1 + d))
@@ -166,12 +168,11 @@ def empirical_mixing_support(Y, r_max: int) -> dict:
 
     Returns the largest Chebyshev offset radius |z| <= r_max at which any
     covariance block differs from zero by more than three standard errors,
-    together with the per-radius significance table.  Needs at least 100
-    samples for the error bars to mean anything.
+    together with the per-radius significance table.  Needs the samples of
+    MIN_SAMPLES["covariance error bars"] for the error bars to mean anything.
     """
     Y, _, d, _ = check_ensemble(Y)
-    if Y.shape[0] < 100:
-        raise ValueError("need at least 100 samples to resolve the support")
+    _require_samples(Y.shape[0], "covariance error bars")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     offsets = [
@@ -216,7 +217,7 @@ def linear_functional_samples(Y, psi) -> np.ndarray:
             raise ValueError(
                 f"test-field site {tuple(int(c) for c in x)} outside the lattice window"
             )
-        idx = (slice(None),) + tuple(int(c) % L for c in x)
+        idx = (slice(None), slice(None)) + tuple(int(c) % L for c in x)
         # an elementwise product summed per row, not a BLAS matrix-vector
         # product, whose rounding depends on a row's place in the batch
         out += np.sum(Y[idx] * val, axis=-1)
@@ -295,4 +296,4 @@ def weighted_norm(Y, alpha: float) -> np.ndarray:
     Y, L, d, _ = check_ensemble(Y)
     x = minimal_image(L, d).astype(float)
     weights = (1.0 + np.sum(x * x, axis=-1)) ** alpha
-    return np.sum(weights * np.sum(Y**2, axis=-1), axis=tuple(range(1, d + 1)))
+    return np.sum(weights * np.sum(Y**2, axis=1), axis=tuple(range(1, d + 1)))

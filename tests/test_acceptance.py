@@ -73,7 +73,7 @@ def fit_slope(times, values):
 def test_criterion_01_propagator_vs_rk4():
     start = time.perf_counter()
     L = 32
-    Y = np.zeros((1, L, 2))
+    Y = np.zeros((1, 2, L))
     Y[0, 0, 0] = 1.0
     fast = evolve_ensemble(Y, dispersion_grid(CHAIN, L), 5.0)
     slow = reference_evolve_ode(Y, CHAIN, 5.0, dt=0.002)
@@ -93,10 +93,11 @@ def test_criterion_02_energy_conservation():
     for kernel, L in cases:
         grid = dispersion_grid(kernel, L)
         shape = (L,) * kernel.d + (kernel.n,)
-        # u then v per sample, in the order the draws have always been made
-        Y = np.stack([np.concatenate([rng.standard_normal(shape),
-                                      rng.standard_normal(shape)], axis=-1)
-                      for _ in range(10)])
+        # u then v per sample, in the order the draws have always been made,
+        # moved to the component-major ensemble layout
+        Y = np.moveaxis(np.stack([np.concatenate([rng.standard_normal(shape),
+                                                  rng.standard_normal(shape)], axis=-1)
+                                  for _ in range(10)]), -1, 1)
         h0 = hamiltonian(Y, kernel)
         for t in (30.0, 100.0):
             ht = hamiltonian(evolve_ensemble(Y, grid, t), kernel)

@@ -1,10 +1,11 @@
-"""The component-major chunk path against the sample-major forms it replaced.
+"""The component-major ensemble layout against the sample-major forms it replaced.
 
-gaussian_ensemble, evolve_ensemble and stream_ensemble colour, transform and
-rotate on chunks laid out as (S, 2n, *grid).  The oracles below are the
+Ensembles are laid out as (S, 2n, *grid).  The oracles below are the
 sample-major bodies that ran on (S, *grid, 2n) before, einsum subscripts
-included: the colouring einsum and the four einsums of the nodewise
-rotation.  Both routes must give the same bits.
+included: the colouring einsum, the amplitude broadcast of the transform, the
+four einsums of the nodewise rotation, the per-offset products of
+covariance_products and the site sums of linear_functional_samples.  Both
+routes must give the same bits.
 """
 
 from functools import lru_cache
@@ -19,18 +20,31 @@ import crystalstat.dynamics as dynamics
 import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat import (
+    TestField,
+    covariance_products,
     density_from_covariance,
     dispersion_grid,
     evolve_ensemble,
     gaussian_ensemble,
+    linear_functional_samples,
     nonlinear_transform_sample,
     random_finite_range_kernel,
     stream_ensemble,
 )
-from crystalstat._lattice import forward_fft, inverse_fft, real_part_checked
+from crystalstat._lattice import forward_fft, inverse_fft, moved_axes, real_part_checked
 
 # The smallest lattice a dispersion grid accepts.
 SIDE = 16
+
+
+def sample_major(Z):
+    """(S, 2n, *grid) -> (S, *grid, 2n)."""
+    return moved_axes(Z, 1, -1)
+
+
+def component_major(Y):
+    """(S, *grid, 2n) -> (S, 2n, *grid)."""
+    return moved_axes(Y, -1, 1)
 
 
 def oracle_ensemble(density, count, seed, start_index=0):
@@ -68,6 +82,31 @@ def oracle_evolve(Y, grid, t):
     return real_part_checked(inverse_fft(yhat, axes), 1e-6, "oracle_evolve")
 
 
+def oracle_covariance_products(Y, offsets):
+    """Sample-major per-offset products of an ensemble (S, *grid, 2n)."""
+    S, L, two_n = Y.shape[0], Y.shape[1], Y.shape[-1]
+    d = Y.ndim - 2
+    axes = tuple(range(1, 1 + d))
+    norm = float(L) ** d
+    flat = Y.reshape(S, -1, two_n)
+    products = np.empty((S, len(offsets), two_n, two_n))
+    for k, z in enumerate(offsets):
+        shifted = np.roll(Y, shift=tuple(-c for c in z), axis=axes)
+        shifted = shifted.reshape(S, -1, two_n)
+        products[:, k] = np.matmul(shifted.transpose(0, 2, 1), flat) / norm
+    return products
+
+
+def oracle_linear_functional_samples(Y, psi):
+    """Sample-major <Y_s, Psi> of an ensemble (S, *grid, 2n)."""
+    L = Y.shape[1]
+    out = np.zeros(Y.shape[0])
+    for x, val in zip(psi.sites, psi.values):
+        idx = (slice(None),) + tuple(int(c) % L for c in x)
+        out += np.sum(Y[idx] * val, axis=-1)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _grid(d, n):
     return dispersion_grid(random_finite_range_kernel(d, n, 1, seed=7 * d + n), SIDE)
@@ -98,14 +137,16 @@ def test_chunk_path_matches_the_sample_major_oracle(d, n, density_seed, seed, co
     assert np.any(density.hermitian_sqrt().imag != 0)
 
     Y0 = oracle_ensemble(density, count, seed)
-    np.testing.assert_array_equal(gaussian_ensemble(density, count, seed), Y0)
+    np.testing.assert_array_equal(sample_major(gaussian_ensemble(density, count, seed)), Y0)
     if transform is not None:
         Y0 = oracle_transform(Y0, *transform)
         np.testing.assert_array_equal(
-            nonlinear_transform_sample(gaussian_ensemble(density, count, seed), *transform),
+            sample_major(nonlinear_transform_sample(gaussian_ensemble(density, count, seed),
+                                                    *transform)),
             Y0)
     Yt = oracle_evolve(Y0, grid, t)
-    np.testing.assert_array_equal(evolve_ensemble(Y0, grid, t), Yt)
+    np.testing.assert_array_equal(sample_major(evolve_ensemble(component_major(Y0), grid, t)),
+                                  Yt)
 
     # a few samples suffice to compare bits; the sample-count gate has its own tests
     sample_bytes = 16 * grid.L**d * 2 * n
@@ -115,5 +156,52 @@ def test_chunk_path_matches_the_sample_major_oracle(d, n, density_seed, seed, co
             got0, gott = stream_ensemble(density, count, seed, grid, t,
                                          lambda A, B: (A, B), "covariance error bars",
                                          transform=transform)
-        np.testing.assert_array_equal(got0, Y0)
-        np.testing.assert_array_equal(gott, Yt)
+        np.testing.assert_array_equal(sample_major(got0), Y0)
+        np.testing.assert_array_equal(sample_major(gott), Yt)
+
+
+@pytest.mark.parametrize("S", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_estimators_match_the_sample_major_oracle(d, n, S):
+    L = 6
+    rng = np.random.default_rng(100 * d + 10 * n + S)
+    Z = rng.standard_normal((S, 2 * n) + (L,) * d)
+    Y = sample_major(Z)
+    offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d, (2,) + (-2,) * (d - 1),
+               (L - 1,) * d]
+    np.testing.assert_array_equal(covariance_products(Z, offsets),
+                                  oracle_covariance_products(Y, offsets))
+    psi = TestField(sites=[(0,) * d, (2,) + (-1,) * (d - 1), (-2,) * d],
+                    values=rng.standard_normal((3, 2 * n)))
+    np.testing.assert_array_equal(linear_functional_samples(Z, psi),
+                                  oracle_linear_functional_samples(Y, psi))
+
+
+def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
+    for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
+                         (dynamics, "_evolve_chunk")):
+        assert not hasattr(module, name)
+    d, n, count, size = 1, 1, 10, 3
+    grid = _grid(d, n)
+    density = _random_density(d, n, 5)
+    sample_bytes = 16 * grid.L**d * 2 * n
+    for transform, transformed in ((None, 0), ((0.7, 1.3), 4)):
+        calls = {"gaussian_ensemble": 0, "nonlinear_transform_sample": 0,
+                 "evolve_ensemble": 0}
+
+        def counted(name):
+            original = getattr(stats, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
+                mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}), \
+                mock.patch.multiple(stats, **{name: counted(name) for name in calls}):
+            stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
+                            "covariance error bars", transform=transform)
+        assert calls == {"gaussian_ensemble": 4, "nonlinear_transform_sample": transformed,
+                         "evolve_ensemble": 4}

@@ -344,6 +344,35 @@ def test_config_transform_amplitudes_are_checked(tmp_path, capsys, a0, message):
     assert not out.exists()
 
 
+TRANSFORMED_WHITE = {"type": "transformed", "base": {"type": "white", "T0": 1.0, "T1": 1.0},
+                     "a0": 0.5, "a1": 0.5}
+
+
+def test_transform_flag_over_transformed_config_measure_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": TRANSFORMED_WHITE}))
+    out = tmp_path / "o"
+    assert main(["ensemble"] + nn_args(L=16) + ["--config", str(cfg), "--transform", "a0=3",
+                                                "--ensemble", "200", "--t", "1",
+                                                "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --transform cannot wrap the config's transformed measure; "
+        "set its a0 and a1 instead\n")
+    assert not out.exists()
+
+
+def test_config_transform_of_a_transform_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": {"type": "transformed", "base": TRANSFORMED_WHITE,
+                                           "a0": 3.0}}))
+    out = tmp_path / "o"
+    assert main(["ensemble"] + nn_args(L=16) + ["--config", str(cfg), "--ensemble", "200",
+                                                "--t", "1", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: a transformed measure's base cannot itself be transformed\n")
+    assert not out.exists()
+
+
 def test_ensemble_gates_and_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -46,9 +46,9 @@ def test_delta_field_pairing(nn1, rng):
     psi = TestField.delta(1, 1, component=0, site=(3,))
     dens = triangular_density(2, 1, 1.0, 1.0, 32)
     Y = gaussian_ensemble(dens, 1, seed=4)
-    assert linear_functional_samples(Y, psi)[0] == pytest.approx(float(Y[0, 3, 0]))
+    assert linear_functional_samples(Y, psi)[0] == pytest.approx(float(Y[0, 0, 3]))
     psiv = TestField.delta(1, 1, component=1)
-    assert linear_functional_samples(Y, psiv)[0] == pytest.approx(float(Y[0, 0, 1]))
+    assert linear_functional_samples(Y, psiv)[0] == pytest.approx(float(Y[0, 1, 0]))
 
 
 def test_field_fourier_is_unit_modulus_phase():

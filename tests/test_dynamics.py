@@ -23,14 +23,14 @@ from crystalstat.dynamics import _propagator_grid_matrix
 
 
 def random_field(rng, L, d, n):
-    """One sample (1, *grid, 2n) of standard normal values."""
-    return rng.standard_normal((1,) + (L,) * d + (2 * n,))
+    """One sample (1, 2n, *grid) of standard normal values."""
+    return rng.standard_normal((1, 2 * n) + (L,) * d)
 
 
 def delta_field(L, component):
     """One sample on a scalar chain with unit mass at site 0 in one component."""
-    Y = np.zeros((1, L, 2))
-    Y[0, 0, component] = 1.0
+    Y = np.zeros((1, 2, L))
+    Y[0, component, 0] = 1.0
     return Y
 
 
@@ -125,7 +125,7 @@ def test_finite_propagation_speed(grid256):
     x = np.minimum(np.arange(L), L - np.arange(L))
     outside = x > radius
     total = float(np.sum(out**2))
-    mass = float(np.sum(out[outside] ** 2))
+    mass = float(np.sum(out[:, outside] ** 2))
     assert mass < 1e-6 * total
 
 
@@ -134,7 +134,7 @@ def test_green_function_columns_are_delta_responses(grid64):
     G = green_function(grid64, t)
     assert G.shape == (L, 2, 2)
     out = evolve_ensemble(delta_field(L, 0), grid64, t)[0]
-    np.testing.assert_allclose(G[:, :, 0], out, atol=1e-12)
+    np.testing.assert_allclose(G[:, :, 0], out.T, atol=1e-12)
 
 
 def test_green_function_against_rk4_massless():
@@ -142,7 +142,7 @@ def test_green_function_against_rk4_massless():
     L, t = 256, 10.0
     G = green_function(dispersion_grid(k, L), t)
     ode = reference_evolve_ode(delta_field(L, 1), k, t, dt=0.005)[0]
-    np.testing.assert_allclose(G[:, :, 1], ode, atol=1e-5)
+    np.testing.assert_allclose(G[:, :, 1], ode.T, atol=1e-5)
 
 
 def test_green_function_wraparound_guard(nn1):
@@ -191,7 +191,7 @@ def _kernel_and_grid(d, n):
        t=st.floats(-20.0, 20.0), data=st.data())
 def test_evolve_ensemble_is_batch_independent(d, n, count, seed, t, data):
     kernel, grid = _kernel_and_grid(d, n)
-    Y = np.random.default_rng(seed).standard_normal((count,) + (grid.L,) * d + (2 * n,))
+    Y = np.random.default_rng(seed).standard_normal((count, 2 * n) + (grid.L,) * d)
     split = data.draw(st.integers(1, count - 1), label="split")
     whole = evolve_ensemble(Y, grid, t)
     chunks = [evolve_ensemble(Y[:split], grid, t),
@@ -203,15 +203,15 @@ def test_evolve_ensemble_is_batch_independent(d, n, count, seed, t, data):
 
 def test_evolve_rejects_dimension_mismatch(nn1, grid64):
     with pytest.raises(ValueError, match=r"field \(L=64, d=1, n=2\) does not match grid"):
-        evolve_ensemble(np.zeros((2, 64, 4)), grid64, 1.0)
+        evolve_ensemble(np.zeros((2, 4, 64)), grid64, 1.0)
     with pytest.raises(ValueError, match=r"field \(L=32, d=1, n=1\) does not match grid"):
-        evolve_ensemble(np.zeros((2, 32, 2)), grid64, 1.0)
+        evolve_ensemble(np.zeros((2, 2, 32)), grid64, 1.0)
     with pytest.raises(ValueError, match=r"field \(L=64, d=2, n=1\) does not match grid"):
-        evolve_ensemble(np.zeros((2, 64, 64, 2)), grid64, 1.0)
+        evolve_ensemble(np.zeros((2, 2, 64, 64)), grid64, 1.0)
     with pytest.raises(ValueError, match="kernel dimensions"):
-        reference_evolve_ode(np.zeros((1, 16, 16, 2)), nn1, 1.0, dt=0.01)
+        reference_evolve_ode(np.zeros((1, 2, 16, 16)), nn1, 1.0, dt=0.01)
     with pytest.raises(ValueError, match="kernel dimensions"):
-        hamiltonian(np.zeros((1, 16, 16, 2)), nn1)
+        hamiltonian(np.zeros((1, 2, 16, 16)), nn1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -220,7 +220,7 @@ def test_evolve_rejects_dimension_mismatch(nn1, grid64):
        t=st.floats(-1.0, 1.0), data=st.data())
 def test_reference_and_energy_on_ensembles(d, n, count, seed, t, data):
     kernel, grid = _kernel_and_grid(d, n)
-    Y = np.random.default_rng(seed).standard_normal((count,) + (grid.L,) * d + (2 * n,))
+    Y = np.random.default_rng(seed).standard_normal((count, 2 * n) + (grid.L,) * d)
     split = data.draw(st.integers(1, count - 1), label="split")
     dt = 0.02 / grid.omega_max
     ode = reference_evolve_ode(Y, kernel, t, dt)

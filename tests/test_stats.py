@@ -34,7 +34,7 @@ from crystalstat import (
 def test_empirical_covariance_against_inline_oracle(rng):
     # tiny random ensemble, every number checked by hand-rolled averaging
     S, L = 120, 4
-    Y = rng.standard_normal((S, L, 2))
+    Y = rng.standard_normal((S, 2, L))
     offsets = [(0,), (1,), (-1,)]
     products = covariance_products(Y, offsets)
     assert products.shape == (S, 3, 2, 2)
@@ -43,8 +43,8 @@ def test_empirical_covariance_against_inline_oracle(rng):
     for k, z in enumerate(offsets):
         per = np.empty((S, 2, 2))
         for s in range(S):
-            shifted = np.roll(Y[s], -z[0], axis=0)
-            per[s] = sum(np.outer(shifted[x], Y[s][x]) for x in range(L)) / L
+            shifted = np.roll(Y[s], -z[0], axis=1)
+            per[s] = sum(np.outer(shifted[:, x], Y[s][:, x]) for x in range(L)) / L
         np.testing.assert_allclose(products[:, k], per, atol=1e-13)
         mean = per.mean(axis=0)
         se = np.sqrt(np.sum((per - mean) ** 2, axis=0) / (S * (S - 1)))
@@ -104,7 +104,7 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
 
 def test_empirical_covariance_needs_samples():
     with pytest.raises(ValueError, match="100"):
-        empirical_covariance(np.zeros((5, 8, 2)), [(0,)])
+        empirical_covariance(np.zeros((5, 2, 8)), [(0,)])
 
 
 def test_empirical_covariance_consistent(nn1):
@@ -131,13 +131,13 @@ def test_ensemble_validation():
     with pytest.raises(ValueError, match="sample axis"):
         empirical_covariance(np.zeros((8, 2)), [(0,)])
     with pytest.raises(ValueError, match="2n entries"):
-        empirical_covariance(np.zeros((200, 8, 3)), [(0,)])
-    bad = np.zeros((200, 8, 2))
-    bad[17, 3, 1] = np.nan
+        empirical_covariance(np.zeros((200, 3, 8)), [(0,)])
+    bad = np.zeros((200, 2, 8))
+    bad[17, 1, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         empirical_covariance(bad, [(0,)])
     with pytest.raises(ValueError, match="empty"):
-        empirical_covariance(np.zeros((0, 8, 2)), [(0,)])
+        empirical_covariance(np.zeros((0, 2, 8)), [(0,)])
 
 
 def test_linear_functional_linearity():
@@ -147,7 +147,7 @@ def test_linear_functional_linearity():
     other = TestField.delta(1, 1, component=1, site=(5,))
     both = TestField(sites=[(2,), (5,)], values=[[1.0, 0.0], [0.0, 1.0]])
     s = linear_functional_samples(ens, both)
-    np.testing.assert_allclose(s, ens[:, 2, 0] + ens[:, 5, 1], atol=1e-12)
+    np.testing.assert_allclose(s, ens[:, 0, 2] + ens[:, 1, 5], atol=1e-12)
     np.testing.assert_allclose(
         s,
         linear_functional_samples(ens, one) + linear_functional_samples(ens, other),
@@ -202,15 +202,15 @@ def test_gaussianity_report_calibration(rng):
 
 
 def test_weighted_norm_values():
-    Y = np.zeros((1, 8, 2))
-    Y[0, 1, 0] = 1.0
+    Y = np.zeros((1, 2, 8))
+    Y[0, 0, 1] = 1.0
     assert weighted_norm(Y, -1.0) == pytest.approx([0.5])
     assert weighted_norm(Y, 0.0) == pytest.approx([1.0])
-    Y[0, 7, 1] = 2.0  # minimal image of site 7 on L=8 is -1
+    Y[0, 1, 7] = 2.0  # minimal image of site 7 on L=8 is -1
     assert weighted_norm(Y, -1.0) == pytest.approx([0.5 + 4.0 * 0.5])
 
 
 def test_weighted_norm_monotone_in_alpha(rng):
-    Y = rng.standard_normal((3, 16, 2))
+    Y = rng.standard_normal((3, 2, 16))
     assert np.all(weighted_norm(Y, -2.0) < weighted_norm(Y, -1.0))
     assert np.all(weighted_norm(Y, -1.0) < weighted_norm(Y, 0.0))
