@@ -199,11 +199,11 @@ def _effective_config(args, command: str) -> dict:
     else:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
     if eff["kernel"]["type"] == "random":
-        _require_seed(int(eff["kernel"].get("seed", 0)))
+        _require_seed(_config_integer(eff["kernel"].get("seed", 0), "kernel seed"))
 
-    eff["L"] = args.L if args.L is not None else int(cfg.get("L", 256))
+    eff["L"] = args.L if args.L is not None else _config_integer(cfg.get("L", 256), "L")
     eff["grid_L"] = (args.grid_L if getattr(args, "grid_L", None) is not None
-                     else int(cfg.get("grid_L", eff["L"])))
+                     else _config_integer(cfg.get("grid_L", eff["L"]), "grid_L"))
 
     measure = None
     if getattr(args, "triangular", None) is not None:
@@ -234,14 +234,17 @@ def _effective_config(args, command: str) -> dict:
     elif getattr(args, "times", None):
         eff["times"] = [float(t) for t in args.times]
     elif "times" in cfg:
-        eff["times"] = [float(t) for t in cfg["times"]]
+        times = cfg["times"]
+        if not isinstance(times, list) or not all(map(_is_number, times)):
+            raise UsageError(f"config times must be a list of numbers, got {times!r}")
+        eff["times"] = [float(t) for t in times]
     else:
         eff["times"] = None
     if not all(map(math.isfinite, eff["times"] or ())):
         raise UsageError(f"times must be finite, got {eff['times']}")
 
     eff["ensemble"] = (args.ensemble if getattr(args, "ensemble", None) is not None
-                       else int(cfg.get("ensemble", 10000)))
+                       else _config_integer(cfg.get("ensemble", 10000), "ensemble"))
 
     if args.seed is not None:
         eff["seed"] = int(args.seed)
@@ -251,7 +254,7 @@ def _effective_config(args, command: str) -> dict:
         except ValueError:
             raise UsageError("CRYSTALSTAT_SEED must be an integer")
     else:
-        eff["seed"] = int(cfg.get("seed", 0))
+        eff["seed"] = _config_integer(cfg.get("seed", 0), "seed")
     _require_seed(eff["seed"])
 
     thr = dict(cfg.get("thresholds", {}))
@@ -272,6 +275,18 @@ def _effective_config(args, command: str) -> dict:
     eff["output"] = args.output if args.output is not None else cfg.get("output", "out")
     eff["command"] = command
     return eff
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_integer(value, what: str) -> int:
+    """A config value that must be a JSON integer: floats and booleans are
+    rejected, not truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"config {what} must be an integer, got {value!r}")
+    return value
 
 
 def _require_seed(seed: int) -> None:

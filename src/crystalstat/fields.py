@@ -11,6 +11,14 @@ What(-theta) = conj(What(theta)), including the self-conjugate nodes.
 Samplers and transforms work on whole ensembles: one float array of shape
 (S, 2n, *grid) whose leading axis indexes samples and whose second axis holds
 the u components followed by the v components, each a contiguous grid block.
+
+Sampling contract: the white noise of sample i under a seed is
+
+    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).standard_normal((*grid, 2n))
+
+coloured as above, so stock numpy reproduces any single sample.  The package
+computes the PCG64 seed words of a whole chunk with one vectorised pass of
+SeedSequence's hash (:func:`_seed_states`) and hands each generator its row.
 """
 
 from __future__ import annotations
@@ -141,13 +149,110 @@ def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> Spectra
     )
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on Python ints
+# or on uint64 arrays that hold uint32 values
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list:
+    """Little-endian uint32 words of a non-negative int; [0] for zero."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_states(seed, indices) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+    for every index i, shape (S, 4), from one vectorised hash per key length.
+
+    The seed's words fill the pool the same way for every sample, so only the
+    spawn-key words (one below 2**32, two below 2**64, ...) are hashed per row.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    index = np.array(indices, dtype=object)
+    if seed < 0 or (index < 0).any():
+        raise ValueError("expected non-negative integer")
+    entropy = _words(int(seed))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    key_words, rest = [], index
+    lengths = np.ones(len(index), dtype=int)
+    while True:
+        key_words.append((rest & _MASK32).astype(np.uint64))
+        rest = rest >> 32
+        longer = rest > 0
+        if not longer.any():
+            break
+        lengths += longer
+    states = np.empty((len(index), _POOL_SIZE), dtype=np.uint64)
+    for length in np.unique(lengths):
+        rows = lengths == length
+        words = entropy + [column[rows] for column in key_words[:length]]
+        states[rows] = _hashed_state(words)
+    return states
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in the running constant, steps
+    the constant and multiplies by it."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * mult) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _hashed_state(entropy: list) -> np.ndarray:
+    """SeedSequence's mix_entropy into a pool of 4, then generate_state(4,
+    np.uint64), over entropy words that are ints or equal-length uint64 arrays.
+    At least one word is an array, so every pool word is one after the mixing."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = [output(pool[dst % _POOL_SIZE]) for dst in range(2 * _POOL_SIZE)]
+    return np.stack([lo | (hi << 32) for lo, hi in zip(state[0::2], state[1::2])], axis=-1)
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands PCG64 its precomputed generate_state(4, uint64)."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the PCG64 seed request (4, np.uint64) is precomputed")
+        return self._state
+
+
 def _white_noise_draws(L: int, d: int, n: int, seed: int, indices) -> np.ndarray:
     """Stacked standard-normal fields, one generator per (seed, sample index),
     shape (S, *grid, 2n): each generator fills its sample in this order."""
-    out = np.empty((len(indices),) + (L,) * d + (2 * n,))
-    for row, index in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        out[row] = rng.standard_normal((L,) * d + (2 * n,))
+    shape = (L,) * d + (2 * n,)
+    states = _seed_states(seed, indices)
+    out = np.empty((len(states),) + shape)
+    for row, state in enumerate(states):
+        np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(shape, out=out[row])
     return out
 
 

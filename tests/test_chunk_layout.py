@@ -121,6 +121,9 @@ def _random_density(d, n, seed):
         z = tuple(int(c) for c in rng.integers(-2, 3, d))
         if z not in cov and tuple(-c for c in z) not in cov:
             cov[z] = rng.standard_normal((2 * n, 2 * n))
+    if len(cov) == 1:
+        # every drawn offset was 0: a real symmetric density, whose roots are real
+        cov[(1,) + (0,) * (d - 1)] = rng.standard_normal((2 * n, 2 * n))
     return density_from_covariance(cov, SIDE)
 
 

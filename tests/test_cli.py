@@ -289,6 +289,28 @@ def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"seed": 2.5}, "config seed must be an integer, got 2.5"),
+    ({"seed": True}, "config seed must be an integer, got True"),
+    ({"ensemble": 1000.5}, "config ensemble must be an integer, got 1000.5"),
+    ({"L": 32.5}, "config L must be an integer, got 32.5"),
+    ({"grid_L": 16.0}, "config grid_L must be an integer, got 16.0"),
+    ({"kernel": {"type": "random", "d": 1, "n": 1, "seed": 1.5}},
+     "config kernel seed must be an integer, got 1.5"),
+    ({"times": 5}, "config times must be a list of numbers, got 5"),
+    ({"times": "12"}, "config times must be a list of numbers, got '12'"),
+])
+def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"type": "nn", "d": 1, "n": 1, "mass": 1.0},
+                               "L": 32, "measure": {"type": "triangular", "nu0": 2},
+                               **doc}))
+    out = tmp_path / "o"
+    assert main(["clt", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "ensemble", "limit", "clt", "mixing"])
 def test_transform_without_measure_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "o"

@@ -22,6 +22,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
+from crystalstat import fields
 from crystalstat._lattice import real_part_checked
 from crystalstat.fields import SpectralDensity
 
@@ -81,6 +82,58 @@ def test_gaussian_sampler_order_independent():
     np.testing.assert_array_equal(batch[2:], tail)
     one = gaussian_ensemble(dens, 1, seed=9, start_index=3)
     np.testing.assert_array_equal(batch[3], one[0])
+
+
+def stock_white_noise(L, d, n, seed, indices):
+    """The sampling contract with stock numpy: one default_rng per sample index."""
+    shape = (L,) * d + (2 * n,)
+    return np.stack([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        .standard_normal(shape)
+        for i in indices
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 17])
+@pytest.mark.parametrize("indices", [range(64), range(1000, 1064),
+                                     range(2**32 - 2, 2**32 + 2)])
+def test_seed_states_match_seed_sequence(seed, indices):
+    states = fields._seed_states(seed, indices)
+    assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+    np.testing.assert_array_equal(states, [
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+        for i in indices
+    ])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_white_noise_draws_match_stock_generators(d, n):
+    for seed, indices in [(0, range(5)), (31, range(1000, 1004)), (2**130 + 17, range(3))]:
+        np.testing.assert_array_equal(fields._white_noise_draws(8, d, n, seed, indices),
+                                      stock_white_noise(8, d, n, seed, indices))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**140 - 1), start=st.integers(0, 2**40 - 1),
+       count=st.integers(1, 4))
+def test_draws_match_stock_numpy_for_any_seed_and_start(seed, start, count):
+    indices = range(start, start + count)
+    np.testing.assert_array_equal(fields._white_noise_draws(4, 1, 1, seed, indices),
+                                  stock_white_noise(4, 1, 1, seed, indices))
+
+
+def test_seed_and_start_index_errors():
+    dens = white_noise_density(1.0, 1.0, 1, 1, 8)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        gaussian_ensemble(dens, 2, seed=-1)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        gaussian_ensemble(dens, 2, seed=3, start_index=-1)
+    with pytest.raises(TypeError):
+        gaussian_ensemble(dens, 2, seed=2.0)
+    for seed in (np.int64(7), np.uint32(7), np.uint64(7)):
+        np.testing.assert_array_equal(gaussian_ensemble(dens, 2, seed=seed),
+                                      gaussian_ensemble(dens, 2, seed=7))
 
 
 def _correlated_density(d, n, L):
