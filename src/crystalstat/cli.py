@@ -20,6 +20,7 @@ the ensemble size.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -107,6 +108,9 @@ _KERNEL_KEYS = {
     "random": {"type", "d", "n", "range", "seed"},
     "file": {"type", "path"},
 }
+#: the spec keys that must be integers, by kernel or measure type
+_INTEGER_KEYS = {"nn": ("d", "n"), "random": ("d", "n", "range", "seed"),
+                 "triangular": ("nu0",)}
 #: the measure that ``mixing`` and ``report`` use when none is given
 _WHITE_NOISE = {"type": "white", "T0": 1.0, "T1": 1.0}
 _MEASURE_KEYS = {
@@ -198,8 +202,9 @@ def _effective_config(args, command: str) -> dict:
         eff["kernel"] = cfg["kernel"]
     else:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
+    _check_integers(eff["kernel"], "kernel")
     if eff["kernel"]["type"] == "random":
-        _require_seed(_config_integer(eff["kernel"].get("seed", 0), "kernel seed"))
+        _require_seed(eff["kernel"].get("seed", 0))
 
     eff["L"] = args.L if args.L is not None else _config_integer(cfg.get("L", 256), "L")
     eff["grid_L"] = (args.grid_L if getattr(args, "grid_L", None) is not None
@@ -227,6 +232,9 @@ def _effective_config(args, command: str) -> dict:
     if transform is not None and measure is not None and measure["type"] == "transformed":
         raise UsageError("--transform cannot wrap the config's transformed measure; "
                          "set its a0 and a1 instead")
+    if measure is not None:
+        _check_integers(measure.get("base") if measure["type"] == "transformed" else measure,
+                        "measure")
     eff["measure"] = _transformed(measure, transform)
 
     if getattr(args, "t", None) is not None:
@@ -257,7 +265,10 @@ def _effective_config(args, command: str) -> dict:
         eff["seed"] = _config_integer(cfg.get("seed", 0), "seed")
     _require_seed(eff["seed"])
 
-    thr = dict(cfg.get("thresholds", {}))
+    thr = cfg.get("thresholds", {})
+    for key, value in thr.items():
+        if not _is_number(value):
+            raise UsageError(f"config threshold {key} must be a number, got {value!r}")
     eff["thresholds"] = {
         "delta_cross": (args.delta_cross if args.delta_cross is not None
                         else float(thr.get("delta_cross", DELTA_CROSS))),
@@ -287,6 +298,13 @@ def _config_integer(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"config {what} must be an integer, got {value!r}")
     return value
+
+
+def _check_integers(spec: dict, what: str) -> None:
+    """Reject a kernel or measure spec whose integer keys hold anything else."""
+    for key in _INTEGER_KEYS.get(spec["type"], ()):
+        if key in spec:
+            _config_integer(spec[key], f"{what} {key}")
 
 
 def _require_seed(seed: int) -> None:
@@ -390,12 +408,10 @@ class _Run:
 def _build_kernel(spec: dict):
     _check_spec(spec, _KERNEL_KEYS, "kernel")
     if spec["type"] == "nn":
-        return build_nn_kernel(int(spec.get("d", 1)), int(spec.get("n", 1)),
-                               spec.get("mass", 1.0))
+        return build_nn_kernel(spec.get("d", 1), spec.get("n", 1), spec.get("mass", 1.0))
     if spec["type"] == "random":
-        return random_finite_range_kernel(int(spec.get("d", 1)), int(spec.get("n", 1)),
-                                          int(spec.get("range", 2)),
-                                          int(spec.get("seed", 0)))
+        return random_finite_range_kernel(spec.get("d", 1), spec.get("n", 1),
+                                          spec.get("range", 2), spec.get("seed", 0))
     try:
         text = Path(spec["path"]).read_text()
     except OSError as exc:
@@ -416,7 +432,7 @@ def _build_measure(spec, kernel, L):
     if kind == "triangular":
         if kernel.n != 1:
             raise UsageError("triangular measure is scalar; kernel has n > 1")
-        return triangular_density(int(spec.get("nu0", 2)), kernel.d,
+        return triangular_density(spec.get("nu0", 2), kernel.d,
                                   float(spec.get("T0", 1.0)),
                                   float(spec.get("T1", 1.0)), L), None
     if kind == "white":
@@ -464,13 +480,29 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _floats(a) -> list:
-    """%.17g strings of the entries of a float array (or scalar), in C order."""
-    return ["%.17g" % v for v in np.ravel(a).tolist()]
+    """%.17g strings of the entries of a float array (or scalar), in C order.
+
+    Tables repeat values heavily, so each distinct float64 bit pattern is
+    formatted once and looked up per entry.  Keying on bits, not values,
+    keeps 0.0 and -0.0 apart: they compare equal but print as 0 and -0.
+    """
+    bits = np.ravel(a).astype(np.float64, casting="safe", copy=False).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return _lookup(["%.17g" % v for v in distinct.view(np.float64).tolist()], inverse)
 
 
-def _indices(shape) -> list:
-    """Per-axis index lists of the entries of an array of this shape, in C order."""
-    return np.indices(shape).reshape(len(shape), -1).tolist()
+def _lookup(strings, index) -> list:
+    """strings[i] for every i of an integer index array, in C order."""
+    return np.asarray(strings, dtype=object)[np.ravel(index)].tolist()
+
+
+def _indices(shape) -> np.ndarray:
+    """Per-axis index rows of the entries of an array of this shape, in C order."""
+    return np.indices(shape).reshape(len(shape), -1)
+
+
+#: rows per write in _write_csv: few writes, and memory bounded by the block
+_CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -478,11 +510,13 @@ def _write_csv(path: Path, header, columns) -> None:
 
     No field holds a comma, a quote or a newline (numbers and the fixed flag
     names), so joining with commas writes the bytes csv.writer would.  Rows
-    are joined as they are written, never into one string.
+    are joined and written in blocks of _CSV_BLOCK_ROWS, never into one string.
     """
+    rows = map(",".join, zip(*columns))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _stage(body, eff: dict, memo: dict, options: dict) -> int:
@@ -559,12 +593,12 @@ def _cmd_dispersion(run) -> int:
     theta = _floats(2.0 * np.pi * np.arange(grid.L) / grid.L)
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
-    code = np.repeat(scan.c0 + 2 * scan.cstar + 4 * scan.ck, grid.n).tolist()
+    code = np.repeat(scan.c0 + 2 * scan.cstar + 4 * scan.ck, grid.n)
     _write_csv(outdir / "dispersion.csv", [f"theta_{a + 1}" for a in range(grid.d)]
                + ["k", "omega_k", "grad_norm", "D_k", "flags"],
-               [[theta[c] for c in axis] for axis in node]
-               + [[str(b) for b in branch], _floats(W), _floats(scan.grad_norm),
-                  _floats(scan.hess_det), [flags[c] for c in code]])
+               [_lookup(theta, axis) for axis in node]
+               + [_lookup([str(b) for b in range(grid.n)], branch), _floats(W),
+                  _floats(scan.grad_norm), _floats(scan.hess_det), _lookup(flags, code)])
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
@@ -599,12 +633,13 @@ def _cmd_green(run, dump_radius) -> int:
         windows.append(G[np.ix_(*(wrap,) * grid.d)])
     window = np.stack(windows)  # (time, *offset, row, col)
     stamp, *x, row, col = _indices(window.shape)
-    stamps = _floats(times)
+    offset = [str(c) for c in range(-dump_radius, dump_radius + 1)]
+    component = [str(c) for c in range(window.shape[-1])]
     _write_csv(outdir / "green.csv",
                ["t"] + [f"x{a + 1}" for a in range(grid.d)] + ["row", "col", "value"],
-               [[stamps[e] for e in stamp]]
-               + [[str(c - dump_radius) for c in axis] for axis in x]
-               + [[str(r) for r in row], [str(c) for c in col], _floats(window)])
+               [_lookup(_floats(times), stamp)]
+               + [_lookup(offset, axis) for axis in x]
+               + [_lookup(component, row), _lookup(component, col), _floats(window)])
     fit = _power_fit(times, sups)
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit, "eps": eps})
@@ -629,13 +664,13 @@ def _cmd_evolve(run, allow_degenerate) -> int:
     Mt = np.stack([matrices(evolve_density(q0, grid, t)) for t in times])
     # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
     stamp, m, i, k, j, l = _indices(Mt.shape[:2] + (2, kernel.n, 2, kernel.n))
-    stamps = _floats(times)
+    component = [str(v) for v in range(max(2, kernel.n))]
     _write_csv(outdir / "convergence.csv",
                ["t"] + [f"z{a + 1}" for a in range(kernel.d)]
                + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"],
-               [[stamps[e] for e in stamp]]
-               + [[str(offsets[e][a]) for e in m] for a in range(kernel.d)]
-               + [[str(v) for v in axis] for axis in (i, j, k, l)]
+               [_lookup(_floats(times), stamp)]
+               + [_lookup([str(z[a]) for z in offsets], m) for a in range(kernel.d)]
+               + [_lookup(component, axis) for axis in (i, j, k, l)]
                + [_floats(Mt), _floats(np.broadcast_to(Mi, Mt.shape)),
                   _floats(np.abs(Mt - Mi))])
     _write_json(outdir / "limit.json", {
@@ -760,7 +795,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     base_spec = measure.get("base") if measure["type"] == "transformed" else None
     if not isinstance(base_spec, dict) or base_spec.get("type") != "triangular":
         raise UsageError("clt needs a transformed triangular measure")
-    nu0 = int(base_spec.get("nu0", 2))
+    nu0 = base_spec.get("nu0", 2)
     base, transform = _build_measure(measure, kernel, L)
     t = (eff["times"] or [50.0])[-1]
     psi = TestField.delta(kernel.d, kernel.n, component=component)

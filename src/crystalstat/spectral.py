@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._lattice import eigen_compose, guarded_reciprocal
 from .kernel import ConditionReport, InteractionKernel
@@ -159,7 +158,14 @@ class DispersionGrid:
 
 
 def _edge_permutation(B_here: np.ndarray, B_next: np.ndarray) -> np.ndarray:
-    """Match eigenvector columns across one edge by maximal total overlap."""
+    """Match eigenvector columns across one edge by maximal total overlap.
+
+    scipy is imported here, not at module level: only tied edges and n > 4
+    reach the assignment solver, and loading scipy is most of a cold CLI
+    start-up.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(B_next.conj().T @ B_here)  # rows: next-local, cols: here-local
     rows, cols = linear_sum_assignment(-overlap)
     perm = np.empty(B_here.shape[1], dtype=np.int64)

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line runner.
 
-Most cases call main() in process for speed; one subprocess test confirms
-that the console-script entry point wires exit codes through sys.exit.
+Most cases call main() in process for speed; subprocess tests confirm that
+the console-script entry point wires exit codes through sys.exit, that a cold
+process reaches the assignment solver, and that outputs do not depend on the
+BLAS/OpenMP thread count.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crystalstat
 import crystalstat.cli as cli
@@ -23,7 +28,12 @@ from crystalstat.cli import main
 from crystalstat.covariance import covariance_from_density, evolve_density, limit_density
 from crystalstat.dynamics import green_cutoff, green_function
 from crystalstat.fields import density_from_jsonable, density_to_jsonable, white_noise_density
-from crystalstat.kernel import InteractionKernel, build_nn_kernel, kernel_to_json
+from crystalstat.kernel import (
+    InteractionKernel,
+    build_nn_kernel,
+    kernel_to_json,
+    random_finite_range_kernel,
+)
 from crystalstat.spectral import critical_set_scan, dispersion_grid
 
 CSV_HEADER = "theta_1,k,omega_k,grad_norm,D_k,flags"
@@ -159,6 +169,42 @@ def test_convergence_table_holds_the_covariances(tmp_path):
         assert row[1:7] == [str(c) for c in z + (i, j, k, l)]
         qt, qinf = current[t].matrix(z)[a, b], limit.matrix(z)[a, b]
         assert [float(s) for s in row[7:]] == [qt, qinf, abs(qt - qinf)]
+
+
+# values whose %.17g strings are easy to get wrong: signed zeros (equal as
+# floats), infinities, NaNs with other sign and payload bits, subnormals
+_AWKWARD = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 0.1,
+            float(np.uint64(0xFFF8000000000001).view(np.float64))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.one_of(st.sampled_from(_AWKWARD), st.floats()), min_size=1,
+                     max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=48),
+       view=st.sampled_from(["flat", "strided", "reversed", "transposed", "float32",
+                             "list", "scalar"]))
+def test_floats_formats_each_entry_with_17g(pool, picks, view):
+    # heavy repeats: every entry is one of at most six values
+    a = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    if view == "strided":
+        a = a[::3]
+    elif view == "reversed":
+        a = a[::-1]
+    elif view == "transposed":
+        a = a[:a.size - a.size % 4].reshape(-1, 4).T
+    elif view == "float32":
+        with np.errstate(over="ignore"):
+            a = a.astype(np.float32)
+    elif view == "list":
+        a = a.tolist()
+    elif view == "scalar":
+        a = np.asarray(pool[0])
+    assert cli._floats(a) == ["%.17g" % v for v in np.ravel(a).tolist()]
+
+
+def test_floats_keeps_the_sign_of_zero():
+    assert cli._floats(np.array([[0.0, -0.0], [-0.0, 0.0]])) == ["0", "-0", "-0", "0"]
+    assert cli._floats(-0.0) == ["-0"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -299,6 +345,18 @@ def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsy
      "config kernel seed must be an integer, got 1.5"),
     ({"times": 5}, "config times must be a list of numbers, got 5"),
     ({"times": "12"}, "config times must be a list of numbers, got '12'"),
+    ({"kernel": {"type": "nn", "d": 1.7, "n": 1}}, "config kernel d must be an integer, got 1.7"),
+    ({"kernel": {"type": "nn", "d": 1, "n": True}},
+     "config kernel n must be an integer, got True"),
+    ({"kernel": {"type": "random", "d": 1, "n": 1, "range": 2.0}},
+     "config kernel range must be an integer, got 2.0"),
+    ({"measure": {"type": "triangular", "nu0": 2.9}},
+     "config measure nu0 must be an integer, got 2.9"),
+    ({"measure": {"type": "transformed", "base": {"type": "triangular", "nu0": "2"}}},
+     "config measure nu0 must be an integer, got '2'"),
+    ({"thresholds": {"delta_cross": True}},
+     "config threshold delta_cross must be a number, got True"),
+    ({"thresholds": {"eps": "1e-3"}}, "config threshold eps must be a number, got '1e-3'"),
 ])
 def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -309,6 +367,18 @@ def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message
     assert main(["clt", "--config", str(cfg), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_config_kernel_integers_reach_the_kernel(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"type": "random", "d": 2, "n": 2, "range": 1,
+                                          "seed": 3}, "L": 16}))
+    out = tmp_path / "o"
+    assert main(["critical", "--config", str(cfg), "--output", str(out)]) == 0
+    by_flags = tmp_path / "f"
+    assert main(["critical", "--random", "d=2", "n=2", "range=1", "seed=3", "--L", "16",
+                 "--output", str(by_flags)]) == 0
+    assert (out / "critical.json").read_bytes() == (by_flags / "critical.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["evolve", "ensemble", "limit", "clt", "mixing"])
@@ -741,6 +811,27 @@ def test_console_script_exit_codes(tmp_path):
         capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert "condition failure" in bad.stderr
+
+
+def test_cold_process_reaches_the_assignment_solver(tmp_path):
+    # n > 4 sends every spanning-tree edge to the solver, which a cold process
+    # loads on first use
+    argv = ["dispersion", "--random", "d=1", "n=5", "range=2", "seed=0", "--L", "16"]
+    package_root = str(Path(crystalstat.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    cold = subprocess.run([sys.executable, "-m", "crystalstat"] + argv
+                          + ["--output", str(tmp_path / "cold")],
+                          capture_output=True, text=True, env=env)
+    assert cold.returncode == 0, cold.stderr
+    assert main(argv + ["--output", str(tmp_path / "warm")]) == 0
+    table = (tmp_path / "cold" / "dispersion.csv").read_bytes()
+    assert table == (tmp_path / "warm" / "dispersion.csv").read_bytes()
+    grid = dispersion_grid(random_finite_range_kernel(1, 5, 2, 0), 16)
+    _, rows = read_table(tmp_path / "cold" / "dispersion.csv")
+    assert [(int(row[1]), float(row[2])) for row in rows] == [
+        (k, grid.branch_values[x, k]) for x in range(16) for k in range(5)]
 
 
 @pytest.mark.parametrize("command, count, message", [

@@ -5,10 +5,16 @@ No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library: a name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module or be
 listed in its ``__all__``.  ``from __future__`` imports are exempt.
+
+Importing the CLI loads numpy and the package only: scipy, most of a cold
+start-up, is imported where the assignment solver is called.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +64,14 @@ def test_package_exports_resolve():
     missing = [name for name in crystalstat.__all__
                if name != "__version__" and not hasattr(crystalstat, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, crystalstat.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 0, done.stderr
+    assert "'scipy'" not in done.stdout
+    assert "'crystalstat'" in done.stdout and "'numpy'" in done.stdout
