@@ -4,8 +4,9 @@ Each subcommand reproduces one checkable claim end to end (dispersion tables,
 critical sets, Green's-function decay, covariance transport and its limit,
 Gibbs relaxation, the central limit gates, mixing decay) and writes
 machine-readable reports.  Outputs are deterministic given seeds: floats are
-printed with %.17g, JSON keys are sorted, and no timestamps appear anywhere,
-so re-running a manifest reproduces every byte.
+printed with %.17g, JSON keys are sorted, and no timestamps appear anywhere.
+manifest.json records the effective config, which --config does not yet
+accept as written.
 
 Exit codes: 0 success, 1 usage error, 2 structural condition failure
 (a ConditionReport with verdict fail), 3 statistical acceptance-gate failure,
@@ -22,10 +23,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,40 +101,121 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config
 
-_TOP_KEYS = {"kernel", "L", "grid_L", "measure", "times", "ensemble", "seed",
-             "thresholds", "output"}
-_THRESHOLD_KEYS = {"delta_cross", "delta_hess", "delta_null", "eps"}
-_KERNEL_KEYS = {
-    "nn": {"type", "d", "n", "mass"},
-    "random": {"type", "d", "n", "range", "seed"},
-    "file": {"type", "path"},
-}
-#: the spec keys that must be integers, by kernel or measure type
-_INTEGER_KEYS = {"nn": ("d", "n"), "random": ("d", "n", "range", "seed"),
-                 "triangular": ("nu0",)}
-#: the measure that ``mixing`` and ``report`` use when none is given
-_WHITE_NOISE = {"type": "white", "T0": 1.0, "T1": 1.0}
-_MEASURE_KEYS = {
-    "triangular": {"type", "nu0", "T0", "T1"},
-    "white": {"type", "T0", "T1"},
-    "transformed": {"type", "base", "a0", "a1"},
-    "file": {"type", "path"},
+class _Key(NamedTuple):
+    """A config key's kind, the constraint on each of its numbers ("finite",
+    "positive", "nonnegative" or none), its default (None: the command's, or,
+    in a kernel or measure spec, required), and the label under which the keys
+    of a spec that share it are reported together."""
+
+    kind: str
+    constraint: str = ""
+    default: object = None
+    label: str = ""
+
+
+_DIMENSIONS = {"d": _Key("integer", "positive", 1), "n": _Key("integer", "positive", 1)}
+_TEMPERATURES = {"T0": _Key("float", "nonnegative", 1.0, "temperatures"),
+                 "T1": _Key("float", "nonnegative", 1.0, "temperatures")}
+_AMPLITUDE = _Key("float", "positive", 1.0, "transform amplitudes")
+
+#: every config key: the top-level keys, the thresholds, and the keys besides
+#: "type" of each kernel and measure type; flags take the same keys (flag m is
+#: key mass).  L, grid_L and ensemble have no constraint here: their bounds are
+#: the command's (an even grid of at least 16 points, each estimator's sample
+#: count), checked by the library where they are used.
+_TABLE = {
+    "L": _Key("integer", "", 256),
+    "grid_L": _Key("integer"),  # default: L
+    "times": _Key("float list", "finite"),
+    "ensemble": _Key("integer", "", 10000),
+    "seed": _Key("integer", "nonnegative", 0),
+    "output": _Key("path", "", "out"),
+    "thresholds": {
+        "delta_cross": _Key("float", "nonnegative", DELTA_CROSS),
+        "delta_hess": _Key("float", "nonnegative", DELTA_HESS),
+        "delta_null": _Key("float", "nonnegative", DELTA_NULL),
+        "eps": _Key("float", "nonnegative", 0.0),
+    },
+    "kernel": {
+        "nn": {**_DIMENSIONS, "mass": _Key("float or float list", "nonnegative", 1.0)},
+        "random": {**_DIMENSIONS, "range": _Key("integer", "nonnegative", 2),
+                   "seed": _Key("integer", "nonnegative", 0)},
+        "file": {"path": _Key("path")},
+    },
+    "measure": {
+        "triangular": {"nu0": _Key("integer", "positive", 2), **_TEMPERATURES},
+        "white": _TEMPERATURES,
+        "transformed": {"base": _Key("measure"), "a0": _AMPLITUDE, "a1": _AMPLITUDE},
+        "file": {"path": _Key("path")},
+    },
 }
 
 
-def _check_spec(spec, allowed_by_type, what):
+def _mass_list(text: str):
+    vals = [float(v) for v in text.split(",")]
+    return vals[0] if len(vals) == 1 else vals
+
+
+#: per kind: what a config value of it must be, and the parser of a flag token
+_KINDS = {"integer": ("an integer", int), "float": ("a number", float),
+          "float or float list": ("a number or a list of numbers", _mass_list),
+          "float list": ("a list of numbers", None), "path": ("a string", None),
+          "measure": ("a measure spec", None)}
+_FLAG_NAMES = {"mass": "m"}
+
+
+def _meets(number, key: _Key) -> bool:
+    """Whether a number meets its key's constraint; a float must also be finite."""
+    if key.kind != "integer" and not abs(number) <= sys.float_info.max:
+        return False
+    return {"positive": number > 0, "nonnegative": number >= 0}.get(key.constraint, True)
+
+
+def _check(values: dict, keys: dict, where: str = "") -> None:
+    """Raise a UsageError unless each value is of its key's kind (where names
+    the section of a config value) and each of its numbers meets the key's
+    constraint.  Booleans are not numbers."""
+    for name, value in values.items():
+        key = keys[name]
+        listed = isinstance(value, list) and key.kind.endswith("list")
+        items = value if listed else [value]
+        types = {"integer": (int,), "path": (str,)}.get(key.kind, (int, float))
+        if not all(type(v) in types for v in items) or key.kind == "float list" and not listed:
+            raise UsageError(f"config {where}{name} must be {_KINDS[key.kind][0]}, "
+                             f"got {value!r}")
+        if not key.constraint or all(_meets(v, key) for v in items):
+            continue
+        if key.kind == "integer":
+            rule = f"a {key.constraint} integer"
+        else:
+            rule = "finite" if key.constraint == "finite" else f"finite and {key.constraint}"
+        if key.label:
+            shown = " ".join(f"{k}={values[k]}" for k in keys if keys[k].label == key.label)
+            raise UsageError(f"{key.label} must be {rule}, got {shown}")
+        raise UsageError(f"{name} must be {rule}, got {value}")
+
+
+def _check_spec(spec, section: str) -> dict:
+    """A kernel or measure spec of a config file, checked against the table."""
     if not isinstance(spec, dict) or "type" not in spec:
-        raise UsageError(f"{what} spec must be an object with a 'type' field")
+        raise UsageError(f"{section} spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind not in allowed_by_type:
-        raise UsageError(f"unknown {what} type {kind!r}")
-    unknown = set(spec) - allowed_by_type[kind]
+    if not isinstance(kind, str) or kind not in _TABLE[section]:
+        raise UsageError(f"unknown {section} type {kind!r}")
+    keys = _TABLE[section][kind]
+    unknown = set(spec) - set(keys) - {"type"}
     if unknown:
-        raise UsageError(f"unknown {what} keys for type {kind!r}: {sorted(unknown)}")
+        raise UsageError(f"unknown {section} keys for type {kind!r}: {sorted(unknown)}")
+    if kind == "transformed" and _check_spec(spec.get("base"), section)["type"] == kind:
+        raise UsageError("a transformed measure's base cannot itself be transformed")
+    # with the defaults filled in, so that a missing path is refused too
+    _check({name: spec.get(name, key.default) for name, key in keys.items()
+            if key.kind != "measure"}, keys, f"{section} ")
     return spec
 
 
 def _load_config(path: str) -> dict:
+    """The config file's object, every key and value checked against the table."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -142,207 +224,125 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
+    unknown = set(doc) - set(_TABLE)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if "thresholds" in doc:
         if not isinstance(doc["thresholds"], dict):
             raise UsageError("config thresholds must be a JSON object")
-        extra = set(doc["thresholds"]) - _THRESHOLD_KEYS
+        extra = set(doc["thresholds"]) - set(_TABLE["thresholds"])
         if extra:
             raise UsageError(f"unknown threshold keys: {sorted(extra)}")
-    if "kernel" in doc:
-        _check_spec(doc["kernel"], _KERNEL_KEYS, "kernel")
-    if "measure" in doc:
-        spec = _check_spec(doc["measure"], _MEASURE_KEYS, "measure")
-        if spec["type"] == "transformed":
-            base = _check_spec(spec.get("base", {}), _MEASURE_KEYS, "measure")
-            if base["type"] == "transformed":
-                raise UsageError("a transformed measure's base cannot itself be transformed")
+        _check(doc["thresholds"], _TABLE["thresholds"], "threshold ")
+    for section in ("kernel", "measure"):
+        if section in doc:
+            _check_spec(doc[section], section)
+    _check({k: v for k, v in doc.items() if isinstance(_TABLE[k], _Key)}, _TABLE)
     return doc
 
 
-def _parse_kv(tokens, what, converters):
-    out = {}
+def _parse_kv(tokens, what, keys) -> dict:
+    """The values of a --<what> flag's key=value tokens, each parsed by its
+    key's kind and checked; the keys not given are at their defaults."""
+    names = {_FLAG_NAMES.get(name, name): name for name in keys if _KINDS[keys[name].kind][1]}
+    out = {name: keys[name].default for name in names.values()}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError(f"--{what} expects key=value tokens, got {tok!r}")
-        key, value = tok.split("=", 1)
-        if key not in converters:
-            raise UsageError(f"--{what} does not accept {key!r}")
+        flag, value = tok.split("=", 1)
+        if flag not in names:
+            raise UsageError(f"--{what} does not accept {flag!r}")
         try:
-            out[key] = converters[key](value)
+            out[names[flag]] = _KINDS[keys[names[flag]].kind][1](value)
         except ValueError:
-            raise UsageError(f"--{what} {key}={value!r} is not a valid value")
+            raise UsageError(f"--{what} {flag}={value!r} is not a valid value")
+    _check(out, keys)
     return out
 
 
-def _mass_list(text: str):
-    vals = [float(v) for v in text.split(",")]
-    return vals[0] if len(vals) == 1 else vals
+def _flag_spec(args, section: str, kv_types) -> dict | None:
+    """The kernel or measure spec that the command line gives, if any."""
+    for kind in kv_types:
+        tokens = getattr(args, kind, None)
+        if tokens is not None:
+            return {"type": kind, **_parse_kv(tokens, kind, _TABLE[section][kind])}
+    path = getattr(args, f"{section}_file", None)
+    return {"type": "file", "path": path} if path else None
+
+
+def _transformed(measure: dict, tokens) -> dict:
+    """measure wrapped in the bounded transform of the --transform tokens, if any."""
+    if tokens is None:
+        return measure
+    return {"type": "transformed", "base": measure,
+            **_parse_kv(tokens, "transform", _TABLE["measure"]["transformed"])}
+
+
+#: the measure that ``mixing`` and ``report`` use when none is given
+_WHITE_NOISE = {"type": "white", **_parse_kv((), "white", _TEMPERATURES)}
+
+
+def _typed(value, key: _Key):
+    """A checked value with a float kind as floats; any other as it is."""
+    if value is None or key.kind not in ("float", "float list"):
+        return value
+    return float(value) if key.kind == "float" else [float(v) for v in value]
+
+
+def _merged(flags: dict, config: dict, keys: dict) -> dict:
+    """Every key of a section: its flag value over its config value over its
+    default, with float kinds as floats.  The flags are checked here, the
+    config when it was loaded."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    _check(given, keys)
+    merged = {**config, **given}
+    return {name: _typed(merged.get(name, key.default), key)
+            for name, key in keys.items() if isinstance(key, _Key)}
 
 
 def _effective_config(args, command: str) -> dict:
-    """Merge flags > CRYSTALSTAT_SEED (seed only) > config file > defaults."""
+    """Merge flags > CRYSTALSTAT_SEED (seed only) > config file > defaults.
+
+    Every value is checked against the table here, before anything runs.  A
+    kernel or measure spec of the config is recorded as written.
+    """
     cfg = _load_config(args.config) if args.config else {}
-    eff = {}
-
-    if getattr(args, "nn", None) is not None:
-        kv = _parse_kv(args.nn, "nn", {"d": int, "n": int, "m": _mass_list})
-        eff["kernel"] = {"type": "nn", "d": kv.get("d", 1), "n": kv.get("n", 1),
-                         "mass": kv.get("m", 1.0)}
-    elif getattr(args, "random", None) is not None:
-        kv = _parse_kv(args.random, "random",
-                       {"d": int, "n": int, "range": int, "seed": int})
-        eff["kernel"] = {"type": "random", "d": kv.get("d", 1), "n": kv.get("n", 1),
-                         "range": kv.get("range", 2), "seed": kv.get("seed", 0)}
-    elif getattr(args, "kernel_file", None):
-        eff["kernel"] = {"type": "file", "path": args.kernel_file}
-    elif "kernel" in cfg:
-        eff["kernel"] = cfg["kernel"]
-    else:
+    kernel = _flag_spec(args, "kernel", ("nn", "random")) or cfg.get("kernel")
+    if kernel is None:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
-    _check_integers(eff["kernel"], "kernel")
-    if eff["kernel"]["type"] == "random":
-        _require_seed(eff["kernel"].get("seed", 0))
-
-    eff["L"] = args.L if args.L is not None else _config_integer(cfg.get("L", 256), "L")
-    eff["grid_L"] = (args.grid_L if getattr(args, "grid_L", None) is not None
-                     else _config_integer(cfg.get("grid_L", eff["L"]), "grid_L"))
-
-    measure = None
-    if getattr(args, "triangular", None) is not None:
-        kv = _parse_kv(args.triangular, "triangular",
-                       {"nu0": int, "T0": float, "T1": float})
-        measure = {"type": "triangular", "nu0": kv.get("nu0", 2),
-                   "T0": kv.get("T0", 1.0), "T1": kv.get("T1", 1.0)}
-    elif getattr(args, "white", None) is not None:
-        kv = _parse_kv(args.white, "white", {"T0": float, "T1": float})
-        measure = {"type": "white", "T0": kv.get("T0", 1.0), "T1": kv.get("T1", 1.0)}
-    elif getattr(args, "measure_file", None):
-        measure = {"type": "file", "path": args.measure_file}
-    elif "measure" in cfg:
-        measure = cfg["measure"]
-        if measure["type"] == "transformed":
-            _checked_amplitudes(measure.get("a0", 1.0), measure.get("a1", 1.0))
-    transform = _transform_amplitudes(getattr(args, "transform", None))
-    if transform is not None and measure is None and command != "report":
-        raise UsageError("--transform needs a measure "
-                         "(--triangular/--white/--measure-file or config)")
-    if transform is not None and measure is not None and measure["type"] == "transformed":
-        raise UsageError("--transform cannot wrap the config's transformed measure; "
-                         "set its a0 and a1 instead")
-    if measure is not None:
-        _check_integers(measure.get("base") if measure["type"] == "transformed" else measure,
-                        "measure")
-    eff["measure"] = _transformed(measure, transform)
-
-    if getattr(args, "t", None) is not None:
-        eff["times"] = [float(args.t)]
-    elif getattr(args, "times", None):
-        eff["times"] = [float(t) for t in args.times]
-    elif "times" in cfg:
-        times = cfg["times"]
-        if not isinstance(times, list) or not all(map(_is_number, times)):
-            raise UsageError(f"config times must be a list of numbers, got {times!r}")
-        eff["times"] = [float(t) for t in times]
-    else:
-        eff["times"] = None
-    if not all(map(math.isfinite, eff["times"] or ())):
-        raise UsageError(f"times must be finite, got {eff['times']}")
-
-    eff["ensemble"] = (args.ensemble if getattr(args, "ensemble", None) is not None
-                       else _config_integer(cfg.get("ensemble", 10000), "ensemble"))
-
-    if args.seed is not None:
-        eff["seed"] = int(args.seed)
-    elif os.environ.get("CRYSTALSTAT_SEED"):
+    measure = _flag_spec(args, "measure", ("triangular", "white")) or cfg.get("measure")
+    tokens = getattr(args, "transform", None)
+    if tokens is not None:
+        _transformed(measure, tokens)  # checked even where report wraps its default
+        if measure is None and command != "report":
+            raise UsageError("--transform needs a measure "
+                             "(--triangular/--white/--measure-file or config)")
+        if measure is not None and measure["type"] == "transformed":
+            raise UsageError("--transform cannot wrap the config's transformed measure; "
+                             "set its a0 and a1 instead")
+    seed = args.seed
+    if seed is None and os.environ.get("CRYSTALSTAT_SEED"):
         try:
-            eff["seed"] = int(os.environ["CRYSTALSTAT_SEED"])
+            seed = int(os.environ["CRYSTALSTAT_SEED"])
         except ValueError:
             raise UsageError("CRYSTALSTAT_SEED must be an integer")
-    else:
-        eff["seed"] = _config_integer(cfg.get("seed", 0), "seed")
-    _require_seed(eff["seed"])
-
-    thr = cfg.get("thresholds", {})
-    for key, value in thr.items():
-        if not _is_number(value):
-            raise UsageError(f"config threshold {key} must be a number, got {value!r}")
-    eff["thresholds"] = {
-        "delta_cross": (args.delta_cross if args.delta_cross is not None
-                        else float(thr.get("delta_cross", DELTA_CROSS))),
-        "delta_hess": (args.delta_hess if args.delta_hess is not None
-                       else float(thr.get("delta_hess", DELTA_HESS))),
-        "delta_null": (args.delta_null if args.delta_null is not None
-                       else float(thr.get("delta_null", DELTA_NULL))),
-        "eps": (args.eps if getattr(args, "eps", None) is not None
-                else float(thr.get("eps", 0.0))),
-    }
-    # eps is checked where the cutoff is built, by green_cutoff
-    for key in ("delta_cross", "delta_hess", "delta_null"):
-        if not math.isfinite(eff["thresholds"][key]):
-            raise UsageError(f"{key} must be finite, got {eff['thresholds'][key]}")
-    eff["output"] = args.output if args.output is not None else cfg.get("output", "out")
-    eff["command"] = command
+    eff = _merged({"L": args.L, "grid_L": getattr(args, "grid_L", None),
+                   "times": [args.t] if args.t is not None else args.times,
+                   "ensemble": args.ensemble, "seed": seed, "output": args.output},
+                  cfg, _TABLE)
+    if eff["grid_L"] is None:
+        eff["grid_L"] = eff["L"]
+    eff.update(kernel=kernel, measure=measure and _transformed(measure, tokens),
+               command=command, thresholds=_merged(
+                   {name: getattr(args, name, None) for name in _TABLE["thresholds"]},
+                   cfg.get("thresholds", {}), _TABLE["thresholds"]))
     return eff
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _config_integer(value, what: str) -> int:
-    """A config value that must be a JSON integer: floats and booleans are
-    rejected, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"config {what} must be an integer, got {value!r}")
-    return value
-
-
-def _check_integers(spec: dict, what: str) -> None:
-    """Reject a kernel or measure spec whose integer keys hold anything else."""
-    for key in _INTEGER_KEYS.get(spec["type"], ()):
-        if key in spec:
-            _config_integer(spec[key], f"{what} {key}")
-
-
-def _require_seed(seed: int) -> None:
-    if seed < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {seed}")
-
-
-def _transform_amplitudes(tokens):
-    """(a0, a1) of --transform tokens; None without tokens."""
-    if tokens is None:
-        return None
-    kv = _parse_kv(tokens, "transform", {"a0": float, "a1": float})
-    return _checked_amplitudes(kv.get("a0", 1.0), kv.get("a1", 1.0))
-
-
-def _checked_amplitudes(a0, a1):
-    """(a0, a1) as floats once both are finite and positive."""
-    try:
-        amplitudes = (float(a0), float(a1))
-    except (TypeError, ValueError):
-        raise UsageError(f"transform amplitudes must be numbers, got a0={a0!r} a1={a1!r}")
-    if not all(0.0 < a < math.inf for a in amplitudes):
-        raise UsageError("transform amplitudes must be finite and positive, "
-                         f"got a0={amplitudes[0]} a1={amplitudes[1]}")
-    return amplitudes
-
-
-def _transformed(measure, amplitudes):
-    """Wrap a measure spec in the bounded transform with amplitudes (a0, a1), if any."""
-    if measure is None or amplitudes is None:
-        return measure
-    return {"type": "transformed", "base": measure, "a0": amplitudes[0], "a1": amplitudes[1]}
-
-
 class _Run:
-    """State of one command: effective config, output directory (created here),
-    and the kernel, dispersion grids, condition reports and limit of the
-    initial measure, each built on first use.
+    """State of one command: effective config, output directory (created by
+    its first write), and the kernel, dispersion grids, condition reports and
+    limit of the initial measure, each built on first use.
 
     The stages of ``report`` share one memo, so they share the kernel, the
     grid and its E1-E5 scan at each resolution, and the measure with its ES
@@ -355,7 +355,6 @@ class _Run:
         self.thr = eff["thresholds"]
         self.L = eff["L"]
         self.outdir = Path(eff["output"])
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.memo = memo
 
     def kernel(self):
@@ -406,14 +405,13 @@ class _Run:
 
 
 def _build_kernel(spec: dict):
-    _check_spec(spec, _KERNEL_KEYS, "kernel")
+    v = _merged({}, spec, _TABLE["kernel"][spec["type"]])
     if spec["type"] == "nn":
-        return build_nn_kernel(spec.get("d", 1), spec.get("n", 1), spec.get("mass", 1.0))
+        return build_nn_kernel(v["d"], v["n"], v["mass"])
     if spec["type"] == "random":
-        return random_finite_range_kernel(spec.get("d", 1), spec.get("n", 1),
-                                          spec.get("range", 2), spec.get("seed", 0))
+        return random_finite_range_kernel(v["d"], v["n"], v["range"], v["seed"])
     try:
-        text = Path(spec["path"]).read_text()
+        text = Path(v["path"]).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read kernel file: {exc}")
     return kernel_from_json(text)
@@ -424,23 +422,19 @@ def _build_measure(spec, kernel, L):
     if spec is None:
         raise UsageError("this command needs an initial measure "
                          "(--triangular/--white/--measure-file or config)")
-    _check_spec(spec, _MEASURE_KEYS, "measure")
     kind = spec["type"]
+    v = _merged({}, spec, _TABLE["measure"][kind])
     if kind == "transformed":
-        density, _ = _build_measure(spec["base"], kernel, L)
-        return density, (float(spec.get("a0", 1.0)), float(spec.get("a1", 1.0)))
+        density, _ = _build_measure(v["base"], kernel, L)
+        return density, (v["a0"], v["a1"])
     if kind == "triangular":
         if kernel.n != 1:
             raise UsageError("triangular measure is scalar; kernel has n > 1")
-        return triangular_density(spec.get("nu0", 2), kernel.d,
-                                  float(spec.get("T0", 1.0)),
-                                  float(spec.get("T1", 1.0)), L), None
+        return triangular_density(v["nu0"], kernel.d, v["T0"], v["T1"], L), None
     if kind == "white":
-        return white_noise_density(float(spec.get("T0", 1.0)),
-                                   float(spec.get("T1", 1.0)),
-                                   kernel.n, kernel.d, L), None
+        return white_noise_density(v["T0"], v["T1"], kernel.n, kernel.d, L), None
     try:
-        doc = json.loads(Path(spec["path"]).read_text())
+        doc = json.loads(Path(v["path"]).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read measure file: {exc}")
     density = density_from_jsonable(doc)
@@ -474,9 +468,15 @@ def _plain(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    """obj as sorted, indented JSON; a non-finite float is a numerical fault,
+    raised before the file (or its directory) is created."""
+    try:
+        text = json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFault(f"{path.name}: {exc}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_plain(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _floats(a) -> list:
@@ -513,6 +513,7 @@ def _write_csv(path: Path, header, columns) -> None:
     are joined and written in blocks of _CSV_BLOCK_ROWS, never into one string.
     """
     rows = map(",".join, zip(*columns))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
@@ -786,16 +787,11 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     grid, _ = run.grid(L)
     _condition_gate(run.conditions(L)[0], allow_degenerate)
 
-    measure = eff["measure"] or {
-        "type": "transformed",
-        "base": {"type": "triangular", "nu0": 2, "T0": 1.0, "T1": 1.0},
-        "a0": 1.0, "a1": 1.0,
-    }
-    _check_spec(measure, _MEASURE_KEYS, "measure")
-    base_spec = measure.get("base") if measure["type"] == "transformed" else None
-    if not isinstance(base_spec, dict) or base_spec.get("type") != "triangular":
+    measure = eff["measure"] or _transformed(
+        {"type": "triangular", **_parse_kv((), "triangular", _TABLE["measure"]["triangular"])}, ())
+    if measure["type"] != "transformed" or measure["base"]["type"] != "triangular":
         raise UsageError("clt needs a transformed triangular measure")
-    nu0 = base_spec.get("nu0", 2)
+    nu0 = _merged({}, measure["base"], _TABLE["measure"]["triangular"])["nu0"]
     base, transform = _build_measure(measure, kernel, L)
     t = (eff["times"] or [50.0])[-1]
     psi = TestField.delta(kernel.d, kernel.n, component=component)
@@ -865,8 +861,7 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
     grid, measure and limit; white noise T0=1 T1=1 stands in for a missing
     measure."""
     # the tokens were checked with the config, before the output directory existed
-    measure = (run.eff["measure"]
-               or _transformed(_WHITE_NOISE, _transform_amplitudes(transform)))
+    measure = run.eff["measure"] or _transformed(_WHITE_NOISE, transform)
     stages = {}
     for name, body, options in (
         ("dispersion", _cmd_dispersion, {}),

@@ -115,14 +115,17 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
 
 
 def _eigenbasis_blocks(grid: DispersionGrid, matrix: np.ndarray):
-    """Transform the four blocks into the symbol eigenbasis per node."""
+    """Transform the four blocks into the symbol eigenbasis per node.
+
+    The stacked matmuls read contiguous copies, not strided views: the same
+    bits, in less time."""
     n = grid.n
     B = grid.basis
-    Bh = np.conj(np.swapaxes(B, -1, -2))
+    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
     blocks = {}
     for i in (0, 1):
         for j in (0, 1):
-            blk = matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n]
+            blk = np.ascontiguousarray(matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n])
             blocks[i, j] = Bh @ blk @ B
     return blocks
 
@@ -168,7 +171,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     same_cluster = grid.cluster_id[..., :, None] == grid.cluster_id[..., None, :]
     n = grid.n
     B = grid.basis
-    Bh = np.conj(np.swapaxes(B, -1, -2))
+    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
     out = np.empty((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     for (i, j), blk in M.items():
         masked = np.where(same_cluster, blk, 0.0)

@@ -70,8 +70,12 @@ class SpectralDensity:
         expected = (self.L,) * self.d + (2 * self.n, 2 * self.n)
         if self.matrix.shape != expected:
             raise ValueError(f"density matrix must have shape {expected}")
-        herm_gap = float(np.max(np.abs(self.matrix - np.conj(np.swapaxes(self.matrix, -1, -2)))))
+        # one NaN or infinite entry makes the scale non-finite; a NaN gap
+        # would compare false and pass the gates below
         scale = 1.0 + float(np.max(np.abs(self.matrix)))
+        if not np.isfinite(scale):
+            raise ValueError("density matrix must be finite")
+        herm_gap = float(np.max(np.abs(self.matrix - np.conj(np.swapaxes(self.matrix, -1, -2)))))
         if herm_gap > 1e-8 * scale:
             raise ValueError(f"density is not Hermitian (gap {herm_gap:.3e})")
         # reality of the underlying field: qhat(-theta) = conj(qhat(theta))

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,11 @@ def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsy
     ({"thresholds": {"delta_cross": True}},
      "config threshold delta_cross must be a number, got True"),
     ({"thresholds": {"eps": "1e-3"}}, "config threshold eps must be a number, got '1e-3'"),
+    ({"kernel": {"type": "nn", "d": 1, "n": 1, "mass": True}},
+     "config kernel mass must be a number or a list of numbers, got True"),
+    ({"measure": {"type": "white", "T0": "2", "T1": True}},
+     "config measure T0 must be a number, got '2'"),
+    ({"output": 7}, "config output must be a string, got 7"),
 ])
 def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -367,6 +373,87 @@ def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message
     assert main(["clt", "--config", str(cfg), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def table_keys():
+    """(section, type, name, key) of every value key of the config table."""
+    for name, key in cli._TABLE.items():
+        if isinstance(key, cli._Key):
+            yield None, None, name, key
+    for name, key in cli._TABLE["thresholds"].items():
+        yield "thresholds", None, name, key
+    for section in ("kernel", "measure"):
+        for kind, keys in cli._TABLE[section].items():
+            for name, key in keys.items():
+                if key.kind != "measure":
+                    yield section, kind, name, key
+
+
+def bad_values(key):
+    """(config value, flag text) pairs that the key must refuse."""
+    if key.kind == "path":
+        return [(True, None), (3, None)]
+    bad = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (True, "true"),
+           ("abc", "abc")]
+    if key.kind == "integer":
+        bad.append((1.5, "1.5"))
+    if key.constraint in ("positive", "nonnegative"):
+        bad.append((-1, "-1") if key.kind == "integer" else (-0.5, "-0.5"))
+    return bad
+
+
+@st.composite
+def table_key_and_bad_value(draw):
+    section, kind, name, key = draw(st.sampled_from(list(table_keys())))
+    return section, kind, name, draw(st.sampled_from(bad_values(key)))
+
+
+def bad_flag_argv(section, kind, name, text):
+    """A command line that gives the bad value by its flag."""
+    kernel = ["--nn", "d=1", "n=1", "m=1"]
+    measure = ["--white", "T0=1", "T1=1"]
+    if section is None or section == "thresholds":
+        flag = [f"--{name.replace('_', '-')}={text}"]
+    elif section == "kernel":
+        kernel, flag = [f"--{kind}", f"{cli._FLAG_NAMES.get(name, name)}={text}"], []
+    elif kind == "transformed":
+        flag = ["--transform", f"{name}={text}"]
+    else:
+        measure, flag = [f"--{kind}", f"{name}={text}"], []
+    command = {"grid_L": "critical", "eps": "green"}.get(name, "limit")
+    if command != "limit":
+        measure = []
+    return [command] + kernel + ["--L", "16"] + measure + flag
+
+
+def bad_config(section, kind, name, value):
+    """A config that gives the bad value at the key's place."""
+    doc = {"kernel": {"type": "nn", "d": 1, "n": 1, "mass": 1.0}, "L": 16,
+           "measure": {"type": "white"}}
+    if section is None:
+        doc[name] = [value] if name == "times" else value
+    elif section == "thresholds":
+        doc["thresholds"] = {name: value}
+    elif kind == "transformed":
+        doc["measure"] = {"type": kind, "base": {"type": "white"}, name: value}
+    else:
+        doc[section] = {"type": kind, name: value}
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=table_key_and_bad_value())
+def test_every_table_key_refuses_bad_values_before_output(case):
+    section, kind, name, (value, text) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if text is not None:
+            assert main(bad_flag_argv(section, kind, name, text) + ["--output", str(out)]) == 1
+            assert not out.exists()
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(bad_config(section, kind, name, value)))
+        assert main(["limit", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_config_kernel_integers_reach_the_kernel(tmp_path):
@@ -423,7 +510,7 @@ def test_transform_amplitudes_must_be_finite_and_positive(tmp_path, capsys, comm
 
 @pytest.mark.parametrize("a0, message", [
     (-1.0, "transform amplitudes must be finite and positive, got a0=-1.0 a1=1.0"),
-    ("wide", "transform amplitudes must be numbers, got a0='wide' a1=1.0"),
+    ("wide", "config measure a0 must be a number, got 'wide'"),
 ])
 def test_config_transform_amplitudes_are_checked(tmp_path, capsys, a0, message):
     cfg = tmp_path / "cfg.json"
@@ -710,16 +797,23 @@ def test_component_out_of_range_is_usage_error(tmp_path, capsys, component):
     ("--config", {"thresholds": 3}, "config thresholds must be a JSON object"),
     ("--config", {"times": [10.0, float("inf")]}, "times must be finite, got [10.0, inf]"),
     ("--config", {"thresholds": {"delta_null": float("nan")}},
-     "delta_null must be finite, got nan"),
+     "delta_null must be finite and nonnegative, got nan"),
+    # json reads the NaN token, which the density rejects
+    ("--measure-file", "nan-entry", "density matrix must be finite"),
 ])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, doc, message):
+    if doc == "nan-entry":
+        doc = density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 64))
+        doc["matrix_re"][3][0][0] = math.nan
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    argv = ["mixing", "--L", "64", flag, str(path), "--output", str(tmp_path / "mix")]
+    out = tmp_path / "mix"
+    argv = ["mixing", "--L", "64", flag, str(path), "--output", str(out)]
     if flag != "--kernel-file":
         argv += nn_args()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_threshold_flags_reach_E4_E5(tmp_path):
@@ -757,20 +851,37 @@ def test_allow_degenerate_only_where_read(capsys):
     pytest.param(["mixing", "--times", "0", "nan"],
                  "times must be finite, got [0.0, nan]", id="times-nan"),
     pytest.param(["dispersion", "--delta-hess", "nan"],
-                 "delta_hess must be finite, got nan", id="delta-hess-nan"),
+                 "delta_hess must be finite and nonnegative, got nan", id="delta-hess-nan"),
     pytest.param(["critical", "--delta-cross", "inf"],
-                 "delta_cross must be finite, got inf", id="delta-cross-inf"),
+                 "delta_cross must be finite and nonnegative, got inf", id="delta-cross-inf"),
     pytest.param(["limit", "--white", "T0=1", "--delta-null=-inf"],
-                 "delta_null must be finite, got -inf", id="delta-null--inf"),
+                 "delta_null must be finite and nonnegative, got -inf", id="delta-null--inf"),
+    *(pytest.param([command, f"--{flag}=-1"], f"{key} must be finite and nonnegative, got -1.0",
+                   id=f"{flag}--1")
+      for command, flag, key in (("limit", "delta-cross", "delta_cross"),
+                                 ("dispersion", "delta-hess", "delta_hess"),
+                                 ("mixing", "delta-null", "delta_null"))),
+    # usage errors that the library raises leave no output directory either
+    pytest.param(["dispersion", "--L", "0"], "grid resolution L must be even and >= 16",
+                 id="L-0"),
+    pytest.param(["ensemble", "--white", "T0=1", "--ensemble=-5"], "count must be positive",
+                 id="ensemble--5"),
+    pytest.param(["clt", "--component", "7"], "component 7 is outside 0..1", id="component-7"),
+    pytest.param(["gibbs", "--T1", "nan", "--t", "1", "--ensemble", "200"],
+                 "density matrix must be finite", id="gibbs-T1-nan"),
+    pytest.param(["dispersion", "--nn", "m=-1"], "mass must be finite and nonnegative, got -1.0",
+                 id="mass--1"),
+    pytest.param(["limit", "--white", "T0=nan", "T1=1"],
+                 "temperatures must be finite and nonnegative, got T0=nan T1=1.0", id="T0-nan"),
+    pytest.param(["limit", "--white", "T0=inf", "T1=1"],
+                 "temperatures must be finite and nonnegative, got T0=inf T1=1.0", id="T0-inf"),
 ])
 def test_bad_eps_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(argv[:1] + nn_args(L=256) + argv[1:] + ["--output", str(out)])
     assert code == 1
     assert f"usage error: {message}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-    if argv[0] != "green":
-        assert not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -903,6 +1014,16 @@ def test_report_records_numerical_fault_per_stage(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "limit: numerical fault: limit: imaginary residue" in err
     assert "mixing: numerical fault: limit: imaginary residue" in err
+
+
+def test_non_finite_report_value_is_numerical_fault(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "quadratic_form", lambda *args: math.nan)
+    out = tmp_path / "mix"
+    code = main(["mixing"] + nn_args(L=32) + ["--times", "0", "1", "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numerical fault: mixing.json: Out of range float values are not JSON compliant: nan\n")
+    assert not out.exists()
 
 
 def run_outputs(tmp_path, argv, threads):

@@ -28,7 +28,7 @@ from crystalstat import (
 from crystalstat import dynamics
 from crystalstat._lattice import eigen_compose
 from crystalstat.covariance import _unexcluded_matrix
-from crystalstat.spectral import check_ES
+from crystalstat.spectral import DELTA_NULL, check_ES
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -293,6 +293,41 @@ def test_limit_is_a_fixed_point_of_transport(d, n, kernel_range, kernel_seed,
     moved = evolve_density(qinf, grid, t)
     gap = np.abs(moved.matrix[keep] - qinf.matrix[keep])
     assert float(gap.max()) <= 1e-10 * _scale(qinf)
+
+
+def strided_limit_matrix(q0, grid, delta_null=DELTA_NULL):
+    """The limit matrix with every block transform on strided views of the
+    basis and the density, as limit_density computed it before its operands
+    were made contiguous."""
+    n, B = grid.n, grid.basis
+    Bh = np.conj(np.swapaxes(B, -1, -2))
+    A = {(i, j): Bh @ q0.matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n] @ B
+         for i in (0, 1) for j in (0, 1)}
+    w = grid.omega
+    winv = np.where(w > delta_null, 1.0 / np.where(w > delta_null, w, 1.0), 0.0)
+    wl, wr, wil, wir = w[..., :, None], w[..., None, :], winv[..., :, None], winv[..., None, :]
+    M = {(0, 0): 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
+         (0, 1): 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
+         (1, 0): 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
+         (1, 1): 0.5 * (A[1, 1] + wl * A[0, 0] * wr)}
+    same_cluster = grid.cluster_id[..., :, None] == grid.cluster_id[..., None, :]
+    out = np.empty(q0.matrix.shape, dtype=complex)
+    for (i, j), blk in M.items():
+        out[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = B @ np.where(same_cluster, blk,
+                                                                      0.0) @ Bh
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+
+
+@settings(max_examples=24, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
+       density_seed=st.integers(0, 2**32 - 1))
+def test_limit_density_keeps_the_bits_of_strided_operands(d, n, kernel_range, kernel_seed,
+                                                          density_seed):
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    q0 = _random_density(d, n, grid.L, density_seed)
+    np.testing.assert_array_equal(limit_density(q0, grid).matrix,
+                                  strided_limit_matrix(q0, grid))
 
 
 @settings(max_examples=30, deadline=None)
