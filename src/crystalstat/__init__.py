@@ -67,7 +67,6 @@ from .stats import (
     gaussianity_report,
     linear_functional_samples,
     stream_ensemble,
-    weighted_norm,
 )
 
 __all__ = [
@@ -120,5 +119,4 @@ __all__ = [
     "gaussianity_report",
     "linear_functional_samples",
     "stream_ensemble",
-    "weighted_norm",
 ]

@@ -7,6 +7,9 @@ Fourier convention used throughout the package:
 
 With this convention a lattice convolution (K * a)(x) = sum_y K(x - y) a(y)
 becomes nodewise multiplication by the symbol Khat(theta) = sum_z K(z) e^{i z.theta}.
+This module is the only one that builds phase sums, grid angles and offset
+cubes; the others call :func:`fourier_series`, :func:`fourier_coefficient`,
+the FFTs, :func:`theta_axis`, :func:`theta_step` and :func:`offset_cube`.
 Nodewise matrices (densities, symbols, eigenbases) carry the d grid axes
 first and their component axes last.  An ensemble of fields is one array
 (S, 2n, *grid), component-major: a leading sample axis, then the u
@@ -17,6 +20,8 @@ C-contiguous copies by :func:`moved_axes`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -30,6 +35,17 @@ class NumericalFault(ValueError):
 def theta_axis(L: int) -> np.ndarray:
     """Grid angles 2 pi k / L for one axis."""
     return 2.0 * np.pi * np.arange(L) / L
+
+
+def theta_step(L: int) -> float:
+    """Spacing 2 pi / L of the grid angles."""
+    return 2.0 * np.pi / L
+
+
+def offset_cube(r: int, d: int) -> list:
+    """Every offset in Z^d whose coordinates all lie in -r..r, as tuples of
+    ints in lexicographic order."""
+    return list(itertools.product(range(-r, r + 1), repeat=d))
 
 
 def forward_fft(a: np.ndarray, axes: tuple) -> np.ndarray:
@@ -86,7 +102,7 @@ def guarded_reciprocal(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.where(ok, 1.0 / np.where(ok, x, 1.0), 0.0)
 
 
-def phase_grid(z, L: int, sign: int) -> np.ndarray:
+def _phase_grid(z, L: int, sign: int) -> np.ndarray:
     """exp(sign * i * z.theta) evaluated on the full theta grid, shape (L,)*d."""
     z = np.asarray(z, dtype=int)
     d = z.size
@@ -100,15 +116,27 @@ def phase_grid(z, L: int, sign: int) -> np.ndarray:
     return out
 
 
-def minimal_image(L: int, d: int) -> np.ndarray:
-    """Signed minimal-image coordinate per site, shape (L,)*d + (d,).
+def fourier_series(terms, L: int, d: int, value_shape: tuple) -> np.ndarray:
+    """sum_z c(z) e^{+i z.theta} on the full theta grid, shape (L,)*d + value_shape.
 
-    Index x in 0..L-1 maps to the representative in [-L/2, L/2).
+    terms yields (z, c) pairs, c of shape value_shape; they are summed in the
+    order given, which fixes the last bits of the sum.  Offsets are taken as
+    they are, not reduced modulo L.
     """
-    coords = np.arange(L)
-    signed = (coords + L // 2) % L - L // 2
-    grids = np.meshgrid(*([signed] * d), indexing="ij")
-    return np.stack(grids, axis=-1)
+    out = np.zeros((L,) * d + value_shape, dtype=complex)
+    values = (None,) * len(value_shape)
+    for z, c in terms:
+        out += _phase_grid(z, L, +1)[(...,) + values] * c
+    return out
+
+
+def fourier_coefficient(hat: np.ndarray, z) -> np.ndarray:
+    """L^-d sum_theta hat(theta) e^{-i z.theta}, the coefficient at offset z of a
+    grid function hat of shape (L,)*d + value shape."""
+    d = len(z)
+    L = hat.shape[0]
+    phase = _phase_grid(z, L, -1)[(...,) + (None,) * (hat.ndim - d)]
+    return np.sum(phase * hat, axis=tuple(range(d))) / float(L) ** d
 
 
 def real_part_checked(a: np.ndarray, tol: float, what: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lattice import NumericalFault
+from ._lattice import NumericalFault, offset_cube, theta_axis
 from .covariance import (
     TestField,
     covariance_from_density,
@@ -120,14 +120,14 @@ _AMPLITUDE = _Key("float", "positive", 1.0, "transform amplitudes")
 
 #: every config key: the top-level keys, the thresholds, and the keys besides
 #: "type" of each kernel and measure type; flags take the same keys (flag m is
-#: key mass).  L, grid_L and ensemble have no constraint here: their bounds are
-#: the command's (an even grid of at least 16 points, each estimator's sample
-#: count), checked by the library where they are used.
+#: key mass).  L, grid_L and ensemble are only positive here: their tighter
+#: bounds are the command's (an even grid of at least 16 points, each
+#: estimator's sample count), checked by the library where they are used.
 _TABLE = {
-    "L": _Key("integer", "", 256),
-    "grid_L": _Key("integer"),  # default: L
+    "L": _Key("integer", "positive", 256),
+    "grid_L": _Key("integer", "positive"),  # default: L
     "times": _Key("float list", "finite"),
-    "ensemble": _Key("integer", "", 10000),
+    "ensemble": _Key("integer", "positive", 10000),
     "seed": _Key("integer", "nonnegative", 0),
     "output": _Key("path", "", "out"),
     "thresholds": {
@@ -591,7 +591,7 @@ def _cmd_dispersion(run) -> int:
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
     W = grid.branch_values
     *node, branch = _indices(W.shape)
-    theta = _floats(2.0 * np.pi * np.arange(grid.L) / grid.L)
+    theta = _floats(theta_axis(grid.L))
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
     code = np.repeat(scan.c0 + 2 * scan.cstar + 4 * scan.ck, grid.n)
@@ -796,8 +796,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     t = (eff["times"] or [50.0])[-1]
     psi = TestField.delta(kernel.d, kernel.n, component=component)
     # support of the transformed field is inside the base support
-    offsets = [z for z in np.ndindex(*((2 * nu0 - 1,) * kernel.d))]
-    offsets = [tuple(int(c) - (nu0 - 1) for c in z) for z in offsets]
+    offsets = offset_cube(nu0 - 1, kernel.d)
 
     products, samples0, samples_t = stream_ensemble(
         base, eff["ensemble"], eff["seed"], grid, t,

@@ -15,7 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._lattice import eigen_compose, guarded_reciprocal, phase_grid, real_part_checked
+from ._lattice import (
+    eigen_compose,
+    fourier_coefficient,
+    fourier_series,
+    guarded_reciprocal,
+    real_part_checked,
+)
 from .dynamics import _propagator_grid_matrix
 from .fields import SpectralDensity
 from .kernel import ConditionReport
@@ -70,11 +76,8 @@ class TestField:
 
     def fourier(self, L: int) -> np.ndarray:
         """Psihat(theta) = sum_x Psi(x) e^{i x.theta} on the grid, (*grid, 2n)."""
-        d = self.d
-        out = np.zeros((L,) * d + (self.values.shape[1],), dtype=complex)
-        for x, val in zip(self.sites, self.values):
-            out += phase_grid(x, L, +1)[..., None] * val
-        return out
+        return fourier_series(zip(self.sites, self.values), L, self.d,
+                              (self.values.shape[1],))
 
 
 @dataclass(eq=False)
@@ -203,8 +206,8 @@ def gibbs_density(T1: float, grid: DispersionGrid,
 
     Nodes with a degenerate symbol have no inverse and are excluded.
     """
-    if T1 < 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0 <= T1 < np.inf:
+        raise ValueError(f"temperature must be finite and nonnegative, got T1={T1}")
     omega = grid.omega
     w_ok = omega > delta_null
     Vinv = eigen_compose(grid.basis, guarded_reciprocal(omega**2, w_ok))
@@ -248,7 +251,7 @@ def covariance_from_density(density: SpectralDensity, offsets) -> CovarianceTabl
     Excluded nodes of a limit density contribute nothing; their measure
     fraction is reported so callers can fold it into error budgets.
     """
-    L, d = density.L, density.d
+    d = density.d
     matrix, frac = _unexcluded_matrix(density)
     scale = 1.0 + float(np.max(np.abs(matrix)))
     out = {}
@@ -256,10 +259,8 @@ def covariance_from_density(density: SpectralDensity, offsets) -> CovarianceTabl
         z = tuple(int(c) for c in z)
         if len(z) != d:
             raise ValueError(f"offset {z} has wrong dimension")
-        phase = phase_grid(z, L, -1)
-        q = np.sum(phase[..., None, None] * matrix,
-                   axis=tuple(range(d))) / float(L) ** d
-        out[z] = real_part_checked(q, 1e-8 * scale, f"covariance at offset {z}")
+        out[z] = real_part_checked(fourier_coefficient(matrix, z), 1e-8 * scale,
+                                   f"covariance at offset {z}")
     return CovarianceTable(offsets=[tuple(int(c) for c in z) for z in offsets],
                            matrices=out, excluded_fraction=frac)
 

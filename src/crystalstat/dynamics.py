@@ -24,7 +24,9 @@ from ._lattice import (
     forward_fft,
     inverse_fft,
     moved_axes,
+    offset_cube,
     real_part_checked,
+    theta_step,
 )
 from .kernel import InteractionKernel
 from .spectral import CriticalSetEstimate, DispersionGrid, _require_match
@@ -149,13 +151,10 @@ def _chebyshev_distance_steps(mask: np.ndarray, max_steps: int) -> np.ndarray:
     d = mask.ndim
     INF = np.iinfo(np.int32).max // 2
     dist = np.where(mask, 0, INF).astype(np.int32)
-    shifts = [s for s in np.ndindex(*([3] * d))]
+    shifts = [s for s in offset_cube(1, d) if any(s)]
     for _ in range(max_steps):
         best = dist
-        for s in shifts:
-            shift = tuple(int(c) - 1 for c in s)
-            if all(c == 0 for c in shift):
-                continue
+        for shift in shifts:
             best = np.minimum(best, np.roll(dist, shift, axis=tuple(range(d))) + 1)
         if np.array_equal(best, dist):
             break
@@ -188,7 +187,7 @@ def green_cutoff(scan: CriticalSetEstimate, eps: float) -> np.ndarray | None:
     flagged = scan.combined
     if eps == 0 or not np.any(flagged):
         return None
-    h = 2.0 * np.pi / scan.L
+    h = theta_step(scan.L)
     max_steps = int(math.ceil(eps / h)) + 1
     dist = _chebyshev_distance_steps(flagged, max_steps).astype(float) * h
     g = _smooth_ramp(dist / eps)

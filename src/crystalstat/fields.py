@@ -33,9 +33,9 @@ from ._lattice import (
     check_ensemble,
     eigen_compose,
     forward_fft,
+    fourier_series,
     inverse_fft,
     moved_axes,
-    phase_grid,
     real_part_checked,
     theta_axis,
 )
@@ -118,8 +118,8 @@ def triangular_density(nu0: int, d: int, T0: float, T1: float, L: int) -> Spectr
     """
     if nu0 < 1 or int(nu0) != nu0:
         raise ValueError("nu0 must be a positive integer")
-    if T0 < 0 or T1 < 0:
-        raise ValueError("temperatures must be nonnegative")
+    if not (0 <= T0 < np.inf and 0 <= T1 < np.inf):
+        raise ValueError(f"temperatures must be finite and nonnegative, got T0={T0} T1={T1}")
     th = theta_axis(L)
     denom = 1.0 - np.cos(th)
     numer = 1.0 - np.cos(nu0 * th)
@@ -141,8 +141,8 @@ def triangular_density(nu0: int, d: int, T0: float, T1: float, L: int) -> Spectr
 
 def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> SpectralDensity:
     """Site-uncorrelated measure: constant density diag(T0 I, T1 I)."""
-    if T0 < 0 or T1 < 0:
-        raise ValueError("temperatures must be nonnegative")
+    if not (0 <= T0 < np.inf and 0 <= T1 < np.inf):
+        raise ValueError(f"temperatures must be finite and nonnegative, got T0={T0} T1={T1}")
     matrix = np.zeros((L,) * d + (2 * n, 2 * n), dtype=complex)
     for k in range(n):
         matrix[..., k, k] = T0
@@ -339,9 +339,7 @@ def density_from_covariance(cov: dict, L: int,
         else:
             merged[z] = mat
             merged[mz] = mat.T
-    out = np.zeros((L,) * d + (two_n, two_n), dtype=complex)
-    for z, mat in merged.items():
-        out += phase_grid(z, L, +1)[..., None, None] * mat
+    out = fourier_series(merged.items(), L, d, (two_n, two_n))
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     w, U = np.linalg.eigh(out)
     out = eigen_compose(U, np.clip(w, 0.0, None))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import phase_grid
+from ._lattice import fourier_series, offset_cube, theta_axis
 
 __all__ = [
     "InteractionKernel",
@@ -127,9 +127,6 @@ class InteractionKernel:
         """Largest Chebyshev radius max_i |z_i| over stored offsets."""
         return max((max(abs(c) for c in z) for z in self.entries), default=0)
 
-    def offsets(self):
-        return list(self.entries)
-
     def symbol(self, theta) -> np.ndarray:
         """Fourier symbol Vhat(theta) = sum_z V(z) e^{i z.theta}, Hermitian (n, n)."""
         theta = np.asarray(theta, dtype=float)
@@ -144,9 +141,7 @@ class InteractionKernel:
         """Symbol on the full theta grid, shape (L,)*d + (n, n)."""
         if L < 1:
             raise ValueError("L must be positive")
-        acc = np.zeros((L,) * self.d + (self.n, self.n), dtype=complex)
-        for z, mat in self.entries.items():
-            acc += phase_grid(z, L, +1)[..., None, None] * mat
+        acc = fourier_series(self.entries.items(), L, self.d, (self.n, self.n))
         return 0.5 * (acc + np.conj(np.swapaxes(acc, -1, -2)))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
@@ -216,10 +211,7 @@ def random_finite_range_kernel(d: int, n: int, N: int, seed: int) -> Interaction
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     entries = {(0,) * d: 0.5 * (A + A.T)}
-    grid = np.array(
-        np.meshgrid(*([np.arange(-N, N + 1)] * d), indexing="ij")
-    ).reshape(d, -1).T
-    for z in sorted(map(tuple, grid)):
+    for z in offset_cube(N, d):
         if z == (0,) * d or not canonical_offset(z):
             continue
         entries[z] = rng.standard_normal((n, n))
@@ -277,7 +269,7 @@ def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
     lam_min = float(w.min())
     flat = int(np.argmin(w.min(axis=-1)))
     loc = np.unravel_index(flat, (grid_resolution,) * kernel.d)
-    theta_min = [float(a) for a in (2.0 * np.pi * np.asarray(loc) / grid_resolution)]
+    theta_min = theta_axis(grid_resolution)[np.asarray(loc)].tolist()
     scale = 1.0 + float(np.max(np.abs(w)))
     zero_tol = 1e-10 * scale
     if lam_min < -zero_tol:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import eigen_compose, guarded_reciprocal
+from ._lattice import eigen_compose, guarded_reciprocal, theta_step
 from .kernel import ConditionReport, InteractionKernel
 
 __all__ = [
@@ -104,10 +104,6 @@ class DispersionGrid:
     def n(self) -> int:
         return self.kernel.n
 
-    @property
-    def h(self) -> float:
-        return 2.0 * np.pi / self.L
-
     @cached_property
     def branch_values(self) -> np.ndarray:
         """Continued branch frequencies W[..., b] = omega at the label of branch b."""
@@ -121,14 +117,14 @@ class DispersionGrid:
         for axis in range(self.d):
             grads[..., axis] = (
                 np.roll(W, -1, axis=axis) - np.roll(W, 1, axis=axis)
-            ) / (2.0 * self.h)
+            ) / (2.0 * theta_step(self.L))
         return grads
 
     @cached_property
     def branch_hessians(self) -> np.ndarray:
         """Central-difference Hessians of continued branches, shape (*grid, n, d, d)."""
         W = self.branch_values
-        h = self.h
+        h = theta_step(self.L)
         H = np.empty(W.shape + (self.d, self.d))
         for a in range(self.d):
             H[..., a, a] = (

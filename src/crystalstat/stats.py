@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lattice import check_ensemble, minimal_image, moved_axes
+from ._lattice import check_ensemble, moved_axes, offset_cube
 from .covariance import quadratic_form
 from .dynamics import evolve_ensemble
 from .fields import gaussian_ensemble, nonlinear_transform_sample
@@ -34,7 +34,6 @@ __all__ = [
     "linear_functional_samples",
     "characteristic_functional",
     "gaussianity_report",
-    "weighted_norm",
 ]
 
 
@@ -175,12 +174,7 @@ def empirical_mixing_support(Y, r_max: int) -> dict:
     _require_samples(Y.shape[0], "covariance error bars")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    offsets = [
-        z
-        for z in np.ndindex(*([2 * r_max + 1] * d))
-        if any(c != 0 for c in (np.asarray(z) - r_max))
-    ]
-    offsets = [tuple(int(c) for c in (np.asarray(z) - r_max)) for z in offsets]
+    offsets = [z for z in offset_cube(r_max, d) if any(z)]
     summary = empirical_covariance(Y, offsets)
     radius = 0
     table = {}
@@ -289,11 +283,3 @@ def gaussianity_report(samples) -> dict:
         "z_kurtosis": exkurt / np.sqrt(24.0 / N),
         "degenerate": False,
     }
-
-
-def weighted_norm(Y, alpha: float) -> np.ndarray:
-    """Per-sample sum of |Y_s(x)|^2 (1+|x|^2)^alpha with minimal-image |x|, shape (S,)."""
-    Y, L, d, _ = check_ensemble(Y)
-    x = minimal_image(L, d).astype(float)
-    weights = (1.0 + np.sum(x * x, axis=-1)) ** alpha
-    return np.sum(weights * np.sum(Y**2, axis=1), axis=tuple(range(1, d + 1)))

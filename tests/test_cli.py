@@ -861,14 +861,20 @@ def test_allow_degenerate_only_where_read(capsys):
       for command, flag, key in (("limit", "delta-cross", "delta_cross"),
                                  ("dispersion", "delta-hess", "delta_hess"),
                                  ("mixing", "delta-null", "delta_null"))),
-    # usage errors that the library raises leave no output directory either
-    pytest.param(["dispersion", "--L", "0"], "grid resolution L must be even and >= 16",
-                 id="L-0"),
-    pytest.param(["ensemble", "--white", "T0=1", "--ensemble=-5"], "count must be positive",
-                 id="ensemble--5"),
+    # usage errors of the table and of the library leave no output directory either
+    pytest.param(["dispersion", "--L", "0"], "L must be a positive integer, got 0", id="L-0"),
+    pytest.param(["ensemble", "--white", "T0=1", "--ensemble=-5"],
+                 "ensemble must be a positive integer, got -5", id="ensemble--5"),
+    pytest.param(["dispersion", "--L", "-3", "--grid-L", "32", "--ensemble", "-7"],
+                 "L must be a positive integer, got -3", id="L--3"),
     pytest.param(["clt", "--component", "7"], "component 7 is outside 0..1", id="component-7"),
     pytest.param(["gibbs", "--T1", "nan", "--t", "1", "--ensemble", "200"],
-                 "density matrix must be finite", id="gibbs-T1-nan"),
+                 "temperatures must be finite and nonnegative, got T0=0.0 T1=nan",
+                 id="gibbs-T1-nan"),
+    *(pytest.param(["gibbs", "--T1", T1, "--t", "1", "--ensemble", "200"],
+                   f"temperatures must be finite and nonnegative, got T0=0.0 T1={float(T1)}",
+                   id=f"gibbs-T1-{T1}")
+      for T1 in ("inf", "-1")),
     pytest.param(["dispersion", "--nn", "m=-1"], "mass must be finite and nonnegative, got -1.0",
                  id="mass--1"),
     pytest.param(["limit", "--white", "T0=nan", "T1=1"],
@@ -947,11 +953,11 @@ def test_cold_process_reaches_the_assignment_solver(tmp_path):
 
 @pytest.mark.parametrize("command, count, message", [
     ("clt", 999, "need at least 1000 samples for moment diagnostics"),
-    ("clt", 0, "count must be positive"),
+    ("clt", 0, "ensemble must be a positive integer, got 0"),
     ("ensemble", 99, "need at least 100 samples for covariance error bars"),
-    ("ensemble", -3, "count must be positive"),
+    ("ensemble", -3, "ensemble must be a positive integer, got -3"),
     ("gibbs", 99, "need at least 100 samples for covariance error bars"),
-    ("gibbs", 0, "count must be positive"),
+    ("gibbs", 0, "ensemble must be a positive integer, got 0"),
 ])
 def test_small_ensemble_fails_before_the_first_draw(tmp_path, monkeypatch, capsys,
                                                     command, count, message):

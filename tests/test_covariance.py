@@ -187,6 +187,19 @@ def test_gibbs_excludes_degenerate_nodes():
     assert gib.matrix[0, 0, 0] == 0.0  # pseudoinverse dropped the null mode
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_temperatures_are_finite_and_nonnegative(grid64, T):
+    # NaN fails every comparison, so the guards read not (0 <= T < inf)
+    for make in (lambda: white_noise_density(1.0, T, 1, 1, 64),
+                 lambda: white_noise_density(T, 1.0, 2, 1, 64),
+                 lambda: triangular_density(2, 1, T, 1.0, 64),
+                 lambda: triangular_density(2, 1, 1.0, T, 64)):
+        with pytest.raises(ValueError, match="temperatures must be finite and nonnegative"):
+            make()
+    with pytest.raises(ValueError, match=f"temperature must be finite and nonnegative, got T1={T}"):
+        gibbs_density(T, grid64)
+
+
 def test_covariance_from_density_gibbs_value(grid256):
     gib = gibbs_density(1.0, grid256)
     table = covariance_from_density(gib, [(0,)])

@@ -8,6 +8,10 @@ listed in its ``__all__``.  ``from __future__`` imports are exempt.
 
 Importing the CLI loads numpy and the package only: scipy, most of a cold
 start-up, is imported where the assignment solver is called.
+
+Only ``_lattice`` writes the Fourier convention: no other module calls
+``np.exp`` on an imaginary argument or multiplies ``np.pi`` by 2, apart from
+``InteractionKernel.symbol``, the pointwise oracle of ``symbol_grid``.
 """
 
 import ast
@@ -52,6 +56,59 @@ def test_unused_import_is_found():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["path", "json"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def convention_writes(source: str) -> list[str]:
+    """'scope: what' for each place the source writes the lattice Fourier
+    convention itself: an np.exp whose argument holds an imaginary literal, or
+    a product whose factors include np.pi and the literal 2."""
+    found = []
+
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    def factors(node):
+        return factors(node.left) + factors(node.right) if is_product(node) else [node]
+
+    def visit(node, scope, in_product=False):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp" and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, complex)
+                for c in ast.walk(node)):
+            found.append(f"{scope}: np.exp of an imaginary argument")
+        if is_product(node) and not in_product:
+            parts = factors(node)
+            if any(ast.unparse(f) == "np.pi" for f in parts) and any(
+                    isinstance(f, ast.Constant) and f.value == 2 for f in parts):
+                found.append(f"{scope}: 2 pi")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, is_product(node))
+
+    visit(ast.parse(source), "")
+    return found
+
+
+#: the pointwise symbol that the tests compare symbol_grid against
+CONVENTION_ORACLES = {"kernel": ["InteractionKernel.symbol: np.exp of an imaginary argument"]}
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.stem != "_lattice"], ids=lambda p: p.name)
+def test_only_lattice_writes_the_fourier_convention(path):
+    assert convention_writes(path.read_text()) == CONVENTION_ORACLES.get(path.stem, [])
+
+
+def test_convention_write_is_found():
+    source = ("import numpy as np\n"
+              "def f(z, th):\n"
+              "    return np.exp(-1j * z * th), 2.0 * np.pi / 8, np.exp(-0.5 * th)\n"
+              "class A:\n"
+              "    def g(self, L):\n"
+              "        return np.arange(L) * np.pi * 2, 2 * np.pi * L, 3.0 * np.pi\n")
+    assert convention_writes(source) == [
+        "f: np.exp of an imaginary argument", "f: 2 pi", "A.g: 2 pi", "A.g: 2 pi"]
+    assert convention_writes(Path(crystalstat.__file__).with_name("_lattice.py").read_text())
 
 
 @pytest.mark.parametrize("module", LIBRARY)

@@ -26,7 +26,6 @@ from crystalstat import (
     random_finite_range_kernel,
     stream_ensemble,
     triangular_density,
-    weighted_norm,
     white_noise_density,
 )
 
@@ -199,18 +198,3 @@ def test_gaussianity_report_calibration(rng):
     assert rep3["degenerate"]
     with pytest.raises(ValueError):
         gaussianity_report(np.zeros(10))
-
-
-def test_weighted_norm_values():
-    Y = np.zeros((1, 2, 8))
-    Y[0, 0, 1] = 1.0
-    assert weighted_norm(Y, -1.0) == pytest.approx([0.5])
-    assert weighted_norm(Y, 0.0) == pytest.approx([1.0])
-    Y[0, 1, 7] = 2.0  # minimal image of site 7 on L=8 is -1
-    assert weighted_norm(Y, -1.0) == pytest.approx([0.5 + 4.0 * 0.5])
-
-
-def test_weighted_norm_monotone_in_alpha(rng):
-    Y = rng.standard_normal((3, 2, 16))
-    assert np.all(weighted_norm(Y, -2.0) < weighted_norm(Y, -1.0))
-    assert np.all(weighted_norm(Y, -1.0) < weighted_norm(Y, 0.0))
