@@ -341,21 +341,34 @@ def _effective_config(args, command: str) -> dict:
 
 class _Run:
     """State of one command: effective config, output directory (created by
-    its first write), and the kernel, dispersion grids, condition reports and
-    limit of the initial measure, each built on first use.
+    its first write), the E4/E5 waiver of --allow-degenerate, and the kernel,
+    dispersion grids, condition reports and limit of the initial measure, each
+    built on first use.
 
-    The stages of ``report`` share one memo, so they share the kernel, the
-    grid and its E1-E5 scan at each resolution, and the measure with its ES
-    check and limit.  A build that raises is not stored: every stage that
-    needs it retries and records its own failure.
+    The stages of ``report`` share one memo and one waiver, so they share the
+    kernel, the grid and its E1-E5 scan at each resolution, and the measure
+    with its ES check and limit.  A build that raises is not stored: every
+    stage that needs it retries and records its own failure.
     """
 
-    def __init__(self, eff: dict, memo: dict):
+    def __init__(self, eff: dict, memo: dict, allow_degenerate: bool):
         self.eff = eff
         self.thr = eff["thresholds"]
         self.L = eff["L"]
         self.outdir = Path(eff["output"])
         self.memo = memo
+        self.allow_degenerate = allow_degenerate
+
+    def stage(self, **changes) -> "_Run":
+        """A run of the config with changes, on this run's memo and waiver."""
+        return _Run(dict(self.eff, **changes), self.memo, self.allow_degenerate)
+
+    def gate(self, reports) -> None:
+        """Raise ConditionFailure if a report failed; the waiver covers E4 and
+        E5 only."""
+        waived = ("E4", "E5") if self.allow_degenerate else ()
+        if any(r.verdict == "fail" and r.condition not in waived for r in reports):
+            raise ConditionFailure(reports)
 
     def kernel(self):
         if "kernel" not in self.memo:
@@ -365,7 +378,7 @@ class _Run:
     def grid(self, L: int):
         """(grid, E1-E3 reports) at resolution L, built by :func:`_build_grid`."""
         if L not in self.memo:
-            self.memo[L] = _build_grid(self.kernel(), L, self.thr["delta_cross"])
+            self.memo[L] = _build_grid(self.kernel(), L, self.thr)
         return self.memo[L]
 
     def conditions(self, L: int):
@@ -374,34 +387,34 @@ class _Run:
         key = ("conditions", L)
         if key not in self.memo:
             grid, e123 = self.grid(L)
-            scan = critical_set_scan(grid, self.thr["delta_hess"], self.thr["delta_null"])
+            scan = critical_set_scan(grid, self.thr["delta_hess"])
             self.memo[key] = (list(e123) + check_E4_E5(grid, scan), scan)
         return self.memo[key]
 
-    def limit(self, allow_degenerate, default_measure=None):
+    def limit(self, default_measure=None):
         """(initial density, ES report, limit density) of the run's measure,
         or of default_measure when the run names none.
 
         E1-E5 are gated before the measure is read, ES once its density
         exists (:meth:`limit_of`)."""
         if "limit" not in self.memo:
-            _condition_gate(self.conditions(self.L)[0], allow_degenerate)
+            self.gate(self.conditions(self.L)[0])
             q0, transform = _build_measure(self.eff["measure"] or default_measure,
                                            self.kernel(), self.L)
             if transform is not None:
                 raise UsageError(f"{self.eff['command']} needs a Gaussian measure "
                                  "with an explicit density")
-            self.memo["limit"] = (q0,) + self.limit_of(q0, allow_degenerate)
+            self.memo["limit"] = (q0,) + self.limit_of(q0)
         return self.memo["limit"]
 
-    def limit_of(self, q0, allow_degenerate):
+    def limit_of(self, q0):
         """(ES report, limit density) of q0 on the grid at the run's resolution,
-        once E1-E5 and ES pass :func:`_condition_gate`.  ``clt`` calls it on
-        the density its samples estimate."""
+        once E1-E5 and ES pass :meth:`gate`.  ``clt`` calls it on the density
+        its samples estimate."""
         grid, _ = self.grid(self.L)
-        es = check_ES(grid, q0, self.thr["delta_null"])
-        _condition_gate(self.conditions(self.L)[0] + [es], allow_degenerate)
-        return es, limit_density(q0, grid, es_report=es, delta_null=self.thr["delta_null"])
+        es = check_ES(grid, q0)
+        self.gate(self.conditions(self.L)[0] + [es])
+        return es, limit_density(q0, grid, es_report=es)
 
 
 def _build_kernel(spec: dict):
@@ -520,38 +533,30 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write("\n".join(block) + "\n")
 
 
-def _stage(body, eff: dict, memo: dict, options: dict) -> int:
-    """Run one command body on a new :class:`_Run`; a body that returns, with
-    whatever code, leaves ``manifest.json``, and one that raises leaves none."""
+def _stage(body, run: _Run, options: dict) -> int:
+    """Run one command body on run; a body that returns, with whatever code,
+    leaves ``manifest.json``, and one that raises leaves none."""
     from . import __version__
 
-    run = _Run(eff, memo)
     code = body(run, **options)
     _write_json(run.outdir / "manifest.json", {
         "package": {"name": "crystalstat", "version": __version__},
-        "config": {k: v for k, v in eff.items() if k != "command"},
-        "command": eff["command"],
+        "config": {k: v for k, v in run.eff.items() if k != "command"},
+        "command": run.eff["command"],
     })
     return code
 
 
-def _build_grid(kernel, L, delta_cross):
+def _build_grid(kernel, L, thr):
     """Gate E1-E3 before the eigensolver so kernel defects exit with code 2.
 
-    Returns the grid and the E1-E3 reports, none of which failed.
+    Returns the grid, its crossing and C0 flags set at the thresholds thr,
+    and the E1-E3 reports, none of which failed.
     """
     e123 = check_E123(kernel)
     if any(r.verdict == "fail" for r in e123):
         raise ConditionFailure(e123)
-    return dispersion_grid(kernel, L, delta_cross), e123
-
-
-def _condition_gate(reports, allow_degenerate):
-    """Raise ConditionFailure if a report failed; allow_degenerate waives E4
-    and E5 only."""
-    waived = ("E4", "E5") if allow_degenerate else ()
-    if any(r.verdict == "fail" and r.condition not in waived for r in reports):
-        raise ConditionFailure(reports)
+    return dispersion_grid(kernel, L, thr["delta_cross"], thr["delta_null"]), e123
 
 
 def _gate_exit(ok, name) -> int:
@@ -619,10 +624,10 @@ def _cmd_critical(run) -> int:
 
 def _cmd_green(run, dump_radius) -> int:
     eps, outdir, L = run.thr["eps"], run.outdir, run.L
-    grid, _ = run.grid(L)
-    times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
     if dump_radius < 0 or 2 * dump_radius + 1 > L:
         raise UsageError("--dump-radius must fit inside the lattice window")
+    grid, _ = run.grid(L)
+    times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
     # the scan critical.json reports, at the run's thresholds
     cutoff = green_cutoff(run.conditions(L)[1], eps)
     # the window of offsets -r..r on every axis, wrapped onto the lattice
@@ -648,11 +653,11 @@ def _cmd_green(run, dump_radius) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(run, allow_degenerate) -> int:
+def _cmd_evolve(run) -> int:
     outdir = run.outdir
     kernel = run.kernel()
     grid, _ = run.grid(run.L)
-    q0, es, qinf = run.limit(allow_degenerate)
+    q0, es, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
 
@@ -744,9 +749,9 @@ def _cmd_ensemble(run) -> int:
     return _gate_exit(report["all_pass"], "ensemble vs transported density")
 
 
-def _cmd_limit(run, allow_degenerate, dump_density) -> int:
+def _cmd_limit(run, dump_density) -> int:
     outdir = run.outdir
-    _, es, qinf = run.limit(allow_degenerate)
+    _, es, qinf = run.limit()
     offsets = _axis_offsets(run.kernel().d)
     tab = covariance_from_density(qinf, offsets)
     report = {
@@ -761,14 +766,15 @@ def _cmd_limit(run, allow_degenerate, dump_density) -> int:
     return EXIT_OK
 
 
-def _cmd_gibbs(run, allow_degenerate, T1) -> int:
+def _cmd_gibbs(run, T1) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
+    q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     grid, _ = run.grid(L)
-    _condition_gate(run.conditions(L)[0], allow_degenerate)
+    run.gate(run.conditions(L)[0])
     t = (eff["times"] or [50.0])[-1]
-    summary = _sampled_covariance(run, white_noise_density(0.0, T1, kernel.n, kernel.d, L), t)
-    qg = gibbs_density(T1, grid, run.thr["delta_null"])
+    summary = _sampled_covariance(run, q0, t)
+    qg = gibbs_density(T1, grid)
     rows, ok = _compare_to_theory(summary, qg)
     report = {"t": t, "T1": T1, "count": summary.count, "seed": eff["seed"],
               "offsets": rows, "all_pass": ok,
@@ -779,13 +785,14 @@ def _cmd_gibbs(run, allow_degenerate, T1) -> int:
     return _gate_exit(ok, "empirical covariance vs Gibbs density")
 
 
-def _cmd_clt(run, allow_degenerate, component) -> int:
+def _cmd_clt(run, component) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
+    psi = TestField.delta(kernel.d, kernel.n, component=component)
     grid, _ = run.grid(L)
-    _condition_gate(run.conditions(L)[0], allow_degenerate)
+    run.gate(run.conditions(L)[0])
 
     measure = eff["measure"] or _transformed(
         {"type": "triangular", **_parse_kv((), "triangular", _TABLE["measure"]["triangular"])}, ())
@@ -794,7 +801,6 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     nu0 = _merged({}, measure["base"], _TABLE["measure"]["triangular"])["nu0"]
     base, transform = _build_measure(measure, kernel, L)
     t = (eff["times"] or [50.0])[-1]
-    psi = TestField.delta(kernel.d, kernel.n, component=component)
     # support of the transformed field is inside the base support
     offsets = offset_cube(nu0 - 1, kernel.d)
 
@@ -811,7 +817,7 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     emp = covariance_summary(offsets, products)
     q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
                                  provenance="empirical")
-    _, qinf = run.limit_of(q0, allow_degenerate)
+    _, qinf = run.limit_of(q0)
 
     gauss_t = gaussianity_report(samples_t)
     char = characteristic_functional(samples_t, qinf, psi)
@@ -837,12 +843,12 @@ def _cmd_clt(run, allow_degenerate, component) -> int:
     return _gate_exit(report["all_pass"], "central limit gates")
 
 
-def _cmd_mixing(run, allow_degenerate, component) -> int:
+def _cmd_mixing(run, component) -> int:
     outdir = run.outdir
     kernel = run.kernel()
-    grid, _ = run.grid(run.L)
-    _, _, qinf = run.limit(allow_degenerate, _WHITE_NOISE)
     psi = TestField.delta(kernel.d, kernel.n, component=component)
+    grid, _ = run.grid(run.L)
+    _, _, qinf = run.limit(_WHITE_NOISE)
     times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
     fit = _power_fit(times, values)
@@ -855,7 +861,7 @@ def _cmd_mixing(run, allow_degenerate, component) -> int:
     return EXIT_OK
 
 
-def _cmd_report(run, allow_degenerate, transform) -> int:
+def _cmd_report(run, transform) -> int:
     """Dispersion, critical, limit and mixing into subdirectories, on one kernel,
     grid, measure and limit; white noise T0=1 T1=1 stands in for a missing
     measure."""
@@ -865,15 +871,13 @@ def _cmd_report(run, allow_degenerate, transform) -> int:
     for name, body, options in (
         ("dispersion", _cmd_dispersion, {}),
         ("critical", _cmd_critical, {}),
-        ("limit", _cmd_limit, {"allow_degenerate": allow_degenerate,
-                               "dump_density": False}),
-        ("mixing", _cmd_mixing, {"allow_degenerate": allow_degenerate,
-                                 "component": 0}),
+        ("limit", _cmd_limit, {"dump_density": False}),
+        ("mixing", _cmd_mixing, {"component": 0}),
     ):
         stage_dir = run.outdir / name
         try:
-            stages[name] = _stage(body, dict(run.eff, command=name, output=str(stage_dir),
-                                             measure=measure), run.memo, options)
+            stages[name] = _stage(body, run.stage(command=name, output=str(stage_dir),
+                                                  measure=measure), options)
         except ConditionFailure as exc:
             _write_json(stage_dir / "conditions.json",
                         [r.to_jsonable() for r in exc.reports])
@@ -923,23 +927,24 @@ def _build_parser() -> _Parser:
                      description="harmonic-crystal convergence experiments")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # name, runner, measure flags, the parsed options the runner takes after the run
-    for name, fn, measure, options in (
-        ("dispersion", _cmd_dispersion, False, ()),
-        ("critical", _cmd_critical, False, ()),
-        ("green", _cmd_green, False, ("dump_radius",)),
-        ("evolve", _cmd_evolve, True, ("allow_degenerate",)),
-        ("ensemble", _cmd_ensemble, True, ()),
-        ("limit", _cmd_limit, True, ("allow_degenerate", "dump_density")),
-        ("gibbs", _cmd_gibbs, False, ("allow_degenerate", "T1")),
-        ("clt", _cmd_clt, True, ("allow_degenerate", "component")),
-        ("mixing", _cmd_mixing, True, ("allow_degenerate", "component")),
-        ("report", _cmd_report, True, ("allow_degenerate", "transform")),
+    # name, runner, measure flags, gated on E4/E5, the parsed options the
+    # runner takes after the run
+    for name, fn, measure, gated, options in (
+        ("dispersion", _cmd_dispersion, False, False, ()),
+        ("critical", _cmd_critical, False, False, ()),
+        ("green", _cmd_green, False, False, ("dump_radius",)),
+        ("evolve", _cmd_evolve, True, True, ()),
+        ("ensemble", _cmd_ensemble, True, False, ()),
+        ("limit", _cmd_limit, True, True, ("dump_density",)),
+        ("gibbs", _cmd_gibbs, False, True, ("T1",)),
+        ("clt", _cmd_clt, True, True, ("component",)),
+        ("mixing", _cmd_mixing, True, True, ("component",)),
+        ("report", _cmd_report, True, True, ("transform",)),
     ):
         p = sub.add_parser(name)
         _add_common(p, with_measure=measure)
-        p.set_defaults(fn=fn, options=options)
-        if "allow_degenerate" in options:
+        p.set_defaults(fn=fn, options=options, allow_degenerate=False)
+        if gated:
             p.add_argument("--allow-degenerate", action="store_true",
                            help="proceed despite failed E4/E5 reports")
         if name in ("dispersion", "critical", "report"):
@@ -965,8 +970,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _stage(args.fn, _effective_config(args, args.command), {},
-                      {k: getattr(args, k) for k in args.options})
+        run = _Run(_effective_config(args, args.command), {}, args.allow_degenerate)
+        return _stage(args.fn, run, {k: getattr(args, k) for k in args.options})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

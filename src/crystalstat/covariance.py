@@ -25,7 +25,7 @@ from ._lattice import (
 from .dynamics import _propagator_grid_matrix
 from .fields import SpectralDensity
 from .kernel import ConditionReport
-from .spectral import DELTA_NULL, DispersionGrid, _require_match, check_ES
+from .spectral import DispersionGrid, _require_match, check_ES
 
 __all__ = [
     "TestField",
@@ -117,25 +117,8 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
     )
 
 
-def _eigenbasis_blocks(grid: DispersionGrid, matrix: np.ndarray):
-    """Transform the four blocks into the symbol eigenbasis per node.
-
-    The stacked matmuls read contiguous copies, not strided views: the same
-    bits, in less time."""
-    n = grid.n
-    B = grid.basis
-    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
-    blocks = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            blk = np.ascontiguousarray(matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n])
-            blocks[i, j] = Bh @ blk @ B
-    return blocks
-
-
 def limit_density(q0: SpectralDensity, grid: DispersionGrid,
-                  es_report: Optional[ConditionReport] = None,
-                  delta_null: float = DELTA_NULL) -> LimitDensity:
+                  es_report: Optional[ConditionReport] = None) -> LimitDensity:
     """Long-time limit of the transported density.
 
     In the symbol eigenbasis the four blocks are averaged into
@@ -144,23 +127,28 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         M10 = (A10 - W A01 W^-1) / 2         M11 = (A11 + W A00 W) / 2
 
     with W = diag(omega), and only entries coupling equal-frequency clusters
-    are kept.  Inverse frequencies are pseudoinverses with threshold
-    delta_null; nodes that genuinely need an unavailable inverse are marked
-    excluded.  When degenerate nodes exist the summability check (ES) must not
-    have failed; it is evaluated here if no report is supplied.
+    are kept.  Inverse frequencies are pseudoinverses, zero on the grid's null
+    branches (decided at grid.delta_null); nodes of the grid's C_0 that
+    genuinely need an unavailable inverse are marked excluded.  When degenerate
+    nodes exist the summability check (ES) must not have failed; it is
+    evaluated here if no report is supplied.
     """
     _require_match(grid, q0.L, q0.d, q0.n)
-    omega = grid.omega
-    c0 = omega.min(axis=-1) <= delta_null
-    if np.any(c0):
-        report = es_report if es_report is not None else check_ES(grid, q0, delta_null)
+    if np.any(grid.c0):
+        report = es_report if es_report is not None else check_ES(grid, q0)
         if report.verdict == "fail":
             raise ValueError(
                 "summability condition ES fails while the symbol degenerates; "
                 "the covariance limit does not exist"
             )
-    A = _eigenbasis_blocks(grid, q0.matrix)
-    winv = guarded_reciprocal(omega, omega > delta_null)
+    n, omega, B = grid.n, grid.omega, grid.basis
+    # the stacked matmuls read contiguous copies, not strided views: the same
+    # bits, in less time
+    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
+    A = {(i, j): Bh @ np.ascontiguousarray(q0.matrix[..., i * n:(i + 1) * n,
+                                                     j * n:(j + 1) * n]) @ B
+         for i in (0, 1) for j in (0, 1)}
+    winv = guarded_reciprocal(omega, ~grid.null)
     wl = omega[..., :, None]   # left factor index k
     wr = omega[..., None, :]   # right factor index l
     wil = winv[..., :, None]
@@ -172,9 +160,6 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         (1, 1): 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
     }
     same_cluster = grid.cluster_id[..., :, None] == grid.cluster_id[..., None, :]
-    n = grid.n
-    B = grid.basis
-    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
     out = np.empty((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     for (i, j), blk in M.items():
         masked = np.where(same_cluster, blk, 0.0)
@@ -191,7 +176,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     ) | (
         np.max(np.abs(q0.block(1, 1)), axis=(-2, -1)) > tol
     )
-    excluded = c0 & needs_inverse
+    excluded = grid.c0 & needs_inverse
     return LimitDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=out,
         provenance=f"limit:{q0.provenance}",
@@ -200,17 +185,15 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     )
 
 
-def gibbs_density(T1: float, grid: DispersionGrid,
-                  delta_null: float = DELTA_NULL) -> LimitDensity:
+def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     """Equilibrium density (T1/2) diag(Vhat^-1, I) at temperature T1.
 
-    Nodes with a degenerate symbol have no inverse and are excluded.
+    The grid's C_0 nodes (decided at grid.delta_null) have no inverse and are
+    excluded; Vhat^-1 is zero on their null branches.
     """
     if not 0 <= T1 < np.inf:
         raise ValueError(f"temperature must be finite and nonnegative, got T1={T1}")
-    omega = grid.omega
-    w_ok = omega > delta_null
-    Vinv = eigen_compose(grid.basis, guarded_reciprocal(omega**2, w_ok))
+    Vinv = eigen_compose(grid.basis, guarded_reciprocal(grid.omega**2, ~grid.null))
     n = grid.n
     out = np.zeros((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     out[..., :n, :n] = 0.5 * T1 * Vinv
@@ -219,7 +202,7 @@ def gibbs_density(T1: float, grid: DispersionGrid,
     return LimitDensity(
         L=grid.L, d=grid.d, n=grid.n, matrix=out,
         provenance=f"gibbs(T1={T1})",
-        excluded=~np.all(w_ok, axis=-1),
+        excluded=grid.c0.copy(),
         cluster_id=grid.cluster_id.copy(),
     )
 

@@ -61,21 +61,6 @@ def _clamped_frequencies(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(w, 0.0, None))
 
 
-def _cluster_ids(omega: np.ndarray, split_gap: float) -> np.ndarray:
-    """Group ascending frequencies into near-degenerate clusters per node.
-
-    Returns an int array of the same shape; equal ids within a node mark one
-    cluster.  A new cluster starts wherever the ascending gap reaches split_gap.
-    """
-    if omega.shape[-1] == 1:
-        return np.zeros(omega.shape, dtype=np.int8)
-    gaps = np.diff(omega, axis=-1)
-    starts = (gaps >= split_gap).astype(np.int8)
-    ids = np.zeros(omega.shape, dtype=np.int8)
-    ids[..., 1:] = np.cumsum(starts, axis=-1)
-    return ids
-
-
 @dataclass(eq=False)
 class DispersionGrid:
     """Symbol eigendata on the full grid plus branch continuation bookkeeping.
@@ -83,16 +68,20 @@ class DispersionGrid:
     labels[node, b] is the local (ascending) eigenvalue index carried by global
     branch b at that node (trivial for n == 1).  crossing flags the nodes whose
     ascending frequency gap falls in the suspected-crossing band set by
-    delta_cross; every consumer of crossings reads this flag.
+    delta_cross.  null[node, k] flags omega_k <= delta_null, where the symbol
+    has no usable inverse, and c0 the nodes with such a branch (the set C_0).
+    Every consumer of crossings and of C_0 reads these flags.
     """
 
     kernel: InteractionKernel
     L: int
     delta_cross: float
+    delta_null: float
     omega: np.ndarray
     basis: np.ndarray
     cluster_id: np.ndarray
     crossing: np.ndarray
+    null: np.ndarray
     labels: np.ndarray
     omega_max: float
 
@@ -103,6 +92,10 @@ class DispersionGrid:
     @property
     def n(self) -> int:
         return self.kernel.n
+
+    @cached_property
+    def c0(self) -> np.ndarray:
+        return np.any(self.null, axis=-1)
 
     @cached_property
     def branch_values(self) -> np.ndarray:
@@ -215,8 +208,10 @@ def _branch_labels(B: np.ndarray) -> np.ndarray:
     return labels
 
 
-def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELTA_CROSS) -> DispersionGrid:
-    """Diagonalize the symbol on the (2 pi / L) Z^d grid and continue branches.
+def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELTA_CROSS,
+                    delta_null: float = DELTA_NULL) -> DispersionGrid:
+    """Diagonalize the symbol on the (2 pi / L) Z^d grid and continue branches,
+    flagging crossings at delta_cross and null frequencies at delta_null.
 
     L must be even and at least 16 so that subgrid refinement comparisons and
     the theta -> -theta symmetry are available.
@@ -230,22 +225,24 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     omega_max = float(omega.max())
     split = delta_cross * (1.0 + omega_max)
     degen = _DEGENERATE_REL * (1.0 + omega_max)
-    ids = _cluster_ids(omega, split)
-    if n == 1:
-        crossing = np.zeros((L,) * d, dtype=bool)
-        labels = np.zeros((L,) * d + (1,), dtype=np.int64)
-    else:
-        gaps = np.diff(omega, axis=-1)
-        crossing = np.any((gaps > degen) & (gaps < split), axis=-1)
-        labels = _branch_labels(B)
+    gaps = np.diff(omega, axis=-1)
+    # equal ids within a node mark one cluster of near-degenerate frequencies;
+    # a new cluster starts wherever the ascending gap reaches split
+    ids = np.zeros(omega.shape, dtype=np.int8)
+    ids[..., 1:] = np.cumsum(gaps >= split, axis=-1)
+    crossing = np.any((gaps > degen) & (gaps < split), axis=-1)
+    # _branch_labels ranks the best two permutations; n == 1 has only one
+    labels = np.zeros((L,) * d + (1,), dtype=np.int64) if n == 1 else _branch_labels(B)
     return DispersionGrid(
         kernel=kernel,
         L=L,
         delta_cross=delta_cross,
+        delta_null=delta_null,
         omega=omega,
         basis=B,
         cluster_id=ids,
         crossing=crossing,
+        null=omega <= delta_null,
         labels=labels,
         omega_max=omega_max,
     )
@@ -255,8 +252,8 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
 class CriticalSetEstimate:
     """Per-node critical-set flags and their grid fractions.
 
-    c0: degenerate symbol (some omega <= delta_null); cstar: suspected branch
-    crossing; ck: degenerate branch curvature (|det Hess| <= delta_hess, or a
+    c0: degenerate symbol and cstar: suspected branch crossing, the grid's own
+    flags; ck: degenerate branch curvature (|det Hess| <= delta_hess, or a
     sign change of the determinant across an incident edge, which certifies a
     root between nodes that the finite-difference error floor would hide).
     """
@@ -296,18 +293,14 @@ class CriticalSetEstimate:
         }
 
 
-def critical_set_scan(
-    grid: DispersionGrid,
-    delta_hess: float = DELTA_HESS,
-    delta_null: float = DELTA_NULL,
-) -> CriticalSetEstimate:
+def critical_set_scan(grid: DispersionGrid, delta_hess: float = DELTA_HESS) -> CriticalSetEstimate:
     """Flag grid cells meeting the degenerate-symbol / crossing / flat-curvature
     surrogates.  Fractions of flagged cells are the measure estimate: they must
     shrink under grid refinement for the continuum sets to have measure zero.
 
-    The crossing flags are the grid's own, decided at grid.delta_cross.
+    The C_0 and crossing flags are the grid's own, decided at grid.delta_null
+    and grid.delta_cross.
     """
-    c0 = grid.omega.min(axis=-1) <= delta_null
     cstar = grid.crossing
     D = grid.hessian_determinants
     valid = ~cstar
@@ -325,9 +318,9 @@ def critical_set_scan(
         thresholds={
             "delta_cross": grid.delta_cross,
             "delta_hess": delta_hess,
-            "delta_null": delta_null,
+            "delta_null": grid.delta_null,
         },
-        c0=c0,
+        c0=grid.c0,
         cstar=cstar,
         ck=ck,
         grad_norm=grad_norm,
@@ -419,14 +412,14 @@ def _require_match(grid: DispersionGrid, L: int, d: int, n: int,
 
 
 def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
-                              stride: int, delta_null: float) -> float:
+                              stride: int) -> float:
     """Mean over a subgrid of ||Omega^-i qhat^{ij} Omega^-j||_F summed over blocks."""
     d, n = grid.d, grid.n
     sl = (slice(None, None, stride),) * d
     omega = grid.omega[sl]
     B = grid.basis[sl]
     q = density_matrix[sl]
-    Oinv = eigen_compose(B, guarded_reciprocal(omega, omega > delta_null))
+    Oinv = eigen_compose(B, guarded_reciprocal(omega, ~grid.null[sl]))
     total = 0.0
     for i in (0, 1):
         for j in (0, 1):
@@ -439,7 +432,7 @@ def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
     return total
 
 
-def check_ES(grid: DispersionGrid, density, delta_null: float = DELTA_NULL) -> ConditionReport:
+def check_ES(grid: DispersionGrid, density) -> ConditionReport:
     """Summability surrogate for the inverse-frequency-weighted spectral density.
 
     The quantity ||Omega^-i qhat0^{ij} Omega^-j|| must be integrable for the
@@ -448,22 +441,21 @@ def check_ES(grid: DispersionGrid, density, delta_null: float = DELTA_NULL) -> C
     full grid) either stabilize (ratio < 1.5: pass) or grow geometrically
     (ratio >= 1.8, the divergent benchmark approaches 2: fail); in between the
     test is inconclusive.  When the symbol never degenerates the weights are
-    bounded and the check is skipped with a pass.
+    bounded and the check is skipped with a pass.  The degenerate nodes and
+    the inverse frequencies are the grid's, decided at grid.delta_null.
     """
     _require_match(grid, density.L, density.d, density.n)
-    c0_fraction = float((grid.omega.min(axis=-1) <= delta_null).mean())
+    c0_fraction = float(grid.c0.mean())
     if c0_fraction == 0.0:
         return ConditionReport(
             condition="ES",
             verdict="pass",
             witnesses=[{"value": 0.0, "note": "no degenerate nodes; weights bounded"}],
-            tolerances={"delta_null": delta_null},
+            tolerances={"delta_null": grid.delta_null},
             note="skipped: C_0 fraction is zero",
         )
     strides = [4, 2, 1] if grid.L % 4 == 0 else [2, 1]
-    sums = [
-        _inverse_frequency_weight(grid, density.matrix, s, delta_null) for s in strides
-    ]
+    sums = [_inverse_frequency_weight(grid, density.matrix, s) for s in strides]
     ratios = [sums[i + 1] / sums[i] for i in range(len(sums) - 1)]
     final = ratios[-1]
     if final < 1.5:
@@ -476,7 +468,7 @@ def check_ES(grid: DispersionGrid, density, delta_null: float = DELTA_NULL) -> C
         condition="ES",
         verdict=verdict,
         witnesses=[{"value": final, "sums": sums, "ratios": ratios}],
-        tolerances={"pass_below": 1.5, "fail_at": 1.8, "delta_null": delta_null},
+        tolerances={"pass_below": 1.5, "fail_at": 1.8, "delta_null": grid.delta_null},
         note=f"refinement ratios over strides {strides}; C0 fraction {c0_fraction:.3e}",
     )
 

@@ -867,7 +867,12 @@ def test_allow_degenerate_only_where_read(capsys):
                  "ensemble must be a positive integer, got -5", id="ensemble--5"),
     pytest.param(["dispersion", "--L", "-3", "--grid-L", "32", "--ensemble", "-7"],
                  "L must be a positive integer, got -3", id="L--3"),
+    # the per-command options fail once the kernel exists, before its grid
     pytest.param(["clt", "--component", "7"], "component 7 is outside 0..1", id="component-7"),
+    pytest.param(["mixing", "--component", "-1"], "component -1 is outside 0..1",
+                 id="mixing-component--1"),
+    pytest.param(["green", "--dump-radius", "128"],
+                 "--dump-radius must fit inside the lattice window", id="dump-radius-128"),
     pytest.param(["gibbs", "--T1", "nan", "--t", "1", "--ensemble", "200"],
                  "temperatures must be finite and nonnegative, got T0=0.0 T1=nan",
                  id="gibbs-T1-nan"),
@@ -882,12 +887,15 @@ def test_allow_degenerate_only_where_read(capsys):
     pytest.param(["limit", "--white", "T0=inf", "T1=1"],
                  "temperatures must be finite and nonnegative, got T0=inf T1=1.0", id="T0-inf"),
 ])
-def test_bad_eps_is_usage_error(tmp_path, capsys, argv, message):
+def test_bad_eps_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    calls = []
+    monkeypatch.setattr(cli, "dispersion_grid", counting(calls, crystalstat.dispersion_grid))
     out = tmp_path / "out"
     code = main(argv[:1] + nn_args(L=256) + argv[1:] + ["--output", str(out)])
     assert code == 1
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -970,6 +978,26 @@ def test_small_ensemble_fails_before_the_first_draw(tmp_path, monkeypatch, capsy
     assert code == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert calls == []
+
+
+def test_one_delta_null_gives_one_c0_set(tmp_path):
+    # above the default, --delta-null flags the 9 nodes nearest theta = 0 of
+    # the massless square lattice; the scan, ES, the limit and Gibbs agree
+    flags = ["--nn", "d=2", "n=1", "m=0", "--L", "32", "--delta-null", "0.3"]
+    assert main(["critical"] + flags + ["--output", str(tmp_path / "crit")]) == 0
+    critical = json.loads((tmp_path / "crit" / "critical.json").read_text())
+    assert critical["fractions"]["C0"] == 0.0087890625
+    assert critical["thresholds"]["delta_null"] == 0.3
+    assert main(["limit"] + flags + ["--white", "T0=1", "T1=1",
+                                     "--output", str(tmp_path / "lim")]) == 0
+    limit = json.loads((tmp_path / "lim" / "limit.json").read_text())
+    assert limit["excluded_fraction"] == 0.0087890625
+    assert limit["es"]["tolerances"]["delta_null"] == 0.3
+    assert limit["es"]["note"].endswith("C0 fraction 8.789e-03")
+    assert main(["gibbs"] + flags + ["--ensemble", "200", "--t", "1",
+                                     "--output", str(tmp_path / "gibbs")]) in (0, 3)
+    gibbs = json.loads((tmp_path / "gibbs" / "gibbs.json").read_text())
+    assert gibbs["excluded_fraction"] == 0.0087890625
 
 
 @pytest.mark.parametrize("argv, count, grid_values, report", [

@@ -28,7 +28,8 @@ from crystalstat import (
 from crystalstat import dynamics
 from crystalstat._lattice import eigen_compose
 from crystalstat.covariance import _unexcluded_matrix
-from crystalstat.spectral import DELTA_NULL, check_ES
+from crystalstat.kernel import ConditionReport
+from crystalstat.spectral import check_ES, critical_set_scan
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -308,15 +309,15 @@ def test_limit_is_a_fixed_point_of_transport(d, n, kernel_range, kernel_seed,
     assert float(gap.max()) <= 1e-10 * _scale(qinf)
 
 
-def strided_limit_matrix(q0, grid, delta_null=DELTA_NULL):
+def strided_limit_matrix(q0, grid):
     """The limit matrix with every block transform on strided views of the
     basis and the density, as limit_density computed it before its operands
-    were made contiguous."""
+    were made contiguous; inverse frequencies are guarded at grid.delta_null."""
     n, B = grid.n, grid.basis
     Bh = np.conj(np.swapaxes(B, -1, -2))
     A = {(i, j): Bh @ q0.matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n] @ B
          for i in (0, 1) for j in (0, 1)}
-    w = grid.omega
+    w, delta_null = grid.omega, grid.delta_null
     winv = np.where(w > delta_null, 1.0 / np.where(w > delta_null, w, 1.0), 0.0)
     wl, wr, wil, wir = w[..., :, None], w[..., None, :], winv[..., :, None], winv[..., None, :]
     M = {(0, 0): 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
@@ -341,6 +342,78 @@ def test_limit_density_keeps_the_bits_of_strided_operands(d, n, kernel_range, ke
     q0 = _random_density(d, n, grid.L, density_seed)
     np.testing.assert_array_equal(limit_density(q0, grid).matrix,
                                   strided_limit_matrix(q0, grid))
+
+
+# ----------------------------------------------------------------- zero modes
+# The grid decides C0 once, at its delta_null.  The oracles below are the
+# expressions each consumer evaluated at its own delta_null before that.
+
+@lru_cache(maxsize=None)
+def _zero_mode_grid(d, masses, delta_null):
+    return dispersion_grid(build_nn_kernel(d, len(masses), list(masses)), 16,
+                           delta_null=delta_null)
+
+
+def inverse_frequency_sum(grid, matrix, stride, delta_null):
+    """check_ES's Riemann sum of ||Omega^-i qhat^{ij} Omega^-j|| at one stride."""
+    n, sl = grid.n, (slice(None, None, stride),) * grid.d
+    w, q = grid.omega[sl], matrix[sl]
+    Oinv = eigen_compose(grid.basis[sl],
+                         np.where(w > delta_null, 1.0 / np.where(w > delta_null, w, 1.0), 0.0))
+    total = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            block = q[..., i * n:(i + 1) * n, j * n:(j + 1) * n]
+            if i == 1:
+                block = Oinv @ block
+            if j == 1:
+                block = block @ Oinv
+            total += float(np.sqrt((np.abs(block) ** 2).sum(axis=(-2, -1))).mean())
+    return total
+
+
+#: nn masses with a zero; a branch of mass 1e-5 is null at delta_null 1e-3 only
+ZERO_MODE_MASSES = [(0.0,), (0.0, 1e-5), (1.0, 0.0), (0.5, 0.0, 0.5), (1e-5, 1.0, 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), masses=st.sampled_from(ZERO_MODE_MASSES),
+       delta_null=st.sampled_from([0.0, 1e-8, 1e-3]), density_seed=st.integers(0, 2**32 - 1))
+def test_zero_modes_are_decided_once_on_the_grid(d, masses, delta_null, density_seed):
+    n = len(masses)
+    grid = _zero_mode_grid(d, masses, delta_null)
+    assert grid.delta_null == delta_null
+    w = grid.omega
+    c0 = w.min(axis=-1) <= delta_null
+    scan = critical_set_scan(grid)
+    np.testing.assert_array_equal(scan.c0, c0)
+    assert scan.thresholds["delta_null"] == delta_null
+
+    w_ok = w > delta_null
+    Vinv = eigen_compose(grid.basis, np.where(w_ok, 1.0 / np.where(w_ok, w**2, 1.0), 0.0))
+    expected = np.zeros(w.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    expected[..., :n, :n] = 0.5 * 1.3 * Vinv
+    expected[..., range(n, 2 * n), range(n, 2 * n)] = 0.5 * 1.3
+    gibbs = gibbs_density(1.3, grid)
+    np.testing.assert_array_equal(gibbs.matrix, expected)
+    np.testing.assert_array_equal(gibbs.excluded, ~np.all(w_ok, axis=-1))
+
+    q0 = _random_density(d, n, grid.L, density_seed)
+    es = check_ES(grid, q0)
+    assert es.tolerances["delta_null"] == delta_null
+    if c0.any():
+        strides = [4, 2, 1]
+        assert es.witnesses[0]["sums"] == [
+            inverse_frequency_sum(grid, q0.matrix, s, delta_null) for s in strides]
+    else:
+        assert es.note == "skipped: C_0 fraction is zero"
+    # a passing report stands in for ES, so that every density reaches the limit
+    limit = limit_density(q0, grid, es_report=ConditionReport("ES", "pass"))
+    np.testing.assert_array_equal(limit.matrix, strided_limit_matrix(q0, grid))
+    tol = 1e-14 * (1.0 + float(np.max(np.abs(q0.matrix))))
+    live = (np.max(np.abs(q0.matrix[..., :, n:]), axis=(-2, -1)) > tol) | (
+        np.max(np.abs(q0.matrix[..., n:, :n]), axis=(-2, -1)) > tol)
+    np.testing.assert_array_equal(limit.excluded, c0 & live)
 
 
 @settings(max_examples=30, deadline=None)

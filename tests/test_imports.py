@@ -12,6 +12,11 @@ start-up, is imported where the assignment solver is called.
 Only ``_lattice`` writes the Fourier convention: no other module calls
 ``np.exp`` on an imaginary argument or multiplies ``np.pi`` by 2, apart from
 ``InteractionKernel.symbol``, the pointwise oracle of ``symbol_grid``.
+
+One owner per gating decision: only ``spectral.dispersion_grid`` takes a
+``delta_null`` (every other consumer reads the grid's C0 flags), and only
+``cli._Run`` reads the ``--allow-degenerate`` waiver, which ``cli.main``
+wires into the run.
 """
 
 import ast
@@ -109,6 +114,53 @@ def test_convention_write_is_found():
     assert convention_writes(source) == [
         "f: np.exp of an imaginary argument", "f: 2 pi", "A.g: 2 pi", "A.g: 2 pi"]
     assert convention_writes(Path(crystalstat.__file__).with_name("_lattice.py").read_text())
+
+
+def scoped_nodes(source: str):
+    """(scope, node) for every node of the source, the scope being the
+    dotted names of the enclosing classes and functions."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), "")
+
+
+def parameters_named(source: str, name: str) -> list[str]:
+    """The functions that take a parameter called name."""
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.FunctionDef) and name in
+            [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]]
+
+
+def reads_of(source: str, name: str) -> list[str]:
+    """The scope of each read of a variable or an attribute called name."""
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+            and name in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
+def test_gating_decisions_have_one_owner():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert [f"{module}.{scope}" for module, source in sources.items()
+            for scope in parameters_named(source, "delta_null")] == ["spectral.dispersion_grid"]
+    readers = {f"{module}.{scope.split('.')[0]}" for module, source in sources.items()
+               for scope in reads_of(source, "allow_degenerate")}
+    assert readers == {"cli._Run", "cli.main"}
+
+
+def test_parameter_and_read_are_found():
+    source = ("def f(a, delta_null=0.0):\n    return a\n"
+              "class A:\n"
+              "    def g(self, *, delta_null):\n        return self.allow_degenerate\n"
+              "def h(args):\n"
+              "    allow_degenerate = args.x\n"
+              "    return allow_degenerate, dict(allow_degenerate=1)\n")
+    assert parameters_named(source, "delta_null") == ["f", "A.g"]
+    assert reads_of(source, "allow_degenerate") == ["A.g", "h"]
 
 
 @pytest.mark.parametrize("module", LIBRARY)
