@@ -22,11 +22,9 @@ from .spectral import (
     DELTA_CROSS,
     DELTA_HESS,
     DELTA_NULL,
-    CriticalSetEstimate,
     DispersionGrid,
     check_E4_E5,
     check_ES,
-    critical_set_scan,
     dispersion_grid,
 )
 from .dynamics import (
@@ -66,6 +64,7 @@ from .stats import (
     empirical_mixing_support,
     gaussianity_report,
     linear_functional_samples,
+    require_samples,
     stream_ensemble,
 )
 
@@ -82,11 +81,9 @@ __all__ = [
     "DELTA_CROSS",
     "DELTA_HESS",
     "DELTA_NULL",
-    "CriticalSetEstimate",
     "DispersionGrid",
     "check_E4_E5",
     "check_ES",
-    "critical_set_scan",
     "dispersion_grid",
     "evolve_ensemble",
     "green_cutoff",
@@ -118,5 +115,6 @@ __all__ = [
     "empirical_mixing_support",
     "gaussianity_report",
     "linear_functional_samples",
+    "require_samples",
     "stream_ensemble",
 ]

@@ -81,6 +81,14 @@ def check_ensemble(Y) -> tuple:
     return Y, grid[0], len(grid), Y.shape[1] // 2
 
 
+def check_integers(doc: dict, keys, what: str) -> None:
+    """Raise unless doc[key] is an integer for each key; int() would truncate
+    a float and read a boolean as 0 or 1."""
+    for key in keys:
+        if type(doc[key]) is not int:
+            raise ValueError(f"{what} {key} must be an integer, got {doc[key]!r}")
+
+
 def moved_axes(a: np.ndarray, source, destination) -> np.ndarray:
     """C-contiguous copy of a with axes moved as by np.moveaxis.
 

@@ -60,7 +60,6 @@ from .spectral import (
     DELTA_NULL,
     check_E4_E5,
     check_ES,
-    critical_set_scan,
     dispersion_grid,
 )
 from .stats import (
@@ -69,6 +68,7 @@ from .stats import (
     covariance_summary,
     gaussianity_report,
     linear_functional_samples,
+    require_samples,
     stream_ensemble,
 )
 
@@ -346,7 +346,7 @@ class _Run:
     built on first use.
 
     The stages of ``report`` share one memo and one waiver, so they share the
-    kernel, the grid and its E1-E5 scan at each resolution, and the measure
+    kernel, the grid and its E1-E5 reports at each resolution, and the measure
     with its ES check and limit.  A build that raises is not stored: every
     stage that needs it retries and records its own failure.
     """
@@ -381,14 +381,12 @@ class _Run:
             self.memo[L] = _build_grid(self.kernel(), L, self.thr)
         return self.memo[L]
 
-    def conditions(self, L: int):
-        """(E1-E5 reports, critical-set scan) of the grid at resolution L, the
-        scan taken at the run's thresholds."""
+    def conditions(self, L: int) -> list:
+        """E1-E5 reports of the grid at resolution L."""
         key = ("conditions", L)
         if key not in self.memo:
             grid, e123 = self.grid(L)
-            scan = critical_set_scan(grid, self.thr["delta_hess"])
-            self.memo[key] = (list(e123) + check_E4_E5(grid, scan), scan)
+            self.memo[key] = list(e123) + check_E4_E5(grid)
         return self.memo[key]
 
     def limit(self, default_measure=None):
@@ -398,7 +396,7 @@ class _Run:
         E1-E5 are gated before the measure is read, ES once its density
         exists (:meth:`limit_of`)."""
         if "limit" not in self.memo:
-            self.gate(self.conditions(self.L)[0])
+            self.gate(self.conditions(self.L))
             q0, transform = _build_measure(self.eff["measure"] or default_measure,
                                            self.kernel(), self.L)
             if transform is not None:
@@ -413,7 +411,7 @@ class _Run:
         its samples estimate."""
         grid, _ = self.grid(self.L)
         es = check_ES(grid, q0)
-        self.gate(self.conditions(self.L)[0] + [es])
+        self.gate(self.conditions(self.L) + [es])
         return es, limit_density(q0, grid, es_report=es)
 
 
@@ -550,13 +548,14 @@ def _stage(body, run: _Run, options: dict) -> int:
 def _build_grid(kernel, L, thr):
     """Gate E1-E3 before the eigensolver so kernel defects exit with code 2.
 
-    Returns the grid, its crossing and C0 flags set at the thresholds thr,
-    and the E1-E3 reports, none of which failed.
+    Returns the grid, its critical-set flags set at the thresholds thr, and
+    the E1-E3 reports, none of which failed.
     """
     e123 = check_E123(kernel)
     if any(r.verdict == "fail" for r in e123):
         raise ConditionFailure(e123)
-    return dispersion_grid(kernel, L, thr["delta_cross"], thr["delta_null"]), e123
+    return dispersion_grid(kernel, L, thr["delta_cross"], thr["delta_null"],
+                           thr["delta_hess"]), e123
 
 
 def _gate_exit(ok, name) -> int:
@@ -591,7 +590,7 @@ def _power_fit(times, values):
 def _cmd_dispersion(run) -> int:
     outdir = run.outdir
     grid, _ = run.grid(run.eff["grid_L"])
-    reports, scan = run.conditions(grid.L)
+    reports = run.conditions(grid.L)
     # one row per (node, branch); the flags of each of the 8 combinations of
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
     W = grid.branch_values
@@ -599,12 +598,13 @@ def _cmd_dispersion(run) -> int:
     theta = _floats(theta_axis(grid.L))
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
-    code = np.repeat(scan.c0 + 2 * scan.cstar + 4 * scan.ck, grid.n)
+    code = np.repeat(grid.c0 + 2 * grid.crossing + 4 * grid.ck, grid.n)
     _write_csv(outdir / "dispersion.csv", [f"theta_{a + 1}" for a in range(grid.d)]
                + ["k", "omega_k", "grad_norm", "D_k", "flags"],
                [_lookup(theta, axis) for axis in node]
                + [_lookup([str(b) for b in range(grid.n)], branch), _floats(W),
-                  _floats(scan.grad_norm), _floats(scan.hess_det), _lookup(flags, code)])
+                  _floats(np.linalg.norm(grid.branch_gradients, axis=-1)),
+                  _floats(grid.hessian_determinants), _lookup(flags, code)])
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
@@ -614,10 +614,15 @@ def _cmd_dispersion(run) -> int:
 def _cmd_critical(run) -> int:
     outdir = run.outdir
     grid, _ = run.grid(run.eff["grid_L"])
-    reports, scan = run.conditions(grid.L)
-    _write_json(outdir / "critical.json", scan.to_jsonable())
+    reports = run.conditions(grid.L)
+    counts = {name: int(flags.sum()) for name, flags in (
+        ("C0", grid.c0), ("Cstar", grid.crossing), ("Ck", grid.ck), ("combined", grid.critical))}
+    fr = {name: count / grid.c0.size for name, count in counts.items()}
+    _write_json(outdir / "critical.json", {
+        "L": grid.L, "fractions": fr, "counts": counts,
+        "thresholds": {name: getattr(grid, name)
+                       for name in ("delta_cross", "delta_hess", "delta_null")}})
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    fr = scan.fractions()
     print(f"critical: combined fraction {fr['combined']:.6g} -> {outdir}")
     return EXIT_OK
 
@@ -628,8 +633,7 @@ def _cmd_green(run, dump_radius) -> int:
         raise UsageError("--dump-radius must fit inside the lattice window")
     grid, _ = run.grid(L)
     times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
-    # the scan critical.json reports, at the run's thresholds
-    cutoff = green_cutoff(run.conditions(L)[1], eps)
+    cutoff = green_cutoff(grid, eps)
     # the window of offsets -r..r on every axis, wrapped onto the lattice
     wrap = np.arange(-dump_radius, dump_radius + 1) % L
     sups, windows = [], []
@@ -729,8 +733,9 @@ def _compare_to_theory(summary, theory):
 
 def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
-    grid, _ = run.grid(L)
     q0, transform = _build_measure(eff["measure"], run.kernel(), L)
+    require_samples(eff["ensemble"], "covariance error bars")
+    grid, _ = run.grid(L)
     t = (eff["times"] or [50.0])[-1]
     summary = _sampled_covariance(run, q0, t, transform)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
@@ -770,8 +775,9 @@ def _cmd_gibbs(run, T1) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
     kernel = run.kernel()
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
+    require_samples(eff["ensemble"], "covariance error bars")
     grid, _ = run.grid(L)
-    run.gate(run.conditions(L)[0])
+    run.gate(run.conditions(L))
     t = (eff["times"] or [50.0])[-1]
     summary = _sampled_covariance(run, q0, t)
     qg = gibbs_density(T1, grid)
@@ -791,15 +797,15 @@ def _cmd_clt(run, component) -> int:
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
     psi = TestField.delta(kernel.d, kernel.n, component=component)
-    grid, _ = run.grid(L)
-    run.gate(run.conditions(L)[0])
-
     measure = eff["measure"] or _transformed(
         {"type": "triangular", **_parse_kv((), "triangular", _TABLE["measure"]["triangular"])}, ())
     if measure["type"] != "transformed" or measure["base"]["type"] != "triangular":
         raise UsageError("clt needs a transformed triangular measure")
     nu0 = _merged({}, measure["base"], _TABLE["measure"]["triangular"])["nu0"]
     base, transform = _build_measure(measure, kernel, L)
+    require_samples(eff["ensemble"], "moment diagnostics")
+    grid, _ = run.grid(L)
+    run.gate(run.conditions(L))
     t = (eff["times"] or [50.0])[-1]
     # support of the transformed field is inside the base support
     offsets = offset_cube(nu0 - 1, kernel.d)

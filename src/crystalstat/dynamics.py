@@ -29,7 +29,7 @@ from ._lattice import (
     theta_step,
 )
 from .kernel import InteractionKernel
-from .spectral import CriticalSetEstimate, DispersionGrid, _require_match
+from .spectral import DispersionGrid, _require_match
 
 __all__ = [
     "evolve_ensemble",
@@ -171,25 +171,24 @@ def _smooth_ramp(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def green_cutoff(scan: CriticalSetEstimate, eps: float) -> np.ndarray | None:
-    """Theta multiplier that cuts the scan's flagged cells out of the Green's function.
+def green_cutoff(grid: DispersionGrid, eps: float) -> np.ndarray | None:
+    """Theta multiplier that cuts the grid's critical set out of the Green's function.
 
-    The flagged cells are the scan's combined C0, C* and Ck flags; crossings
-    are the grid's own, set at its delta_cross.  g(theta) = ramp(dist(theta,
-    flagged cells) / eps) vanishes within eps/2 of every flagged cell and
-    equals one beyond eps (distances in the grid Chebyshev metric scaled to
-    angle units).  Returns None when eps is zero or nothing is flagged: the
-    plain propagator.  Away from the cut the phase is stationary only on
-    nondegenerate sets, so the sup norm decays at the dimensional rate t^{-d/2}.
+    The flagged cells are the grid's critical flags, C0, C* and Ck at its
+    thresholds.  g(theta) = ramp(dist(theta, flagged cells) / eps) vanishes
+    within eps/2 of every flagged cell and equals one beyond eps (distances
+    in the grid Chebyshev metric scaled to angle units).  Returns None when
+    eps is zero or nothing is flagged: the plain propagator.  Away from the
+    cut the phase is stationary only on nondegenerate sets, so the sup norm
+    decays at the dimensional rate t^{-d/2}.
     """
     if not (eps >= 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and nonnegative (got {eps})")
-    flagged = scan.combined
-    if eps == 0 or not np.any(flagged):
+    if eps == 0 or not np.any(grid.critical):
         return None
-    h = theta_step(scan.L)
+    h = theta_step(grid.L)
     max_steps = int(math.ceil(eps / h)) + 1
-    dist = _chebyshev_distance_steps(flagged, max_steps).astype(float) * h
+    dist = _chebyshev_distance_steps(grid.critical, max_steps).astype(float) * h
     g = _smooth_ramp(dist / eps)
     if not np.any(g > 0):
         raise ValueError("cutoff removes the entire grid; reduce eps")

@@ -31,6 +31,7 @@ import numpy as np
 from ._lattice import (
     NumericalFault,
     check_ensemble,
+    check_integers,
     eigen_compose,
     forward_fft,
     fourier_series,
@@ -64,7 +65,7 @@ class SpectralDensity:
     n: int
     matrix: np.ndarray
     provenance: str = "analytic"
-    _sqrt_cache: Optional[np.ndarray] = field(default=None, repr=False)
+    _sqrt_cache: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         expected = (self.L,) * self.d + (2 * self.n, 2 * self.n)
@@ -375,11 +376,12 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     extra = set(doc) - set(required) - {"provenance", "excluded", "cluster_id"}
     if extra:
         raise ValueError(f"unknown density fields: {sorted(extra)}")
+    check_integers(doc, ("L", "d", "n"), "density file")
     matrix = np.asarray(doc["matrix_re"], dtype=float) + 1j * np.asarray(
         doc["matrix_im"], dtype=float
     )
     base = dict(
-        L=int(doc["L"]), d=int(doc["d"]), n=int(doc["n"]),
+        L=doc["L"], d=doc["d"], n=doc["n"],
         matrix=matrix, provenance=str(doc.get("provenance", "file")),
     )
     if "excluded" in doc or "cluster_id" in doc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lattice import fourier_series, offset_cube, theta_axis
+from ._lattice import check_integers, fourier_series, offset_cube, theta_axis
 
 __all__ = [
     "InteractionKernel",
@@ -318,19 +318,23 @@ def kernel_from_json(text: str) -> InteractionKernel:
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"kernel file lacks keys {missing}")
+    check_integers(doc, ("d", "n", "N"), "kernel file")
     if not isinstance(doc["entries"], list):
         raise ValueError("kernel file entries must be a list")
     entries = {}
     for item in doc["entries"]:
         if not isinstance(item, dict) or not {"z", "matrix"} <= item.keys():
             raise ValueError("each kernel file entry needs keys 'z' and 'matrix'")
-        z = tuple(int(c) for c in item["z"])
+        z = item["z"]
+        if not isinstance(z, list) or any(type(c) is not int for c in z):
+            raise ValueError(f"kernel file offsets must be lists of integers, got {z!r}")
+        z = tuple(z)
         if not canonical_offset(z):
             raise ValueError(f"kernel file must list canonical offsets only, got {z}")
         if z in entries:
             raise ValueError(f"duplicate offset {z}")
         entries[z] = item["matrix"]
-    kernel = InteractionKernel(int(doc["d"]), int(doc["n"]), entries)
-    if kernel.range > int(doc["N"]):
+    kernel = InteractionKernel(doc["d"], doc["n"], entries)
+    if kernel.range > doc["N"]:
         raise ValueError(f"stored range {kernel.range} exceeds declared N={doc['N']}")
     return kernel

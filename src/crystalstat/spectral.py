@@ -22,9 +22,7 @@ from .kernel import ConditionReport, InteractionKernel
 
 __all__ = [
     "DispersionGrid",
-    "CriticalSetEstimate",
     "dispersion_grid",
-    "critical_set_scan",
     "check_E4_E5",
     "check_ES",
 ]
@@ -70,13 +68,16 @@ class DispersionGrid:
     ascending frequency gap falls in the suspected-crossing band set by
     delta_cross.  null[node, k] flags omega_k <= delta_null, where the symbol
     has no usable inverse, and c0 the nodes with such a branch (the set C_0).
-    Every consumer of crossings and of C_0 reads these flags.
+    ck flags degenerate branch curvature at delta_hess (the set C_k) and
+    critical the union C_0 | C_* | C_k.  Every consumer of the critical set
+    reads these flags.
     """
 
     kernel: InteractionKernel
     L: int
     delta_cross: float
     delta_null: float
+    delta_hess: float
     omega: np.ndarray
     basis: np.ndarray
     cluster_id: np.ndarray
@@ -136,6 +137,27 @@ class DispersionGrid:
         """det of the branch Hessians, shape (*grid, n)."""
         H = self.branch_hessians
         return H[..., 0, 0] if self.d == 1 else np.linalg.det(H)
+
+    @cached_property
+    def ck(self) -> np.ndarray:
+        """Nodes off the crossings where a branch has |det Hess| <= delta_hess,
+        or a determinant that changes sign across an incident edge, which
+        certifies a root between nodes that the finite-difference error floor
+        would hide."""
+        D = self.hessian_determinants
+        valid = ~self.crossing
+        ck_branch = (np.abs(D) <= self.delta_hess) & valid[..., None]
+        for axis in range(self.d):
+            Dn = np.roll(D, -1, axis=axis)
+            vn = np.roll(valid, -1, axis=axis)
+            change = (D * Dn < 0.0) & valid[..., None] & vn[..., None]
+            ck_branch |= change
+            ck_branch |= np.roll(change, 1, axis=axis)
+        return np.any(ck_branch, axis=-1)
+
+    @cached_property
+    def critical(self) -> np.ndarray:
+        return self.c0 | self.crossing | self.ck
 
     def max_group_velocity(self) -> float:
         """Max |grad omega| over branches and nodes away from crossing flags."""
@@ -209,9 +231,13 @@ def _branch_labels(B: np.ndarray) -> np.ndarray:
 
 
 def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELTA_CROSS,
-                    delta_null: float = DELTA_NULL) -> DispersionGrid:
+                    delta_null: float = DELTA_NULL,
+                    delta_hess: float = DELTA_HESS) -> DispersionGrid:
     """Diagonalize the symbol on the (2 pi / L) Z^d grid and continue branches,
-    flagging crossings at delta_cross and null frequencies at delta_null.
+    flagging crossings at delta_cross, null frequencies at delta_null and,
+    on first read of ck, flat curvature at delta_hess.  The flagged
+    fractions are the measure estimate of the critical set: they must shrink
+    under grid refinement for the continuum sets to have measure zero.
 
     L must be even and at least 16 so that subgrid refinement comparisons and
     the theta -> -theta symmetry are available.
@@ -238,6 +264,7 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
         L=L,
         delta_cross=delta_cross,
         delta_null=delta_null,
+        delta_hess=delta_hess,
         omega=omega,
         basis=B,
         cluster_id=ids,
@@ -248,98 +275,17 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     )
 
 
-@dataclass(eq=False)
-class CriticalSetEstimate:
-    """Per-node critical-set flags and their grid fractions.
-
-    c0: degenerate symbol and cstar: suspected branch crossing, the grid's own
-    flags; ck: degenerate branch curvature (|det Hess| <= delta_hess, or a
-    sign change of the determinant across an incident edge, which certifies a
-    root between nodes that the finite-difference error floor would hide).
-    """
-
-    L: int
-    thresholds: dict
-    c0: np.ndarray
-    cstar: np.ndarray
-    ck: np.ndarray
-    grad_norm: np.ndarray   # (*grid, n)
-    hess_det: np.ndarray    # (*grid, n)
-
-    @property
-    def combined(self) -> np.ndarray:
-        return self.c0 | self.cstar | self.ck
-
-    def fractions(self) -> dict:
-        size = self.c0.size
-        return {
-            "C0": float(self.c0.sum()) / size,
-            "Cstar": float(self.cstar.sum()) / size,
-            "Ck": float(self.ck.sum()) / size,
-            "combined": float(self.combined.sum()) / size,
-        }
-
-    def to_jsonable(self) -> dict:
-        return {
-            "L": self.L,
-            "thresholds": self.thresholds,
-            "fractions": self.fractions(),
-            "counts": {
-                "C0": int(self.c0.sum()),
-                "Cstar": int(self.cstar.sum()),
-                "Ck": int(self.ck.sum()),
-                "combined": int(self.combined.sum()),
-            },
-        }
-
-
-def critical_set_scan(grid: DispersionGrid, delta_hess: float = DELTA_HESS) -> CriticalSetEstimate:
-    """Flag grid cells meeting the degenerate-symbol / crossing / flat-curvature
-    surrogates.  Fractions of flagged cells are the measure estimate: they must
-    shrink under grid refinement for the continuum sets to have measure zero.
-
-    The C_0 and crossing flags are the grid's own, decided at grid.delta_null
-    and grid.delta_cross.
-    """
-    cstar = grid.crossing
-    D = grid.hessian_determinants
-    valid = ~cstar
-    ck_branch = (np.abs(D) <= delta_hess) & valid[..., None]
-    for axis in range(grid.d):
-        Dn = np.roll(D, -1, axis=axis)
-        vn = np.roll(valid, -1, axis=axis)
-        change = (D * Dn < 0.0) & valid[..., None] & vn[..., None]
-        ck_branch |= change
-        ck_branch |= np.roll(change, 1, axis=axis)
-    ck = np.any(ck_branch, axis=-1)
-    grad_norm = np.linalg.norm(grid.branch_gradients, axis=-1)
-    return CriticalSetEstimate(
-        L=grid.L,
-        thresholds={
-            "delta_cross": grid.delta_cross,
-            "delta_hess": delta_hess,
-            "delta_null": grid.delta_null,
-        },
-        c0=grid.c0,
-        cstar=cstar,
-        ck=ck,
-        grad_norm=grad_norm,
-        hess_det=D,
-    )
-
-
-def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[ConditionReport]:
+def check_E4_E5(grid: DispersionGrid) -> list[ConditionReport]:
     """Numerical surrogates for the dispersion nondegeneracy conditions.
 
     E4: every branch must show nondegenerate curvature somewhere, i.e. some
-    node outside the scan's C_0 and C_* flags with |det Hess omega_k| above the
-    scan's delta_hess.  E5: no pair of branches may satisfy omega_k +- omega_l
+    node outside the grid's C_0 and C_* flags with |det Hess omega_k| above the
+    grid's delta_hess.  E5: no pair of branches may satisfy omega_k +- omega_l
     == const with const != 0, detected as a variance collapse (DELTA_CONST) of
     the pointwise sums/differences.
     """
-    delta_hess = scan.thresholds["delta_hess"]
-    valid = ~(scan.cstar | scan.c0)
-    D = scan.hess_det
+    valid = ~(grid.crossing | grid.c0)
+    D = grid.hessian_determinants
     W = grid.branch_values
 
     witnesses4 = []
@@ -351,7 +297,7 @@ def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[Conditi
         for b in range(grid.n):
             Db = np.abs(D[..., b])[valid]
             best = float(Db.max())
-            if best <= delta_hess:
+            if best <= grid.delta_hess:
                 verdict4 = "fail"
                 witnesses4.append(
                     {
@@ -364,7 +310,7 @@ def check_E4_E5(grid: DispersionGrid, scan: CriticalSetEstimate) -> list[Conditi
         condition="E4",
         verdict=verdict4,
         witnesses=witnesses4,
-        tolerances={"delta_hess": delta_hess},
+        tolerances={"delta_hess": grid.delta_hess},
         note="curvature nondegeneracy per branch",
     )
 

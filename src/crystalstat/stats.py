@@ -26,6 +26,7 @@ from .spectral import _require_match
 
 __all__ = [
     "EnsembleSummary",
+    "require_samples",
     "stream_ensemble",
     "covariance_products",
     "covariance_summary",
@@ -54,12 +55,15 @@ MIN_SAMPLES = {
     "the characteristic functional": 1000,
 }
 
+# The lam values at which characteristic_functional compares E[exp(i lam X)].
+LAMBDAS = (0.25, 0.5, 1.0, 2.0)
+
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
 # stream_ensemble aims for; its working set is a few such copies.
 CHUNK_BYTES = 4 * 2**20
 
 
-def _require_samples(count: int, purpose: str) -> None:
+def require_samples(count: int, purpose: str) -> None:
     """Raise unless count reaches MIN_SAMPLES[purpose]."""
     minimum = MIN_SAMPLES[purpose]
     if count < minimum:
@@ -84,7 +88,7 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    _require_samples(count, purpose)
+    require_samples(count, purpose)
     L, d, n = density.L, density.d, density.n
     _require_match(grid, L, d, n, what="field")
     size = max(1, CHUNK_BYTES // (16 * L**d * 2 * n))
@@ -139,7 +143,7 @@ def covariance_summary(offsets, products) -> EnsembleSummary:
     each offset's products and its leave-one-out jackknife standard error."""
     offsets = _offset_list(offsets)
     S = products.shape[0]
-    _require_samples(S, "covariance error bars")
+    require_samples(S, "covariance error bars")
     if products.shape[1] != len(offsets):
         raise ValueError("one product block per offset required")
     mean, se = {}, {}
@@ -171,7 +175,7 @@ def empirical_mixing_support(Y, r_max: int) -> dict:
     MIN_SAMPLES["covariance error bars"] for the error bars to mean anything.
     """
     Y, _, d, _ = check_ensemble(Y)
-    _require_samples(Y.shape[0], "covariance error bars")
+    require_samples(Y.shape[0], "covariance error bars")
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     offsets = [z for z in offset_cube(r_max, d) if any(z)]
@@ -218,19 +222,19 @@ def linear_functional_samples(Y, psi) -> np.ndarray:
     return out
 
 
-def characteristic_functional(samples, density_limit, psi,
-                              lambdas=(0.25, 0.5, 1.0, 2.0)) -> dict:
-    """Empirical E[exp(i lam <Y,Psi>)] against the Gaussian exp(-lam^2 Q/2).
+def characteristic_functional(samples, density_limit, psi) -> dict:
+    """Empirical E[exp(i lam <Y,Psi>)] against the Gaussian exp(-lam^2 Q/2),
+    for each lam of LAMBDAS.
 
     Q is the limit quadratic form of psi.  Each sweep row carries the absolute
     gap and a Monte Carlo error bar from the cos/sin sample variances.
     """
     s = np.asarray(samples, dtype=float).ravel()
     N = s.size
-    _require_samples(N, "the characteristic functional")
+    require_samples(N, "the characteristic functional")
     Q = quadratic_form(density_limit, psi)
     sweep = []
-    for lam in lambdas:
+    for lam in LAMBDAS:
         c = np.cos(lam * s)
         sn = np.sin(lam * s)
         emp_re = float(c.mean())
@@ -246,7 +250,7 @@ def characteristic_functional(samples, density_limit, psi,
             "gap": float(gap),
             "se": se,
         })
-    at_one = next((row for row in sweep if row["lam"] == 1.0), sweep[-1])
+    at_one = sweep[LAMBDAS.index(1.0)]
     return {
         "count": N,
         "Q": float(Q),
@@ -265,7 +269,7 @@ def gaussianity_report(samples) -> dict:
     """
     s = np.asarray(samples, dtype=float).ravel()
     N = s.size
-    _require_samples(N, "moment diagnostics")
+    require_samples(N, "moment diagnostics")
     mean = float(s.mean())
     var = float(s.var(ddof=1))
     if var <= (1e-15 * (1.0 + abs(mean))) ** 2:

@@ -44,7 +44,7 @@ from crystalstat.kernel import (
     build_nn_kernel,
     random_finite_range_kernel,
 )
-from crystalstat.spectral import check_E4_E5, critical_set_scan, dispersion_grid
+from crystalstat.spectral import check_E4_E5, dispersion_grid
 from crystalstat.stats import (
     characteristic_functional,
     empirical_covariance,
@@ -112,7 +112,7 @@ def test_criterion_03_green_function_decay():
     L = 4096
     times = [10.0, 20.0, 40.0, 80.0]
     grid = dispersion_grid(CHAIN, L)
-    cutoff = green_cutoff(critical_set_scan(grid), 0.3)
+    cutoff = green_cutoff(grid, 0.3)
     vmax = grid.max_group_velocity()
     x = np.abs(minimal_image(L))
     sups, cut_tails, plain_tails = [], [], []
@@ -131,7 +131,7 @@ def test_criterion_03_green_function_decay():
     L2 = 512
     chain2 = build_nn_kernel(2, 1, 1.0)
     grid2 = dispersion_grid(chain2, L2)
-    cutoff2 = green_cutoff(critical_set_scan(grid2), 0.3)
+    cutoff2 = green_cutoff(grid2, 0.3)
     times2 = [10.0, 20.0, 40.0, 80.0, 160.0]
     sups2 = {t: float(np.max(np.abs(green_function(grid2, t, cutoff2))))
              for t in times2}
@@ -370,12 +370,12 @@ def test_criterion_10_genericity_of_regularity():
     for seed in range(20):
         kernel = random_finite_range_kernel(1, 2, 2, seed)
         grid = dispersion_grid(kernel, 64)
-        reports = check_E4_E5(grid, critical_set_scan(grid))
+        reports = check_E4_E5(grid)
         if any(r.verdict == "fail" for r in reports):
             failing_seeds.append(seed)
     flat = InteractionKernel(1, 2, {(0,): [[4.0, 0.0], [0.0, 4.0]]})
     flat_grid = dispersion_grid(flat, 64)
-    e4 = next(r for r in check_E4_E5(flat_grid, critical_set_scan(flat_grid))
+    e4 = next(r for r in check_E4_E5(flat_grid)
               if r.condition == "E4")
     ok = not failing_seeds and e4.verdict == "fail" and len(e4.witnesses) > 0
     announce(10, "genericity of regularity checks", ok,
@@ -389,8 +389,8 @@ def test_criterion_10_genericity_of_regularity():
 def test_criterion_11_critical_fraction_scaling():
     fractions = []
     for L in (256, 512, 1024):
-        frac = critical_set_scan(dispersion_grid(CHAIN, L)).fractions()
-        fractions.append(frac["combined"])
+        critical = dispersion_grid(CHAIN, L).critical
+        fractions.append(float(critical.sum()) / critical.size)
     ratios = [fractions[i + 1] / fractions[i] for i in range(2)]
     ok = all(0.35 <= r <= 0.65 for r in ratios)
     announce(11, "critical-set fraction halves with resolution", ok,

@@ -6,17 +6,19 @@ process reaches the assignment solver, and that outputs do not depend on the
 BLAS/OpenMP thread count.
 """
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crystalstat
@@ -35,7 +37,13 @@ from crystalstat.kernel import (
     kernel_to_json,
     random_finite_range_kernel,
 )
-from crystalstat.spectral import critical_set_scan, dispersion_grid
+from crystalstat.spectral import (
+    DELTA_CONST,
+    DELTA_NULL,
+    DispersionGrid,
+    check_E4_E5,
+    dispersion_grid,
+)
 
 CSV_HEADER = "theta_1,k,omega_k,grad_norm,D_k,flags"
 STAGES = ("dispersion", "critical", "limit", "mixing")
@@ -59,6 +67,14 @@ def counting(calls, fn):
         calls.append(fn.__name__)
         return fn(*args, **kwargs)
     return wrapped
+
+
+def counting_property(monkeypatch, calls, cls, name):
+    """Patch the cached property cls.name to append its name to calls on
+    every evaluation."""
+    prop = cached_property(counting(calls, getattr(cls, name).func))
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
 
 
 def flat_kernel_file(tmp_path):
@@ -91,7 +107,7 @@ def read_table(path):
 
 
 # a dispersive branch crossing a shallower one; at delta_cross = 1e-2 the grid
-# flags 57 nodes as crossings (Cstar), and the scan flags others Ck
+# flags 57 nodes as crossings (Cstar), and the grid flags others Ck
 CROSSING = InteractionKernel(1, 2, {(0,): np.diag([3.0, 3.9]), (1,): np.diag([-1.0, -0.5]),
                                     (-1,): np.diag([-1.0, -0.5])})
 
@@ -108,7 +124,7 @@ def test_dispersion_table_holds_the_grid_values(tmp_path, kernel, argv, delta_cr
     assert main(["dispersion", "--kernel-file", str(path), "--L", str(L), "--output",
                  str(out)] + argv) == 0
     grid = dispersion_grid(kernel, L, delta_cross)
-    scan = critical_set_scan(grid)
+    grad_norm = np.linalg.norm(grid.branch_gradients, axis=-1)
     d = grid.d
     header, rows = read_table(out / "dispersion.csv")
     assert header == [f"theta_{a + 1}" for a in range(d)] + [
@@ -120,9 +136,9 @@ def test_dispersion_table_holds_the_grid_values(tmp_path, kernel, argv, delta_cr
         assert [float(s) for s in row[:d]] == [2.0 * np.pi * c / L for c in node]
         assert row[d] == str(k)
         assert [float(s) for s in row[d + 1:d + 4]] == [
-            grid.branch_values[key], scan.grad_norm[key], scan.hess_det[key]]
+            grid.branch_values[key], grad_norm[key], grid.hessian_determinants[key]]
         assert row[d + 4] == "|".join(name for name, flags in (
-            ("C0", scan.c0), ("Cstar", scan.cstar), ("Ck", scan.ck)) if flags[node])
+            ("C0", grid.c0), ("Cstar", grid.crossing), ("Ck", grid.ck)) if flags[node])
     assert flag in {row[-1] for row in rows}
 
 
@@ -134,7 +150,7 @@ def test_green_table_holds_the_green_function(tmp_path, eps):
                  "--times"] + [str(t) for t in times] + [
                  "--dump-radius", str(radius), "--eps", str(eps), "--output", str(out)]) == 0
     grid = dispersion_grid(build_nn_kernel(2, 2, [1.0, 2.0]), L)
-    cutoff = green_cutoff(critical_set_scan(grid), eps)
+    cutoff = green_cutoff(grid, eps)
     assert (cutoff is None) == (eps == 0.0)
     header, rows = read_table(out / "green.csv")
     assert header == ["t", "x1", "x2", "row", "col", "value"]
@@ -719,25 +735,31 @@ def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):
 
 
 def test_one_condition_scan_per_run(tmp_path, monkeypatch):
+    # report's stages share one E4/E5 check and one C_k evaluation; the
+    # gated stages alone never evaluate C_k, which E4 does not read
     calls = []
-    monkeypatch.setattr(cli, "critical_set_scan",
-                        counting(calls, crystalstat.critical_set_scan))
+    counting_property(monkeypatch, calls, DispersionGrid, "ck")
     monkeypatch.setattr(cli, "check_E4_E5", counting(calls, crystalstat.check_E4_E5))
     assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
-    assert calls == ["critical_set_scan", "check_E4_E5"]
+    assert calls == ["check_E4_E5", "ck"]
+    calls.clear()
+    assert main(["limit"] + nn_args(L=32) + ["--white", "T0=1", "T1=1",
+                                             "--output", str(tmp_path / "lim")]) == 0
+    assert calls == ["check_E4_E5"]
 
 
 def test_green_cutoff_once(tmp_path, monkeypatch):
-    # one scan and one distance transform, shared by every time stamp
+    # one C_k evaluation and one distance transform, shared by every time
+    # stamp; green reads the grid's critical set and checks no condition
     calls = []
-    monkeypatch.setattr(cli, "critical_set_scan",
-                        counting(calls, crystalstat.critical_set_scan))
+    counting_property(monkeypatch, calls, DispersionGrid, "ck")
+    monkeypatch.setattr(cli, "check_E4_E5", counting(calls, crystalstat.check_E4_E5))
     monkeypatch.setattr(dynamics, "_chebyshev_distance_steps",
                         counting(calls, dynamics._chebyshev_distance_steps))
     assert main(["green"] + nn_args(L=256) + [
         "--eps", "0.3", "--times", "10", "20", "40", "80", "--dump-radius", "1",
         "--output", str(tmp_path / "green")]) == 0
-    assert calls == ["critical_set_scan", "_chebyshev_distance_steps"]
+    assert calls == ["ck", "_chebyshev_distance_steps"]
 
 
 def test_one_limit_per_run(tmp_path, monkeypatch):
@@ -816,6 +838,111 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, flag, doc, messag
     assert not out.exists()
 
 
+NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
+                                                 {"z": [1], "matrix": [[-1.0]]}]}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["dispersion", "--kernel-file"], dict(NN_KERNEL, d=1.7, N=1.9),
+     "kernel file d must be an integer, got 1.7"),
+    (["dispersion", "--kernel-file"], dict(NN_KERNEL, n=True),
+     "kernel file n must be an integer, got True"),
+    (["dispersion", "--kernel-file"], dict(NN_KERNEL, entries=[
+        {"z": [0.6], "matrix": [[3.0]]}, {"z": [1], "matrix": [[-1.0]]}]),
+     "kernel file offsets must be lists of integers, got [0.6]"),
+    (["dispersion", "--kernel-file"], dict(NN_KERNEL, entries=[{"z": 0, "matrix": [[3.0]]}]),
+     "kernel file offsets must be lists of integers, got 0"),
+    (["limit"] + nn_args() + ["--measure-file"], {"L": 16.9, "d": True, "n": 1.2},
+     "density file L must be an integer, got 16.9"),
+    (["limit"] + nn_args() + ["--measure-file"], {"n": True},
+     "density file n must be an integer, got True"),
+], ids=["kernel-d-N", "kernel-n-bool", "kernel-offset", "kernel-offset-scalar",
+        "density-L-d-n", "density-n-bool"])
+def test_file_integers_are_checked_not_truncated(tmp_path, capsys, argv, doc, message):
+    if argv[0] == "limit":
+        doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(argv + [str(path), "--L", "16", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def reference_ck(grid, delta_hess):
+    """C_k spelled out independently of the grid: a node off the crossings
+    where a branch has |det Hess| <= delta_hess, or where its determinant
+    changes sign across an edge to another node off the crossings."""
+    D = grid.hessian_determinants
+    valid = ~grid.crossing
+    ck_branch = (np.abs(D) <= delta_hess) & valid[..., None]
+    for axis in range(grid.d):
+        Dn = np.roll(D, -1, axis=axis)
+        vn = np.roll(valid, -1, axis=axis)
+        change = (D * Dn < 0.0) & valid[..., None] & vn[..., None]
+        ck_branch |= change
+        ck_branch |= np.roll(change, 1, axis=axis)
+    return np.any(ck_branch, axis=-1)
+
+
+def reference_E4_E5(grid, delta_hess):
+    """(condition, verdict, witnesses, tolerances) of E4 and E5, read off the
+    nodes outside the grid's C_0 and crossing flags."""
+    valid = ~(grid.crossing | grid.c0)
+    D, W = grid.hessian_determinants, grid.branch_values
+    if not valid.any():
+        none = [{"value": 0.0, "note": "every node flagged; no usable evidence"}]
+        return [("E4", "inconclusive", none, {"delta_hess": delta_hess}),
+                ("E5", "inconclusive", none, {"delta_const": DELTA_CONST})]
+    best = [float(np.abs(D[..., b])[valid].max()) for b in range(grid.n)]
+    e4 = [{"branch": b, "value": best[b],
+           "note": "max |det Hess| over unflagged nodes is below threshold"}
+          for b in range(grid.n) if best[b] <= delta_hess]
+    e5 = []
+    for b, c in itertools.combinations(range(grid.n), 2):
+        for sign, tag in ((1.0, "+"), (-1.0, "-")):
+            pair = (W[..., b] + sign * W[..., c])[valid]
+            mean, var = float(pair.mean()), float(pair.var())
+            if var < DELTA_CONST**2 and abs(mean) > DELTA_CONST:
+                e5.append({"branches": [b, c], "relation": tag, "value": mean,
+                           "variance": var})
+    return [("E4", "fail" if e4 else "pass", e4, {"delta_hess": delta_hess}),
+            ("E5", "fail" if e5 else "pass", e5, {"delta_const": DELTA_CONST})]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       delta_hess=st.sampled_from([0.0, 1e-6, 1e-3, 0.5]),
+       delta_cross=st.sampled_from([1e-6, 1e-2]), seed=st.integers(0, 2**16))
+# an E4 failure, and crossings in d = 2
+@example(d=1, n=3, delta_hess=0.5, delta_cross=1e-2, seed=1)
+@example(d=2, n=3, delta_hess=1e-3, delta_cross=1e-2, seed=1)
+def test_critical_set_is_decided_once_on_the_grid(d, n, delta_hess, delta_cross, seed):
+    L = {1: 64, 2: 32, 3: 16}[d]
+    grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed), L, delta_cross,
+                           DELTA_NULL, delta_hess)
+    assert grid.delta_hess == delta_hess
+    ck = reference_ck(grid, delta_hess)
+    critical = grid.c0 | grid.crossing | ck
+    np.testing.assert_array_equal(grid.ck, ck)
+    np.testing.assert_array_equal(grid.critical, critical)
+    assert [(r.condition, r.verdict, r.witnesses, r.tolerances)
+            for r in check_E4_E5(grid)] == reference_E4_E5(grid, delta_hess)
+    # critical.json counts the same flags, at the thresholds the grid holds
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "crit"
+        assert main(["critical", "--random", f"d={d}", f"n={n}", "range=1", f"seed={seed}",
+                     "--L", str(L), "--delta-cross", repr(delta_cross),
+                     "--delta-hess", repr(delta_hess), "--output", str(out)]) == 0
+        doc = json.loads((out / "critical.json").read_text())
+    counts = {"C0": int(grid.c0.sum()), "Cstar": int(grid.crossing.sum()),
+              "Ck": int(ck.sum()), "combined": int(critical.sum())}
+    assert doc == {"L": L, "counts": counts,
+                   "fractions": {k: v / critical.size for k, v in counts.items()},
+                   "thresholds": {"delta_cross": delta_cross, "delta_hess": delta_hess,
+                                  "delta_null": DELTA_NULL}}
+
+
 def test_threshold_flags_reach_E4_E5(tmp_path):
     # a Hessian threshold above every curvature flags all nodes and fails E4
     out = tmp_path / "disp"
@@ -880,6 +1007,17 @@ def test_allow_degenerate_only_where_read(capsys):
                    f"temperatures must be finite and nonnegative, got T0=0.0 T1={float(T1)}",
                    id=f"gibbs-T1-{T1}")
       for T1 in ("inf", "-1")),
+    # so do the sampling commands' measures, clt's measure type and the count
+    pytest.param(["clt", "--ensemble", "999"], "need at least 1000 samples for moment diagnostics",
+                 id="clt-ensemble-999"),
+    pytest.param(["clt", "--white", "T0=1", "T1=1"], "clt needs a transformed triangular measure",
+                 id="clt-white"),
+    pytest.param(["gibbs", "--ensemble", "99"],
+                 "need at least 100 samples for covariance error bars", id="gibbs-ensemble-99"),
+    pytest.param(["ensemble", "--white", "T0=1", "T1=1", "--ensemble", "50"],
+                 "need at least 100 samples for covariance error bars", id="ensemble-50"),
+    pytest.param(["ensemble", "--measure-file", "/nonexistent.json"],
+                 "cannot read measure file", id="ensemble-measure-file"),
     pytest.param(["dispersion", "--nn", "m=-1"], "mass must be finite and nonnegative, got -1.0",
                  id="mass--1"),
     pytest.param(["limit", "--white", "T0=nan", "T1=1"],
@@ -896,6 +1034,7 @@ def test_bad_eps_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     assert f"usage error: {message}" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
+
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -29,7 +29,7 @@ from crystalstat import dynamics
 from crystalstat._lattice import eigen_compose
 from crystalstat.covariance import _unexcluded_matrix
 from crystalstat.kernel import ConditionReport
-from crystalstat.spectral import check_ES, critical_set_scan
+from crystalstat.spectral import check_ES
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -385,9 +385,9 @@ def test_zero_modes_are_decided_once_on_the_grid(d, masses, delta_null, density_
     assert grid.delta_null == delta_null
     w = grid.omega
     c0 = w.min(axis=-1) <= delta_null
-    scan = critical_set_scan(grid)
-    np.testing.assert_array_equal(scan.c0, c0)
-    assert scan.thresholds["delta_null"] == delta_null
+    np.testing.assert_array_equal(grid.c0, c0)
+    # the critical set holds C_0 as decided at delta_null
+    np.testing.assert_array_equal(grid.critical | c0, grid.critical)
 
     w_ok = w > delta_null
     Vinv = eigen_compose(grid.basis, np.where(w_ok, 1.0 / np.where(w_ok, w**2, 1.0), 0.0))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crystalstat import (
     InteractionKernel,
     build_nn_kernel,
-    critical_set_scan,
     dispersion_grid,
     evolve_ensemble,
     green_cutoff,
@@ -156,19 +155,18 @@ def test_green_cutoff_removes_caustic_peak(nn1):
     L, t = 1024, 80.0
     grid = dispersion_grid(nn1, L)
     plain = np.abs(green_function(grid, t)).max()
-    cut = np.abs(green_function(grid, t, green_cutoff(critical_set_scan(grid), 0.3))).max()
+    cut = np.abs(green_function(grid, t, green_cutoff(grid, 0.3))).max()
     assert cut < plain
 
 
 def test_green_cutoff_zero_eps_is_plain(nn1, grid256):
-    scan = critical_set_scan(grid256)
-    assert scan.combined.any()
-    assert green_cutoff(scan, 0.0) is None
-    cutoff = green_cutoff(scan, 0.3)
+    assert grid256.critical.any()
+    assert green_cutoff(grid256, 0.0) is None
+    cutoff = green_cutoff(grid256, 0.3)
     assert cutoff.shape == (256,) and cutoff.min() == 0.0 and cutoff.max() == 1.0
     assert green_function(grid256, 10.0, cutoff).shape == (256, 2, 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        green_cutoff(scan, -0.5)
+        green_cutoff(grid256, -0.5)
     with pytest.raises(ValueError, match="does not match grid"):
         green_function(dispersion_grid(nn1, 128), 5.0, cutoff)
     with pytest.raises(ValueError, match="does not match grid"):
@@ -176,7 +174,7 @@ def test_green_cutoff_zero_eps_is_plain(nn1, grid256):
     # a flat symbol is critical everywhere: no cutoff is left
     flat = dispersion_grid(InteractionKernel(1, 1, {(0,): np.eye(1)}), 64)
     with pytest.raises(ValueError, match="entire grid"):
-        green_cutoff(critical_set_scan(flat), 0.3)
+        green_cutoff(flat, 0.3)
 
 
 @lru_cache(maxsize=None)

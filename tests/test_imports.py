@@ -14,9 +14,9 @@ Only ``_lattice`` writes the Fourier convention: no other module calls
 ``InteractionKernel.symbol``, the pointwise oracle of ``symbol_grid``.
 
 One owner per gating decision: only ``spectral.dispersion_grid`` takes a
-``delta_null`` (every other consumer reads the grid's C0 flags), and only
-``cli._Run`` reads the ``--allow-degenerate`` waiver, which ``cli.main``
-wires into the run.
+``delta_cross``, a ``delta_null`` or a ``delta_hess`` (every other consumer
+reads the grid's crossing, C0 and Ck flags), and only ``cli._Run`` reads the
+``--allow-degenerate`` waiver, which ``cli.main`` wires into the run.
 """
 
 import ast
@@ -145,8 +145,10 @@ def reads_of(source: str, name: str) -> list[str]:
 
 def test_gating_decisions_have_one_owner():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert [f"{module}.{scope}" for module, source in sources.items()
-            for scope in parameters_named(source, "delta_null")] == ["spectral.dispersion_grid"]
+    for threshold in ("delta_cross", "delta_null", "delta_hess"):
+        assert [f"{module}.{scope}" for module, source in sources.items()
+                for scope in parameters_named(source, threshold)] == [
+                    "spectral.dispersion_grid"], threshold
     readers = {f"{module}.{scope.split('.')[0]}" for module, source in sources.items()
                for scope in reads_of(source, "allow_degenerate")}
     assert readers == {"cli._Run", "cli.main"}

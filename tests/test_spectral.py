@@ -14,7 +14,6 @@ from crystalstat import (
     build_nn_kernel,
     check_E4_E5,
     check_ES,
-    critical_set_scan,
     dispersion_grid,
     green_cutoff,
     green_function,
@@ -136,10 +135,10 @@ def test_continuation_sends_exact_ties_to_the_assignment_solver():
 
 def test_gradient_peak_approaches_continuum_speed(nn1):
     g = dispersion_grid(nn1, 1024)
-    scan = critical_set_scan(g)
-    vmax = float(scan.grad_norm.max())
+    grad_norm = np.linalg.norm(g.branch_gradients, axis=-1)
+    vmax = float(grad_norm.max())
     assert 0.0 < VMAX_CHAIN - vmax < 1e-4
-    peak = int(np.argmax(scan.grad_norm[:, 0]))
+    peak = int(np.argmax(grad_norm[:, 0]))
     theta_peak = 2.0 * np.pi * min(peak, 1024 - peak) / 1024
     assert abs(theta_peak - THETA_INFLECTION) < 0.01
 
@@ -163,14 +162,12 @@ def test_crossing_kernel_flags_and_guard():
     # the default gap threshold is deliberately conservative; widen it so the
     # nodes straddling the crossing fall inside the suspicious band
     g = dispersion_grid(crossing_kernel(), 256, delta_cross=1e-2)
-    scan = critical_set_scan(g)
-    assert scan.fractions()["Cstar"] > 0
-    np.testing.assert_array_equal(scan.cstar, g.crossing)
+    assert g.crossing.mean() > 0
     # the flat branch has identically degenerate curvature, so the union of
     # flags covers everything (crossing nodes count toward Cstar, not Ck)
-    assert scan.fractions()["combined"] == 1.0
+    assert g.critical.all() and not (g.ck & g.crossing).any()
     # crossings sit where the dispersive branch passes omega = 2
-    flagged = np.nonzero(scan.cstar)[0]
+    flagged = np.nonzero(g.crossing)[0]
     theta_cross = 2.0 * np.pi / 3.0
     angles = 2.0 * np.pi * flagged / 256
     angles = np.minimum(angles, 2.0 * np.pi - angles)
@@ -192,12 +189,10 @@ def test_grid_crossing_flags_reach_scan_and_cutoff():
     wide = dispersion_grid(k, 256, delta_cross=1e-2)
     default = dispersion_grid(k, 256)
     assert wide.crossing.sum() == 57 and not default.crossing.any()
-    scan = critical_set_scan(wide)
-    np.testing.assert_array_equal(scan.cstar, wide.crossing)
-    assert scan.thresholds["delta_cross"] == 1e-2
-    cut_wide = green_function(wide, 10.0, green_cutoff(scan, 0.3))
-    cut_default = green_function(default, 10.0,
-                                 green_cutoff(critical_set_scan(default), 0.3))
+    assert wide.critical[wide.crossing].all()
+    assert wide.delta_cross == 1e-2
+    cut_wide = green_function(wide, 10.0, green_cutoff(wide, 0.3))
+    cut_default = green_function(default, 10.0, green_cutoff(default, 0.3))
     assert np.abs(cut_wide - cut_default).max() > 0
 
 
@@ -219,14 +214,12 @@ def test_exact_degeneracy_is_not_a_crossing():
 
 def test_massless_chain_degenerate_node():
     g = dispersion_grid(build_nn_kernel(1, 1, 0.0), 256)
-    scan = critical_set_scan(g)
-    assert scan.fractions()["C0"] == 1.0 / 256
-    assert scan.c0[0] and not scan.c0[1:].any()
+    assert g.c0.mean() == 1.0 / 256
+    assert g.c0[0] and not g.c0[1:].any()
 
 
 def test_curvature_flags_sit_at_inflection(grid256):
-    scan = critical_set_scan(grid256)
-    flagged = np.nonzero(scan.ck)[0]
+    flagged = np.nonzero(grid256.ck)[0]
     assert len(flagged) == 4
     angles = 2.0 * np.pi * flagged / 256
     angles = np.minimum(angles, 2.0 * np.pi - angles)
@@ -234,16 +227,18 @@ def test_curvature_flags_sit_at_inflection(grid256):
 
 
 def test_E4_E5_pass_on_chain(grid256):
-    verdicts = {r.condition: r.verdict for r in check_E4_E5(grid256, critical_set_scan(grid256))}
+    verdicts = {r.condition: r.verdict for r in check_E4_E5(grid256)}
     assert verdicts == {"E4": "pass", "E5": "pass"}
 
 
 def test_E4_fails_on_flat_branch_with_witnesses():
     flat = InteractionKernel(1, 2, {(0,): np.eye(2) * 4.0})
     g = dispersion_grid(flat, 256)
-    reports = {r.condition: r for r in check_E4_E5(g, critical_set_scan(g))}
+    reports = {r.condition: r for r in check_E4_E5(g)}
     assert reports["E4"].verdict == "fail"
     assert reports["E4"].witnesses
+    # det Hess is exactly zero on a flat branch, which delta_hess = 0 still flags
+    assert dispersion_grid(flat, 64, delta_hess=0.0).ck.all()
 
 
 def test_E5_pass_on_disjoint_band_pair():
@@ -258,7 +253,7 @@ def test_E5_pass_on_disjoint_band_pair():
         },
     )
     g = dispersion_grid(pair, 256)
-    verdicts = {r.condition: r.verdict for r in check_E4_E5(g, critical_set_scan(g))}
+    verdicts = {r.condition: r.verdict for r in check_E4_E5(g)}
     assert verdicts["E4"] == "pass" and verdicts["E5"] == "pass"
     assert not g.crossing.any()
 
