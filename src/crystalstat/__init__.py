@@ -15,7 +15,6 @@ from .kernel import (
     build_nn_kernel,
     check_E123,
     kernel_from_json,
-    kernel_to_json,
     random_finite_range_kernel,
 )
 from .spectral import (
@@ -76,7 +75,6 @@ __all__ = [
     "build_nn_kernel",
     "check_E123",
     "kernel_from_json",
-    "kernel_to_json",
     "random_finite_range_kernel",
     "DELTA_CROSS",
     "DELTA_HESS",

@@ -270,18 +270,6 @@ def _flag_spec(args, section: str, kv_types) -> dict | None:
     return {"type": "file", "path": path} if path else None
 
 
-def _transformed(measure: dict, tokens) -> dict:
-    """measure wrapped in the bounded transform of the --transform tokens, if any."""
-    if tokens is None:
-        return measure
-    return {"type": "transformed", "base": measure,
-            **_parse_kv(tokens, "transform", _TABLE["measure"]["transformed"])}
-
-
-#: the measure that ``mixing`` and ``report`` use when none is given
-_WHITE_NOISE = {"type": "white", **_parse_kv((), "white", _TEMPERATURES)}
-
-
 def _typed(value, key: _Key):
     """A checked value with a float kind as floats; any other as it is."""
     if value is None or key.kind not in ("float", "float list"):
@@ -311,15 +299,16 @@ def _effective_config(args, command: str) -> dict:
     if kernel is None:
         raise UsageError("no kernel given (use --nn/--random/--kernel-file or config)")
     measure = _flag_spec(args, "measure", ("triangular", "white")) or cfg.get("measure")
-    tokens = getattr(args, "transform", None)
+    tokens = getattr(args, "transform", None)  # only the sampling commands take it
     if tokens is not None:
-        _transformed(measure, tokens)  # checked even where report wraps its default
-        if measure is None and command != "report":
+        amplitudes = _parse_kv(tokens, "transform", _TABLE["measure"]["transformed"])
+        if measure is None:
             raise UsageError("--transform needs a measure "
                              "(--triangular/--white/--measure-file or config)")
-        if measure is not None and measure["type"] == "transformed":
+        if measure["type"] == "transformed":
             raise UsageError("--transform cannot wrap the config's transformed measure; "
                              "set its a0 and a1 instead")
+        measure = {"type": "transformed", "base": measure, **amplitudes}
     seed = args.seed
     if seed is None and os.environ.get("CRYSTALSTAT_SEED"):
         try:
@@ -332,18 +321,37 @@ def _effective_config(args, command: str) -> dict:
                   cfg, _TABLE)
     if eff["grid_L"] is None:
         eff["grid_L"] = eff["L"]
-    eff.update(kernel=kernel, measure=measure and _transformed(measure, tokens),
-               command=command, thresholds=_merged(
-                   {name: getattr(args, name, None) for name in _TABLE["thresholds"]},
-                   cfg.get("thresholds", {}), _TABLE["thresholds"]))
+    eff.update(kernel=kernel, measure=measure, command=command, thresholds=_merged(
+        {name: getattr(args, name, None) for name in _TABLE["thresholds"]},
+        cfg.get("thresholds", {}), _TABLE["thresholds"]))
     return eff
 
 
+class _MeasureRule(NamedTuple):
+    """A command's measure when the run names none (None: one is required),
+    and whether the command samples it, which only then takes --transform."""
+
+    default: dict | None
+    samples: bool = False
+
+
+class _Measure(NamedTuple):
+    """A run's initial measure: its spec, its Gaussian density (a transformed
+    measure's base density), the transform's (a0, a1) or None, and the
+    dependence radius it declares: 0 for white noise, nu0 - 1 for triangular,
+    a transform's base's, and None for a measure file."""
+
+    spec: dict
+    density: object
+    transform: tuple | None
+    radius: int | None
+
+
 class _Run:
-    """State of one command: effective config, output directory (created by
-    its first write), the E4/E5 waiver of --allow-degenerate, and the kernel,
-    dispersion grids, condition reports and limit of the initial measure, each
-    built on first use.
+    """State of one command: effective config, its measure spec (the config's,
+    else the command's default), output directory (created by its first write),
+    the E4/E5 waiver of --allow-degenerate, and the kernel, dispersion grids,
+    condition reports, initial measure and its limit, each built on first use.
 
     The stages of ``report`` share one memo and one waiver, so they share the
     kernel, the grid and its E1-E5 reports at each resolution, and the measure
@@ -351,8 +359,9 @@ class _Run:
     stage that needs it retries and records its own failure.
     """
 
-    def __init__(self, eff: dict, memo: dict, allow_degenerate: bool):
+    def __init__(self, eff: dict, memo: dict, allow_degenerate: bool, default_measure=None):
         self.eff = eff
+        self.spec = eff["measure"] or default_measure
         self.thr = eff["thresholds"]
         self.L = eff["L"]
         self.outdir = Path(eff["output"])
@@ -361,7 +370,7 @@ class _Run:
 
     def stage(self, **changes) -> "_Run":
         """A run of the config with changes, on this run's memo and waiver."""
-        return _Run(dict(self.eff, **changes), self.memo, self.allow_degenerate)
+        return _Run(dict(self.eff, **changes), self.memo, self.allow_degenerate, self.spec)
 
     def gate(self, reports) -> None:
         """Raise ConditionFailure if a report failed; the waiver covers E4 and
@@ -389,20 +398,51 @@ class _Run:
             self.memo[key] = list(e123) + check_E4_E5(grid)
         return self.memo[key]
 
-    def limit(self, default_measure=None):
+    def measure(self) -> _Measure:
+        """The run's initial measure, built from its spec at the run's
+        resolution on its kernel."""
+        if "measure" in self.memo:
+            return self.memo["measure"]
+        spec, kernel, L = self.spec, self.kernel(), self.L
+        if spec is None:
+            raise UsageError("this command needs an initial measure "
+                             "(--triangular/--white/--measure-file or config)")
+        base, transform = spec, None
+        if spec["type"] == "transformed":
+            v = _merged({}, spec, _TABLE["measure"]["transformed"])
+            base, transform = v["base"], (v["a0"], v["a1"])
+        v = _merged({}, base, _TABLE["measure"][base["type"]])
+        if base["type"] == "triangular":
+            if kernel.n != 1:
+                raise UsageError("triangular measure is scalar; kernel has n > 1")
+            density = triangular_density(v["nu0"], kernel.d, v["T0"], v["T1"], L)
+            radius = v["nu0"] - 1
+        elif base["type"] == "white":
+            density, radius = white_noise_density(v["T0"], v["T1"], kernel.n, kernel.d, L), 0
+        else:
+            try:
+                doc = json.loads(Path(v["path"]).read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise UsageError(f"cannot read measure file: {exc}")
+            density, radius = density_from_jsonable(doc), None
+            if density.L != L or density.d != kernel.d or density.n != kernel.n:
+                raise UsageError("measure file does not match the lattice/kernel shape")
+        self.memo["measure"] = _Measure(spec, density, transform, radius)
+        return self.memo["measure"]
+
+    def limit(self):
         """(initial density, ES report, limit density) of the run's measure,
-        or of default_measure when the run names none.
+        which must be Gaussian.
 
         E1-E5 are gated before the measure is read, ES once its density
         exists (:meth:`limit_of`)."""
         if "limit" not in self.memo:
             self.gate(self.conditions(self.L))
-            q0, transform = _build_measure(self.eff["measure"] or default_measure,
-                                           self.kernel(), self.L)
-            if transform is not None:
+            measure = self.measure()
+            if measure.transform is not None:
                 raise UsageError(f"{self.eff['command']} needs a Gaussian measure "
                                  "with an explicit density")
-            self.memo["limit"] = (q0,) + self.limit_of(q0)
+            self.memo["limit"] = (measure.density,) + self.limit_of(measure.density)
         return self.memo["limit"]
 
     def limit_of(self, q0):
@@ -426,32 +466,6 @@ def _build_kernel(spec: dict):
     except OSError as exc:
         raise UsageError(f"cannot read kernel file: {exc}")
     return kernel_from_json(text)
-
-
-def _build_measure(spec, kernel, L):
-    """Returns (density, transform) where transform is None or (a0, a1)."""
-    if spec is None:
-        raise UsageError("this command needs an initial measure "
-                         "(--triangular/--white/--measure-file or config)")
-    kind = spec["type"]
-    v = _merged({}, spec, _TABLE["measure"][kind])
-    if kind == "transformed":
-        density, _ = _build_measure(v["base"], kernel, L)
-        return density, (v["a0"], v["a1"])
-    if kind == "triangular":
-        if kernel.n != 1:
-            raise UsageError("triangular measure is scalar; kernel has n > 1")
-        return triangular_density(v["nu0"], kernel.d, v["T0"], v["T1"], L), None
-    if kind == "white":
-        return white_noise_density(v["T0"], v["T1"], kernel.n, kernel.d, L), None
-    try:
-        doc = json.loads(Path(v["path"]).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read measure file: {exc}")
-    density = density_from_jsonable(doc)
-    if density.L != L or density.d != kernel.d or density.n != kernel.n:
-        raise UsageError("measure file does not match the lattice/kernel shape")
-    return density, None
 
 
 # ---------------------------------------------------------------- output
@@ -566,8 +580,9 @@ def _gate_exit(ok, name) -> int:
     return EXIT_GATE
 
 
-def _axis_offsets(d: int, radius: int = 2):
-    return [(k,) + (0,) * (d - 1) for k in range(radius + 1)]
+def _axis_offsets(d: int):
+    """The offsets 0, 1 and 2 steps along the first axis."""
+    return [(k,) + (0,) * (d - 1) for k in range(3)]
 
 
 def _power_fit(times, values):
@@ -683,10 +698,8 @@ def _cmd_evolve(run) -> int:
                + [_lookup(component, axis) for axis in (i, j, k, l)]
                + [_floats(Mt), _floats(np.broadcast_to(Mi, Mt.shape)),
                   _floats(np.abs(Mt - Mi))])
-    _write_json(outdir / "limit.json", {
-        "excluded_fraction": qinf.excluded_fraction,
-        "es": es.to_jsonable(),
-    })
+    _write_json(outdir / "limit.json", {"excluded_fraction": qinf.excluded_fraction,
+                                        "es": es.to_jsonable()})
     print(f"evolve: wrote convergence table for t={times} -> {outdir}")
     return EXIT_OK
 
@@ -710,43 +723,31 @@ def _compare_to_theory(summary, theory):
     floor_scale = 1.0 + max(float(np.max(np.abs(table.matrix(z))))
                             for z in summary.offsets)
     rows = []
-    ok = True
     for z in summary.offsets:
-        emp = summary.mean[z]
-        se = summary.se[z]
-        th = table.matrix(z)
+        emp, se, th = summary.mean[z], summary.se[z], table.matrix(z)
         gap = np.abs(emp - th)
         bound = 3.0 * se + 1e-10 * floor_scale
-        entry_ok = bool(np.all(gap <= bound))
-        ok = ok and entry_ok
-        rows.append({
-            "z": _zkey(z),
-            "empirical": emp,
-            "se": se,
-            "theory": th,
-            "max_gap": float(gap.max()),
-            "max_gap_over_bound": float(np.max(gap / np.maximum(bound, 1e-300))),
-            "pass": entry_ok,
-        })
-    return rows, ok
+        rows.append({"z": _zkey(z), "empirical": emp, "se": se, "theory": th,
+                     "max_gap": float(gap.max()),
+                     "max_gap_over_bound": float(np.max(gap / np.maximum(bound, 1e-300))),
+                     "pass": bool(np.all(gap <= bound))})
+    return rows, all(row["pass"] for row in rows)
 
 
 def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
-    q0, transform = _build_measure(eff["measure"], run.kernel(), L)
+    measure = run.measure()
     require_samples(eff["ensemble"], "covariance error bars")
     grid, _ = run.grid(L)
     t = (eff["times"] or [50.0])[-1]
-    summary = _sampled_covariance(run, q0, t, transform)
+    summary = _sampled_covariance(run, measure.density, t, measure.transform)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
-    if transform is None:
+    if measure.transform is None:
         report["offsets"], report["all_pass"] = _compare_to_theory(
-            summary, evolve_density(q0, grid, t))
+            summary, evolve_density(measure.density, grid, t))
     else:
-        report["offsets"] = [
-            {"z": _zkey(z), "empirical": summary.mean[z], "se": summary.se[z]}
-            for z in summary.offsets
-        ]
+        report["offsets"] = [{"z": _zkey(z), "empirical": summary.mean[z], "se": summary.se[z]}
+                             for z in summary.offsets]
         report["all_pass"] = True
     _write_json(outdir / "ensemble.json", report)
     print(f"ensemble: {summary.count} samples at t={t}, "
@@ -759,12 +760,9 @@ def _cmd_limit(run, dump_density) -> int:
     _, es, qinf = run.limit()
     offsets = _axis_offsets(run.kernel().d)
     tab = covariance_from_density(qinf, offsets)
-    report = {
-        "excluded_fraction": qinf.excluded_fraction,
-        "es": es.to_jsonable(),
-        "covariance": {_zkey(z): tab.matrix(z) for z in offsets},
-    }
-    _write_json(outdir / "limit.json", report)
+    _write_json(outdir / "limit.json", {
+        "excluded_fraction": qinf.excluded_fraction, "es": es.to_jsonable(),
+        "covariance": {_zkey(z): tab.matrix(z) for z in offsets}})
     if dump_density:
         _write_json(outdir / "density.json", density_to_jsonable(qinf))
     print(f"limit: excluded fraction {qinf.excluded_fraction:.6g} -> {outdir}")
@@ -797,25 +795,22 @@ def _cmd_clt(run, component) -> int:
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
     psi = TestField.delta(kernel.d, kernel.n, component=component)
-    measure = eff["measure"] or _transformed(
-        {"type": "triangular", **_parse_kv((), "triangular", _TABLE["measure"]["triangular"])}, ())
-    if measure["type"] != "transformed" or measure["base"]["type"] != "triangular":
+    if run.spec["type"] != "transformed" or run.spec["base"]["type"] != "triangular":
         raise UsageError("clt needs a transformed triangular measure")
-    nu0 = _merged({}, measure["base"], _TABLE["measure"]["triangular"])["nu0"]
-    base, transform = _build_measure(measure, kernel, L)
+    measure = run.measure()
     require_samples(eff["ensemble"], "moment diagnostics")
     grid, _ = run.grid(L)
     run.gate(run.conditions(L))
     t = (eff["times"] or [50.0])[-1]
-    # support of the transformed field is inside the base support
-    offsets = offset_cube(nu0 - 1, kernel.d)
+    # the transform is pointwise, so the field depends as far as its base
+    offsets = offset_cube(measure.radius, kernel.d)
 
     products, samples0, samples_t = stream_ensemble(
-        base, eff["ensemble"], eff["seed"], grid, t,
+        measure.density, eff["ensemble"], eff["seed"], grid, t,
         lambda Y0, Yt: (covariance_products(Y0, offsets),
                         linear_functional_samples(Y0, psi),
                         linear_functional_samples(Yt, psi)),
-        "moment diagnostics", transform=transform)
+        "moment diagnostics", transform=measure.transform)
 
     gauss0 = gaussianity_report(samples0)
     platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0
@@ -854,7 +849,7 @@ def _cmd_mixing(run, component) -> int:
     kernel = run.kernel()
     psi = TestField.delta(kernel.d, kernel.n, component=component)
     grid, _ = run.grid(run.L)
-    _, _, qinf = run.limit(_WHITE_NOISE)
+    _, _, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
     fit = _power_fit(times, values)
@@ -867,12 +862,9 @@ def _cmd_mixing(run, component) -> int:
     return EXIT_OK
 
 
-def _cmd_report(run, transform) -> int:
+def _cmd_report(run) -> int:
     """Dispersion, critical, limit and mixing into subdirectories, on one kernel,
-    grid, measure and limit; white noise T0=1 T1=1 stands in for a missing
-    measure."""
-    # the tokens were checked with the config, before the output directory existed
-    measure = run.eff["measure"] or _transformed(_WHITE_NOISE, transform)
+    grid, measure and limit; each stage's manifest records the measure spec."""
     stages = {}
     for name, body, options in (
         ("dispersion", _cmd_dispersion, {}),
@@ -883,7 +875,7 @@ def _cmd_report(run, transform) -> int:
         stage_dir = run.outdir / name
         try:
             stages[name] = _stage(body, run.stage(command=name, output=str(stage_dir),
-                                                  measure=measure), options)
+                                                  measure=run.spec), options)
         except ConditionFailure as exc:
             _write_json(stage_dir / "conditions.json",
                         [r.to_jsonable() for r in exc.reports])
@@ -902,7 +894,7 @@ def _cmd_report(run, transform) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(p: _Parser, with_measure=True):
+def _add_common(p: _Parser, measure: _MeasureRule | None):
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--nn", nargs="+", metavar="KEY=VAL",
                    help="nearest-neighbour kernel, keys d n m (m may be a comma list)")
@@ -918,12 +910,13 @@ def _add_common(p: _Parser, with_measure=True):
     p.add_argument("--delta-hess", type=float, dest="delta_hess")
     p.add_argument("--delta-null", type=float, dest="delta_null")
     p.add_argument("--output", help="output directory (default: out)")
-    if with_measure:
+    if measure:
         p.add_argument("--triangular", nargs="+", metavar="KEY=VAL",
                        help="triangular measure, keys nu0 T0 T1")
         p.add_argument("--white", nargs="+", metavar="KEY=VAL",
                        help="white-noise measure, keys T0 T1")
         p.add_argument("--measure-file", help="measure density JSON file")
+    if measure and measure.samples:
         p.add_argument("--transform", nargs="+", metavar="KEY=VAL",
                        help="wrap the measure in a bounded transform, keys a0 a1")
 
@@ -933,23 +926,28 @@ def _build_parser() -> _Parser:
                      description="harmonic-crystal convergence experiments")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # name, runner, measure flags, gated on E4/E5, the parsed options the
-    # runner takes after the run
+    required = _MeasureRule(None)
+    white = _MeasureRule({"type": "white", **_merged({}, {}, _TEMPERATURES)})
+    # a transformed triangular measure, every key at its default
+    clt = _MeasureRule({"type": "transformed", "base": {"type": "triangular"}}, True)
+    # name, runner, measure rule (None: no measure flags), gated on E4/E5,
+    # the parsed options the runner takes after the run
     for name, fn, measure, gated, options in (
-        ("dispersion", _cmd_dispersion, False, False, ()),
-        ("critical", _cmd_critical, False, False, ()),
-        ("green", _cmd_green, False, False, ("dump_radius",)),
-        ("evolve", _cmd_evolve, True, True, ()),
-        ("ensemble", _cmd_ensemble, True, False, ()),
-        ("limit", _cmd_limit, True, True, ("dump_density",)),
-        ("gibbs", _cmd_gibbs, False, True, ("T1",)),
-        ("clt", _cmd_clt, True, True, ("component",)),
-        ("mixing", _cmd_mixing, True, True, ("component",)),
-        ("report", _cmd_report, True, True, ("transform",)),
+        ("dispersion", _cmd_dispersion, None, False, ()),
+        ("critical", _cmd_critical, None, False, ()),
+        ("green", _cmd_green, None, False, ("dump_radius",)),
+        ("evolve", _cmd_evolve, required, True, ()),
+        ("ensemble", _cmd_ensemble, _MeasureRule(None, True), False, ()),
+        ("limit", _cmd_limit, required, True, ("dump_density",)),
+        ("gibbs", _cmd_gibbs, None, True, ("T1",)),
+        ("clt", _cmd_clt, clt, True, ("component",)),
+        ("mixing", _cmd_mixing, white, True, ("component",)),
+        ("report", _cmd_report, white, True, ()),
     ):
         p = sub.add_parser(name)
-        _add_common(p, with_measure=measure)
-        p.set_defaults(fn=fn, options=options, allow_degenerate=False)
+        _add_common(p, measure)
+        p.set_defaults(fn=fn, options=options, allow_degenerate=False,
+                       default_measure=measure and measure.default)
         if gated:
             p.add_argument("--allow-degenerate", action="store_true",
                            help="proceed despite failed E4/E5 reports")
@@ -976,7 +974,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        run = _Run(_effective_config(args, args.command), {}, args.allow_degenerate)
+        run = _Run(_effective_config(args, args.command), {}, args.allow_degenerate,
+                   args.default_measure)
         return _stage(args.fn, run, {k: getattr(args, k) for k in args.options})
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -387,10 +387,24 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     if "excluded" in doc or "cluster_id" in doc:
         from .covariance import LimitDensity
 
+        nodes = (doc["L"],) * doc["d"]
         extras = {}
         if "excluded" in doc:
-            extras["excluded"] = np.asarray(doc["excluded"], dtype=bool)
+            extras["excluded"] = _node_array(doc, "excluded", bool, nodes)
         if "cluster_id" in doc:
-            extras["cluster_id"] = np.asarray(doc["cluster_id"], dtype=int)
+            extras["cluster_id"] = _node_array(doc, "cluster_id", int, nodes + (doc["n"],))
         return LimitDensity(**base, **extras)
     return SpectralDensity(**base)
+
+
+def _node_array(doc: dict, key: str, kind: type, shape: tuple) -> np.ndarray:
+    """doc[key] as an array of this shape whose every entry is of this kind,
+    bool or a 64-bit int: a boolean is not an integer here, nor a float."""
+    entries = np.array(doc[key], dtype=object)
+    if entries.shape == shape and all(type(v) is kind for v in entries.flat):
+        try:
+            return entries.astype(kind)
+        except OverflowError:
+            pass
+    name = {bool: "boolean", int: "integer"}[kind]
+    raise ValueError(f"density file {key} must be an all-{name} array of shape {shape}")

@@ -21,7 +21,6 @@ __all__ = [
     "build_nn_kernel",
     "random_finite_range_kernel",
     "check_E123",
-    "kernel_to_json",
     "kernel_from_json",
 ]
 
@@ -302,12 +301,9 @@ def kernel_to_jsonable(kernel: InteractionKernel) -> dict:
     return {"d": kernel.d, "n": kernel.n, "N": kernel.range, "entries": entries}
 
 
-def kernel_to_json(kernel: InteractionKernel) -> str:
-    return json.dumps(kernel_to_jsonable(kernel), sort_keys=True)
-
-
 def kernel_from_json(text: str) -> InteractionKernel:
-    """Inverse of :func:`kernel_to_json`; validates ranges and closes mirrors."""
+    """The kernel of the JSON text of :func:`kernel_to_jsonable`'s dict;
+    validates ranges and closes mirrors."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("kernel file must contain a JSON object")

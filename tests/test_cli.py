@@ -34,7 +34,7 @@ from crystalstat.fields import density_from_jsonable, density_to_jsonable, white
 from crystalstat.kernel import (
     InteractionKernel,
     build_nn_kernel,
-    kernel_to_json,
+    kernel_to_jsonable,
     random_finite_range_kernel,
 )
 from crystalstat.spectral import (
@@ -80,7 +80,8 @@ def counting_property(monkeypatch, calls, cls, name):
 def flat_kernel_file(tmp_path):
     """A constant symbol: every branch is flat, so E4 and E5 fail."""
     path = tmp_path / "flat.json"
-    path.write_text(kernel_to_json(InteractionKernel(1, 2, {(0,): 4.0 * np.eye(2)})))
+    kernel = InteractionKernel(1, 2, {(0,): 4.0 * np.eye(2)})
+    path.write_text(json.dumps(kernel_to_jsonable(kernel)))
     return path
 
 
@@ -119,7 +120,7 @@ CROSSING = InteractionKernel(1, 2, {(0,): np.diag([3.0, 3.9]), (1,): np.diag([-1
 def test_dispersion_table_holds_the_grid_values(tmp_path, kernel, argv, delta_cross, L,
                                                 flag):
     path = tmp_path / "kernel.json"
-    path.write_text(kernel_to_json(kernel))
+    path.write_text(json.dumps(kernel_to_jsonable(kernel)))
     out = tmp_path / "disp"
     assert main(["dispersion", "--kernel-file", str(path), "--L", str(L), "--output",
                  str(out)] + argv) == 0
@@ -276,7 +277,7 @@ def test_config_kernel_spelling(tmp_path, capsys):
 
 def test_condition_failure_exits_2_with_report(tmp_path, capsys):
     path = tmp_path / "bad_kernel.json"
-    path.write_text(kernel_to_json(InteractionKernel(1, 1, {(0,): [[-1.0]]})))
+    path.write_text(json.dumps(kernel_to_jsonable(InteractionKernel(1, 1, {(0,): [[-1.0]]}))))
     out = tmp_path / "out"
     code = main(["dispersion", "--kernel-file", str(path), "--L", "32",
                  "--output", str(out)])
@@ -439,6 +440,8 @@ def bad_flag_argv(section, kind, name, text):
     command = {"grid_L": "critical", "eps": "green"}.get(name, "limit")
     if command != "limit":
         measure = []
+    elif kind == "transformed":
+        command = "ensemble"  # --transform is a flag of the sampling commands only
     return [command] + kernel + ["--L", "16"] + measure + flag
 
 
@@ -484,7 +487,7 @@ def test_config_kernel_integers_reach_the_kernel(tmp_path):
     assert (out / "critical.json").read_bytes() == (by_flags / "critical.json").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["evolve", "ensemble", "limit", "clt", "mixing"])
+@pytest.mark.parametrize("command", ["ensemble", "clt"])
 def test_transform_without_measure_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command] + nn_args(L=32) + ["--transform", "a0=2",
@@ -495,7 +498,7 @@ def test_transform_without_measure_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["clt", "mixing", "report"])
+@pytest.mark.parametrize("command", ["clt", "ensemble"])
 def test_bad_transform_token_is_usage_error_before_output(tmp_path, capsys, command):
     # with or without a measure, the tokens are parsed before anything runs
     for measure in ([], ["--triangular", "nu0=2"]):
@@ -513,7 +516,7 @@ def test_bad_transform_token_is_usage_error_before_output(tmp_path, capsys, comm
     (["a0=0"], "a0=0.0 a1=1.0"),
     (["a0=2", "a1=-1"], "a0=2.0 a1=-1.0"),
 ])
-@pytest.mark.parametrize("command", ["ensemble", "clt", "report"])
+@pytest.mark.parametrize("command", ["ensemble", "clt"])
 def test_transform_amplitudes_must_be_finite_and_positive(tmp_path, capsys, command,
                                                           tokens, shown):
     out = tmp_path / "o"
@@ -664,7 +667,7 @@ def report_stages(out):
 
 def test_report_kernel_failing_E3_fails_every_stage(tmp_path):
     path = tmp_path / "neg.json"
-    path.write_text(kernel_to_json(InteractionKernel(1, 1, {(0,): [[-1.0]]})))
+    path.write_text(json.dumps(kernel_to_jsonable(InteractionKernel(1, 1, {(0,): [[-1.0]]}))))
     out = tmp_path / "rep"
     code = main(["report", "--kernel-file", str(path), "--L", "32", "--output", str(out)])
     assert code == 2
@@ -684,12 +687,14 @@ def test_report_flat_kernel(tmp_path, extra, spectral_code):
 
 
 def test_report_transform_wraps_default_white_noise(tmp_path, capsys):
+    # report takes no --transform; a config can still give it a transformed measure
+    measure = {"type": "transformed", "base": {"type": "white"}, "a0": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": measure}))
     out = tmp_path / "rep"
-    code = main(["report"] + nn_args(L=32) + ["--transform", "a0=2", "--output", str(out)])
+    code = main(["report"] + nn_args(L=32) + ["--config", str(cfg), "--output", str(out)])
     assert code == 1
     assert report_stages(out) == {"dispersion": 0, "critical": 0, "limit": 1, "mixing": 1}
-    measure = {"type": "transformed", "base": {"type": "white", "T0": 1.0, "T1": 1.0},
-               "a0": 2.0, "a1": 1.0}
     for stage in ("dispersion", "critical"):
         manifest = json.loads((out / stage / "manifest.json").read_text())
         assert manifest["command"] == stage
@@ -763,12 +768,24 @@ def test_green_cutoff_once(tmp_path, monkeypatch):
 
 
 def test_one_limit_per_run(tmp_path, monkeypatch):
-    # report's limit and mixing stages share one density, ES check and limit
+    # report's limit and mixing stages share one measure, ES check and limit
     calls = []
+    monkeypatch.setattr(cli, "white_noise_density",
+                        counting(calls, crystalstat.white_noise_density))
     monkeypatch.setattr(cli, "check_ES", counting(calls, crystalstat.check_ES))
     monkeypatch.setattr(cli, "limit_density", counting(calls, crystalstat.limit_density))
     assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
-    assert calls == ["check_ES", "limit_density"]
+    assert calls == ["white_noise_density", "check_ES", "limit_density"]
+
+
+def test_report_stages_record_the_default_measure(tmp_path):
+    # the run's own manifest records the config; each stage's, the measure it used
+    out = tmp_path / "rep"
+    assert main(["report"] + nn_args(L=32) + ["--output", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["measure"] is None
+    for stage in STAGES:
+        manifest = json.loads((out / stage / "manifest.json").read_text())
+        assert manifest["config"]["measure"] == {"type": "white", "T0": 1.0, "T1": 1.0}
 
 
 @pytest.mark.parametrize("command", [["evolve"], ["mixing"], ["limit", "--allow-degenerate"]],
@@ -789,8 +806,13 @@ def test_es_failure_is_condition_failure(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["evolve", "limit", "mixing"])
 def test_transformed_measure_has_no_limit(tmp_path, capsys, command):
-    transformed = ["--white", "T0=1", "T1=1", "--transform", "a0=2",
-                   "--output", str(tmp_path / "o")]
+    # these commands take no --transform; a config can still give them a
+    # transformed measure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": {"type": "transformed",
+                                           "base": {"type": "white", "T0": 1, "T1": 1},
+                                           "a0": 2}}))
+    transformed = ["--config", str(cfg), "--output", str(tmp_path / "o")]
     assert main([command] + nn_args(L=32) + transformed) == 1
     assert capsys.readouterr().err == (
         f"usage error: {command} needs a Gaussian measure with an explicit density\n")
@@ -856,8 +878,12 @@ NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
      "density file L must be an integer, got 16.9"),
     (["limit"] + nn_args() + ["--measure-file"], {"n": True},
      "density file n must be an integer, got True"),
+    (["limit"] + nn_args() + ["--measure-file"], {"excluded": [True]},
+     "density file excluded must be an all-boolean array of shape (16,)"),
+    (["limit"] + nn_args() + ["--measure-file"], {"excluded": [0.5] * 16},
+     "density file excluded must be an all-boolean array of shape (16,)"),
 ], ids=["kernel-d-N", "kernel-n-bool", "kernel-offset", "kernel-offset-scalar",
-        "density-L-d-n", "density-n-bool"])
+        "density-L-d-n", "density-n-bool", "density-excluded-shape", "density-excluded-float"])
 def test_file_integers_are_checked_not_truncated(tmp_path, capsys, argv, doc, message):
     if argv[0] == "limit":
         doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **doc)
@@ -1049,6 +1075,17 @@ def test_eps_and_grid_L_only_where_read(capsys, command, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "limit", "mixing", "report"])
+def test_transform_only_where_sampled(tmp_path, capsys, command):
+    # a transformed measure is only sampled, by ensemble and clt
+    out = tmp_path / "o"
+    code = main([command] + nn_args(L=32) + ["--white", "T0=1", "T1=1", "--transform",
+                                             "a0=2", "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --transform a0=2\n"
+    assert not out.exists()
+
+
 def test_console_script_exit_codes(tmp_path):
     # the console script is pyproject's crystalstat -> crystalstat.cli:main;
     # `python -m crystalstat` runs the same main without an install
@@ -1068,7 +1105,7 @@ def test_console_script_exit_codes(tmp_path):
     assert ok.returncode == 0
 
     path = tmp_path / "bad_kernel.json"
-    path.write_text(kernel_to_json(InteractionKernel(1, 1, {(0,): [[-1.0]]})))
+    path.write_text(json.dumps(kernel_to_jsonable(InteractionKernel(1, 1, {(0,): [[-1.0]]}))))
     bad = subprocess.run(
         exe + ["dispersion", "--kernel-file", str(path), "--L", "32",
                "--output", str(tmp_path / "bad")],

@@ -1,5 +1,7 @@
 """Spectral densities, Gaussian sampling, covariance assembly, JSON forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from crystalstat import (
 )
 from crystalstat import fields
 from crystalstat._lattice import real_part_checked
+from crystalstat.covariance import LimitDensity
 from crystalstat.fields import SpectralDensity
 
 
@@ -251,6 +254,44 @@ def test_limit_density_json_roundtrip_keeps_flags(grid64):
     np.testing.assert_allclose(back.matrix, lim.matrix, atol=0)
     np.testing.assert_array_equal(back.excluded, lim.excluded)
     np.testing.assert_array_equal(back.cluster_id, lim.cluster_id)
+
+
+def flagged_density_doc():
+    """The JSON form of a d=2, n=2 limit density with some nodes excluded and
+    mixed cluster ids."""
+    rng = np.random.default_rng(4)
+    lim = LimitDensity(L=8, d=2, n=2, matrix=white_noise_density(1.0, 1.0, 2, 2, 8).matrix,
+                       excluded=rng.random((8, 8)) < 0.3,
+                       cluster_id=rng.integers(0, 2, (8, 8, 2)))
+    return lim, density_to_jsonable(lim)
+
+
+def test_density_json_flags_roundtrip():
+    lim, doc = flagged_density_doc()
+    back = density_from_jsonable(doc)
+    np.testing.assert_array_equal(back.excluded, lim.excluded)
+    np.testing.assert_array_equal(back.cluster_id, lim.cluster_id)
+    assert back.excluded.dtype == bool and back.cluster_id.dtype == np.int64
+
+
+@pytest.mark.parametrize("key, value", [
+    ("excluded", [True]),
+    ("excluded", [[0.5] * 8] * 8),
+    ("excluded", [[1] * 8] * 8),
+    ("excluded", [[True] * 8] * 7 + [[True] * 7]),
+    ("cluster_id", [[0, 1]] * 64),
+    ("cluster_id", [[[True, False]] * 8] * 8),
+    ("cluster_id", [[[0.0, 1.0]] * 8] * 8),
+    ("cluster_id", [[[0, 2 ** 70]] * 8] * 8),
+], ids=["excluded-shape", "excluded-float", "excluded-int", "excluded-ragged",
+        "cluster-shape", "cluster-bool", "cluster-float", "cluster-beyond-int64"])
+def test_density_json_flags_are_checked(key, value):
+    _, doc = flagged_density_doc()
+    doc[key] = value
+    kind, shape = ("boolean", (8, 8)) if key == "excluded" else ("integer", (8, 8, 2))
+    message = f"density file {key} must be an all-{kind} array of shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        density_from_jsonable(doc)
 
 
 def test_density_json_rejects_unknown_keys():

@@ -17,6 +17,10 @@ One owner per gating decision: only ``spectral.dispersion_grid`` takes a
 ``delta_cross``, a ``delta_null`` or a ``delta_hess`` (every other consumer
 reads the grid's crossing, C0 and Ck flags), and only ``cli._Run`` reads the
 ``--allow-degenerate`` waiver, which ``cli.main`` wires into the run.
+
+One owner for the initial measure: in the CLI only ``_Run.measure`` builds a
+density from a measure spec (``gibbs`` builds its fixed white-noise start from
+``--T1``), and only ``_effective_config`` reads ``--transform``.
 """
 
 import ast
@@ -163,6 +167,39 @@ def test_parameter_and_read_are_found():
               "    return allow_degenerate, dict(allow_degenerate=1)\n")
     assert parameters_named(source, "delta_null") == ["f", "A.g"]
     assert reads_of(source, "allow_degenerate") == ["A.g", "h"]
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """The scope of each call of a function or method called name."""
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def flag_reads(source: str, flag: str) -> list[str]:
+    """The scope of each read of a parsed flag: args.<flag>, or getattr(args, "<flag>")."""
+    return [scope for scope, node in scoped_nodes(source)
+            if (ast.unparse(node) == f"args.{flag}" and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+                and [ast.unparse(a) for a in node.args[:2]] == ["args", repr(flag)])]
+
+
+def test_the_measure_has_one_owner():
+    source = (PACKAGE / "cli.py").read_text()
+    for builder in ("triangular_density", "density_from_jsonable"):
+        assert calls_of(source, builder) == ["_Run.measure"], builder
+    assert calls_of(source, "white_noise_density") == ["_Run.measure", "_cmd_gibbs"]
+    assert flag_reads(source, "transform") == ["_effective_config"]
+
+
+def test_call_and_flag_read_are_found():
+    source = ("def f(args):\n    return g(args.transform), m.g(1), g\n"
+              "class A:\n"
+              "    def h(self, args):\n"
+              "        args.transform = getattr(args, 'transform', None)\n"
+              "        return getattr(args, 'seed'), getattr(self, 'transform')\n")
+    assert calls_of(source, "g") == ["f", "f"]
+    assert flag_reads(source, "transform") == ["f", "A.h"]
 
 
 @pytest.mark.parametrize("module", LIBRARY)

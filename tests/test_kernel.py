@@ -1,5 +1,7 @@
 """Interaction kernels: construction, validation, JSON round trips, E1-E3."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from crystalstat import (
     build_nn_kernel,
     check_E123,
     kernel_from_json,
-    kernel_to_json,
     random_finite_range_kernel,
 )
 from crystalstat.kernel import canonical_offset, kernel_to_jsonable
@@ -88,7 +89,7 @@ def test_canonical_offset_picks_one_of_each_pair():
 
 def test_json_roundtrip_exact():
     k = random_finite_range_kernel(2, 2, 2, seed=9)
-    k2 = kernel_from_json(kernel_to_json(k))
+    k2 = kernel_from_json(json.dumps(kernel_to_jsonable(k)))
     assert set(k.entries) == set(k2.entries)
     for z in k.entries:
         np.testing.assert_array_equal(k.entries[z], k2.entries[z])
@@ -97,8 +98,6 @@ def test_json_roundtrip_exact():
 def test_json_rejects_unknown_key():
     doc = kernel_to_jsonable(build_nn_kernel(1, 1, 1.0))
     doc["flavor"] = "strange"
-    import json
-
     with pytest.raises(ValueError, match="unknown kernel file key"):
         kernel_from_json(json.dumps(doc))
 
