@@ -148,9 +148,12 @@ def fourier_coefficient(hat: np.ndarray, z) -> np.ndarray:
 
 
 def real_part_checked(a: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Drop an imaginary residue after verifying it is below tol (absolute)."""
+    """Drop an imaginary residue after verifying it is below tol (absolute).
+
+    A NaN residue fails the check, as it cannot be shown to be below tol.
+    """
     resid = float(np.max(np.abs(a.imag))) if np.iscomplexobj(a) else 0.0
-    if resid > tol:
+    if not resid <= tol:
         raise NumericalFault(
             f"{what}: imaginary residue {resid:.3e} exceeds {tol:.1e}; "
             "input violates the reality symmetry"

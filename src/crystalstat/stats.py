@@ -59,8 +59,15 @@ MIN_SAMPLES = {
 LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
-# stream_ensemble aims for; its working set is a few such copies.
-CHUNK_BYTES = 4 * 2**20
+# stream_ensemble aims for; its working set is a few such copies.  For clt at
+# d=1 L=256 (128 samples a chunk) one evolve_ensemble call peaks at 4.5 MB
+# traced and the whole stream at 6.3 MB, against 18 and 23 MB at 4 MiB.
+# Streaming clt's 10000 samples at d=1 L=256 on a shared 2-vCPU host took,
+# as the median of six fresh processes each timed best of three, 0.64 s at
+# 4 MiB, 0.49 s at 2 MiB, 0.54 s at 1 MiB and at 512 KiB, and 0.60 s at
+# 256 KiB, with a spread of about 0.1 s between processes.  At d=2 L=64
+# (white noise, n = 1 and 2) 1 MiB and 4 MiB were within the noise.
+CHUNK_BYTES = 2**20
 
 
 def require_samples(count: int, purpose: str) -> None:
@@ -99,8 +106,10 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
             Y0 = nonlinear_transform_sample(Y0, *transform)
         # Y0 and Yt stay bound until the next chunk replaces them.  Freed at
         # the end of each chunk, they let malloc trim the heap, and the next
-        # chunk faults its pages in again: for clt at d=1 L=256 on a 2-vCPU
-        # glibc host, 13 times the minor page faults and a fifth more time.
+        # chunk faults its pages in again: for clt's 10000 samples at d=1
+        # L=256 on a 2-vCPU glibc host, 8 minor page faults against 5 and no
+        # time measurably lost at 1 MiB, but 6.6 times the faults (88000)
+        # and up to a fifth more time at 4 MiB.
         Yt = evolve_ensemble(Y0, grid, t)
         parts.append(statistics(Y0, Yt))
     return tuple(np.concatenate(column) for column in zip(*parts))

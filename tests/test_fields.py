@@ -62,6 +62,8 @@ def test_numerical_faults_are_named():
     with pytest.raises(NumericalFault, match="probe: imaginary residue 2.000e-06"):
         real_part_checked(a, 1e-6, "probe")
     np.testing.assert_array_equal(real_part_checked(a, 1e-5, "probe"), [1.0, 2.0])
+    with pytest.raises(NumericalFault, match="probe: imaginary residue nan"):
+        real_part_checked(np.array([1.0 + 0j, 2.0 + np.nan * 1j]), 1e-6, "probe")
     matrix = white_noise_density(1.0, 1.0, 1, 1, 16).matrix.copy()
     matrix[..., 0, 0] = -1.0
     with pytest.raises(NumericalFault, match="not positive semidefinite"):

@@ -1,5 +1,6 @@
 """Ensemble estimators, characteristic functionals, moment diagnostics."""
 
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import crystalstat.stats as stats
 from crystalstat import (
     TestField,
+    build_nn_kernel,
     characteristic_functional,
     covariance_products,
     covariance_summary,
@@ -87,8 +89,11 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
     whole = statistics(Y0, Yt)
 
     sample_bytes = 16 * grid.L**d * 2 * n
-    for size in (1, data.draw(st.integers(2, count - 1), label="chunk"), count):
-        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes):
+    # half a sample's bytes still streams one sample a chunk
+    chunk = data.draw(st.integers(2, count - 1), label="chunk")
+    for budget in (sample_bytes // 2, sample_bytes, chunk * sample_bytes,
+                   count * sample_bytes):
+        with mock.patch.object(stats, "CHUNK_BYTES", budget):
             streamed = stream_ensemble(dens, count, seed, grid, t, statistics,
                                        "covariance error bars", transform=transform)
         assert len(streamed) == len(whole)
@@ -99,6 +104,38 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
     for z in offsets:
         np.testing.assert_array_equal(summary.mean[z], direct.mean[z])
         np.testing.assert_array_equal(summary.se[z], direct.se[z])
+
+
+def test_stream_ensemble_peak_memory_does_not_grow_with_count():
+    # clt's geometry and statistics: d=1 L=256 n=1, transformed triangular nu0=2
+    d, n, L = 1, 1, 256
+    grid = dispersion_grid(build_nn_kernel(d, n, 1.0), L)
+    dens = triangular_density(2, d, 1.0, 1.0, L)
+    offsets = [(-1,), (0,), (1,)]
+    psi = TestField.delta(d, n)
+
+    def statistics(Y0, Yt):
+        return (covariance_products(Y0, offsets), linear_functional_samples(Y0, psi),
+                linear_functional_samples(Yt, psi))
+
+    def peak_bytes(count):
+        tracemalloc.start()
+        try:
+            kept = stream_ensemble(dens, count, 3, grid, 50.0, statistics,
+                                   "moment diagnostics", transform=(1.0, 1.0))
+            return tracemalloc.get_traced_memory()[1], sum(a.nbytes for a in kept) / count
+        finally:
+            tracemalloc.stop()
+
+    # Counts that fill every chunk, so that both peaks come from a full one.
+    peak_bytes(1024)  # FFT plans and other one-off caches
+    small, per_sample = peak_bytes(1024)
+    large, _ = peak_bytes(4096)
+    # The kept statistics, held once during the stream and once more while
+    # concatenated, are all that may grow with the count.
+    assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
+    # 6.3 MB at the 1 MiB chunk budget, 23 MB at a 4 MiB one.
+    assert large < 8e6
 
 
 def test_empirical_covariance_needs_samples():
