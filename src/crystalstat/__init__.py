@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from ._lattice import NumericalFault
 from .kernel import (
+    ConditionFailure,
     ConditionReport,
     InteractionKernel,
     build_nn_kernel,
@@ -70,6 +71,7 @@ from .stats import (
 __all__ = [
     "__version__",
     "NumericalFault",
+    "ConditionFailure",
     "ConditionReport",
     "InteractionKernel",
     "build_nn_kernel",

@@ -22,14 +22,35 @@ C-contiguous copies by :func:`moved_axes`.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 
 class NumericalFault(ValueError):
     """A computation produced a result its guards reject: an imaginary residue
-    above tolerance or an indefinite density.  The input may be well formed;
-    the numbers it leads to are not usable."""
+    above tolerance, an indefinite density or two routes to one number that
+    disagree.  The input may be well formed; the numbers it leads to are not
+    usable."""
+
+
+class LowestEigenvalue(NamedTuple):
+    """The smallest of eigenvalues that should be nonnegative: its grid node
+    (plain ints), its value, the set's roundoff tolerance 1e-10 (1 + max |w|),
+    and whether the value is negative beyond that tolerance."""
+
+    node: tuple
+    value: float
+    tolerance: float
+    negative: bool
+
+
+def lowest_eigenvalue(w: np.ndarray) -> LowestEigenvalue:
+    """The lowest of the eigenvalues w, shape (*grid, k): the one rule for when
+    an eigenvalue is negative beyond roundoff."""
+    node = tuple(int(i) for i in np.unravel_index(int(np.argmin(w.min(axis=-1))), w.shape[:-1]))
+    value, tolerance = float(w.min()), 1e-10 * (1.0 + float(np.max(np.abs(w))))
+    return LowestEigenvalue(node, value, tolerance, value < -tolerance)
 
 
 def theta_axis(L: int) -> np.ndarray:

@@ -8,10 +8,11 @@ printed with %.17g, JSON keys are sorted, and no timestamps appear anywhere.
 manifest.json records the effective config, which --config does not yet
 accept as written.
 
-Exit codes: 0 success, 1 usage error, 2 structural condition failure
-(a ConditionReport with verdict fail), 3 statistical acceptance-gate failure,
-4 numerical fault (an imaginary residue above tolerance or an indefinite
-density).
+Exit codes: 0 success, 1 usage error, 2 condition failure (a ConditionReport
+with verdict fail), 3 statistical acceptance-gate failure, 4 numerical fault
+(an imaginary residue above tolerance, an indefinite density, or two routes
+to one number that disagree).  Codes 1, 2 and 4 come from one table,
+_FAILURES, keyed by the class of the exception a check raises.
 
 The sampling commands (ensemble, gibbs, clt) stream their samples through
 stats.stream_ensemble in fixed-byte chunks, so their memory does not grow with
@@ -25,6 +26,7 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +51,7 @@ from .fields import (
     white_noise_density,
 )
 from .kernel import (
+    ConditionFailure,
     build_nn_kernel,
     check_E123,
     kernel_from_json,
@@ -85,11 +88,13 @@ class UsageError(Exception):
     pass
 
 
-class ConditionFailure(Exception):
-    def __init__(self, reports):
-        self.reports = reports
-        failing = ", ".join(r.condition for r in reports if r.verdict == "fail")
-        super().__init__(f"condition failure: {failing}")
+#: exit code and stderr label of each failure class, the first match winning:
+#: a ConditionFailure and a NumericalFault are ValueErrors too
+_FAILURES = (
+    (ConditionFailure, EXIT_CONDITION, "condition failure"),
+    (NumericalFault, EXIT_NUMERICAL, "numerical fault"),
+    ((UsageError, ValueError), EXIT_USAGE, "usage error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,18 +389,26 @@ class _Run:
             self.memo["kernel"] = _build_kernel(self.eff["kernel"])
         return self.memo["kernel"]
 
+    def e123(self) -> list:
+        """The kernel's E1-E3 reports, checked once per run."""
+        if "E123" not in self.memo:
+            self.memo["E123"] = check_E123(self.kernel())
+        return self.memo["E123"]
+
     def grid(self, L: int):
-        """(grid, E1-E3 reports) at resolution L, built by :func:`_build_grid`."""
+        """The dispersion grid at resolution L, built once E1-E3 pass :meth:`gate`
+        so that kernel defects exit with code 2 before the eigensolver runs."""
         if L not in self.memo:
-            self.memo[L] = _build_grid(self.kernel(), L, self.thr)
+            self.gate(self.e123())
+            self.memo[L] = dispersion_grid(self.kernel(), L, self.thr["delta_cross"],
+                                           self.thr["delta_null"], self.thr["delta_hess"])
         return self.memo[L]
 
     def conditions(self, L: int) -> list:
         """E1-E5 reports of the grid at resolution L."""
         key = ("conditions", L)
         if key not in self.memo:
-            grid, e123 = self.grid(L)
-            self.memo[key] = list(e123) + check_E4_E5(grid)
+            self.memo[key] = self.e123() + check_E4_E5(self.grid(L))
         return self.memo[key]
 
     def measure(self) -> _Measure:
@@ -427,6 +440,7 @@ class _Run:
             density, radius = density_from_jsonable(doc), None
             if density.L != L or density.d != kernel.d or density.n != kernel.n:
                 raise UsageError("measure file does not match the lattice/kernel shape")
+            density.hermitian_sqrt()  # an indefinite file is a numerical fault; cached
         self.memo["measure"] = _Measure(spec, density, transform, radius)
         return self.memo["measure"]
 
@@ -449,7 +463,7 @@ class _Run:
         """(ES report, limit density) of q0 on the grid at the run's resolution,
         once E1-E5 and ES pass :meth:`gate`.  ``clt`` calls it on the density
         its samples estimate."""
-        grid, _ = self.grid(self.L)
+        grid = self.grid(self.L)
         es = check_ES(grid, q0)
         self.gate(self.conditions(self.L) + [es])
         return es, limit_density(q0, grid, es_report=es)
@@ -559,19 +573,6 @@ def _stage(body, run: _Run, options: dict) -> int:
     return code
 
 
-def _build_grid(kernel, L, thr):
-    """Gate E1-E3 before the eigensolver so kernel defects exit with code 2.
-
-    Returns the grid, its critical-set flags set at the thresholds thr, and
-    the E1-E3 reports, none of which failed.
-    """
-    e123 = check_E123(kernel)
-    if any(r.verdict == "fail" for r in e123):
-        raise ConditionFailure(e123)
-    return dispersion_grid(kernel, L, thr["delta_cross"], thr["delta_null"],
-                           thr["delta_hess"]), e123
-
-
 def _gate_exit(ok, name) -> int:
     """Exit code of a statistical acceptance gate; a failure is named on stderr."""
     if ok:
@@ -604,7 +605,7 @@ def _power_fit(times, values):
 
 def _cmd_dispersion(run) -> int:
     outdir = run.outdir
-    grid, _ = run.grid(run.eff["grid_L"])
+    grid = run.grid(run.eff["grid_L"])
     reports = run.conditions(grid.L)
     # one row per (node, branch); the flags of each of the 8 combinations of
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
@@ -628,7 +629,7 @@ def _cmd_dispersion(run) -> int:
 
 def _cmd_critical(run) -> int:
     outdir = run.outdir
-    grid, _ = run.grid(run.eff["grid_L"])
+    grid = run.grid(run.eff["grid_L"])
     reports = run.conditions(grid.L)
     counts = {name: int(flags.sum()) for name, flags in (
         ("C0", grid.c0), ("Cstar", grid.crossing), ("Ck", grid.ck), ("combined", grid.critical))}
@@ -646,7 +647,7 @@ def _cmd_green(run, dump_radius) -> int:
     eps, outdir, L = run.thr["eps"], run.outdir, run.L
     if dump_radius < 0 or 2 * dump_radius + 1 > L:
         raise UsageError("--dump-radius must fit inside the lattice window")
-    grid, _ = run.grid(L)
+    grid = run.grid(L)
     times = run.eff["times"] or [5.0, 10.0, 20.0, 40.0]
     cutoff = green_cutoff(grid, eps)
     # the window of offsets -r..r on every axis, wrapped onto the lattice
@@ -675,7 +676,7 @@ def _cmd_green(run, dump_radius) -> int:
 def _cmd_evolve(run) -> int:
     outdir = run.outdir
     kernel = run.kernel()
-    grid, _ = run.grid(run.L)
+    grid = run.grid(run.L)
     q0, es, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
@@ -708,7 +709,7 @@ def _sampled_covariance(run, q0, t, transform=None):
     """Covariance summary at the axis offsets of the run's ensemble of q0,
     transformed by transform if given, at time t."""
     offsets = _axis_offsets(run.kernel().d)
-    grid, _ = run.grid(run.L)
+    grid = run.grid(run.L)
     products, = stream_ensemble(
         q0, run.eff["ensemble"], run.eff["seed"], grid, t,
         lambda Y0, Yt: (covariance_products(Yt, offsets),),
@@ -738,7 +739,7 @@ def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
     measure = run.measure()
     require_samples(eff["ensemble"], "covariance error bars")
-    grid, _ = run.grid(L)
+    grid = run.grid(L)
     t = (eff["times"] or [50.0])[-1]
     summary = _sampled_covariance(run, measure.density, t, measure.transform)
     report = {"t": t, "count": summary.count, "seed": eff["seed"]}
@@ -774,7 +775,7 @@ def _cmd_gibbs(run, T1) -> int:
     kernel = run.kernel()
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     require_samples(eff["ensemble"], "covariance error bars")
-    grid, _ = run.grid(L)
+    grid = run.grid(L)
     run.gate(run.conditions(L))
     t = (eff["times"] or [50.0])[-1]
     summary = _sampled_covariance(run, q0, t)
@@ -799,7 +800,7 @@ def _cmd_clt(run, component) -> int:
         raise UsageError("clt needs a transformed triangular measure")
     measure = run.measure()
     require_samples(eff["ensemble"], "moment diagnostics")
-    grid, _ = run.grid(L)
+    grid = run.grid(L)
     run.gate(run.conditions(L))
     t = (eff["times"] or [50.0])[-1]
     # the transform is pointwise, so the field depends as far as its base
@@ -848,7 +849,7 @@ def _cmd_mixing(run, component) -> int:
     outdir = run.outdir
     kernel = run.kernel()
     psi = TestField.delta(kernel.d, kernel.n, component=component)
-    grid, _ = run.grid(run.L)
+    grid = run.grid(run.L)
     _, _, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
@@ -872,20 +873,8 @@ def _cmd_report(run) -> int:
         ("limit", _cmd_limit, {"dump_density": False}),
         ("mixing", _cmd_mixing, {"component": 0}),
     ):
-        stage_dir = run.outdir / name
-        try:
-            stages[name] = _stage(body, run.stage(command=name, output=str(stage_dir),
-                                                  measure=run.spec), options)
-        except ConditionFailure as exc:
-            _write_json(stage_dir / "conditions.json",
-                        [r.to_jsonable() for r in exc.reports])
-            stages[name] = EXIT_CONDITION
-        except NumericalFault as exc:
-            print(f"{name}: numerical fault: {exc}", file=sys.stderr)
-            stages[name] = EXIT_NUMERICAL
-        except (UsageError, ValueError) as exc:
-            print(f"{name}: usage error: {exc}", file=sys.stderr)
-            stages[name] = EXIT_USAGE
+        stage = run.stage(command=name, output=str(run.outdir / name), measure=run.spec)
+        stages[name] = _exit_code(partial(_stage, body, stage, options), stage)
     worst = max(stages.values())
     _write_json(run.outdir / "summary.json", {"stages": stages, "exit": worst})
     print(f"report: stages {stages} -> {run.outdir}")
@@ -970,27 +959,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _exit_code(action, stage: _Run | None = None) -> int:
+    """action()'s exit code, or that of the first row of _FAILURES whose class
+    the failure it raises is.  The row's label and the message go to stderr
+    and a condition failure's reports to stdout as JSON; in a stage of
+    ``report`` the label follows the stage's name and the reports go to the
+    stage's conditions.json."""
+    try:
+        return action()
+    except Exception as exc:
+        row = next((row for row in _FAILURES if isinstance(exc, row[0])), None)
+        if row is None:
+            raise
+        if isinstance(exc, ConditionFailure):
+            reports = [r.to_jsonable() for r in exc.reports]
+            if stage is None:
+                print(json.dumps(_plain(reports), sort_keys=True, indent=2))
+            else:
+                _write_json(stage.outdir / "conditions.json", reports)
+        where = f"{stage.eff['command']}: " if stage else ""
+        print(f"{where}{row[2]}: {exc}", file=sys.stderr)
+        return row[1]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
+
+    def command() -> int:
         args = parser.parse_args(argv)
         run = _Run(_effective_config(args, args.command), {}, args.allow_degenerate,
                    args.default_measure)
         return _stage(args.fn, run, {k: getattr(args, k) for k in args.options})
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConditionFailure as exc:
-        print(json.dumps(_plain([r.to_jsonable() for r in exc.reports]),
-                         sort_keys=True, indent=2))
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONDITION
-    except NumericalFault as exc:
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+    return _exit_code(command)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._lattice import (
+    NumericalFault,
     eigen_compose,
     fourier_coefficient,
     fourier_series,
@@ -24,7 +25,7 @@ from ._lattice import (
 )
 from .dynamics import _propagator_grid_matrix
 from .fields import SpectralDensity
-from .kernel import ConditionReport
+from .kernel import ConditionFailure, ConditionReport
 from .spectral import DispersionGrid, _require_match, check_ES
 
 __all__ = [
@@ -130,17 +131,16 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     are kept.  Inverse frequencies are pseudoinverses, zero on the grid's null
     branches (decided at grid.delta_null); nodes of the grid's C_0 that
     genuinely need an unavailable inverse are marked excluded.  When degenerate
-    nodes exist the summability check (ES) must not have failed; it is
-    evaluated here if no report is supplied.
+    nodes exist the summability check (ES) must not have failed (a failing
+    report raises a ConditionFailure); it is evaluated here if no report is
+    supplied.
     """
     _require_match(grid, q0.L, q0.d, q0.n)
     if np.any(grid.c0):
         report = es_report if es_report is not None else check_ES(grid, q0)
         if report.verdict == "fail":
-            raise ValueError(
-                "summability condition ES fails while the symbol degenerates; "
-                "the covariance limit does not exist"
-            )
+            # the symbol degenerates and the covariance limit does not exist
+            raise ConditionFailure([report])
     n, omega, B = grid.n, grid.omega, grid.basis
     # the stacked matmuls read contiguous copies, not strided views: the same
     # bits, in less time
@@ -253,7 +253,8 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
 
     Computed along two independent routes, nodewise in Fourier space and from
     real-space covariance values at pairwise site differences, which must agree
-    to 1e-8; any worse means broken conventions somewhere upstream.
+    to 1e-8; any worse means broken conventions somewhere upstream, and is a
+    NumericalFault, as is a form negative beyond 1e-8.
     """
     L, d = density.L, density.d
     psihat = psi.fourier(L)
@@ -274,11 +275,9 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
 
     gap = abs(q_spectral - q_real)
     if gap > 1e-8 * (1.0 + abs(q_spectral)):
-        raise AssertionError(
-            f"spectral and real-space quadratic forms disagree by {gap:.3e}"
-        )
+        raise NumericalFault(f"spectral and real-space quadratic forms disagree by {gap:.3e}")
     if q_spectral < -1e-8:
-        raise ValueError(f"quadratic form is negative ({q_spectral:.3e}); density not PSD")
+        raise NumericalFault(f"quadratic form is negative ({q_spectral:.3e}); density not PSD")
     return max(q_spectral, 0.0)
 
 
@@ -309,6 +308,5 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
                           matrix[..., :, K], p2[..., K])
     total = complex(integrand.sum() / float(grid.L) ** grid.d)
-    if abs(total.imag) > 1e-8 * (1.0 + abs(total.real)):
-        raise ValueError(f"mixing integral has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return float(real_part_checked(np.array([total]), 1e-8 * (1.0 + abs(total.real)),
+                                   "mixing integral")[0])

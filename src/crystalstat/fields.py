@@ -36,6 +36,7 @@ from ._lattice import (
     forward_fft,
     fourier_series,
     inverse_fft,
+    lowest_eigenvalue,
     moved_axes,
     real_part_checked,
     theta_axis,
@@ -92,17 +93,15 @@ class SpectralDensity:
         return self.matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n]
 
     def hermitian_sqrt(self) -> np.ndarray:
-        """Nodewise PSD square root, cached; raises if any node is significantly
-        indefinite (eigenvalues below -1e-10 * scale)."""
+        """Nodewise PSD square root, cached; raises a NumericalFault if any
+        node has an eigenvalue negative beyond roundoff."""
         if self._sqrt_cache is None:
             w, U = np.linalg.eigh(self.matrix)
-            scale = 1.0 + float(np.abs(w).max())
-            if float(w.min()) < -1e-10 * scale:
-                flat = int(np.argmin(w.min(axis=-1)))
-                node = np.unravel_index(flat, (self.L,) * self.d)
+            lowest = lowest_eigenvalue(w)
+            if lowest.negative:
                 raise NumericalFault(
-                    f"density is not positive semidefinite at node {node} "
-                    f"(eigenvalue {float(w.min()):.3e})"
+                    f"density is not positive semidefinite at node {lowest.node} "
+                    f"(eigenvalue {lowest.value:.3e})"
                 )
             w = np.clip(w, 0.0, None)
             self._sqrt_cache = eigen_compose(U, np.sqrt(w))

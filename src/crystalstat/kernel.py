@@ -9,15 +9,16 @@ the Fourier symbol Vhat(theta) = sum_z V(z) e^{i z.theta} Hermitian at every the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._lattice import check_integers, fourier_series, offset_cube, theta_axis
+from ._lattice import check_integers, fourier_series, lowest_eigenvalue, offset_cube, theta_axis
 
 __all__ = [
     "InteractionKernel",
     "ConditionReport",
+    "ConditionFailure",
     "build_nn_kernel",
     "random_finite_range_kernel",
     "check_E123",
@@ -68,13 +69,16 @@ class ConditionReport:
             raise ValueError(f"{self.condition}: fail verdict requires a witness")
 
     def to_jsonable(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-            "tolerances": self.tolerances,
-            "note": self.note,
-        }
+        return asdict(self)
+
+
+class ConditionFailure(ValueError):
+    """A condition of the theorem fails: reports holds the reports of the
+    check that raised it, the failing ones among them."""
+
+    def __init__(self, reports):
+        self.reports = list(reports)
+        super().__init__(", ".join(r.condition for r in self.reports if r.verdict == "fail"))
 
 
 class InteractionKernel:
@@ -228,11 +232,9 @@ def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
     E1 (finite range): every stored offset lies in a finite Chebyshev ball and
     every entry is finite.  E2 (symmetry): V(-z) = V(z)^T bitwise over stored
     entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over the theta
-    grid of the dimension's scan resolution (_SCAN_RESOLUTION).
-    A strictly negative minimum beyond -1e-10*scale fails; an exact zero touch
-    (|min| <= 1e-10*scale) passes, since frequencies are allowed to vanish on a
-    null set; a strictly positive margin below 1e-6 is inconclusive because the
-    grid cannot certify the continuum inequality.
+    grid of the dimension's scan resolution (_SCAN_RESOLUTION), judged by
+    :func:`e3_report`.  A dispersion grid of another resolution judges its own
+    eigenvalues by the same rule.
     """
     grid_resolution = _scan_resolution(kernel.d)
     reports = []
@@ -265,30 +267,33 @@ def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
     )
 
     w = np.linalg.eigvalsh(kernel.symbol_grid(grid_resolution))
-    lam_min = float(w.min())
-    flat = int(np.argmin(w.min(axis=-1)))
-    loc = np.unravel_index(flat, (grid_resolution,) * kernel.d)
-    theta_min = theta_axis(grid_resolution)[np.asarray(loc)].tolist()
-    scale = 1.0 + float(np.max(np.abs(w)))
-    zero_tol = 1e-10 * scale
-    if lam_min < -zero_tol:
+    reports.append(e3_report(lowest_eigenvalue(w), grid_resolution, kernel.d))
+    return reports
+
+
+def e3_report(lowest, L: int, d: int) -> ConditionReport:
+    """E3 report of the :func:`lowest_eigenvalue` of the symbol over the L^d
+    theta grid.
+
+    A minimum negative beyond roundoff fails; an exact zero touch (|min|
+    within roundoff) passes, since frequencies are allowed to vanish on a null
+    set; a strictly positive margin below 1e-6 is inconclusive because the
+    grid cannot certify the continuum inequality.
+    """
+    if lowest.negative:
         verdict = "fail"
-    elif abs(lam_min) <= zero_tol:
-        verdict = "pass"  # zero touch: degenerate frequencies are admissible
-    elif lam_min < 1e-6:
+    elif lowest.tolerance < lowest.value < 1e-6:
         verdict = "inconclusive"  # positive but below certifiable margin
     else:
         verdict = "pass"
-    reports.append(
-        ConditionReport(
-            condition="E3",
-            verdict=verdict,
-            witnesses=[{"location": theta_min, "value": lam_min}],
-            tolerances={"zero_tolerance": zero_tol, "margin": 1e-6},
-            note=f"min symbol eigenvalue over {grid_resolution}^{kernel.d} grid",
-        )
+    return ConditionReport(
+        condition="E3",
+        verdict=verdict,
+        witnesses=[{"location": theta_axis(L)[np.asarray(lowest.node)].tolist(),
+                    "value": lowest.value}],
+        tolerances={"zero_tolerance": lowest.tolerance, "margin": 1e-6},
+        note=f"min symbol eigenvalue over {L}^{d} grid",
     )
-    return reports
 
 
 def kernel_to_jsonable(kernel: InteractionKernel) -> dict:

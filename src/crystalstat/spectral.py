@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import eigen_compose, guarded_reciprocal, theta_step
-from .kernel import ConditionReport, InteractionKernel
+from ._lattice import eigen_compose, guarded_reciprocal, lowest_eigenvalue, theta_step
+from .kernel import ConditionFailure, ConditionReport, InteractionKernel, e3_report
 
 __all__ = [
     "DispersionGrid",
@@ -41,22 +41,6 @@ _DEGENERATE_REL = 1e-12
 # this relative margin goes to the exact assignment solver
 _MAX_SCORED_BRANCHES = 4
 _TIE_REL = 1e-9
-
-
-def _clamped_frequencies(w: np.ndarray) -> np.ndarray:
-    """sqrt of symbol eigenvalues with a PSD guard.
-
-    Eigenvalues below -1e-10*scale mean the kernel violates the nonnegativity
-    condition E3 and evolution frequencies are undefined; small negatives are
-    eigensolver roundoff and are clamped to zero.
-    """
-    scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
-    if float(w.min()) < -1e-10 * scale:
-        raise ValueError(
-            f"symbol is not nonnegative (min eigenvalue {float(w.min()):.3e}); "
-            "condition E3 fails"
-        )
-    return np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(eq=False)
@@ -240,14 +224,20 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     under grid refinement for the continuum sets to have measure zero.
 
     L must be even and at least 16 so that subgrid refinement comparisons and
-    the theta -> -theta symmetry are available.
+    the theta -> -theta symmetry are available.  A symbol eigenvalue negative
+    beyond roundoff raises a ConditionFailure with a failing E3 report of
+    this grid.
     """
     if L < 16 or L % 2 != 0:
         raise ValueError("grid resolution L must be even and >= 16")
     d, n = kernel.d, kernel.n
     S = kernel.symbol_grid(L)
     w, B = np.linalg.eigh(S)
-    omega = _clamped_frequencies(w)
+    lowest = lowest_eigenvalue(w)
+    if lowest.negative:
+        # E3 fails on this grid, although it may pass on the scan grid
+        raise ConditionFailure([e3_report(lowest, L, d)])
+    omega = np.sqrt(np.clip(w, 0.0, None))  # clamp eigensolver roundoff
     omega_max = float(omega.max())
     split = delta_cross * (1.0 + omega_max)
     degen = _DEGENERATE_REL * (1.0 + omega_max)
@@ -285,65 +275,33 @@ def check_E4_E5(grid: DispersionGrid) -> list[ConditionReport]:
     the pointwise sums/differences.
     """
     valid = ~(grid.crossing | grid.c0)
-    D = grid.hessian_determinants
-    W = grid.branch_values
+    D, W = grid.hessian_determinants, grid.branch_values
+    witnesses4, witnesses5 = [], []
+    for b in range(grid.n if np.any(valid) else 0):
+        best = float(np.abs(D[..., b])[valid].max())
+        if best <= grid.delta_hess:
+            witnesses4.append({"branch": b, "value": best,
+                               "note": "max |det Hess| over unflagged nodes is below threshold"})
+        for c in range(b + 1, grid.n):
+            for sign, tag in ((1.0, "+"), (-1.0, "-")):
+                s = (W[..., b] + sign * W[..., c])[valid]
+                mean, var = float(s.mean()), float(s.var())
+                if var < DELTA_CONST**2 and abs(mean) > DELTA_CONST:
+                    witnesses5.append({"branches": [b, c], "relation": tag,
+                                       "value": mean, "variance": var})
 
-    witnesses4 = []
-    verdict4 = "pass"
-    if not np.any(valid):
-        verdict4 = "inconclusive"
-        witnesses4.append({"value": 0.0, "note": "every node flagged; no usable evidence"})
-    else:
-        for b in range(grid.n):
-            Db = np.abs(D[..., b])[valid]
-            best = float(Db.max())
-            if best <= grid.delta_hess:
-                verdict4 = "fail"
-                witnesses4.append(
-                    {
-                        "branch": b,
-                        "value": best,
-                        "note": "max |det Hess| over unflagged nodes is below threshold",
-                    }
-                )
-    report4 = ConditionReport(
-        condition="E4",
-        verdict=verdict4,
-        witnesses=witnesses4,
-        tolerances={"delta_hess": grid.delta_hess},
-        note="curvature nondegeneracy per branch",
-    )
+    def report(condition, witnesses, tolerances, note):
+        """Inconclusive when every node is flagged, else failing on a witness."""
+        if not np.any(valid):
+            witnesses = [{"value": 0.0, "note": "every node flagged; no usable evidence"}]
+            return ConditionReport(condition, "inconclusive", witnesses, tolerances, note)
+        return ConditionReport(condition, "fail" if witnesses else "pass", witnesses,
+                               tolerances, note)
 
-    witnesses5 = []
-    verdict5 = "pass"
-    if not np.any(valid):
-        verdict5 = "inconclusive"
-        witnesses5.append({"value": 0.0, "note": "every node flagged; no usable evidence"})
-    else:
-        for b in range(grid.n):
-            for c in range(b + 1, grid.n):
-                for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                    s = (W[..., b] + sign * W[..., c])[valid]
-                    mean = float(s.mean())
-                    var = float(s.var())
-                    if var < DELTA_CONST**2 and abs(mean) > DELTA_CONST:
-                        verdict5 = "fail"
-                        witnesses5.append(
-                            {
-                                "branches": [b, c],
-                                "relation": tag,
-                                "value": mean,
-                                "variance": var,
-                            }
-                        )
-    report5 = ConditionReport(
-        condition="E5",
-        verdict=verdict5,
-        witnesses=witnesses5,
-        tolerances={"delta_const": DELTA_CONST},
-        note="no branch pair with constant nonzero sum or difference",
-    )
-    return [report4, report5]
+    return [report("E4", witnesses4, {"delta_hess": grid.delta_hess},
+                   "curvature nondegeneracy per branch"),
+            report("E5", witnesses5, {"delta_const": DELTA_CONST},
+                   "no branch pair with constant nonzero sum or difference")]
 
 
 def _require_match(grid: DispersionGrid, L: int, d: int, n: int,

@@ -93,8 +93,6 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     estimator that will consume the result (purpose, a key of MIN_SAMPLES),
     and the density against the grid, before the first draw.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
     require_samples(count, purpose)
     L, d, n = density.L, density.d, density.n
     _require_match(grid, L, d, n, what="field")

@@ -34,6 +34,7 @@ from crystalstat.fields import density_from_jsonable, density_to_jsonable, white
 from crystalstat.kernel import (
     InteractionKernel,
     build_nn_kernel,
+    check_E123,
     kernel_to_jsonable,
     random_finite_range_kernel,
 )
@@ -661,6 +662,19 @@ def test_report_runs_all_stages(tmp_path, capsys):
     assert "stages" in capsys.readouterr().out
 
 
+def test_report_checks_E123_once_across_resolutions(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(kernel):
+        calls.append(kernel)
+        return check_E123(kernel)
+
+    monkeypatch.setattr(cli, "check_E123", counted)
+    out = tmp_path / "rep"
+    assert main(["report"] + nn_args(L=16) + ["--grid-L", "32", "--output", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def report_stages(out):
     return json.loads((out / "summary.json").read_text())["stages"]
 
@@ -674,6 +688,39 @@ def test_report_kernel_failing_E3_fails_every_stage(tmp_path):
     assert report_stages(out) == {stage: 2 for stage in STAGES}
     for stage in STAGES:
         assert [f.name for f in (out / stage).iterdir()] == ["conditions.json"]
+
+
+#: a random kernel whose symbol passes E3 on the d=2 scan grid (128^2) but
+#: dips to -5.210e-03 between its nodes, where the 96^2 grid finds it
+NEGATIVE_BETWEEN_SCAN_NODES = ["--random", "d=2", "n=1", "range=2", "seed=3", "--L", "96"]
+
+
+def test_report_kernel_failing_E3_on_its_grid_fails_every_stage(tmp_path, capsys):
+    out = tmp_path / "rep"
+    code = main(["report"] + NEGATIVE_BETWEEN_SCAN_NODES + ["--output", str(out)])
+    assert code == 2
+    assert report_stages(out) == {stage: 2 for stage in STAGES}
+    for stage in STAGES:
+        assert [f.name for f in (out / stage).iterdir()] == ["conditions.json"]
+        [e3] = json.loads((out / stage / "conditions.json").read_text())
+        assert (e3["condition"], e3["verdict"]) == ("E3", "fail")
+    assert capsys.readouterr().err == "".join(f"{stage}: condition failure: E3\n"
+                                              for stage in STAGES)
+
+
+@pytest.mark.parametrize("argv", [["dispersion"], ["evolve", "--white", "T0=1", "T1=1"]],
+                         ids=["dispersion", "evolve"])
+def test_E3_failing_on_the_run_grid_is_condition_failure(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + NEGATIVE_BETWEEN_SCAN_NODES + ["--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "condition failure: E3\n"
+    [e3] = json.loads(captured.out)
+    assert (e3["condition"], e3["verdict"]) == ("E3", "fail")
+    assert f"{e3['witnesses'][0]['value']:.3e}" == "-5.210e-03"
+    assert e3["note"] == "min symbol eigenvalue over 96^2 grid"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, spectral_code", [([], 2), (["--allow-degenerate"], 0)])
@@ -1203,12 +1250,25 @@ def test_indefinite_measure_is_numerical_fault(tmp_path, capsys):
     doc["matrix_re"][11][0][0] = -0.5  # and at its mirror node, keeping reality
     path = tmp_path / "indefinite.json"
     path.write_text(json.dumps(doc))
-    code = main(["ensemble"] + nn_args(L=16) + [
-        "--measure-file", str(path), "--ensemble", "100", "--t", "2",
-        "--output", str(tmp_path / "ens")])
+    fault = ("numerical fault: density is not positive semidefinite at node (5,) "
+             "(eigenvalue -5.000e-01)\n")
+    # every command that reads the file checks it once, before any report
+    for command, extra in (("ensemble", ["--ensemble", "100", "--t", "2"]), ("limit", []),
+                           ("evolve", []), ("mixing", [])):
+        out = tmp_path / command
+        code = main([command] + nn_args(L=16) + ["--measure-file", str(path), "--output",
+                                                  str(out)] + extra)
+        assert code == 4, command
+        assert capsys.readouterr().err == fault
+        assert not out.exists()
+    out = tmp_path / "rep"
+    code = main(["report"] + nn_args(L=16) + ["--measure-file", str(path),
+                                              "--output", str(out)])
     assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical fault: density is not positive semidefinite")
+    assert report_stages(out) == {"dispersion": 0, "critical": 0, "limit": 4, "mixing": 4}
+    for stage in ("limit", "mixing"):
+        assert not (out / stage).exists()
+    assert capsys.readouterr().err == "limit: " + fault + "mixing: " + fault
 
 
 def test_report_records_numerical_fault_per_stage(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalstat import (
+    ConditionFailure,
+    NumericalFault,
+    SpectralDensity,
     TestField,
     build_nn_kernel,
     covariance_from_density,
@@ -83,6 +86,14 @@ def test_quadratic_form_triangular_limit_hits_golden_ratio(grid256):
     lim = limit_density(q0, grid256)
     q = quadratic_form(lim, TestField.delta(1, 1, component=0))
     assert q == pytest.approx(GOLDEN, abs=1e-10)
+
+
+def test_quadratic_form_of_indefinite_density_is_numerical_fault():
+    matrix = white_noise_density(1.0, 1.0, 1, 1, 16).matrix.copy()
+    matrix[..., 0, 0] = -1.0
+    dens = SpectralDensity(L=16, d=1, n=1, matrix=matrix)
+    with pytest.raises(NumericalFault, match="quadratic form is negative"):
+        quadratic_form(dens, TestField.delta(1, 1, component=0))
 
 
 def test_quadratic_form_nonnegative_on_random_fields(grid64, rng):
@@ -175,9 +186,10 @@ def test_limit_refuses_failing_summability():
     q0 = triangular_density(2, 1, 1.0, 1.0, 256)
     rep = check_ES(g, q0)
     assert rep.verdict == "fail"
-    with pytest.raises(ValueError, match="ES"):
+    with pytest.raises(ConditionFailure, match="ES") as failure:
         limit_density(q0, g, es_report=rep)
-    with pytest.raises(ValueError, match="ES"):
+    assert failure.value.reports == [rep]
+    with pytest.raises(ConditionFailure, match="ES"):
         limit_density(q0, g)  # evaluates the check itself
 
 

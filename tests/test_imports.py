@@ -21,6 +21,12 @@ reads the grid's crossing, C0 and Ck flags), and only ``cli._Run`` reads the
 One owner for the initial measure: in the CLI only ``_Run.measure`` builds a
 density from a measure spec (``gibbs`` builds its fixed white-noise start from
 ``--T1``), and only ``_effective_config`` reads ``--transform``.
+
+One failure path: only the CLI's exit-code table ``_FAILURES`` reads the exit
+codes of usage errors, condition failures and numerical faults; the E3
+verdict, the dispersion grid and the density's square root decide a negative
+eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
+since a guard on a computed number raises ``NumericalFault``.
 """
 
 import ast
@@ -122,10 +128,13 @@ def test_convention_write_is_found():
 
 def scoped_nodes(source: str):
     """(scope, node) for every node of the source, the scope being the
-    dotted names of the enclosing classes and functions."""
+    dotted names of the enclosing classes and functions, or the name that a
+    module-level assignment binds."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Assign) and not scope and len(node.targets) == 1:
+            scope = ast.unparse(node.targets[0])
         yield scope, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope)
@@ -200,6 +209,50 @@ def test_call_and_flag_read_are_found():
               "        return getattr(args, 'seed'), getattr(self, 'transform')\n")
     assert calls_of(source, "g") == ["f", "f"]
     assert flag_reads(source, "transform") == ["f", "A.h"]
+
+
+def raises_of(source: str, name: str) -> list[str]:
+    """The scope of each statement that raises the exception class called
+    name: ``raise name`` or ``raise name(...)``, and for AssertionError an
+    ``assert``."""
+    def raised(node):
+        if isinstance(node, ast.Assert):
+            return "AssertionError"
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None))
+
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(node, (ast.Raise, ast.Assert)) and raised(node) == name]
+
+
+def test_failures_have_one_path():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+    def everywhere(find, name):
+        return [f"{module}.{scope}" for module, source in sources.items()
+                for scope in find(source, name)]
+
+    for code in ("EXIT_USAGE", "EXIT_CONDITION", "EXIT_NUMERICAL"):
+        assert everywhere(reads_of, code) == ["cli._FAILURES"], code
+    assert sorted(everywhere(calls_of, "lowest_eigenvalue")) == [
+        "fields.SpectralDensity.hermitian_sqrt", "kernel.check_E123",
+        "spectral.dispersion_grid"]
+    # and each acts on the rule's verdict, not on a comparison of its own
+    assert sorted(everywhere(reads_of, "negative")) == [
+        "fields.SpectralDensity.hermitian_sqrt", "kernel.e3_report",
+        "spectral.dispersion_grid"]
+    assert everywhere(raises_of, "AssertionError") == []
+
+
+def test_raise_and_table_read_are_found():
+    source = ("A = 1\nTABLE = ((A, 'a'),)\n"
+              "def f(x):\n    assert x\n    raise AssertionError('x')\n"
+              "class C:\n"
+              "    def g(self):\n        raise AssertionError\n"
+              "    def h(self):\n        raise ValueError(A) from None\n")
+    assert raises_of(source, "AssertionError") == ["f", "f", "C.g"]
+    assert raises_of(source, "ValueError") == ["C.h"]
+    assert reads_of(source, "A") == ["TABLE", "C.h"]
 
 
 @pytest.mark.parametrize("module", LIBRARY)

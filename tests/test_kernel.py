@@ -140,6 +140,15 @@ def test_E3_zero_touch_is_a_pass():
     assert reports["E3"].verdict == "pass"
 
 
+@pytest.mark.parametrize("onsite, verdict", [(1e-7, "inconclusive"), (-1e-12, "pass"),
+                                             (1e-6, "pass"), (-1e-9, "fail")])
+def test_E3_verdict_bands(onsite, verdict):
+    # a constant symbol: positive below the 1e-6 margin cannot be certified,
+    # and within 1e-10 (1 + max |w|) of zero is a touch
+    e3 = check_E123(InteractionKernel(1, 1, {(0,): [[onsite]]}))[2]
+    assert (e3.verdict, e3.witnesses[0]["value"]) == (verdict, onsite)
+
+
 def test_report_jsonable_fields(nn1):
     rep = check_E123(nn1)[0]
     doc = rep.to_jsonable()

@@ -10,8 +10,10 @@ from scipy.optimize import linear_sum_assignment
 
 from crystalstat import spectral
 from crystalstat import (
+    ConditionFailure,
     InteractionKernel,
     build_nn_kernel,
+    check_E123,
     check_E4_E5,
     check_ES,
     dispersion_grid,
@@ -278,6 +280,19 @@ def test_ES_passes_for_massless_3d():
     dens = white_noise_density(1.0, 1.0, 1, 3, 32)
     rep = check_ES(g, dens)
     assert rep.verdict == "pass"
+
+
+def test_grid_finds_E3_failing_between_scan_nodes():
+    # E3 passes on the 128^2 scan grid; the 96^2 grid finds a negative eigenvalue
+    kernel = random_finite_range_kernel(2, 1, 2, 3)
+    assert check_E123(kernel)[2].verdict == "pass"
+    with pytest.raises(ConditionFailure) as failure:
+        dispersion_grid(kernel, 96)
+    assert isinstance(failure.value, ValueError) and str(failure.value) == "E3"
+    [e3] = failure.value.reports
+    assert (e3.condition, e3.verdict) == ("E3", "fail")
+    assert f"{e3.witnesses[0]['value']:.3e}" == "-5.210e-03"
+    assert e3.note == "min symbol eigenvalue over 96^2 grid"
 
 
 def test_grid_requires_even_resolution(nn1):
