@@ -45,7 +45,6 @@ from .fields import (
     white_noise_density,
 )
 from .covariance import (
-    CovarianceTable,
     LimitDensity,
     TestField,
     covariance_from_density,
@@ -56,7 +55,6 @@ from .covariance import (
     quadratic_form,
 )
 from .stats import (
-    EnsembleSummary,
     characteristic_functional,
     covariance_products,
     covariance_summary,
@@ -98,7 +96,6 @@ __all__ = [
     "nonlinear_transform_sample",
     "triangular_density",
     "white_noise_density",
-    "CovarianceTable",
     "LimitDensity",
     "TestField",
     "covariance_from_density",
@@ -107,7 +104,6 @@ __all__ = [
     "limit_density",
     "mixing_integral",
     "quadratic_form",
-    "EnsembleSummary",
     "characteristic_functional",
     "covariance_products",
     "covariance_summary",

@@ -377,6 +377,14 @@ class _Run:
         """A run of the config with changes, on this run's memo and waiver."""
         return _Run(dict(self.eff, **changes), self.memo, self.allow_degenerate, self.spec)
 
+    def time(self) -> float:
+        """The one time of a command that samples at a single time: its times
+        entry, 50 if none; more than one is a usage error."""
+        times = self.eff["times"] or [50.0]
+        if len(times) > 1:
+            raise UsageError(f"{self.eff['command']} samples at one time, got times {times}")
+        return times[0]
+
     def gate(self, reports) -> None:
         """Raise ConditionFailure if a report failed; the waiver covers E4 and
         E5 only."""
@@ -680,14 +688,9 @@ def _cmd_evolve(run) -> int:
     q0, es, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
-
-    def matrices(q):
-        """(offset, 2n, 2n) covariance matrices of the density q."""
-        table = covariance_from_density(q, offsets)
-        return np.stack([table.matrix(z) for z in offsets])
-
-    Mi = matrices(qinf)
-    Mt = np.stack([matrices(evolve_density(q0, grid, t)) for t in times])
+    Mi = covariance_from_density(qinf, offsets)
+    Mt = np.stack([covariance_from_density(evolve_density(q0, grid, t), offsets)
+                   for t in times])
     # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
     stamp, m, i, k, j, l = _indices(Mt.shape[:2] + (2, kernel.n, 2, kernel.n))
     component = [str(v) for v in range(max(2, kernel.n))]
@@ -706,29 +709,27 @@ def _cmd_evolve(run) -> int:
 
 
 def _sampled_covariance(run, q0, t, transform=None):
-    """Covariance summary at the axis offsets of the run's ensemble of q0,
-    transformed by transform if given, at time t."""
+    """(offsets, mean, se): the axis offsets and the covariance summary there
+    of the run's ensemble of q0, transformed by transform if given, at time t."""
     offsets = _axis_offsets(run.kernel().d)
     grid = run.grid(run.L)
     products, = stream_ensemble(
         q0, run.eff["ensemble"], run.eff["seed"], grid, t,
         lambda Y0, Yt: (covariance_products(Yt, offsets),),
         "covariance error bars", transform=transform)
-    return covariance_summary(offsets, products)
+    return (offsets,) + covariance_summary(products)
 
 
-def _compare_to_theory(summary, theory):
-    """3 sigma gates per offset entry of summary against the covariance of the
-    density theory; returns (rows, all_pass)."""
-    table = covariance_from_density(theory, summary.offsets)
-    floor_scale = 1.0 + max(float(np.max(np.abs(table.matrix(z))))
-                            for z in summary.offsets)
+def _compare_to_theory(offsets, mean, se, theory):
+    """3 sigma gates per entry of the summary (mean, se) at the offsets against
+    the covariance of the density theory; returns (rows, all_pass)."""
+    table = covariance_from_density(theory, offsets)
+    floor_scale = 1.0 + float(np.max(np.abs(table)))
     rows = []
-    for z in summary.offsets:
-        emp, se, th = summary.mean[z], summary.se[z], table.matrix(z)
+    for z, emp, err, th in zip(offsets, mean, se, table):
         gap = np.abs(emp - th)
-        bound = 3.0 * se + 1e-10 * floor_scale
-        rows.append({"z": _zkey(z), "empirical": emp, "se": se, "theory": th,
+        bound = 3.0 * err + 1e-10 * floor_scale
+        rows.append({"z": _zkey(z), "empirical": emp, "se": err, "theory": th,
                      "max_gap": float(gap.max()),
                      "max_gap_over_bound": float(np.max(gap / np.maximum(bound, 1e-300))),
                      "pass": bool(np.all(gap <= bound))})
@@ -737,21 +738,21 @@ def _compare_to_theory(summary, theory):
 
 def _cmd_ensemble(run) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
+    t = run.time()
     measure = run.measure()
     require_samples(eff["ensemble"], "covariance error bars")
     grid = run.grid(L)
-    t = (eff["times"] or [50.0])[-1]
-    summary = _sampled_covariance(run, measure.density, t, measure.transform)
-    report = {"t": t, "count": summary.count, "seed": eff["seed"]}
+    offsets, mean, se = _sampled_covariance(run, measure.density, t, measure.transform)
+    report = {"t": t, "count": eff["ensemble"], "seed": eff["seed"]}
     if measure.transform is None:
         report["offsets"], report["all_pass"] = _compare_to_theory(
-            summary, evolve_density(measure.density, grid, t))
+            offsets, mean, se, evolve_density(measure.density, grid, t))
     else:
-        report["offsets"] = [{"z": _zkey(z), "empirical": summary.mean[z], "se": summary.se[z]}
-                             for z in summary.offsets]
+        report["offsets"] = [{"z": _zkey(z), "empirical": m, "se": s}
+                             for z, m, s in zip(offsets, mean, se)]
         report["all_pass"] = True
     _write_json(outdir / "ensemble.json", report)
-    print(f"ensemble: {summary.count} samples at t={t}, "
+    print(f"ensemble: {eff['ensemble']} samples at t={t}, "
           f"{'all 3-sigma gates pass' if report['all_pass'] else 'GATE FAILURE'} -> {outdir}")
     return _gate_exit(report["all_pass"], "ensemble vs transported density")
 
@@ -760,10 +761,10 @@ def _cmd_limit(run, dump_density) -> int:
     outdir = run.outdir
     _, es, qinf = run.limit()
     offsets = _axis_offsets(run.kernel().d)
-    tab = covariance_from_density(qinf, offsets)
+    table = covariance_from_density(qinf, offsets)
     _write_json(outdir / "limit.json", {
         "excluded_fraction": qinf.excluded_fraction, "es": es.to_jsonable(),
-        "covariance": {_zkey(z): tab.matrix(z) for z in offsets}})
+        "covariance": {_zkey(z): q for z, q in zip(offsets, table)}})
     if dump_density:
         _write_json(outdir / "density.json", density_to_jsonable(qinf))
     print(f"limit: excluded fraction {qinf.excluded_fraction:.6g} -> {outdir}")
@@ -772,26 +773,27 @@ def _cmd_limit(run, dump_density) -> int:
 
 def _cmd_gibbs(run, T1) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
+    t = run.time()
     kernel = run.kernel()
     q0 = white_noise_density(0.0, T1, kernel.n, kernel.d, L)
     require_samples(eff["ensemble"], "covariance error bars")
     grid = run.grid(L)
     run.gate(run.conditions(L))
-    t = (eff["times"] or [50.0])[-1]
-    summary = _sampled_covariance(run, q0, t)
+    offsets, mean, se = _sampled_covariance(run, q0, t)
     qg = gibbs_density(T1, grid)
-    rows, ok = _compare_to_theory(summary, qg)
-    report = {"t": t, "T1": T1, "count": summary.count, "seed": eff["seed"],
+    rows, ok = _compare_to_theory(offsets, mean, se, qg)
+    report = {"t": t, "T1": T1, "count": eff["ensemble"], "seed": eff["seed"],
               "offsets": rows, "all_pass": ok,
               "excluded_fraction": qg.excluded_fraction}
     _write_json(outdir / "gibbs.json", report)
-    print(f"gibbs: {summary.count} samples at t={t} vs equilibrium, "
+    print(f"gibbs: {eff['ensemble']} samples at t={t} vs equilibrium, "
           f"{'all 3-sigma gates pass' if ok else 'GATE FAILURE'} -> {outdir}")
     return _gate_exit(ok, "empirical covariance vs Gibbs density")
 
 
 def _cmd_clt(run, component) -> int:
     eff, outdir, L = run.eff, run.outdir, run.L
+    t = run.time()
     kernel = run.kernel()
     if kernel.n != 1:
         raise UsageError("the clt pipeline is scalar (n = 1)")
@@ -802,7 +804,6 @@ def _cmd_clt(run, component) -> int:
     require_samples(eff["ensemble"], "moment diagnostics")
     grid = run.grid(L)
     run.gate(run.conditions(L))
-    t = (eff["times"] or [50.0])[-1]
     # the transform is pointwise, so the field depends as far as its base
     offsets = offset_cube(measure.radius, kernel.d)
 
@@ -816,9 +817,8 @@ def _cmd_clt(run, component) -> int:
     gauss0 = gaussianity_report(samples0)
     platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0
 
-    emp = covariance_summary(offsets, products)
-    q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
-                                 provenance="empirical")
+    mean, _ = covariance_summary(products)
+    q0 = density_from_covariance(dict(zip(offsets, mean)), L, provenance="empirical")
     _, qinf = run.limit_of(q0)
 
     gauss_t = gaussianity_report(samples_t)

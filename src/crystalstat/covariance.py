@@ -10,6 +10,7 @@ Gibbs density (T1/2) diag(Vhat^-1, I) as the limit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,6 @@ from .spectral import DispersionGrid, _require_match, check_ES
 __all__ = [
     "TestField",
     "LimitDensity",
-    "CovarianceTable",
     "evolve_density",
     "limit_density",
     "gibbs_density",
@@ -207,45 +207,32 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     )
 
 
-@dataclass(eq=False)
-class CovarianceTable:
-    """Real-space covariance matrices at requested offsets."""
-
-    offsets: list
-    matrices: dict
-    excluded_fraction: float
-
-    def matrix(self, z) -> np.ndarray:
-        return self.matrices[tuple(int(c) for c in z)]
-
-
-def _unexcluded_matrix(density: SpectralDensity):
-    """(matrix, excluded fraction) of a density, the matrix zeroed at the
-    excluded nodes of a limit density; the density's own matrix if none are."""
+def _unexcluded_matrix(density: SpectralDensity) -> np.ndarray:
+    """The density's matrix zeroed at the excluded nodes of a limit density;
+    the density's own matrix if none are."""
     excluded = getattr(density, "excluded", None)
     if excluded is None or not np.any(excluded):
-        return density.matrix, 0.0
-    return np.where(excluded[..., None, None], 0.0, density.matrix), float(excluded.mean())
+        return density.matrix
+    return np.where(excluded[..., None, None], 0.0, density.matrix)
 
 
-def covariance_from_density(density: SpectralDensity, offsets) -> CovarianceTable:
+def covariance_from_density(density: SpectralDensity, offsets) -> np.ndarray:
     """Inverse Fourier evaluation q(z) = L^-d sum_theta e^{-i z.theta} qhat(theta).
 
-    Excluded nodes of a limit density contribute nothing; their measure
-    fraction is reported so callers can fold it into error budgets.
+    Returns the real (len(offsets), 2n, 2n) array whose row k is q(offsets[k]).
+    Excluded nodes of a limit density contribute nothing; its
+    excluded_fraction gives their measure.
     """
-    d = density.d
-    matrix, frac = _unexcluded_matrix(density)
+    matrix = _unexcluded_matrix(density)
     scale = 1.0 + float(np.max(np.abs(matrix)))
-    out = {}
-    for z in offsets:
+    out = np.empty((len(offsets),) + matrix.shape[-2:])
+    for k, z in enumerate(offsets):
         z = tuple(int(c) for c in z)
-        if len(z) != d:
+        if len(z) != density.d:
             raise ValueError(f"offset {z} has wrong dimension")
-        out[z] = real_part_checked(fourier_coefficient(matrix, z), 1e-8 * scale,
+        out[k] = real_part_checked(fourier_coefficient(matrix, z), 1e-8 * scale,
                                    f"covariance at offset {z}")
-    return CovarianceTable(offsets=[tuple(int(c) for c in z) for z in offsets],
-                           matrices=out, excluded_fraction=frac)
+    return out
 
 
 def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
@@ -258,20 +245,15 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     """
     L, d = density.L, density.d
     psihat = psi.fourier(L)
-    matrix, _ = _unexcluded_matrix(density)
+    matrix = _unexcluded_matrix(density)
     nodewise = np.einsum("...i,...ij,...j->...", np.conj(psihat), matrix, psihat)
     q_spectral = float(np.real(nodewise.sum()) / float(L) ** d)
 
-    diffs = {
-        tuple(int(c) for c in (xa - xb))
-        for xa in psi.sites
-        for xb in psi.sites
-    }
-    table = covariance_from_density(density, sorted(diffs))
+    # the covariance at each ordered pair's offset, pairs in product order
+    table = covariance_from_density(density, [xa - xb for xa in psi.sites for xb in psi.sites])
     q_real = 0.0
-    for xa, va in zip(psi.sites, psi.values):
-        for xb, vb in zip(psi.sites, psi.values):
-            q_real += float(va @ table.matrix(tuple(xa - xb)) @ vb)
+    for (va, vb), q in zip(itertools.product(psi.values, repeat=2), table):
+        q_real += float(va @ q @ vb)
 
     gap = abs(q_spectral - q_real)
     if gap > 1e-8 * (1.0 + abs(q_spectral)):
@@ -302,7 +284,7 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     p2 = psi2.fourier(grid.L)
     I, K = _support(p1), _support(p2)
     G = _propagator_grid_matrix(grid, float(t), rows=I)
-    matrix, _ = _unexcluded_matrix(limit)
+    matrix = _unexcluded_matrix(limit)
     # slices keep every operand's strides, so einsum sums the kept terms in
     # the order it sums them over all 2n components
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,

@@ -296,7 +296,7 @@ def density_from_covariance(cov: dict, L: int,
                             provenance: str = "empirical") -> SpectralDensity:
     """Assemble a density from finitely many real-space covariance matrices.
 
-    cov maps offsets z (length-d integer tuples) to real (2n, 2n) matrices;
+    cov maps offsets z (integer tuples, all of one length d) to real (2n, 2n) matrices;
     qhat(theta) = sum_z q(z) e^{i z.theta}.  The input is symmetrized with its
     mirror q(-z) = q(z)^T, so supplying either half or both is fine, and the
     result is Hermitized, and nodewise negative eigenvalues (estimation
@@ -309,13 +309,15 @@ def density_from_covariance(cov: dict, L: int,
     def reduce_offset(z):
         return tuple(((int(c) + half) % L) - half for c in z)
 
+    d = len(next(iter(cov)))
     table = {}
     for z, mat in cov.items():
+        if len(z) != d:
+            raise ValueError(f"offset {tuple(z)} has wrong dimension")
         key = reduce_offset(z)
         if key in table:
             raise ValueError(f"duplicate offset {key} (offsets are periodic modulo L)")
         table[key] = np.asarray(mat, dtype=float)
-    d = len(next(iter(table)))
     two_n = next(iter(table.values())).shape[0]
     if two_n % 2:
         raise ValueError("covariance matrices must be (2n, 2n)")

@@ -14,18 +14,15 @@ count and the reduction sees the same arrays as for the whole ensemble at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._lattice import check_ensemble, moved_axes, offset_cube
+from ._lattice import check_ensemble, moved_axes
 from .covariance import quadratic_form
 from .dynamics import evolve_ensemble
 from .fields import gaussian_ensemble, nonlinear_transform_sample
 from .spectral import _require_match
 
 __all__ = [
-    "EnsembleSummary",
     "require_samples",
     "stream_ensemble",
     "covariance_products",
@@ -36,16 +33,6 @@ __all__ = [
     "characteristic_functional",
     "gaussianity_report",
 ]
-
-
-@dataclass(eq=False)
-class EnsembleSummary:
-    """Per-offset empirical covariance blocks with jackknife standard errors."""
-
-    count: int
-    offsets: list
-    mean: dict
-    se: dict
 
 
 # Fewest samples each estimator accepts, by what it estimates.
@@ -113,10 +100,6 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _offset_list(offsets) -> list:
-    return [tuple(int(c) for c in z) for z in offsets]
-
-
 def covariance_products(Y, offsets) -> np.ndarray:
     """Per-sample step of :func:`empirical_covariance`, shape (S, len(offsets), 2n, 2n).
 
@@ -130,12 +113,12 @@ def covariance_products(Y, offsets) -> np.ndarray:
     # einsum) rounds differently, by up to 6e-15, and the CLI's bytes would move.
     Y = moved_axes(Y, 1, -1)
     S, two_n = Y.shape[0], Y.shape[-1]
-    offsets = _offset_list(offsets)
     axes = tuple(range(1, 1 + d))
     norm = float(L) ** d
     flat = Y.reshape(S, -1, two_n)
     products = np.empty((S, len(offsets), two_n, two_n))
     for k, z in enumerate(offsets):
+        z = tuple(int(c) for c in z)
         if len(z) != d:
             raise ValueError(f"offset {z} has wrong dimension")
         # roll by -z puts Y(x+z) in slot x
@@ -145,64 +128,51 @@ def covariance_products(Y, offsets) -> np.ndarray:
     return products
 
 
-def covariance_summary(offsets, products) -> EnsembleSummary:
-    """Reduction step of :func:`empirical_covariance`: the mean over samples of
-    each offset's products and its leave-one-out jackknife standard error."""
-    offsets = _offset_list(offsets)
+def covariance_summary(products) -> tuple:
+    """Reduction step of :func:`empirical_covariance`: (mean, se), each
+    (K, 2n, 2n) and aligned with the products' offsets, of the mean over
+    samples of each offset's products and its leave-one-out jackknife
+    standard error."""
     S = products.shape[0]
     require_samples(S, "covariance error bars")
-    if products.shape[1] != len(offsets):
-        raise ValueError("one product block per offset required")
-    mean, se = {}, {}
-    for k, z in enumerate(offsets):
+    mean = np.empty(products.shape[1:])
+    se = np.empty(products.shape[1:])
+    for k in range(products.shape[1]):
         per_sample = np.ascontiguousarray(products[:, k])
-        m = per_sample.mean(axis=0)
-        dev = per_sample - m
-        mean[z] = m
-        se[z] = np.sqrt(np.sum(dev * dev, axis=0) / (S * (S - 1)))
-    return EnsembleSummary(count=S, offsets=offsets, mean=mean, se=se)
+        mean[k] = per_sample.mean(axis=0)
+        dev = per_sample - mean[k]
+        se[k] = np.sqrt(np.sum(dev * dev, axis=0) / (S * (S - 1)))
+    return mean, se
 
 
-def empirical_covariance(Y, offsets) -> EnsembleSummary:
-    """Translation-averaged covariance estimate q(z) = E[Y(x+z) (x) Y(x)].
+# Kept as a name of its own for the benchmark's memory pass (bench/child.py MEMORY_FUNCTIONS).
+def empirical_covariance(Y, offsets) -> tuple:
+    """Translation-averaged covariance estimate q(z) = E[Y(x+z) (x) Y(x)] at
+    each offset, as the (mean, se) of :func:`covariance_summary`.
 
     Averages over base points x (stationarity makes every one an unbiased
     probe) and over samples; the quoted standard error is the leave-one-out
     jackknife of the sample mean, entrywise.
     """
-    return covariance_summary(offsets, covariance_products(Y, offsets))
+    return covariance_summary(covariance_products(Y, offsets))
 
 
-def empirical_mixing_support(Y, r_max: int) -> dict:
-    """Estimate the correlation support radius from an ensemble array.
+def empirical_mixing_support(offsets, mean, se) -> dict:
+    """Estimate the correlation support radius from a covariance summary.
 
-    Returns the largest Chebyshev offset radius |z| <= r_max at which any
+    mean and se are :func:`covariance_summary`'s arrays at the offsets.
+    Returns the largest Chebyshev radius of a nonzero offset at which the
     covariance block differs from zero by more than three standard errors,
-    together with the per-radius significance table.  Needs the samples of
-    MIN_SAMPLES["covariance error bars"] for the error bars to mean anything.
+    together with the per-radius significance table.
     """
-    Y, _, d, _ = check_ensemble(Y)
-    require_samples(Y.shape[0], "covariance error bars")
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    offsets = [z for z in offset_cube(r_max, d) if any(z)]
-    summary = empirical_covariance(Y, offsets)
-    radius = 0
     table = {}
-    for z in offsets:
-        r = max(abs(c) for c in z)
-        mean = summary.mean[z]
-        se = summary.se[z]
-        significant = bool(np.any(np.abs(mean) > 3.0 * np.maximum(se, 1e-300)))
-        table.setdefault(r, False)
-        table[r] = table[r] or significant
-        if significant:
-            radius = max(radius, r)
-    return {
-        "radius": radius,
-        "per_radius_significant": {int(k): bool(v) for k, v in sorted(table.items())},
-        "samples": Y.shape[0],
-    }
+    for z, m, s in zip(offsets, mean, se):
+        r = max(abs(int(c)) for c in z)
+        if r:
+            significant = bool(np.any(np.abs(m) > 3.0 * np.maximum(s, 1e-300)))
+            table[r] = table.get(r, False) or significant
+    return {"radius": max((r for r, significant in table.items() if significant), default=0),
+            "per_radius_significant": dict(sorted(table.items()))}
 
 
 def linear_functional_samples(Y, psi) -> np.ndarray:

@@ -167,21 +167,18 @@ def test_criterion_04_covariance_convergence():
     q0 = triangular_density(2, 1, 1.0, 1.0, L)
     qinf = limit_density(q0, grid)
     tab_inf = covariance_from_density(qinf, AXIS_OFFSETS)
-    scale = float(np.linalg.norm(tab_inf.matrix((0,))))
+    scale = float(np.linalg.norm(tab_inf[0]))
     times = np.arange(50.0, 100.5, 5.0)
-    norms = {z: [] for z in AXIS_OFFSETS}
-    for t in times:
-        tab_t = covariance_from_density(evolve_density(q0, grid, t),
-                                        AXIS_OFFSETS)
-        for z in AXIS_OFFSETS:
-            norms[z].append(np.linalg.norm(tab_t.matrix(z) - tab_inf.matrix(z)))
-    worst = max(float(np.mean(norms[z])) for z in AXIS_OFFSETS) / scale
+    # norms[k][m]: the gap at times[k] and offset m
+    norms = [[np.linalg.norm(qt - qi) for qt, qi in zip(
+        covariance_from_density(evolve_density(q0, grid, t), AXIS_OFFSETS), tab_inf)]
+        for t in times]
+    worst = max(float(np.mean(gaps)) for gaps in zip(*norms)) / scale
 
     grid2 = dispersion_grid(CHAIN, 2 * L)
     qinf2 = limit_density(triangular_density(2, 1, 1.0, 1.0, 2 * L), grid2)
     tab2 = covariance_from_density(qinf2, AXIS_OFFSETS)
-    drift = max(float(np.linalg.norm(tab2.matrix(z) - tab_inf.matrix(z)))
-                for z in AXIS_OFFSETS) / scale
+    drift = max(float(np.linalg.norm(q2 - qi)) for q2, qi in zip(tab2, tab_inf)) / scale
     ok = worst < 0.05 and drift < 0.01
     announce(4, "covariance convergence", ok,
              f"time-averaged gap {100 * worst:.4f}% of {scale:.4f}, "
@@ -197,18 +194,18 @@ def test_criterion_05_gibbs_limit():
     q0 = white_noise_density(0.0, 1.0, 1, 1, L)
     states = gaussian_ensemble(q0, N, 0)
     evolved = evolve_ensemble(states, grid, t)
-    summary = empirical_covariance(evolved, AXIS_OFFSETS)
+    mean, err = empirical_covariance(evolved, AXIS_OFFSETS)
     tab_gibbs = covariance_from_density(gibbs_density(1.0, grid), AXIS_OFFSETS)
     tab_t = covariance_from_density(evolve_density(q0, grid, t), AXIS_OFFSETS)
 
     print("\n  z  entry  empirical   equilibrium  gap       3*jack_se  z_transported")
     gaps, bounds = [], []
-    for z in AXIS_OFFSETS:
+    for k, z in enumerate(AXIS_OFFSETS):
         for a, name in ((0, "q00"), (1, "q11")):
-            emp = float(summary.mean[z][a, a])
-            se = float(summary.se[z][a, a])
-            th = float(np.real(tab_gibbs.matrix(z)[a, a]))
-            tht = float(np.real(tab_t.matrix(z)[a, a]))
+            emp = float(mean[k, a, a])
+            se = float(err[k, a, a])
+            th = float(tab_gibbs[k, a, a])
+            tht = float(tab_t[k, a, a])
             gaps.append(abs(emp - th))
             bounds.append(3.0 * se)
             print(f"  {z[0]}  {name}   {emp: .6f}  {th: .6f}  "
@@ -216,18 +213,15 @@ def test_criterion_05_gibbs_limit():
 
     # diagnostic: averaging the estimate over t in [50, 100] shrinks the
     # deterministic transport residue but does not remove it
-    acc = {z: [np.array(summary.mean[z])] for z in AXIS_OFFSETS}
+    acc = [mean]
     rolling = evolved
     for _ in range(10):
         rolling = evolve_ensemble(rolling, grid, 5.0)
-        s = empirical_covariance(rolling, AXIS_OFFSETS)
-        for z in AXIS_OFFSETS:
-            acc[z].append(np.array(s.mean[z]))
+        acc.append(empirical_covariance(rolling, AXIS_OFFSETS)[0])
     print("  time-averaged estimate over t in [50,100]:")
-    for z in AXIS_OFFSETS:
-        avg = np.mean(acc[z], axis=0)
+    for k, (z, avg) in enumerate(zip(AXIS_OFFSETS, np.mean(acc, axis=0))):
         for a, name in ((0, "q00"), (1, "q11")):
-            th = float(np.real(tab_gibbs.matrix(z)[a, a]))
+            th = float(tab_gibbs[k, a, a])
             print(f"  {z[0]}  {name}   gap {abs(float(avg[a, a]) - th):.6f}")
 
     elapsed = time.perf_counter() - start
@@ -311,9 +305,9 @@ def test_criterion_08_central_limit():
     grid = dispersion_grid(CHAIN, L)
     base = triangular_density(2, 1, 1.0, 1.0, L)
     states = nonlinear_transform_sample(gaussian_ensemble(base, N, 0), 1.0, 1.0)
-    emp = empirical_covariance(states, [(-1,), (0,), (1,)])
-    q0 = density_from_covariance({z: emp.mean[z] for z in emp.offsets}, L,
-                                 provenance="empirical")
+    offsets = [(-1,), (0,), (1,)]
+    mean, _ = empirical_covariance(states, offsets)
+    q0 = density_from_covariance(dict(zip(offsets, mean)), L, provenance="empirical")
     qinf = limit_density(q0, grid)
     evolved = evolve_ensemble(states, grid, t)
 

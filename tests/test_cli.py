@@ -178,15 +178,16 @@ def test_convergence_table_holds_the_covariances(tmp_path):
     header, rows = read_table(out / "convergence.csv")
     assert header == ["t", "z1", "z2", "i", "j", "k", "l", "q_t", "q_inf", "abs_diff"]
     # entry (a, b) of the 4 x 4 covariance matrix, (i, k) = divmod(a, 2), (j, l) = divmod(b, 2)
-    keys = [(t, z, a, b) for t in times for z in offsets for a in range(4) for b in range(4)]
+    keys = [(t, m, a, b) for t in times for m in range(len(offsets))
+            for a in range(4) for b in range(4)]
     assert len(rows) == len(keys)
     current = {t: covariance_from_density(evolve_density(q0, grid, t), offsets)
                for t in times}
-    for (t, z, a, b), row in zip(keys, rows):
+    for (t, m, a, b), row in zip(keys, rows):
         (i, k), (j, l) = divmod(a, 2), divmod(b, 2)
         assert float(row[0]) == t
-        assert row[1:7] == [str(c) for c in z + (i, j, k, l)]
-        qt, qinf = current[t].matrix(z)[a, b], limit.matrix(z)[a, b]
+        assert row[1:7] == [str(c) for c in offsets[m] + (i, j, k, l)]
+        qt, qinf = current[t][m, a, b], limit[m, a, b]
         assert [float(s) for s in row[7:]] == [qt, qinf, abs(qt - qinf)]
 
 
@@ -1105,6 +1106,31 @@ def test_bad_eps_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     code = main(argv[:1] + nn_args(L=256) + argv[1:] + ["--output", str(out)])
     assert code == 1
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+_SAMPLED = {"ensemble": ["--white", "T0=1", "T1=1"], "gibbs": [], "clt": []}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_SAMPLED))
+def test_sampling_commands_take_one_time(tmp_path, monkeypatch, capsys, command, source):
+    # the sampling commands run at one time; a second is refused before the
+    # grid is built, not dropped
+    calls = []
+    monkeypatch.setattr(cli, "dispersion_grid", counting(calls, crystalstat.dispersion_grid))
+    if source == "flag":
+        times = ["--times", "10", "50"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"times": [10, 50]}))
+        times = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    code = main([command] + nn_args(L=64) + _SAMPLED[command] + times
+                + ["--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"usage error: {command} samples at one time, got times [10.0, 50.0]\n")
     assert not out.exists()
     assert calls == []
 

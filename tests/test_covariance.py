@@ -164,7 +164,7 @@ def test_limit_trace_parseval(grid64):
     lim = limit_density(q0, grid64)
     table = covariance_from_density(lim, [(0,)])
     spectral_trace = float(np.real(np.trace(lim.matrix, axis1=-2, axis2=-1).mean()))
-    spatial_trace = float(np.trace(table.matrix((0,))))
+    spatial_trace = float(np.trace(table[0]))
     assert spectral_trace == pytest.approx(spatial_trace, abs=1e-10)
 
 
@@ -216,9 +216,10 @@ def test_temperatures_are_finite_and_nonnegative(grid64, T):
 def test_covariance_from_density_gibbs_value(grid256):
     gib = gibbs_density(1.0, grid256)
     table = covariance_from_density(gib, [(0,)])
-    assert table.matrix((0,))[0, 0] == pytest.approx(1.0 / (2.0 * np.sqrt(5.0)), abs=1e-12)
-    assert table.matrix((0,))[1, 1] == pytest.approx(0.5, abs=1e-12)
-    assert table.excluded_fraction == 0.0
+    assert table.shape == (1, 2, 2)
+    assert table[0, 0, 0] == pytest.approx(1.0 / (2.0 * np.sqrt(5.0)), abs=1e-12)
+    assert table[0, 1, 1] == pytest.approx(0.5, abs=1e-12)
+    assert gib.excluded_fraction == 0.0
 
 
 def test_mixing_integral_at_zero_equals_quadratic_form(grid256):
@@ -466,7 +467,7 @@ def full_propagator(grid, t):
 def full_mixing_integral(limit, grid, G, psi1, psi2):
     p1 = psi1.fourier(grid.L)
     p2 = psi2.fourier(grid.L)
-    matrix, _ = _unexcluded_matrix(limit)
+    matrix = _unexcluded_matrix(limit)
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1), G, matrix, p2)
     return float(complex(integrand.sum() / float(grid.L) ** grid.d).real)
 

@@ -15,7 +15,6 @@ from crystalstat import (
     density_to_jsonable,
     dispersion_grid,
     empirical_covariance,
-    empirical_mixing_support,
     gaussian_ensemble,
     gibbs_density,
     limit_density,
@@ -33,10 +32,10 @@ from crystalstat.fields import SpectralDensity
 def test_triangular_covariance_is_a_hat():
     dens = triangular_density(2, 1, 0.5, 2.0, 64)
     table = covariance_from_density(dens, [(0,), (1,), (2,), (3,)])
-    np.testing.assert_allclose(table.matrix((0,)), np.diag([1.0, 4.0]), atol=1e-12)
-    np.testing.assert_allclose(table.matrix((1,)), np.diag([0.5, 2.0]), atol=1e-12)
-    np.testing.assert_allclose(table.matrix((2,)), np.zeros((2, 2)), atol=1e-12)
-    np.testing.assert_allclose(table.matrix((3,)), np.zeros((2, 2)), atol=1e-12)
+    assert table.shape == (4, 2, 2) and table.dtype == np.float64
+    np.testing.assert_allclose(table[0], np.diag([1.0, 4.0]), atol=1e-12)
+    np.testing.assert_allclose(table[1], np.diag([0.5, 2.0]), atol=1e-12)
+    np.testing.assert_allclose(table[2:], np.zeros((2, 2, 2)), atol=1e-12)
 
 
 def test_triangular_density_psd_and_resample():
@@ -46,15 +45,14 @@ def test_triangular_density_psd_and_resample():
     finer = triangular_density(2, 1, 1.0, 1.0, L=128)
     assert finer.L == 128
     table = covariance_from_density(finer, [(0,), (1,)])
-    np.testing.assert_allclose(table.matrix((0,)), 2.0 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(table[0], 2.0 * np.eye(2), atol=1e-12)
 
 
 def test_white_noise_covariance_is_delta():
     dens = white_noise_density(0.7, 1.3, 1, 1, 32)
     table = covariance_from_density(dens, [(0,), (1,), (5,)])
-    np.testing.assert_allclose(table.matrix((0,)), np.diag([0.7, 1.3]), atol=1e-12)
-    np.testing.assert_allclose(table.matrix((1,)), np.zeros((2, 2)), atol=1e-12)
-    np.testing.assert_allclose(table.matrix((5,)), np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(table[0], np.diag([0.7, 1.3]), atol=1e-12)
+    np.testing.assert_allclose(table[1:], np.zeros((2, 2, 2)), atol=1e-12)
 
 
 def test_numerical_faults_are_named():
@@ -169,11 +167,9 @@ def test_gaussian_sampler_moments_match_density():
     dens = triangular_density(2, 1, 1.0, 1.0, 64)
     ens = gaussian_ensemble(dens, 3000, seed=1)
     assert ens.dtype == np.float64 and ens.flags.c_contiguous
-    summary = empirical_covariance(ens, [(0,), (1,), (2,)])
+    mean, se = empirical_covariance(ens, [(0,), (1,), (2,)])
     exact = covariance_from_density(dens, [(0,), (1,), (2,)])
-    for z in [(0,), (1,), (2,)]:
-        gap = np.abs(summary.mean[z] - exact.matrix(z))
-        assert np.all(gap <= 4.0 * summary.se[z] + 1e-12)
+    assert np.all(np.abs(mean - exact) <= 4.0 * se + 1e-12)
 
 
 def test_gaussian_sample_zero_mean():
@@ -195,25 +191,11 @@ def test_transform_bounds_and_oddness():
         nonlinear_transform_sample(Y, 0.0, 1.0)
 
 
-def test_mixing_support_radius():
-    white = gaussian_ensemble(white_noise_density(1.0, 1.0, 1, 1, 32), 400, seed=2)
-    assert empirical_mixing_support(white, 3)["radius"] == 0
-    tri = gaussian_ensemble(triangular_density(2, 1, 1.0, 1.0, 32), 400, seed=2)
-    rep = empirical_mixing_support(tri, 3)
-    assert rep["radius"] == 1
-    assert rep["per_radius_significant"][1] is True
-    assert rep["per_radius_significant"][3] is False
-    with pytest.raises(ValueError, match="100 samples"):
-        empirical_mixing_support(white[:50], 2)
-
-
 def test_density_from_covariance_roundtrip():
     dens = triangular_density(2, 1, 1.0, 2.0, 64)
     offsets = [(z,) for z in range(-2, 3)]
     table = covariance_from_density(dens, offsets)
-    rebuilt = density_from_covariance(
-        {z: table.matrix(z) for z in table.offsets}, 64
-    )
+    rebuilt = density_from_covariance(dict(zip(offsets, table)), 64)
     np.testing.assert_allclose(rebuilt.matrix, dens.matrix, atol=1e-10)
 
 
@@ -221,10 +203,8 @@ def test_density_from_covariance_mirror_completion():
     dens = triangular_density(2, 1, 1.0, 2.0, 32)
     full_offsets = [(z,) for z in range(-1, 2)]
     table = covariance_from_density(dens, full_offsets)
-    full = density_from_covariance({z: table.matrix(z) for z in full_offsets}, 32)
-    half = density_from_covariance(
-        {(0,): table.matrix((0,)), (1,): table.matrix((1,))}, 32
-    )
+    full = density_from_covariance(dict(zip(full_offsets, table)), 32)
+    half = density_from_covariance({(0,): table[1], (1,): table[2]}, 32)
     np.testing.assert_allclose(half.matrix, full.matrix, atol=1e-12)
 
 
@@ -233,6 +213,18 @@ def test_density_from_covariance_rejects_aliased_duplicates():
         density_from_covariance({(1,): np.eye(2), (-31,): np.eye(2)}, 32)
     with pytest.raises(ValueError, match="duplicate"):
         density_from_covariance({(1,): np.eye(2), (33,): np.eye(2)}, 32)
+
+
+@pytest.mark.parametrize("cov", [
+    {(1, 0): 0.5 * np.eye(2), (0,): np.eye(2), (0, 0): np.eye(2)},
+    {(0,): np.eye(2), (1, 0): 0.5 * np.eye(2), (0, 0): np.eye(2)},
+], ids=["d2-first", "d1-first"])
+def test_density_from_covariance_rejects_mixed_dimensions(cov):
+    # whichever offset comes first sets d; the other length is refused in
+    # either order, not broadcast onto a grid axis
+    wrong = next(z for z in cov if len(z) != len(next(iter(cov))))
+    with pytest.raises(ValueError, match=re.escape(f"offset {wrong} has wrong dimension")):
+        density_from_covariance(cov, 8)
 
 
 def test_density_from_covariance_clips_indefinite_input():

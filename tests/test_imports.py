@@ -27,6 +27,9 @@ codes of usage errors, condition failures and numerical faults; the E3
 verdict, the dispersion grid and the density's square root decide a negative
 eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
 since a guard on a computed number raises ``NumericalFault``.
+
+Every package function that the benchmark's memory pass names in
+``bench/child.py`` (``MEMORY_FUNCTIONS``) exists.
 """
 
 import ast
@@ -276,3 +279,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.returncode == 0, done.stderr
     assert "'scipy'" not in done.stdout
     assert "'crystalstat'" in done.stdout and "'numpy'" in done.stdout
+
+
+def test_benchmark_memory_functions_resolve():
+    # the benchmark's memory pass wraps these by name; a rename in the
+    # package would crash every traced run, so the names are read from
+    # bench/child.py as written and looked up here
+    child = ast.parse((PACKAGE.parents[1] / "bench" / "child.py").read_text())
+    listed = [ast.literal_eval(node.value) for node in child.body
+              if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["MEMORY_FUNCTIONS"]]
+    assert len(listed) == 1 and listed[0]
+    for module, name in listed[0]:
+        assert callable(getattr(importlib.import_module(f"crystalstat.{module}"), name, None)), \
+            f"crystalstat.{module}.{name}"

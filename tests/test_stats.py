@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crystalstat.cli as cli
 import crystalstat.stats as stats
 from crystalstat import (
     TestField,
     build_nn_kernel,
     characteristic_functional,
+    covariance_from_density,
     covariance_products,
     covariance_summary,
     dispersion_grid,
     empirical_covariance,
+    empirical_mixing_support,
     evolve_ensemble,
     gaussian_ensemble,
     gaussianity_report,
@@ -30,6 +33,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
+from crystalstat._lattice import offset_cube
 
 
 def test_empirical_covariance_against_inline_oracle(rng):
@@ -39,7 +43,8 @@ def test_empirical_covariance_against_inline_oracle(rng):
     offsets = [(0,), (1,), (-1,)]
     products = covariance_products(Y, offsets)
     assert products.shape == (S, 3, 2, 2)
-    summary = covariance_summary(offsets, products)
+    mean, se = covariance_summary(products)
+    assert mean.shape == se.shape == (3, 2, 2)
 
     for k, z in enumerate(offsets):
         per = np.empty((S, 2, 2))
@@ -47,16 +52,13 @@ def test_empirical_covariance_against_inline_oracle(rng):
             shifted = np.roll(Y[s], -z[0], axis=1)
             per[s] = sum(np.outer(shifted[:, x], Y[s][:, x]) for x in range(L)) / L
         np.testing.assert_allclose(products[:, k], per, atol=1e-13)
-        mean = per.mean(axis=0)
-        se = np.sqrt(np.sum((per - mean) ** 2, axis=0) / (S * (S - 1)))
-        np.testing.assert_allclose(summary.mean[z], mean, atol=1e-13)
-        np.testing.assert_allclose(summary.se[z], se, atol=1e-13)
-    assert summary.count == S
-    whole = empirical_covariance(Y, offsets)
-    assert whole.offsets == summary.offsets == offsets
-    for z in offsets:
-        np.testing.assert_array_equal(whole.mean[z], summary.mean[z])
-        np.testing.assert_array_equal(whole.se[z], summary.se[z])
+        oracle = per.mean(axis=0)
+        np.testing.assert_allclose(mean[k], oracle, atol=1e-13)
+        np.testing.assert_allclose(
+            se[k], np.sqrt(np.sum((per - oracle) ** 2, axis=0) / (S * (S - 1))), atol=1e-13)
+    whole_mean, whole_se = empirical_covariance(Y, offsets)
+    np.testing.assert_array_equal(whole_mean, mean)
+    np.testing.assert_array_equal(whole_se, se)
 
 
 @lru_cache(maxsize=None)
@@ -99,11 +101,8 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
         assert len(streamed) == len(whole)
         for got, want in zip(streamed, whole):
             np.testing.assert_array_equal(got, want)
-    summary = covariance_summary(offsets, streamed[1])
-    direct = empirical_covariance(Yt, offsets)
-    for z in offsets:
-        np.testing.assert_array_equal(summary.mean[z], direct.mean[z])
-        np.testing.assert_array_equal(summary.se[z], direct.se[z])
+    for got, want in zip(covariance_summary(streamed[1]), empirical_covariance(Yt, offsets)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stream_ensemble_peak_memory_does_not_grow_with_count():
@@ -146,20 +145,40 @@ def test_empirical_covariance_needs_samples():
 def test_empirical_covariance_consistent(nn1):
     dens = triangular_density(2, 1, 1.0, 1.0, 64)
     ens = gaussian_ensemble(dens, 1500, seed=7)
-    summary = empirical_covariance(ens, [(0,), (1,), (2,)])
-    from crystalstat import covariance_from_density
-
+    mean, se = empirical_covariance(ens, [(0,), (1,), (2,)])
     exact = covariance_from_density(dens, [(0,), (1,), (2,)])
-    for z in summary.offsets:
-        gap = np.abs(summary.mean[z] - exact.matrix(z))
-        assert np.all(gap < 4.0 * summary.se[z] + 1e-12)
+    assert np.all(np.abs(mean - exact) < 4.0 * se + 1e-12)
+
+
+@pytest.mark.parametrize("measure, radius", [
+    (["--white", "T0=1", "T1=1"], 0),
+    (["--triangular", "nu0=2"], 1),
+    (["--triangular", "nu0=3"], 2),
+    (["--triangular", "nu0=2", "--transform", "a0=1", "a1=1"], 1),
+], ids=["white", "triangular-2", "triangular-3", "transformed-triangular-2"])
+def test_mixing_support_radius_from_summary(measure, radius):
+    # the CLI's measure, streamed at t = 0 and summarized at every offset
+    # within radius 3: the estimated radius is the one the measure declares
+    args = cli._build_parser().parse_args(
+        ["ensemble", "--nn", "d=1", "n=1", "m=1", "--L", "32"] + measure)
+    run = cli._Run(cli._effective_config(args, "ensemble"), {}, False, None)
+    declared = run.measure()
+    offsets = offset_cube(3, 1)
+    products, = stream_ensemble(declared.density, 400, 2, run.grid(32), 0.0,
+                                lambda Y0, Yt: (covariance_products(Y0, offsets),),
+                                "covariance error bars", transform=declared.transform)
+    rep = empirical_mixing_support(offsets, *covariance_summary(products))
+    assert rep["radius"] == radius == declared.radius
+    assert rep["per_radius_significant"] == {r: r <= radius for r in (1, 2, 3)}
+    with pytest.raises(ValueError, match="100 samples"):
+        covariance_summary(products[:50])
 
 
 def test_jackknife_se_shrinks_like_root_n():
     dens = white_noise_density(1.0, 1.0, 1, 1, 32)
-    small = empirical_covariance(gaussian_ensemble(dens, 500, seed=1), [(0,)])
-    large = empirical_covariance(gaussian_ensemble(dens, 2000, seed=1), [(0,)])
-    ratio = small.se[(0,)][0, 0] / large.se[(0,)][0, 0]
+    _, small = empirical_covariance(gaussian_ensemble(dens, 500, seed=1), [(0,)])
+    _, large = empirical_covariance(gaussian_ensemble(dens, 2000, seed=1), [(0,)])
+    ratio = small[0, 0, 0] / large[0, 0, 0]
     assert 2.0 * 0.7 < ratio < 2.0 * 1.3
 
 
