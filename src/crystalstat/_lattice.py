@@ -16,7 +16,8 @@ first and their component axes last.  An ensemble of fields is one array
 components followed by the v components, each one contiguous grid block, so
 that the FFTs run over the trailing axes 2..d+1.  The nodewise matrices that
 act on an ensemble are moved to (2n, 2n, *grid) or (n, n, *grid)
-C-contiguous copies by :func:`moved_axes`.
+C-contiguous copies by :func:`moved_axes`.  :func:`hermitian_part` is the one
+place that forms the nodewise Hermitian part 0.5 (a + a^H).
 """
 
 from __future__ import annotations
@@ -124,6 +125,27 @@ def eigen_compose(basis: np.ndarray, values: np.ndarray,
     """B diag(values) B^H at every node, B the eigenbasis (columns) per node;
     only the rows of the product that the slice rows selects."""
     return np.einsum("...ik,...k,...jk->...ij", basis[..., rows, :], values, basis.conj())
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^H) at every node of a complex (*grid, k, k) array, as a new
+    C-contiguous array and with no other temporary.  Its values are those of
+    ``0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))`` bit for bit; that
+    expression's memory layout is numpy's choice and varies with the shape."""
+    h = np.empty_like(a, order="C")
+    np.conjugate(np.swapaxes(a, -1, -2), out=h)
+    np.add(a, h, out=h)
+    np.multiply(h, 0.5, out=h)
+    return h
+
+
+def reflected(a: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """a at the negated grid angles, out[k] = a[-k mod L] over the first d
+    axes, written into out from the 2^d blocks of views that make it up."""
+    head, tail = (slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))
+    for parts in itertools.product((head, tail), repeat=d):
+        out[tuple(dst for dst, _ in parts)] = a[tuple(src for _, src in parts)]
+    return out
 
 
 def guarded_reciprocal(x: np.ndarray, ok: np.ndarray) -> np.ndarray:

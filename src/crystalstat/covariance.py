@@ -22,6 +22,7 @@ from ._lattice import (
     fourier_coefficient,
     fourier_series,
     guarded_reciprocal,
+    hermitian_part,
     real_part_checked,
 )
 from .dynamics import _propagator_grid_matrix
@@ -111,7 +112,8 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
     _require_match(grid, q0.L, q0.d, q0.n)
     G = _propagator_grid_matrix(grid, float(t))
     qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
-    qt = 0.5 * (qt + np.conj(np.swapaxes(qt, -1, -2)))
+    del G  # the Hermitian part and the validation hold no third matrix
+    qt = hermitian_part(qt)
     return SpectralDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=qt,
         provenance=f"evolved(t={t}):{q0.provenance}",
@@ -145,26 +147,31 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     # the stacked matmuls read contiguous copies, not strided views: the same
     # bits, in less time
     Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
-    A = {(i, j): Bh @ np.ascontiguousarray(q0.matrix[..., i * n:(i + 1) * n,
-                                                     j * n:(j + 1) * n]) @ B
-         for i in (0, 1) for j in (0, 1)}
     winv = guarded_reciprocal(omega, ~grid.null)
     wl = omega[..., :, None]   # left factor index k
     wr = omega[..., None, :]   # right factor index l
     wil = winv[..., :, None]
     wir = winv[..., None, :]
     M = {
-        (0, 0): 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
-        (0, 1): 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
-        (1, 0): 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
-        (1, 1): 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
+        (0, 0): lambda A: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
+        (0, 1): lambda A: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
+        (1, 0): lambda A: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
+        (1, 1): lambda A: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
     }
     same_cluster = grid.cluster_id[..., :, None] == grid.cluster_id[..., None, :]
     out = np.empty((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
-    for (i, j), blk in M.items():
-        masked = np.where(same_cluster, blk, 0.0)
-        out[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = B @ masked @ Bh
-    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    # M_ij reads A_ij and the opposite block A_(1-i)(1-j), so the diagonal
+    # pair of blocks is transformed and consumed before the off-diagonal
+    # pair, and each block of M is built where it is consumed
+    for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
+        A = {(i, j): Bh @ np.ascontiguousarray(q0.matrix[..., i * n:(i + 1) * n,
+                                                         j * n:(j + 1) * n]) @ B
+             for i, j in pair}
+        for i, j in pair:
+            out[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = (
+                B @ np.where(same_cluster, M[i, j](A), 0.0) @ Bh)
+    del A
+    out = hermitian_part(out)
 
     # a degenerate node is excluded if any inverse-weighted source block is
     # live there: the pseudoinverse silently dropped part of the measure

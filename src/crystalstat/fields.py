@@ -35,10 +35,12 @@ from ._lattice import (
     eigen_compose,
     forward_fft,
     fourier_series,
+    hermitian_part,
     inverse_fft,
     lowest_eigenvalue,
     moved_axes,
     real_part_checked,
+    reflected,
     theta_axis,
 )
 
@@ -72,19 +74,25 @@ class SpectralDensity:
         expected = (self.L,) * self.d + (2 * self.n, 2 * self.n)
         if self.matrix.shape != expected:
             raise ValueError(f"density matrix must have shape {expected}")
+        # every entry, difference and modulus below goes through one buffer
+        # the size of the matrix; each gap is the maximum of the same
+        # elementwise moduli as the whole-array expression
+        matrix, buf = self.matrix, np.empty(expected, dtype=complex)
         # one NaN or infinite entry makes the scale non-finite; a NaN gap
         # would compare false and pass the gates below
-        scale = 1.0 + float(np.max(np.abs(self.matrix)))
+        scale = 1.0 + float(np.max(np.absolute(matrix, out=buf).real))
         if not np.isfinite(scale):
             raise ValueError("density matrix must be finite")
-        herm_gap = float(np.max(np.abs(self.matrix - np.conj(np.swapaxes(self.matrix, -1, -2)))))
+        np.conjugate(np.swapaxes(matrix, -1, -2), out=buf)
+        np.subtract(matrix, buf, out=buf)
+        herm_gap = float(np.max(np.absolute(buf, out=buf).real))
         if herm_gap > 1e-8 * scale:
             raise ValueError(f"density is not Hermitian (gap {herm_gap:.3e})")
-        # reality of the underlying field: qhat(-theta) = conj(qhat(theta))
-        rev = self.matrix
-        for axis in range(self.d):
-            rev = np.flip(np.roll(rev, -1, axis=axis), axis=axis)
-        reality_gap = float(np.max(np.abs(rev - np.conj(self.matrix))))
+        # reality of the underlying field: qhat(-theta) = conj(qhat(theta)),
+        # measured as |conj(qhat(-theta)) - qhat(theta)|, the same moduli
+        np.conjugate(reflected(matrix, self.d, out=buf), out=buf)
+        np.subtract(buf, matrix, out=buf)
+        reality_gap = float(np.max(np.absolute(buf, out=buf).real))
         if reality_gap > 1e-8 * scale:
             raise ValueError(f"density violates reality symmetry (gap {reality_gap:.3e})")
 
@@ -341,9 +349,7 @@ def density_from_covariance(cov: dict, L: int,
         else:
             merged[z] = mat
             merged[mz] = mat.T
-    out = fourier_series(merged.items(), L, d, (two_n, two_n))
-    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-    w, U = np.linalg.eigh(out)
+    w, U = np.linalg.eigh(hermitian_part(fourier_series(merged.items(), L, d, (two_n, two_n))))
     out = eigen_compose(U, np.clip(w, 0.0, None))
     return SpectralDensity(L=L, d=d, n=n, matrix=out, provenance=provenance)
 

@@ -13,7 +13,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._lattice import check_integers, fourier_series, lowest_eigenvalue, offset_cube, theta_axis
+from ._lattice import (
+    check_integers,
+    fourier_series,
+    hermitian_part,
+    lowest_eigenvalue,
+    offset_cube,
+    theta_axis,
+)
 
 __all__ = [
     "InteractionKernel",
@@ -144,8 +151,7 @@ class InteractionKernel:
         """Symbol on the full theta grid, shape (L,)*d + (n, n)."""
         if L < 1:
             raise ValueError("L must be positive")
-        acc = fourier_series(self.entries.items(), L, self.d, (self.n, self.n))
-        return 0.5 * (acc + np.conj(np.swapaxes(acc, -1, -2)))
+        return hermitian_part(fourier_series(self.entries.items(), L, self.d, (self.n, self.n)))
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (n, *grid) or a

@@ -311,6 +311,61 @@ def test_density_validates_hermitian_and_reality():
         SpectralDensity(L=32, d=1, n=1, matrix=mat2)
 
 
+def whole_array_refusal(matrix, d):
+    """The message SpectralDensity's checks gave when each was one whole-array
+    expression with a copy per step, or None for a valid matrix."""
+    scale = 1.0 + float(np.max(np.abs(matrix)))
+    if not np.isfinite(scale):
+        return "density matrix must be finite"
+    herm_gap = float(np.max(np.abs(matrix - np.conj(np.swapaxes(matrix, -1, -2)))))
+    if herm_gap > 1e-8 * scale:
+        return f"density is not Hermitian (gap {herm_gap:.3e})"
+    rev = matrix
+    for axis in range(d):
+        rev = np.flip(np.roll(rev, -1, axis=axis), axis=axis)
+    reality_gap = float(np.max(np.abs(rev - np.conj(matrix))))
+    if reality_gap > 1e-8 * scale:
+        return f"density violates reality symmetry (gap {reality_gap:.3e})"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2]), L=st.sampled_from([4, 5, 6]),
+       node=st.sampled_from(["zero", "pi", "generic"]), pair=st.booleans(),
+       size=st.floats(-12.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_density_checks_refuse_what_the_whole_array_checks_refused(d, n, L, node, pair, size,
+                                                                   phase, seed, data):
+    rng = np.random.default_rng(seed)
+    cov = {(0,) * d: rng.standard_normal((2 * n, 2 * n)),
+           (1,) + (0,) * (d - 1): rng.standard_normal((2 * n, 2 * n))}
+    matrix = density_from_covariance(cov, L).matrix.copy()
+    # a self-conjugate node (every angle 0 or pi; pi only on even L) or any node
+    if node == "generic":
+        at = tuple(data.draw(st.integers(0, L - 1)) for _ in range(d))
+    else:
+        at = tuple(data.draw(st.sampled_from([0, L // 2] if node == "pi" and L % 2 == 0
+                                             else [0])) for _ in range(d))
+    a, b = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
+    delta = 10.0 ** size * np.exp(1j * phase)
+    matrix[at + (a, b)] += delta
+    if pair and a != b:  # keep the node Hermitian
+        matrix[at + (b, a)] += np.conj(delta)
+    expected = whole_array_refusal(matrix, d)
+    if expected is None:
+        SpectralDensity(L=L, d=d, n=n, matrix=matrix)
+    else:
+        with pytest.raises(ValueError) as refused:
+            SpectralDensity(L=L, d=d, n=n, matrix=matrix)
+        assert str(refused.value) == expected
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        broken = matrix.copy()
+        broken[at + (a, b)] = bad
+        assert whole_array_refusal(broken, d) == "density matrix must be finite"
+        with pytest.raises(ValueError, match="^density matrix must be finite$"):
+            SpectralDensity(L=L, d=d, n=n, matrix=broken)
+
+
 def test_gibbs_density_blocks(grid64):
     lim = gibbs_density(2.0, grid64)
     # velocity block T1/2 everywhere, displacement block (T1/2) / omega^2

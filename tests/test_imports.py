@@ -11,7 +11,10 @@ start-up, is imported where the assignment solver is called.
 
 Only ``_lattice`` writes the Fourier convention: no other module calls
 ``np.exp`` on an imaginary argument or multiplies ``np.pi`` by 2, apart from
-``InteractionKernel.symbol``, the pointwise oracle of ``symbol_grid``.
+``InteractionKernel.symbol``, the pointwise oracle of ``symbol_grid``.  Nor
+does any other module write the Hermitian part ``0.5 * (x + conj(x^T))``,
+whose whole-grid form ``_lattice.hermitian_part`` builds with one temporary;
+``InteractionKernel.symbol`` is exempt here too.
 
 One owner per gating decision: only ``spectral.dispersion_grid`` takes a
 ``delta_cross``, a ``delta_null`` or a ``delta_hess`` (every other consumer
@@ -127,6 +130,56 @@ def test_convention_write_is_found():
     assert convention_writes(source) == [
         "f: np.exp of an imaginary argument", "f: 2 pi", "A.g: 2 pi", "A.g: 2 pi"]
     assert convention_writes(Path(crystalstat.__file__).with_name("_lattice.py").read_text())
+
+
+def hermitian_part_writes(source: str) -> list[str]:
+    """The scope of each place the source writes the Hermitian part of a
+    matrix x itself: half of, or a division by 2 of, a sum of x and a
+    conjugate transpose of x (np.conj/np.conjugate/.conj() applied with
+    np.swapaxes/.swapaxes/np.transpose/.transpose/.T, in either order)."""
+    def conjugate_transpose_of(term, x):
+        words = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(term)}
+        return (words & {"conj", "conjugate"} and words & {"swapaxes", "transpose", "T"}
+                and any(ast.unparse(n) == ast.unparse(x) for n in ast.walk(term)))
+
+    def is_hermitian_sum(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+            conjugate_transpose_of(term, other)
+            for term, other in ((node.left, node.right), (node.right, node.left)))
+
+    def halves(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            pairs = ((node.left, node.right), (node.right, node.left))
+            return any(isinstance(c, ast.Constant) and c.value == 0.5 and is_hermitian_sum(e)
+                       for c, e in pairs)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2
+                and is_hermitian_sum(node.left))
+
+    return [scope for scope, node in scoped_nodes(source) if halves(node)]
+
+
+#: the pointwise symbol that the tests compare symbol_grid against
+HERMITIAN_ORACLES = {"kernel": ["InteractionKernel.symbol"]}
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.stem != "_lattice"], ids=lambda p: p.name)
+def test_only_lattice_writes_the_hermitian_part(path):
+    assert hermitian_part_writes(path.read_text()) == HERMITIAN_ORACLES.get(path.stem, [])
+
+
+def test_hermitian_part_write_is_found():
+    source = ("import numpy as np\n"
+              "def f(q, m):\n"
+              "    a = 0.5 * (q + np.conj(np.swapaxes(q, -1, -2)))\n"
+              "    b = (np.conjugate(q.transpose(0, 2, 1)) + q) * 0.5\n"
+              "    return a, b, 0.5 * (m + m.T), 0.5 * (q + np.conj(np.swapaxes(m, -1, -2)))\n"
+              "class K:\n"
+              "    def g(self, acc):\n"
+              "        return 0.5 * (acc + acc.conj().T), (acc + acc.T.conj()) / 2\n")
+    # a real symmetric part (no conjugate) and the mixed sum of two matrices are not
+    assert hermitian_part_writes(source) == ["f", "f", "K.g", "K.g"]
 
 
 def scoped_nodes(source: str):

@@ -7,20 +7,36 @@ covariance_from_density took np.sum(phase(-z)[..., None, None] * matrix)
 over the grid axes divided by L^d, each with its own copy of the phase grid
 below.  fourier_series and fourier_coefficient must give the same bits, and
 offset_cube the same offsets as the two cube forms it replaced.
+
+evolve_density, limit_density, density_from_covariance and
+InteractionKernel.symbol_grid each wrote the nodewise Hermitian part as the
+whole-array expression in inline_hermitian_part; hermitian_part, which they
+call now, and each of them must give the same bits.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystalstat import (
+    density_from_covariance,
+    dispersion_grid,
+    evolve_density,
+    random_finite_range_kernel,
+)
 from crystalstat._lattice import (
+    eigen_compose,
     fourier_coefficient,
     fourier_series,
+    hermitian_part,
     offset_cube,
     theta_axis,
     theta_step,
 )
+from crystalstat.dynamics import _propagator_grid_matrix
 
 
 def inline_phase_grid(z, L, sign):
@@ -98,3 +114,61 @@ def test_theta_helpers_keep_the_inline_bits(L):
     k = np.arange(L)
     np.testing.assert_array_equal(theta_axis(L), 2.0 * np.pi * np.asarray(k) / L)
     assert theta_step(L) == 2.0 * np.pi / L
+
+
+def inline_hermitian_part(a):
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def same_bits(a, b):
+    """a is C-contiguous and holds b's values bit for bit, signs of zeros
+    included.  b's memory layout is numpy's choice for the whole-array
+    expression, which varies with the shape (C order, or the last two axes
+    swapped on some grids of three or more axes)."""
+    return (a.flags.c_contiguous and a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), L=st.integers(1, 6), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+def test_hermitian_part_keeps_the_bits_of_the_inline_expression(d, L, k, seed, zeros):
+    rng = np.random.default_rng(seed)
+    shape = (L,) * d + (k, k)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if zeros:  # signed zeros, whose signs the sum and the product must keep
+        a[rng.random(shape) < 0.5] = complex(-0.0, -0.0)
+    assert same_bits(hermitian_part(a), inline_hermitian_part(a))
+
+
+@lru_cache(maxsize=None)
+def random_grid(d, n, kernel_seed):
+    return dispersion_grid(random_finite_range_kernel(d, n, 1, seed=kernel_seed), 16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 2), kernel_seed=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), t=st.floats(-50.0, 50.0))
+def test_hermitian_part_callers_keep_the_bits_of_the_inline_expression(d, n, kernel_seed,
+                                                                       seed, t):
+    grid = random_grid(d, n, kernel_seed)
+    kernel, L = grid.kernel, grid.L
+    acc = fourier_series(kernel.entries.items(), L, d, (n, n))
+    assert same_bits(kernel.symbol_grid(L), inline_hermitian_part(acc))
+
+    # offsets in mirror pairs with q(-z) = q(z)^T and a symmetric q(0), so
+    # that the mirror completion keeps the table, in its order, as it is
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((2 * n, 2 * n))
+    cov = {(0,) * d: q + q.T}
+    for z in ((1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)):
+        q = rng.standard_normal((2 * n, 2 * n))
+        cov[z], cov[tuple(-c for c in z)] = q, q.T
+    w, U = np.linalg.eigh(inline_hermitian_part(fourier_series(cov.items(), L, d,
+                                                               (2 * n, 2 * n))))
+    q0 = density_from_covariance(cov, L)
+    assert same_bits(q0.matrix, eigen_compose(U, np.clip(w, 0.0, None)))
+
+    G = _propagator_grid_matrix(grid, t)
+    qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
+    assert same_bits(evolve_density(q0, grid, t).matrix, inline_hermitian_part(qt))
