@@ -17,7 +17,9 @@ components followed by the v components, each one contiguous grid block, so
 that the FFTs run over the trailing axes 2..d+1.  The nodewise matrices that
 act on an ensemble are moved to (2n, 2n, *grid) or (n, n, *grid)
 C-contiguous copies by :func:`moved_axes`.  :func:`hermitian_part` is the one
-place that forms the nodewise Hermitian part 0.5 (a + a^H).
+place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
+kernels that would otherwise hold whole-grid temporaries work through
+:func:`node_slabs`, slabs of the first grid axis of at most SLAB_BYTES each.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
+
+#: bytes of one slab of a nodewise array in :func:`node_slabs`: the kernels
+#: that work slab by slab hold a few temporaries of about this size, not of
+#: the whole grid
+SLAB_BYTES = 1 << 20
 
 
 class NumericalFault(ValueError):
@@ -127,23 +134,53 @@ def eigen_compose(basis: np.ndarray, values: np.ndarray,
     return np.einsum("...ik,...k,...jk->...ij", basis[..., rows, :], values, basis.conj())
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """0.5 (a + a^H) at every node of a complex (*grid, k, k) array, as a new
-    C-contiguous array and with no other temporary.  Its values are those of
+def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 (a + a^H) at every node of a complex (*grid, k, k) array, written
+    into out (which must not overlap a) or into a new C-contiguous array,
+    with no other temporary.  Its values are those of
     ``0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))`` bit for bit; that
     expression's memory layout is numpy's choice and varies with the shape."""
-    h = np.empty_like(a, order="C")
+    h = np.empty_like(a, order="C") if out is None else out
     np.conjugate(np.swapaxes(a, -1, -2), out=h)
     np.add(a, h, out=h)
     np.multiply(h, 0.5, out=h)
     return h
 
 
-def reflected(a: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+def node_slabs(a: np.ndarray):
+    """Slices of the first grid axis of a, in order, that cut it into slabs of
+    at most SLAB_BYTES each; a slab holds one row at least."""
+    L = a.shape[0]
+    step = max(1, SLAB_BYTES // max(1, a.nbytes // max(1, L)))
+    for start in range(0, L, step):
+        yield slice(start, min(start + step, L))
+
+
+def largest_modulus(a: np.ndarray, skip: np.ndarray | None = None) -> float:
+    """max |a| over every entry of a nodewise array, taken slab by slab; the
+    nodes where the boolean grid skip holds count as zero.  A NaN entry gives
+    NaN, as the whole-array maximum would."""
+    peaks = []
+    for rows in node_slabs(a):
+        modulus = np.abs(a[rows])
+        if skip is not None:
+            modulus[skip[rows]] = 0.0
+        peaks.append(np.max(modulus))
+    return float(np.max(peaks))
+
+
+def reflected(a: np.ndarray, d: int, out: np.ndarray, start: int = 0) -> np.ndarray:
     """a at the negated grid angles, out[k] = a[-k mod L] over the first d
-    axes, written into out from the 2^d blocks of views that make it up."""
+    axes, for the rows start .. start + len(out) - 1 of the first axis;
+    written into out from the blocks of views that make it up."""
+    L, m = a.shape[0], out.shape[0]
     head, tail = (slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))
-    for parts in itertools.product((head, tail), repeat=d):
+    # along the first axis row 0 is its own mirror and row k > 0 is row L - k
+    if start == 0:
+        first = [head, (slice(1, m), slice(L - 1, L - m, -1))]
+    else:
+        first = [(slice(0, m), slice(L - start, L - start - m, -1))]
+    for parts in itertools.product(first, *((head, tail),) * (d - 1)):
         out[tuple(dst for dst, _ in parts)] = a[tuple(src for _, src in parts)]
     return out
 
@@ -181,13 +218,30 @@ def fourier_series(terms, L: int, d: int, value_shape: tuple) -> np.ndarray:
     return out
 
 
-def fourier_coefficient(hat: np.ndarray, z) -> np.ndarray:
+def fourier_coefficient(hat: np.ndarray, z, skip: np.ndarray | None = None) -> np.ndarray:
     """L^-d sum_theta hat(theta) e^{-i z.theta}, the coefficient at offset z of a
-    grid function hat of shape (L,)*d + value shape."""
+    grid function hat of shape (L,)*d + value shape; the nodes where the
+    boolean grid skip holds count as zero.
+
+    The sum runs one slab of nodes at a time (:func:`node_slabs`), each slab's
+    products summed over its nodes in C order with the running sum carried
+    into its first node.  numpy sums the whole product in that order, so the
+    bits are the same and the temporaries are a slab's size.  A value of a
+    single entry is summed whole, because numpy sums it pairwise.
+    """
     d = len(z)
     L = hat.shape[0]
-    phase = _phase_grid(z, L, -1)[(...,) + (None,) * (hat.ndim - d)]
-    return np.sum(phase * hat, axis=tuple(range(d))) / float(L) ** d
+    values = (None,) * (hat.ndim - d)
+    phase = _phase_grid(z, L, -1)[(...,) + values]
+    total = None
+    for rows in node_slabs(hat) if np.prod(hat.shape[d:]) > 1 else [slice(None)]:
+        block = hat[rows] if skip is None else np.where(skip[rows][(...,) + values], 0.0,
+                                                        hat[rows])
+        terms = (phase[rows] * block).reshape((-1,) + hat.shape[d:])
+        if total is not None:
+            terms[0] += total
+        total = np.add.reduce(terms, axis=0)
+    return total / float(L) ** d
 
 
 def real_part_checked(a: np.ndarray, tol: float, what: str) -> np.ndarray:

@@ -22,7 +22,6 @@ the ensemble size.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -360,8 +359,9 @@ class _Run:
 
     The stages of ``report`` share one memo and one waiver, so they share the
     kernel, the grid and its E1-E5 reports at each resolution, and the measure
-    with its ES check and limit.  A build that raises is not stored: every
-    stage that needs it retries and records its own failure.
+    with its ES check and limit; the memo drops the measure once its limit is
+    built.  A build that raises is not stored: every stage that needs it
+    retries and records its own failure.
     """
 
     def __init__(self, eff: dict, memo: dict, allow_degenerate: bool, default_measure=None):
@@ -453,18 +453,21 @@ class _Run:
         return self.memo["measure"]
 
     def limit(self):
-        """(initial density, ES report, limit density) of the run's measure,
-        which must be Gaussian.
+        """(ES report, limit density) of the run's measure, which must be
+        Gaussian.
 
         E1-E5 are gated before the measure is read, ES once its density
-        exists (:meth:`limit_of`)."""
+        exists (:meth:`limit_of`).  Once the limit is built no stage reads
+        the measure, so the memo drops it: a caller that needs the initial
+        density too takes it from :meth:`measure` first."""
         if "limit" not in self.memo:
             self.gate(self.conditions(self.L))
             measure = self.measure()
             if measure.transform is not None:
                 raise UsageError(f"{self.eff['command']} needs a Gaussian measure "
                                  "with an explicit density")
-            self.memo["limit"] = (measure.density,) + self.limit_of(measure.density)
+            self.memo["limit"] = self.limit_of(measure.density)
+            del self.memo["measure"]
         return self.memo["limit"]
 
     def limit_of(self, q0):
@@ -543,28 +546,31 @@ def _lookup(strings, index) -> list:
     return np.asarray(strings, dtype=object)[np.ravel(index)].tolist()
 
 
-def _indices(shape) -> np.ndarray:
-    """Per-axis index rows of the entries of an array of this shape, in C order."""
-    return np.indices(shape).reshape(len(shape), -1)
+def _index_rows(shape, start: int, stop: int) -> tuple:
+    """Per-axis indices of the entries start .. stop - 1, in C order, of an
+    array of this shape."""
+    return np.unravel_index(np.arange(start, stop), shape)
 
 
-#: rows per write in _write_csv: few writes, and memory bounded by the block
+#: rows per block in _write_csv: few writes, and memory bounded by the block
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """A header line, then one row per index of the equal-length string columns.
+def _write_csv(path: Path, header, rows: int, block) -> None:
+    """A header line, then rows lines; block(start, stop) gives the
+    equal-length string columns of the rows start .. stop - 1.
 
     No field holds a comma, a quote or a newline (numbers and the fixed flag
-    names), so joining with commas writes the bytes csv.writer would.  Rows
-    are joined and written in blocks of _CSV_BLOCK_ROWS, never into one string.
+    names), so joining with commas writes the bytes csv.writer would.  Each
+    block of _CSV_BLOCK_ROWS rows is formatted and written before the next is
+    built, so no column of the whole table is ever held.
     """
-    rows = map(",".join, zip(*columns))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            columns = block(start, min(start + _CSV_BLOCK_ROWS, rows))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _stage(body, run: _Run, options: dict) -> int:
@@ -617,18 +623,23 @@ def _cmd_dispersion(run) -> int:
     reports = run.conditions(grid.L)
     # one row per (node, branch); the flags of each of the 8 combinations of
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
-    W = grid.branch_values
-    *node, branch = _indices(W.shape)
+    W, D, grads = grid.branch_values, grid.hessian_determinants, grid.branch_gradients
     theta = _floats(theta_axis(grid.L))
+    branches = [str(b) for b in range(grid.n)]
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
-    code = np.repeat(grid.c0 + 2 * grid.crossing + 4 * grid.ck, grid.n)
+    code = grid.c0 + 2 * grid.crossing + 4 * grid.ck
+
+    def block(start, stop):
+        *node, branch = _index_rows(W.shape, start, stop)
+        rows = slice(start, stop)
+        return ([_lookup(theta, axis) for axis in node]
+                + [_lookup(branches, branch), _floats(W.reshape(-1)[rows]),
+                   _floats(np.linalg.norm(grads.reshape(-1, grid.d)[rows], axis=-1)),
+                   _floats(D.reshape(-1)[rows]), _lookup(flags, code[tuple(node)])])
+
     _write_csv(outdir / "dispersion.csv", [f"theta_{a + 1}" for a in range(grid.d)]
-               + ["k", "omega_k", "grad_norm", "D_k", "flags"],
-               [_lookup(theta, axis) for axis in node]
-               + [_lookup([str(b) for b in range(grid.n)], branch), _floats(W),
-                  _floats(np.linalg.norm(grid.branch_gradients, axis=-1)),
-                  _floats(grid.hessian_determinants), _lookup(flags, code)])
+               + ["k", "omega_k", "grad_norm", "D_k", "flags"], W.size, block)
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
@@ -666,14 +677,19 @@ def _cmd_green(run, dump_radius) -> int:
         sups.append(float(np.max(np.abs(G))))
         windows.append(G[np.ix_(*(wrap,) * grid.d)])
     window = np.stack(windows)  # (time, *offset, row, col)
-    stamp, *x, row, col = _indices(window.shape)
+    stamps = _floats(times)
     offset = [str(c) for c in range(-dump_radius, dump_radius + 1)]
     component = [str(c) for c in range(window.shape[-1])]
+
+    def block(start, stop):
+        stamp, *x, row, col = _index_rows(window.shape, start, stop)
+        return ([_lookup(stamps, stamp)] + [_lookup(offset, axis) for axis in x]
+                + [_lookup(component, row), _lookup(component, col),
+                   _floats(window.reshape(-1)[start:stop])])
+
     _write_csv(outdir / "green.csv",
                ["t"] + [f"x{a + 1}" for a in range(grid.d)] + ["row", "col", "value"],
-               [_lookup(_floats(times), stamp)]
-               + [_lookup(offset, axis) for axis in x]
-               + [_lookup(component, row), _lookup(component, col), _floats(window)])
+               window.size, block)
     fit = _power_fit(times, sups)
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit, "eps": eps})
@@ -685,23 +701,32 @@ def _cmd_evolve(run) -> int:
     outdir = run.outdir
     kernel = run.kernel()
     grid = run.grid(run.L)
-    q0, es, qinf = run.limit()
+    # E1-E5 are gated before the measure is read, as run.limit() gates them
+    run.gate(run.conditions(run.L))
+    q0 = run.measure().density
+    es, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 50.0]
     offsets = _axis_offsets(kernel.d)
     Mi = covariance_from_density(qinf, offsets)
     Mt = np.stack([covariance_from_density(evolve_density(q0, grid, t), offsets)
                    for t in times])
-    # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
-    stamp, m, i, k, j, l = _indices(Mt.shape[:2] + (2, kernel.n, 2, kernel.n))
+    values = [Mt.reshape(-1), np.broadcast_to(Mi, Mt.shape).reshape(-1),
+              np.abs(Mt - Mi).reshape(-1)]
+    stamps = _floats(times)
+    axes = [[str(z[a]) for z in offsets] for a in range(kernel.d)]
     component = [str(v) for v in range(max(2, kernel.n))]
+
+    def block(start, stop):
+        # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
+        stamp, m, i, k, j, l = _index_rows(Mt.shape[:2] + (2, kernel.n, 2, kernel.n),
+                                           start, stop)
+        return ([_lookup(stamps, stamp)] + [_lookup(axis, m) for axis in axes]
+                + [_lookup(component, axis) for axis in (i, j, k, l)]
+                + [_floats(v[start:stop]) for v in values])
+
     _write_csv(outdir / "convergence.csv",
                ["t"] + [f"z{a + 1}" for a in range(kernel.d)]
-               + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"],
-               [_lookup(_floats(times), stamp)]
-               + [_lookup([str(z[a]) for z in offsets], m) for a in range(kernel.d)]
-               + [_lookup(component, axis) for axis in (i, j, k, l)]
-               + [_floats(Mt), _floats(np.broadcast_to(Mi, Mt.shape)),
-                  _floats(np.abs(Mt - Mi))])
+               + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"], Mt.size, block)
     _write_json(outdir / "limit.json", {"excluded_fraction": qinf.excluded_fraction,
                                         "es": es.to_jsonable()})
     print(f"evolve: wrote convergence table for t={times} -> {outdir}")
@@ -759,7 +784,7 @@ def _cmd_ensemble(run) -> int:
 
 def _cmd_limit(run, dump_density) -> int:
     outdir = run.outdir
-    _, es, qinf = run.limit()
+    es, qinf = run.limit()
     offsets = _axis_offsets(run.kernel().d)
     table = covariance_from_density(qinf, offsets)
     _write_json(outdir / "limit.json", {
@@ -850,7 +875,7 @@ def _cmd_mixing(run, component) -> int:
     kernel = run.kernel()
     psi = TestField.delta(kernel.d, kernel.n, component=component)
     grid = run.grid(run.L)
-    _, _, qinf = run.limit()
+    _, qinf = run.limit()
     times = run.eff["times"] or [0.0, 10.0, 40.0, 160.0]
     values = [mixing_integral(qinf, grid, psi, psi, t) for t in times]
     fit = _power_fit(times, values)

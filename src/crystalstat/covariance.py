@@ -23,6 +23,8 @@ from ._lattice import (
     fourier_series,
     guarded_reciprocal,
     hermitian_part,
+    largest_modulus,
+    node_slabs,
     real_part_checked,
 )
 from .dynamics import _propagator_grid_matrix
@@ -143,46 +145,48 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         if report.verdict == "fail":
             # the symbol degenerates and the covariance limit does not exist
             raise ConditionFailure([report])
-    n, omega, B = grid.n, grid.omega, grid.basis
-    # the stacked matmuls read contiguous copies, not strided views: the same
-    # bits, in less time
-    Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
-    winv = guarded_reciprocal(omega, ~grid.null)
-    wl = omega[..., :, None]   # left factor index k
-    wr = omega[..., None, :]   # right factor index l
-    wil = winv[..., :, None]
-    wir = winv[..., None, :]
-    M = {
-        (0, 0): lambda A: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
-        (0, 1): lambda A: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
-        (1, 0): lambda A: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
-        (1, 1): lambda A: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
-    }
-    same_cluster = grid.cluster_id[..., :, None] == grid.cluster_id[..., None, :]
-    out = np.empty((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
-    # M_ij reads A_ij and the opposite block A_(1-i)(1-j), so the diagonal
-    # pair of blocks is transformed and consumed before the off-diagonal
-    # pair, and each block of M is built where it is consumed
-    for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-        A = {(i, j): Bh @ np.ascontiguousarray(q0.matrix[..., i * n:(i + 1) * n,
-                                                         j * n:(j + 1) * n]) @ B
-             for i, j in pair}
-        for i, j in pair:
-            out[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = (
-                B @ np.where(same_cluster, M[i, j](A), 0.0) @ Bh)
-    del A
-    out = hermitian_part(out)
+    n = grid.n
 
+    def block(i, j):
+        return (Ellipsis, slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
+
+    out = np.empty(q0.matrix.shape, dtype=complex)
     # a degenerate node is excluded if any inverse-weighted source block is
     # live there: the pseudoinverse silently dropped part of the measure
-    tol = 1e-14 * (1.0 + float(np.max(np.abs(q0.matrix))))
-    needs_inverse = (
-        np.max(np.abs(q0.block(0, 1)), axis=(-2, -1)) > tol
-    ) | (
-        np.max(np.abs(q0.block(1, 0)), axis=(-2, -1)) > tol
-    ) | (
-        np.max(np.abs(q0.block(1, 1)), axis=(-2, -1)) > tol
-    )
+    tol = 1e-14 * (1.0 + largest_modulus(q0.matrix))
+    needs_inverse = np.empty(grid.c0.shape, dtype=bool)
+    # every step below is nodewise, so it runs one slab of nodes at a time
+    # with the same operations as on the whole grid
+    for rows in node_slabs(out):
+        B, q = grid.basis[rows], q0.matrix[rows]
+        # the stacked matmuls read contiguous copies, not strided views: the
+        # same bits, in less time
+        Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
+        omega = grid.omega[rows]
+        winv = guarded_reciprocal(omega, ~grid.null[rows])
+        wl = omega[..., :, None]   # left factor index k
+        wr = omega[..., None, :]   # right factor index l
+        wil = winv[..., :, None]
+        wir = winv[..., None, :]
+        M = {
+            (0, 0): lambda A: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
+            (0, 1): lambda A: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
+            (1, 0): lambda A: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
+            (1, 1): lambda A: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
+        }
+        cluster = grid.cluster_id[rows]
+        same_cluster = cluster[..., :, None] == cluster[..., None, :]
+        slab = np.empty(q.shape, dtype=complex)
+        # M_ij reads A_ij and the opposite block A_(1-i)(1-j), so the diagonal
+        # pair of blocks is transformed and consumed before the off-diagonal
+        # pair, and each block of M is built where it is consumed
+        for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
+            A = {(i, j): Bh @ np.ascontiguousarray(q[block(i, j)]) @ B for i, j in pair}
+            for i, j in pair:
+                slab[block(i, j)] = B @ np.where(same_cluster, M[i, j](A), 0.0) @ Bh
+        hermitian_part(slab, out=out[rows])
+        needs_inverse[rows] = np.any([np.max(np.abs(q[block(i, j)]), axis=(-2, -1)) > tol
+                                      for i, j in ((0, 1), (1, 0), (1, 1))], axis=0)
     excluded = grid.c0 & needs_inverse
     return LimitDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=out,
@@ -214,13 +218,11 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     )
 
 
-def _unexcluded_matrix(density: SpectralDensity) -> np.ndarray:
-    """The density's matrix zeroed at the excluded nodes of a limit density;
-    the density's own matrix if none are."""
+def _excluded(density: SpectralDensity) -> np.ndarray | None:
+    """The excluded nodes of a limit density, None if there are none; each
+    reader counts them as zero in its own slabs or nodewise results."""
     excluded = getattr(density, "excluded", None)
-    if excluded is None or not np.any(excluded):
-        return density.matrix
-    return np.where(excluded[..., None, None], 0.0, density.matrix)
+    return excluded if excluded is not None and np.any(excluded) else None
 
 
 def covariance_from_density(density: SpectralDensity, offsets) -> np.ndarray:
@@ -230,14 +232,14 @@ def covariance_from_density(density: SpectralDensity, offsets) -> np.ndarray:
     Excluded nodes of a limit density contribute nothing; its
     excluded_fraction gives their measure.
     """
-    matrix = _unexcluded_matrix(density)
-    scale = 1.0 + float(np.max(np.abs(matrix)))
+    matrix, excluded = density.matrix, _excluded(density)
+    scale = 1.0 + largest_modulus(matrix, excluded)
     out = np.empty((len(offsets),) + matrix.shape[-2:])
     for k, z in enumerate(offsets):
         z = tuple(int(c) for c in z)
         if len(z) != density.d:
             raise ValueError(f"offset {z} has wrong dimension")
-        out[k] = real_part_checked(fourier_coefficient(matrix, z), 1e-8 * scale,
+        out[k] = real_part_checked(fourier_coefficient(matrix, z, excluded), 1e-8 * scale,
                                    f"covariance at offset {z}")
     return out
 
@@ -252,8 +254,10 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     """
     L, d = density.L, density.d
     psihat = psi.fourier(L)
-    matrix = _unexcluded_matrix(density)
-    nodewise = np.einsum("...i,...ij,...j->...", np.conj(psihat), matrix, psihat)
+    nodewise = np.einsum("...i,...ij,...j->...", np.conj(psihat), density.matrix, psihat)
+    excluded = _excluded(density)
+    if excluded is not None:
+        nodewise[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
     q_spectral = float(np.real(nodewise.sum()) / float(L) ** d)
 
     # the covariance at each ordered pair's offset, pairs in product order
@@ -291,11 +295,13 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     p2 = psi2.fourier(grid.L)
     I, K = _support(p1), _support(p2)
     G = _propagator_grid_matrix(grid, float(t), rows=I)
-    matrix = _unexcluded_matrix(limit)
     # slices keep every operand's strides, so einsum sums the kept terms in
     # the order it sums them over all 2n components
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
-                          matrix[..., :, K], p2[..., K])
+                          limit.matrix[..., :, K], p2[..., K])
+    excluded = _excluded(limit)
+    if excluded is not None:
+        integrand[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
     total = complex(integrand.sum() / float(grid.L) ** grid.d)
     return float(real_part_checked(np.array([total]), 1e-8 * (1.0 + abs(total.real)),
                                    "mixing integral")[0])

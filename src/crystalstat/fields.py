@@ -37,8 +37,10 @@ from ._lattice import (
     fourier_series,
     hermitian_part,
     inverse_fft,
+    largest_modulus,
     lowest_eigenvalue,
     moved_axes,
+    node_slabs,
     real_part_checked,
     reflected,
     theta_axis,
@@ -74,25 +76,32 @@ class SpectralDensity:
         expected = (self.L,) * self.d + (2 * self.n, 2 * self.n)
         if self.matrix.shape != expected:
             raise ValueError(f"density matrix must have shape {expected}")
-        # every entry, difference and modulus below goes through one buffer
-        # the size of the matrix; each gap is the maximum of the same
-        # elementwise moduli as the whole-array expression
-        matrix, buf = self.matrix, np.empty(expected, dtype=complex)
-        # one NaN or infinite entry makes the scale non-finite; a NaN gap
-        # would compare false and pass the gates below
-        scale = 1.0 + float(np.max(np.absolute(matrix, out=buf).real))
+        # the scale and both gaps are maxima of the same elementwise moduli
+        # as the whole-array expressions, taken slab by slab; np.max keeps a
+        # NaN, where Python's max would drop it.  One NaN or infinite entry
+        # makes the scale non-finite, and is refused before any difference
+        # is formed: a NaN gap would compare false and pass the gates below
+        matrix, d = self.matrix, self.d
+        scale = 1.0 + largest_modulus(matrix)
         if not np.isfinite(scale):
             raise ValueError("density matrix must be finite")
-        np.conjugate(np.swapaxes(matrix, -1, -2), out=buf)
-        np.subtract(matrix, buf, out=buf)
-        herm_gap = float(np.max(np.absolute(buf, out=buf).real))
+        slabs = list(node_slabs(matrix))
+        buf = np.empty(matrix[slabs[0]].shape, dtype=complex)
+        herm, reality = [], []
+        for rows in slabs:
+            slab, b = matrix[rows], buf[:rows.stop - rows.start]
+            np.conjugate(np.swapaxes(slab, -1, -2), out=b)
+            np.subtract(slab, b, out=b)
+            herm.append(np.max(np.absolute(b, out=b).real))
+            # reality of the underlying field: qhat(-theta) = conj(qhat(theta)),
+            # measured as |conj(qhat(-theta)) - qhat(theta)|, the same moduli
+            np.conjugate(reflected(matrix, d, b, rows.start), out=b)
+            np.subtract(b, slab, out=b)
+            reality.append(np.max(np.absolute(b, out=b).real))
+        herm_gap = float(np.max(herm))
         if herm_gap > 1e-8 * scale:
             raise ValueError(f"density is not Hermitian (gap {herm_gap:.3e})")
-        # reality of the underlying field: qhat(-theta) = conj(qhat(theta)),
-        # measured as |conj(qhat(-theta)) - qhat(theta)|, the same moduli
-        np.conjugate(reflected(matrix, self.d, out=buf), out=buf)
-        np.subtract(buf, matrix, out=buf)
-        reality_gap = float(np.max(np.absolute(buf, out=buf).real))
+        reality_gap = float(np.max(reality))
         if reality_gap > 1e-8 * scale:
             raise ValueError(f"density violates reality symmetry (gap {reality_gap:.3e})")
 

@@ -98,9 +98,10 @@ class DispersionGrid:
             ) / (2.0 * theta_step(self.L))
         return grads
 
-    @cached_property
+    @property
     def branch_hessians(self) -> np.ndarray:
-        """Central-difference Hessians of continued branches, shape (*grid, n, d, d)."""
+        """Central-difference Hessians of continued branches, shape (*grid, n, d, d),
+        computed on each read: the cached hessian_determinants read them once."""
         W = self.branch_values
         h = theta_step(self.L)
         H = np.empty(W.shape + (self.d, self.d))

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from functools import cached_property
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import crystalstat.cli as cli
 import crystalstat.dynamics as dynamics
 import crystalstat.fields as fields
 import crystalstat.stats as stats
-from crystalstat._lattice import NumericalFault
+from crystalstat._lattice import NumericalFault, theta_axis
 from crystalstat.cli import main
 from crystalstat.covariance import covariance_from_density, evolve_density, limit_density
 from crystalstat.dynamics import green_cutoff, green_function
@@ -189,6 +190,99 @@ def test_convergence_table_holds_the_covariances(tmp_path):
         assert row[1:7] == [str(c) for c in offsets[m] + (i, j, k, l)]
         qt, qinf = current[t][m, a, b], limit[m, a, b]
         assert [float(s) for s in row[7:]] == [qt, qinf, abs(qt - qinf)]
+
+
+def whole_column_table(header, columns) -> str:
+    """The text of a table whose every column was built whole, the header
+    line first, as the writer made it before it formatted one block of rows
+    at a time."""
+    return "".join(",".join(row) + "\n" for row in [header] + list(zip(*columns)))
+
+
+@pytest.mark.parametrize("block_rows", [None, 1000])
+def test_dispersion_table_blocks_give_the_whole_column_bytes(tmp_path, monkeypatch,
+                                                             block_rows):
+    # d=2 n=3 L=38 gives 4332 rows: more than one block of 4096, and not a
+    # multiple of it (the 4107 rows of L=37 are out of reach: a dispersion
+    # grid needs an even L); three determinants become -0.0, one in each
+    # block and the last row, which must print as -0
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    grids = []
+
+    def grid_with_signed_zeros(*args):
+        grid = dispersion_grid(*args)
+        D = grid.hessian_determinants.copy()
+        D.reshape(-1)[[0, 4096, 4331]] = -0.0
+        grid.__dict__["hessian_determinants"] = D
+        grids.append(grid)
+        return grid
+
+    monkeypatch.setattr(cli, "dispersion_grid", grid_with_signed_zeros)
+    out = tmp_path / "disp"
+    assert main(["dispersion", "--nn", "d=2", "n=3", "m=1,2,3", "--L", "38",
+                 "--output", str(out)]) == 0
+    grid, = grids
+    W, D = grid.branch_values, grid.hessian_determinants
+    assert W.size == 4332 and "-0" in ["%.17g" % v for v in D.reshape(-1)[[0, 4096, 4331]]]
+
+    def g17(values):
+        return ["%.17g" % v for v in np.ravel(values)]
+
+    index = np.indices(W.shape).reshape(W.ndim, -1)
+    theta = g17(theta_axis(grid.L))
+    node_flags = [("C0", grid.c0), ("Cstar", grid.crossing), ("Ck", grid.ck)]
+    columns = ([[theta[i] for i in index[a]] for a in range(grid.d)]
+               + [[str(k) for k in index[-1]], g17(W),
+                  g17(np.linalg.norm(grid.branch_gradients, axis=-1)), g17(D),
+                  ["|".join(name for name, flags in node_flags if flags[tuple(node)])
+                   for node in index[:-1].T]])
+    header = ["theta_1", "theta_2", "k", "omega_k", "grad_norm", "D_k", "flags"]
+    assert (out / "dispersion.csv").read_text() == whole_column_table(header, columns)
+
+
+def readme_command_lines() -> list:
+    """The argv of every ``crystalstat`` line of the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split()[1:] for line in text.splitlines() if line.startswith("crystalstat ")]
+
+
+def with_output(argv, out) -> list:
+    """argv with its --output directory replaced by out."""
+    at = argv.index("--output")
+    return argv[:at] + ["--output", str(out)] + argv[at + 2:]
+
+
+MEASURE_BUILDERS = ("white_noise_density", "triangular_density", "density_from_jsonable")
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_lines_build_the_measure_at_most_once(tmp_path, monkeypatch, argv):
+    calls = []
+    for name in MEASURE_BUILDERS:
+        monkeypatch.setattr(cli, name, counting(calls, getattr(cli, name)))
+    assert main(with_output(argv, tmp_path / "out")) in (cli.EXIT_OK, cli.EXIT_GATE)
+    assert all(calls.count(name) <= 1 for name in MEASURE_BUILDERS), calls
+
+
+def test_report_drops_the_initial_density_once_the_limit_is_built(tmp_path, monkeypatch):
+    argv = next(argv for argv in readme_command_lines() if argv[0] == "report")
+    refs, dead_at_mixing = [], []
+    mixing = cli._cmd_mixing
+
+    def white(*args):
+        density = fields.white_noise_density(*args)
+        refs.append(weakref.ref(density))
+        return density
+
+    def watched_mixing(run, **options):
+        dead_at_mixing.append(refs[0]() is None)
+        return mixing(run, **options)
+
+    monkeypatch.setattr(cli, "white_noise_density", white)
+    monkeypatch.setattr(cli, "_cmd_mixing", watched_mixing)
+    assert main(with_output(argv, tmp_path / "rep")) == cli.EXIT_OK
+    assert len(refs) == 1 and dead_at_mixing == [True]
 
 
 # values whose %.17g strings are easy to get wrong: signed zeros (equal as

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,13 +30,23 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
-from crystalstat import dynamics
-from crystalstat._lattice import eigen_compose
-from crystalstat.covariance import _unexcluded_matrix
+from crystalstat import _lattice, dynamics
+from crystalstat._lattice import eigen_compose, fourier_coefficient
+from crystalstat.covariance import LimitDensity
 from crystalstat.kernel import ConditionReport
 from crystalstat.spectral import check_ES
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def unexcluded_matrix(density):
+    """The density's matrix zeroed at the excluded nodes of a limit density,
+    one whole-matrix copy, as every reader took it before each zeroed the
+    excluded nodes in its own slabs or nodewise results."""
+    excluded = getattr(density, "excluded", None)
+    if excluded is None or not np.any(excluded):
+        return density.matrix
+    return np.where(excluded[..., None, None], 0.0, density.matrix)
 
 
 def closed_form_limit(q0):
@@ -346,23 +357,48 @@ def strided_limit_matrix(q0, grid):
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
+def slab_rows(rows, matrix):
+    """A patch of the slab budget to rows rows of the first grid axis of a
+    complex array shaped as matrix: the whole grid at L=16 fits one slab of
+    the default budget, which would leave the slab seams untested."""
+    return mock.patch.object(_lattice, "SLAB_BYTES", rows * matrix[0].astype(complex).nbytes)
+
+
 @settings(max_examples=24, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
        kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
-       density_seed=st.integers(0, 2**32 - 1))
+       density_seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 3, 5, 16]))
 def test_limit_density_keeps_the_bits_of_strided_operands(d, n, kernel_range, kernel_seed,
-                                                          density_seed):
+                                                          density_seed, rows):
     grid = _random_grid(d, n, kernel_range, kernel_seed)
     q0 = _random_density(d, n, grid.L, density_seed)
-    np.testing.assert_array_equal(limit_density(q0, grid).matrix,
-                                  strided_limit_matrix(q0, grid))
+    with slab_rows(rows, q0.matrix):
+        np.testing.assert_array_equal(limit_density(q0, grid).matrix,
+                                      strided_limit_matrix(q0, grid))
 
 
 #: peak traced memory above entry, in units of the density's matrix, at
-#: d=3 n=2 L=16; the whole-array expressions before the one-buffer forms
-#: measured 3.13, 6.72 and 5.13, the one-buffer forms 1.13, 2.58 and 3.00
-#: (evolve_density holds Ghat, its conjugate and the transported matrix)
-MATRIX_PEAKS = {"SpectralDensity": 1.5, "limit_density": 3.0, "evolve_density": 3.5}
+#: d=3 n=2 L=16 with slabs of one row of the grid (1/16 of the matrix); the
+#: whole-array expressions before the one-buffer forms measured 3.13, 6.72
+#: and 5.13, the one-buffer forms 1.13, 2.58 and 3.00, and the slabwise forms
+#: 0.14, 1.27 and 3.00 (evolve_density, not slabbed, holds Ghat, its
+#: conjugate and the transported matrix); fourier_coefficient measured 1.19
+#: for the whole product and 0.25 for the slabwise sums
+MATRIX_PEAKS = {"SpectralDensity": 0.25, "limit_density": 1.5, "evolve_density": 3.25,
+                "fourier_coefficient": 0.35}
+
+
+def traced_peak(call) -> int:
+    """Peak traced memory above entry of a second call; the first fills
+    one-off caches."""
+    call()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 def test_density_path_holds_few_whole_grid_temporaries():
@@ -370,17 +406,60 @@ def test_density_path_holds_few_whole_grid_temporaries():
     q0 = _random_density(3, 2, grid.L, 11)
     calls = {"SpectralDensity": lambda: SpectralDensity(L=q0.L, d=3, n=2, matrix=q0.matrix),
              "limit_density": lambda: limit_density(q0, grid),
-             "evolve_density": lambda: evolve_density(q0, grid, 2.5)}
-    for name, call in calls.items():
-        call()  # one-off caches
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            call()
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        assert peak <= MATRIX_PEAKS[name] * q0.matrix.nbytes, (name, peak / q0.matrix.nbytes)
+             "evolve_density": lambda: evolve_density(q0, grid, 2.5),
+             "fourier_coefficient": lambda: fourier_coefficient(q0.matrix, (1, 0, 0))}
+    with slab_rows(1, q0.matrix):
+        for name, call in calls.items():
+            peak = traced_peak(call)
+            assert peak <= MATRIX_PEAKS[name] * q0.matrix.nbytes, (name, peak / q0.matrix.nbytes)
+
+
+@lru_cache(maxsize=None)
+def _excluding_limit():
+    """A limit density with one excluded node (theta = 0, where the massless
+    branch needs an inverse frequency), on which ES passes, and its grid."""
+    grid = dispersion_grid(build_nn_kernel(3, 2, [0.0, 1.0]), 16)
+    limit = limit_density(white_noise_density(1.0, 1.0, 2, 3, 16), grid)
+    assert limit.excluded.sum() == 1
+    return limit, grid
+
+
+def _readers(density, grid, psi):
+    offsets = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, -1, 2)]
+    return {"covariance_from_density": lambda: covariance_from_density(density, offsets),
+            "quadratic_form": lambda: quadratic_form(density, psi),
+            "mixing_integral": lambda: mixing_integral(density, grid, psi, psi, 10.0)}
+
+
+def test_readers_zero_excluded_nodes_as_the_whole_matrix_copy_did():
+    # the oracle: each reader on a plain density whose matrix is the
+    # whole-matrix copy with the excluded nodes zeroed
+    limit, grid = _excluding_limit()
+    zeroed = SpectralDensity(L=16, d=3, n=2, matrix=unexcluded_matrix(limit))
+    spread = TestField(sites=[(0, 0, 0), (1, 0, 0), (0, 2, -1)],
+                       values=np.arange(12.0).reshape(3, 4) - 5.5)
+    for psi in (TestField.delta(3, 2, component=0), TestField.delta(3, 2, component=3),
+                spread):
+        got, want = _readers(limit, grid, psi), _readers(zeroed, grid, psi)
+        for name in got:
+            np.testing.assert_array_equal(got[name](), want[name](), err_msg=name)
+        for t in (0.0, 2.5, 40.0):
+            assert (mixing_integral(limit, grid, psi, spread, t)
+                    == mixing_integral(zeroed, grid, psi, spread, t))
+
+
+def test_readers_copy_no_whole_matrix_for_excluded_nodes():
+    # one excluded node costs at most a slab over the same reader with none;
+    # the whole-matrix copy cost 1.0 (covariance_from_density), 2.0
+    # (quadratic_form) and 0.63 (mixing_integral) matrices
+    limit, grid = _excluding_limit()
+    plain = LimitDensity(L=16, d=3, n=2, matrix=limit.matrix)
+    psi = TestField.delta(3, 2, component=0)
+    excluding, none = _readers(limit, grid, psi), _readers(plain, grid, psi)
+    with slab_rows(1, limit.matrix):
+        for name in excluding:
+            extra = traced_peak(excluding[name]) - traced_peak(none[name])
+            assert extra <= 0.25 * limit.matrix.nbytes, (name, extra / limit.matrix.nbytes)
 
 
 # ----------------------------------------------------------------- zero modes
@@ -493,7 +572,7 @@ def full_propagator(grid, t):
 def full_mixing_integral(limit, grid, G, psi1, psi2):
     p1 = psi1.fourier(grid.L)
     p2 = psi2.fourier(grid.L)
-    matrix = _unexcluded_matrix(limit)
+    matrix = unexcluded_matrix(limit)
     integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1), G, matrix, p2)
     return float(complex(integrand.sum() / float(grid.L) ** grid.d).real)
 

@@ -1,6 +1,7 @@
 """Spectral densities, Gaussian sampling, covariance assembly, JSON forms."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
-from crystalstat import fields
+from crystalstat import _lattice, fields
 from crystalstat._lattice import real_part_checked
 from crystalstat.covariance import LimitDensity
 from crystalstat.fields import SpectralDensity
@@ -333,9 +334,17 @@ def whole_array_refusal(matrix, d):
 @given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2]), L=st.sampled_from([4, 5, 6]),
        node=st.sampled_from(["zero", "pi", "generic"]), pair=st.booleans(),
        size=st.floats(-12.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), data=st.data())
 def test_density_checks_refuse_what_the_whole_array_checks_refused(d, n, L, node, pair, size,
-                                                                   phase, seed, data):
+                                                                   phase, seed, rows, data):
+    # slabs of rows rows of the first grid axis; at most 6 (one slab) keeps
+    # the whole-array path in the draw
+    row_bytes = L ** (d - 1) * (2 * n) ** 2 * np.dtype(complex).itemsize
+    with mock.patch.object(_lattice, "SLAB_BYTES", rows * row_bytes):
+        refuse_as_the_whole_array_checks(d, n, L, node, pair, size, phase, seed, data)
+
+
+def refuse_as_the_whole_array_checks(d, n, L, node, pair, size, phase, seed, data):
     rng = np.random.default_rng(seed)
     cov = {(0,) * d: rng.standard_normal((2 * n, 2 * n)),
            (1,) + (0,) * (d - 1): rng.standard_normal((2 * n, 2 * n))}
@@ -358,12 +367,15 @@ def test_density_checks_refuse_what_the_whole_array_checks_refused(d, n, L, node
         with pytest.raises(ValueError) as refused:
             SpectralDensity(L=L, d=d, n=n, matrix=matrix)
         assert str(refused.value) == expected
-    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
-        broken = matrix.copy()
-        broken[at + (a, b)] = bad
-        assert whole_array_refusal(broken, d) == "density matrix must be finite"
-        with pytest.raises(ValueError, match="^density matrix must be finite$"):
-            SpectralDensity(L=L, d=d, n=n, matrix=broken)
+    # the drawn node, and one in the last slab, which is not the first
+    # slab when it holds fewer than L rows
+    for where in (at, (L - 1,) + at[1:]):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            broken = matrix.copy()
+            broken[where + (a, b)] = bad
+            assert whole_array_refusal(broken, d) == "density matrix must be finite"
+            with pytest.raises(ValueError, match="^density matrix must be finite$"):
+                SpectralDensity(L=L, d=d, n=n, matrix=broken)
 
 
 def test_gibbs_density_blocks(grid64):

@@ -12,9 +12,14 @@ evolve_density, limit_density, density_from_covariance and
 InteractionKernel.symbol_grid each wrote the nodewise Hermitian part as the
 whole-array expression in inline_hermitian_part; hermitian_part, which they
 call now, and each of them must give the same bits.
+
+fourier_coefficient and the nodewise kernels work on slabs of the first
+grid axis from node_slabs; the slabwise sums, the reflected slabs and the
+slabwise maxima must give the bits of the whole-array forms.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +32,16 @@ from crystalstat import (
     evolve_density,
     random_finite_range_kernel,
 )
+from crystalstat import _lattice
 from crystalstat._lattice import (
     eigen_compose,
     fourier_coefficient,
     fourier_series,
     hermitian_part,
+    largest_modulus,
+    node_slabs,
     offset_cube,
+    reflected,
     theta_axis,
     theta_step,
 )
@@ -172,3 +181,65 @@ def test_hermitian_part_callers_keep_the_bits_of_the_inline_expression(d, n, ker
     G = _propagator_grid_matrix(grid, t)
     qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
     assert same_bits(evolve_density(q0, grid, t).matrix, inline_hermitian_part(qt))
+
+
+@st.composite
+def slab_sum_case(draw):
+    """A complex grid function of value rank 0 to 3 on grids up to 32^1,
+    16^2 or 10^3, with signed zeros, an offset, a skip mask and a slab of
+    one to four rows of the first grid axis."""
+    d = draw(st.integers(1, 3))
+    L = draw(st.integers(1, (32, 16, 10)[d - 1]))
+    value_shape = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (L,) * d + value_shape
+    hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    hat[rng.random(shape) < 0.2] = complex(-0.0, -0.0)
+    z = tuple(draw(st.integers(-2 * L - 1, 2 * L + 1)) for _ in range(d))
+    skip = rng.random((L,) * d) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    rows = draw(st.integers(1, 4))
+    return d, L, hat, z, skip, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=slab_sum_case())
+def test_slab_coefficient_keeps_the_bits_of_the_whole_product(case):
+    # the whole-product sum over the grid axes, on a whole-matrix copy with
+    # the skipped nodes zeroed, as covariance_from_density formed it
+    d, L, hat, z, skip, rows = case
+    values = (None,) * (hat.ndim - d)
+    phase = inline_phase_grid(z, L, -1)[(...,) + values]
+    with mock.patch.object(_lattice, "SLAB_BYTES", rows * hat[0].nbytes):
+        whole = np.sum(phase * hat, axis=tuple(range(d))) / float(L) ** d
+        assert np.shape(fourier_coefficient(hat, z)) == np.shape(whole)
+        assert same_bits(np.asarray(fourier_coefficient(hat, z)), np.asarray(whole))
+        zeroed = np.where(skip[(...,) + values], 0.0, hat)
+        whole = np.sum(phase * zeroed, axis=tuple(range(d))) / float(L) ** d
+        assert same_bits(np.asarray(fourier_coefficient(hat, z, skip)), np.asarray(whole))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), L=st.integers(1, 9), k=st.integers(1, 3),
+       rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), bad=st.booleans())
+def test_slabs_reflect_and_bound_as_the_whole_array_does(d, L, k, rows, seed, bad):
+    rng = np.random.default_rng(seed)
+    shape = (L,) * d + (k, k)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if bad:  # a NaN past the first slab: Python's max would drop it
+        a[(L - 1,) + (0,) * (d - 1) + (0, 0)] = np.nan
+    skip = rng.random((L,) * d) < 0.3
+    with mock.patch.object(_lattice, "SLAB_BYTES", rows * a[0].nbytes):
+        slabs = list(node_slabs(a))
+        # consecutive slabs of the chosen row count cover the first axis
+        assert [(s.start, s.stop) for s in slabs] == [
+            (i, min(i + rows, L)) for i in range(0, L, rows)]
+        rev = a
+        for axis in range(d):
+            rev = np.flip(np.roll(rev, -1, axis=axis), axis=axis)
+        for s in slabs:
+            out = np.empty_like(a[s])
+            np.testing.assert_array_equal(reflected(a, d, out, s.start), rev[s])
+        whole = np.max(np.abs(a))
+        np.testing.assert_array_equal(largest_modulus(a), whole)
+        whole = np.max(np.abs(np.where(skip[..., None, None], 0.0, a)))
+        np.testing.assert_array_equal(largest_modulus(a, skip), whole)
