@@ -150,11 +150,12 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     def block(i, j):
         return (Ellipsis, slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
 
+    def stacked(k):
+        # block k of the four stacked along the row axis
+        return (Ellipsis, slice(k * n, (k + 1) * n), slice(None))
+
+    blocks = ((0, 0), (0, 1), (1, 0), (1, 1))
     out = np.empty(q0.matrix.shape, dtype=complex)
-    # a degenerate node is excluded if any inverse-weighted source block is
-    # live there: the pseudoinverse silently dropped part of the measure
-    tol = 1e-14 * (1.0 + largest_modulus(q0.matrix))
-    needs_inverse = np.empty(grid.c0.shape, dtype=bool)
     # every step below is nodewise, so it runs one slab of nodes at a time
     # with the same operations as on the whole grid
     for rows in node_slabs(out):
@@ -168,26 +169,42 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         wr = omega[..., None, :]   # right factor index l
         wil = winv[..., :, None]
         wir = winv[..., None, :]
-        M = {
-            (0, 0): lambda A: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
-            (0, 1): lambda A: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
-            (1, 0): lambda A: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
-            (1, 1): lambda A: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
-        }
         cluster = grid.cluster_id[rows]
         same_cluster = cluster[..., :, None] == cluster[..., None, :]
+        # A_ij = Bh q_ij B and back B M_ij Bh: the four products that share a
+        # right factor run as one product of the blocks stacked along the row
+        # axis.  A row of a BLAS matrix product does not depend on the rows
+        # stacked with it (a test checks this), so this keeps the bits of four
+        # products; stacking along the column axis (a shared left factor) or
+        # a transposed form does not, so the left products stay one per block
+        left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
+        for k, (i, j) in enumerate(blocks):
+            np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
+        right = left @ B
+        A = {b: right[stacked(k)] for k, b in enumerate(blocks)}
+        M = {
+            (0, 0): lambda: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
+            (0, 1): lambda: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
+            (1, 0): lambda: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
+            (1, 1): lambda: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
+        }
+        for k, (i, j) in enumerate(blocks):
+            np.matmul(B, np.where(same_cluster, M[i, j](), 0.0), out=left[stacked(k)])
+        back = np.matmul(left, Bh, out=right)  # A is spent; its buffer takes the result
         slab = np.empty(q.shape, dtype=complex)
-        # M_ij reads A_ij and the opposite block A_(1-i)(1-j), so the diagonal
-        # pair of blocks is transformed and consumed before the off-diagonal
-        # pair, and each block of M is built where it is consumed
-        for pair in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-            A = {(i, j): Bh @ np.ascontiguousarray(q[block(i, j)]) @ B for i, j in pair}
-            for i, j in pair:
-                slab[block(i, j)] = B @ np.where(same_cluster, M[i, j](A), 0.0) @ Bh
+        for k, (i, j) in enumerate(blocks):
+            slab[block(i, j)] = back[stacked(k)]
         hermitian_part(slab, out=out[rows])
-        needs_inverse[rows] = np.any([np.max(np.abs(q[block(i, j)]), axis=(-2, -1)) > tol
-                                      for i, j in ((0, 1), (1, 0), (1, 1))], axis=0)
-    excluded = grid.c0 & needs_inverse
+    # a degenerate node is excluded if any inverse-weighted source block is
+    # live there: the pseudoinverse silently dropped part of the measure.
+    # Only C_0 nodes can be excluded, so only they are inspected; the
+    # tolerance is scaled by the whole density
+    excluded = np.zeros(grid.c0.shape, dtype=bool)
+    if np.any(grid.c0):
+        tol = 1e-14 * (1.0 + largest_modulus(q0.matrix))
+        q = q0.matrix[grid.c0]
+        excluded[grid.c0] = np.any([np.max(np.abs(q[block(i, j)]), axis=(-2, -1)) > tol
+                                    for i, j in ((0, 1), (1, 0), (1, 1))], axis=0)
     return LimitDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=out,
         provenance=f"limit:{q0.provenance}",
@@ -292,8 +309,12 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     """
     _require_match(grid, limit.L, limit.d, limit.n)
     p1 = psi1.fourier(grid.L)
-    p2 = psi2.fourier(grid.L)
-    I, K = _support(p1), _support(p2)
+    I = _support(p1)
+    if psi2 is psi1:  # a field paired with itself is transformed once
+        p2, K = p1, I
+    else:
+        p2 = psi2.fourier(grid.L)
+        K = _support(p2)
     G = _propagator_grid_matrix(grid, float(t), rows=I)
     # slices keep every operand's strides, so einsum sums the kept terms in
     # the order it sums them over all 2n components

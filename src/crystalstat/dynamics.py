@@ -118,7 +118,7 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float,
     Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
     the cos, t*sinc and -omega*sin factors composed in the symbol eigenbasis.
     rows is a slice with unit step; each requested row is composed from the
-    matching row of the basis only.
+    matching row of the basis only, and an empty half composes nothing.
     """
     B = grid.basis
     n = grid.n
@@ -127,12 +127,14 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float,
     bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
     k = top.stop - top.start
     c, s, ns = _rotation_factors(grid.omega, t)
-    C = eigen_compose(B, c, top)
     G = np.empty(B.shape[:-2] + (len(r), 2 * n), dtype=complex)
-    G[..., :k, :n] = C
-    G[..., :k, n:] = eigen_compose(B, s, top)
-    G[..., k:, :n] = eigen_compose(B, ns, bottom)
-    G[..., k:, n:] = C if bottom == top else eigen_compose(B, c, bottom)
+    if k:
+        C = eigen_compose(B, c, top)
+        G[..., :k, :n] = C
+        G[..., :k, n:] = eigen_compose(B, s, top)
+    if len(r) > k:
+        G[..., k:, :n] = eigen_compose(B, ns, bottom)
+        G[..., k:, n:] = C if bottom == top else eigen_compose(B, c, bottom)
     return G
 
 

@@ -377,6 +377,36 @@ def test_limit_density_keeps_the_bits_of_strided_operands(d, n, kernel_range, ke
                                       strided_limit_matrix(q0, grid))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), count=st.integers(2, 4), nodes=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_stacked_products_keep_the_bits_of_per_block_products(n, count, nodes, seed):
+    # limit_density writes its left products into row blocks of one buffer
+    # and right-multiplies the buffer once; both keep the bits of one product
+    # per block only while a row of a BLAS matrix product does not depend on
+    # the rows stacked with it.  Entries span many decades, so that a change
+    # in the summation order shows in the last bits
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        scale = 10.0 ** rng.uniform(-8, 8, (nodes, n, n))
+        return scale * (rng.standard_normal((nodes, n, n))
+                        + 1j * rng.standard_normal((nodes, n, n)))
+
+    left, right = draw(), draw()
+    blocks = [draw() for _ in range(count)]
+    stack = np.empty((nodes, count * n, n), dtype=complex)
+    for k, block in enumerate(blocks):
+        np.matmul(left, block, out=stack[:, k * n:(k + 1) * n])
+    product = stack @ right
+    for k, block in enumerate(blocks):
+        rows = slice(k * n, (k + 1) * n)
+        np.testing.assert_array_equal(stack[:, rows], left @ block,
+                                      err_msg="a product written into a row block of a stack")
+        np.testing.assert_array_equal(product[:, rows], (left @ block) @ right,
+                                      err_msg="a row block of a row-stacked product")
+
+
 #: peak traced memory above entry, in units of the density's matrix, at
 #: d=3 n=2 L=16 with slabs of one row of the grid (1/16 of the matrix); the
 #: whole-array expressions before the one-buffer forms measured 3.13, 6.72
@@ -532,6 +562,55 @@ def test_zero_modes_are_decided_once_on_the_grid(d, masses, delta_null, density_
     live = (np.max(np.abs(q0.matrix[..., :, n:]), axis=(-2, -1)) > tol) | (
         np.max(np.abs(q0.matrix[..., n:, :n]), axis=(-2, -1)) > tol)
     np.testing.assert_array_equal(limit.excluded, c0 & live)
+
+
+def whole_grid_excluded(q0, grid):
+    """limit_density's excluded mask as it was taken over every node: C_0
+    nodes where a source block weighted by an inverse frequency is live."""
+    n, q = grid.n, q0.matrix
+    tol = 1e-14 * (1.0 + float(np.max(np.abs(q))))
+    live = [np.max(np.abs(q[..., i * n:(i + 1) * n, j * n:(j + 1) * n]), axis=(-2, -1)) > tol
+            for i, j in ((0, 1), (1, 0), (1, 1))]
+    return grid.c0 & np.any(live, axis=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(massless=st.booleans(), d=st.sampled_from([1, 2, 3]),
+       masses=st.sampled_from(ZERO_MODE_MASSES), kernel_seed=st.integers(0, 30),
+       delta_null=st.sampled_from([1e-8, 0.05, 0.5]), density_seed=st.integers(0, 2**32 - 1),
+       loudness=st.sampled_from([1.0, 1e4]),
+       velocity_scale=st.sampled_from([1.0, 0.0]) | st.floats(-17.0, -9.0).map(
+           lambda e: 10.0 ** e))
+def test_excluded_nodes_are_found_at_c0_nodes_only(massless, d, masses, kernel_seed,
+                                                   delta_null, density_seed, loudness,
+                                                   velocity_scale):
+    # massless nn kernels have C_0 at theta = 0; random kernels have their
+    # spectral gap inside the larger delta_null
+    if massless:
+        grid = _zero_mode_grid(d, masses, delta_null)
+    else:
+        kernel = random_finite_range_kernel(min(d, 2), 2, 1, seed=kernel_seed)
+        grid = dispersion_grid(kernel, 16, delta_null=delta_null)
+    n = grid.n
+    rng = np.random.default_rng(density_seed)
+
+    def node_factor(value):
+        # value on a random set of nodes closed under theta -> -theta, 1
+        # elsewhere: a density scaled by it stays Hermitian, PSD and real
+        nodes = rng.random(grid.c0.shape) < 0.5
+        nodes |= np.roll(np.flip(nodes), 1, axis=tuple(range(grid.d)))
+        return np.where(nodes, value, 1.0)[..., None, None]
+
+    # the whole density louder on some nodes, which moves the tolerance away
+    # from the scale of the C_0 nodes, and the velocity rows and columns
+    # scaled towards that tolerance on others
+    matrix = _random_density(grid.d, n, grid.L, density_seed).matrix * node_factor(loudness)
+    velocity = node_factor(velocity_scale)
+    matrix[..., n:, :] *= velocity
+    matrix[..., :, n:] *= velocity
+    q0 = SpectralDensity(L=grid.L, d=grid.d, n=n, matrix=matrix)
+    limit = limit_density(q0, grid, es_report=ConditionReport("ES", "pass"))
+    np.testing.assert_array_equal(limit.excluded, whole_grid_excluded(q0, grid))
 
 
 @settings(max_examples=30, deadline=None)
