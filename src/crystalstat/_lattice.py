@@ -147,13 +147,18 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return h
 
 
-def node_slabs(a: np.ndarray):
+def node_slabs(a: np.ndarray, min_rows: int = 1):
     """Slices of the first grid axis of a, in order, that cut it into slabs of
-    at most SLAB_BYTES each; a slab holds one row at least."""
+    at most SLAB_BYTES each; a slab holds min_rows rows at least (a shorter
+    remainder joins the slab before it), or the whole axis if that is
+    shorter."""
     L = a.shape[0]
-    step = max(1, SLAB_BYTES // max(1, a.nbytes // max(1, L)))
-    for start in range(0, L, step):
-        yield slice(start, min(start + step, L))
+    step = max(min_rows, SLAB_BYTES // max(1, a.nbytes // max(1, L)))
+    starts = list(range(0, L, step))
+    if len(starts) > 1 and L - starts[-1] < min_rows:
+        del starts[-1]
+    for start, stop in zip(starts, starts[1:] + [L]):
+        yield slice(start, stop)
 
 
 def largest_modulus(a: np.ndarray, skip: np.ndarray | None = None) -> float:
@@ -190,31 +195,37 @@ def guarded_reciprocal(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
     return np.where(ok, 1.0 / np.where(ok, x, 1.0), 0.0)
 
 
-def _phase_grid(z, L: int, sign: int) -> np.ndarray:
-    """exp(sign * i * z.theta) evaluated on the full theta grid, shape (L,)*d."""
+def _phase_grid(z, L: int, sign: int, rows: slice = slice(None)) -> np.ndarray:
+    """exp(sign * i * z.theta) on the theta grid, shape (L,)*d; only the rows
+    of the first axis that the slice rows selects."""
     z = np.asarray(z, dtype=int)
     d = z.size
-    out = np.ones((L,) * d, dtype=complex)
     th = theta_axis(L)
+    out = np.ones((len(th[rows]),) + (L,) * (d - 1), dtype=complex)
     for axis in range(d):
         factor = np.exp(sign * 1j * z[axis] * th)
+        if axis == 0:
+            factor = factor[rows]
         shape = [1] * d
-        shape[axis] = L
+        shape[axis] = factor.size
         out = out * factor.reshape(shape)
     return out
 
 
-def fourier_series(terms, L: int, d: int, value_shape: tuple) -> np.ndarray:
-    """sum_z c(z) e^{+i z.theta} on the full theta grid, shape (L,)*d + value_shape.
+def fourier_series(terms, L: int, d: int, value_shape: tuple,
+                   rows: slice = slice(None)) -> np.ndarray:
+    """sum_z c(z) e^{+i z.theta} on the theta grid, shape (L,)*d + value_shape;
+    only the rows of the first grid axis that the slice rows selects.
 
     terms yields (z, c) pairs, c of shape value_shape; they are summed in the
     order given, which fixes the last bits of the sum.  Offsets are taken as
-    they are, not reduced modulo L.
+    they are, not reduced modulo L.  Every node is summed on its own, so a
+    slab of rows has the bits of the same rows of the whole grid.
     """
-    out = np.zeros((L,) * d + value_shape, dtype=complex)
+    out = np.zeros((len(range(L)[rows]),) + (L,) * (d - 1) + value_shape, dtype=complex)
     values = (None,) * len(value_shape)
     for z, c in terms:
-        out += _phase_grid(z, L, +1)[(...,) + values] * c
+        out += _phase_grid(z, L, +1, rows)[(...,) + values] * c
     return out
 
 
@@ -223,24 +234,29 @@ def fourier_coefficient(hat: np.ndarray, z, skip: np.ndarray | None = None) -> n
     grid function hat of shape (L,)*d + value shape; the nodes where the
     boolean grid skip holds count as zero.
 
-    The sum runs one slab of nodes at a time (:func:`node_slabs`), each slab's
-    products summed over its nodes in C order with the running sum carried
-    into its first node.  numpy sums the whole product in that order, so the
-    bits are the same and the temporaries are a slab's size.  A value of a
-    single entry is summed whole, because numpy sums it pairwise.
+    The sum runs one slab of nodes at a time (:func:`node_slabs`): each slab's
+    phases and products are formed and summed over its nodes in C order with
+    the running sum carried into its first node.  numpy sums the whole
+    product in that order, so the bits are the same and the temporaries are
+    a slab's size.  A value of a single entry is summed whole, because numpy
+    sums it pairwise.  The products take the memory order of their operands,
+    and the sum its order from theirs, so each slab is read C-contiguous: a
+    view of a C-contiguous hat, a copy of another layout (a broadcast one).
     """
     d = len(z)
     L = hat.shape[0]
     values = (None,) * (hat.ndim - d)
-    phase = _phase_grid(z, L, -1)[(...,) + values]
     total = None
     for rows in node_slabs(hat) if np.prod(hat.shape[d:]) > 1 else [slice(None)]:
-        block = hat[rows] if skip is None else np.where(skip[rows][(...,) + values], 0.0,
-                                                        hat[rows])
-        terms = (phase[rows] * block).reshape((-1,) + hat.shape[d:])
+        block = np.ascontiguousarray(hat[rows])
+        if skip is not None:
+            block = np.where(skip[rows][(...,) + values], 0.0, block)
+        terms = (_phase_grid(z, L, -1, rows)[(...,) + values] * block).reshape(
+            (-1,) + hat.shape[d:])
         if total is not None:
             terms[0] += total
         total = np.add.reduce(terms, axis=0)
+        del terms  # spent before the next slab's products are formed
     return total / float(L) ** d
 
 

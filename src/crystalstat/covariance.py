@@ -78,10 +78,11 @@ class TestField:
         values[0, component] = 1.0
         return cls(sites=np.asarray([site]), values=values)
 
-    def fourier(self, L: int) -> np.ndarray:
-        """Psihat(theta) = sum_x Psi(x) e^{i x.theta} on the grid, (*grid, 2n)."""
+    def fourier(self, L: int, rows: slice = slice(None)) -> np.ndarray:
+        """Psihat(theta) = sum_x Psi(x) e^{i x.theta} on the grid, (*grid, 2n);
+        only the rows of the first grid axis that the slice rows selects."""
         return fourier_series(zip(self.sites, self.values), L, self.d,
-                              (self.values.shape[1],))
+                              (self.values.shape[1],), rows)
 
 
 @dataclass(eq=False)
@@ -110,12 +111,16 @@ class LimitDensity(SpectralDensity):
 
 
 def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> SpectralDensity:
-    """Transport a spectral density through time t: qhat_t = Ghat qhat_0 Ghat*."""
+    """Transport a spectral density through time t: qhat_t = Ghat qhat_0 Ghat*.
+
+    Each node is transported on its own, so the work runs one slab of nodes
+    at a time, with the propagator of that slab only."""
     _require_match(grid, q0.L, q0.d, q0.n)
-    G = _propagator_grid_matrix(grid, float(t))
-    qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
-    del G  # the Hermitian part and the validation hold no third matrix
-    qt = hermitian_part(qt)
+    qt = np.empty(q0.matrix.shape, dtype=complex)
+    for rows in _einsum_slabs(q0):
+        G = _propagator_grid_matrix(grid, float(t), nodes=rows)
+        hermitian_part(np.einsum("...ij,...jk,...lk->...il", G, _slab(q0.matrix, rows),
+                                 G.conj()), out=qt[rows])
     return SpectralDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=qt,
         provenance=f"evolved(t={t}):{q0.provenance}",
@@ -235,6 +240,21 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     )
 
 
+def _einsum_slabs(density: SpectralDensity) -> list:
+    """Slabs of the density's nodes for the nodewise einsums, each of three
+    nodes at least: on operands of one or two nodes einsum can sum a node's
+    terms in another order than on the whole grid."""
+    return list(node_slabs(density.matrix, min_rows=-(-3 // density.L ** (density.d - 1))))
+
+
+def _slab(matrix: np.ndarray, rows: slice) -> np.ndarray:
+    """A C-contiguous slab of a nodewise matrix: a view of a contiguous
+    matrix, a copy of a broadcast one.  einsum's summation order, and so its
+    last bits, can depend on the strides of its operands, so the readers
+    hand it operands of one layout whichever form the density has."""
+    return np.ascontiguousarray(matrix[rows])
+
+
 def _excluded(density: SpectralDensity) -> np.ndarray | None:
     """The excluded nodes of a limit density, None if there are none; each
     reader counts them as zero in its own slabs or nodewise results."""
@@ -270,12 +290,16 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     NumericalFault, as is a form negative beyond 1e-8.
     """
     L, d = density.L, density.d
-    psihat = psi.fourier(L)
-    nodewise = np.einsum("...i,...ij,...j->...", np.conj(psihat), density.matrix, psihat)
+    nodewise = np.empty((L,) * d, dtype=complex)
+    for rows in _einsum_slabs(density):
+        psihat = psi.fourier(L, rows)
+        np.einsum("...i,...ij,...j->...", np.conj(psihat), _slab(density.matrix, rows),
+                  psihat, out=nodewise[rows])
     excluded = _excluded(density)
     if excluded is not None:
         nodewise[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
     q_spectral = float(np.real(nodewise.sum()) / float(L) ** d)
+    del nodewise  # the real-space route holds no grid array beside its own slabs
 
     # the covariance at each ordered pair's offset, pairs in product order
     table = covariance_from_density(density, [xa - xb for xa in psi.sites for xb in psi.sites])
@@ -291,9 +315,13 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     return max(q_spectral, 0.0)
 
 
-def _support(psihat: np.ndarray) -> slice:
-    """The smallest range of components outside which psihat is zero at every node."""
-    live = np.flatnonzero(np.any(psihat != 0, axis=tuple(range(psihat.ndim - 1))))
+def _support(psi: TestField, L: int, slabs: list) -> slice:
+    """The smallest range of components outside which Psihat is zero at every
+    node, from its transform slab by slab."""
+    live = np.zeros(psi.values.shape[1], dtype=bool)
+    for rows in slabs:
+        live |= np.any(psi.fourier(L, rows) != 0, axis=tuple(range(psi.d)))
+    live = np.flatnonzero(live)
     return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
 
 
@@ -305,24 +333,29 @@ def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
     unexcluded nodes; decays to zero as t grows, which is the mixing property
     of the limit measure.  Only the range of components where Psihat1 is
     nonzero (rows of Ghat) and where Psihat2 is nonzero (columns of qhat_inf)
-    enters the sum; every term left out is an exact zero.
+    enters the sum; every term left out is an exact zero.  The integrand is
+    nodewise, so it is written one slab of nodes at a time, with the test
+    fields' transforms and the propagator rows of that slab only, and then
+    summed whole.
     """
     _require_match(grid, limit.L, limit.d, limit.n)
-    p1 = psi1.fourier(grid.L)
-    I = _support(p1)
-    if psi2 is psi1:  # a field paired with itself is transformed once
-        p2, K = p1, I
-    else:
-        p2 = psi2.fourier(grid.L)
-        K = _support(p2)
-    G = _propagator_grid_matrix(grid, float(t), rows=I)
-    # slices keep every operand's strides, so einsum sums the kept terms in
-    # the order it sums them over all 2n components
-    integrand = np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
-                          limit.matrix[..., :, K], p2[..., K])
+    L = grid.L
+    slabs = _einsum_slabs(limit)
+    I = _support(psi1, L, slabs)
+    K = I if psi2 is psi1 else _support(psi2, L, slabs)
+    integrand = np.empty((L,) * grid.d, dtype=complex)
+    for rows in slabs:
+        p1 = psi1.fourier(L, rows)
+        # a field paired with itself is transformed once
+        p2 = p1 if psi2 is psi1 else psi2.fourier(L, rows)
+        G = _propagator_grid_matrix(grid, float(t), rows=I, nodes=rows)
+        # slices keep every operand's strides, so einsum sums the kept terms
+        # in the order it sums them over all 2n components
+        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
+                  _slab(limit.matrix, rows)[..., :, K], p2[..., K], out=integrand[rows])
     excluded = _excluded(limit)
     if excluded is not None:
         integrand[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
-    total = complex(integrand.sum() / float(grid.L) ** grid.d)
+    total = complex(integrand.sum() / float(L) ** grid.d)
     return float(real_part_checked(np.array([total]), 1e-8 * (1.0 + abs(total.real)),
                                    "mixing integral")[0])

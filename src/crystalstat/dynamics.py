@@ -111,22 +111,25 @@ def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> n
     return np.concatenate([u, v], axis=1)
 
 
-def _propagator_grid_matrix(grid: DispersionGrid, t: float,
-                            rows: slice = slice(None)) -> np.ndarray:
+def _propagator_grid_matrix(grid: DispersionGrid, t: float, rows: slice = slice(None),
+                            nodes: slice = slice(None)) -> np.ndarray:
     """Rows of Ghat(t) as (*grid, rows, 2n) complex; all 2n rows by default.
 
     Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
     the cos, t*sinc and -omega*sin factors composed in the symbol eigenbasis.
     rows is a slice with unit step; each requested row is composed from the
     matching row of the basis only, and an empty half composes nothing.
+    nodes slices the first grid axis (a slab of `_lattice.node_slabs`): only
+    that slab of the basis is read and composed, and each node has the bits
+    it has on the whole grid.
     """
-    B = grid.basis
+    B = grid.basis[nodes]
     n = grid.n
     r = range(2 * n)[rows]
     top = slice(min(r.start, n), min(r.stop, n))
     bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
     k = top.stop - top.start
-    c, s, ns = _rotation_factors(grid.omega, t)
+    c, s, ns = _rotation_factors(grid.omega[nodes], t)
     G = np.empty(B.shape[:-2] + (len(r), 2 * n), dtype=complex)
     if k:
         C = eigen_compose(B, c, top)

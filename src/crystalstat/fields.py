@@ -157,15 +157,15 @@ def triangular_density(nu0: int, d: int, T0: float, T1: float, L: int) -> Spectr
 
 
 def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> SpectralDensity:
-    """Site-uncorrelated measure: constant density diag(T0 I, T1 I)."""
+    """Site-uncorrelated measure: constant density diag(T0 I, T1 I).
+
+    The matrix is one node broadcast to every grid node: a read-only view
+    that holds 2n x 2n entries, not one copy per node."""
     if not (0 <= T0 < np.inf and 0 <= T1 < np.inf):
         raise ValueError(f"temperatures must be finite and nonnegative, got T0={T0} T1={T1}")
-    matrix = np.zeros((L,) * d + (2 * n, 2 * n), dtype=complex)
-    for k in range(n):
-        matrix[..., k, k] = T0
-        matrix[..., n + k, n + k] = T1
+    node = np.diag(np.repeat([complex(T0), complex(T1)], n))
     return SpectralDensity(
-        L=L, d=d, n=n, matrix=matrix,
+        L=L, d=d, n=n, matrix=np.broadcast_to(node, (L,) * d + node.shape),
         provenance=f"analytic:white(T0={T0},T1={T1})",
     )
 
@@ -217,7 +217,8 @@ def _seed_states(seed, indices) -> np.ndarray:
             break
         lengths += longer
     states = np.empty((len(index), _POOL_SIZE), dtype=np.uint64)
-    for length in np.unique(lengths):
+    # np.unique would import numpy.ma on every call (numpy 2.4)
+    for length in sorted(set(lengths.tolist())):
         rows = lengths == length
         words = entropy + [column[rows] for column in key_words[:length]]
         states[rows] = _hashed_state(words)

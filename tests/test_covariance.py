@@ -411,11 +411,20 @@ def test_row_stacked_products_keep_the_bits_of_per_block_products(n, count, node
 #: d=3 n=2 L=16 with slabs of one row of the grid (1/16 of the matrix); the
 #: whole-array expressions before the one-buffer forms measured 3.13, 6.72
 #: and 5.13, the one-buffer forms 1.13, 2.58 and 3.00, and the slabwise forms
-#: 0.14, 1.27 and 3.00 (evolve_density, not slabbed, holds Ghat, its
+#: 0.14, 1.36 and 1.20 (evolve_density measured 3.00 while it held Ghat, its
 #: conjugate and the transported matrix); fourier_coefficient measured 1.19
-#: for the whole product and 0.25 for the slabwise sums
-MATRIX_PEAKS = {"SpectralDensity": 0.25, "limit_density": 1.5, "evolve_density": 3.25,
-                "fourier_coefficient": 0.35}
+#: for the whole product, 0.25 for the slabwise sums and 0.13 with each
+#: slab's phases formed in the slab.  quadratic_form measured 0.82 and
+#: mixing_integral 2.19 with whole-grid transforms and propagator rows, and
+#: 0.22 and 0.66 slab by slab; about 0.6 of the latter is the fixed buffers
+#: of its four-operand einsum, not a grid-sized array
+MATRIX_PEAKS = {"SpectralDensity": 0.25, "limit_density": 1.5, "evolve_density": 1.35,
+                "fourier_coefficient": 0.2, "quadratic_form": 0.35, "mixing_integral": 0.8}
+
+
+#: a test field on three sites that reaches all four components at d=3 n=2
+SPREAD = TestField(sites=[(0, 0, 0), (1, 0, 0), (0, 2, -1)],
+                   values=np.arange(12.0).reshape(3, 4) - 5.5)
 
 
 def traced_peak(call) -> int:
@@ -437,7 +446,9 @@ def test_density_path_holds_few_whole_grid_temporaries():
     calls = {"SpectralDensity": lambda: SpectralDensity(L=q0.L, d=3, n=2, matrix=q0.matrix),
              "limit_density": lambda: limit_density(q0, grid),
              "evolve_density": lambda: evolve_density(q0, grid, 2.5),
-             "fourier_coefficient": lambda: fourier_coefficient(q0.matrix, (1, 0, 0))}
+             "fourier_coefficient": lambda: fourier_coefficient(q0.matrix, (1, 0, 0)),
+             "quadratic_form": lambda: quadratic_form(q0, SPREAD),
+             "mixing_integral": lambda: mixing_integral(q0, grid, SPREAD, SPREAD, 2.5)}
     with slab_rows(1, q0.matrix):
         for name, call in calls.items():
             peak = traced_peak(call)
@@ -656,12 +667,20 @@ def full_mixing_integral(limit, grid, G, psi1, psi2):
     return float(complex(integrand.sum() / float(grid.L) ** grid.d).real)
 
 
+def full_quadratic_form(density, psi):
+    p = psi.fourier(density.L)
+    nodewise = np.einsum("...i,...ij,...j->...", np.conj(p), unexcluded_matrix(density), p)
+    return max(float(np.real(nodewise.sum()) / float(density.L) ** density.d), 0.0)
+
+
 @settings(max_examples=12, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
        kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30),
-       density_seed=st.integers(0, 2**32 - 1))
+       density_seed=st.integers(0, 2**32 - 1), slab=st.sampled_from([1, 3, 16]))
 def test_mixing_integral_equals_the_full_propagator_sum(d, n, kernel_range, kernel_seed,
-                                                        density_seed):
+                                                        density_seed, slab):
+    # the oracles sum whole-grid einsums; the readers run by slabs of slab
+    # rows of the grid (at d = 1 a row is one node)
     grid = _random_grid(d, n, kernel_range, kernel_seed)
     limit = limit_density(_random_density(d, n, grid.L, density_seed), grid)
     rng = np.random.default_rng(density_seed)
@@ -679,6 +698,93 @@ def test_mixing_integral_equals_the_full_propagator_sum(d, n, kernel_range, kern
                 dynamics._propagator_grid_matrix(grid, t, rows), G[..., rows, :])
         pairs = [(a, b) for a in deltas for b in (a, spread)]
         pairs += [(spread, a) for a in deltas + [spread, zero]] + [(zero, spread)]
-        for psi1, psi2 in pairs:
-            assert (mixing_integral(limit, grid, psi1, psi2, t)
-                    == full_mixing_integral(limit, grid, G, psi1, psi2))
+        with slab_rows(slab, limit.matrix):
+            for psi1, psi2 in pairs:
+                assert (mixing_integral(limit, grid, psi1, psi2, t)
+                        == full_mixing_integral(limit, grid, G, psi1, psi2))
+    with slab_rows(slab, limit.matrix):
+        for psi in deltas + [spread, zero]:
+            assert quadratic_form(limit, psi) == full_quadratic_form(limit, psi)
+
+
+# ------------------------------------------------------- slabbed propagator
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]),
+       kernel_range=st.sampled_from([1, 2]), kernel_seed=st.integers(0, 30), t=_times,
+       start=st.integers(0, 15), size=st.integers(1, 16))
+def test_slab_propagator_rows_are_the_whole_grid_rows(d, n, kernel_range, kernel_seed, t,
+                                                      start, size):
+    # a slab of nodes composes from its own slab of the basis the same bits
+    # as the whole grid does at those nodes, for every range of rows
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    nodes = slice(start, min(start + size, grid.L))
+    for rows in (slice(None), slice(0, 1), slice(n - 1, n + 1), slice(n, 2 * n), slice(0, 0)):
+        whole = dynamics._propagator_grid_matrix(grid, t, rows)
+        part = dynamics._propagator_grid_matrix(grid, t, rows, nodes=nodes)
+        assert part.tobytes() == np.ascontiguousarray(whole[nodes]).tobytes()
+        assert part.shape == whole[nodes].shape
+
+
+# ------------------------------------------------------- constant densities
+# white_noise_density broadcasts one node to the whole grid; every reader
+# must give the bits it gives on the same values stored node by node.
+
+def test_white_density_matrix_is_one_read_only_node():
+    white = white_noise_density(1.0, 0.5, 2, 3, 32)
+    assert white.matrix.shape == (32, 32, 32, 4, 4)
+    assert white.matrix.base.nbytes == 4 * 4 * 16  # one node, not 32**3
+    with pytest.raises(ValueError):
+        white.matrix[0, 0, 0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        white.matrix += 1.0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_temperatures = st.sampled_from([0.0, 0.5, 1.0, 2.75])
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), n=st.sampled_from([1, 2, 3]), T0=_temperatures,
+       T1=_temperatures, rows=st.sampled_from([1, 3, 16]), seed=st.integers(0, 2**32 - 1))
+def test_constant_density_readers_give_the_bits_of_the_stored_nodes(d, n, T0, T1, rows,
+                                                                     seed):
+    # a massless first branch gives C_0 nodes, so check_ES sums and the
+    # limit inspects them; the limit is taken with ES waived, which fails
+    # at d = 1, 2
+    grid = dispersion_grid(build_nn_kernel(d, n, [0.0] + [1.0] * (n - 1)), 16)
+    broadcast = white_noise_density(T0, T1, n, d, 16)
+    # np.array keeps the broadcast's axis order, which is not C order; the
+    # C-order copy is the layout the density had before it was broadcast
+    stored = [SpectralDensity(L=16, d=d, n=n, matrix=np.array(broadcast.matrix, order=order))
+              for order in ("K", "C")]
+    rng = np.random.default_rng(seed)
+    spread = TestField(sites=rng.integers(-4, 5, (3, d)), values=rng.standard_normal((3, 2 * n)))
+    delta = TestField.delta(d, n, component=int(rng.integers(0, 2 * n)))
+    waived = ConditionReport("ES", "pass")
+    offsets = [(0,) * d, tuple(int(c) for c in rng.integers(-3, 4, d))]
+
+    def readings(q):
+        limit = limit_density(q, grid, es_report=waived)
+        yield "limit_density", limit.matrix
+        yield "limit_density excluded", limit.excluded
+        yield "evolve_density", evolve_density(q, grid, 3.5).matrix
+        if T0 or T1:  # on a zero density check_ES divides by its zero sums
+            yield "check_ES", check_ES(grid, q).witnesses[0]["sums"]
+        yield "covariance_from_density", covariance_from_density(q, offsets)
+        yield "hermitian_sqrt", q.hermitian_sqrt()
+        yield "gaussian_ensemble", gaussian_ensemble(q, 2, seed)
+        for psi in (delta, spread):
+            yield "quadratic_form", quadratic_form(q, psi)
+            for t in (0.0, 7.0):
+                yield "mixing_integral", mixing_integral(q, grid, psi, spread, t)
+                yield "mixing_integral of the limit", mixing_integral(limit, grid, psi, psi, t)
+
+    with slab_rows(rows, broadcast.matrix):
+        for q in stored:
+            for (name, got), (_, want) in zip(readings(broadcast), readings(q), strict=True):
+                assert same_bits(got, want), (name, q.matrix.strides)

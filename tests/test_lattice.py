@@ -98,8 +98,11 @@ def fourier_case(draw):
 @given(case=fourier_case())
 def test_fourier_helpers_keep_the_bits_of_the_inline_loops(case):
     d, L, value_shape, terms, hat = case
-    np.testing.assert_array_equal(fourier_series(terms, L, d, value_shape),
-                                  inline_series(terms, L, d, value_shape))
+    whole = fourier_series(terms, L, d, value_shape)
+    np.testing.assert_array_equal(whole, inline_series(terms, L, d, value_shape))
+    for start in range(L):  # a slab of rows has the whole grid's bits there
+        rows = slice(start, start + 2)
+        assert same_bits(fourier_series(terms, L, d, value_shape, rows), whole[rows])
     if len(value_shape) == 2:
         for z, _ in terms:
             z = tuple(int(c) for c in z)
@@ -157,9 +160,10 @@ def random_grid(d, n, kernel_seed):
 
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(1, 2), kernel_seed=st.integers(0, 3),
-       seed=st.integers(0, 2**32 - 1), t=st.floats(-50.0, 50.0))
+       seed=st.integers(0, 2**32 - 1), t=st.floats(-50.0, 50.0),
+       rows=st.sampled_from([1, 2, 16]))
 def test_hermitian_part_callers_keep_the_bits_of_the_inline_expression(d, n, kernel_seed,
-                                                                       seed, t):
+                                                                       seed, t, rows):
     grid = random_grid(d, n, kernel_seed)
     kernel, L = grid.kernel, grid.L
     acc = fourier_series(kernel.entries.items(), L, d, (n, n))
@@ -178,9 +182,11 @@ def test_hermitian_part_callers_keep_the_bits_of_the_inline_expression(d, n, ker
     q0 = density_from_covariance(cov, L)
     assert same_bits(q0.matrix, eigen_compose(U, np.clip(w, 0.0, None)))
 
+    # the whole-grid transport; evolve_density runs by slabs of rows rows
     G = _propagator_grid_matrix(grid, t)
     qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
-    assert same_bits(evolve_density(q0, grid, t).matrix, inline_hermitian_part(qt))
+    with mock.patch.object(_lattice, "SLAB_BYTES", rows * q0.matrix[0].nbytes):
+        assert same_bits(evolve_density(q0, grid, t).matrix, inline_hermitian_part(qt))
 
 
 @st.composite

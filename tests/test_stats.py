@@ -1,7 +1,11 @@
 """Ensemble estimators, characteristic functionals, moment diagnostics."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -135,6 +139,33 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
     # 6.3 MB at the 1 MiB chunk budget, 23 MB at a 4 MiB one.
     assert large < 8e6
+
+
+PROBE_NUMPY_MA = """
+import sys
+from crystalstat import (TestField, build_nn_kernel, dispersion_grid, gaussian_ensemble,
+                         linear_functional_samples, stream_ensemble, white_noise_density)
+density = white_noise_density(1.0, 1.0, 1, 1, 16)
+psi = TestField.delta(1, 1)
+stream_ensemble(density, 100, 0, dispersion_grid(build_nn_kernel(1, 1, 1.0), 16), 1.0,
+                lambda Y0, Yt: (linear_functional_samples(Yt, psi),),
+                "covariance error bars")
+gaussian_ensemble(density, 2, 0, start_index=2**32 - 1)  # spawn keys of one and two words
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sampling_leaves_numpy_ma_unloaded():
+    # np.unique without return_inverse imports numpy.ma (numpy 2.4), which
+    # cost each sampling run about 13 ms; the seed hash takes its distinct
+    # key lengths without it.  A fresh interpreter runs the stream, since
+    # this one may have loaded numpy.ma already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(stats.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", PROBE_NUMPY_MA], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_empirical_covariance_needs_samples():
