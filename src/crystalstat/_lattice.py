@@ -16,7 +16,9 @@ first and their component axes last.  An ensemble of fields is one array
 components followed by the v components, each one contiguous grid block, so
 that the FFTs run over the trailing axes 2..d+1.  The nodewise matrices that
 act on an ensemble are moved to (2n, 2n, *grid) or (n, n, *grid)
-C-contiguous copies by :func:`moved_axes`.  :func:`hermitian_part` is the one
+C-contiguous copies by :func:`moved_axes`.  A nodewise matrix whose grid axes
+are broadcast holds one node, which :func:`one_node` returns, so that work
+independent of the node is done once.  :func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
 :func:`node_slabs`, slabs of the first grid axis of at most SLAB_BYTES each.
@@ -125,6 +127,19 @@ def moved_axes(a: np.ndarray, source, destination) -> np.ndarray:
     depend on the strides of its operands, and a strided view is slower.
     """
     return np.ascontiguousarray(np.moveaxis(a, source, destination))
+
+
+def one_node(a: np.ndarray) -> np.ndarray | None:
+    """The single node of a nodewise matrix (*grid, k, k) whose grid axes are
+    all broadcast (stride 0), such as a constant density: a (k, k) view that
+    every grid node reads.  None if the array stores its nodes apart.
+
+    This is the one reader of an array's strides: a caller does the work that
+    does not depend on the node once on this node, and keeps the bits, since
+    every node holds the same numbers."""
+    if any(stride != 0 for stride in a.strides[:-2]):
+        return None
+    return a[(0,) * (a.ndim - 2)]
 
 
 def eigen_compose(basis: np.ndarray, values: np.ndarray,

@@ -51,6 +51,7 @@ from .fields import (
 )
 from .kernel import (
     ConditionFailure,
+    _scan_resolution,
     build_nn_kernel,
     check_E123,
     kernel_from_json,
@@ -397,26 +398,34 @@ class _Run:
             self.memo["kernel"] = _build_kernel(self.eff["kernel"])
         return self.memo["kernel"]
 
-    def e123(self) -> list:
-        """The kernel's E1-E3 reports, checked once per run."""
+    def e123(self, symbol=None) -> list:
+        """The kernel's E1-E3 reports, checked once per run; symbol is the
+        kernel's symbol grid at the E3 scan resolution, if :meth:`grid` has it."""
         if "E123" not in self.memo:
-            self.memo["E123"] = check_E123(self.kernel())
+            self.memo["E123"] = check_E123(self.kernel(), symbol)
         return self.memo["E123"]
 
     def grid(self, L: int):
         """The dispersion grid at resolution L, built once E1-E3 pass :meth:`gate`
-        so that kernel defects exit with code 2 before the eigensolver runs."""
+        so that kernel defects exit with code 2 before the eigensolver runs.
+        If E1-E3 are still unchecked and L is the E3 scan resolution, the
+        check and the grid read one symbol grid, which this call drops."""
         if L not in self.memo:
-            self.gate(self.e123())
-            self.memo[L] = dispersion_grid(self.kernel(), L, self.thr["delta_cross"],
-                                           self.thr["delta_null"], self.thr["delta_hess"])
+            kernel = self.kernel()
+            shared = "E123" not in self.memo and L == _scan_resolution(kernel.d)
+            symbol = kernel.symbol_grid(L) if shared else None
+            self.gate(self.e123(symbol))
+            self.memo[L] = dispersion_grid(kernel, L, self.thr["delta_cross"],
+                                           self.thr["delta_null"], self.thr["delta_hess"],
+                                           symbol)
         return self.memo[L]
 
     def conditions(self, L: int) -> list:
         """E1-E5 reports of the grid at resolution L."""
         key = ("conditions", L)
         if key not in self.memo:
-            self.memo[key] = self.e123() + check_E4_E5(self.grid(L))
+            grid = self.grid(L)  # first, so that the grid can share E3's symbol
+            self.memo[key] = self.e123() + check_E4_E5(grid)
         return self.memo[key]
 
     def measure(self) -> _Measure:

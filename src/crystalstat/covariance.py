@@ -25,6 +25,7 @@ from ._lattice import (
     hermitian_part,
     largest_modulus,
     node_slabs,
+    one_node,
     real_part_checked,
 )
 from .dynamics import _propagator_grid_matrix
@@ -160,6 +161,11 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         return (Ellipsis, slice(k * n, (k + 1) * n), slice(None))
 
     blocks = ((0, 0), (0, 1), (1, 0), (1, 1))
+    # a one-node density's blocks are the right factor of every node's left
+    # product, so a slab's products of a block stack into one (see below)
+    node = one_node(q0.matrix)
+    node_blocks = (None if node is None
+                   else [np.ascontiguousarray(node[block(i, j)]) for i, j in blocks])
     out = np.empty(q0.matrix.shape, dtype=complex)
     # every step below is nodewise, so it runs one slab of nodes at a time
     # with the same operations as on the whole grid
@@ -181,10 +187,15 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         # axis.  A row of a BLAS matrix product does not depend on the rows
         # stacked with it (a test checks this), so this keeps the bits of four
         # products; stacking along the column axis (a shared left factor) or
-        # a transposed form does not, so the left products stay one per block
+        # a transposed form does not, so the left products stay one per block,
+        # bar a one-node density's, whose block is the right factor of every
+        # node's product: there the slab's rows of Bh stack into one product
         left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
         for k, (i, j) in enumerate(blocks):
-            np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
+            if node_blocks is None:
+                np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
+            else:
+                left[stacked(k)] = (Bh.reshape(-1, n) @ node_blocks[k]).reshape(Bh.shape)
         right = left @ B
         A = {b: right[stacked(k)] for k, b in enumerate(blocks)}
         M = {

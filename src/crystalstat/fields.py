@@ -41,6 +41,7 @@ from ._lattice import (
     lowest_eigenvalue,
     moved_axes,
     node_slabs,
+    one_node,
     real_part_checked,
     reflected,
     theta_axis,
@@ -80,8 +81,13 @@ class SpectralDensity:
         # as the whole-array expressions, taken slab by slab; np.max keeps a
         # NaN, where Python's max would drop it.  One NaN or infinite entry
         # makes the scale non-finite, and is refused before any difference
-        # is formed: a NaN gap would compare false and pass the gates below
+        # is formed: a NaN gap would compare false and pass the gates below.
+        # A one-node density is checked on its node, which every node reads:
+        # the same moduli, so the same scale, gaps and verdicts
         matrix, d = self.matrix, self.d
+        node = one_node(matrix)
+        if node is not None:
+            matrix = node[(None,) * d]
         scale = 1.0 + largest_modulus(matrix)
         if not np.isfinite(scale):
             raise ValueError("density matrix must be finite")
@@ -111,17 +117,22 @@ class SpectralDensity:
 
     def hermitian_sqrt(self) -> np.ndarray:
         """Nodewise PSD square root, cached; raises a NumericalFault if any
-        node has an eigenvalue negative beyond roundoff."""
+        node has an eigenvalue negative beyond roundoff.  A one-node density
+        is diagonalised at its node, and its root is that node's broadcast to
+        the grid (read-only)."""
         if self._sqrt_cache is None:
-            w, U = np.linalg.eigh(self.matrix)
+            node = one_node(self.matrix)
+            matrix = self.matrix if node is None else node[(None,) * self.d]
+            w, U = np.linalg.eigh(matrix)
             lowest = lowest_eigenvalue(w)
             if lowest.negative:
                 raise NumericalFault(
                     f"density is not positive semidefinite at node {lowest.node} "
                     f"(eigenvalue {lowest.value:.3e})"
                 )
-            w = np.clip(w, 0.0, None)
-            self._sqrt_cache = eigen_compose(U, np.sqrt(w))
+            root = eigen_compose(U, np.sqrt(np.clip(w, 0.0, None)))
+            self._sqrt_cache = (root if node is None
+                                else np.broadcast_to(root, self.matrix.shape))
         return self._sqrt_cache
 
 

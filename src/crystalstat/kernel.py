@@ -232,7 +232,8 @@ def random_finite_range_kernel(d: int, n: int, N: int, seed: int) -> Interaction
     return InteractionKernel(d, n, entries)
 
 
-def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
+def check_E123(kernel: InteractionKernel,
+               symbol: np.ndarray | None = None) -> list[ConditionReport]:
     """Check the structural kernel conditions; returns reports for E1, E2, E3.
 
     E1 (finite range): every stored offset lies in a finite Chebyshev ball and
@@ -240,9 +241,15 @@ def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
     entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over the theta
     grid of the dimension's scan resolution (_SCAN_RESOLUTION), judged by
     :func:`e3_report`.  A dispersion grid of another resolution judges its own
-    eigenvalues by the same rule.
+    eigenvalues by the same rule.  symbol is the kernel's symbol_grid at the
+    scan resolution, if the caller holds it (to diagonalise it next); else
+    the check builds it.
     """
     grid_resolution = _scan_resolution(kernel.d)
+    if symbol is None:
+        symbol = kernel.symbol_grid(grid_resolution)
+    if symbol.shape != (grid_resolution,) * kernel.d + (kernel.n, kernel.n):
+        raise ValueError(f"symbol grid of shape {symbol.shape} is not the scan grid's")
     reports = []
 
     N = kernel.range
@@ -272,7 +279,7 @@ def check_E123(kernel: InteractionKernel) -> list[ConditionReport]:
         )
     )
 
-    w = np.linalg.eigvalsh(kernel.symbol_grid(grid_resolution))
+    w = np.linalg.eigvalsh(symbol)
     reports.append(e3_report(lowest_eigenvalue(w), grid_resolution, kernel.d))
     return reports
 

@@ -217,7 +217,8 @@ def _branch_labels(B: np.ndarray) -> np.ndarray:
 
 def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELTA_CROSS,
                     delta_null: float = DELTA_NULL,
-                    delta_hess: float = DELTA_HESS) -> DispersionGrid:
+                    delta_hess: float = DELTA_HESS,
+                    symbol: np.ndarray | None = None) -> DispersionGrid:
     """Diagonalize the symbol on the (2 pi / L) Z^d grid and continue branches,
     flagging crossings at delta_cross, null frequencies at delta_null and,
     on first read of ck, flat curvature at delta_hess.  The flagged
@@ -227,12 +228,15 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     L must be even and at least 16 so that subgrid refinement comparisons and
     the theta -> -theta symmetry are available.  A symbol eigenvalue negative
     beyond roundoff raises a ConditionFailure with a failing E3 report of
-    this grid.
+    this grid.  symbol is the kernel's symbol_grid(L), if the caller holds
+    it; else it is built here.
     """
     if L < 16 or L % 2 != 0:
         raise ValueError("grid resolution L must be even and >= 16")
     d, n = kernel.d, kernel.n
-    S = kernel.symbol_grid(L)
+    S = kernel.symbol_grid(L) if symbol is None else symbol
+    if S.shape != (L,) * d + (n, n):
+        raise ValueError(f"symbol grid of shape {S.shape} does not match L={L}")
     w, B = np.linalg.eigh(S)
     lowest = lowest_eigenvalue(w)
     if lowest.negative:
@@ -346,8 +350,10 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
     full grid) either stabilize (ratio < 1.5: pass) or grow geometrically
     (ratio >= 1.8, the divergent benchmark approaches 2: fail); in between the
     test is inconclusive.  When the symbol never degenerates the weights are
-    bounded and the check is skipped with a pass.  The degenerate nodes and
-    the inverse frequencies are the grid's, decided at grid.delta_null.
+    bounded and the check is skipped with a pass; when every sum is zero, the
+    weighted density is zero, trivially summable, and passes.  The degenerate
+    nodes and the inverse frequencies are the grid's, decided at
+    grid.delta_null.
     """
     _require_match(grid, density.L, density.d, density.n)
     c0_fraction = float(grid.c0.mean())
@@ -361,6 +367,18 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
         )
     strides = [4, 2, 1] if grid.L % 4 == 0 else [2, 1]
     sums = [_inverse_frequency_weight(grid, density.matrix, s) for s in strides]
+    tolerances = {"pass_below": 1.5, "fail_at": 1.8, "delta_null": grid.delta_null}
+    if not any(sums):
+        # no refinement ratio exists, and none is needed
+        return ConditionReport(
+            condition="ES",
+            verdict="pass",
+            witnesses=[{"value": 0.0, "sums": sums,
+                        "note": "zero weighted density; trivially summable"}],
+            tolerances=tolerances,
+            note=f"every Riemann sum over strides {strides} is zero; "
+                 f"C0 fraction {c0_fraction:.3e}",
+        )
     ratios = [sums[i + 1] / sums[i] for i in range(len(sums) - 1)]
     final = ratios[-1]
     if final < 1.5:
@@ -373,7 +391,7 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
         condition="ES",
         verdict=verdict,
         witnesses=[{"value": final, "sums": sums, "ratios": ratios}],
-        tolerances={"pass_below": 1.5, "fail_at": 1.8, "delta_null": grid.delta_null},
+        tolerances=tolerances,
         note=f"refinement ratios over strides {strides}; C0 fraction {c0_fraction:.3e}",
     )
 

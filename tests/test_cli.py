@@ -760,14 +760,43 @@ def test_report_runs_all_stages(tmp_path, capsys):
 def test_report_checks_E123_once_across_resolutions(tmp_path, monkeypatch):
     calls = []
 
-    def counted(kernel):
+    def counted(kernel, *rest):
         calls.append(kernel)
-        return check_E123(kernel)
+        return check_E123(kernel, *rest)
 
     monkeypatch.setattr(cli, "check_E123", counted)
     out = tmp_path / "rep"
     assert main(["report"] + nn_args(L=16) + ["--grid-L", "32", "--output", str(out)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("L, builds", [(32, 1), (16, 2)])
+def test_scan_grid_symbol_is_built_once(tmp_path, monkeypatch, L, builds):
+    # at d=3 the E3 scan grid is 32^3; a run at that resolution builds its
+    # symbol once for E1-E3 and the dispersion grid, another run twice
+    calls = []
+    symbol_grid = InteractionKernel.symbol_grid
+    monkeypatch.setattr(InteractionKernel, "symbol_grid",
+                        lambda self, L: calls.append(L) or symbol_grid(self, L))
+    out = tmp_path / "rep"
+    argv = ["--nn", "d=3", "n=1", "m=1", "--L", str(L)]
+    assert main(["report"] + argv + ["--output", str(out)]) == 0
+    assert len(calls) == builds
+    kernel = build_nn_kernel(3, 1, 1.0)
+    reports = json.loads((out / "dispersion" / "conditions.json").read_text())
+    assert reports[:3] == json.loads(json.dumps([r.to_jsonable() for r in check_E123(kernel)]))
+
+
+@pytest.mark.parametrize("command", ["limit", "report"])
+def test_zero_density_is_trivially_summable(tmp_path, command):
+    # a massless kernel has C_0 nodes, so ES sums the weighted density, all zero
+    out = tmp_path / command
+    argv = ["--nn", "d=3", "n=1", "m=0", "--L", "16", "--white", "T0=0", "T1=0"]
+    assert main([command] + argv + ["--output", str(out)]) == 0
+    limit = json.loads(((out / "limit" if command == "report" else out)
+                        / "limit.json").read_text())
+    assert limit["es"]["verdict"] == "pass"
+    assert limit["es"]["witnesses"][0]["sums"] == [0.0, 0.0, 0.0]
 
 
 def report_stages(out):

@@ -1,7 +1,11 @@
 """Covariance transport, the long-time limit, quadratic forms, mixing."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crystalstat
 from crystalstat import (
     ConditionFailure,
     NumericalFault,
@@ -407,6 +412,55 @@ def test_row_stacked_products_keep_the_bits_of_per_block_products(n, count, node
                                       err_msg="a row block of a row-stacked product")
 
 
+def shared_right_factor_products_keep_their_bits(n, nodes, seed):
+    """One (nodes n, n) @ (n, n) product, the form limit_density takes for a
+    one-node density, has the bits of the per-node products it replaces:
+    np.matmul of each node's left factor with a contiguous copy of the right
+    factor, written into a row block of a stack."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        scale = 10.0 ** rng.uniform(-8, 8, shape)
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    left, right = draw(nodes, n, n), draw(n, n)
+    stack = np.empty((nodes, 2 * n, n), dtype=complex)
+    np.matmul(left, np.ascontiguousarray(np.broadcast_to(right, left.shape)),
+              out=stack[:, n:])
+    one = (left.reshape(-1, n) @ right).reshape(left.shape)
+    assert one.tobytes() == np.ascontiguousarray(stack[:, n:]).tobytes(), (n, nodes, seed)
+
+
+#: the property over n 1-3, entries over 16 decades and 1 to 4096 nodes (a
+#: whole slab of limit_density at report-d3's n = 2), run in a child process
+#: whose BLAS pool has the given size
+SHARED_RIGHT_FACTOR_PROPERTY = """
+from hypothesis import example, given, settings, strategies as st
+from test_covariance import shared_right_factor_products_keep_their_bits
+
+@settings(max_examples=80, deadline=None)
+@example(n=2, nodes=4096, seed=0)
+@example(n=3, nodes=4096, seed=1)
+@given(n=st.integers(1, 3), nodes=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1))
+def holds(n, nodes, seed):
+    shared_right_factor_products_keep_their_bits(n, nodes, seed)
+
+holds()
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_product_with_a_shared_right_factor_keeps_the_bits_of_per_node_products(threads):
+    tests, package = Path(__file__).resolve().parent, Path(crystalstat.__file__).parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tests), str(package),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SHARED_RIGHT_FACTOR_PROPERTY],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr[-3000:]
+
+
 #: peak traced memory above entry, in units of the density's matrix, at
 #: d=3 n=2 L=16 with slabs of one row of the grid (1/16 of the matrix); the
 #: whole-array expressions before the one-buffer forms measured 3.13, 6.72
@@ -773,8 +827,7 @@ def test_constant_density_readers_give_the_bits_of_the_stored_nodes(d, n, T0, T1
         yield "limit_density", limit.matrix
         yield "limit_density excluded", limit.excluded
         yield "evolve_density", evolve_density(q, grid, 3.5).matrix
-        if T0 or T1:  # on a zero density check_ES divides by its zero sums
-            yield "check_ES", check_ES(grid, q).witnesses[0]["sums"]
+        yield "check_ES", check_ES(grid, q).witnesses[0]["sums"]
         yield "covariance_from_density", covariance_from_density(q, offsets)
         yield "hermitian_sqrt", q.hermitian_sqrt()
         yield "gaussian_ensemble", gaussian_ensemble(q, 2, seed)

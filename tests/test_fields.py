@@ -378,6 +378,55 @@ def refuse_as_the_whole_array_checks(d, n, L, node, pair, size, phase, seed, dat
                 SpectralDensity(L=L, d=d, n=n, matrix=broken)
 
 
+@pytest.mark.parametrize("d, L", [(1, 16), (2, 16), (3, 32)])
+@pytest.mark.parametrize("defect, refusal", [
+    ("hermitian", "density is not Hermitian (gap "),
+    ("reality", "density violates reality symmetry (gap "),
+    ("nan", "density matrix must be finite"),
+])
+def test_one_node_density_refuses_as_its_stored_copy(d, L, defect, refusal):
+    # a broadcast density is checked on its one node; the same values stored
+    # node by node (several slabs at d=3) must be refused with the same text
+    node = np.diag([1.0, 2.0, 0.5, 1.5]).astype(complex)
+    if defect == "hermitian":
+        node[0, 3] = 0.25
+    elif defect == "reality":  # Hermitian, but conj(qhat(-theta)) != qhat(theta)
+        node[0, 3], node[3, 0] = 0.25j, -0.25j
+    else:
+        node[2, 1] = complex(0.0, np.nan)
+    broadcast = np.broadcast_to(node, (L,) * d + node.shape)
+    messages = []
+    for matrix in (broadcast, np.ascontiguousarray(broadcast)):
+        with pytest.raises(ValueError) as refused:
+            SpectralDensity(L=L, d=d, n=2, matrix=matrix)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1] and messages[0].startswith(refusal)
+
+
+@pytest.mark.parametrize("d, n, L", [(2, 1, 64), (3, 2, 16), (1, 3, 256)])
+def test_one_node_root_is_one_broadcast_node(d, n, L):
+    white = white_noise_density(0.5, 2.0, n, d, L)
+    root = white.hermitian_sqrt()
+    assert _lattice.one_node(root) is not None and not root.flags.writeable
+    stored = SpectralDensity(L=L, d=d, n=n, matrix=np.ascontiguousarray(white.matrix))
+    assert _lattice.one_node(stored.matrix) is None
+    assert root.tobytes() == stored.hermitian_sqrt().tobytes()
+    assert gaussian_ensemble(white, 3, 11).tobytes() == gaussian_ensemble(stored, 3, 11).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_node_root_refuses_as_its_stored_copy(d):
+    node = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)  # eigenvalues 3 and -1
+    broadcast = np.broadcast_to(node, (16,) * d + node.shape)
+    messages = []
+    for matrix in (broadcast, np.ascontiguousarray(broadcast)):
+        with pytest.raises(NumericalFault) as refused:
+            SpectralDensity(L=16, d=d, n=1, matrix=matrix).hermitian_sqrt()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"density is not positive semidefinite at node {(0,) * d}")
+
+
 def test_gibbs_density_blocks(grid64):
     lim = gibbs_density(2.0, grid64)
     # velocity block T1/2 everywhere, displacement block (T1/2) / omega^2

@@ -25,6 +25,10 @@ One owner for the initial measure: in the CLI only ``_Run.measure`` builds a
 density from a measure spec (``gibbs`` builds its fixed white-noise start from
 ``--T1``), and only ``_effective_config`` reads ``--transform``.
 
+One reader of memory layout: only ``_lattice.one_node`` reads an array's
+``.strides``; every other module asks it whether a nodewise array holds one
+node.
+
 One failure path: only the CLI's exit-code table ``_FAILURES`` reads the exit
 codes of usage errors, condition failures and numerical faults; the E3
 verdict, the dispersion grid and the density's square root decide a negative
@@ -180,6 +184,27 @@ def test_hermitian_part_write_is_found():
               "        return 0.5 * (acc + acc.conj().T), (acc + acc.T.conj()) / 2\n")
     # a real symmetric part (no conjugate) and the mixed sum of two matrices are not
     assert hermitian_part_writes(source) == ["f", "f", "K.g", "K.g"]
+
+
+def attribute_reads(source: str, name: str) -> list[str]:
+    """The scope of each read of an attribute called name."""
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_one_node_reads_strides():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert [f"{module}.{scope}" for module, source in sources.items()
+            for scope in attribute_reads(source, "strides")] == ["_lattice.one_node"]
+
+
+def test_strides_read_is_found():
+    source = ("def f(a, strides):\n    return a.strides[0], strides, g(a).strides\n"
+              "class A:\n"
+              "    def g(self, b):\n        b.strides = (0,)\n        return self.x.strides\n")
+    # a variable called strides, and an assignment to the attribute, are not reads
+    assert attribute_reads(source, "strides") == ["f", "f", "A.g"]
 
 
 def scoped_nodes(source: str):
