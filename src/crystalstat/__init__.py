@@ -45,7 +45,6 @@ from .fields import (
     white_noise_density,
 )
 from .covariance import (
-    LimitDensity,
     TestField,
     covariance_from_density,
     evolve_density,
@@ -96,7 +95,6 @@ __all__ = [
     "nonlinear_transform_sample",
     "triangular_density",
     "white_noise_density",
-    "LimitDensity",
     "TestField",
     "covariance_from_density",
     "evolve_density",

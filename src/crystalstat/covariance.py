@@ -35,7 +35,6 @@ from .spectral import DispersionGrid, _require_match, check_ES
 
 __all__ = [
     "TestField",
-    "LimitDensity",
     "evolve_density",
     "limit_density",
     "gibbs_density",
@@ -86,31 +85,6 @@ class TestField:
                               (self.values.shape[1],), rows)
 
 
-@dataclass(eq=False)
-class LimitDensity(SpectralDensity):
-    """Long-time covariance density plus quadrature exclusions.
-
-    excluded marks nodes where the limit needed an inverse frequency that the
-    degenerate symbol does not provide; they are skipped (with their measure
-    fraction) wherever the density is integrated.  cluster_id records, per node
-    and branch, the equal-frequency grouping the projection kept.
-    """
-
-    excluded: np.ndarray = None
-    cluster_id: np.ndarray = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.excluded is None:
-            self.excluded = np.zeros((self.L,) * self.d, dtype=bool)
-        if self.cluster_id is None:
-            self.cluster_id = np.zeros((self.L,) * self.d + (self.n,), dtype=int)
-
-    @property
-    def excluded_fraction(self) -> float:
-        return float(self.excluded.mean())
-
-
 def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> SpectralDensity:
     """Transport a spectral density through time t: qhat_t = Ghat qhat_0 Ghat*.
 
@@ -118,10 +92,9 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
     at a time, with the propagator of that slab only."""
     _require_match(grid, q0.L, q0.d, q0.n)
     qt = np.empty(q0.matrix.shape, dtype=complex)
-    for rows in _einsum_slabs(q0):
+    for rows, q in _slabs(q0):
         G = _propagator_grid_matrix(grid, float(t), nodes=rows)
-        hermitian_part(np.einsum("...ij,...jk,...lk->...il", G, _slab(q0.matrix, rows),
-                                 G.conj()), out=qt[rows])
+        hermitian_part(np.einsum("...ij,...jk,...lk->...il", G, q, G.conj()), out=qt[rows])
     return SpectralDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=qt,
         provenance=f"evolved(t={t}):{q0.provenance}",
@@ -129,7 +102,7 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
 
 
 def limit_density(q0: SpectralDensity, grid: DispersionGrid,
-                  es_report: Optional[ConditionReport] = None) -> LimitDensity:
+                  es_report: Optional[ConditionReport] = None) -> SpectralDensity:
     """Long-time limit of the transported density.
 
     In the symbol eigenbasis the four blocks are averaged into
@@ -221,7 +194,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         q = q0.matrix[grid.c0]
         excluded[grid.c0] = np.any([np.max(np.abs(q[block(i, j)]), axis=(-2, -1)) > tol
                                     for i, j in ((0, 1), (1, 0), (1, 1))], axis=0)
-    return LimitDensity(
+    return SpectralDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=out,
         provenance=f"limit:{q0.provenance}",
         excluded=excluded,
@@ -229,7 +202,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     )
 
 
-def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
+def gibbs_density(T1: float, grid: DispersionGrid) -> SpectralDensity:
     """Equilibrium density (T1/2) diag(Vhat^-1, I) at temperature T1.
 
     The grid's C_0 nodes (decided at grid.delta_null) have no inverse and are
@@ -243,7 +216,7 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     out[..., :n, :n] = 0.5 * T1 * Vinv
     idx = np.arange(n)
     out[..., n + idx, n + idx] = 0.5 * T1
-    return LimitDensity(
+    return SpectralDensity(
         L=grid.L, d=grid.d, n=grid.n, matrix=out,
         provenance=f"gibbs(T1={T1})",
         excluded=grid.c0.copy(),
@@ -251,34 +224,45 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> LimitDensity:
     )
 
 
-def _einsum_slabs(density: SpectralDensity) -> list:
-    """Slabs of the density's nodes for the nodewise einsums, each of three
-    nodes at least: on operands of one or two nodes einsum can sum a node's
-    terms in another order than on the whole grid."""
-    return list(node_slabs(density.matrix, min_rows=-(-3 // density.L ** (density.d - 1))))
-
-
-def _slab(matrix: np.ndarray, rows: slice) -> np.ndarray:
-    """A C-contiguous slab of a nodewise matrix: a view of a contiguous
-    matrix, a copy of a broadcast one.  einsum's summation order, and so its
-    last bits, can depend on the strides of its operands, so the readers
-    hand it operands of one layout whichever form the density has."""
-    return np.ascontiguousarray(matrix[rows])
+def _slabs(density: SpectralDensity):
+    """(rows, slab) for the nodewise einsums: slabs of the density's nodes,
+    each of three nodes at least, since on operands of one or two nodes
+    einsum can sum a node's terms in another order than on the whole grid;
+    and each slab C-contiguous, a view of a contiguous matrix and a copy of
+    a broadcast one, since einsum's summation order can depend on the
+    strides of its operands too."""
+    for rows in node_slabs(density.matrix, min_rows=-(-3 // density.L ** (density.d - 1))):
+        yield rows, np.ascontiguousarray(density.matrix[rows])
 
 
 def _excluded(density: SpectralDensity) -> np.ndarray | None:
-    """The excluded nodes of a limit density, None if there are none; each
-    reader counts them as zero in its own slabs or nodewise results."""
-    excluded = getattr(density, "excluded", None)
+    """The density's excluded nodes, None if there are none; each reader
+    counts them as zero in its own slabs or nodewise results."""
+    excluded = density.excluded
     return excluded if excluded is not None and np.any(excluded) else None
+
+
+def _node_sum(density: SpectralDensity, integrand) -> complex:
+    """sum over the unexcluded nodes of a nodewise integrand, which
+    integrand(rows, slab, out) writes into out for each slab of
+    :func:`_slabs`; the excluded nodes count as the einsum of a zero
+    matrix, which sums from +0.  The readers divide it by L^d each: the
+    quotient of a complex sum and the real part's quotient round apart
+    unless L^d is a power of two."""
+    values = np.empty((density.L,) * density.d, dtype=complex)
+    for rows, slab in _slabs(density):
+        integrand(rows, slab, out=values[rows])
+    excluded = _excluded(density)
+    if excluded is not None:
+        values[excluded] = 0.0
+    return values.sum()
 
 
 def covariance_from_density(density: SpectralDensity, offsets) -> np.ndarray:
     """Inverse Fourier evaluation q(z) = L^-d sum_theta e^{-i z.theta} qhat(theta).
 
     Returns the real (len(offsets), 2n, 2n) array whose row k is q(offsets[k]).
-    Excluded nodes of a limit density contribute nothing; its
-    excluded_fraction gives their measure.
+    Excluded nodes contribute nothing; excluded_fraction gives their measure.
     """
     matrix, excluded = density.matrix, _excluded(density)
     scale = 1.0 + largest_modulus(matrix, excluded)
@@ -301,16 +285,12 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     NumericalFault, as is a form negative beyond 1e-8.
     """
     L, d = density.L, density.d
-    nodewise = np.empty((L,) * d, dtype=complex)
-    for rows in _einsum_slabs(density):
+
+    def integrand(rows, q, out):
         psihat = psi.fourier(L, rows)
-        np.einsum("...i,...ij,...j->...", np.conj(psihat), _slab(density.matrix, rows),
-                  psihat, out=nodewise[rows])
-    excluded = _excluded(density)
-    if excluded is not None:
-        nodewise[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
-    q_spectral = float(np.real(nodewise.sum()) / float(L) ** d)
-    del nodewise  # the real-space route holds no grid array beside its own slabs
+        np.einsum("...i,...ij,...j->...", np.conj(psihat), q, psihat, out=out)
+
+    q_spectral = float(np.real(_node_sum(density, integrand)) / float(L) ** d)
 
     # the covariance at each ordered pair's offset, pairs in product order
     table = covariance_from_density(density, [xa - xb for xa in psi.sites for xb in psi.sites])
@@ -326,47 +306,39 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     return max(q_spectral, 0.0)
 
 
-def _support(psi: TestField, L: int, slabs: list) -> slice:
-    """The smallest range of components outside which Psihat is zero at every
-    node, from its transform slab by slab."""
-    live = np.zeros(psi.values.shape[1], dtype=bool)
-    for rows in slabs:
-        live |= np.any(psi.fourier(L, rows) != 0, axis=tuple(range(psi.d)))
-    live = np.flatnonzero(live)
+def _support(psi: TestField) -> slice:
+    """The smallest range of components outside which the test field's
+    values, and so Psihat at every node, are zero."""
+    live = np.flatnonzero(np.any(psi.values != 0, axis=0))
     return slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
 
 
-def mixing_integral(limit: LimitDensity, grid: DispersionGrid, psi1: TestField,
+def mixing_integral(limit: SpectralDensity, grid: DispersionGrid, psi1: TestField,
                     psi2: TestField, t: float) -> float:
     """Equilibrium cross-correlation E <Y(t), Psi1> <Y(0), Psi2>.
 
     Evaluated as the Riemann sum of Psihat1* Ghat(t) qhat_inf Psihat2 over
     unexcluded nodes; decays to zero as t grows, which is the mixing property
-    of the limit measure.  Only the range of components where Psihat1 is
-    nonzero (rows of Ghat) and where Psihat2 is nonzero (columns of qhat_inf)
+    of the limit measure.  Only the range of components where Psi1 is
+    nonzero (rows of Ghat) and where Psi2 is nonzero (columns of qhat_inf)
     enters the sum; every term left out is an exact zero.  The integrand is
     nodewise, so it is written one slab of nodes at a time, with the test
-    fields' transforms and the propagator rows of that slab only, and then
-    summed whole.
+    fields' transforms and the propagator rows of that slab only.
     """
     _require_match(grid, limit.L, limit.d, limit.n)
     L = grid.L
-    slabs = _einsum_slabs(limit)
-    I = _support(psi1, L, slabs)
-    K = I if psi2 is psi1 else _support(psi2, L, slabs)
-    integrand = np.empty((L,) * grid.d, dtype=complex)
-    for rows in slabs:
+    I, K = _support(psi1), _support(psi2)
+
+    def integrand(rows, q, out):
         p1 = psi1.fourier(L, rows)
         # a field paired with itself is transformed once
         p2 = p1 if psi2 is psi1 else psi2.fourier(L, rows)
         G = _propagator_grid_matrix(grid, float(t), rows=I, nodes=rows)
         # slices keep every operand's strides, so einsum sums the kept terms
         # in the order it sums them over all 2n components
-        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G,
-                  _slab(limit.matrix, rows)[..., :, K], p2[..., K], out=integrand[rows])
-    excluded = _excluded(limit)
-    if excluded is not None:
-        integrand[excluded] = 0.0  # the einsum of a zero matrix, which sums from +0
-    total = complex(integrand.sum() / float(L) ** grid.d)
+        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G, q[..., :, K],
+                  p2[..., K], out=out)
+
+    total = complex(_node_sum(limit, integrand) / float(L) ** grid.d)
     return float(real_part_checked(np.array([total]), 1e-8 * (1.0 + abs(total.real)),
                                    "mixing integral")[0])

@@ -64,6 +64,13 @@ class SpectralDensity:
 
     matrix has shape (L,)*d + (2n, 2n); the (i, j) block (i, j in {0, 1}) is
     the density of the (u, v) cross-covariance.
+
+    excluded marks nodes that the integrals of the density count as zero: a
+    long-time limit marks those where it needed an inverse frequency that the
+    degenerate symbol does not provide, and excluded_fraction is their measure.
+    cluster_id records, per node and branch, the equal-frequency grouping a
+    limit kept.  Both are None on a plain measure; setting one fills the other
+    with all-False or all-0.
     """
 
     L: int
@@ -71,12 +78,20 @@ class SpectralDensity:
     n: int
     matrix: np.ndarray
     provenance: str = "analytic"
+    excluded: Optional[np.ndarray] = None
+    cluster_id: Optional[np.ndarray] = None
     _sqrt_cache: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        expected = (self.L,) * self.d + (2 * self.n, 2 * self.n)
+        nodes = (self.L,) * self.d
+        expected = nodes + (2 * self.n, 2 * self.n)
         if self.matrix.shape != expected:
             raise ValueError(f"density matrix must have shape {expected}")
+        if self.excluded is not None or self.cluster_id is not None:
+            if self.excluded is None:
+                self.excluded = np.zeros(nodes, dtype=bool)
+            if self.cluster_id is None:
+                self.cluster_id = np.zeros(nodes + (self.n,), dtype=int)
         # the scale and both gaps are maxima of the same elementwise moduli
         # as the whole-array expressions, taken slab by slab; np.max keeps a
         # NaN, where Python's max would drop it.  One NaN or infinite entry
@@ -111,9 +126,9 @@ class SpectralDensity:
         if reality_gap > 1e-8 * scale:
             raise ValueError(f"density violates reality symmetry (gap {reality_gap:.3e})")
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        n = self.n
-        return self.matrix[..., i * n:(i + 1) * n, j * n:(j + 1) * n]
+    @property
+    def excluded_fraction(self) -> float:
+        return 0.0 if self.excluded is None else float(self.excluded.mean())
 
     def hermitian_sqrt(self) -> np.ndarray:
         """Nodewise PSD square root, cached; raises a NumericalFault if any
@@ -385,12 +400,9 @@ def density_to_jsonable(density: SpectralDensity) -> dict:
         "matrix_re": density.matrix.real.tolist(),
         "matrix_im": density.matrix.imag.tolist(),
     }
-    excluded = getattr(density, "excluded", None)
-    if excluded is not None:
-        doc["excluded"] = excluded.tolist()
-    cluster_id = getattr(density, "cluster_id", None)
-    if cluster_id is not None:
-        doc["cluster_id"] = cluster_id.tolist()
+    if density.excluded is not None:
+        doc["excluded"] = density.excluded.tolist()
+        doc["cluster_id"] = density.cluster_id.tolist()
     return doc
 
 
@@ -408,21 +420,14 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     matrix = np.asarray(doc["matrix_re"], dtype=float) + 1j * np.asarray(
         doc["matrix_im"], dtype=float
     )
-    base = dict(
-        L=doc["L"], d=doc["d"], n=doc["n"],
-        matrix=matrix, provenance=str(doc.get("provenance", "file")),
-    )
-    if "excluded" in doc or "cluster_id" in doc:
-        from .covariance import LimitDensity
-
-        nodes = (doc["L"],) * doc["d"]
-        extras = {}
-        if "excluded" in doc:
-            extras["excluded"] = _node_array(doc, "excluded", bool, nodes)
-        if "cluster_id" in doc:
-            extras["cluster_id"] = _node_array(doc, "cluster_id", int, nodes + (doc["n"],))
-        return LimitDensity(**base, **extras)
-    return SpectralDensity(**base)
+    nodes = (doc["L"],) * doc["d"]
+    flags = {}
+    if "excluded" in doc:
+        flags["excluded"] = _node_array(doc, "excluded", bool, nodes)
+    if "cluster_id" in doc:
+        flags["cluster_id"] = _node_array(doc, "cluster_id", int, nodes + (doc["n"],))
+    return SpectralDensity(L=doc["L"], d=doc["d"], n=doc["n"], matrix=matrix,
+                           provenance=str(doc.get("provenance", "file")), **flags)
 
 
 def _node_array(doc: dict, key: str, kind: type, shape: tuple) -> np.ndarray:

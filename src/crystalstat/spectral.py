@@ -351,7 +351,9 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
     (ratio >= 1.8, the divergent benchmark approaches 2: fail); in between the
     test is inconclusive.  When the symbol never degenerates the weights are
     bounded and the check is skipped with a pass; when every sum is zero, the
-    weighted density is zero, trivially summable, and passes.  The degenerate
+    weighted density is zero, trivially summable, and passes.  A refinement
+    whose coarser sum is zero has no ratio; the verdict reads the finest ratio
+    that exists, and is inconclusive when none does.  The degenerate
     nodes and the inverse frequencies are the grid's, decided at
     grid.delta_null.
     """
@@ -379,19 +381,21 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
             note=f"every Riemann sum over strides {strides} is zero; "
                  f"C0 fraction {c0_fraction:.3e}",
         )
-    ratios = [sums[i + 1] / sums[i] for i in range(len(sums) - 1)]
-    final = ratios[-1]
-    if final < 1.5:
-        verdict = "pass"
-    elif final >= 1.8:
-        verdict = "fail"
-    else:
+    # a step whose coarser sum is zero has no ratio (None)
+    ratios = [fine / coarse if coarse else None for coarse, fine in zip(sums, sums[1:])]
+    final = next((r for r in reversed(ratios) if r is not None), None)
+    if final is None:
         verdict = "inconclusive"
+        note = (f"no refinement ratio: every coarser Riemann sum over strides {strides} "
+                f"is zero; C0 fraction {c0_fraction:.3e}")
+    else:
+        verdict = "pass" if final < 1.5 else "fail" if final >= 1.8 else "inconclusive"
+        note = f"refinement ratios over strides {strides}; C0 fraction {c0_fraction:.3e}"
     return ConditionReport(
         condition="ES",
         verdict=verdict,
         witnesses=[{"value": final, "sums": sums, "ratios": ratios}],
         tolerances=tolerances,
-        note=f"refinement ratios over strides {strides}; C0 fraction {c0_fraction:.3e}",
+        note=note,
     )
 

@@ -31,7 +31,12 @@ from crystalstat._lattice import NumericalFault, theta_axis
 from crystalstat.cli import main
 from crystalstat.covariance import covariance_from_density, evolve_density, limit_density
 from crystalstat.dynamics import green_cutoff, green_function
-from crystalstat.fields import density_from_jsonable, density_to_jsonable, white_noise_density
+from crystalstat.fields import (
+    SpectralDensity,
+    density_from_jsonable,
+    density_to_jsonable,
+    white_noise_density,
+)
 from crystalstat.kernel import (
     InteractionKernel,
     build_nn_kernel,
@@ -1418,6 +1423,23 @@ def test_indefinite_measure_is_numerical_fault(tmp_path, capsys):
     for stage in ("limit", "mixing"):
         assert not (out / stage).exists()
     assert capsys.readouterr().err == "limit: " + fault + "mixing: " + fault
+
+
+def test_ES_without_a_ratio_is_inconclusive_not_a_crash(tmp_path, capsys):
+    # the density lives on nodes 1 and 15, which only the finest ES grid holds,
+    # so every coarser Riemann sum is zero and no refinement ratio exists
+    matrix = np.zeros((16, 2, 2), dtype=complex)
+    matrix[[1, 15]] = np.eye(2)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(density_to_jsonable(
+        SpectralDensity(L=16, d=1, n=1, matrix=matrix))))
+    massless = ["--nn", "d=1", "n=1", "m=0", "--L", "16", "--measure-file", str(path)]
+    for command, stage in (("limit", "."), ("report", "limit")):
+        out = tmp_path / command
+        assert main([command] + massless + ["--output", str(out)]) == 0
+        es = json.loads((out / stage / "limit.json").read_text())["es"]
+        assert es["verdict"] == "inconclusive" and es["witnesses"][0]["value"] is None
+    assert capsys.readouterr().err == ""
 
 
 def test_report_records_numerical_fault_per_stage(tmp_path, monkeypatch, capsys):

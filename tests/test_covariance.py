@@ -37,7 +37,6 @@ from crystalstat import (
 )
 from crystalstat import _lattice, dynamics
 from crystalstat._lattice import eigen_compose, fourier_coefficient
-from crystalstat.covariance import LimitDensity
 from crystalstat.kernel import ConditionReport
 from crystalstat.spectral import check_ES
 
@@ -45,10 +44,10 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def unexcluded_matrix(density):
-    """The density's matrix zeroed at the excluded nodes of a limit density,
-    one whole-matrix copy, as every reader took it before each zeroed the
-    excluded nodes in its own slabs or nodewise results."""
-    excluded = getattr(density, "excluded", None)
+    """The density's matrix zeroed at its excluded nodes, one whole-matrix
+    copy, as every reader took it before each zeroed the excluded nodes in
+    its own slabs or nodewise results."""
+    excluded = density.excluded
     if excluded is None or not np.any(excluded):
         return density.matrix
     return np.where(excluded[..., None, None], 0.0, density.matrix)
@@ -548,7 +547,7 @@ def test_readers_copy_no_whole_matrix_for_excluded_nodes():
     # the whole-matrix copy cost 1.0 (covariance_from_density), 2.0
     # (quadratic_form) and 0.63 (mixing_integral) matrices
     limit, grid = _excluding_limit()
-    plain = LimitDensity(L=16, d=3, n=2, matrix=limit.matrix)
+    plain = SpectralDensity(L=16, d=3, n=2, matrix=limit.matrix)
     psi = TestField.delta(3, 2, component=0)
     excluding, none = _readers(limit, grid, psi), _readers(plain, grid, psi)
     with slab_rows(1, limit.matrix):
@@ -759,6 +758,24 @@ def test_mixing_integral_equals_the_full_propagator_sum(d, n, kernel_range, kern
     with slab_rows(slab, limit.matrix):
         for psi in deltas + [spread, zero]:
             assert quadratic_form(limit, psi) == full_quadratic_form(limit, psi)
+
+
+def test_mixing_integral_reads_the_support_of_the_values():
+    # component 0 of psi has nonzero values at two sites that coincide, so
+    # its transform is an exact zero at every node; the support read from the
+    # values keeps it, and the sum matches the whole-grid einsum over all 2n
+    limit, grid = _excluding_limit()
+    psi = TestField(sites=[(1, 0, 0), (0, 2, -1), (1, 0, 0)],
+                    values=[[0.75, 1.5, -0.5, 0.0], [0.0, 0.25, 2.0, 0.0],
+                            [-0.75, 0.0, 1.0, 0.0]])
+    assert not np.any(psi.fourier(grid.L)[..., 0])
+    spread = TestField(sites=[(0, 0, 0), (1, 0, 0), (0, 2, -1)],
+                       values=np.arange(12.0).reshape(3, 4) - 5.5)
+    for t in (0.0, 10.0):
+        G = full_propagator(grid, t)
+        for psi1, psi2 in ((psi, psi), (psi, spread), (spread, psi)):
+            assert (mixing_integral(limit, grid, psi1, psi2, t)
+                    == full_mixing_integral(limit, grid, G, psi1, psi2))
 
 
 # ------------------------------------------------------- slabbed propagator

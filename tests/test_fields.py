@@ -26,7 +26,6 @@ from crystalstat import (
 )
 from crystalstat import _lattice, fields
 from crystalstat._lattice import real_part_checked
-from crystalstat.covariance import LimitDensity
 from crystalstat.fields import SpectralDensity
 
 
@@ -258,9 +257,9 @@ def flagged_density_doc():
     """The JSON form of a d=2, n=2 limit density with some nodes excluded and
     mixed cluster ids."""
     rng = np.random.default_rng(4)
-    lim = LimitDensity(L=8, d=2, n=2, matrix=white_noise_density(1.0, 1.0, 2, 2, 8).matrix,
-                       excluded=rng.random((8, 8)) < 0.3,
-                       cluster_id=rng.integers(0, 2, (8, 8, 2)))
+    lim = SpectralDensity(L=8, d=2, n=2, matrix=white_noise_density(1.0, 1.0, 2, 2, 8).matrix,
+                          excluded=rng.random((8, 8)) < 0.3,
+                          cluster_id=rng.integers(0, 2, (8, 8, 2)))
     return lim, density_to_jsonable(lim)
 
 
@@ -270,6 +269,21 @@ def test_density_json_flags_roundtrip():
     np.testing.assert_array_equal(back.excluded, lim.excluded)
     np.testing.assert_array_equal(back.cluster_id, lim.cluster_id)
     assert back.excluded.dtype == bool and back.cluster_id.dtype == np.int64
+
+
+def test_density_json_roundtrip_gives_the_same_dict():
+    _, both = flagged_density_doc()
+    plain = {k: v for k, v in both.items() if k not in ("excluded", "cluster_id")}
+    excluded_only = {k: v for k, v in both.items() if k != "cluster_id"}
+    zeros = dict(excluded_only, cluster_id=np.zeros((8, 8, 2), dtype=int).tolist())
+    for doc, want in ((plain, plain), (excluded_only, zeros), (both, both)):
+        assert density_to_jsonable(density_from_jsonable(doc)) == want
+
+
+def test_plain_measure_has_no_excluded_nodes():
+    dens = white_noise_density(1.0, 1.0, 2, 2, 8)
+    assert dens.excluded is None and dens.cluster_id is None
+    assert dens.excluded_fraction == 0.0
 
 
 @pytest.mark.parametrize("key, value", [

@@ -35,6 +35,10 @@ verdict, the dispersion grid and the density's square root decide a negative
 eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
 since a guard on a computed number raises ``NumericalFault``.
 
+One dependency order: no module imports one later in ``LAYERS``, at module
+level or inside a function, apart from ``cli``'s read of the package's
+``__version__``.
+
 Every package function that the benchmark's memory pass names in
 ``bench/child.py`` (``MEMORY_FUNCTIONS``) exists.
 """
@@ -334,6 +338,56 @@ def test_raise_and_table_read_are_found():
     assert raises_of(source, "AssertionError") == ["f", "f", "C.g"]
     assert raises_of(source, "ValueError") == ["C.h"]
     assert reads_of(source, "A") == ["TABLE", "C.h"]
+
+
+#: the package's modules in dependency order; the package itself comes last
+LAYERS = ["_lattice", "kernel", "spectral", "dynamics", "fields", "covariance", "stats",
+          "cli", "crystalstat"]
+
+
+def later_imports(source: str, module: str) -> list[str]:
+    """'scope: target' for each import anywhere in the source of module,
+    function bodies included, of a package module later than it in LAYERS;
+    ``from . import name`` imports the module name, or else the package."""
+    def layer(dotted):
+        parts = dotted.split(".")
+        return parts[1] if len(parts) > 1 else parts[0]
+
+    def targets(node):
+        if isinstance(node, ast.Import):
+            return [layer(alias.name) for alias in node.names
+                    if alias.name.split(".")[0] == "crystalstat"]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        origin = ("crystalstat" + (f".{node.module}" if node.module else "") if node.level
+                  else node.module)
+        if origin == "crystalstat":
+            return [alias.name if alias.name in LAYERS else origin for alias in node.names]
+        return [layer(origin)] if origin.split(".")[0] == "crystalstat" else []
+
+    rank = LAYERS.index(module)
+    return [f"{scope or '<module>'}: {target}" for scope, node in scoped_nodes(source)
+            for target in targets(node) if LAYERS.index(target) > rank]
+
+
+@pytest.mark.parametrize("module", LAYERS[:-1])
+def test_imports_follow_the_layer_order(module):
+    allowed = {"cli": ["_stage: crystalstat"]}  # from . import __version__
+    assert later_imports((PACKAGE / f"{module}.py").read_text(), module) == \
+        allowed.get(module, [])
+
+
+def test_later_import_is_found():
+    source = ("from ._lattice import x\nfrom .stats import y\nimport crystalstat.cli\n"
+              "def f():\n    from .covariance import Z\n    from . import fields, __version__\n"
+              "class A:\n    def g(self):\n        from crystalstat import stats\n"
+              "        import crystalstat\n        from .kernel import k\n")
+    assert later_imports(source, "fields") == [
+        "<module>: stats", "<module>: cli", "f: covariance", "f: crystalstat", "A.g: stats",
+        "A.g: crystalstat"]
+    # an import of an earlier module, or of one outside the package, is not
+    assert later_imports(source + "import numpy\nfrom os import path\n", "stats") == [
+        "<module>: cli", "f: crystalstat", "A.g: crystalstat"]
 
 
 @pytest.mark.parametrize("module", LIBRARY)

@@ -1,5 +1,6 @@
 """Dispersion grids, branch calculus, critical-set surrogates, E4/E5/ES."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from crystalstat import spectral
 from crystalstat import (
     ConditionFailure,
     InteractionKernel,
+    SpectralDensity,
     build_nn_kernel,
     check_E123,
     check_E4_E5,
@@ -279,6 +281,36 @@ def test_ES_passes_for_massless_3d():
     g = dispersion_grid(build_nn_kernel(3, 1, 0.0), 32)
     dens = white_noise_density(1.0, 1.0, 1, 3, 32)
     rep = check_ES(g, dens)
+    assert rep.verdict == "pass"
+
+
+def odd_node_density(nodes, L=16):
+    """A d = 1, n = 1 density that is the identity at the given nodes and zero
+    elsewhere."""
+    matrix = np.zeros((L, 2, 2), dtype=complex)
+    matrix[list(nodes)] = np.eye(2)
+    return SpectralDensity(L=L, d=1, n=1, matrix=matrix)
+
+
+def test_ES_without_a_ratio_is_inconclusive():
+    # nodes 1 and 15 lie on the finest grid only: both coarser sums are zero
+    g = dispersion_grid(build_nn_kernel(1, 1, 0.0), 16)
+    rep = check_ES(g, odd_node_density((1, 15)))
+    [witness] = rep.witnesses
+    assert rep.verdict == "inconclusive"
+    assert rep.note.startswith("no refinement ratio")
+    assert witness["value"] is None and witness["ratios"] == [None, None]
+    assert witness["sums"][:2] == [0.0, 0.0] and witness["sums"][2] > 0.0
+    json.dumps(rep.to_jsonable(), allow_nan=False)
+
+
+def test_ES_reads_the_finest_ratio_that_exists():
+    # nodes 2 and 14 lie on the stride-2 grid, not on the stride-4 one
+    g = dispersion_grid(build_nn_kernel(1, 1, 0.0), 16)
+    rep = check_ES(g, odd_node_density((2, 14)))
+    [witness] = rep.witnesses
+    assert witness["ratios"][0] is None
+    assert witness["value"] == witness["ratios"][1] == pytest.approx(0.5)
     assert rep.verdict == "pass"
 
 
