@@ -120,6 +120,28 @@ def check_integers(doc: dict, keys, what: str) -> None:
             raise ValueError(f"{what} {key} must be an integer, got {doc[key]!r}")
 
 
+def number_array(value, what: str) -> np.ndarray:
+    """value, a JSON array (nested lists) of numbers, as a float array.  Raise
+    unless every entry is an int or a float within the float range:
+    np.asarray would read a numeric string or a boolean as a number, and
+    fail with a TypeError on an object."""
+    entries = np.array(value, dtype=object)
+    if set(map(type, entries.flat)) <= {int, float}:
+        try:
+            return entries.astype(float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be an array of numbers")
+
+
+def check_node_count(L: int, d: int, what: str) -> None:
+    """Raise unless the L^d nodes of (Z/L)^d fit in np.intp, so that an array
+    of one entry per node has a shape numpy can build."""
+    limit = np.iinfo(np.intp).max
+    if L ** d > limit:
+        raise ValueError(f"{what}^{d} must be at most {limit} lattice nodes, got {what}={L}")
+
+
 def moved_axes(a: np.ndarray, source, destination) -> np.ndarray:
     """C-contiguous copy of a with axes moved as by np.moveaxis.
 

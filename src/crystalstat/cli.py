@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lattice import NumericalFault, offset_cube, theta_axis
+from ._lattice import NumericalFault, check_node_count, offset_cube, theta_axis
 from .covariance import (
     TestField,
     covariance_from_density,
@@ -394,8 +394,13 @@ class _Run:
             raise ConditionFailure(reports)
 
     def kernel(self):
+        """The run's kernel; an L or grid_L too large to index is refused here,
+        before any grid or measure is built."""
         if "kernel" not in self.memo:
-            self.memo["kernel"] = _build_kernel(self.eff["kernel"])
+            kernel = _build_kernel(self.eff["kernel"])
+            for name in ("L", "grid_L"):
+                check_node_count(self.eff[name], kernel.d, name)
+            self.memo["kernel"] = kernel
         return self.memo["kernel"]
 
     def e123(self, symbol=None) -> list:
@@ -555,31 +560,39 @@ def _lookup(strings, index) -> list:
     return np.asarray(strings, dtype=object)[np.ravel(index)].tolist()
 
 
-def _index_rows(shape, start: int, stop: int) -> tuple:
-    """Per-axis indices of the entries start .. stop - 1, in C order, of an
-    array of this shape."""
-    return np.unravel_index(np.arange(start, stop), shape)
-
-
 #: rows per block in _write_csv: few writes, and memory bounded by the block
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows: int, block) -> None:
-    """A header line, then rows lines; block(start, stop) gives the
-    equal-length string columns of the rows start .. stop - 1.
+def _axis(shape, a: int) -> np.ndarray:
+    """The index along axis a of each entry of an array of this shape, as an
+    array that broadcasts to the shape."""
+    return np.arange(shape[a]).reshape((-1,) + (1,) * (len(shape) - a - 1))
+
+
+def _write_csv(path: Path, shape, columns) -> None:
+    """A header line, then one line per entry of an array of this shape, in C
+    order.  A column is (header, labels, codes), whose field is labels[code],
+    or (header, values), whose field is the %.17g of the value; codes and
+    values broadcast to the shape.
 
     No field holds a comma, a quote or a newline (numbers and the fixed flag
     names), so joining with commas writes the bytes csv.writer would.  Each
     block of _CSV_BLOCK_ROWS rows is formatted and written before the next is
-    built, so no column of the whole table is ever held.
+    built, so no string column of the whole table is ever held.
     """
+    rows = int(np.prod(shape))
+    # (labels or None, the codes or values broadcast to the shape) per column
+    sources = [(column[1] if len(column) == 3 else None, np.broadcast_to(column[-1], shape))
+               for column in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(column[0] for column in columns) + "\n")
         for start in range(0, rows, _CSV_BLOCK_ROWS):
-            columns = block(start, min(start + _CSV_BLOCK_ROWS, rows))
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            index = np.unravel_index(np.arange(start, min(start + _CSV_BLOCK_ROWS, rows)), shape)
+            fields = [_floats(a[index]) if labels is None else _lookup(labels, a[index])
+                      for labels, a in sources]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def _stage(body, run: _Run, options: dict) -> int:
@@ -632,23 +645,17 @@ def _cmd_dispersion(run) -> int:
     reports = run.conditions(grid.L)
     # one row per (node, branch); the flags of each of the 8 combinations of
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
-    W, D, grads = grid.branch_values, grid.hessian_determinants, grid.branch_gradients
+    shape = grid.branch_values.shape
     theta = _floats(theta_axis(grid.L))
-    branches = [str(b) for b in range(grid.n)]
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
     code = grid.c0 + 2 * grid.crossing + 4 * grid.ck
-
-    def block(start, stop):
-        *node, branch = _index_rows(W.shape, start, stop)
-        rows = slice(start, stop)
-        return ([_lookup(theta, axis) for axis in node]
-                + [_lookup(branches, branch), _floats(W.reshape(-1)[rows]),
-                   _floats(np.linalg.norm(grads.reshape(-1, grid.d)[rows], axis=-1)),
-                   _floats(D.reshape(-1)[rows]), _lookup(flags, code[tuple(node)])])
-
-    _write_csv(outdir / "dispersion.csv", [f"theta_{a + 1}" for a in range(grid.d)]
-               + ["k", "omega_k", "grad_norm", "D_k", "flags"], W.size, block)
+    _write_csv(outdir / "dispersion.csv", shape,
+               [(f"theta_{a + 1}", theta, _axis(shape, a)) for a in range(grid.d)]
+               + [("k", [str(b) for b in range(grid.n)], _axis(shape, grid.d)),
+                  ("omega_k", grid.branch_values),
+                  ("grad_norm", np.linalg.norm(grid.branch_gradients, axis=-1)),
+                  ("D_k", grid.hessian_determinants), ("flags", flags, code[..., None])])
     _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
     print(f"dispersion: L={grid.L} branches={grid.n} "
           f"omega_max={grid.omega_max:.6g} -> {outdir}")
@@ -686,19 +693,13 @@ def _cmd_green(run, dump_radius) -> int:
         sups.append(float(np.max(np.abs(G))))
         windows.append(G[np.ix_(*(wrap,) * grid.d)])
     window = np.stack(windows)  # (time, *offset, row, col)
-    stamps = _floats(times)
     offset = [str(c) for c in range(-dump_radius, dump_radius + 1)]
     component = [str(c) for c in range(window.shape[-1])]
-
-    def block(start, stop):
-        stamp, *x, row, col = _index_rows(window.shape, start, stop)
-        return ([_lookup(stamps, stamp)] + [_lookup(offset, axis) for axis in x]
-                + [_lookup(component, row), _lookup(component, col),
-                   _floats(window.reshape(-1)[start:stop])])
-
-    _write_csv(outdir / "green.csv",
-               ["t"] + [f"x{a + 1}" for a in range(grid.d)] + ["row", "col", "value"],
-               window.size, block)
+    _write_csv(outdir / "green.csv", window.shape,
+               [("t", _floats(times), _axis(window.shape, 0))]
+               + [(f"x{a + 1}", offset, _axis(window.shape, a + 1)) for a in range(grid.d)]
+               + [("row", component, _axis(window.shape, grid.d + 1)),
+                  ("col", component, _axis(window.shape, grid.d + 2)), ("value", window)])
     fit = _power_fit(times, sups)
     _write_json(outdir / "green_fit.json",
                 {"times": times, "sup_abs": sups, "fit": fit, "eps": eps})
@@ -719,23 +720,16 @@ def _cmd_evolve(run) -> int:
     Mi = covariance_from_density(qinf, offsets)
     Mt = np.stack([covariance_from_density(evolve_density(q0, grid, t), offsets)
                    for t in times])
-    values = [Mt.reshape(-1), np.broadcast_to(Mi, Mt.shape).reshape(-1),
-              np.abs(Mt - Mi).reshape(-1)]
-    stamps = _floats(times)
-    axes = [[str(z[a]) for z in offsets] for a in range(kernel.d)]
+    # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
+    shape = Mt.shape[:2] + (2, kernel.n, 2, kernel.n)
     component = [str(v) for v in range(max(2, kernel.n))]
-
-    def block(start, stop):
-        # entry (a, b) of a 2n x 2n matrix has a = i n + k and b = j n + l
-        stamp, m, i, k, j, l = _index_rows(Mt.shape[:2] + (2, kernel.n, 2, kernel.n),
-                                           start, stop)
-        return ([_lookup(stamps, stamp)] + [_lookup(axis, m) for axis in axes]
-                + [_lookup(component, axis) for axis in (i, j, k, l)]
-                + [_floats(v[start:stop]) for v in values])
-
-    _write_csv(outdir / "convergence.csv",
-               ["t"] + [f"z{a + 1}" for a in range(kernel.d)]
-               + ["i", "j", "k", "l", "q_t", "q_inf", "abs_diff"], Mt.size, block)
+    _write_csv(outdir / "convergence.csv", shape,
+               [("t", _floats(times), _axis(shape, 0))]
+               + [(f"z{a + 1}", [str(z[a]) for z in offsets], _axis(shape, 1))
+                  for a in range(kernel.d)]
+               + [(name, component, _axis(shape, a)) for name, a in zip("ijkl", (2, 4, 3, 5))]
+               + [("q_t", Mt.reshape(shape)), ("q_inf", Mi.reshape(shape[1:])),
+                  ("abs_diff", np.abs(Mt - Mi).reshape(shape))])
     _write_json(outdir / "limit.json", {"excluded_fraction": qinf.excluded_fraction,
                                         "es": es.to_jsonable()})
     print(f"evolve: wrote convergence table for t={times} -> {outdir}")

@@ -41,6 +41,7 @@ from ._lattice import (
     lowest_eigenvalue,
     moved_axes,
     node_slabs,
+    number_array,
     one_node,
     real_part_checked,
     reflected,
@@ -417,9 +418,8 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     if extra:
         raise ValueError(f"unknown density fields: {sorted(extra)}")
     check_integers(doc, ("L", "d", "n"), "density file")
-    matrix = np.asarray(doc["matrix_re"], dtype=float) + 1j * np.asarray(
-        doc["matrix_im"], dtype=float
-    )
+    matrix = number_array(doc["matrix_re"], "density file matrix_re") + 1j * number_array(
+        doc["matrix_im"], "density file matrix_im")
     nodes = (doc["L"],) * doc["d"]
     flags = {}
     if "excluded" in doc:

@@ -18,6 +18,7 @@ from ._lattice import (
     fourier_series,
     hermitian_part,
     lowest_eigenvalue,
+    number_array,
     offset_cube,
     theta_axis,
 )
@@ -347,7 +348,7 @@ def kernel_from_json(text: str) -> InteractionKernel:
             raise ValueError(f"kernel file must list canonical offsets only, got {z}")
         if z in entries:
             raise ValueError(f"duplicate offset {z}")
-        entries[z] = item["matrix"]
+        entries[z] = number_array(item["matrix"], f"kernel file matrix at {z}")
     kernel = InteractionKernel(doc["d"], doc["n"], entries)
     if kernel.range > doc["N"]:
         raise ValueError(f"stored range {kernel.range} exceeds declared N={doc['N']}")

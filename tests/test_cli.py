@@ -53,6 +53,7 @@ from crystalstat.spectral import (
 )
 
 CSV_HEADER = "theta_1,k,omega_k,grad_norm,D_k,flags"
+INTP_MAX = np.iinfo(np.intp).max
 STAGES = ("dispersion", "critical", "limit", "mixing")
 
 
@@ -231,9 +232,6 @@ def test_dispersion_table_blocks_give_the_whole_column_bytes(tmp_path, monkeypat
     W, D = grid.branch_values, grid.hessian_determinants
     assert W.size == 4332 and "-0" in ["%.17g" % v for v in D.reshape(-1)[[0, 4096, 4331]]]
 
-    def g17(values):
-        return ["%.17g" % v for v in np.ravel(values)]
-
     index = np.indices(W.shape).reshape(W.ndim, -1)
     theta = g17(theta_axis(grid.L))
     node_flags = [("C0", grid.c0), ("Cstar", grid.crossing), ("Ck", grid.ck)]
@@ -244,6 +242,62 @@ def test_dispersion_table_blocks_give_the_whole_column_bytes(tmp_path, monkeypat
                    for node in index[:-1].T]])
     header = ["theta_1", "theta_2", "k", "omega_k", "grad_norm", "D_k", "flags"]
     assert (out / "dispersion.csv").read_text() == whole_column_table(header, columns)
+
+
+def g17(values) -> list:
+    """The %.17g strings of the entries of values, in C order."""
+    return ["%.17g" % v for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("block_rows", [None, 1000])
+def test_green_table_blocks_give_the_whole_column_bytes(tmp_path, monkeypatch, block_rows):
+    # d=2 n=2 and the default radius 8 give 2 * 17^2 * 16 = 9248 rows: three
+    # blocks of 4096, ten of 1000, the last one short either way
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    L, radius, times = 64, 8, [5.0, 10.0]
+    out = tmp_path / "green"
+    assert main(["green", "--nn", "d=2", "n=2", "m=1,2", "--L", str(L), "--times", "5", "10",
+                 "--output", str(out)]) == 0
+    grid = dispersion_grid(build_nn_kernel(2, 2, [1.0, 2.0]), L)
+    wrap = np.arange(-radius, radius + 1) % L
+    window = np.stack([green_function(grid, t, None)[np.ix_(wrap, wrap)] for t in times])
+    assert window.size == 9248
+    index, stamps = np.indices(window.shape).reshape(window.ndim, -1), g17(times)
+    columns = ([[stamps[i] for i in index[0]]]
+               + [[str(i - radius) for i in index[a]] for a in (1, 2)]
+               + [[str(i) for i in index[a]] for a in (3, 4)] + [g17(window)])
+    header = ["t", "x1", "x2", "row", "col", "value"]
+    assert (out / "green.csv").read_text() == whole_column_table(header, columns)
+
+
+@pytest.mark.parametrize("block_rows", [None, 50])
+def test_convergence_table_blocks_give_the_whole_column_bytes(tmp_path, monkeypatch,
+                                                              block_rows):
+    # d=2 n=3 and two times give 2 * 3 * 36 = 216 rows: one block of 4096, or
+    # four of 50 and a short one
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    L, times, offsets = 32, [0.0, 5.0], [(0, 0), (1, 0), (2, 0)]
+    out = tmp_path / "ev"
+    assert main(["evolve", "--nn", "d=2", "n=3", "m=0,1,2", "--L", str(L), "--white",
+                 "T0=1", "T1=2", "--times", "0", "5", "--output", str(out)]) == 0
+    grid = dispersion_grid(build_nn_kernel(2, 3, [0.0, 1.0, 2.0]), L)
+    q0 = white_noise_density(1.0, 2.0, 3, 2, L)
+    limit = covariance_from_density(limit_density(q0, grid), offsets)
+    current = np.stack([covariance_from_density(evolve_density(q0, grid, t), offsets)
+                        for t in times])
+    assert current.size == 216
+    # entry (a, b) of the 6 x 6 covariance matrix, (i, k) = divmod(a, 3), (j, l) = divmod(b, 3)
+    stamp, m, a, b = np.indices(current.shape).reshape(4, -1)
+    stamps = g17(times)
+    columns = ([[stamps[s] for s in stamp]]
+               + [[str(offsets[z][axis]) for z in m] for axis in (0, 1)]
+               + [[str(v) for v in values] for values in (a // 3, b // 3, a % 3, b % 3)]
+               + [g17(current), g17(np.broadcast_to(limit, current.shape)),
+                  g17(np.abs(current - limit))])
+    header = ["t", "z1", "z2", "i", "j", "k", "l", "q_t", "q_inf", "abs_diff"]
+    assert (out / "convergence.csv").read_text() == whole_column_table(header, columns)
 
 
 def readme_command_lines() -> list:
@@ -481,6 +535,7 @@ def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsy
     ({"measure": {"type": "white", "T0": "2", "T1": True}},
      "config measure T0 must be a number, got '2'"),
     ({"output": 7}, "config output must be a string, got 7"),
+    ({"L": 10 ** 30}, f"L^1 must be at most {INTP_MAX} lattice nodes, got L={10 ** 30}"),
 ])
 def test_config_numbers_are_checked_not_truncated(tmp_path, capsys, doc, message):
     cfg = tmp_path / "cfg.json"
@@ -1058,8 +1113,20 @@ NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
      "density file excluded must be an all-boolean array of shape (16,)"),
     (["limit"] + nn_args() + ["--measure-file"], {"excluded": [0.5] * 16},
      "density file excluded must be an all-boolean array of shape (16,)"),
+    # a matrix entry that is not an int or a float is refused, not read as a number
+    *((["dispersion", "--kernel-file"], dict(NN_KERNEL, entries=[
+        {"z": [0], "matrix": matrix}, {"z": [1], "matrix": [[-1.0]]}]),
+       "kernel file matrix at (0,) must be an array of numbers")
+      for matrix in ({}, [["2"]], [[True]], [[None]], [[10 ** 400]])),
+    *((["limit"] + nn_args() + ["--measure-file"], {key: matrix},
+       f"density file {key} must be an array of numbers")
+      for key, matrix in (("matrix_re", {}), ("matrix_im", [[[True]]] * 16),
+                          ("matrix_re", [[["1"]]] * 16), ("matrix_re", [[[10 ** 400]]] * 16))),
 ], ids=["kernel-d-N", "kernel-n-bool", "kernel-offset", "kernel-offset-scalar",
-        "density-L-d-n", "density-n-bool", "density-excluded-shape", "density-excluded-float"])
+        "density-L-d-n", "density-n-bool", "density-excluded-shape", "density-excluded-float",
+        "kernel-matrix-object", "kernel-matrix-string", "kernel-matrix-bool",
+        "kernel-matrix-null", "kernel-matrix-huge-int", "density-re-object",
+        "density-im-bool", "density-re-string", "density-re-huge-int"])
 def test_file_integers_are_checked_not_truncated(tmp_path, capsys, argv, doc, message):
     if argv[0] == "limit":
         doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **doc)
@@ -1196,6 +1263,16 @@ def test_allow_degenerate_only_where_read(capsys):
                  "ensemble must be a positive integer, got -5", id="ensemble--5"),
     pytest.param(["dispersion", "--L", "-3", "--grid-L", "32", "--ensemble", "-7"],
                  "L must be a positive integer, got -3", id="L--3"),
+    # an L whose L^d nodes no array can index; each fails at parent while a
+    # shape is built, so none of them allocates
+    pytest.param(["dispersion", "--L", str(2 ** 63)],
+                 f"L^1 must be at most {INTP_MAX} lattice nodes, got L={2 ** 63}", id="L-2**63"),
+    pytest.param(["critical", "--grid-L", str(10 ** 23)],
+                 f"grid_L^1 must be at most {INTP_MAX} lattice nodes, got grid_L={10 ** 23}",
+                 id="grid-L-1e23"),
+    pytest.param(["limit", "--white", "T0=1", "T1=1", "--nn", "d=2", "n=1", "--L", str(2 ** 32)],
+                 f"L^2 must be at most {INTP_MAX} lattice nodes, got L={2 ** 32}",
+                 id="L-2**32-d2"),
     # the per-command options fail once the kernel exists, before its grid
     pytest.param(["clt", "--component", "7"], "component 7 is outside 0..1", id="component-7"),
     pytest.param(["mixing", "--component", "-1"], "component -1 is outside 0..1",

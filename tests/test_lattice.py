@@ -34,6 +34,7 @@ from crystalstat import (
 )
 from crystalstat import _lattice
 from crystalstat._lattice import (
+    check_node_count,
     eigen_compose,
     fourier_coefficient,
     fourier_series,
@@ -249,3 +250,16 @@ def test_slabs_reflect_and_bound_as_the_whole_array_does(d, L, k, rows, seed, ba
         np.testing.assert_array_equal(largest_modulus(a), whole)
         whole = np.max(np.abs(np.where(skip[..., None, None], 0.0, a)))
         np.testing.assert_array_equal(largest_modulus(a, skip), whole)
+
+
+@pytest.mark.parametrize("L, d, fits", [
+    (np.iinfo(np.intp).max, 1, True), (np.iinfo(np.intp).max + 1, 1, False),
+    (2 ** 31, 2, True), (2 ** 32, 2, False), (2 ** 21 - 1, 3, True), (2 ** 21, 3, False),
+])
+def test_node_count_must_fit_an_array_index(L, d, fits):
+    # arithmetic only: no array of L^d nodes is built
+    if fits:
+        check_node_count(L, d, "L")
+    else:
+        with pytest.raises(ValueError, match=rf"^L\^{d} must be at most "):
+            check_node_count(L, d, "L")
