@@ -18,7 +18,12 @@ that the FFTs run over the trailing axes 2..d+1.  The nodewise matrices that
 act on an ensemble are moved to (2n, 2n, *grid) or (n, n, *grid)
 C-contiguous copies by :func:`moved_axes`.  A nodewise matrix whose grid axes
 are broadcast holds one node, which :func:`one_node` returns, so that work
-independent of the node is done once.  :func:`hermitian_part` is the one
+independent of the node is done once: a white-noise density, and the
+eigenbasis of a dispersion grid whose nodes all have the same basis bits
+(every nearest-neighbour kernel).  An einsum reads such a matrix through a
+C-contiguous copy (:func:`moved_axes`, ``DispersionGrid.basis_slab``), since
+its summation order can depend on the strides of its operands.
+:func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
 :func:`node_slabs`, slabs of the first grid axis of at most SLAB_BYTES each.

@@ -139,14 +139,26 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     node = one_node(q0.matrix)
     node_blocks = (None if node is None
                    else [np.ascontiguousarray(node[block(i, j)]) for i, j in blocks])
+    # a one-node basis is the right factor of every node's product by B and
+    # by Bh, which then run on the slab's stacked rows (_stacked_product);
+    # with a one-node density too, every A_ij is the one node's
+    basis, A_node = one_node(grid.basis), None
+    if basis is not None:
+        basis_h = np.ascontiguousarray(np.conj(basis.T))
+        if node_blocks is not None:
+            A_node = np.concatenate([basis_h @ b for b in node_blocks]) @ basis
     out = np.empty(q0.matrix.shape, dtype=complex)
     # every step below is nodewise, so it runs one slab of nodes at a time
     # with the same operations as on the whole grid
     for rows in node_slabs(out):
-        B, q = grid.basis[rows], q0.matrix[rows]
-        # the stacked matmuls read contiguous copies, not strided views: the
-        # same bits, in less time
-        Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
+        q = q0.matrix[rows]
+        if basis is None:
+            B = grid.basis[rows]
+            # the stacked matmuls read contiguous copies, not strided views:
+            # the same bits, in less time
+            Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
+        else:
+            B, Bh = basis, basis_h
         omega = grid.omega[rows]
         winv = guarded_reciprocal(omega, ~grid.null[rows])
         wl = omega[..., :, None]   # left factor index k
@@ -164,13 +176,17 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         # bar a one-node density's, whose block is the right factor of every
         # node's product: there the slab's rows of Bh stack into one product
         left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
-        for k, (i, j) in enumerate(blocks):
-            if node_blocks is None:
-                np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
-            else:
-                left[stacked(k)] = (Bh.reshape(-1, n) @ node_blocks[k]).reshape(Bh.shape)
-        right = left @ B
-        A = {b: right[stacked(k)] for k, b in enumerate(blocks)}
+        right = np.empty_like(left)
+        if A_node is not None:
+            stack = A_node
+        else:
+            for k, (i, j) in enumerate(blocks):
+                if node_blocks is None:
+                    np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
+                else:
+                    left[stacked(k)] = (Bh.reshape(-1, n) @ node_blocks[k]).reshape(Bh.shape)
+            stack = _stacked_product(left, B, right)
+        A = {b: stack[stacked(k)] for k, b in enumerate(blocks)}
         M = {
             (0, 0): lambda: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
             (0, 1): lambda: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
@@ -179,7 +195,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         }
         for k, (i, j) in enumerate(blocks):
             np.matmul(B, np.where(same_cluster, M[i, j](), 0.0), out=left[stacked(k)])
-        back = np.matmul(left, Bh, out=right)  # A is spent; its buffer takes the result
+        back = _stacked_product(left, Bh, right)  # A is spent; its buffer takes the result
         slab = np.empty(q.shape, dtype=complex)
         for k, (i, j) in enumerate(blocks):
             slab[block(i, j)] = back[stacked(k)]
@@ -202,6 +218,25 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     )
 
 
+def _stacked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b at every node, written into out (C-contiguous, a's shape), a
+    holding the four blocks of limit_density stacked along its rows.  A
+    one-node b, a plain (k, k) matrix, right-multiplies the rows of every
+    node stacked, which has the bits of the per-node products (a test checks
+    this), in four BLAS calls of a quarter of the rows each: as many rows as
+    one block, the size of a one-node density's left products.  OpenBLAS
+    runs a product four times that size on its thread pool, and on a busy
+    host waking the pool cost 10-16 ms a call against 0.05 ms on one thread
+    (2-vCPU host, two BLAS threads)."""
+    if b.ndim == 2:
+        rows, into = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
+        step = rows.shape[0] // 4  # every node has 4n rows
+        for start in range(0, rows.shape[0], step):
+            np.matmul(rows[start:start + step], b, out=into[start:start + step])
+        return out
+    return np.matmul(a, b, out=out)
+
+
 def gibbs_density(T1: float, grid: DispersionGrid) -> SpectralDensity:
     """Equilibrium density (T1/2) diag(Vhat^-1, I) at temperature T1.
 
@@ -210,7 +245,7 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> SpectralDensity:
     """
     if not 0 <= T1 < np.inf:
         raise ValueError(f"temperature must be finite and nonnegative, got T1={T1}")
-    Vinv = eigen_compose(grid.basis, guarded_reciprocal(grid.omega**2, ~grid.null))
+    Vinv = eigen_compose(grid.basis_slab(), guarded_reciprocal(grid.omega**2, ~grid.null))
     n = grid.n
     out = np.zeros((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     out[..., :n, :n] = 0.5 * T1 * Vinv

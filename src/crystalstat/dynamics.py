@@ -50,11 +50,13 @@ def _check_field(Y, kernel: InteractionKernel) -> tuple:
     return Y, L
 
 
-def _rotation_factors(omega: np.ndarray, t: float):
-    """cos, t*sinc and -omega*sin factors of the phase rotation, elementwise."""
+def _rotation_factors(omega: np.ndarray, t: float, sinc: bool = True, sin: bool = True):
+    """cos, t*sinc and -omega*sin factors of the phase rotation, elementwise;
+    the t*sinc factor is None unless sinc holds, the -omega*sin factor None
+    unless sin holds."""
     c = np.cos(omega * t)
-    s = t * np.sinc(omega * t / np.pi)
-    ns = -omega * np.sin(omega * t)
+    s = t * np.sinc(omega * t / np.pi) if sinc else None
+    ns = -omega * np.sin(omega * t) if sin else None
     return c, s, ns
 
 
@@ -118,18 +120,19 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float, rows: slice = slice(
     Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
     the cos, t*sinc and -omega*sin factors composed in the symbol eigenbasis.
     rows is a slice with unit step; each requested row is composed from the
-    matching row of the basis only, and an empty half composes nothing.
+    matching row of the basis only, and an empty half composes nothing and
+    computes none of the factors that only it reads.
     nodes slices the first grid axis (a slab of `_lattice.node_slabs`): only
     that slab of the basis is read and composed, and each node has the bits
     it has on the whole grid.
     """
-    B = grid.basis[nodes]
+    B = grid.basis_slab(nodes)
     n = grid.n
     r = range(2 * n)[rows]
     top = slice(min(r.start, n), min(r.stop, n))
     bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
     k = top.stop - top.start
-    c, s, ns = _rotation_factors(grid.omega[nodes], t)
+    c, s, ns = _rotation_factors(grid.omega[nodes], t, sinc=k > 0, sin=len(r) > k)
     G = np.empty(B.shape[:-2] + (len(r), 2 * n), dtype=complex)
     if k:
         C = eigen_compose(B, c, top)

@@ -343,6 +343,10 @@ def kernel_from_json(text: str) -> InteractionKernel:
         z = item["z"]
         if not isinstance(z, list) or any(type(c) is not int for c in z):
             raise ValueError(f"kernel file offsets must be lists of integers, got {z!r}")
+        bounds = np.iinfo(np.intp)
+        if any(not bounds.min <= c <= bounds.max for c in z):
+            raise ValueError(f"kernel file offset coordinates must lie in "
+                             f"{bounds.min}..{bounds.max}, got {z!r}")
         z = tuple(z)
         if not canonical_offset(z):
             raise ValueError(f"kernel file must list canonical offsets only, got {z}")

@@ -17,7 +17,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lattice import eigen_compose, guarded_reciprocal, lowest_eigenvalue, theta_step
+from ._lattice import (
+    NumericalFault,
+    eigen_compose,
+    guarded_reciprocal,
+    lowest_eigenvalue,
+    one_node,
+    theta_step,
+)
 from .kernel import ConditionFailure, ConditionReport, InteractionKernel, e3_report
 
 __all__ = [
@@ -55,6 +62,13 @@ class DispersionGrid:
     ck flags degenerate branch curvature at delta_hess (the set C_k) and
     critical the union C_0 | C_* | C_k.  Every consumer of the critical set
     reads these flags.
+
+    When every node's eigenbasis has the bits of node 0's, as on every
+    nearest-neighbour kernel, basis holds that one node broadcast to the grid
+    (read-only, see :func:`_lattice.one_node`) and labels is arange(n)
+    broadcast likewise.  An einsum reads the basis through a C-contiguous
+    copy (:meth:`basis_slab`, or ``_lattice.moved_axes`` for an ensemble),
+    never through the broadcast view.
     """
 
     kernel: InteractionKernel
@@ -77,6 +91,13 @@ class DispersionGrid:
     @property
     def n(self) -> int:
         return self.kernel.n
+
+    def basis_slab(self, index=slice(None)) -> np.ndarray:
+        """The eigenbasis at the nodes that index selects, C-contiguous: a view
+        of a stored slab, a copy of a strided or broadcast one.  einsum's
+        summation order, and so its last bits, can depend on the strides of
+        its operands, so the bits do not depend on how the basis is stored."""
+        return np.ascontiguousarray(self.basis[index])
 
     @cached_property
     def c0(self) -> np.ndarray:
@@ -169,41 +190,62 @@ def _edge_permutation(B_here: np.ndarray, B_next: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _branch_labels(B: np.ndarray) -> np.ndarray:
-    """Continue branch labels along a spanning tree of the grid.
-
-    Node x takes its labels from x - e_a, a the last axis with x_a != 0, through
-    the permutation that maximises the total eigenvector overlap across that
-    edge.  All edges are scored at once against every permutation; an edge
+def _edge_permutations(B_next: np.ndarray, B_here: np.ndarray) -> np.ndarray:
+    """The permutation of each edge e, between the bases B_here[e] and
+    B_next[e] (shape (edges, n, n)), that maximises the total eigenvector
+    overlap: row e holds the next-local index that each here-local column
+    takes.  Every edge is scored at once against every permutation; an edge
     whose best two scores lie within a relative _TIE_REL is matched by
     :func:`_edge_permutation`, so near-ties break exactly as the assignment
-    solver breaks them.  The labels are then composed along the tree one axis
-    at a time, in L vectorised steps per axis.
+    solver breaks them.
     """
-    shape, n = B.shape[:-2], B.shape[-1]
-    d, L = len(shape), shape[0]
-    flat_B = B.reshape(-1, n, n)
-    nodes = np.arange(1, L**d)
-    step = np.ones_like(nodes)
-    while np.any(hit := nodes % (step * L) == 0):
-        step[hit] *= L
-    parents = nodes - step
+    edges, n = B_here.shape[0], B_here.shape[-1]
     # overlap[e, r, c] = |B_next^H B_here| for edge e: rows next-local, cols here-local
-    overlap = np.abs(np.einsum("ekr,ekc->erc", flat_B[nodes].conj(), flat_B[parents]))
-    perms = np.empty((L**d, n), dtype=np.int64)
+    overlap = np.abs(np.einsum("ekr,ekc->erc", B_next.conj(), B_here))
     if n <= _MAX_SCORED_BRANCHES:
         # candidate[p, c]: next-local index that here-local column c takes under p
         candidate = np.asarray(list(itertools.permutations(range(n))), dtype=np.int64)
         scores = overlap[:, candidate, np.arange(n)].sum(axis=-1)
         ranked = np.sort(scores, axis=-1)
         best, second = ranked[:, -1], ranked[:, -2]
-        perms[1:] = candidate[np.argmax(scores, axis=-1)]
+        perms = candidate[np.argmax(scores, axis=-1)]
         tied = np.flatnonzero(best - second <= _TIE_REL * best)
     else:
-        tied = np.arange(nodes.size)
+        perms = np.empty((edges, n), dtype=np.int64)
+        tied = np.arange(edges)
     for e in tied:
-        perms[e + 1] = _edge_permutation(flat_B[parents[e]], flat_B[nodes[e]])
-    perms = perms.reshape(shape + (n,))
+        perms[e] = _edge_permutation(B_here[e], B_next[e])
+    return perms
+
+
+def _branch_labels(B: np.ndarray) -> np.ndarray:
+    """Continue branch labels along a spanning tree of the grid.
+
+    Node x takes its labels from x - e_a, a the last axis with x_a != 0,
+    through the permutation of that edge (:func:`_edge_permutations`).  The
+    labels are composed along the tree one axis at a time, in L vectorised
+    steps per axis.  A one-node basis joins every edge to a copy of itself,
+    so one edge is scored and its permutation holds on every edge; it is the
+    identity, as the overlap of a basis with itself is the identity matrix
+    to roundoff, and then every node's labels are arange(n), broadcast.
+    """
+    shape, n = B.shape[:-2], B.shape[-1]
+    d, L = len(shape), shape[0]
+    node = one_node(B)
+    if node is not None:
+        perm = _edge_permutations(node[None], node[None])[0]
+        perms = np.broadcast_to(perm, shape + (n,))
+        if np.array_equal(perm, np.arange(n)):
+            return perms
+    else:
+        flat_B = B.reshape(-1, n, n)
+        nodes = np.arange(1, L**d)
+        step = np.ones_like(nodes)
+        while np.any(hit := nodes % (step * L) == 0):
+            step[hit] *= L
+        perms = np.empty((L**d, n), dtype=np.int64)
+        perms[1:] = _edge_permutations(flat_B[nodes], flat_B[nodes - step])
+        perms = perms.reshape(shape + (n,))
     labels = np.empty(shape + (n,), dtype=np.int64)
     labels[(0,) * d] = np.arange(n)
     for a in range(d):
@@ -226,10 +268,13 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     under grid refinement for the continuum sets to have measure zero.
 
     L must be even and at least 16 so that subgrid refinement comparisons and
-    the theta -> -theta symmetry are available.  A symbol eigenvalue negative
-    beyond roundoff raises a ConditionFailure with a failing E3 report of
-    this grid.  symbol is the kernel's symbol_grid(L), if the caller holds
-    it; else it is built here.
+    the theta -> -theta symmetry are available.  A symbol with a non-finite
+    entry (finite kernel entries can overflow) raises a NumericalFault before
+    the eigensolver runs.  A symbol eigenvalue negative beyond roundoff
+    raises a ConditionFailure with a failing E3 report of this grid.  symbol
+    is the kernel's symbol_grid(L), if the caller holds it; else it is built
+    here.  An eigenbasis with the same bits at every node is stored as one
+    broadcast node, and its branch labels are scored on one edge.
     """
     if L < 16 or L % 2 != 0:
         raise ValueError("grid resolution L must be even and >= 16")
@@ -237,6 +282,10 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     S = kernel.symbol_grid(L) if symbol is None else symbol
     if S.shape != (L,) * d + (n, n):
         raise ValueError(f"symbol grid of shape {S.shape} does not match L={L}")
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    if not finite.all():
+        node = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NumericalFault(f"the kernel's symbol is not finite at grid node {node} (L={L})")
     w, B = np.linalg.eigh(S)
     lowest = lowest_eigenvalue(w)
     if lowest.negative:
@@ -252,8 +301,13 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     ids = np.zeros(omega.shape, dtype=np.int8)
     ids[..., 1:] = np.cumsum(gaps >= split, axis=-1)
     crossing = np.any((gaps > degen) & (gaps < split), axis=-1)
+    # a basis whose nodes all have node 0's bits (0.0 and -0.0 apart) is
+    # stored once, as white_noise_density stores its node
+    bits = B.reshape(-1, n * n).view(np.uint64)
+    if np.all(bits == bits[0]):
+        B = np.broadcast_to(B[(0,) * d].copy(), B.shape)
     # _branch_labels ranks the best two permutations; n == 1 has only one
-    labels = np.zeros((L,) * d + (1,), dtype=np.int64) if n == 1 else _branch_labels(B)
+    labels = np.broadcast_to(np.arange(1), B.shape[:-1]) if n == 1 else _branch_labels(B)
     return DispersionGrid(
         kernel=kernel,
         L=L,
@@ -326,7 +380,7 @@ def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
     d, n = grid.d, grid.n
     sl = (slice(None, None, stride),) * d
     omega = grid.omega[sl]
-    B = grid.basis[sl]
+    B = grid.basis_slab(sl)
     q = density_matrix[sl]
     Oinv = eigen_compose(B, guarded_reciprocal(omega, ~grid.null[sl]))
     total = 0.0

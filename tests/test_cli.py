@@ -1122,11 +1122,16 @@ NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
        f"density file {key} must be an array of numbers")
       for key, matrix in (("matrix_re", {}), ("matrix_im", [[[True]]] * 16),
                           ("matrix_re", [[["1"]]] * 16), ("matrix_re", [[[10 ** 400]]] * 16))),
+    # an offset coordinate that no array index holds is refused, not a traceback
+    (["dispersion", "--kernel-file"], dict(NN_KERNEL, N=10 ** 30, entries=[
+        {"z": [0], "matrix": [[3.0]]}, {"z": [10 ** 30], "matrix": [[-1.0]]}]),
+     "kernel file offset coordinates must lie in -9223372036854775808..9223372036854775807, "
+     f"got [{10 ** 30}]"),
 ], ids=["kernel-d-N", "kernel-n-bool", "kernel-offset", "kernel-offset-scalar",
         "density-L-d-n", "density-n-bool", "density-excluded-shape", "density-excluded-float",
         "kernel-matrix-object", "kernel-matrix-string", "kernel-matrix-bool",
         "kernel-matrix-null", "kernel-matrix-huge-int", "density-re-object",
-        "density-im-bool", "density-re-string", "density-re-huge-int"])
+        "density-im-bool", "density-re-string", "density-re-huge-int", "kernel-offset-huge"])
 def test_file_integers_are_checked_not_truncated(tmp_path, capsys, argv, doc, message):
     if argv[0] == "limit":
         doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **doc)
@@ -1541,6 +1546,22 @@ def test_non_finite_report_value_is_numerical_fault(tmp_path, monkeypatch, capsy
     assert code == 4
     assert capsys.readouterr().err == (
         "numerical fault: mixing.json: Out of range float values are not JSON compliant: nan\n")
+    assert not out.exists()
+
+
+def test_overflowing_symbol_is_numerical_fault_before_any_file(tmp_path, capsys):
+    # finite entries whose symbol overflows pass E1-E3; the dispersion grid
+    # refuses the symbol before the eigensolver, so no file is written
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(dict(NN_KERNEL, entries=[
+        {"z": [0], "matrix": [[1e308]]}, {"z": [1], "matrix": [[-1e308]]}])))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["dispersion", "--kernel-file", str(path), "--L", "16",
+                     "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "numerical fault: the kernel's symbol is not finite at grid node (0,) (L=16)\n")
     assert not out.exists()
 
 

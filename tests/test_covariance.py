@@ -1,5 +1,6 @@
 """Covariance transport, the long-time limit, quadratic forms, mixing."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -35,10 +36,11 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
-from crystalstat import _lattice, dynamics
+from crystalstat import _lattice, dynamics, spectral
 from crystalstat._lattice import eigen_compose, fourier_coefficient
 from crystalstat.kernel import ConditionReport
 from crystalstat.spectral import check_ES
+from test_spectral import NN_MASSES
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -858,3 +860,108 @@ def test_constant_density_readers_give_the_bits_of_the_stored_nodes(d, n, T0, T1
         for q in stored:
             for (name, got), (_, want) in zip(readings(broadcast), readings(q), strict=True):
                 assert same_bits(got, want), (name, q.matrix.strides)
+
+
+# ------------------------------------------------------- one-node eigenbases
+# An nn grid stores its eigenbasis as one broadcast node; every reader must
+# give the bits it gives on the same grid rebuilt with the basis stored node
+# by node and labels continued edge by edge.
+
+def stored_basis_grid(grid):
+    """grid with its basis stored node by node and its labels from
+    spectral._branch_labels on that basis (zeros at n = 1, which has one
+    permutation), as a grid of a random kernel holds them."""
+    basis = np.array(grid.basis, order="C")
+    labels = (np.zeros(basis.shape[:-1], dtype=np.int64) if grid.n == 1
+              else spectral._branch_labels(basis))
+    return dataclasses.replace(grid, basis=basis, labels=labels)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("masses", NN_MASSES)
+def test_one_node_basis_readers_give_the_bits_of_the_stored_nodes(d, masses):
+    n, L = len(masses), 16
+    grid = dispersion_grid(build_nn_kernel(d, n, list(masses)), L)
+    assert _lattice.one_node(grid.basis) is not None
+    stored = stored_basis_grid(grid)
+    assert _lattice.one_node(stored.basis) is None
+    white = white_noise_density(1.0, 0.5, n, d, L)
+    q0 = _random_density(d, n, L, seed=len(masses) + d)
+    rng = np.random.default_rng(d)
+    spread = TestField(sites=rng.integers(-4, 5, (3, d)), values=rng.standard_normal((3, 2 * n)))
+    u_only = TestField.delta(d, n, component=0)
+    v_only = TestField.delta(d, n, component=2 * n - 1, site=(1,) * d)
+    Y = rng.standard_normal((2, 2 * n) + (L,) * d)
+    waived = ConditionReport("ES", "pass")
+
+    def readings(g):
+        yield "labels", g.labels
+        yield "branch_values", g.branch_values
+        yield "gibbs_density", gibbs_density(0.75, g).matrix
+        yield "green_function", dynamics.green_function(g, 1.5)
+        yield "evolve_ensemble", evolve_ensemble(Y, g, 2.5)
+        for q in (white, q0):
+            limit = limit_density(q, g, es_report=waived)
+            yield "limit_density", limit.matrix
+            yield "evolve_density", evolve_density(q, g, 3.5).matrix
+            yield "check_ES", check_ES(g, q).to_jsonable()
+            for psi in (u_only, v_only, spread):
+                yield "quadratic_form", quadratic_form(limit, psi)
+                for t in (0.0, 7.0):
+                    yield "mixing_integral", mixing_integral(limit, g, psi, spread, t)
+
+    with slab_rows(3, white.matrix):
+        for (name, got), (_, want) in zip(readings(grid), readings(stored), strict=True):
+            assert same_bits(got, want) if isinstance(got, np.ndarray) else got == want, name
+
+
+def test_propagator_rows_compute_only_the_factors_they_read(monkeypatch):
+    # rows of the top half read no -omega sin factor, and rows of the bottom
+    # half no t sinc factor; all 2n rows read both
+    grid = dispersion_grid(build_nn_kernel(2, 2, [0.0, 1.0]), 16)
+    calls = []
+    factors = dynamics._rotation_factors
+
+    def recording(omega, t, sinc=True, sin=True):
+        calls.append((sinc, sin))
+        return factors(omega, t, sinc, sin)
+
+    monkeypatch.setattr(dynamics, "_rotation_factors", recording)
+    for rows in (slice(0, 2), slice(2, 4), slice(1, 3), slice(None)):
+        dynamics._propagator_grid_matrix(grid, 2.0, rows)
+    assert calls == [(True, False), (False, True), (True, True), (True, True)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_node_basis_products_keep_the_bits_of_per_node_products(d, n):
+    # an nn basis is a permutation matrix, whose products are exact in any
+    # summation order; a random orthogonal node, broadcast to the grid and
+    # stored node by node, makes every product round, so that the
+    # row-stacked products and the einsums show a change of order
+    L = 16
+    grid = dispersion_grid(build_nn_kernel(d, n, [0.5 * k for k in range(n)]), L)
+    rng = np.random.default_rng(10 * d + n)
+    node = np.linalg.qr(rng.standard_normal((n, n)))[0].astype(complex)
+    broadcast = dataclasses.replace(grid, basis=np.broadcast_to(node, grid.basis.shape))
+    stored = dataclasses.replace(grid, basis=np.array(broadcast.basis, order="C"))
+    white = white_noise_density(1.0, 0.5, n, d, L)
+    q0 = _random_density(d, n, L, seed=d + n)
+    spread = TestField(sites=rng.integers(-4, 5, (3, d)), values=rng.standard_normal((3, 2 * n)))
+    Y = rng.standard_normal((2, 2 * n) + (L,) * d)
+    waived = ConditionReport("ES", "pass")
+
+    def readings(g):
+        yield "gibbs_density", gibbs_density(0.75, g).matrix
+        yield "propagator", dynamics._propagator_grid_matrix(g, 1.5)
+        yield "evolve_ensemble", evolve_ensemble(Y, g, 2.5)
+        for q in (white, q0):
+            limit = limit_density(q, g, es_report=waived)
+            yield "limit_density", limit.matrix
+            yield "evolve_density", evolve_density(q, g, 3.5).matrix
+            yield "check_ES", check_ES(g, q).to_jsonable()
+            yield "mixing_integral", mixing_integral(limit, g, spread, spread, 7.0)
+
+    with slab_rows(3, white.matrix):
+        for (name, got), (_, want) in zip(readings(broadcast), readings(stored), strict=True):
+            assert same_bits(got, want) if isinstance(got, np.ndarray) else got == want, name

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from crystalstat import spectral
+from crystalstat import _lattice, spectral
 from crystalstat import (
     ConditionFailure,
     InteractionKernel,
@@ -345,3 +345,54 @@ def test_a_shared_symbol_grid_gives_the_same_grid_and_E3_report():
         check_E123(kernel, kernel.symbol_grid(64))
     with pytest.raises(ValueError, match="does not match L=64"):
         dispersion_grid(kernel, 64, symbol=symbol)
+
+
+# ------------------------------------------------------- one-node eigenbases
+# A grid whose eigenbasis has node 0's bits at every node stores that node
+# once, broadcast, and labels every node arange(n) from one scored edge.
+
+#: nn masses per n: distinct, equal, zero and unsorted
+NN_MASSES = [(1.0,), (0.0,), (1.0, 2.0), (1.5, 1.5), (0.0, 1.0), (2.0, 0.5),
+             (1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (3.0, 0.0, 1.0), (2.0, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("masses", NN_MASSES)
+def test_nn_grid_stores_one_basis_node(d, masses):
+    n = len(masses)
+    grid = dispersion_grid(build_nn_kernel(d, n, list(masses)), 16)
+    node = _lattice.one_node(grid.basis)
+    assert node is not None and not grid.basis.flags.writeable
+    assert grid.basis.base.nbytes == n * n * 16  # one node, not 16**d
+    assert np.array_equal(grid.labels, np.broadcast_to(np.arange(n), grid.labels.shape))
+    assert not grid.labels.flags.writeable
+    # the stored node diagonalises the symbol at every node
+    S = build_nn_kernel(d, n, list(masses)).symbol_grid(16)
+    np.testing.assert_allclose(node.conj().T @ S @ node,
+                               np.eye(n) * grid.omega[..., None, :] ** 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, n, seed", [(1, 2, 3), (2, 2, 17), (2, 3, 5), (3, 2, 1)])
+def test_random_grid_stores_every_basis_node(d, n, seed):
+    grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed), 16)
+    assert _lattice.one_node(grid.basis) is None and grid.basis.flags.writeable
+    assert grid.labels.flags.writeable
+
+
+def test_basis_with_a_negative_zero_is_not_one_node():
+    # a basis equal to node 0's everywhere, bar one entry whose zero has the
+    # sign bit set, compares equal by value but is stored node by node
+    kernel = build_nn_kernel(2, 2, [1.0, 2.0])
+    eigh = np.linalg.eigh
+
+    def signed(S):
+        w, B = eigh(S)
+        assert B[3, 5, 0, 1] == 0
+        B[3, 5, 0, 1] = -B[3, 5, 0, 1]
+        return w, B
+
+    with mock.patch.object(np.linalg, "eigh", signed):
+        grid = dispersion_grid(kernel, 16)
+    assert _lattice.one_node(grid.basis) is None
+    assert np.array_equal(grid.basis, dispersion_grid(kernel, 16).basis)
+    np.testing.assert_array_equal(grid.labels, tree_walk_labels(grid.basis))
