@@ -21,8 +21,12 @@ are broadcast holds one node, which :func:`one_node` returns, so that work
 independent of the node is done once: a white-noise density, and the
 eigenbasis of a dispersion grid whose nodes all have the same basis bits
 (every nearest-neighbour kernel).  An einsum reads such a matrix through a
-C-contiguous copy (:func:`moved_axes`, ``DispersionGrid.basis_slab``), since
-its summation order can depend on the strides of its operands.
+C-contiguous copy (:func:`moved_axes`, ``DispersionGrid.compose``), since
+its summation order can depend on the strides of its operands.  An
+eigenbasis whose one node is the identity (``DispersionGrid.identity_basis``)
+is not multiplied by the einsum readers, since einsum sums from +0 and the
+product is x + 0.0; ``limit_density`` skips its BLAS products by it on a
+one-node density only.  The FFTs normalise their transform in place.
 :func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
@@ -85,15 +89,21 @@ def offset_cube(r: int, d: int) -> list:
 
 
 def forward_fft(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention)."""
-    L = a.shape[axes[0]]
-    return np.fft.ifftn(a, axes=axes) * float(L) ** len(axes)
+    """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention).
+
+    The L^d normalisation is applied in place: the same ufunc on the same
+    operands as a new product, so the same bits, with one complex temporary
+    of the transform's size fewer."""
+    h = np.fft.ifftn(a, axes=axes)
+    h *= float(a.shape[axes[0]]) ** len(axes)
+    return h
 
 
 def inverse_fft(ahat: np.ndarray, axes: tuple) -> np.ndarray:
-    """Inverse of :func:`forward_fft`."""
-    L = ahat.shape[axes[0]]
-    return np.fft.fftn(ahat, axes=axes) / float(L) ** len(axes)
+    """Inverse of :func:`forward_fft`, normalised in place likewise."""
+    h = np.fft.fftn(ahat, axes=axes)
+    h /= float(ahat.shape[axes[0]]) ** len(axes)
+    return h
 
 
 def check_ensemble(Y) -> tuple:

@@ -413,13 +413,15 @@ class _Run:
     def grid(self, L: int):
         """The dispersion grid at resolution L, built once E1-E3 pass :meth:`gate`
         so that kernel defects exit with code 2 before the eigensolver runs.
-        If E1-E3 are still unchecked and L is the E3 scan resolution, the
-        check and the grid read one symbol grid, which this call drops."""
+        The symbol grid at L is built first, so that a symbol that is not
+        finite is refused at the run's own resolution.  If E1-E3 are still
+        unchecked and L is the E3 scan resolution, the check and the grid
+        read that one symbol grid."""
         if L not in self.memo:
             kernel = self.kernel()
+            symbol = kernel.symbol_grid(L)
             shared = "E123" not in self.memo and L == _scan_resolution(kernel.d)
-            symbol = kernel.symbol_grid(L) if shared else None
-            self.gate(self.e123(symbol))
+            self.gate(self.e123(symbol if shared else None))
             self.memo[L] = dispersion_grid(kernel, L, self.thr["delta_cross"],
                                            self.thr["delta_null"], self.thr["delta_hess"],
                                            symbol)

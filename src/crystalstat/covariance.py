@@ -18,7 +18,6 @@ import numpy as np
 
 from ._lattice import (
     NumericalFault,
-    eigen_compose,
     fourier_coefficient,
     fourier_series,
     guarded_reciprocal,
@@ -117,6 +116,16 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     nodes exist the summability check (ES) must not have failed (a failing
     report raises a ConditionFailure); it is evaluated here if no report is
     supplied.
+
+    The transform to the eigenbasis and back, A_ij = Bh q_ij B and B M_ij Bh,
+    runs as BLAS products, one node's on a one-node basis and density.  On
+    an identity basis (``grid.identity_basis``) with a one-node density the
+    back products are skipped and written as M_ij + 0.0: the output has the
+    bits of the products (a property test draws such densities, with
+    entries of both signs, exact-zero blocks and T0 = 0).  A stored density
+    keeps them: OpenBLAS can give a product's exact zero the sign bit that
+    x + 0.0 clears, and on stored densities at d = 3 that reached the output
+    at 10-66 entries per grid.
     """
     _require_match(grid, q0.L, q0.d, q0.n)
     if np.any(grid.c0):
@@ -147,6 +156,9 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         basis_h = np.ascontiguousarray(np.conj(basis.T))
         if node_blocks is not None:
             A_node = np.concatenate([basis_h @ b for b in node_blocks]) @ basis
+    # an identity basis with a one-node density makes no back products (see
+    # the docstring)
+    identity = A_node is not None and grid.identity_basis
     out = np.empty(q0.matrix.shape, dtype=complex)
     # every step below is nodewise, so it runs one slab of nodes at a time
     # with the same operations as on the whole grid
@@ -175,8 +187,9 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         # a transposed form does not, so the left products stay one per block,
         # bar a one-node density's, whose block is the right factor of every
         # node's product: there the slab's rows of Bh stack into one product
-        left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
-        right = np.empty_like(left)
+        if not identity:
+            left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
+            right = np.empty_like(left)
         if A_node is not None:
             stack = A_node
         else:
@@ -193,12 +206,16 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
             (1, 0): lambda: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
             (1, 1): lambda: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
         }
-        for k, (i, j) in enumerate(blocks):
-            np.matmul(B, np.where(same_cluster, M[i, j](), 0.0), out=left[stacked(k)])
-        back = _stacked_product(left, Bh, right)  # A is spent; its buffer takes the result
         slab = np.empty(q.shape, dtype=complex)
-        for k, (i, j) in enumerate(blocks):
-            slab[block(i, j)] = back[stacked(k)]
+        if identity:
+            for i, j in blocks:
+                np.add(np.where(same_cluster, M[i, j](), 0.0), 0.0, out=slab[block(i, j)])
+        else:
+            for k, (i, j) in enumerate(blocks):
+                np.matmul(B, np.where(same_cluster, M[i, j](), 0.0), out=left[stacked(k)])
+            back = _stacked_product(left, Bh, right)  # A is spent; its buffer takes the result
+            for k, (i, j) in enumerate(blocks):
+                slab[block(i, j)] = back[stacked(k)]
         hermitian_part(slab, out=out[rows])
     # a degenerate node is excluded if any inverse-weighted source block is
     # live there: the pseudoinverse silently dropped part of the measure.
@@ -245,7 +262,7 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> SpectralDensity:
     """
     if not 0 <= T1 < np.inf:
         raise ValueError(f"temperature must be finite and nonnegative, got T1={T1}")
-    Vinv = eigen_compose(grid.basis_slab(), guarded_reciprocal(grid.omega**2, ~grid.null))
+    Vinv = grid.compose(guarded_reciprocal(grid.omega**2, ~grid.null))
     n = grid.n
     out = np.zeros((grid.L,) * grid.d + (2 * n, 2 * n), dtype=complex)
     out[..., :n, :n] = 0.5 * T1 * Vinv

@@ -20,7 +20,6 @@ import numpy as np
 
 from ._lattice import (
     check_ensemble,
-    eigen_compose,
     forward_fft,
     inverse_fft,
     moved_axes,
@@ -72,14 +71,24 @@ def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
     _require_match(grid, L, d, n, what="field")
     axes = tuple(range(2, d + 2))
     zhat = forward_fft(Y, axes)
-    B = moved_axes(grid.basis, (-2, -1), (0, 1))
-    Bh = moved_axes(B.conj(), 1, 0)
     c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
-    a = np.einsum("kj...,sj...->sk...", Bh, zhat[:, :n])
-    b = np.einsum("kj...,sj...->sk...", Bh, zhat[:, n:])
     out = np.empty_like(zhat)
-    out[:, :n] = np.einsum("jk...,sk...->sj...", B, c * a + s * b)
-    out[:, n:] = np.einsum("jk...,sk...->sj...", B, ns * a + c * b)
+    if grid.identity_basis:
+        # the einsums by Bh and by B are each x + 0.0; the sign of a zero in
+        # a or b changes no nonzero value of the sums, so only the last
+        # + 0.0 is applied
+        a, b = zhat[:, :n], zhat[:, n:]
+        for half, (f, g) in ((out[:, :n], (c, s)), (out[:, n:], (ns, c))):
+            np.multiply(f, a, out=half)
+            half += g * b
+            half += 0.0
+    else:
+        B = moved_axes(grid.basis, (-2, -1), (0, 1))
+        Bh = moved_axes(B.conj(), 1, 0)
+        a = np.einsum("kj...,sj...->sk...", Bh, zhat[:, :n])
+        b = np.einsum("kj...,sj...->sk...", Bh, zhat[:, n:])
+        out[:, :n] = np.einsum("jk...,sk...->sj...", B, c * a + s * b)
+        out[:, n:] = np.einsum("jk...,sk...->sj...", B, ns * a + c * b)
     return real_part_checked(inverse_fft(out, axes), _IMAG_TOL, "evolve_ensemble")
 
 
@@ -126,21 +135,21 @@ def _propagator_grid_matrix(grid: DispersionGrid, t: float, rows: slice = slice(
     that slab of the basis is read and composed, and each node has the bits
     it has on the whole grid.
     """
-    B = grid.basis_slab(nodes)
     n = grid.n
     r = range(2 * n)[rows]
     top = slice(min(r.start, n), min(r.stop, n))
     bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
     k = top.stop - top.start
-    c, s, ns = _rotation_factors(grid.omega[nodes], t, sinc=k > 0, sin=len(r) > k)
-    G = np.empty(B.shape[:-2] + (len(r), 2 * n), dtype=complex)
+    omega = grid.omega[nodes]
+    c, s, ns = _rotation_factors(omega, t, sinc=k > 0, sin=len(r) > k)
+    G = np.empty(omega.shape[:-1] + (len(r), 2 * n), dtype=complex)
     if k:
-        C = eigen_compose(B, c, top)
+        C = grid.compose(c, nodes, top)
         G[..., :k, :n] = C
-        G[..., :k, n:] = eigen_compose(B, s, top)
+        G[..., :k, n:] = grid.compose(s, nodes, top)
     if len(r) > k:
-        G[..., k:, :n] = eigen_compose(B, ns, bottom)
-        G[..., k:, n:] = C if bottom == top else eigen_compose(B, c, bottom)
+        G[..., k:, :n] = grid.compose(ns, nodes, bottom)
+        G[..., k:, n:] = C if bottom == top else grid.compose(c, nodes, bottom)
     return G
 
 

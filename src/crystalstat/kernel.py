@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._lattice import (
+    NumericalFault,
     check_integers,
     fourier_series,
     hermitian_part,
@@ -149,10 +150,15 @@ class InteractionKernel:
         return 0.5 * (acc + acc.conj().T)
 
     def symbol_grid(self, L: int) -> np.ndarray:
-        """Symbol on the full theta grid, shape (L,)*d + (n, n)."""
+        """Symbol on the full theta grid, shape (L,)*d + (n, n).  Finite
+        entries can sum past the float range: a symbol with a non-finite
+        entry raises a NumericalFault (:func:`finite_symbol`), and numpy's
+        overflow warnings on the way are not printed."""
         if L < 1:
             raise ValueError("L must be positive")
-        return hermitian_part(fourier_series(self.entries.items(), L, self.d, (self.n, self.n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = hermitian_part(fourier_series(self.entries.items(), L, self.d, (self.n, self.n)))
+        return finite_symbol(S)
 
     def convolve(self, u: np.ndarray) -> np.ndarray:
         """(V * u)(x) = sum_z V(z) u(x - z) on a periodic field (n, *grid) or a
@@ -233,6 +239,17 @@ def random_finite_range_kernel(d: int, n: int, N: int, seed: int) -> Interaction
     return InteractionKernel(d, n, entries)
 
 
+def finite_symbol(S: np.ndarray) -> np.ndarray:
+    """S, a symbol grid (L,)*d + (n, n), unless an entry is not finite: then a
+    NumericalFault naming the first such node, before an eigensolver reads
+    it."""
+    if not np.isfinite(S).all():
+        node = tuple(int(i) for i in np.argwhere(~np.isfinite(S).all(axis=(-2, -1)))[0])
+        raise NumericalFault(
+            f"the kernel's symbol is not finite at grid node {node} (L={S.shape[0]})")
+    return S
+
+
 def check_E123(kernel: InteractionKernel,
                symbol: np.ndarray | None = None) -> list[ConditionReport]:
     """Check the structural kernel conditions; returns reports for E1, E2, E3.
@@ -244,11 +261,11 @@ def check_E123(kernel: InteractionKernel,
     :func:`e3_report`.  A dispersion grid of another resolution judges its own
     eigenvalues by the same rule.  symbol is the kernel's symbol_grid at the
     scan resolution, if the caller holds it (to diagonalise it next); else
-    the check builds it.
+    the check builds it.  A symbol with a non-finite entry, whose
+    eigenvalues no tolerance can judge, raises a NumericalFault.
     """
     grid_resolution = _scan_resolution(kernel.d)
-    if symbol is None:
-        symbol = kernel.symbol_grid(grid_resolution)
+    symbol = kernel.symbol_grid(grid_resolution) if symbol is None else finite_symbol(symbol)
     if symbol.shape != (grid_resolution,) * kernel.d + (kernel.n, kernel.n):
         raise ValueError(f"symbol grid of shape {symbol.shape} is not the scan grid's")
     reports = []

@@ -18,14 +18,19 @@ from functools import cached_property
 import numpy as np
 
 from ._lattice import (
-    NumericalFault,
     eigen_compose,
     guarded_reciprocal,
     lowest_eigenvalue,
     one_node,
     theta_step,
 )
-from .kernel import ConditionFailure, ConditionReport, InteractionKernel, e3_report
+from .kernel import (
+    ConditionFailure,
+    ConditionReport,
+    InteractionKernel,
+    e3_report,
+    finite_symbol,
+)
 
 __all__ = [
     "DispersionGrid",
@@ -67,8 +72,14 @@ class DispersionGrid:
     nearest-neighbour kernel, basis holds that one node broadcast to the grid
     (read-only, see :func:`_lattice.one_node`) and labels is arange(n)
     broadcast likewise.  An einsum reads the basis through a C-contiguous
-    copy (:meth:`basis_slab`, or ``_lattice.moved_axes`` for an ensemble),
-    never through the broadcast view.
+    copy (:meth:`compose`, or ``_lattice.moved_axes`` for an ensemble),
+    never through the broadcast view.  When that one node is the identity
+    (:attr:`identity_basis`, as on every nearest-neighbour kernel with
+    ascending masses), :meth:`compose` and ``evolve_ensemble`` skip their
+    einsums by it and write x + 0.0 instead: einsum sums from +0, so a
+    product by the identity turns -0.0 into +0.0 and keeps every other
+    value's bits.  ``limit_density`` skips its BLAS products by it on a
+    one-node density only (see there).
     """
 
     kernel: InteractionKernel
@@ -92,12 +103,31 @@ class DispersionGrid:
     def n(self) -> int:
         return self.kernel.n
 
-    def basis_slab(self, index=slice(None)) -> np.ndarray:
-        """The eigenbasis at the nodes that index selects, C-contiguous: a view
-        of a stored slab, a copy of a strided or broadcast one.  einsum's
-        summation order, and so its last bits, can depend on the strides of
-        its operands, so the bits do not depend on how the basis is stored."""
-        return np.ascontiguousarray(self.basis[index])
+    @cached_property
+    def identity_basis(self) -> bool:
+        """True when basis is one node (:func:`_lattice.one_node`) with the bits
+        of np.eye(n); -0.0 in place of a zero, or the identity stored node by
+        node, is not."""
+        node = one_node(self.basis)
+        return node is not None and node.tobytes() == np.eye(self.n, dtype=node.dtype).tobytes()
+
+    def compose(self, values: np.ndarray, nodes=slice(None),
+                rows: slice = slice(None)) -> np.ndarray:
+        """B diag(values) B^H at the nodes that nodes selects, values given at
+        those nodes; only the rows of the product that the slice rows selects.
+
+        The einsum reads the basis C-contiguous: a view of a stored slab, a
+        copy of a strided or broadcast one.  einsum's summation order, and so
+        its last bits, can depend on the strides of its operands, so the bits
+        do not depend on how the basis is stored.  An identity basis skips
+        the einsum: values + 0.0 on the diagonal and +0 elsewhere are the
+        einsum's bits."""
+        if not self.identity_basis:
+            return eigen_compose(np.ascontiguousarray(self.basis[nodes]), values, rows)
+        diagonal = np.arange(self.n)[rows]
+        out = np.zeros(values.shape[:-1] + (diagonal.size, self.n), dtype=complex)
+        out[..., np.arange(diagonal.size), diagonal] = values[..., diagonal] + 0.0
+        return out
 
     @cached_property
     def c0(self) -> np.ndarray:
@@ -279,13 +309,9 @@ def dispersion_grid(kernel: InteractionKernel, L: int, delta_cross: float = DELT
     if L < 16 or L % 2 != 0:
         raise ValueError("grid resolution L must be even and >= 16")
     d, n = kernel.d, kernel.n
-    S = kernel.symbol_grid(L) if symbol is None else symbol
+    S = kernel.symbol_grid(L) if symbol is None else finite_symbol(symbol)
     if S.shape != (L,) * d + (n, n):
         raise ValueError(f"symbol grid of shape {S.shape} does not match L={L}")
-    finite = np.isfinite(S).all(axis=(-2, -1))
-    if not finite.all():
-        node = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NumericalFault(f"the kernel's symbol is not finite at grid node {node} (L={L})")
     w, B = np.linalg.eigh(S)
     lowest = lowest_eigenvalue(w)
     if lowest.negative:
@@ -379,10 +405,8 @@ def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
     """Mean over a subgrid of ||Omega^-i qhat^{ij} Omega^-j||_F summed over blocks."""
     d, n = grid.d, grid.n
     sl = (slice(None, None, stride),) * d
-    omega = grid.omega[sl]
-    B = grid.basis_slab(sl)
     q = density_matrix[sl]
-    Oinv = eigen_compose(B, guarded_reciprocal(omega, ~grid.null[sl]))
+    Oinv = grid.compose(guarded_reciprocal(grid.omega[sl], ~grid.null[sl]), sl)
     total = 0.0
     for i in (0, 1):
         for j in (0, 1):

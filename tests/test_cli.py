@@ -1565,6 +1565,26 @@ def test_overflowing_symbol_is_numerical_fault_before_any_file(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dispersion", "report"])
+def test_overflowing_symbol_is_refused_without_numpy_warnings(tmp_path, command):
+    # in a child process, where numpy's warnings would reach stderr: the
+    # symbol grids of the run and of the E1-E3 scan overflow quietly and
+    # are refused before the eigensolver, at the run's resolution
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(dict(NN_KERNEL, entries=[
+        {"z": [0], "matrix": [[1e308]]}, {"z": [1], "matrix": [[-1e308]]}])))
+    package_root = str(Path(crystalstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "crystalstat", command, "--kernel-file",
+                           str(path), "--L", "16", "--output", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 4
+    fault = "numerical fault: the kernel's symbol is not finite at grid node (0,) (L=16)"
+    stages = ["dispersion", "critical", "limit", "mixing"] if command == "report" else []
+    assert done.stderr.splitlines() == ([f"{stage}: {fault}" for stage in stages] or [fault])
+
+
 def run_outputs(tmp_path, argv, threads):
     """Every output file of a child-process run with BLAS/OpenMP pools at the
     given size, by relative path; manifests without their output path."""

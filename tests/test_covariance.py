@@ -915,6 +915,65 @@ def test_one_node_basis_readers_give_the_bits_of_the_stored_nodes(d, masses):
             assert same_bits(got, want) if isinstance(got, np.ndarray) else got == want, name
 
 
+@st.composite
+def one_node_density(draw, n):
+    """A real symmetric PSD node 0.5 F F^T of 2n x 2n, F of small integers of
+    both signs: the u-v blocks of F are zero or drawn, and so is its u
+    block, so the node has exact-zero blocks, and a zero u block is T0 = 0."""
+    def block():
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    F = np.zeros((2 * n, 2 * n))
+    F[n:, n:] = block()
+    if draw(st.booleans()):
+        F[:n, :n] = block()
+    if draw(st.booleans()):
+        F[:n, n:], F[n:, :n] = block(), block()
+    return (0.5 * (F @ F.T)).astype(complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+       masses=st.sampled_from([(1.0,), (0.0,), (0.5, 2.0), (0.0, 1.0), (1.5, 1.5),
+                               (1.0, 2.0, 3.0), (0.0, 1.0, 1.0)]),
+       rows=st.sampled_from([1, 3, 16]))
+def test_limit_of_a_one_node_density_on_an_identity_basis_keeps_the_bits(data, d, masses, rows):
+    # limit_density writes x + 0.0 for the products by an identity basis of
+    # a one-node density; the same grid with its basis stored node by node
+    # makes every product, and the bits must be the same
+    n, L = len(masses), 16
+    node = data.draw(one_node_density(n))
+    grid = dispersion_grid(build_nn_kernel(d, n, list(masses)), L)
+    assert grid.identity_basis
+    q0 = SpectralDensity(L=L, d=d, n=n, matrix=np.broadcast_to(node, (L,) * d + node.shape))
+    waived = ConditionReport("ES", "pass")
+    with slab_rows(rows, q0.matrix):
+        got = limit_density(q0, grid, es_report=waived)
+        want = limit_density(q0, stored_basis_grid(grid), es_report=waived)
+    assert same_bits(got.matrix, want.matrix)
+    assert same_bits(got.excluded, want.excluded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), masses=st.sampled_from([(0.0,), (0.0, 1.0), (1.0, 1.0, 2.0)]),
+       t=st.sampled_from([0.0, -0.0, 2.5, -7.0]), seed=st.integers(0, 2**32 - 1))
+def test_identity_basis_propagators_keep_the_bits_of_the_stored_basis(d, masses, t, seed):
+    # evolve_ensemble and the propagator rows write x + 0.0 for the products
+    # by an identity basis; fields with exact zeros of both signs, and t = 0,
+    # where the sine factor is -0.0 on a null branch, must keep the bits
+    n, L = len(masses), 16
+    grid = dispersion_grid(build_nn_kernel(d, n, list(masses)), L)
+    stored = stored_basis_grid(grid)
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((2, 2 * n) + (L,) * d)
+    Y[rng.random(Y.shape) < 0.5] = 0.0
+    Y[rng.random(Y.shape) < 0.3] = -0.0
+    assert same_bits(evolve_ensemble(Y, grid, t), evolve_ensemble(Y, stored, t))
+    for rows in (slice(None), slice(0, n), slice(n, 2 * n), slice(n - 1, n + 1)):
+        assert same_bits(dynamics._propagator_grid_matrix(grid, t, rows),
+                         dynamics._propagator_grid_matrix(stored, t, rows))
+
+
 def test_propagator_rows_compute_only_the_factors_they_read(monkeypatch):
     # rows of the top half read no -omega sin factor, and rows of the bottom
     # half no t sinc factor; all 2n rows read both

@@ -1,6 +1,7 @@
 """Interaction kernels: construction, validation, JSON round trips, E1-E3."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from crystalstat import (
     kernel_from_json,
     random_finite_range_kernel,
 )
+from crystalstat._lattice import NumericalFault
 from crystalstat.kernel import canonical_offset, kernel_to_jsonable
 
 
@@ -119,6 +121,25 @@ def test_E3_fails_with_witness_on_negative_onsite():
     e3 = reports["E3"]
     assert e3.verdict == "fail"
     assert e3.witnesses and e3.witnesses[0]["value"] < 0
+
+
+def test_E3_refuses_a_symbol_that_is_not_finite():
+    # finite entries whose symbol overflows: no tolerance can judge an
+    # infinite eigenvalue, so E1-E3 raise before the eigensolver, without
+    # numpy's overflow warnings, on the symbol built here or handed in
+    k = InteractionKernel(1, 1, {(0,): np.array([[1e308]]), (1,): np.array([[-1e308]]),
+                                 (-1,): np.array([[-1e308]])})
+    message = r"^the kernel's symbol is not finite at grid node \(0,\) \(L=1024\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFault, match=message):
+            check_E123(k)
+        with pytest.raises(NumericalFault, match=message):
+            k.symbol_grid(1024)
+    symbol = build_nn_kernel(1, 1, 1.0).symbol_grid(1024)
+    symbol[5, 0, 0] = np.nan
+    with pytest.raises(NumericalFault, match=r"at grid node \(5,\) \(L=1024\)$"):
+        check_E123(build_nn_kernel(1, 1, 1.0), symbol)
 
 
 def test_mirror_violations_rejected_at_construction():

@@ -36,9 +36,11 @@ from crystalstat import _lattice
 from crystalstat._lattice import (
     check_node_count,
     eigen_compose,
+    forward_fft,
     fourier_coefficient,
     fourier_series,
     hermitian_part,
+    inverse_fft,
     largest_modulus,
     node_slabs,
     offset_cube,
@@ -263,3 +265,18 @@ def test_node_count_must_fit_an_array_index(L, d, fits):
     else:
         with pytest.raises(ValueError, match=rf"^L\^{d} must be at most "):
             check_node_count(L, d, "L")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [6, 8, 12])
+def test_ffts_normalise_in_place_with_the_bits_of_the_product(d, L):
+    # the FFTs scale their transform in place; the bits are those of the
+    # expressions that formed a new product, over the grid axes of a
+    # nodewise matrix and of an ensemble, on real and complex input
+    rng = np.random.default_rng(10 * d + L)
+    for shape, axes in (((L,) * d + (2, 2), tuple(range(d))),
+                        ((3, 2) + (L,) * d, tuple(range(2, d + 2)))):
+        real = rng.standard_normal(shape)
+        for a in (real, real + 1j * rng.standard_normal(shape)):
+            assert same_bits(forward_fft(a, axes), np.fft.ifftn(a, axes=axes) * float(L) ** d)
+            assert same_bits(inverse_fft(a, axes), np.fft.fftn(a, axes=axes) / float(L) ** d)

@@ -1,5 +1,6 @@
 """Dispersion grids, branch calculus, critical-set surrogates, E4/E5/ES."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -370,6 +371,37 @@ def test_nn_grid_stores_one_basis_node(d, masses):
     S = build_nn_kernel(d, n, list(masses)).symbol_grid(16)
     np.testing.assert_allclose(node.conj().T @ S @ node,
                                np.eye(n) * grid.omega[..., None, :] ** 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("masses", [(1.0,), (0.0,), (0.5, 2.0), (0.0, 1.0), (1.5, 1.5),
+                                    (0.0, 0.0), (1.0, 2.0, 3.0), (0.0, 1.0, 1.0),
+                                    (2.0, 2.0, 2.0), (0.0, 0.5, 1.0, 2.0),
+                                    (1.0, 1.0, 3.0, 3.0), (0.0, 0.0, 0.0, 0.0)])
+def test_nn_grid_with_ascending_masses_has_the_identity_basis(d, masses):
+    # the readers of the basis skip its products on these grids; a change to
+    # the eigensolver or to the labelling that loses the identity fails here
+    grid = dispersion_grid(build_nn_kernel(d, len(masses), list(masses)), 16)
+    assert grid.identity_basis
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("masses", [(2.0, 1.0), (2.0, 0.5), (3.0, 0.0, 1.0), (1.0, 2.0, 4.0, 3.0)])
+def test_nn_grid_with_unsorted_masses_has_a_permutation_basis(d, masses):
+    grid = dispersion_grid(build_nn_kernel(d, len(masses), list(masses)), 16)
+    node, n = _lattice.one_node(grid.basis), len(masses)
+    assert node is not None and not grid.identity_basis
+    assert np.array_equal(np.sort(np.abs(node), axis=None), np.repeat([0.0, 1.0], [n * n - n, n]))
+
+
+def test_identity_basis_needs_the_bits_of_one_identity_node():
+    # -0.0 in place of an off-diagonal zero, or the identity stored node by
+    # node, keeps the products by the basis
+    grid = dispersion_grid(build_nn_kernel(2, 2, [1.0, 2.0]), 16)
+    signed = np.eye(2, dtype=complex)
+    signed[0, 1] = complex(-0.0, 0.0)
+    for basis in (np.broadcast_to(signed, grid.basis.shape), np.array(grid.basis)):
+        assert not dataclasses.replace(grid, basis=basis).identity_basis
 
 
 @pytest.mark.parametrize("d, n, seed", [(1, 2, 3), (2, 2, 17), (2, 3, 5), (3, 2, 1)])
