@@ -552,9 +552,25 @@ def _floats(a) -> list:
     formatted once and looked up per entry.  Keying on bits, not values,
     keeps 0.0 and -0.0 apart: they compare equal but print as 0 and -0.
     """
+    distinct, codes = _bit_codes(a)
+    return _lookup(_format17(distinct), codes)
+
+
+def _bit_codes(a):
+    """The distinct float64 bit patterns of the entries of a float array, as
+    floats, and the int32 code of each entry in C order."""
     bits = np.ravel(a).astype(np.float64, casting="safe", copy=False).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    return _lookup(["%.17g" % v for v in distinct.view(np.float64).tolist()], inverse)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return distinct.view(np.float64), codes.astype(np.int32)
+
+
+def _format17(values) -> list:
+    """The %.17g string of each entry of a 1-D float array, from one % call
+    for the whole batch: the strings of one call per value, at less cost per
+    value."""
+    if not len(values):
+        return []
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values.tolist())).split("\n")
 
 
 def _lookup(strings, index) -> list:
@@ -562,8 +578,65 @@ def _lookup(strings, index) -> list:
     return np.asarray(strings, dtype=object)[np.ravel(index)].tolist()
 
 
-#: rows per block in _write_csv: few writes, and memory bounded by the block
+def _by_block(block, blocks: int) -> list:
+    """The indices i grouped by block[i]: entry b holds, ascending, the
+    indices whose block is b, for b in range(blocks)."""
+    order = np.argsort(block, kind="stable").astype(np.int32)
+    return np.split(order, np.searchsorted(block[order], np.arange(1, blocks)))
+
+
+#: rows per block in _write_csv: few writes, and the fields held at once
+#: bounded by the block
 _CSV_BLOCK_ROWS = 4096
+
+
+class _FloatColumn:
+    """The %.17g fields of a value column of a table written in blocks of
+    _CSV_BLOCK_ROWS rows, each distinct float64 bit pattern formatted once per
+    table, in the first block that reads it.
+
+    A pattern read in more than one block holds one of the first `kept`
+    string slots from its first block to its last.  A pattern read in one
+    block only takes one of the slots after those, and the next block reuses
+    them.  So the strings held at once are those of the patterns read on both
+    sides of a block boundary, and at most one block's worth more.
+    """
+
+    def __init__(self, values, shape):
+        self.values = np.ravel(np.broadcast_to(values, shape))
+        distinct, codes = _bit_codes(self.values)
+        blocks = -(-codes.size // _CSV_BLOCK_ROWS)
+        block = np.arange(codes.size, dtype=np.int32) // _CSV_BLOCK_ROWS
+        first = np.full(len(distinct), blocks, dtype=np.int32)
+        last = np.zeros_like(first)
+        np.minimum.at(first, codes, block)
+        np.maximum.at(last, codes, block)
+        kept = np.flatnonzero(first != last)
+        once = np.flatnonzero(first == last)
+        once = once[np.argsort(first[once], kind="stable")]
+        # per block, the number of patterns that no other block reads
+        self.once_in = np.bincount(first[once], minlength=blocks)
+        slot = np.empty(len(distinct), dtype=np.int32)
+        slot[kept] = np.arange(len(kept))
+        slot[once] = (len(kept) + np.arange(len(once))
+                      - np.repeat(np.cumsum(self.once_in) - self.once_in, self.once_in))
+        self.slot = slot[codes]
+        self.kept = len(kept)
+        self.born = _by_block(first[kept], blocks)
+        self.dead = _by_block(last[kept], blocks)
+        self.strings = np.empty(self.kept + self.once_in.max(initial=0), dtype=object)
+
+    def fields(self, b: int, rows: slice) -> list:
+        """The fields of the rows of block b, in order."""
+        slot = self.slot[rows]
+        fresh = np.concatenate([self.born[b], np.arange(self.kept, self.kept + self.once_in[b])])
+        found = np.empty(len(self.strings))
+        found[slot] = self.values[rows]
+        self.strings[fresh] = _format17(found[fresh])
+        fields = self.strings[slot].tolist()
+        self.strings[self.dead[b]] = None
+        self.strings[self.kept:] = None
+        return fields
 
 
 def _axis(shape, a: int) -> np.ndarray:
@@ -579,20 +652,21 @@ def _write_csv(path: Path, shape, columns) -> None:
     values broadcast to the shape.
 
     No field holds a comma, a quote or a newline (numbers and the fixed flag
-    names), so joining with commas writes the bytes csv.writer would.  Each
-    block of _CSV_BLOCK_ROWS rows is formatted and written before the next is
-    built, so no string column of the whole table is ever held.
+    names), so joining with commas writes the bytes csv.writer would.  Rows
+    are formatted and written in blocks of _CSV_BLOCK_ROWS, and each distinct
+    float64 bit pattern of a value column is formatted once per table
+    (_FloatColumn), so no string column of the whole table is ever built.
     """
     rows = int(np.prod(shape))
-    # (labels or None, the codes or values broadcast to the shape) per column
-    sources = [(column[1] if len(column) == 3 else None, np.broadcast_to(column[-1], shape))
-               for column in columns]
+    sources = [(column[1], np.broadcast_to(column[2], shape)) if len(column) == 3
+               else (None, _FloatColumn(column[1], shape)) for column in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(column[0] for column in columns) + "\n")
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            index = np.unravel_index(np.arange(start, min(start + _CSV_BLOCK_ROWS, rows)), shape)
-            fields = [_floats(a[index]) if labels is None else _lookup(labels, a[index])
+        for b, start in enumerate(range(0, rows, _CSV_BLOCK_ROWS)):
+            block = slice(start, min(start + _CSV_BLOCK_ROWS, rows))
+            index = np.unravel_index(np.arange(block.start, block.stop), shape)
+            fields = [_lookup(labels, a[index]) if labels is not None else a.fields(b, block)
                       for labels, a in sources]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 

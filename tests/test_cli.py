@@ -380,6 +380,85 @@ def test_floats_keeps_the_sign_of_zero():
     assert cli._floats(-0.0) == ["-0"]
 
 
+def bit_patterns(values) -> list:
+    """The float64 bit pattern of each entry of values, in C order."""
+    return np.ravel(np.asarray(values, dtype=np.float64)).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_write_csv_formats_each_bit_pattern_once_per_table(tmp_path, monkeypatch,
+                                                           block_rows):
+    # 5 x 821 = 4105 rows: 586 blocks of 7 and a short one of 3, or one block
+    # of 4096 and a short one of 9.  2.5 is read in the first and the last
+    # row only, so its string must outlive every block between them; each
+    # value of `pairs` is read in two adjacent rows, mostly of one block
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    formatted, format17 = [], cli._format17
+
+    def counted(values):
+        formatted.extend(bit_patterns(values))
+        return format17(values)
+
+    monkeypatch.setattr(cli, "_format17", counted)
+    rng = np.random.default_rng(34)
+    shape = (5, 821)
+    signed = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, math.inf, math.nan], size=shape)
+    signed[0, 0] = signed[-1, -1] = 2.5
+    signed[0, 1], signed[-1, -2] = -0.0, 0.0
+    row = np.round(rng.standard_normal(821), 1)  # about 50 distinct, read in every row
+    pairs = (np.arange(4105) // 2 * 0.25).reshape(shape)
+    labels = ["a", "b", "c", "d", "e"]
+    cli._write_csv(tmp_path / "t.csv", shape, [("i", labels, cli._axis(shape, 0)),
+                                              ("signed", signed), ("row", row),
+                                              ("pairs", pairs)])
+    distinct = [set(bit_patterns(values)) for values in (signed, row, pairs)]
+    assert len(distinct[0]) == 8 and {0, 1 << 63} <= distinct[0]
+    assert sorted(formatted) == sorted(sum(map(list, distinct), []))
+    columns = [[labels[i] for i in np.indices(shape)[0].ravel()], g17(signed),
+               g17(np.broadcast_to(row, shape)), g17(pairs)]
+    assert (tmp_path / "t.csv").read_text() == whole_column_table(
+        ["i", "signed", "row", "pairs"], columns)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_float_column_holds_only_the_strings_read_across_a_block_boundary(monkeypatch,
+                                                                          block_rows):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    values = np.concatenate([np.arange(4105) // 3 * 0.5, [0.0, -0.0, 7.0]])
+    values[[0, 4000]] = values[-1] = -0.0
+    column = cli._FloatColumn(values, values.shape)
+    blocks = [values[start:start + block_rows] for start in range(0, values.size, block_rows)]
+    first, last = {}, {}
+    for b, block in enumerate(blocks):
+        for bits in bit_patterns(block):
+            first.setdefault(bits, b)
+            last[bits] = b
+    first, last = (np.array([blocks_of[bits] for bits in first]) for blocks_of in (first, last))
+    for b, block in enumerate(blocks):
+        rows = slice(b * block_rows, b * block_rows + block.size)
+        assert column.fields(b, rows) == g17(block)
+        # the patterns read both in or before block b and after it
+        assert sum(s is not None for s in column.strings) == np.sum((first <= b) & (last > b))
+
+
+def test_format17_gives_the_strings_of_one_value_at_a_time():
+    # random bits over the whole float64 range, random subnormals, and the
+    # ends of the normal and subnormal ranges with both signs
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 1 << 64, size=50_000, dtype=np.uint64, endpoint=False)
+    subnormal = rng.integers(1, 1 << 52, size=5_000, dtype=np.uint64)
+    finfo = np.finfo(np.float64)
+    ends = [0.0, finfo.max, finfo.tiny, finfo.smallest_subnormal,
+            finfo.tiny - finfo.smallest_subnormal, 1.0, 0.1]
+    values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64),
+                             np.array(ends), -np.array(ends)])
+    values = values[np.isfinite(values)]
+    assert 55_000 > values.size > 50_000
+    assert cli._format17(values) == ["%.17g" % v for v in values.tolist()]
+    assert cli._format17(values[:0]) == []
+    assert cli._format17(np.array([-0.0, 0.0])) == ["-0", "0"]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
