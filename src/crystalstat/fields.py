@@ -294,12 +294,15 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
-def _white_noise_draws(L: int, d: int, n: int, seed: int, indices) -> np.ndarray:
+def _white_noise_draws(L: int, d: int, n: int, seed: int, indices,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stacked standard-normal fields, one generator per (seed, sample index),
-    shape (S, *grid, 2n): each generator fills its sample in this order."""
+    shape (S, *grid, 2n): each generator fills its sample in this order, in
+    out when it is given (an array of that shape)."""
     shape = (L,) * d + (2 * n,)
     states = _seed_states(seed, indices)
-    out = np.empty((len(states),) + shape)
+    if out is None:
+        out = np.empty((len(states),) + shape)
     for row, state in enumerate(states):
         np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(shape, out=out[row])
     return out
@@ -316,10 +319,18 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    L, d, n = density.L, density.d, density.n
-    R = moved_axes(density.hermitian_sqrt(), (-2, -1), (0, 1))
-    W = _white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
-    axes = tuple(range(2, d + 2))
+    root = density.hermitian_sqrt()
+    W = _white_noise_draws(density.L, density.d, density.n, seed,
+                           range(start_index, start_index + count))
+    return _coloured_noise(root, W)
+
+
+def _coloured_noise(root: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The ensemble array (S, 2n, *grid) of white noise W (S, *grid, 2n)
+    coloured in Fourier space by root, a density's nodewise Hermitian square
+    root (*grid, 2n, 2n)."""
+    R = moved_axes(root, (-2, -1), (0, 1))
+    axes = tuple(range(2, W.ndim))
     zhat = np.einsum("ij...,sj...->si...", R, forward_fft(moved_axes(W, -1, 1), axes))
     return real_part_checked(inverse_fft(zhat, axes), 1e-6, "gaussian_ensemble")
 
@@ -334,7 +345,10 @@ def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
     if not (0.0 < a0 < np.inf and 0.0 < a1 < np.inf):
         raise ValueError("transform amplitudes must be finite and positive")
     amplitude = np.repeat([float(a0), float(a1)], n).reshape((2 * n,) + (1,) * d)
-    return amplitude * np.tanh(Y / amplitude)
+    # amplitude * tanh(Y / amplitude): the same ufuncs and operand order in one buffer
+    out = np.divide(Y, amplitude)
+    np.tanh(out, out=out)
+    return np.multiply(amplitude, out, out=out)
 
 
 def density_from_covariance(cov: dict, L: int,

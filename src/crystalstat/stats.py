@@ -10,16 +10,20 @@ reduction (covariance_products, then covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
+It draws one chunk ahead: one worker thread fills the white noise of chunk
+k+1 into the second of two draw buffers while the calling thread colours,
+transforms, evolves and reduces chunk k, with the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import fields
 from ._lattice import check_ensemble, moved_axes
 from .covariance import quadratic_form
 from .dynamics import evolve_ensemble
-from .fields import gaussian_ensemble, nonlinear_transform_sample
+from .fields import nonlinear_transform_sample
 from .spectral import _require_match
 
 __all__ = [
@@ -46,9 +50,12 @@ MIN_SAMPLES = {
 LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
-# stream_ensemble aims for; its working set is a few such copies.  For clt at
-# d=1 L=256 (128 samples a chunk) one evolve_ensemble call peaks at 4.5 MB
-# traced and the whole stream at 6.3 MB, against 18 and 23 MB at 4 MiB.
+# stream_ensemble aims for; its working set is a few such copies, plus two
+# real draw buffers of half that size each (one chunk is drawn ahead).  For
+# clt at d=1 L=256 (128 samples a chunk) one evolve_ensemble call peaks at
+# 4.5 MB traced, and the whole stream of 1024 samples at 5.9 MB, against
+# 4.8 MB when each chunk was drawn in turn.  At 4 MiB the call peaked at 18 MB
+# and the stream at 23 MB.
 # Streaming clt's 10000 samples at d=1 L=256 on a shared 2-vCPU host took,
 # as the median of six fresh processes each timed best of three, 0.64 s at
 # 4 MiB, 0.49 s at 2 MiB, 0.54 s at 1 MiB and at 512 KiB, and 0.60 s at
@@ -79,24 +86,49 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     memory does not grow with count.  The count is checked against the
     estimator that will consume the result (purpose, a key of MIN_SAMPLES),
     and the density against the grid, before the first draw.
+
+    The white noise of the next chunk is drawn on one worker thread while
+    this thread colours, transforms, evolves and reduces the current one.
+    The worker fills two draw buffers in turn, each only after the chunk
+    that read it is done, and touches nothing else; a failure on either
+    thread is raised here once the worker has stopped.
     """
+    # imported here, not at module level: concurrent.futures loads logging,
+    # about 5 ms of every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     require_samples(count, purpose)
     L, d, n = density.L, density.d, density.n
     _require_match(grid, L, d, n, what="field")
     size = max(1, CHUNK_BYTES // (16 * L**d * 2 * n))
+    starts = range(0, count, size)
+    root = density.hermitian_sqrt()
+    buffers = [np.empty((min(size, count),) + (L,) * d + (2 * n,)) for _ in starts[:2]]
+
+    def draw(k):
+        indices = range(starts[k], min(starts[k] + size, count))
+        return fields._white_noise_draws(L, d, n, seed, indices,
+                                         out=buffers[k % 2][:len(indices)])
+
     parts = []
-    for start in range(0, count, size):
-        Y0 = gaussian_ensemble(density, min(size, count - start), seed, start)
-        if transform is not None:
-            Y0 = nonlinear_transform_sample(Y0, *transform)
-        # Y0 and Yt stay bound until the next chunk replaces them.  Freed at
-        # the end of each chunk, they let malloc trim the heap, and the next
-        # chunk faults its pages in again: for clt's 10000 samples at d=1
-        # L=256 on a 2-vCPU glibc host, 8 minor page faults against 5 and no
-        # time measurably lost at 1 MiB, but 6.6 times the faults (88000)
-        # and up to a fifth more time at 4 MiB.
-        Yt = evolve_ensemble(Y0, grid, t)
-        parts.append(statistics(Y0, Yt))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw, 0)
+        for k in range(len(starts)):
+            W = ahead.result()
+            # buffer (k + 1) % 2 was read by chunk k - 1, which is done
+            if k + 1 < len(starts):
+                ahead = worker.submit(draw, k + 1)
+            Y0 = fields._coloured_noise(root, W)
+            if transform is not None:
+                Y0 = nonlinear_transform_sample(Y0, *transform)
+            # Y0 and Yt stay bound until the next chunk replaces them.  Freed at
+            # the end of each chunk, they let malloc trim the heap, and the next
+            # chunk faults its pages in again: for clt's 10000 samples at d=1
+            # L=256 on a 2-vCPU glibc host, 8 minor page faults against 5 and no
+            # time measurably lost at 1 MiB, but 6.6 times the faults (88000)
+            # and up to a fifth more time at 4 MiB.
+            Yt = evolve_ensemble(Y0, grid, t)
+            parts.append(statistics(Y0, Yt))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

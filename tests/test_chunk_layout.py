@@ -182,6 +182,8 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
 
 
 def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
+    # gaussian_ensemble is its draw step and its colouring body; the stream
+    # runs the same two, the draw a chunk ahead on its worker thread
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
                          (dynamics, "_evolve_chunk")):
         assert not hasattr(module, name)
@@ -189,12 +191,13 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
     grid = _grid(d, n)
     density = _random_density(d, n, 5)
     sample_bytes = 16 * grid.L**d * 2 * n
+    steps = {fields: ("_white_noise_draws", "_coloured_noise"),
+             stats: ("nonlinear_transform_sample", "evolve_ensemble")}
     for transform, transformed in ((None, 0), ((0.7, 1.3), 4)):
-        calls = {"gaussian_ensemble": 0, "nonlinear_transform_sample": 0,
-                 "evolve_ensemble": 0}
+        calls = {name: 0 for names in steps.values() for name in names}
 
-        def counted(name):
-            original = getattr(stats, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -203,8 +206,11 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
 
         with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
                 mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}), \
-                mock.patch.multiple(stats, **{name: counted(name) for name in calls}):
+                mock.patch.multiple(fields, **{name: counted(fields, name)
+                                               for name in steps[fields]}), \
+                mock.patch.multiple(stats, **{name: counted(stats, name)
+                                              for name in steps[stats]}):
             stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
                             "covariance error bars", transform=transform)
-        assert calls == {"gaussian_ensemble": 4, "nonlinear_transform_sample": transformed,
-                         "evolve_ensemble": 4}
+        assert calls == {"_white_noise_draws": 4, "_coloured_noise": 4,
+                         "nonlinear_transform_sample": transformed, "evolve_ensemble": 4}

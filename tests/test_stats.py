@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalstat.cli as cli
+import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat import (
     TestField,
@@ -139,6 +141,135 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
     # 6.3 MB at the 1 MiB chunk budget, 23 MB at a 4 MiB one.
     assert large < 8e6
+
+
+def sequential_stream(density, count, seed, grid, t, statistics, size, transform):
+    """stream_ensemble's chunks drawn, coloured, evolved and reduced one after
+    another on this thread, each by the public sampler."""
+    parts = []
+    for start in range(0, count, size):
+        Y0 = gaussian_ensemble(density, min(size, count - start), seed, start)
+        if transform is not None:
+            Y0 = nonlinear_transform_sample(Y0, *transform)
+        parts.append(statistics(Y0, evolve_ensemble(Y0, grid, t)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+@pytest.mark.parametrize("transform", [None, (0.7, 1.3)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stream_ensemble_matches_a_sequential_chunk_loop(d, n, transform):
+    grid, dens = _random_model(d, n)
+    count, seed, t = 10, 41, 2.5
+    sample_bytes = 16 * grid.L**d * 2 * n
+    for size in (1, 3, count):
+        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
+                mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}):
+            streamed = stream_ensemble(dens, count, seed, grid, t, lambda A, B: (A, B),
+                                       "covariance error bars", transform=transform)
+        want = sequential_stream(dens, count, seed, grid, t, lambda A, B: (A, B), size,
+                                 transform)
+        for got, expected in zip(streamed, want):
+            assert got.tobytes() == expected.tobytes()
+
+
+def _chunks_of(samples, d=1):
+    """A d-dimensional model, with patches that stream it in chunks of this
+    many samples and lower the sample-count gate to one sample."""
+    grid, dens = _random_model(d, 1)
+    budget = mock.patch.object(stats, "CHUNK_BYTES", samples * 16 * grid.L**d * 2)
+    minimum = mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1})
+    return grid, dens, budget, minimum
+
+
+def test_concurrent_streams_keep_the_bits():
+    # four streams at once, each with its own worker, on two cores: a draw
+    # into the buffer still being coloured changed the bits of 11 of 12 such
+    # streams at the default switch interval (3 of 12 at 1 us)
+    grid, dens, budget, minimum = _chunks_of(1, d=2)
+
+    def statistics(Y0, Yt):
+        return (Y0, Yt)
+
+    want = sequential_stream(dens, 30, 5, grid, 1.0, statistics, 1, (0.7, 1.3))
+    results = [None] * 4
+
+    def run(i):
+        results[i] = stream_ensemble(dens, 30, 5, grid, 1.0, statistics,
+                                     "covariance error bars", transform=(0.7, 1.3))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    with budget, minimum:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for streamed in results:
+        assert streamed is not None
+        for got, expected in zip(streamed, want):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_stream_ensemble_leaves_no_thread_behind():
+    grid, dens, budget, minimum = _chunks_of(3)
+    before = threading.active_count()
+    calls = []
+
+    def failing(Y0, Yt):
+        # raised on the second chunk, while the worker draws the third
+        calls.append(len(Y0))
+        if len(calls) == 2:
+            raise RuntimeError("statistics failed")
+        return (Y0,)
+
+    with budget, minimum:
+        kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,),
+                                "covariance error bars")
+        assert len(kept) == 10
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="^statistics failed$"):
+            stream_ensemble(dens, 10, 0, grid, 1.0, failing, "covariance error bars")
+        assert calls == [3, 3]
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            stream_ensemble(dens, 10, -1, grid, 1.0, lambda A, B: (A,),
+                            "covariance error bars")
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0])
+def test_worker_failure_is_the_samplers(seed):
+    grid, dens, budget, minimum = _chunks_of(3)
+    with pytest.raises(Exception) as direct:
+        gaussian_ensemble(dens, 3, seed)
+    with budget, minimum, pytest.raises(Exception) as streamed:
+        stream_ensemble(dens, 10, seed, grid, 1.0, lambda A, B: (A,),
+                        "covariance error bars")
+    assert type(streamed.value) is type(direct.value)
+    assert str(streamed.value) == str(direct.value)
+
+
+def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
+    grid, dens, budget, minimum = _chunks_of(3)
+    draws, reduced = fields._white_noise_draws, []
+
+    def third_draw_fails(L, d, n, seed, indices, out=None):
+        if indices.start == 6:
+            raise ValueError("draw failed")
+        return draws(L, d, n, seed, indices, out=out)
+
+    def statistics(Y0, Yt):
+        reduced.append(len(Y0))
+        return (Y0,)
+
+    before = threading.active_count()
+    with budget, minimum, mock.patch.object(fields, "_white_noise_draws", third_draw_fails), \
+            pytest.raises(ValueError, match="^draw failed$"):
+        stream_ensemble(dens, 10, 0, grid, 1.0, statistics, "covariance error bars")
+    # the third chunk's draw ran while the second was reduced
+    assert reduced == [3, 3]
+    assert threading.active_count() == before
 
 
 PROBE_NUMPY_MA = """
