@@ -28,6 +28,7 @@ from .spectral import (
     dispersion_grid,
 )
 from .dynamics import (
+    Propagator,
     evolve_ensemble,
     green_cutoff,
     green_function,
@@ -61,6 +62,7 @@ from .stats import (
     empirical_mixing_support,
     gaussianity_report,
     linear_functional_samples,
+    offset_products,
     require_samples,
     stream_ensemble,
 )
@@ -82,6 +84,7 @@ __all__ = [
     "check_E4_E5",
     "check_ES",
     "dispersion_grid",
+    "Propagator",
     "evolve_ensemble",
     "green_cutoff",
     "green_function",
@@ -103,6 +106,7 @@ __all__ = [
     "mixing_integral",
     "quadratic_form",
     "characteristic_functional",
+    "offset_products",
     "covariance_products",
     "covariance_summary",
     "empirical_covariance",

@@ -26,7 +26,10 @@ its summation order can depend on the strides of its operands.  An
 eigenbasis whose one node is the identity (``DispersionGrid.identity_basis``)
 is not multiplied by the einsum readers, since einsum sums from +0 and the
 product is x + 0.0; ``limit_density`` skips its BLAS products by it on a
-one-node density only.  The FFTs normalise their transform in place.
+one-node density only.  The FFTs normalise in place, and write their
+transform into a caller's complex buffer when one is given (``out=``), and
+:func:`real_part_checked` writes into a caller's real one likewise, so that
+a loop over chunks reuses its arrays.
 :func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
@@ -88,22 +91,62 @@ def offset_cube(r: int, d: int) -> list:
     return list(itertools.product(range(-r, r + 1), repeat=d))
 
 
-def forward_fft(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention).
+def _transformed(transform, a: np.ndarray, axes: tuple, out) -> np.ndarray:
+    """transform (np.fft.ifftn or np.fft.fftn) of a over axes, written into
+    out, a complex array of a's shape which may be a itself, or into a new
+    array when out is None: the bits of the allocating transform either way.
+    A real a is cast into out first and transformed there in place, since
+    numpy would cast it into a complex temporary of out's size."""
+    if out is not None and not np.iscomplexobj(a):
+        np.copyto(out, a)
+        a = out
+    return transform(a, axes=axes, out=out)
+
+
+def forward_fft(a: np.ndarray, axes: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention),
+    written into out when it is given (see :func:`_transformed`).
 
     The L^d normalisation is applied in place: the same ufunc on the same
     operands as a new product, so the same bits, with one complex temporary
     of the transform's size fewer."""
-    h = np.fft.ifftn(a, axes=axes)
+    h = _transformed(np.fft.ifftn, a, axes, out)
     h *= float(a.shape[axes[0]]) ** len(axes)
     return h
 
 
-def inverse_fft(ahat: np.ndarray, axes: tuple) -> np.ndarray:
-    """Inverse of :func:`forward_fft`, normalised in place likewise."""
-    h = np.fft.fftn(ahat, axes=axes)
+def inverse_fft(ahat: np.ndarray, axes: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`forward_fft`, written into out and normalised in
+    place likewise."""
+    h = _transformed(np.fft.fftn, ahat, axes, out)
     h /= float(ahat.shape[axes[0]]) ** len(axes)
     return h
+
+
+def translated(a: np.ndarray, z, axes: tuple, out: np.ndarray) -> np.ndarray:
+    """out[x] = a[x + z] on the periodic lattice spanned by axes: the values of
+    ``np.roll(a, -z, axes)``, written into out (which must not overlap a) by
+    one block copy per wrapped or unwrapped part of each axis."""
+    parts = []
+    for c, axis in zip(z, axes):
+        L = a.shape[axis]
+        s = c % L
+        parts.append(((slice(0, L - s), slice(s, L)), (slice(L - s, L), slice(0, s))))
+    for blocks in itertools.product(*parts):
+        dst, src = [slice(None)] * a.ndim, [slice(None)] * a.ndim
+        for (to, frm), axis in zip(blocks, axes):
+            dst[axis], src[axis] = to, frm
+        out[tuple(dst)] = a[tuple(src)]
+    return out
+
+
+def real_view(c: np.ndarray) -> np.ndarray:
+    """The first c.size floats of a C-contiguous complex array c, as a real
+    array of c's shape: room for a real result once c's values are spent.
+    Any other c is refused, as the reshape would copy it."""
+    if not (np.iscomplexobj(c) and c.flags.c_contiguous):
+        raise ValueError("real_view needs a C-contiguous complex array")
+    return c.view(float).reshape(-1)[:c.size].reshape(c.shape)
 
 
 def check_ensemble(Y) -> tuple:
@@ -312,15 +355,22 @@ def fourier_coefficient(hat: np.ndarray, z, skip: np.ndarray | None = None) -> n
     return total / float(L) ** d
 
 
-def real_part_checked(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def real_part_checked(a: np.ndarray, tol: float, what: str,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Drop an imaginary residue after verifying it is below tol (absolute).
 
-    A NaN residue fails the check, as it cannot be shown to be below tol.
+    The real part is written into out, a real array of a's shape, or into a
+    new C-contiguous one; the residue's moduli are formed in the same array
+    first, so the check takes no temporary.  A NaN residue fails the check,
+    as it cannot be shown to be below tol; out then holds no result.
     """
-    resid = float(np.max(np.abs(a.imag))) if np.iscomplexobj(a) else 0.0
+    if out is None:
+        out = np.empty(a.shape)
+    resid = float(np.max(np.abs(a.imag, out=out))) if np.iscomplexobj(a) else 0.0
     if not resid <= tol:
         raise NumericalFault(
             f"{what}: imaginary residue {resid:.3e} exceeds {tol:.1e}; "
             "input violates the reality symmetry"
         )
-    return np.ascontiguousarray(a.real) if np.iscomplexobj(a) else a
+    np.copyto(out, a.real)
+    return out

@@ -67,10 +67,10 @@ from .spectral import (
 )
 from .stats import (
     characteristic_functional,
-    covariance_products,
     covariance_summary,
     gaussianity_report,
     linear_functional_samples,
+    offset_products,
     require_samples,
     stream_ensemble,
 )
@@ -817,9 +817,10 @@ def _sampled_covariance(run, q0, t, transform=None):
     of the run's ensemble of q0, transformed by transform if given, at time t."""
     offsets = _axis_offsets(run.kernel().d)
     grid = run.grid(run.L)
+    products_at = offset_products(offsets)
     products, = stream_ensemble(
         q0, run.eff["ensemble"], run.eff["seed"], grid, t,
-        lambda Y0, Yt: (covariance_products(Yt, offsets),),
+        lambda Y0, Yt: (products_at(Yt),),
         "covariance error bars", transform=transform)
     return (offsets,) + covariance_summary(products)
 
@@ -910,10 +911,11 @@ def _cmd_clt(run, component) -> int:
     run.gate(run.conditions(L))
     # the transform is pointwise, so the field depends as far as its base
     offsets = offset_cube(measure.radius, kernel.d)
+    products_at = offset_products(offsets)
 
     products, samples0, samples_t = stream_ensemble(
         measure.density, eff["ensemble"], eff["seed"], grid, t,
-        lambda Y0, Yt: (covariance_products(Y0, offsets),
+        lambda Y0, Yt: (products_at(Y0),
                         linear_functional_samples(Y0, psi),
                         linear_functional_samples(Yt, psi)),
         "moment diagnostics", transform=measure.transform)

@@ -31,6 +31,7 @@ from .kernel import InteractionKernel
 from .spectral import DispersionGrid, _require_match
 
 __all__ = [
+    "Propagator",
     "evolve_ensemble",
     "reference_evolve_ode",
     "green_function",
@@ -59,37 +60,81 @@ def _rotation_factors(omega: np.ndarray, t: float, sinc: bool = True, sin: bool 
     return c, s, ns
 
 
-def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
-    """Propagate an ensemble array (S, 2n, *grid) by time t through the spectral solver.
+class Propagator:
+    """Ghat(t) on a dispersion grid, prepared once for any number of ensembles.
 
-    The field must live on the dispersion grid (same L, d and n).  Ghat(t) is
-    applied nodewise in the symbol eigenbasis; all samples share the grid's
-    diagonalization and batched FFTs, and each sample's result does not
-    depend on the others.
+    Holds the rotation factors as complex rows [[C, S], [N, C]], shape
+    (2, 2, n, *grid), and unless the grid's eigenbasis is the identity, the
+    basis and its adjoint moved to (n, n, *grid): the work that does not
+    depend on the field.
     """
-    Y, L, d, n = check_ensemble(Y)
-    _require_match(grid, L, d, n, what="field")
-    axes = tuple(range(2, d + 2))
-    zhat = forward_fft(Y, axes)
-    c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
-    out = np.empty_like(zhat)
-    if grid.identity_basis:
-        # the einsums by Bh and by B are each x + 0.0; the sign of a zero in
-        # a or b changes no nonzero value of the sums, so only the last
-        # + 0.0 is applied
-        a, b = zhat[:, :n], zhat[:, n:]
-        for half, (f, g) in ((out[:, :n], (c, s)), (out[:, n:], (ns, c))):
-            np.multiply(f, a, out=half)
-            half += g * b
-            half += 0.0
-    else:
-        B = moved_axes(grid.basis, (-2, -1), (0, 1))
-        Bh = moved_axes(B.conj(), 1, 0)
-        a = np.einsum("kj...,sj...->sk...", Bh, zhat[:, :n])
-        b = np.einsum("kj...,sj...->sk...", Bh, zhat[:, n:])
-        out[:, :n] = np.einsum("jk...,sk...->sj...", B, c * a + s * b)
-        out[:, n:] = np.einsum("jk...,sk...->sj...", B, ns * a + c * b)
-    return real_part_checked(inverse_fft(out, axes), _IMAG_TOL, "evolve_ensemble")
+
+    def __init__(self, grid: DispersionGrid, t: float):
+        self.grid = grid
+        c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
+        # complex, as the products with a complex field cast them
+        self._rows = np.array([[c, s], [ns, c]], dtype=complex)
+        if grid.identity_basis:
+            self._basis = None
+        else:
+            B = moved_axes(grid.basis, (-2, -1), (0, 1))
+            self._basis = (B, moved_axes(B.conj(), 1, 0))
+
+    def apply(self, Y, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+        """Propagate an ensemble array (S, 2n, *grid) by time t through the spectral solver.
+
+        The field must live on the dispersion grid (same L, d and n).  Ghat(t)
+        is applied nodewise in the symbol eigenbasis; all samples share the
+        grid's diagonalization and batched FFTs, and each sample's result does
+        not depend on the others.  work, a complex array (2, S, 2n, *grid),
+        holds the forward transform and the rotated field, and the result is
+        written into out, a real (S, 2n, *grid) array; either is allocated
+        when not given, with the same bits.  out may share memory with
+        work[0], whose transform is spent before out is written.  The
+        rotation reads and writes work[0] and work[1] through reshaped views,
+        so a work whose two arrays are not C-contiguous is refused.
+        """
+        Y, L, d, n = check_ensemble(Y)
+        _require_match(self.grid, L, d, n, what="field")
+        axes = tuple(range(2, d + 2))
+        if work is None:
+            work = np.empty((2,) + Y.shape, dtype=complex)
+        elif not (work[0].flags.c_contiguous and work[1].flags.c_contiguous):
+            raise ValueError("work must hold two C-contiguous arrays")
+        zhat, rotated = forward_fft(Y, axes, out=work[0]), work[1]
+        pairs = (Y.shape[0], 2, n) + Y.shape[2:]
+        if self._basis is None:
+            self._rotate(zhat.reshape(pairs), rotated.reshape(pairs))
+        else:
+            B, Bh = self._basis
+            for half in (slice(None, n), slice(n, None)):
+                np.einsum("kj...,sj...->sk...", Bh, zhat[:, half], out=rotated[:, half])
+            self._rotate(rotated.reshape(pairs), zhat.reshape(pairs))
+            for half in (slice(None, n), slice(n, None)):
+                np.einsum("jk...,sk...->sj...", B, zhat[:, half], out=rotated[:, half])
+        return real_part_checked(inverse_fft(rotated, axes, out=rotated), _IMAG_TOL,
+                                 "evolve_ensemble", out=out)
+
+    def _rotate(self, pair: np.ndarray, out: np.ndarray) -> None:
+        """Rows C a + S b and N a + C b of a field pair (a, b), each (S, 2, n,
+        *grid), in the eigenbasis.
+
+        Each row is one einsum over the pair, with the two products and the
+        sum of the ufuncs f * a + g * b.  einsum sums from +0, so a row that
+        sums to zero is +0: on an identity basis that is the x + 0.0 of the
+        basis change by B, which is skipped, and on another basis the sign of
+        a zero changes no value of that basis change, which sums from +0 too.
+        A ufunc that broadcast the factors over the samples would allocate
+        buffers of its own; einsum does not.
+        """
+        for row in range(2):
+            np.einsum("hk...,shk...->sk...", self._rows[row], pair, out=out[:, row])
+
+
+def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
+    """:meth:`Propagator.apply` of Y by Ghat(t) on grid, in new arrays."""
+    return Propagator(grid, t).apply(Y)
 
 
 def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> np.ndarray:

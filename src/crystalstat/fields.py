@@ -319,34 +319,53 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    root = density.hermitian_sqrt()
+    R = _colouring_root(density)
     W = _white_noise_draws(density.L, density.d, density.n, seed,
                            range(start_index, start_index + count))
-    return _coloured_noise(root, W)
+    return _coloured_noise(R, W)
 
 
-def _coloured_noise(root: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _colouring_root(density: SpectralDensity) -> np.ndarray:
+    """The density's nodewise Hermitian square root as the colouring reads
+    it: a C-contiguous (2n, 2n, *grid) copy."""
+    return moved_axes(density.hermitian_sqrt(), (-2, -1), (0, 1))
+
+
+def _coloured_noise(R: np.ndarray, W: np.ndarray, out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
     """The ensemble array (S, 2n, *grid) of white noise W (S, *grid, 2n)
-    coloured in Fourier space by root, a density's nodewise Hermitian square
-    root (*grid, 2n, 2n)."""
-    R = moved_axes(root, (-2, -1), (0, 1))
+    coloured in Fourier space by R, a density's :func:`_colouring_root`.
+
+    work, a complex array (2, S, 2n, *grid), holds the noise's transform and
+    the coloured transform, and the result is written into out, a real
+    (S, 2n, *grid) array; either is allocated when not given, with the same
+    bits."""
+    noise = np.moveaxis(W, -1, 1)
+    if work is None:
+        work = np.empty((2,) + noise.shape, dtype=complex)
     axes = tuple(range(2, W.ndim))
-    zhat = np.einsum("ij...,sj...->si...", R, forward_fft(moved_axes(W, -1, 1), axes))
-    return real_part_checked(inverse_fft(zhat, axes), 1e-6, "gaussian_ensemble")
+    # the transform reads the noise through a transposed view: the copy into
+    # its complex array is the layout change
+    What = forward_fft(noise, axes, out=work[0])
+    zhat = np.einsum("ij...,sj...->si...", R, What, out=work[1])
+    return real_part_checked(inverse_fft(zhat, axes, out=zhat), 1e-6, "gaussian_ensemble",
+                             out=out)
 
 
-def nonlinear_transform_sample(Y, a0: float, a1: float) -> np.ndarray:
+def nonlinear_transform_sample(Y, a0: float, a1: float,
+                               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the bounded odd map y -> a tanh(y / a) componentwise to an ensemble.
 
     Displacements use amplitude a0, velocities a1.  The transform preserves
-    translation invariance and zero mean while destroying gaussianity.
+    translation invariance and zero mean while destroying gaussianity.  The
+    result is written into out (which may be Y) when it is given.
     """
     Y, _, d, n = check_ensemble(Y)
     if not (0.0 < a0 < np.inf and 0.0 < a1 < np.inf):
         raise ValueError("transform amplitudes must be finite and positive")
     amplitude = np.repeat([float(a0), float(a1)], n).reshape((2 * n,) + (1,) * d)
     # amplitude * tanh(Y / amplitude): the same ufuncs and operand order in one buffer
-    out = np.divide(Y, amplitude)
+    out = np.divide(Y, amplitude, out=out)
     np.tanh(out, out=out)
     return np.multiply(amplitude, out, out=out)
 
@@ -422,6 +441,11 @@ def density_to_jsonable(density: SpectralDensity) -> dict:
 
 
 def density_from_jsonable(doc: dict) -> SpectralDensity:
+    """The density of a :func:`density_to_jsonable` form, read as a measure.
+
+    A limit's excluded and cluster_id are checked, so that a malformed file is
+    refused, and dropped: a measure's own limit recomputes them.
+    """
     if not isinstance(doc, dict):
         raise ValueError("density file must contain a JSON object")
     required = ("L", "d", "n", "matrix_re", "matrix_im")
@@ -435,23 +459,25 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     matrix = number_array(doc["matrix_re"], "density file matrix_re") + 1j * number_array(
         doc["matrix_im"], "density file matrix_im")
     nodes = (doc["L"],) * doc["d"]
-    flags = {}
     if "excluded" in doc:
-        flags["excluded"] = _node_array(doc, "excluded", bool, nodes)
+        _check_node_array(doc, "excluded", bool, nodes)
     if "cluster_id" in doc:
-        flags["cluster_id"] = _node_array(doc, "cluster_id", int, nodes + (doc["n"],))
+        _check_node_array(doc, "cluster_id", int, nodes + (doc["n"],))
     return SpectralDensity(L=doc["L"], d=doc["d"], n=doc["n"], matrix=matrix,
-                           provenance=str(doc.get("provenance", "file")), **flags)
+                           provenance=str(doc.get("provenance", "file")))
 
 
-def _node_array(doc: dict, key: str, kind: type, shape: tuple) -> np.ndarray:
-    """doc[key] as an array of this shape whose every entry is of this kind,
-    bool or a 64-bit int: a boolean is not an integer here, nor a float."""
+def _check_node_array(doc: dict, key: str, kind: type, shape: tuple) -> None:
+    """Refuse doc[key] unless it is an array of this shape whose every entry is
+    of this kind, bool or a 64-bit int: a boolean is not an integer here, nor
+    a float."""
     entries = np.array(doc[key], dtype=object)
     if entries.shape == shape and all(type(v) is kind for v in entries.flat):
         try:
-            return entries.astype(kind)
-        except OverflowError:
+            entries.astype(kind)
+        except OverflowError:  # an integer beyond 64 bits
             pass
+        else:
+            return
     name = {bool: "boolean", int: "integer"}[kind]
     raise ValueError(f"density file {key} must be an all-{name} array of shape {shape}")

@@ -13,6 +13,16 @@ count and the reduction sees the same arrays as for the whole ensemble at once.
 It draws one chunk ahead: one worker thread fills the white noise of chunk
 k+1 into the second of two draw buffers while the calling thread colours,
 transforms, evolves and reduces chunk k, with the same bytes.
+
+Every chunk-sized array of the loop is allocated once per stream and reused
+by each chunk: the two draw buffers, two complex work arrays in which the
+colouring and then the propagator (one dynamics.Propagator per stream)
+transform in place, and the real initial field; the evolved field is the
+real part written over the spent first work array.  offset_products, the
+per-sample step of the covariance estimators as one callable, keeps its
+two sample-major arrays likewise.  So no chunk after the first allocates an
+array of its size, and malloc does not fault the same pages in again for
+each chunk.
 """
 
 from __future__ import annotations
@@ -20,15 +30,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import fields
-from ._lattice import check_ensemble, moved_axes
+from ._lattice import check_ensemble, real_view, translated
 from .covariance import quadratic_form
-from .dynamics import evolve_ensemble
+from .dynamics import Propagator
 from .fields import nonlinear_transform_sample
 from .spectral import _require_match
 
 __all__ = [
     "require_samples",
     "stream_ensemble",
+    "offset_products",
     "covariance_products",
     "covariance_summary",
     "empirical_covariance",
@@ -50,17 +61,19 @@ MIN_SAMPLES = {
 LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
-# stream_ensemble aims for; its working set is a few such copies, plus two
-# real draw buffers of half that size each (one chunk is drawn ahead).  For
-# clt at d=1 L=256 (128 samples a chunk) one evolve_ensemble call peaks at
-# 4.5 MB traced, and the whole stream of 1024 samples at 5.9 MB, against
-# 4.8 MB when each chunk was drawn in turn.  At 4 MiB the call peaked at 18 MB
-# and the stream at 23 MB.
+# stream_ensemble aims for.  It allocates its working set once per stream:
+# two such complex arrays, the real Y0 and two real draw buffers of half that
+# size each (one chunk is drawn ahead); clt's statistics keep two more real
+# chunk arrays in offset_products.  For clt at d=1 L=256 (128 samples
+# a chunk) the whole stream of 1024 samples peaks at 4.9 MB traced, against
+# 5.9 MB when each chunk allocated its own arrays.
 # Streaming clt's 10000 samples at d=1 L=256 on a shared 2-vCPU host took,
 # as the median of six fresh processes each timed best of three, 0.64 s at
 # 4 MiB, 0.49 s at 2 MiB, 0.54 s at 1 MiB and at 512 KiB, and 0.60 s at
 # 256 KiB, with a spread of about 0.1 s between processes.  At d=2 L=64
-# (white noise, n = 1 and 2) 1 MiB and 4 MiB were within the noise.
+# (white noise, n = 1 and 2) 1 MiB and 4 MiB were within the noise.  Those
+# times were taken while each chunk allocated its own arrays; the budget has
+# not been timed again since.
 CHUNK_BYTES = 2**20
 
 
@@ -87,6 +100,14 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     estimator that will consume the result (purpose, a key of MIN_SAMPLES),
     and the density against the grid, before the first draw.
 
+    Every chunk-sized array is allocated once per call and reused by every
+    chunk, the short last one through its leading samples: two draw buffers,
+    two complex arrays that hold the colouring's and then the propagator's
+    transforms, and the real Y0.  Yt is the real part of the evolved field,
+    written over the first complex array once its transform is spent.  Y0
+    and Yt are overwritten by the next chunk, so a column that statistics
+    returns is copied when it may share memory with them.
+
     The white noise of the next chunk is drawn on one worker thread while
     this thread colours, transforms, evolves and reduces the current one.
     The worker fills two draw buffers in turn, each only after the chunk
@@ -100,15 +121,22 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     require_samples(count, purpose)
     L, d, n = density.L, density.d, density.n
     _require_match(grid, L, d, n, what="field")
-    size = max(1, CHUNK_BYTES // (16 * L**d * 2 * n))
+    size = min(count, max(1, CHUNK_BYTES // (16 * L**d * 2 * n)))
     starts = range(0, count, size)
-    root = density.hermitian_sqrt()
-    buffers = [np.empty((min(size, count),) + (L,) * d + (2 * n,)) for _ in starts[:2]]
+    root = fields._colouring_root(density)
+    propagator = Propagator(grid, t)
+    buffers = [np.empty((size,) + (L,) * d + (2 * n,)) for _ in starts[:2]]
+    work = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
+    initial = np.empty(work.shape[1:])
 
     def draw(k):
         indices = range(starts[k], min(starts[k] + size, count))
         return fields._white_noise_draws(L, d, n, seed, indices,
                                          out=buffers[k % 2][:len(indices)])
+
+    def kept(column):
+        reused = np.may_share_memory(column, work) or np.may_share_memory(column, initial)
+        return np.copy(column) if reused else column
 
     parts = []
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -118,18 +146,52 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
             # buffer (k + 1) % 2 was read by chunk k - 1, which is done
             if k + 1 < len(starts):
                 ahead = worker.submit(draw, k + 1)
-            Y0 = fields._coloured_noise(root, W)
+            chunk = work[:, :len(W)]
+            Y0 = fields._coloured_noise(root, W, out=initial[:len(W)], work=chunk)
             if transform is not None:
-                Y0 = nonlinear_transform_sample(Y0, *transform)
-            # Y0 and Yt stay bound until the next chunk replaces them.  Freed at
-            # the end of each chunk, they let malloc trim the heap, and the next
-            # chunk faults its pages in again: for clt's 10000 samples at d=1
-            # L=256 on a 2-vCPU glibc host, 8 minor page faults against 5 and no
-            # time measurably lost at 1 MiB, but 6.6 times the faults (88000)
-            # and up to a fifth more time at 4 MiB.
-            Yt = evolve_ensemble(Y0, grid, t)
-            parts.append(statistics(Y0, Yt))
+                Y0 = nonlinear_transform_sample(Y0, *transform, out=Y0)
+            Yt = propagator.apply(Y0, out=real_view(chunk[0]), work=chunk)
+            parts.append(tuple(kept(column) for column in statistics(Y0, Yt)))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def offset_products(offsets):
+    """:func:`covariance_products` at these offsets as one callable,
+    products(Y), that keeps its two sample-major arrays from call to call.
+
+    A stream's chunks reuse them, a shorter chunk through their leading
+    samples; an ensemble of more samples or another shape replaces them.
+    The callable is for one thread at a time.
+    """
+    work = None
+
+    def products(Y) -> np.ndarray:
+        nonlocal work
+        Y, L, d, _ = check_ensemble(Y)
+        S, two_n = Y.shape[0], Y.shape[1]
+        # Sample-major (S, *grid, 2n) for the products: every component-major
+        # form of the matmul below tried (matmul(shifted, flat.T), the flipped
+        # product, einsum) rounds differently, by up to 6e-15, and the CLI's
+        # bytes would move.
+        shape = (L,) * d + (two_n,)
+        if work is None or work.shape[2:] != shape or work.shape[1] < S:
+            work = np.empty((2, S) + shape)
+        moved, shifted = work[0, :S], work[1, :S]
+        np.copyto(moved, np.moveaxis(Y, 1, -1))
+        axes = tuple(range(1, 1 + d))
+        norm = float(L) ** d
+        flat = moved.reshape(S, -1, two_n)
+        out = np.empty((S, len(offsets), two_n, two_n))
+        for k, z in enumerate(offsets):
+            z = tuple(int(c) for c in z)
+            if len(z) != d:
+                raise ValueError(f"offset {z} has wrong dimension")
+            translated(moved, z, axes, out=shifted)
+            out[:, k] = np.matmul(shifted.reshape(S, -1, two_n).transpose(0, 2, 1),
+                                  flat) / norm
+        return out
+
+    return products
 
 
 def covariance_products(Y, offsets) -> np.ndarray:
@@ -139,25 +201,7 @@ def covariance_products(Y, offsets) -> np.ndarray:
     at offset z = offsets[k].  Samples do not interact, so blocks of samples
     concatenate to the products of the whole ensemble.
     """
-    Y, L, d, _ = check_ensemble(Y)
-    # Sample-major (S, *grid, 2n) for the products: every component-major form
-    # of the matmul below tried (matmul(shifted, flat.T), the flipped product,
-    # einsum) rounds differently, by up to 6e-15, and the CLI's bytes would move.
-    Y = moved_axes(Y, 1, -1)
-    S, two_n = Y.shape[0], Y.shape[-1]
-    axes = tuple(range(1, 1 + d))
-    norm = float(L) ** d
-    flat = Y.reshape(S, -1, two_n)
-    products = np.empty((S, len(offsets), two_n, two_n))
-    for k, z in enumerate(offsets):
-        z = tuple(int(c) for c in z)
-        if len(z) != d:
-            raise ValueError(f"offset {z} has wrong dimension")
-        # roll by -z puts Y(x+z) in slot x
-        shifted = np.roll(Y, shift=tuple(-c for c in z), axis=axes)
-        shifted = shifted.reshape(S, -1, two_n)
-        products[:, k] = np.matmul(shifted.transpose(0, 2, 1), flat) / norm
-    return products
+    return offset_products(offsets)(Y)
 
 
 def covariance_summary(products) -> tuple:

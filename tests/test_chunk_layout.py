@@ -183,7 +183,8 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
 
 def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
     # gaussian_ensemble is its draw step and its colouring body; the stream
-    # runs the same two, the draw a chunk ahead on its worker thread
+    # runs the same two, the draw a chunk ahead on its worker thread, and
+    # evolves each chunk by the apply step of one prepared Propagator
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
                          (dynamics, "_evolve_chunk")):
         assert not hasattr(module, name)
@@ -192,12 +193,13 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
     density = _random_density(d, n, 5)
     sample_bytes = 16 * grid.L**d * 2 * n
     steps = {fields: ("_white_noise_draws", "_coloured_noise"),
-             stats: ("nonlinear_transform_sample", "evolve_ensemble")}
+             stats: ("nonlinear_transform_sample",),
+             dynamics.Propagator: ("apply",)}
     for transform, transformed in ((None, 0), ((0.7, 1.3), 4)):
         calls = {name: 0 for names in steps.values() for name in names}
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -209,8 +211,10 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
                 mock.patch.multiple(fields, **{name: counted(fields, name)
                                                for name in steps[fields]}), \
                 mock.patch.multiple(stats, **{name: counted(stats, name)
-                                              for name in steps[stats]}):
+                                              for name in steps[stats]}), \
+                mock.patch.object(dynamics.Propagator, "apply",
+                                  counted(dynamics.Propagator, "apply")):
             stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
                             "covariance error bars", transform=transform)
         assert calls == {"_white_noise_draws": 4, "_coloured_noise": 4,
-                         "nonlinear_transform_sample": transformed, "evolve_ensemble": 4}
+                         "nonlinear_transform_sample": transformed, "apply": 4}

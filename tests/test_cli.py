@@ -35,6 +35,7 @@ from crystalstat.fields import (
     SpectralDensity,
     density_from_jsonable,
     density_to_jsonable,
+    triangular_density,
     white_noise_density,
 )
 from crystalstat.kernel import (
@@ -1584,6 +1585,32 @@ def test_indefinite_measure_is_numerical_fault(tmp_path, capsys):
     for stage in ("limit", "mixing"):
         assert not (out / stage).exists()
     assert capsys.readouterr().err == "limit: " + fault + "mixing: " + fault
+
+
+def test_measure_file_flags_change_no_output_byte(tmp_path):
+    # a measure file's excluded and cluster_id are checked and dropped: the
+    # same file with and without them gives the same bytes on every command
+    # that reads a measure file
+    rng = np.random.default_rng(6)
+    doc = density_to_jsonable(triangular_density(2, 1, 1.0, 0.5, 16))
+    plain = dict(doc)
+    doc["excluded"] = (rng.random(16) < 0.3).tolist()
+    doc["cluster_id"] = rng.integers(0, 3, (16, 1)).tolist()
+    path = tmp_path / "measure.json"
+    for command, extra in (("ensemble", ["--ensemble", "100", "--t", "2"]), ("limit", []),
+                           ("evolve", []), ("mixing", []), ("report", [])):
+        out = tmp_path / command
+        argv = [command] + nn_args(L=16) + ["--measure-file", str(path),
+                                            "--output", str(out)] + extra
+        outputs = []
+        for measure in (doc, plain):
+            path.write_text(json.dumps(measure))
+            assert main(argv) == 0, command
+            outputs.append({f.relative_to(out): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()})
+            for f in sorted(out.rglob("*"), reverse=True):
+                f.unlink() if f.is_file() else f.rmdir()
+        assert outputs[0] and outputs[0] == outputs[1], command
 
 
 def test_ES_without_a_ratio_is_inconclusive_not_a_crash(tmp_path, capsys):

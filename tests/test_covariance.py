@@ -28,6 +28,7 @@ from crystalstat import (
     evolve_ensemble,
     gaussian_ensemble,
     gibbs_density,
+    green_function,
     limit_density,
     linear_functional_samples,
     mixing_integral,
@@ -266,6 +267,55 @@ def test_mixing_integral_cross_component(grid256):
     # equal-time u-v correlation of the limit vanishes for this density
     assert mixing_integral(lim, grid256, pu, pv, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert mixing_integral(lim, grid256, pu, pv, 10.0) != pytest.approx(0.0, abs=1e-6)
+
+
+def green_response(grid, t, psi):
+    """The torus sites y in C order, (L^d, d), and phi(y) = sum_x G(t, x - y)^T psi(x)
+    at each, (L^d, 2n): <Y(t), psi> = sum_y phi(y) . Y(0, y), with G the rows
+    of green_function, summed site by site in real space."""
+    G = green_function(grid, t)
+    L, d = grid.L, grid.d
+    sites = np.indices((L,) * d).reshape(d, -1).T
+    phi = np.zeros((len(sites), 2 * grid.n))
+    for x, value in zip(psi.sites, psi.values):
+        phi += np.einsum("yij,i->yj", G[tuple(((x - sites) % L).T)], value)
+    return sites, phi
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0, 10.0])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_transport_and_mixing_match_the_green_function_rows(d, n, t):
+    # the first routes to evolve_density and mixing_integral that do not go
+    # through the Fourier-space propagator: real-space sums over the rows of
+    # green_function.  Random kernels couple the components at n = 2.
+    L = {1: 64, 2: 32}[d]
+    grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed=1 if d == 1 else n - 1), L)
+    T = np.repeat([0.7, 1.3], n)
+    qt = evolve_density(white_noise_density(0.7, 1.3, n, d, L), grid, t)
+    for c in range(2 * n):
+        psi = TestField.delta(d, n, component=c)
+        _, phi = green_response(grid, t, psi)
+        want = float(np.einsum("yj,j,yj->", phi, T, phi))
+        assert abs(quadratic_form(qt, psi) - want) <= 1e-12 * (1.0 + abs(want))
+
+    limit = limit_density(_random_density(d, n, L, 10 * d + n), grid)
+    rng = np.random.default_rng(d + n)
+    psi1 = TestField(sites=[(0,) * d, (1,) + (0,) * (d - 1)],
+                     values=rng.standard_normal((2, 2 * n)))
+    # two sites, so that E <Y(t), psi1> <Y(0), psi2> reads q at offsets of
+    # one sign and not of the other
+    psi2 = TestField(sites=[(0,) * d, (3,) + (-1,) * (d - 1)],
+                     values=rng.standard_normal((2, 2 * n)))
+    sites, phi1 = green_response(grid, t, psi1)
+    # q(z) = E[Y(x + z) (x) Y(x)] at every torus offset z, in C order
+    q = covariance_from_density(limit, [tuple(z) for z in sites])
+    want = 0.0
+    for x, value in zip(psi2.sites, psi2.values):
+        offset = np.ravel_multi_index(((sites - x) % L).T, (L,) * d)
+        want += float(np.einsum("yi,yij,j->", phi1, q[offset], value))
+    got = mixing_integral(limit, grid, psi1, psi2, t)
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_resolution_mismatch_raises(nn1, grid64):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crystalstat import (
     InteractionKernel,
+    Propagator,
     build_nn_kernel,
     dispersion_grid,
     evolve_ensemble,
@@ -18,6 +19,7 @@ from crystalstat import (
     random_finite_range_kernel,
     reference_evolve_ode,
 )
+from crystalstat._lattice import real_view
 from crystalstat.dynamics import _propagator_grid_matrix
 
 
@@ -233,3 +235,42 @@ def test_reference_and_energy_on_ensembles(d, n, count, seed, t, data):
         [hamiltonian(Y[:split], kernel), hamiltonian(Y[split:], kernel)]))
     Ht = hamiltonian(spectral, kernel)
     assert np.all(np.abs(Ht - H0) <= 1e-10 * (1.0 + np.abs(H0)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("random", [False, True])
+def test_propagator_apply_into_work_keeps_the_bits(d, n, random):
+    # an identity eigenbasis (nearest-neighbour) and a general one; the work
+    # arrays start as NaN, so a value read before it is written would show
+    if random:
+        grid = _kernel_and_grid(d, n)[1]
+    else:
+        grid = dispersion_grid(build_nn_kernel(d, n, 1.0), 16)
+    # a scalar eigenbasis is the identity on every grid
+    assert grid.identity_basis == (n == 1 or not random)
+    rng = np.random.default_rng(10 * d + n)
+    Y = rng.standard_normal((5, 2 * n) + (grid.L,) * d)
+    Y[Y < -1.5] = 0.0
+    Y[Y > 1.5] = -0.0
+    Y[:, :, 0] = 5e-324
+    propagator = Propagator(grid, 2.5)
+    want = evolve_ensemble(Y, grid, 2.5)
+    assert propagator.apply(Y).tobytes() == want.tobytes()
+    work = np.full((2,) + Y.shape, np.nan, dtype=complex)
+    for out in (np.full(Y.shape, np.nan), real_view(work[0])):
+        got = propagator.apply(Y, out=out, work=work)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    # out may have any layout; work is reshaped, so a strided one is refused
+    fortran = np.asfortranarray(np.full(Y.shape, np.nan))
+    assert propagator.apply(Y, out=fortran, work=work).tobytes() == want.tobytes()
+    strided = np.zeros((2,) + Y.shape[:-1] + (2 * Y.shape[-1],), dtype=complex)[..., ::2]
+    for spaced in (strided, np.asfortranarray(work)):
+        with pytest.raises(ValueError, match="^work must hold two C-contiguous arrays$"):
+            propagator.apply(Y, work=spaced)
+    bad = Y.copy()
+    bad[0, 0, 0] = np.nan
+    for kwargs in ({}, {"out": np.empty(Y.shape), "work": work}):
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            propagator.apply(bad, **kwargs)

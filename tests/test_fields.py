@@ -243,16 +243,6 @@ def test_density_json_roundtrip():
     assert (back.L, back.d, back.n) == (32, 1, 1)
 
 
-def test_limit_density_json_roundtrip_keeps_flags(grid64):
-    dens = triangular_density(2, 1, 1.0, 1.0, 64)
-    lim = limit_density(dens, grid64)
-    doc = density_to_jsonable(lim)
-    back = density_from_jsonable(doc)
-    np.testing.assert_allclose(back.matrix, lim.matrix, atol=0)
-    np.testing.assert_array_equal(back.excluded, lim.excluded)
-    np.testing.assert_array_equal(back.cluster_id, lim.cluster_id)
-
-
 def flagged_density_doc():
     """The JSON form of a d=2, n=2 limit density with some nodes excluded and
     mixed cluster ids."""
@@ -263,21 +253,46 @@ def flagged_density_doc():
     return lim, density_to_jsonable(lim)
 
 
-def test_density_json_flags_roundtrip():
-    lim, doc = flagged_density_doc()
+def test_limit_density_json_roundtrip_keeps_flags(grid64):
+    # the written file keeps a limit's flags; reading it checks them, drops
+    # them, and keeps the matrix bits
+    lim = limit_density(triangular_density(2, 1, 1.0, 1.0, 64), grid64)
+    doc = density_to_jsonable(lim)
+    assert "excluded" in doc and "cluster_id" in doc
     back = density_from_jsonable(doc)
-    np.testing.assert_array_equal(back.excluded, lim.excluded)
-    np.testing.assert_array_equal(back.cluster_id, lim.cluster_id)
-    assert back.excluded.dtype == bool and back.cluster_id.dtype == np.int64
+    assert back.matrix.tobytes() == lim.matrix.tobytes()
+    assert back.excluded is None and back.cluster_id is None
+    assert back.excluded_fraction == 0.0
+
+
+def flag_subsets(doc):
+    """The plain form of a flagged document, then the document with only
+    excluded, only cluster_id, and both."""
+    plain = {k: v for k, v in doc.items() if k not in ("excluded", "cluster_id")}
+    excluded_only = {k: v for k, v in doc.items() if k != "cluster_id"}
+    cluster_only = {k: v for k, v in doc.items() if k != "excluded"}
+    return plain, (excluded_only, cluster_only, doc)
+
+
+def test_density_json_flags_roundtrip():
+    # a file is read as a measure: excluded and cluster_id, alone or
+    # together, are dropped once checked, and the matrix keeps its bits
+    _, both = flagged_density_doc()
+    plain, flagged = flag_subsets(both)
+    want = density_from_jsonable(plain)
+    for doc in flagged:
+        back = density_from_jsonable(doc)
+        assert back.excluded is None and back.cluster_id is None
+        assert back.excluded_fraction == 0.0
+        assert back.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_density_json_roundtrip_gives_the_same_dict():
+    # a flagged document round-trips to its plain form
     _, both = flagged_density_doc()
-    plain = {k: v for k, v in both.items() if k not in ("excluded", "cluster_id")}
-    excluded_only = {k: v for k, v in both.items() if k != "cluster_id"}
-    zeros = dict(excluded_only, cluster_id=np.zeros((8, 8, 2), dtype=int).tolist())
-    for doc, want in ((plain, plain), (excluded_only, zeros), (both, both)):
-        assert density_to_jsonable(density_from_jsonable(doc)) == want
+    plain, flagged = flag_subsets(both)
+    for doc in (plain,) + flagged:
+        assert density_to_jsonable(density_from_jsonable(doc)) == plain
 
 
 def test_plain_measure_has_no_excluded_nodes():
@@ -449,3 +464,37 @@ def test_gibbs_density_blocks(grid64):
         lim.matrix[:, 0, 0], 1.0 / grid64.omega[:, 0] ** 2, atol=1e-12
     )
     np.testing.assert_allclose(lim.matrix[:, 0, 1], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_colouring_and_transform_into_buffers_keep_the_bits(d, n):
+    # the stream colours into its work arrays and transforms in place; both
+    # must give the bits of the calls that allocate, on noise with zeros of
+    # both signs and subnormals, from work arrays that start as NaN
+    L, S = 16, 4
+    grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed=d + n), L)
+    density = gibbs_density(1.0, grid)
+    R = fields._colouring_root(density)
+    W = np.random.default_rng(d + n).standard_normal((S,) + (L,) * d + (2 * n,))
+    W[W < -1.5] = 0.0
+    W[W > 1.5] = -0.0
+    W[:, 0] = -5e-324
+    want = fields._coloured_noise(R, W)
+    work = np.full((2, S, 2 * n) + (L,) * d, np.nan, dtype=complex)
+    out = np.full(want.shape, np.nan)
+    assert fields._coloured_noise(R, W, out=out, work=work) is out
+    assert out.tobytes() == want.tobytes()
+    Y = want.copy()
+    Y[:, 0] = -0.0
+    Y[:, -1] = 3e-320
+    for a0, a1 in ((1.0, 1.0), (0.7, 1.3)):
+        expected = nonlinear_transform_sample(Y, a0, a1)
+        inplace = Y.copy()
+        assert nonlinear_transform_sample(inplace, a0, a1, out=inplace) is inplace
+        assert inplace.tobytes() == expected.tobytes()
+    bad = Y.copy()
+    bad[0, 0] = np.inf
+    for kwargs in ({}, {"out": bad}):
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            nonlinear_transform_sample(bad, 0.7, 1.3, **kwargs)

@@ -16,6 +16,10 @@ call now, and each of them must give the same bits.
 fourier_coefficient and the nodewise kernels work on slabs of the first
 grid axis from node_slabs; the slabwise sums, the reflected slabs and the
 slabwise maxima must give the bits of the whole-array forms.
+
+The FFTs and real_part_checked write into a caller's array when given one
+(out=), and translated writes np.roll's values into one; each must give the
+bits of the call that allocates.
 """
 
 from functools import lru_cache
@@ -34,6 +38,7 @@ from crystalstat import (
 )
 from crystalstat import _lattice
 from crystalstat._lattice import (
+    NumericalFault,
     check_node_count,
     eigen_compose,
     forward_fft,
@@ -43,10 +48,14 @@ from crystalstat._lattice import (
     inverse_fft,
     largest_modulus,
     node_slabs,
+    moved_axes,
     offset_cube,
+    real_part_checked,
+    real_view,
     reflected,
     theta_axis,
     theta_step,
+    translated,
 )
 from crystalstat.dynamics import _propagator_grid_matrix
 
@@ -280,3 +289,76 @@ def test_ffts_normalise_in_place_with_the_bits_of_the_product(d, L):
         for a in (real, real + 1j * rng.standard_normal(shape)):
             assert same_bits(forward_fft(a, axes), np.fft.ifftn(a, axes=axes) * float(L) ** d)
             assert same_bits(inverse_fft(a, axes), np.fft.fftn(a, axes=axes) / float(L) ** d)
+
+
+def with_special_values(rng, shape):
+    """Standard normal values with exact zeros of both signs and subnormals
+    of both signs mixed in."""
+    x = rng.standard_normal(shape).reshape(-1)
+    k = x.size // 8
+    x[:k] = 0.0
+    x[k:2 * k] = -0.0
+    x[2 * k:3 * k] = 5e-324 * rng.integers(1, 2**20, k)
+    x[3 * k:4 * k] = -2.5e-310 * rng.random(k)
+    rng.shuffle(x)
+    return x.reshape(shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fft_out_routes_keep_the_bits_of_the_allocating_route(d):
+    # out given, out as the input, a real input cast into out, and a
+    # transposed view of the input: each the bits of a call without out
+    L = 6
+    rng = np.random.default_rng(40 + d)
+    for shape, axes in (((L,) * d + (2, 2), tuple(range(d))),
+                        ((3, 2) + (L,) * d, tuple(range(2, d + 2)))):
+        real = with_special_values(rng, shape)
+        for a in (real, real + 1j * with_special_values(rng, shape)):
+            for fft in (forward_fft, inverse_fft):
+                want = fft(a, axes)
+                out = np.full(shape, np.nan, dtype=complex)
+                assert fft(a, axes, out=out) is out
+                assert same_bits(out, want)
+                inplace = a.astype(complex)
+                assert fft(inplace, axes, out=inplace) is inplace
+                assert same_bits(inplace, want)
+        W = with_special_values(rng, (3,) + (L,) * d + (2,))
+        axes = tuple(range(2, d + 2))
+        out = np.empty((3, 2) + (L,) * d, dtype=complex)
+        assert same_bits(forward_fft(np.moveaxis(W, -1, 1), axes, out=out),
+                         forward_fft(moved_axes(W, -1, 1), axes))
+
+
+def test_real_part_checked_into_out_keeps_the_bits_and_the_errors():
+    rng = np.random.default_rng(44)
+    shape = (5, 2, 12)
+    a = with_special_values(rng, shape) + 1e-9j * with_special_values(rng, shape)
+    want = real_part_checked(a, 1e-6, "probe")
+    assert same_bits(want, np.ascontiguousarray(a.real))
+    out = np.full(shape, np.nan)
+    assert real_part_checked(a, 1e-6, "probe", out=out) is out
+    assert same_bits(out, want)
+    # the spare half of a complex array holds the real part of another
+    spare = np.full(shape, np.nan, dtype=complex)
+    assert same_bits(real_part_checked(a, 1e-6, "probe", out=real_view(spare)), want)
+    for c in (spare[..., ::2], np.asfortranarray(spare), spare.real):
+        with pytest.raises(ValueError, match="C-contiguous complex"):
+            real_view(c)
+    for bad in (a + 1e-3j, a + np.nan * 1j, a + np.inf * 1j):
+        with pytest.raises(NumericalFault) as allocated:
+            real_part_checked(bad, 1e-6, "probe")
+        with pytest.raises(NumericalFault) as written:
+            real_part_checked(bad, 1e-6, "probe", out=np.empty(shape))
+        assert str(written.value) == str(allocated.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), L=st.integers(1, 7), data=st.data())
+def test_translated_is_the_roll_by_minus_the_offset(d, L, data):
+    z = tuple(data.draw(st.lists(st.integers(-3 * L, 3 * L), min_size=d, max_size=d),
+                        label="z"))
+    a = np.random.default_rng(L).standard_normal((2,) + (L,) * d + (3,))
+    axes = tuple(range(1, d + 1))
+    out = np.full(a.shape, np.nan)
+    assert translated(a, z, axes, out=out) is out
+    assert same_bits(out, np.roll(a, tuple(-c for c in z), axis=axes))

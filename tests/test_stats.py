@@ -34,6 +34,7 @@ from crystalstat import (
     limit_density,
     linear_functional_samples,
     nonlinear_transform_sample,
+    offset_products,
     random_finite_range_kernel,
     stream_ensemble,
     triangular_density,
@@ -141,6 +142,82 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
     # 6.3 MB at the 1 MiB chunk budget, 23 MB at a 4 MiB one.
     assert large < 8e6
+
+
+def chunk_excess(density, grid, t, count, offsets, psi, transform):
+    """Per chunk from the second on, the traced peak within the chunk above the
+    traced memory at its start, streaming clt's statistics (products at the
+    offsets, the functional of Y0 and of Yt).  A chunk starts where the
+    previous one's statistics return."""
+    products_at = offset_products(offsets)
+    marks = []
+
+    def statistics(Y0, Yt):
+        kept = (products_at(Y0), linear_functional_samples(Y0, psi),
+                linear_functional_samples(Yt, psi))
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return kept
+
+    tracemalloc.start()
+    try:
+        stream_ensemble(density, count, 3, grid, t, statistics, "covariance error bars",
+                        transform=transform)
+    finally:
+        tracemalloc.stop()
+    return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+
+
+def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk():
+    # clt's geometry (d=1 L=256 n=1, transformed triangular nu0=2), and a d=2
+    # n=2 random kernel whose eigenbasis is not the identity, each with a
+    # short last chunk.  One chunk's real arrays take 512 KiB in both.  The
+    # stream that allocated its arrays chunk by chunk exceeded its start by
+    # 3.7 MB (clt) and 5.3 MB (d=2) per chunk; what is left are transient
+    # buffers of a ufunc that broadcasts (64 KiB) and of an isfinite mask.
+    L = 256
+    clt = (triangular_density(2, 1, 1.0, 1.0, L), dispersion_grid(build_nn_kernel(1, 1, 1.0), L),
+           50.0, 4 * 128 + 16, [(-1,), (0,), (1,)], TestField.delta(1, 1), (1.0, 1.0))
+    grid = dispersion_grid(random_finite_range_kernel(2, 2, 1, seed=3), 16)
+    assert not grid.identity_basis
+    psi = TestField(sites=[(0, 0), (2, -1)], values=np.arange(8.0).reshape(2, 4))
+    random = (gibbs_density(1.0, grid), grid, 2.5, 3 * 64 + 10, [(0, 0), (1, 0), (-1, -1)],
+              psi, (0.7, 1.3))
+    for density, grid, t, count, offsets, psi, transform in (clt, random):
+        size = stats.CHUNK_BYTES // (16 * grid.L**grid.d * 2 * grid.n)
+        real_bytes = size * 2 * grid.n * grid.L**grid.d * 8
+        excess = chunk_excess(density, grid, t, count, offsets, psi, transform)
+        assert len(excess) == -(-count // size) - 1
+        assert max(excess) < real_bytes / 4, excess
+
+
+def test_stream_ensemble_copies_the_columns_that_share_its_arrays():
+    # Y0 and Yt are overwritten by the next chunk: a column that is one of
+    # them, or a view of one, is kept as a copy
+    grid, dens, budget, minimum = _chunks_of(3)
+    t = 2.5
+
+    def statistics(Y0, Yt):
+        return (Y0, Yt[:, 1], Yt[:, :1], np.zeros(len(Y0)))
+
+    with budget, minimum:
+        streamed = stream_ensemble(dens, 10, 7, grid, t, statistics, "covariance error bars")
+    want = sequential_stream(dens, 10, 7, grid, t, statistics, 3, None)
+    for got, expected in zip(streamed, want):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_offset_products_reuse_their_arrays_across_shapes():
+    # a stream's chunks, then a shorter chunk, a larger ensemble and another
+    # grid: each call gives the bits of a products callable made for it alone
+    rng = np.random.default_rng(8)
+    products_at = offset_products([(0,), (1,), (-2,), (9,)])
+    for shape in ((7, 2, 12), (7, 2, 12), (3, 2, 12), (9, 2, 12), (5, 4, 12), (2, 2, 10)):
+        Y = rng.standard_normal(shape)
+        want = covariance_products(Y, [(0,), (1,), (-2,), (9,)])
+        assert products_at(Y).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match=r"^offset \(0,\) has wrong dimension$"):
+        offset_products([(0,)])(rng.standard_normal((2, 2, 4, 4)))
 
 
 def sequential_stream(density, count, seed, grid, t, statistics, size, transform):
