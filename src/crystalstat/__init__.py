@@ -56,7 +56,6 @@ from .covariance import (
 )
 from .stats import (
     characteristic_functional,
-    covariance_products,
     covariance_summary,
     empirical_covariance,
     empirical_mixing_support,
@@ -107,7 +106,6 @@ __all__ = [
     "quadratic_form",
     "characteristic_functional",
     "offset_products",
-    "covariance_products",
     "covariance_summary",
     "empirical_covariance",
     "empirical_mixing_support",

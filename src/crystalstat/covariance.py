@@ -27,7 +27,7 @@ from ._lattice import (
     one_node,
     real_part_checked,
 )
-from .dynamics import _propagator_grid_matrix
+from .dynamics import Propagator
 from .fields import SpectralDensity
 from .kernel import ConditionFailure, ConditionReport
 from .spectral import DispersionGrid, _require_match, check_ES
@@ -88,11 +88,12 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
     """Transport a spectral density through time t: qhat_t = Ghat qhat_0 Ghat*.
 
     Each node is transported on its own, so the work runs one slab of nodes
-    at a time, with the propagator of that slab only."""
+    at a time, with the :meth:`Propagator.rows` of that slab only."""
     _require_match(grid, q0.L, q0.d, q0.n)
+    propagator = Propagator(grid, t)
     qt = np.empty(q0.matrix.shape, dtype=complex)
     for rows, q in _slabs(q0):
-        G = _propagator_grid_matrix(grid, float(t), nodes=rows)
+        G = propagator.rows(nodes=rows)
         hermitian_part(np.einsum("...ij,...jk,...lk->...il", G, q, G.conj()), out=qt[rows])
     return SpectralDensity(
         L=q0.L, d=q0.d, n=q0.n, matrix=qt,
@@ -375,17 +376,18 @@ def mixing_integral(limit: SpectralDensity, grid: DispersionGrid, psi1: TestFiel
     nonzero (rows of Ghat) and where Psi2 is nonzero (columns of qhat_inf)
     enters the sum; every term left out is an exact zero.  The integrand is
     nodewise, so it is written one slab of nodes at a time, with the test
-    fields' transforms and the propagator rows of that slab only.
+    fields' transforms and the :meth:`Propagator.rows` of that slab only.
     """
     _require_match(grid, limit.L, limit.d, limit.n)
     L = grid.L
     I, K = _support(psi1), _support(psi2)
+    propagator = Propagator(grid, t)
 
     def integrand(rows, q, out):
         p1 = psi1.fourier(L, rows)
         # a field paired with itself is transformed once
         p2 = p1 if psi2 is psi1 else psi2.fourier(L, rows)
-        G = _propagator_grid_matrix(grid, float(t), rows=I, nodes=rows)
+        G = propagator.rows(I, nodes=rows)
         # slices keep every operand's strides, so einsum sums the kept terms
         # in the order it sums them over all 2n components
         np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G, q[..., :, K],

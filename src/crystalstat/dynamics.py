@@ -15,6 +15,7 @@ kept as an independent cross-check of the spectral route.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -63,22 +64,59 @@ def _rotation_factors(omega: np.ndarray, t: float, sinc: bool = True, sin: bool 
 class Propagator:
     """Ghat(t) on a dispersion grid, prepared once for any number of ensembles.
 
-    Holds the rotation factors as complex rows [[C, S], [N, C]], shape
-    (2, 2, n, *grid), and unless the grid's eigenbasis is the identity, the
-    basis and its adjoint moved to (n, n, *grid): the work that does not
-    depend on the field.
+    :meth:`rows` composes rows of its matrix; :meth:`apply` propagates
+    ensembles, with state built on its first call, so a propagator used only
+    for rows allocates nothing of the grid's size.
     """
 
     def __init__(self, grid: DispersionGrid, t: float):
         self.grid = grid
-        c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(grid.omega, float(t)))
+        self.t = float(t)
+
+    @cached_property
+    def _prepared(self) -> tuple:
+        """:meth:`apply`'s work that does not depend on the field: the rotation
+        factors as complex rows [[C, S], [N, C]], (2, 2, n, *grid), and the
+        basis and its adjoint moved to (n, n, *grid), None if the identity."""
+        c, s, ns = (moved_axes(f, -1, 0) for f in _rotation_factors(self.grid.omega, self.t))
         # complex, as the products with a complex field cast them
-        self._rows = np.array([[c, s], [ns, c]], dtype=complex)
-        if grid.identity_basis:
-            self._basis = None
-        else:
-            B = moved_axes(grid.basis, (-2, -1), (0, 1))
-            self._basis = (B, moved_axes(B.conj(), 1, 0))
+        factors = np.array([[c, s], [ns, c]], dtype=complex)
+        if self.grid.identity_basis:
+            return factors, None
+        B = moved_axes(self.grid.basis, (-2, -1), (0, 1))
+        return factors, (B, moved_axes(B.conj(), 1, 0))
+
+    def rows(self, rows: slice = slice(None), nodes: slice = slice(None)) -> np.ndarray:
+        """Rows of Ghat(t) as (*grid, rows, 2n) complex; all 2n rows by default.
+
+        Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
+        the cos, t*sinc and -omega*sin factors composed in the symbol
+        eigenbasis.  rows is a slice with unit step; each requested row is
+        composed from the matching row of the basis only, and an empty half
+        composes nothing and computes none of the factors that only it reads.
+        nodes slices the first grid axis (a slab of `_lattice.node_slabs`):
+        only that slab of the basis is read and composed, and each node has
+        the bits it has on the whole grid.
+        """
+        grid, n = self.grid, self.grid.n
+        r = range(2 * n)[rows]
+        if r.step != 1:
+            raise ValueError(f"rows must be a slice with unit step (got {rows})")
+        start, stop = r.start, max(r.start, r.stop)
+        top = slice(min(start, n), min(stop, n))
+        bottom = slice(max(start, n) - n, max(stop, n) - n)
+        k, count = top.stop - top.start, stop - start
+        omega = grid.omega[nodes]
+        c, s, ns = _rotation_factors(omega, self.t, sinc=k > 0, sin=count > k)
+        G = np.empty(omega.shape[:-1] + (count, 2 * n), dtype=complex)
+        if k:
+            C = grid.compose(c, nodes, top)
+            G[..., :k, :n] = C
+            G[..., :k, n:] = grid.compose(s, nodes, top)
+        if count > k:
+            G[..., k:, :n] = grid.compose(ns, nodes, bottom)
+            G[..., k:, n:] = C if bottom == top else grid.compose(c, nodes, bottom)
+        return G
 
     def apply(self, Y, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
@@ -104,10 +142,11 @@ class Propagator:
             raise ValueError("work must hold two C-contiguous arrays")
         zhat, rotated = forward_fft(Y, axes, out=work[0]), work[1]
         pairs = (Y.shape[0], 2, n) + Y.shape[2:]
-        if self._basis is None:
+        basis = self._prepared[1]
+        if basis is None:
             self._rotate(zhat.reshape(pairs), rotated.reshape(pairs))
         else:
-            B, Bh = self._basis
+            B, Bh = basis
             for half in (slice(None, n), slice(n, None)):
                 np.einsum("kj...,sj...->sk...", Bh, zhat[:, half], out=rotated[:, half])
             self._rotate(rotated.reshape(pairs), zhat.reshape(pairs))
@@ -128,8 +167,9 @@ class Propagator:
         A ufunc that broadcast the factors over the samples would allocate
         buffers of its own; einsum does not.
         """
+        factors = self._prepared[0]
         for row in range(2):
-            np.einsum("hk...,shk...->sk...", self._rows[row], pair, out=out[:, row])
+            np.einsum("hk...,shk...->sk...", factors[row], pair, out=out[:, row])
 
 
 def evolve_ensemble(Y, grid: DispersionGrid, t: float) -> np.ndarray:
@@ -165,46 +205,6 @@ def reference_evolve_ode(Y, kernel: InteractionKernel, t: float, dt: float) -> n
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return np.concatenate([u, v], axis=1)
-
-
-def _propagator_grid_matrix(grid: DispersionGrid, t: float, rows: slice = slice(None),
-                            nodes: slice = slice(None)) -> np.ndarray:
-    """Rows of Ghat(t) as (*grid, rows, 2n) complex; all 2n rows by default.
-
-    Row r < n is [C, S][r] and row n + r is [N, C][r - n], with C, S and N
-    the cos, t*sinc and -omega*sin factors composed in the symbol eigenbasis.
-    rows is a slice with unit step; each requested row is composed from the
-    matching row of the basis only, and an empty half composes nothing and
-    computes none of the factors that only it reads.
-    nodes slices the first grid axis (a slab of `_lattice.node_slabs`): only
-    that slab of the basis is read and composed, and each node has the bits
-    it has on the whole grid.
-    """
-    n = grid.n
-    r = range(2 * n)[rows]
-    top = slice(min(r.start, n), min(r.stop, n))
-    bottom = slice(max(r.start, n) - n, max(r.stop, n) - n)
-    k = top.stop - top.start
-    omega = grid.omega[nodes]
-    c, s, ns = _rotation_factors(omega, t, sinc=k > 0, sin=len(r) > k)
-    G = np.empty(omega.shape[:-1] + (len(r), 2 * n), dtype=complex)
-    if k:
-        C = grid.compose(c, nodes, top)
-        G[..., :k, :n] = C
-        G[..., :k, n:] = grid.compose(s, nodes, top)
-    if len(r) > k:
-        G[..., k:, :n] = grid.compose(ns, nodes, bottom)
-        G[..., k:, n:] = C if bottom == top else grid.compose(c, nodes, bottom)
-    return G
-
-
-def _check_wraparound(grid: DispersionGrid, t: float) -> None:
-    vmax = grid.max_group_velocity()
-    if vmax * abs(t) >= grid.L / 2.0:
-        raise ValueError(
-            f"propagation cone v_max*|t| = {vmax * abs(t):.1f} reaches the periodic "
-            f"boundary (L/2 = {grid.L / 2:.0f}); enlarge L or reduce t"
-        )
 
 
 def _chebyshev_distance_steps(mask: np.ndarray, max_steps: int) -> np.ndarray:
@@ -261,12 +261,17 @@ def green_function(grid: DispersionGrid, t: float,
                    cutoff: np.ndarray | None = None) -> np.ndarray:
     """Real-space propagator kernel G(t, x), shape (L,)*d + (2n, 2n).
 
-    Columns are the response to unit initial data; x is indexed modulo L with
-    the propagation cone guarded against wraparound.  A cutoff from
-    :func:`green_cutoff` multiplies the propagator nodewise in theta first.
+    The inverse FFT of all 2n :meth:`Propagator.rows`.  Columns are the
+    response to unit initial data; x is indexed modulo L with the propagation
+    cone guarded against wraparound, here only, as the rows' spectral readers
+    are exact at any t.  A cutoff from :func:`green_cutoff` multiplies the
+    propagator nodewise in theta first.
     """
-    _check_wraparound(grid, t)
-    Ghat = _propagator_grid_matrix(grid, float(t))
+    vmax = grid.max_group_velocity()
+    if vmax * abs(t) >= grid.L / 2.0:
+        raise ValueError(f"propagation cone v_max*|t| = {vmax * abs(t):.1f} reaches the "
+                         f"periodic boundary (L/2 = {grid.L / 2:.0f}); enlarge L or reduce t")
+    Ghat = Propagator(grid, t).rows()
     if cutoff is not None:
         if cutoff.shape != Ghat.shape[:-2]:
             raise ValueError(f"cutoff of shape {cutoff.shape} does not match "

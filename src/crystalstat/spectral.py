@@ -75,11 +75,11 @@ class DispersionGrid:
     copy (:meth:`compose`, or ``_lattice.moved_axes`` for an ensemble),
     never through the broadcast view.  When that one node is the identity
     (:attr:`identity_basis`, as on every nearest-neighbour kernel with
-    ascending masses), :meth:`compose` and ``evolve_ensemble`` skip their
-    einsums by it and write x + 0.0 instead: einsum sums from +0, so a
-    product by the identity turns -0.0 into +0.0 and keeps every other
-    value's bits.  ``limit_density`` skips its BLAS products by it on a
-    one-node density only (see there).
+    ascending masses), :meth:`compose` (so ``dynamics.Propagator.rows``) and
+    ``Propagator.apply`` skip their einsums by it and write x + 0.0
+    instead: einsum sums from +0, so a product by the identity turns -0.0
+    into +0.0 and keeps every other value's bits.  ``limit_density`` skips
+    its BLAS products by it on a one-node density only (see there).
     """
 
     kernel: InteractionKernel

@@ -6,7 +6,7 @@ attached, so that comparisons against the transported and limiting densities
 can be gated at 3 sigma.
 
 Estimators that average over samples come as a per-sample step and one
-reduction (covariance_products, then covariance_summary).  stream_ensemble
+reduction (offset_products, then covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
@@ -40,7 +40,6 @@ __all__ = [
     "require_samples",
     "stream_ensemble",
     "offset_products",
-    "covariance_products",
     "covariance_summary",
     "empirical_covariance",
     "empirical_mixing_support",
@@ -156,8 +155,14 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
 
 
 def offset_products(offsets):
-    """:func:`covariance_products` at these offsets as one callable,
-    products(Y), that keeps its two sample-major arrays from call to call.
+    """Per-sample step of :func:`empirical_covariance` at these offsets as
+    one callable, products(Y), that keeps its two sample-major arrays from
+    call to call.
+
+    products(Y) has shape (S, len(offsets), 2n, 2n).  Entry [s, k] is sample
+    s's translation average L^-d sum_x Y_s(x+z) (x) Y_s(x) at offset
+    z = offsets[k].  Samples do not interact, so blocks of samples
+    concatenate to the products of the whole ensemble.
 
     A stream's chunks reuse them, a shorter chunk through their leading
     samples; an ensemble of more samples or another shape replaces them.
@@ -194,16 +199,6 @@ def offset_products(offsets):
     return products
 
 
-def covariance_products(Y, offsets) -> np.ndarray:
-    """Per-sample step of :func:`empirical_covariance`, shape (S, len(offsets), 2n, 2n).
-
-    Entry [s, k] is sample s's translation average L^-d sum_x Y_s(x+z) (x) Y_s(x)
-    at offset z = offsets[k].  Samples do not interact, so blocks of samples
-    concatenate to the products of the whole ensemble.
-    """
-    return offset_products(offsets)(Y)
-
-
 def covariance_summary(products) -> tuple:
     """Reduction step of :func:`empirical_covariance`: (mean, se), each
     (K, 2n, 2n) and aligned with the products' offsets, of the mean over
@@ -230,7 +225,7 @@ def empirical_covariance(Y, offsets) -> tuple:
     probe) and over samples; the quoted standard error is the leave-one-out
     jackknife of the sample mean, entrywise.
     """
-    return covariance_summary(covariance_products(Y, offsets))
+    return covariance_summary(offset_products(offsets)(Y))
 
 
 def empirical_mixing_support(offsets, mean, se) -> dict:

@@ -4,7 +4,7 @@ Ensembles are laid out as (S, 2n, *grid).  The oracles below are the
 sample-major bodies that ran on (S, *grid, 2n) before, einsum subscripts
 included: the colouring einsum, the amplitude broadcast of the transform, the
 four einsums of the nodewise rotation, the per-offset products of
-covariance_products and the site sums of linear_functional_samples.  Both
+offset_products and the site sums of linear_functional_samples.  Both
 routes must give the same bits.
 """
 
@@ -21,13 +21,13 @@ import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat import (
     TestField,
-    covariance_products,
     density_from_covariance,
     dispersion_grid,
     evolve_ensemble,
     gaussian_ensemble,
     linear_functional_samples,
     nonlinear_transform_sample,
+    offset_products,
     random_finite_range_kernel,
     stream_ensemble,
 )
@@ -173,7 +173,7 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
     Y = sample_major(Z)
     offsets = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d, (2,) + (-2,) * (d - 1),
                (L - 1,) * d]
-    np.testing.assert_array_equal(covariance_products(Z, offsets),
+    np.testing.assert_array_equal(offset_products(offsets)(Z),
                                   oracle_covariance_products(Y, offsets))
     psi = TestField(sites=[(0,) * d, (2,) + (-1,) * (d - 1), (-2,) * d],
                     values=rng.standard_normal((3, 2 * n)))

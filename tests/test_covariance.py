@@ -796,11 +796,10 @@ def test_mixing_integral_equals_the_full_propagator_sum(d, n, kernel_range, kern
                        values=rng.standard_normal((3, 2 * n)))
     zero = TestField(sites=[(0,) * d], values=np.zeros((1, 2 * n)))
     for t in (0.0, 10.0):
-        G = full_propagator(grid, t)
-        np.testing.assert_array_equal(dynamics._propagator_grid_matrix(grid, t), G)
+        G, propagator = full_propagator(grid, t), dynamics.Propagator(grid, t)
+        np.testing.assert_array_equal(propagator.rows(), G)
         for rows in (slice(0, 1), slice(n - 1, n + 1), slice(n, 2 * n), slice(0, 0)):
-            np.testing.assert_array_equal(
-                dynamics._propagator_grid_matrix(grid, t, rows), G[..., rows, :])
+            np.testing.assert_array_equal(propagator.rows(rows), G[..., rows, :])
         pairs = [(a, b) for a in deltas for b in (a, spread)]
         pairs += [(spread, a) for a in deltas + [spread, zero]] + [(zero, spread)]
         with slab_rows(slab, limit.matrix):
@@ -842,9 +841,10 @@ def test_slab_propagator_rows_are_the_whole_grid_rows(d, n, kernel_range, kernel
     # as the whole grid does at those nodes, for every range of rows
     grid = _random_grid(d, n, kernel_range, kernel_seed)
     nodes = slice(start, min(start + size, grid.L))
+    propagator = dynamics.Propagator(grid, t)
     for rows in (slice(None), slice(0, 1), slice(n - 1, n + 1), slice(n, 2 * n), slice(0, 0)):
-        whole = dynamics._propagator_grid_matrix(grid, t, rows)
-        part = dynamics._propagator_grid_matrix(grid, t, rows, nodes=nodes)
+        whole = propagator.rows(rows)
+        part = propagator.rows(rows, nodes=nodes)
         assert part.tobytes() == np.ascontiguousarray(whole[nodes]).tobytes()
         assert part.shape == whole[nodes].shape
 
@@ -1020,8 +1020,8 @@ def test_identity_basis_propagators_keep_the_bits_of_the_stored_basis(d, masses,
     Y[rng.random(Y.shape) < 0.3] = -0.0
     assert same_bits(evolve_ensemble(Y, grid, t), evolve_ensemble(Y, stored, t))
     for rows in (slice(None), slice(0, n), slice(n, 2 * n), slice(n - 1, n + 1)):
-        assert same_bits(dynamics._propagator_grid_matrix(grid, t, rows),
-                         dynamics._propagator_grid_matrix(stored, t, rows))
+        assert same_bits(dynamics.Propagator(grid, t).rows(rows),
+                         dynamics.Propagator(stored, t).rows(rows))
 
 
 def test_propagator_rows_compute_only_the_factors_they_read(monkeypatch):
@@ -1037,7 +1037,7 @@ def test_propagator_rows_compute_only_the_factors_they_read(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rotation_factors", recording)
     for rows in (slice(0, 2), slice(2, 4), slice(1, 3), slice(None)):
-        dynamics._propagator_grid_matrix(grid, 2.0, rows)
+        dynamics.Propagator(grid, 2.0).rows(rows)
     assert calls == [(True, False), (False, True), (True, True), (True, True)]
 
 
@@ -1062,7 +1062,7 @@ def test_one_node_basis_products_keep_the_bits_of_per_node_products(d, n):
 
     def readings(g):
         yield "gibbs_density", gibbs_density(0.75, g).matrix
-        yield "propagator", dynamics._propagator_grid_matrix(g, 1.5)
+        yield "propagator", dynamics.Propagator(g, 1.5).rows()
         yield "evolve_ensemble", evolve_ensemble(Y, g, 2.5)
         for q in (white, q0):
             limit = limit_density(q, g, es_report=waived)

@@ -1,5 +1,6 @@
 """Propagator, time evolution, Green's functions, energy."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +20,8 @@ from crystalstat import (
     random_finite_range_kernel,
     reference_evolve_ode,
 )
+from crystalstat import dynamics
 from crystalstat._lattice import real_view
-from crystalstat.dynamics import _propagator_grid_matrix
 
 
 def random_field(rng, L, d, n):
@@ -38,7 +39,7 @@ def delta_field(L, component):
 def test_propagator_blocks_oscillator_form(grid64):
     t = 3.7
     w = grid64.omega[:, 0]
-    G = _propagator_grid_matrix(grid64, t)
+    G = Propagator(grid64, t).rows()
     assert G.shape == (64, 2, 2)
     np.testing.assert_allclose(G[:, 0, 0], np.cos(w * t), atol=1e-13)
     np.testing.assert_allclose(G[:, 1, 1], np.cos(w * t), atol=1e-13)
@@ -50,18 +51,63 @@ def test_propagator_blocks_oscillator_form(grid64):
 def test_propagator_zero_frequency_is_free_motion():
     g = dispersion_grid(build_nn_kernel(1, 1, 0.0), 16)
     assert g.omega[0, 0] == 0.0
-    G = _propagator_grid_matrix(g, 2.5)
+    G = Propagator(g, 2.5).rows()
     np.testing.assert_allclose(G[0], [[1.0, 2.5], [0.0, 1.0]], atol=1e-13)
     np.testing.assert_allclose(np.linalg.det(G), 1.0, atol=1e-12)
 
 
 def test_propagator_group_law():
     g = dispersion_grid(random_finite_range_kernel(1, 2, 2, seed=8), 16)
-    a = _propagator_grid_matrix(g, 1.1)
-    b = _propagator_grid_matrix(g, 2.6)
-    ab = _propagator_grid_matrix(g, 3.7)
+    a = Propagator(g, 1.1).rows()
+    b = Propagator(g, 2.6).rows()
+    ab = Propagator(g, 3.7).rows()
     np.testing.assert_allclose(a @ b, ab, atol=1e-12)
     np.testing.assert_allclose(b @ a, ab, atol=1e-12)
+
+
+def test_propagator_rows_refuse_a_step_and_give_empty_ranges():
+    # rows are composed as one range of each half, so a step other than 1
+    # is refused; a range that starts past its stop has no rows
+    g = dispersion_grid(random_finite_range_kernel(1, 2, 2, seed=8), 16)
+    propagator = Propagator(g, 2.5)
+    full = propagator.rows()
+    for rows in (slice(0, 4, 2), slice(None, None, -1)):
+        with pytest.raises(ValueError, match="^rows must be a slice with unit step"):
+            propagator.rows(rows)
+    assert propagator.rows(slice(3, 1)).shape == (16, 0, 4)
+    assert propagator.rows(slice(1, 3)).tobytes() == full[..., 1:3, :].tobytes()
+
+
+def test_propagator_prepares_apply_on_its_first_apply(monkeypatch):
+    # report-d3's grid (--nn d=3 n=2 m=1,2 --L 32): rows of one slab of
+    # nodes, as mixing_integral reads them, allocate nothing of the size of
+    # the complex factor rows that apply prepares, (2, 2, n, *grid); apply
+    # builds them once for any number of calls
+    grid = dispersion_grid(build_nn_kernel(3, 2, [1.0, 2.0]), 32)
+    prepared_bytes = 2 * 2 * grid.n * grid.L**3 * 16
+    calls = []
+    factors = dynamics._rotation_factors
+
+    def recording(omega, t, sinc=True, sin=True):
+        calls.append(omega.shape)
+        return factors(omega, t, sinc, sin)
+
+    monkeypatch.setattr(dynamics, "_rotation_factors", recording)
+    tracemalloc.start()
+    try:
+        propagator = Propagator(grid, 160.0)
+        G = propagator.rows(slice(0, 1), nodes=slice(0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (4, 32, 32, 1, 4)
+    assert peak < prepared_bytes / 4
+    assert calls == [(4, 32, 32, 2)]
+    Y = np.random.default_rng(3).standard_normal((1, 4) + (32,) * 3)
+    first = propagator.apply(Y)
+    assert calls[1:] == [grid.omega.shape]
+    assert propagator.apply(Y).tobytes() == first.tobytes()
+    assert len(calls) == 2
 
 
 def test_evolve_matches_rk4(nn1, rng):

@@ -35,6 +35,11 @@ verdict, the dispersion grid and the density's square root decide a negative
 eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
 since a guard on a computed number raises ``NumericalFault``.
 
+One way in for private names: a module reads an underscore name of another
+package module, by import or as an attribute of the imported module, only
+where ``PRIVATE_IMPORTS`` lists it; ``_lattice``'s names are shared by every
+module and exempt.
+
 One dependency order: no module imports one later in ``LAYERS``, at module
 level or inside a function, apart from ``cli``'s read of the package's
 ``__version__``.
@@ -338,6 +343,72 @@ def test_raise_and_table_read_are_found():
     assert raises_of(source, "AssertionError") == ["f", "f", "C.g"]
     assert raises_of(source, "ValueError") == ["C.h"]
     assert reads_of(source, "A") == ["TABLE", "C.h"]
+
+
+#: the underscore names of another package module that each module reads
+PRIVATE_IMPORTS = {
+    "cli": ["kernel._scan_resolution"],
+    "covariance": ["spectral._require_match"],
+    "dynamics": ["spectral._require_match"],
+    "stats": ["fields._coloured_noise", "fields._colouring_root", "fields._white_noise_draws",
+              "spectral._require_match"],
+}
+
+
+def private_imports(source: str) -> list[str]:
+    """'module.name', sorted and once each, for every underscore name (not a
+    dunder) that the source imports from a package module other than
+    ``_lattice``, or reads as an attribute of a package module that it
+    imported; function bodies included.  The package itself counts as the
+    module ``crystalstat``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    bound, found = {}, set()
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    def origin(node):
+        if node.level:
+            return node.module or "crystalstat"
+        parts = (node.module or "").split(".")
+        return parts[-1] if parts[0] == "crystalstat" else None
+
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and origin(node) not in (None, "_lattice"):
+            for alias in node.names:
+                if origin(node) == "crystalstat" and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif private(alias.name):
+                    found.add(f"{origin(node)}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname and parts[0] == "crystalstat" and len(parts) == 2:
+                    bound[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and bound.get(getattr(node.value, "id", None), "_lattice") != "_lattice"):
+            found.add(f"{bound[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_cross_modules_only_where_listed(path):
+    assert private_imports(path.read_text()) == PRIVATE_IMPORTS.get(path.stem, [])
+
+
+def test_private_import_is_found():
+    source = ("from .spectral import _require_match, check_ES\n"
+              "from ._lattice import _hidden\nfrom . import fields, _lattice, __version__\n"
+              "import crystalstat.kernel as k\nimport numpy as np\n"
+              "def f(x):\n    from crystalstat.dynamics import _rotate\n"
+              "    return fields._colouring_root(x), fields._colouring_root, k._scan(1),\\\n"
+              "        _lattice._slab, np._core, x._private, fields.__name__\n")
+    # _lattice's names, dunders, and attributes of what is not a package
+    # module are not
+    assert private_imports(source) == ["dynamics._rotate", "fields._colouring_root",
+                                       "kernel._scan", "spectral._require_match"]
 
 
 #: the package's modules in dependency order; the package itself comes last

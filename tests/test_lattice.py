@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystalstat import (
+    Propagator,
     density_from_covariance,
     dispersion_grid,
     evolve_density,
@@ -57,7 +58,6 @@ from crystalstat._lattice import (
     theta_step,
     translated,
 )
-from crystalstat.dynamics import _propagator_grid_matrix
 
 
 def inline_phase_grid(z, L, sign):
@@ -195,7 +195,7 @@ def test_hermitian_part_callers_keep_the_bits_of_the_inline_expression(d, n, ker
     assert same_bits(q0.matrix, eigen_compose(U, np.clip(w, 0.0, None)))
 
     # the whole-grid transport; evolve_density runs by slabs of rows rows
-    G = _propagator_grid_matrix(grid, t)
+    G = Propagator(grid, t).rows()
     qt = np.einsum("...ij,...jk,...lk->...il", G, q0.matrix, G.conj())
     with mock.patch.object(_lattice, "SLAB_BYTES", rows * q0.matrix[0].nbytes):
         assert same_bits(evolve_density(q0, grid, t).matrix, inline_hermitian_part(qt))

@@ -22,7 +22,6 @@ from crystalstat import (
     build_nn_kernel,
     characteristic_functional,
     covariance_from_density,
-    covariance_products,
     covariance_summary,
     dispersion_grid,
     empirical_covariance,
@@ -48,7 +47,7 @@ def test_empirical_covariance_against_inline_oracle(rng):
     S, L = 120, 4
     Y = rng.standard_normal((S, 2, L))
     offsets = [(0,), (1,), (-1,)]
-    products = covariance_products(Y, offsets)
+    products = offset_products(offsets)(Y)
     assert products.shape == (S, 3, 2, 2)
     mean, se = covariance_summary(products)
     assert mean.shape == se.shape == (3, 2, 2)
@@ -88,7 +87,7 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
                     values=rng.standard_normal((2, 2 * n)))
 
     def statistics(Y0, Yt):
-        return (covariance_products(Y0, offsets), covariance_products(Yt, offsets),
+        return (offset_products(offsets)(Y0), offset_products(offsets)(Yt),
                 linear_functional_samples(Y0, psi), linear_functional_samples(Yt, psi))
 
     Y0 = gaussian_ensemble(dens, count, seed)
@@ -121,7 +120,7 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     psi = TestField.delta(d, n)
 
     def statistics(Y0, Yt):
-        return (covariance_products(Y0, offsets), linear_functional_samples(Y0, psi),
+        return (offset_products(offsets)(Y0), linear_functional_samples(Y0, psi),
                 linear_functional_samples(Yt, psi))
 
     def peak_bytes(count):
@@ -214,7 +213,7 @@ def test_offset_products_reuse_their_arrays_across_shapes():
     products_at = offset_products([(0,), (1,), (-2,), (9,)])
     for shape in ((7, 2, 12), (7, 2, 12), (3, 2, 12), (9, 2, 12), (5, 4, 12), (2, 2, 10)):
         Y = rng.standard_normal(shape)
-        want = covariance_products(Y, [(0,), (1,), (-2,), (9,)])
+        want = offset_products([(0,), (1,), (-2,), (9,)])(Y)
         assert products_at(Y).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match=r"^offset \(0,\) has wrong dimension$"):
         offset_products([(0,)])(rng.standard_normal((2, 2, 4, 4)))
@@ -404,7 +403,7 @@ def test_mixing_support_radius_from_summary(measure, radius):
     declared = run.measure()
     offsets = offset_cube(3, 1)
     products, = stream_ensemble(declared.density, 400, 2, run.grid(32), 0.0,
-                                lambda Y0, Yt: (covariance_products(Y0, offsets),),
+                                lambda Y0, Yt: (offset_products(offsets)(Y0),),
                                 "covariance error bars", transform=declared.transform)
     rep = empirical_mixing_support(offsets, *covariance_summary(products))
     assert rep["radius"] == radius == declared.radius
