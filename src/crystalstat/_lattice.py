@@ -26,10 +26,14 @@ its summation order can depend on the strides of its operands.  An
 eigenbasis whose one node is the identity (``DispersionGrid.identity_basis``)
 is not multiplied by the einsum readers, since einsum sums from +0 and the
 product is x + 0.0; ``limit_density`` skips its BLAS products by it on a
-one-node density only.  The FFTs normalise in place, and write their
-transform into a caller's complex buffer when one is given (``out=``), and
-:func:`real_part_checked` writes into a caller's real one likewise, so that
-a loop over chunks reuses its arrays.
+one-node density only.  :func:`forward_fft` normalises in place and writes
+its transform into a caller's complex buffer when one is given (``out=``).
+The inverse, :func:`real_inverse_fft`, transforms its complex input in place
+and writes into a caller's real buffer only the bits that dividing by L^d
+and then dropping the checked imaginary residue would keep; every field,
+propagated ensemble and Green's function is real.  :func:`real_part_checked`
+writes into a caller's real buffer likewise, so that a loop over chunks
+reuses its arrays.
 :func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
@@ -91,35 +95,22 @@ def offset_cube(r: int, d: int) -> list:
     return list(itertools.product(range(-r, r + 1), repeat=d))
 
 
-def _transformed(transform, a: np.ndarray, axes: tuple, out) -> np.ndarray:
-    """transform (np.fft.ifftn or np.fft.fftn) of a over axes, written into
-    out, a complex array of a's shape which may be a itself, or into a new
-    array when out is None: the bits of the allocating transform either way.
-    A real a is cast into out first and transformed there in place, since
-    numpy would cast it into a complex temporary of out's size."""
-    if out is not None and not np.iscomplexobj(a):
-        np.copyto(out, a)
-        a = out
-    return transform(a, axes=axes, out=out)
-
-
 def forward_fft(a: np.ndarray, axes: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Lattice Fourier transform over the grid axes (e^{+i x.theta} convention),
-    written into out when it is given (see :func:`_transformed`).
+    written into out, a complex array of a's shape which may be a itself, or
+    into a new array when out is None: the bits of the allocating transform
+    either way.  A real a is cast into out first and transformed there in
+    place, since numpy would cast it into a complex temporary of out's size.
 
     The L^d normalisation is applied in place: the same ufunc on the same
     operands as a new product, so the same bits, with one complex temporary
     of the transform's size fewer."""
-    h = _transformed(np.fft.ifftn, a, axes, out)
-    h *= float(a.shape[axes[0]]) ** len(axes)
-    return h
-
-
-def inverse_fft(ahat: np.ndarray, axes: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`forward_fft`, written into out and normalised in
-    place likewise."""
-    h = _transformed(np.fft.fftn, ahat, axes, out)
-    h /= float(ahat.shape[axes[0]]) ** len(axes)
+    scale = float(a.shape[axes[0]]) ** len(axes)
+    if out is not None and not np.iscomplexobj(a):
+        np.copyto(out, a)
+        a = out
+    h = np.fft.ifftn(a, axes=axes, out=out)
+    h *= scale
     return h
 
 
@@ -374,3 +365,37 @@ def real_part_checked(a: np.ndarray, tol: float, what: str,
         )
     np.copyto(out, a.real)
     return out
+
+
+def real_inverse_fft(ahat: np.ndarray, axes: tuple, tol: float, what: str,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`forward_fft` of the complex array ahat, whose
+    imaginary residue is dropped after verifying it is below tol: the bits
+    and the faults of ``real_part_checked(np.fft.fftn(ahat, axes=axes) /
+    L**d, tol, what, out)``, computing only what that keeps.
+
+    The transform runs in place, so ahat's values are spent.  numpy divides
+    a complex a + ib by a real c as by c + 0j, which gives the real part
+    (a + b*0) * (1/c) and the imaginary part (b - a*0) * (1/c); the first is
+    written straight into out (a real array of ahat's shape that does not
+    overlap it, or a new one).  Where every a and b is finite, the modulus
+    of the second is |b| * (1/c), and since rounding is monotone its maximum
+    is max |b| * (1/c).  A result that is not finite, or a residue above
+    tol, is handed to the division and real_part_checked, which form the
+    fault's message; a result that is not finite has a NaN or infinite
+    residue, so under a finite tol every result returned is finite.
+    """
+    np.fft.fftn(ahat, axes=axes, out=ahat)
+    scale = float(ahat.shape[axes[0]]) ** len(axes)
+    r = 1.0 / scale
+    if out is None:
+        out = np.empty(ahat.shape)
+    # the moduli |b| are formed in out first, where their maximum reads fast
+    resid = float(np.max(np.abs(ahat.imag, out=out))) * r
+    with np.errstate(invalid="ignore"):  # inf * 0: the division warns for it below
+        np.multiply(ahat.imag, 0.0, out=out)
+    np.add(ahat.real, out, out=out)
+    np.multiply(out, r, out=out)
+    if resid <= tol and np.isfinite(out).all():
+        return out
+    return real_part_checked(ahat / scale, tol, what, out)

@@ -22,10 +22,9 @@ import numpy as np
 from ._lattice import (
     check_ensemble,
     forward_fft,
-    inverse_fft,
     moved_axes,
     offset_cube,
-    real_part_checked,
+    real_inverse_fft,
     theta_step,
 )
 from .kernel import InteractionKernel
@@ -126,12 +125,14 @@ class Propagator:
         is applied nodewise in the symbol eigenbasis; all samples share the
         grid's diagonalization and batched FFTs, and each sample's result does
         not depend on the others.  work, a complex array (2, S, 2n, *grid),
-        holds the forward transform and the rotated field, and the result is
-        written into out, a real (S, 2n, *grid) array; either is allocated
-        when not given, with the same bits.  out may share memory with
-        work[0], whose transform is spent before out is written.  The
-        rotation reads and writes work[0] and work[1] through reshaped views,
-        so a work whose two arrays are not C-contiguous is refused.
+        holds the forward transform and the rotated field, which the
+        inverse transform (:func:`_lattice.real_inverse_fft`) spends in
+        place, and the result is written into out, a real (S, 2n, *grid)
+        array; either is allocated when not given, with the same bits.  out
+        may share memory with work[0], whose transform is spent before out
+        is written.  The rotation reads and writes work[0] and work[1]
+        through reshaped views, so a work whose two arrays are not
+        C-contiguous is refused.
         """
         Y, L, d, n = check_ensemble(Y)
         _require_match(self.grid, L, d, n, what="field")
@@ -152,8 +153,7 @@ class Propagator:
             self._rotate(rotated.reshape(pairs), zhat.reshape(pairs))
             for half in (slice(None, n), slice(n, None)):
                 np.einsum("jk...,sk...->sj...", B, zhat[:, half], out=rotated[:, half])
-        return real_part_checked(inverse_fft(rotated, axes, out=rotated), _IMAG_TOL,
-                                 "evolve_ensemble", out=out)
+        return real_inverse_fft(rotated, axes, _IMAG_TOL, "evolve_ensemble", out=out)
 
     def _rotate(self, pair: np.ndarray, out: np.ndarray) -> None:
         """Rows C a + S b and N a + C b of a field pair (a, b), each (S, 2, n,
@@ -265,7 +265,8 @@ def green_function(grid: DispersionGrid, t: float,
     response to unit initial data; x is indexed modulo L with the propagation
     cone guarded against wraparound, here only, as the rows' spectral readers
     are exact at any t.  A cutoff from :func:`green_cutoff` multiplies the
-    propagator nodewise in theta first.
+    propagator nodewise in theta first.  The rows are formed for this call
+    alone, so they are cut off and transformed in place.
     """
     vmax = grid.max_group_velocity()
     if vmax * abs(t) >= grid.L / 2.0:
@@ -276,9 +277,8 @@ def green_function(grid: DispersionGrid, t: float,
         if cutoff.shape != Ghat.shape[:-2]:
             raise ValueError(f"cutoff of shape {cutoff.shape} does not match "
                              f"grid of shape {Ghat.shape[:-2]}")
-        Ghat = Ghat * cutoff[..., None, None]
-    G = inverse_fft(Ghat, tuple(range(grid.d)))
-    return real_part_checked(G, _IMAG_TOL, "green_function")
+        Ghat *= cutoff[..., None, None]
+    return real_inverse_fft(Ghat, tuple(range(grid.d)), _IMAG_TOL, "green_function")
 
 
 def hamiltonian(Y, kernel: InteractionKernel) -> np.ndarray:

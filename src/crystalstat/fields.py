@@ -36,14 +36,13 @@ from ._lattice import (
     forward_fft,
     fourier_series,
     hermitian_part,
-    inverse_fft,
     largest_modulus,
     lowest_eigenvalue,
     moved_axes,
     node_slabs,
     number_array,
     one_node,
-    real_part_checked,
+    real_inverse_fft,
     reflected,
     theta_axis,
 )
@@ -327,8 +326,14 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
 
 def _colouring_root(density: SpectralDensity) -> np.ndarray:
     """The density's nodewise Hermitian square root as the colouring reads
-    it: a C-contiguous (2n, 2n, *grid) copy."""
-    return moved_axes(density.hermitian_sqrt(), (-2, -1), (0, 1))
+    it: a C-contiguous (2n, 2n, *grid) copy, or, when every off-diagonal
+    entry is zero (white, triangular), a C-contiguous (2n, *grid) copy of
+    its diagonal."""
+    root = density.hermitian_sqrt()
+    diagonal = np.diagonal(root, axis1=-2, axis2=-1)
+    if np.count_nonzero(root) == np.count_nonzero(diagonal):
+        return moved_axes(diagonal, -1, 0)
+    return moved_axes(root, (-2, -1), (0, 1))
 
 
 def _coloured_noise(R: np.ndarray, W: np.ndarray, out: Optional[np.ndarray] = None,
@@ -336,8 +341,12 @@ def _coloured_noise(R: np.ndarray, W: np.ndarray, out: Optional[np.ndarray] = No
     """The ensemble array (S, 2n, *grid) of white noise W (S, *grid, 2n)
     coloured in Fourier space by R, a density's :func:`_colouring_root`.
 
-    work, a complex array (2, S, 2n, *grid), holds the noise's transform and
-    the coloured transform, and the result is written into out, a real
+    A diagonal root multiplies each component by its own entry, with the
+    bits of the full product: einsum sums from +0, and each off-diagonal
+    term of the full sum is a signed zero, as the noise's transform is
+    finite.  work, a complex array (2, S, 2n, *grid), holds the noise's
+    transform and the coloured transform, whose values the inverse
+    transform spends, and the result is written into out, a real
     (S, 2n, *grid) array; either is allocated when not given, with the same
     bits."""
     noise = np.moveaxis(W, -1, 1)
@@ -347,9 +356,9 @@ def _coloured_noise(R: np.ndarray, W: np.ndarray, out: Optional[np.ndarray] = No
     # the transform reads the noise through a transposed view: the copy into
     # its complex array is the layout change
     What = forward_fft(noise, axes, out=work[0])
-    zhat = np.einsum("ij...,sj...->si...", R, What, out=work[1])
-    return real_part_checked(inverse_fft(zhat, axes, out=zhat), 1e-6, "gaussian_ensemble",
-                             out=out)
+    subscripts = "i...,si...->si..." if R.ndim < W.ndim else "ij...,sj...->si..."
+    zhat = np.einsum(subscripts, R, What, out=work[1])
+    return real_inverse_fft(zhat, axes, 1e-6, "gaussian_ensemble", out=out)
 
 
 def nonlinear_transform_sample(Y, a0: float, a1: float,

@@ -66,13 +66,13 @@ LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 # chunk arrays in offset_products.  For clt at d=1 L=256 (128 samples
 # a chunk) the whole stream of 1024 samples peaks at 4.9 MB traced, against
 # 5.9 MB when each chunk allocated its own arrays.
-# Streaming clt's 10000 samples at d=1 L=256 on a shared 2-vCPU host took,
-# as the median of six fresh processes each timed best of three, 0.64 s at
-# 4 MiB, 0.49 s at 2 MiB, 0.54 s at 1 MiB and at 512 KiB, and 0.60 s at
-# 256 KiB, with a spread of about 0.1 s between processes.  At d=2 L=64
-# (white noise, n = 1 and 2) 1 MiB and 4 MiB were within the noise.  Those
-# times were taken while each chunk allocated its own arrays; the budget has
-# not been timed again since.
+# The README's clt line (10000 samples at d=1 L=256) on a shared 2-vCPU
+# host, with every chunk reusing the stream's arrays, took 0.51-0.57 s at
+# 256 KiB, 0.40-0.42 s at 512 KiB, 0.34-0.38 s at 1 MiB and 0.32-0.39 s at
+# 2 MiB (best of eight in-process calls of cli.main, in three rounds): 2 MiB
+# is within the noise of 1 MiB and doubles the working set.  When each chunk
+# allocated its own arrays, 4 MiB was the slowest at d=1, and 1 MiB and
+# 4 MiB were within the noise at d=2 L=64 (white noise, n = 1 and 2).
 CHUNK_BYTES = 2**20
 
 

@@ -5,7 +5,12 @@ sample-major bodies that ran on (S, *grid, 2n) before, einsum subscripts
 included: the colouring einsum, the amplitude broadcast of the transform, the
 four einsums of the nodewise rotation, the per-offset products of
 offset_products and the site sums of linear_functional_samples.  Both
-routes must give the same bits.
+routes must give the same bits.  The oracles normalise the inverse
+transform by the complex division by L^d that the package replaced, so
+they share none of its inverse's arithmetic.
+
+Densities with complex roots take the full colouring einsum; white and
+triangular densities, whose roots are diagonal, the elementwise one.
 """
 
 from functools import lru_cache
@@ -30,8 +35,10 @@ from crystalstat import (
     offset_products,
     random_finite_range_kernel,
     stream_ensemble,
+    triangular_density,
+    white_noise_density,
 )
-from crystalstat._lattice import forward_fft, inverse_fft, moved_axes, real_part_checked
+from crystalstat._lattice import forward_fft, moved_axes, real_part_checked
 
 # The smallest lattice a dispersion grid accepts.
 SIDE = 16
@@ -53,7 +60,8 @@ def oracle_ensemble(density, count, seed, start_index=0):
     W = fields._white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
     axes = tuple(range(1, d + 1))
     yhat = np.einsum("...ij,s...j->s...i", density.hermitian_sqrt(), forward_fft(W, axes))
-    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "oracle_ensemble")
+    return real_part_checked(np.fft.fftn(yhat, axes=axes) / float(L) ** d, 1e-6,
+                             "oracle_ensemble")
 
 
 def oracle_transform(Y, a0, a1):
@@ -79,7 +87,8 @@ def oracle_rotation(grid, t, yhat):
 def oracle_evolve(Y, grid, t):
     axes = tuple(range(1, grid.d + 1))
     yhat = oracle_rotation(grid, float(t), forward_fft(Y, axes))
-    return real_part_checked(inverse_fft(yhat, axes), 1e-6, "oracle_evolve")
+    return real_part_checked(np.fft.fftn(yhat, axes=axes) / float(grid.L) ** grid.d, 1e-6,
+                             "oracle_evolve")
 
 
 def oracle_covariance_products(Y, offsets):
@@ -114,9 +123,12 @@ def _grid(d, n):
 
 def _random_density(d, n, seed):
     """Density of random real covariances at a few offsets; its nodewise
-    square roots are complex."""
+    square roots are complex.  The covariance at offset 0, the density's
+    mean over theta, is positive semidefinite, so the density is not
+    negative definite at every node, where its root would be zero."""
     rng = np.random.default_rng(seed)
-    cov = {(0,) * d: rng.standard_normal((2 * n, 2 * n))}
+    A = rng.standard_normal((2 * n, 2 * n))
+    cov = {(0,) * d: A @ A.T}
     for _ in range(3):
         z = tuple(int(c) for c in rng.integers(-2, 3, d))
         if z not in cov and tuple(-c for c in z) not in cov:
@@ -135,20 +147,42 @@ def _random_density(d, n, seed):
        transform=st.sampled_from([None, (0.7, 1.3), (2.0, 0.4)]))
 def test_chunk_path_matches_the_sample_major_oracle(d, n, density_seed, seed, count, t,
                                                      transform):
-    grid = _grid(d, n)
     density = _random_density(d, n, density_seed)
     assert np.any(density.hermitian_sqrt().imag != 0)
+    assert fields._colouring_root(density).ndim == d + 2
+    assert_chunk_path_matches_the_oracle(_grid(d, n), density, count, seed, t, transform)
 
+
+@pytest.mark.parametrize("transform", [None, (0.7, 1.3)])
+@pytest.mark.parametrize("d,n,measure", [(d, n, "white") for d in (1, 2, 3) for n in (1, 2, 3)]
+                         + [(d, 1, nu0) for d in (1, 2, 3) for nu0 in (2, 3)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(8, 12), t=st.floats(-20.0, 20.0))
+def test_chunk_path_matches_the_sample_major_oracle_on_diagonal_roots(d, n, measure, transform,
+                                                                      seed, count, t):
+    # white noise with T0 = 0 (a zero u block) and triangular densities
+    if measure == "white":
+        density = white_noise_density(0.0, 1.3, n, d, SIDE)
+    else:
+        density = triangular_density(measure, d, 0.8, 1.3, SIDE)
+    assert fields._colouring_root(density).shape == (2 * n,) + (SIDE,) * d
+    assert_chunk_path_matches_the_oracle(_grid(d, n), density, count, seed, t, transform)
+
+
+def assert_chunk_path_matches_the_oracle(grid, density, count, seed, t, transform):
+    """The public sampler, transform and evolution, and the stream at three
+    chunk sizes, each with the oracles' bits, signs of zeros included."""
+    d, n = grid.d, grid.n
     Y0 = oracle_ensemble(density, count, seed)
-    np.testing.assert_array_equal(sample_major(gaussian_ensemble(density, count, seed)), Y0)
+    assert_same_bits(sample_major(gaussian_ensemble(density, count, seed)), Y0)
     if transform is not None:
         Y0 = oracle_transform(Y0, *transform)
-        np.testing.assert_array_equal(
+        assert_same_bits(
             sample_major(nonlinear_transform_sample(gaussian_ensemble(density, count, seed),
                                                     *transform)),
             Y0)
     Yt = oracle_evolve(Y0, grid, t)
-    np.testing.assert_array_equal(sample_major(evolve_ensemble(component_major(Y0), grid, t)),
+    assert_same_bits(sample_major(evolve_ensemble(component_major(Y0), grid, t)),
                                   Yt)
 
     # a few samples suffice to compare bits; the sample-count gate has its own tests
@@ -159,8 +193,13 @@ def test_chunk_path_matches_the_sample_major_oracle(d, n, density_seed, seed, co
             got0, gott = stream_ensemble(density, count, seed, grid, t,
                                          lambda A, B: (A, B), "covariance error bars",
                                          transform=transform)
-        np.testing.assert_array_equal(sample_major(got0), Y0)
-        np.testing.assert_array_equal(sample_major(gott), Yt)
+        assert_same_bits(sample_major(got0), Y0)
+        assert_same_bits(sample_major(gott), Yt)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("S", [1, 7, 64])

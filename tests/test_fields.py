@@ -466,6 +466,65 @@ def test_gibbs_density_blocks(grid64):
     np.testing.assert_allclose(lim.matrix[:, 0, 1], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_root_colours_with_the_bits_of_the_full_einsum(n):
+    # a root whose off-diagonal entries are zeros of either sign, and whose
+    # diagonal holds zeros of both signs, subnormals and complex values; the
+    # noise transforms hold the same kinds of entries
+    L, S = 16, 3
+    rng = np.random.default_rng(n)
+    full = np.zeros((2 * n, 2 * n, L), dtype=complex)
+    signs = rng.integers(0, 2, full.shape + (2,)).astype(bool)
+    full.real[signs[..., 0]] = -0.0
+    full.imag[signs[..., 1]] = -0.0
+    diagonal = rng.standard_normal((2 * n, L)) + 1j * rng.standard_normal((2 * n, L))
+    diagonal[:, ::5] = complex(-0.0, 0.0)
+    diagonal[:, 1::5] = complex(0.0, -0.0)
+    diagonal[:, 2::5] = complex(5e-324, -2.5e-310)
+    diagonal[0] = diagonal[0].real
+    for i in range(2 * n):
+        full[i, i] = diagonal[i]
+    What = rng.standard_normal((S, 2 * n, L)) + 1j * rng.standard_normal((S, 2 * n, L))
+    What[:, :, ::3] = complex(-0.0, -0.0)
+    What[:, :, 1::7] = complex(-5e-324, 0.0)
+    want = np.einsum("ij...,sj...->si...", full, What)
+    got = np.einsum("i...,si...->si...", np.ascontiguousarray(diagonal), What)
+    assert got.tobytes() == want.tobytes()
+    # and through the sampler's colouring, from real noise of the same kinds,
+    # with a real diagonal even in theta, as a density's root is
+    half = np.abs(rng.standard_normal((2 * n, L // 2 + 1)))
+    half[:, ::3] = -0.0
+    half[:, 1::4] = 5e-324
+    even = np.concatenate([half, half[:, -2:0:-1]], axis=1).astype(complex)
+    for i in range(2 * n):
+        full[i, i] = even[i]
+    W = rng.standard_normal((S, L, 2 * n))
+    W[:, ::4] = -0.0
+    W[:, 1::9] = 5e-324
+    assert fields._coloured_noise(even, W).tobytes() == fields._coloured_noise(full, W).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_colouring_root_is_diagonal_only_when_the_root_is(d, n):
+    # white and triangular roots are read as their diagonals; a random
+    # kernel's Gibbs density at n = 2 couples the components and keeps the
+    # full root
+    L = 16
+    for density in [white_noise_density(0.0, 1.3, n, d, L), white_noise_density(0.5, 2.0, n, d, L)] \
+            + [triangular_density(nu0, d, 0.8, 1.3, L) for nu0 in (2, 3) if n == 1]:
+        R = fields._colouring_root(density)
+        assert R.shape == (2 * n,) + (L,) * d and R.flags.c_contiguous
+        root = density.hermitian_sqrt()
+        assert R.tobytes() == np.ascontiguousarray(
+            np.moveaxis(np.diagonal(root, axis1=-2, axis2=-1), -1, 0)).tobytes()
+    density = gibbs_density(1.0, dispersion_grid(random_finite_range_kernel(d, 2, 1, seed=d), L))
+    R = fields._colouring_root(density)
+    assert R.shape == (4, 4) + (L,) * d
+    assert R.tobytes() == np.ascontiguousarray(
+        np.moveaxis(density.hermitian_sqrt(), (-2, -1), (0, 1))).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("d", [1, 2])
 def test_colouring_and_transform_into_buffers_keep_the_bits(d, n):

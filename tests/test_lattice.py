@@ -19,7 +19,9 @@ slabwise maxima must give the bits of the whole-array forms.
 
 The FFTs and real_part_checked write into a caller's array when given one
 (out=), and translated writes np.roll's values into one; each must give the
-bits of the call that allocates.
+bits of the call that allocates.  real_inverse_fft replaced the inverse FFT
+that divided the complex transform by L^d, followed by real_part_checked:
+it must give that pair's bits, or raise its fault with the same message.
 """
 
 from functools import lru_cache
@@ -46,11 +48,11 @@ from crystalstat._lattice import (
     fourier_coefficient,
     fourier_series,
     hermitian_part,
-    inverse_fft,
     largest_modulus,
     node_slabs,
     moved_axes,
     offset_cube,
+    real_inverse_fft,
     real_part_checked,
     real_view,
     reflected,
@@ -288,7 +290,17 @@ def test_ffts_normalise_in_place_with_the_bits_of_the_product(d, L):
         real = rng.standard_normal(shape)
         for a in (real, real + 1j * rng.standard_normal(shape)):
             assert same_bits(forward_fft(a, axes), np.fft.ifftn(a, axes=axes) * float(L) ** d)
-            assert same_bits(inverse_fft(a, axes), np.fft.fftn(a, axes=axes) / float(L) ** d)
+        # the transform of a real field, with an imaginary residue below tol
+        hat = forward_fft(real, axes) + 1e-9j * rng.standard_normal(shape)
+        assert same_bits(real_inverse_fft(hat.copy(), axes, 1e-6, "probe"),
+                         divided_real_part(hat, axes, 1e-6, "probe"))
+
+
+def divided_real_part(ahat, axes, tol, what):
+    """The pair that real_inverse_fft replaced: the complex transform
+    divided by L^d, then its real part checked."""
+    L, d = ahat.shape[axes[0]], len(axes)
+    return real_part_checked(np.fft.fftn(ahat, axes=axes) / float(L) ** d, tol, what)
 
 
 def with_special_values(rng, shape):
@@ -314,14 +326,23 @@ def test_fft_out_routes_keep_the_bits_of_the_allocating_route(d):
                         ((3, 2) + (L,) * d, tuple(range(2, d + 2)))):
         real = with_special_values(rng, shape)
         for a in (real, real + 1j * with_special_values(rng, shape)):
-            for fft in (forward_fft, inverse_fft):
-                want = fft(a, axes)
-                out = np.full(shape, np.nan, dtype=complex)
-                assert fft(a, axes, out=out) is out
-                assert same_bits(out, want)
-                inplace = a.astype(complex)
-                assert fft(inplace, axes, out=inplace) is inplace
-                assert same_bits(inplace, want)
+            want = forward_fft(a, axes)
+            out = np.full(shape, np.nan, dtype=complex)
+            assert forward_fft(a, axes, out=out) is out
+            assert same_bits(out, want)
+            inplace = a.astype(complex)
+            assert forward_fft(inplace, axes, out=inplace) is inplace
+            assert same_bits(inplace, want)
+            # the inverse transforms its input in place and writes a real out;
+            # the residue of these inputs is below 10
+            want = real_inverse_fft(a.astype(complex), axes, 10.0, "probe")
+            assert same_bits(want, divided_real_part(a, axes, 10.0, "probe"))
+            out = np.full(shape, np.nan)
+            assert real_inverse_fft(a.astype(complex), axes, 10.0, "probe", out=out) is out
+            assert same_bits(out, want)
+            spare = np.full(shape, np.nan, dtype=complex)
+            assert same_bits(real_inverse_fft(a.astype(complex), axes, 10.0, "probe",
+                                              out=real_view(spare)), want)
         W = with_special_values(rng, (3,) + (L,) * d + (2,))
         axes = tuple(range(2, d + 2))
         out = np.empty((3, 2) + (L,) * d, dtype=complex)
@@ -350,6 +371,72 @@ def test_real_part_checked_into_out_keeps_the_bits_and_the_errors():
         with pytest.raises(NumericalFault) as written:
             real_part_checked(bad, 1e-6, "probe", out=np.empty(shape))
         assert str(written.value) == str(allocated.value)
+
+
+@pytest.mark.parametrize("L", [3, 7, 16])
+def test_real_inverse_fft_keeps_the_zero_signs_of_the_division(L):
+    # the transforms of zeros of both signs hold real parts -0.0; where the
+    # imaginary part is +0 or positive the division gives +0.0, which a
+    # plain multiply by 1/L^d would not
+    rng = np.random.default_rng(L)
+    for _ in range(20):
+        signs = rng.random((2, 2, L, L)) < 0.5
+        a = np.where(signs[0], -0.0, 0.0) + 1j * np.where(signs[1], -0.0, 0.0)
+        assert same_bits(real_inverse_fft(a.copy(), (1, 2), 1e-6, "probe"),
+                         divided_real_part(a, (1, 2), 1e-6, "probe"))
+
+
+# parts of the transform's entries that the inverse's arithmetic treats apart
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from([(L, d) for L in (3, 7, 250, 256) for d in (1, 2, 3)
+                             if L**d <= 2**16]),
+       leading=st.booleans(), base=st.sampled_from(["real field", "complex", "signed zeros"]),
+       seed=st.integers(0, 2**32 - 1), scale=st.integers(-16, 0), normals=st.integers(0, 3),
+       tol=st.sampled_from([1e-8, 1e-6, 1.0, 10.0]),
+       specials=st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(_SPECIAL_PARTS),
+                                   st.sampled_from(_SPECIAL_PARTS)), max_size=3))
+def test_real_inverse_fft_has_the_bits_and_faults_of_the_division(grid, leading, base, seed,
+                                                                   scale, normals, tol,
+                                                                   specials):
+    # transforms of real fields (residue near roundoff), complex arrays whose
+    # imaginary part is scaled by 10^scale (residue near tol) and arrays of
+    # zeros of both signs with up to three normals, whose transforms hold
+    # parts -0.0 (where a plain multiply by 1/L^d would keep the sign the
+    # division clears), each with a few entries whose parts are zeros,
+    # subnormals, infinities or NaN.  A tol of 10 lets every finite input
+    # reach the bits.  A component axis leads or trails the grid axes.
+    # L^3 at L = 250 and 256 is left out for its size (16M entries).
+    L, d = grid
+    shape, axes = ((2,) + (L,) * d, tuple(range(1, d + 1))) if leading else \
+        ((L,) * d + (2,), tuple(range(d)))
+    rng = np.random.default_rng(seed)
+    if base == "real field":
+        a = forward_fft(rng.standard_normal(shape), axes)
+    elif base == "complex":
+        a = rng.standard_normal(shape) + 10.0**scale * 1j * rng.standard_normal(shape)
+    else:
+        a = np.where(rng.random(shape) < 0.5, -0.0, 0.0) + 1j * np.where(
+            rng.random(shape) < 0.5, -0.0, 0.0)
+        a.reshape(-1)[rng.integers(0, a.size, normals)] = rng.standard_normal(normals)
+    flat = a.reshape(-1)
+    for index, re, im in specials:
+        flat[index % a.size] = complex(re, im)
+    with np.errstate(all="ignore"):
+        try:
+            want, fault = divided_real_part(a, axes, tol, "probe"), None
+        except NumericalFault as error:
+            fault = str(error)
+        if fault is None:
+            got = real_inverse_fft(a.copy(), axes, tol, "probe")
+            assert same_bits(got, want)
+            assert np.all(np.isfinite(got))
+        else:
+            with pytest.raises(NumericalFault) as raised:
+                real_inverse_fft(a.copy(), axes, tol, "probe")
+            assert str(raised.value) == fault
 
 
 @settings(max_examples=30, deadline=None)
