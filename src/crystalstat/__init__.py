@@ -36,6 +36,7 @@ from .dynamics import (
     reference_evolve_ode,
 )
 from .fields import (
+    GaussianSampler,
     SpectralDensity,
     density_from_covariance,
     density_from_jsonable,
@@ -89,6 +90,7 @@ __all__ = [
     "green_function",
     "hamiltonian",
     "reference_evolve_ode",
+    "GaussianSampler",
     "SpectralDensity",
     "density_from_covariance",
     "density_from_jsonable",

@@ -32,8 +32,8 @@ The inverse, :func:`real_inverse_fft`, transforms its complex input in place
 and writes into a caller's real buffer only the bits that dividing by L^d
 and then dropping the checked imaginary residue would keep; every field,
 propagated ensemble and Green's function is real.  :func:`real_part_checked`
-writes into a caller's real buffer likewise, so that a loop over chunks
-reuses its arrays.
+writes into a caller's real buffer likewise; on a fault, real_inverse_fft
+hands it the buffer that it was given.
 :func:`hermitian_part` is the one
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through

@@ -51,7 +51,6 @@ from .fields import (
 )
 from .kernel import (
     ConditionFailure,
-    _scan_resolution,
     build_nn_kernel,
     check_E123,
     kernel_from_json,
@@ -404,8 +403,7 @@ class _Run:
         return self.memo["kernel"]
 
     def e123(self, symbol=None) -> list:
-        """The kernel's E1-E3 reports, checked once per run; symbol is the
-        kernel's symbol grid at the E3 scan resolution, if :meth:`grid` has it."""
+        """The kernel's E1-E3 reports, checked once per run; symbol is :meth:`grid`'s."""
         if "E123" not in self.memo:
             self.memo["E123"] = check_E123(self.kernel(), symbol)
         return self.memo["E123"]
@@ -416,12 +414,11 @@ class _Run:
         The symbol grid at L is built first, so that a symbol that is not
         finite is refused at the run's own resolution.  If E1-E3 are still
         unchecked and L is the E3 scan resolution, the check and the grid
-        read that one symbol grid."""
+        read that one symbol grid (:func:`check_E123` decides)."""
         if L not in self.memo:
             kernel = self.kernel()
             symbol = kernel.symbol_grid(L)
-            shared = "E123" not in self.memo and L == _scan_resolution(kernel.d)
-            self.gate(self.e123(symbol if shared else None))
+            self.gate(self.e123(symbol))
             self.memo[L] = dispersion_grid(kernel, L, self.thr["delta_cross"],
                                            self.thr["delta_null"], self.thr["delta_hess"],
                                            symbol)

@@ -30,7 +30,7 @@ from ._lattice import (
 from .dynamics import Propagator
 from .fields import SpectralDensity
 from .kernel import ConditionFailure, ConditionReport
-from .spectral import DispersionGrid, _require_match, check_ES
+from .spectral import DispersionGrid, check_ES
 
 __all__ = [
     "TestField",
@@ -89,7 +89,7 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
 
     Each node is transported on its own, so the work runs one slab of nodes
     at a time, with the :meth:`Propagator.rows` of that slab only."""
-    _require_match(grid, q0.L, q0.d, q0.n)
+    grid.require_match(q0.L, q0.d, q0.n)
     propagator = Propagator(grid, t)
     qt = np.empty(q0.matrix.shape, dtype=complex)
     for rows, q in _slabs(q0):
@@ -128,7 +128,7 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     x + 0.0 clears, and on stored densities at d = 3 that reached the output
     at 10-66 entries per grid.
     """
-    _require_match(grid, q0.L, q0.d, q0.n)
+    grid.require_match(q0.L, q0.d, q0.n)
     if np.any(grid.c0):
         report = es_report if es_report is not None else check_ES(grid, q0)
         if report.verdict == "fail":
@@ -378,7 +378,7 @@ def mixing_integral(limit: SpectralDensity, grid: DispersionGrid, psi1: TestFiel
     nodewise, so it is written one slab of nodes at a time, with the test
     fields' transforms and the :meth:`Propagator.rows` of that slab only.
     """
-    _require_match(grid, limit.L, limit.d, limit.n)
+    grid.require_match(limit.L, limit.d, limit.n)
     L = grid.L
     I, K = _support(psi1), _support(psi2)
     propagator = Propagator(grid, t)

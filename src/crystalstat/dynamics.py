@@ -28,7 +28,7 @@ from ._lattice import (
     theta_step,
 )
 from .kernel import InteractionKernel
-from .spectral import DispersionGrid, _require_match
+from .spectral import DispersionGrid
 
 __all__ = [
     "Propagator",
@@ -135,7 +135,7 @@ class Propagator:
         C-contiguous is refused.
         """
         Y, L, d, n = check_ensemble(Y)
-        _require_match(self.grid, L, d, n, what="field")
+        self.grid.require_match(L, d, n, what="field")
         axes = tuple(range(2, d + 2))
         if work is None:
             work = np.empty((2,) + Y.shape, dtype=complex)

@@ -54,6 +54,7 @@ __all__ = [
     "density_from_covariance",
     "density_to_jsonable",
     "density_from_jsonable",
+    "GaussianSampler",
     "gaussian_ensemble",
     "nonlinear_transform_sample",
 ]
@@ -293,18 +294,62 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
-def _white_noise_draws(L: int, d: int, n: int, seed: int, indices,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stacked standard-normal fields, one generator per (seed, sample index),
-    shape (S, *grid, 2n): each generator fills its sample in this order, in
-    out when it is given (an array of that shape)."""
-    shape = (L,) * d + (2 * n,)
-    states = _seed_states(seed, indices)
-    if out is None:
-        out = np.empty((len(states),) + shape)
-    for row, state in enumerate(states):
-        np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(shape, out=out[row])
-    return out
+class GaussianSampler:
+    """The Gaussian measure of a density under a seed, sampled in two steps:
+    the sampling counterpart of ``dynamics.Propagator``.
+
+    The colouring root is read on construction: a C-contiguous copy of the
+    density's nodewise Hermitian square root (2n, 2n, *grid), or of its
+    diagonal (2n, *grid) when every off-diagonal entry is zero (white,
+    triangular).  :meth:`white_noise` calls no public function of the
+    package, so a worker thread may draw; a bad seed fails on the first draw.
+    """
+
+    def __init__(self, density: SpectralDensity, seed: int):
+        self.seed = seed
+        self.shape = (density.L,) * density.d + (2 * density.n,)
+        root = density.hermitian_sqrt()
+        diagonal = np.diagonal(root, axis1=-2, axis2=-1)
+        if np.count_nonzero(root) == np.count_nonzero(diagonal):
+            self.root = moved_axes(diagonal, -1, 0)
+        else:
+            self.root = moved_axes(root, (-2, -1), (0, 1))
+
+    def white_noise(self, indices, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Stacked standard-normal fields, one generator per (seed, sample
+        index), shape (S, *grid, 2n): each generator fills its sample in this
+        order, in out when it is given (an array of that shape)."""
+        states = _seed_states(self.seed, indices)
+        if out is None:
+            out = np.empty((len(states),) + self.shape)
+        for row, state in enumerate(states):
+            np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(
+                self.shape, out=out[row])
+        return out
+
+    def colour(self, W: np.ndarray, out: Optional[np.ndarray] = None,
+               work: Optional[np.ndarray] = None) -> np.ndarray:
+        """The ensemble array (S, 2n, *grid) of white noise W (S, *grid, 2n)
+        coloured in Fourier space by the root.
+
+        A diagonal root multiplies each component by its own entry, with the
+        bits of the full product: einsum sums from +0, and each off-diagonal
+        term of the full sum is a signed zero, as the noise's transform is
+        finite.  work, a complex array (2, S, 2n, *grid), holds the noise's
+        transform and the coloured transform, whose values the inverse
+        transform spends, and the result is written into out, a real
+        (S, 2n, *grid) array; either is allocated when not given, with the
+        same bits."""
+        noise = np.moveaxis(W, -1, 1)
+        if work is None:
+            work = np.empty((2,) + noise.shape, dtype=complex)
+        axes = tuple(range(2, W.ndim))
+        # the transform reads the noise through a transposed view: the copy
+        # into its complex array is the layout change
+        What = forward_fft(noise, axes, out=work[0])
+        subscripts = "i...,si...->si..." if self.root.ndim < W.ndim else "ij...,sj...->si..."
+        zhat = np.einsum(subscripts, self.root, What, out=work[1])
+        return real_inverse_fft(zhat, axes, 1e-6, "gaussian_ensemble", out=out)
 
 
 def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
@@ -318,47 +363,8 @@ def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be positive")
-    R = _colouring_root(density)
-    W = _white_noise_draws(density.L, density.d, density.n, seed,
-                           range(start_index, start_index + count))
-    return _coloured_noise(R, W)
-
-
-def _colouring_root(density: SpectralDensity) -> np.ndarray:
-    """The density's nodewise Hermitian square root as the colouring reads
-    it: a C-contiguous (2n, 2n, *grid) copy, or, when every off-diagonal
-    entry is zero (white, triangular), a C-contiguous (2n, *grid) copy of
-    its diagonal."""
-    root = density.hermitian_sqrt()
-    diagonal = np.diagonal(root, axis1=-2, axis2=-1)
-    if np.count_nonzero(root) == np.count_nonzero(diagonal):
-        return moved_axes(diagonal, -1, 0)
-    return moved_axes(root, (-2, -1), (0, 1))
-
-
-def _coloured_noise(R: np.ndarray, W: np.ndarray, out: Optional[np.ndarray] = None,
-                    work: Optional[np.ndarray] = None) -> np.ndarray:
-    """The ensemble array (S, 2n, *grid) of white noise W (S, *grid, 2n)
-    coloured in Fourier space by R, a density's :func:`_colouring_root`.
-
-    A diagonal root multiplies each component by its own entry, with the
-    bits of the full product: einsum sums from +0, and each off-diagonal
-    term of the full sum is a signed zero, as the noise's transform is
-    finite.  work, a complex array (2, S, 2n, *grid), holds the noise's
-    transform and the coloured transform, whose values the inverse
-    transform spends, and the result is written into out, a real
-    (S, 2n, *grid) array; either is allocated when not given, with the same
-    bits."""
-    noise = np.moveaxis(W, -1, 1)
-    if work is None:
-        work = np.empty((2,) + noise.shape, dtype=complex)
-    axes = tuple(range(2, W.ndim))
-    # the transform reads the noise through a transposed view: the copy into
-    # its complex array is the layout change
-    What = forward_fft(noise, axes, out=work[0])
-    subscripts = "i...,si...->si..." if R.ndim < W.ndim else "ij...,sj...->si..."
-    zhat = np.einsum(subscripts, R, What, out=work[1])
-    return real_inverse_fft(zhat, axes, 1e-6, "gaussian_ensemble", out=out)
+    sampler = GaussianSampler(density, seed)
+    return sampler.colour(sampler.white_noise(range(start_index, start_index + count)))
 
 
 def nonlinear_transform_sample(Y, a0: float, a1: float,

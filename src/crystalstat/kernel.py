@@ -259,15 +259,15 @@ def check_E123(kernel: InteractionKernel,
     entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over the theta
     grid of the dimension's scan resolution (_SCAN_RESOLUTION), judged by
     :func:`e3_report`.  A dispersion grid of another resolution judges its own
-    eigenvalues by the same rule.  symbol is the kernel's symbol_grid at the
-    scan resolution, if the caller holds it (to diagonalise it next); else
-    the check builds it.  A symbol with a non-finite entry, whose
-    eigenvalues no tolerance can judge, raises a NumericalFault.
+    eigenvalues by the same rule.  symbol is a symbol grid of the kernel that
+    the caller holds to diagonalise next; the check reads it when it is at
+    the scan resolution, else builds its own.  A symbol with a non-finite
+    entry, whose eigenvalues no tolerance can judge, raises a NumericalFault.
     """
     grid_resolution = _scan_resolution(kernel.d)
-    symbol = kernel.symbol_grid(grid_resolution) if symbol is None else finite_symbol(symbol)
-    if symbol.shape != (grid_resolution,) * kernel.d + (kernel.n, kernel.n):
-        raise ValueError(f"symbol grid of shape {symbol.shape} is not the scan grid's")
+    scan_shape = (grid_resolution,) * kernel.d + (kernel.n, kernel.n)
+    held = symbol is not None and symbol.shape == scan_shape
+    symbol = finite_symbol(symbol) if held else kernel.symbol_grid(grid_resolution)
     reports = []
 
     N = kernel.range

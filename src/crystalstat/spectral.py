@@ -103,6 +103,15 @@ class DispersionGrid:
     def n(self) -> int:
         return self.kernel.n
 
+    def require_match(self, L: int, d: int, n: int, what: str = "density") -> None:
+        """Raise unless an object of resolution L, dimension d and n components
+        lives on the grid."""
+        if L != self.L or d != self.d or n != self.n:
+            raise ValueError(
+                f"{what} (L={L}, d={d}, n={n}) does not match "
+                f"grid (L={self.L}, d={self.d}, n={self.n})"
+            )
+
     @cached_property
     def identity_basis(self) -> bool:
         """True when basis is one node (:func:`_lattice.one_node`) with the bits
@@ -389,17 +398,6 @@ def check_E4_E5(grid: DispersionGrid) -> list[ConditionReport]:
                    "no branch pair with constant nonzero sum or difference")]
 
 
-def _require_match(grid: DispersionGrid, L: int, d: int, n: int,
-                   what: str = "density") -> None:
-    """Raise unless an object of resolution L, dimension d and n components
-    lives on the grid."""
-    if L != grid.L or d != grid.d or n != grid.n:
-        raise ValueError(
-            f"{what} (L={L}, d={d}, n={n}) does not match "
-            f"grid (L={grid.L}, d={grid.d}, n={grid.n})"
-        )
-
-
 def _inverse_frequency_weight(grid: DispersionGrid, density_matrix: np.ndarray,
                               stride: int) -> float:
     """Mean over a subgrid of ||Omega^-i qhat^{ij} Omega^-j||_F summed over blocks."""
@@ -435,7 +433,7 @@ def check_ES(grid: DispersionGrid, density) -> ConditionReport:
     nodes and the inverse frequencies are the grid's, decided at
     grid.delta_null.
     """
-    _require_match(grid, density.L, density.d, density.n)
+    grid.require_match(density.L, density.d, density.n)
     c0_fraction = float(grid.c0.mean())
     if c0_fraction == 0.0:
         return ConditionReport(

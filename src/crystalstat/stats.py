@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fields
 from ._lattice import check_ensemble, real_view, translated
 from .covariance import quadratic_form
 from .dynamics import Propagator
-from .fields import nonlinear_transform_sample
-from .spectral import _require_match
+from .fields import GaussianSampler, nonlinear_transform_sample
 
 __all__ = [
     "require_samples",
@@ -87,10 +85,10 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
                     purpose: str, transform=None) -> tuple:
     """Per-sample statistics of count samples, drawn and evolved chunk by chunk.
 
-    Each chunk of consecutive sample indices holds the samples that
-    gaussian_ensemble draws at its start index, mapped by
+    Each chunk of consecutive sample indices holds the samples that a
+    fields.GaussianSampler draws and colours at those indices, mapped by
     nonlinear_transform_sample when transform is (a0, a1), and evolved to
-    time t by evolve_ensemble on the dispersion grid.  statistics(Y0, Yt)
+    time t by one dynamics.Propagator's apply on the dispersion grid.  statistics(Y0, Yt)
     maps the chunk's initial and evolved arrays (S, 2n, *grid) to a tuple of
     arrays with a leading sample axis; only these are kept, and each is
     concatenated over the chunks.  Since every step treats samples
@@ -119,10 +117,10 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
 
     require_samples(count, purpose)
     L, d, n = density.L, density.d, density.n
-    _require_match(grid, L, d, n, what="field")
+    grid.require_match(L, d, n, what="field")
     size = min(count, max(1, CHUNK_BYTES // (16 * L**d * 2 * n)))
     starts = range(0, count, size)
-    root = fields._colouring_root(density)
+    sampler = GaussianSampler(density, seed)
     propagator = Propagator(grid, t)
     buffers = [np.empty((size,) + (L,) * d + (2 * n,)) for _ in starts[:2]]
     work = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
@@ -130,8 +128,7 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
 
     def draw(k):
         indices = range(starts[k], min(starts[k] + size, count))
-        return fields._white_noise_draws(L, d, n, seed, indices,
-                                         out=buffers[k % 2][:len(indices)])
+        return sampler.white_noise(indices, out=buffers[k % 2][:len(indices)])
 
     def kept(column):
         reused = np.may_share_memory(column, work) or np.may_share_memory(column, initial)
@@ -146,7 +143,7 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
             if k + 1 < len(starts):
                 ahead = worker.submit(draw, k + 1)
             chunk = work[:, :len(W)]
-            Y0 = fields._coloured_noise(root, W, out=initial[:len(W)], work=chunk)
+            Y0 = sampler.colour(W, out=initial[:len(W)], work=chunk)
             if transform is not None:
                 Y0 = nonlinear_transform_sample(Y0, *transform, out=Y0)
             Yt = propagator.apply(Y0, out=real_view(chunk[0]), work=chunk)

@@ -25,6 +25,7 @@ import crystalstat.dynamics as dynamics
 import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat import (
+    GaussianSampler,
     TestField,
     density_from_covariance,
     dispersion_grid,
@@ -57,7 +58,7 @@ def component_major(Y):
 def oracle_ensemble(density, count, seed, start_index=0):
     """Sample-major sampler: white noise coloured by "...ij,s...j->s...i"."""
     L, d, n = density.L, density.d, density.n
-    W = fields._white_noise_draws(L, d, n, seed, range(start_index, start_index + count))
+    W = GaussianSampler(density, seed).white_noise(range(start_index, start_index + count))
     axes = tuple(range(1, d + 1))
     yhat = np.einsum("...ij,s...j->s...i", density.hermitian_sqrt(), forward_fft(W, axes))
     return real_part_checked(np.fft.fftn(yhat, axes=axes) / float(L) ** d, 1e-6,
@@ -149,7 +150,7 @@ def test_chunk_path_matches_the_sample_major_oracle(d, n, density_seed, seed, co
                                                      transform):
     density = _random_density(d, n, density_seed)
     assert np.any(density.hermitian_sqrt().imag != 0)
-    assert fields._colouring_root(density).ndim == d + 2
+    assert GaussianSampler(density, seed).root.ndim == d + 2
     assert_chunk_path_matches_the_oracle(_grid(d, n), density, count, seed, t, transform)
 
 
@@ -165,7 +166,7 @@ def test_chunk_path_matches_the_sample_major_oracle_on_diagonal_roots(d, n, meas
         density = white_noise_density(0.0, 1.3, n, d, SIDE)
     else:
         density = triangular_density(measure, d, 0.8, 1.3, SIDE)
-    assert fields._colouring_root(density).shape == (2 * n,) + (SIDE,) * d
+    assert GaussianSampler(density, seed).root.shape == (2 * n,) + (SIDE,) * d
     assert_chunk_path_matches_the_oracle(_grid(d, n), density, count, seed, t, transform)
 
 
@@ -221,17 +222,18 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
 
 
 def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
-    # gaussian_ensemble is its draw step and its colouring body; the stream
+    # gaussian_ensemble is a GaussianSampler's draw and colouring; the stream
     # runs the same two, the draw a chunk ahead on its worker thread, and
     # evolves each chunk by the apply step of one prepared Propagator
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
-                         (dynamics, "_evolve_chunk")):
+                         (dynamics, "_evolve_chunk"), (fields, "_white_noise_draws"),
+                         (fields, "_colouring_root"), (fields, "_coloured_noise")):
         assert not hasattr(module, name)
     d, n, count, size = 1, 1, 10, 3
     grid = _grid(d, n)
     density = _random_density(d, n, 5)
     sample_bytes = 16 * grid.L**d * 2 * n
-    steps = {fields: ("_white_noise_draws", "_coloured_noise"),
+    steps = {GaussianSampler: ("white_noise", "colour"),
              stats: ("nonlinear_transform_sample",),
              dynamics.Propagator: ("apply",)}
     for transform, transformed in ((None, 0), ((0.7, 1.3), 4)):
@@ -247,13 +249,13 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
 
         with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
                 mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}), \
-                mock.patch.multiple(fields, **{name: counted(fields, name)
-                                               for name in steps[fields]}), \
+                mock.patch.multiple(GaussianSampler, **{name: counted(GaussianSampler, name)
+                                                        for name in steps[GaussianSampler]}), \
                 mock.patch.multiple(stats, **{name: counted(stats, name)
                                               for name in steps[stats]}), \
                 mock.patch.object(dynamics.Propagator, "apply",
                                   counted(dynamics.Propagator, "apply")):
             stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
                             "covariance error bars", transform=transform)
-        assert calls == {"_white_noise_draws": 4, "_coloured_noise": 4,
+        assert calls == {"white_noise": 4, "colour": 4,
                          "nonlinear_transform_sample": transformed, "apply": 4}

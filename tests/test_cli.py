@@ -32,6 +32,7 @@ from crystalstat.cli import main
 from crystalstat.covariance import covariance_from_density, evolve_density, limit_density
 from crystalstat.dynamics import green_cutoff, green_function
 from crystalstat.fields import (
+    GaussianSampler,
     SpectralDensity,
     density_from_jsonable,
     density_to_jsonable,
@@ -1509,8 +1510,8 @@ def test_cold_process_reaches_the_assignment_solver(tmp_path):
 def test_small_ensemble_fails_before_the_first_draw(tmp_path, monkeypatch, capsys,
                                                     command, count, message):
     calls = []
-    monkeypatch.setattr(fields, "_white_noise_draws",
-                        counting(calls, fields._white_noise_draws))
+    monkeypatch.setattr(GaussianSampler, "white_noise",
+                        counting(calls, GaussianSampler.white_noise))
     measure = ["--white", "T0=1", "T1=1"] if command == "ensemble" else []
     code = main([command] + nn_args(L=16) + measure + [
         "--ensemble", str(count), "--t", "2", "--output", str(tmp_path / "o")])

@@ -26,7 +26,7 @@ from crystalstat import (
 )
 from crystalstat import _lattice, fields
 from crystalstat._lattice import real_part_checked
-from crystalstat.fields import SpectralDensity
+from crystalstat.fields import GaussianSampler, SpectralDensity
 
 
 def test_triangular_covariance_is_a_hat():
@@ -112,11 +112,16 @@ def test_seed_states_match_seed_sequence(seed, indices):
     ])
 
 
+def white_noise_draws(L, d, n, seed, indices):
+    """The draw step of a sampler at (L, d, n) under seed."""
+    return GaussianSampler(white_noise_density(1.0, 1.0, n, d, L), seed).white_noise(indices)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_white_noise_draws_match_stock_generators(d, n):
     for seed, indices in [(0, range(5)), (31, range(1000, 1004)), (2**130 + 17, range(3))]:
-        np.testing.assert_array_equal(fields._white_noise_draws(8, d, n, seed, indices),
+        np.testing.assert_array_equal(white_noise_draws(8, d, n, seed, indices),
                                       stock_white_noise(8, d, n, seed, indices))
 
 
@@ -125,7 +130,7 @@ def test_white_noise_draws_match_stock_generators(d, n):
        count=st.integers(1, 4))
 def test_draws_match_stock_numpy_for_any_seed_and_start(seed, start, count):
     indices = range(start, start + count)
-    np.testing.assert_array_equal(fields._white_noise_draws(4, 1, 1, seed, indices),
+    np.testing.assert_array_equal(white_noise_draws(4, 1, 1, seed, indices),
                                   stock_white_noise(4, 1, 1, seed, indices))
 
 
@@ -466,6 +471,13 @@ def test_gibbs_density_blocks(grid64):
     np.testing.assert_allclose(lim.matrix[:, 0, 1], 0.0, atol=1e-12)
 
 
+def colouring(root):
+    """A sampler whose colouring root is root, (2n, *grid) or (2n, 2n, *grid)."""
+    sampler = GaussianSampler(white_noise_density(1.0, 1.0, 1, 1, 4), 0)
+    sampler.root = root
+    return sampler
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_diagonal_root_colours_with_the_bits_of_the_full_einsum(n):
     # a root whose off-diagonal entries are zeros of either sign, and whose
@@ -501,7 +513,7 @@ def test_diagonal_root_colours_with_the_bits_of_the_full_einsum(n):
     W = rng.standard_normal((S, L, 2 * n))
     W[:, ::4] = -0.0
     W[:, 1::9] = 5e-324
-    assert fields._coloured_noise(even, W).tobytes() == fields._coloured_noise(full, W).tobytes()
+    assert colouring(even).colour(W).tobytes() == colouring(full).colour(W).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -513,13 +525,13 @@ def test_colouring_root_is_diagonal_only_when_the_root_is(d, n):
     L = 16
     for density in [white_noise_density(0.0, 1.3, n, d, L), white_noise_density(0.5, 2.0, n, d, L)] \
             + [triangular_density(nu0, d, 0.8, 1.3, L) for nu0 in (2, 3) if n == 1]:
-        R = fields._colouring_root(density)
+        R = GaussianSampler(density, 0).root
         assert R.shape == (2 * n,) + (L,) * d and R.flags.c_contiguous
         root = density.hermitian_sqrt()
         assert R.tobytes() == np.ascontiguousarray(
             np.moveaxis(np.diagonal(root, axis1=-2, axis2=-1), -1, 0)).tobytes()
     density = gibbs_density(1.0, dispersion_grid(random_finite_range_kernel(d, 2, 1, seed=d), L))
-    R = fields._colouring_root(density)
+    R = GaussianSampler(density, 0).root
     assert R.shape == (4, 4) + (L,) * d
     assert R.tobytes() == np.ascontiguousarray(
         np.moveaxis(density.hermitian_sqrt(), (-2, -1), (0, 1))).tobytes()
@@ -534,15 +546,15 @@ def test_colouring_and_transform_into_buffers_keep_the_bits(d, n):
     L, S = 16, 4
     grid = dispersion_grid(random_finite_range_kernel(d, n, 1, seed=d + n), L)
     density = gibbs_density(1.0, grid)
-    R = fields._colouring_root(density)
+    sampler = GaussianSampler(density, 0)
     W = np.random.default_rng(d + n).standard_normal((S,) + (L,) * d + (2 * n,))
     W[W < -1.5] = 0.0
     W[W > 1.5] = -0.0
     W[:, 0] = -5e-324
-    want = fields._coloured_noise(R, W)
+    want = sampler.colour(W)
     work = np.full((2, S, 2 * n) + (L,) * d, np.nan, dtype=complex)
     out = np.full(want.shape, np.nan)
-    assert fields._coloured_noise(R, W, out=out, work=work) is out
+    assert sampler.colour(W, out=out, work=work) is out
     assert out.tobytes() == want.tobytes()
     Y = want.copy()
     Y[:, 0] = -0.0

@@ -345,16 +345,6 @@ def test_raise_and_table_read_are_found():
     assert reads_of(source, "A") == ["TABLE", "C.h"]
 
 
-#: the underscore names of another package module that each module reads
-PRIVATE_IMPORTS = {
-    "cli": ["kernel._scan_resolution"],
-    "covariance": ["spectral._require_match"],
-    "dynamics": ["spectral._require_match"],
-    "stats": ["fields._coloured_noise", "fields._colouring_root", "fields._white_noise_draws",
-              "spectral._require_match"],
-}
-
-
 def private_imports(source: str) -> list[str]:
     """'module.name', sorted and once each, for every underscore name (not a
     dunder) that the source imports from a package module other than
@@ -394,8 +384,8 @@ def private_imports(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_private_names_cross_modules_only_where_listed(path):
-    assert private_imports(path.read_text()) == PRIVATE_IMPORTS.get(path.stem, [])
+def test_no_private_name_crosses_modules(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_private_import_is_found():

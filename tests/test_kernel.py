@@ -1,7 +1,9 @@
 """Interaction kernels: construction, validation, JSON round trips, E1-E3."""
 
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,14 @@ def test_json_roundtrip_exact():
     assert set(k.entries) == set(k2.entries)
     for z in k.entries:
         np.testing.assert_array_equal(k.entries[z], k2.entries[z])
+
+
+def test_readme_kernel_file_example_is_the_nn_chain():
+    # the README's one JSON block documents the kernel file format
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+    assert kernel_from_json(block) == build_nn_kernel(1, 1, 1.0)
+    assert json.loads(block) == kernel_to_jsonable(build_nn_kernel(1, 1, 1.0))
 
 
 def test_json_rejects_unknown_key():

@@ -335,15 +335,17 @@ def test_grid_requires_even_resolution(nn1):
 
 def test_a_shared_symbol_grid_gives_the_same_grid_and_E3_report():
     # at d=2 the E3 scan grid is 128^2; a caller that holds its symbol hands
-    # it to both, and a symbol of another resolution is refused
+    # it to both, and the check builds its own from a symbol of another
+    # resolution
     kernel = random_finite_range_kernel(2, 2, 1, 5)
     symbol = kernel.symbol_grid(128)
     assert check_E123(kernel, symbol) == check_E123(kernel)
     shared, own = dispersion_grid(kernel, 128, symbol=symbol), dispersion_grid(kernel, 128)
     for name in ("omega", "basis", "cluster_id", "crossing", "null", "labels"):
         assert getattr(shared, name).tobytes() == getattr(own, name).tobytes(), name
-    with pytest.raises(ValueError, match="not the scan grid's"):
-        check_E123(kernel, kernel.symbol_grid(64))
+    assert check_E123(kernel, kernel.symbol_grid(64)) == check_E123(kernel)
+    # and does not read it: a negative 64^2 symbol does not fail E3
+    assert check_E123(kernel, -kernel.symbol_grid(64)) == check_E123(kernel)
     with pytest.raises(ValueError, match="does not match L=64"):
         dispersion_grid(kernel, 64, symbol=symbol)
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalstat.cli as cli
-import crystalstat.fields as fields
 import crystalstat.stats as stats
 from crystalstat import (
+    GaussianSampler,
     TestField,
     build_nn_kernel,
     characteristic_functional,
@@ -328,24 +328,78 @@ def test_worker_failure_is_the_samplers(seed):
 
 def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
     grid, dens, budget, minimum = _chunks_of(3)
-    draws, reduced = fields._white_noise_draws, []
+    draws, reduced = GaussianSampler.white_noise, []
 
-    def third_draw_fails(L, d, n, seed, indices, out=None):
+    def third_draw_fails(sampler, indices, out=None):
         if indices.start == 6:
             raise ValueError("draw failed")
-        return draws(L, d, n, seed, indices, out=out)
+        return draws(sampler, indices, out=out)
 
     def statistics(Y0, Yt):
         reduced.append(len(Y0))
         return (Y0,)
 
     before = threading.active_count()
-    with budget, minimum, mock.patch.object(fields, "_white_noise_draws", third_draw_fails), \
+    with budget, minimum, mock.patch.object(GaussianSampler, "white_noise", third_draw_fails), \
             pytest.raises(ValueError, match="^draw failed$"):
         stream_ensemble(dens, 10, 0, grid, 1.0, statistics, "covariance error bars")
     # the third chunk's draw ran while the second was reduced
     assert reduced == [3, 3]
     assert threading.active_count() == before
+
+
+def test_public_calls_stay_on_the_calling_thread(monkeypatch):
+    # The benchmark's span tracer (bench/child.py) wraps every public function
+    # and public-class constructor of the package in one span stack that all
+    # threads share, rebinding each function in every package module that
+    # holds it.  So the stream's worker may call none of them: it draws
+    # through GaussianSampler.white_noise, a method, which is not wrapped.
+    grid, dens, budget, minimum = _chunks_of(3)
+    psi = TestField.delta(1, 1)
+    here, traced, drawn = threading.get_ident(), [], []
+    modules = {name: module for name, module in sys.modules.items()
+               if name == "crystalstat" or name.startswith("crystalstat.")}
+
+    def wrap(name, fn):
+        def wrapped(*args, **kwargs):
+            traced.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    seen = set()
+    for module_name, module in sorted(modules.items()):
+        for public in getattr(module, "__all__", ()):
+            obj = getattr(module, public, None)
+            if id(obj) in seen or getattr(obj, "__module__", None) != module_name:
+                continue  # re-exported; wrapped where it is defined
+            seen.add(id(obj))
+            if isinstance(obj, type):
+                if "__init__" in vars(obj):
+                    monkeypatch.setattr(obj, "__init__", wrap(public, obj.__init__))
+            elif callable(obj):
+                wrapped = wrap(public, obj)
+                for holder in modules.values():
+                    for attr, value in list(vars(holder).items()):
+                        if value is obj:
+                            monkeypatch.setattr(holder, attr, wrapped)
+    white_noise = GaussianSampler.white_noise
+
+    def recorded(sampler, indices, out=None):
+        drawn.append(threading.get_ident())
+        return white_noise(sampler, indices, out=out)
+
+    monkeypatch.setattr(GaussianSampler, "white_noise", recorded)
+    with budget, minimum:
+        kept, = stats.stream_ensemble(
+            dens, 10, 0, grid, 1.0, lambda Y0, Yt: (stats.linear_functional_samples(Yt, psi),),
+            "covariance error bars", transform=(0.7, 1.3))
+    assert len(kept) == 10
+    names = {name for name, _ in traced}
+    assert {"stream_ensemble", "GaussianSampler", "Propagator", "nonlinear_transform_sample",
+            "linear_functional_samples"} <= names
+    assert [name for name, thread in traced if thread != here] == []
+    # four chunks of at most three samples, drawn ahead on the worker
+    assert len(drawn) == 4 and any(thread != here for thread in drawn)
 
 
 PROBE_NUMPY_MA = """
