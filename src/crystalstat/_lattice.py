@@ -52,6 +52,9 @@ import numpy as np
 #: the whole grid
 SLAB_BYTES = 1 << 20
 
+#: the imaginary residue that a field, ensemble or Green's function may drop
+IMAG_TOL = 1e-6
+
 
 class NumericalFault(ValueError):
     """A computation produced a result its guards reject: an imaginary residue
@@ -77,6 +80,17 @@ def lowest_eigenvalue(w: np.ndarray) -> LowestEigenvalue:
     node = tuple(int(i) for i in np.unravel_index(int(np.argmin(w.min(axis=-1))), w.shape[:-1]))
     value, tolerance = float(w.min()), 1e-10 * (1.0 + float(np.max(np.abs(w))))
     return LowestEigenvalue(node, value, tolerance, value < -tolerance)
+
+
+def finite_symbol(S: np.ndarray) -> np.ndarray:
+    """S, a symbol grid (L,)*d + (n, n), unless an entry is not finite: then a
+    NumericalFault naming the first such node, before an eigensolver reads
+    it."""
+    if not np.isfinite(S).all():
+        node = tuple(int(i) for i in np.argwhere(~np.isfinite(S).all(axis=(-2, -1)))[0])
+        raise NumericalFault(
+            f"the kernel's symbol is not finite at grid node {node} (L={S.shape[0]})")
+    return S
 
 
 def theta_axis(L: int) -> np.ndarray:

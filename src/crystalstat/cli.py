@@ -187,6 +187,9 @@ def _check(values: dict, keys: dict, where: str = "") -> None:
         if not all(type(v) in types for v in items) or key.kind == "float list" and not listed:
             raise UsageError(f"config {where}{name} must be {_KINDS[key.kind][0]}, "
                              f"got {value!r}")
+        if key.kind == "float list" and not value:
+            # a command would run its default times instead
+            raise UsageError(f"config {where}{name} must not be empty")
         if not key.constraint or all(_meets(v, key) for v in items):
             continue
         if key.kind == "integer":

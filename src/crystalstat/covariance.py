@@ -388,9 +388,8 @@ def mixing_integral(limit: SpectralDensity, grid: DispersionGrid, psi1: TestFiel
         # a field paired with itself is transformed once
         p2 = p1 if psi2 is psi1 else psi2.fourier(L, rows)
         G = propagator.rows(I, nodes=rows)
-        # slices keep every operand's strides, so einsum sums the kept terms
-        # in the order it sums them over all 2n components
-        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I], G, q[..., :, K],
+        # the kept terms, conjugated alone, sum to the bits of all 2n (tested)
+        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1[..., I]), G, q[..., :, K],
                   p2[..., K], out=out)
 
     total = complex(_node_sum(limit, integrand) / float(L) ** grid.d)

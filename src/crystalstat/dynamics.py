@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ._lattice import (
+    IMAG_TOL,
     check_ensemble,
     forward_fft,
     moved_axes,
@@ -38,8 +39,6 @@ __all__ = [
     "green_cutoff",
     "hamiltonian",
 ]
-
-_IMAG_TOL = 1e-6
 
 
 def _check_field(Y, kernel: InteractionKernel) -> tuple:
@@ -153,7 +152,7 @@ class Propagator:
             self._rotate(rotated.reshape(pairs), zhat.reshape(pairs))
             for half in (slice(None, n), slice(n, None)):
                 np.einsum("jk...,sk...->sj...", B, zhat[:, half], out=rotated[:, half])
-        return real_inverse_fft(rotated, axes, _IMAG_TOL, "evolve_ensemble", out=out)
+        return real_inverse_fft(rotated, axes, IMAG_TOL, "evolve_ensemble", out=out)
 
     def _rotate(self, pair: np.ndarray, out: np.ndarray) -> None:
         """Rows C a + S b and N a + C b of a field pair (a, b), each (S, 2, n,
@@ -278,7 +277,7 @@ def green_function(grid: DispersionGrid, t: float,
             raise ValueError(f"cutoff of shape {cutoff.shape} does not match "
                              f"grid of shape {Ghat.shape[:-2]}")
         Ghat *= cutoff[..., None, None]
-    return real_inverse_fft(Ghat, tuple(range(grid.d)), _IMAG_TOL, "green_function")
+    return real_inverse_fft(Ghat, tuple(range(grid.d)), IMAG_TOL, "green_function")
 
 
 def hamiltonian(Y, kernel: InteractionKernel) -> np.ndarray:

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ._lattice import (
+    IMAG_TOL,
     NumericalFault,
     check_ensemble,
     check_integers,
@@ -349,7 +350,7 @@ class GaussianSampler:
         What = forward_fft(noise, axes, out=work[0])
         subscripts = "i...,si...->si..." if self.root.ndim < W.ndim else "ij...,sj...->si..."
         zhat = np.einsum(subscripts, self.root, What, out=work[1])
-        return real_inverse_fft(zhat, axes, 1e-6, "gaussian_ensemble", out=out)
+        return real_inverse_fft(zhat, axes, IMAG_TOL, "gaussian_ensemble", out=out)
 
 
 def gaussian_ensemble(density: SpectralDensity, count: int, seed: int,

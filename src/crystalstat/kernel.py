@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._lattice import (
-    NumericalFault,
     check_integers,
+    finite_symbol,
     fourier_series,
     hermitian_part,
     lowest_eigenvalue,
@@ -31,15 +31,14 @@ __all__ = [
     "build_nn_kernel",
     "random_finite_range_kernel",
     "check_E123",
+    "e3_report",
     "kernel_from_json",
 ]
 
-#: default per-axis resolutions for eigenvalue scans, keyed by dimension
-_SCAN_RESOLUTION = {1: 1024, 2: 128, 3: 32}
-
 
 def _scan_resolution(d: int) -> int:
-    return _SCAN_RESOLUTION.get(d, 8)
+    """The default per-axis resolution of an eigenvalue scan in dimension d."""
+    return {1: 1024, 2: 128, 3: 32}.get(d, 8)
 
 
 def canonical_offset(z) -> bool:
@@ -152,7 +151,7 @@ class InteractionKernel:
     def symbol_grid(self, L: int) -> np.ndarray:
         """Symbol on the full theta grid, shape (L,)*d + (n, n).  Finite
         entries can sum past the float range: a symbol with a non-finite
-        entry raises a NumericalFault (:func:`finite_symbol`), and numpy's
+        entry raises a NumericalFault (``_lattice.finite_symbol``), and numpy's
         overflow warnings on the way are not printed."""
         if L < 1:
             raise ValueError("L must be positive")
@@ -239,17 +238,6 @@ def random_finite_range_kernel(d: int, n: int, N: int, seed: int) -> Interaction
     return InteractionKernel(d, n, entries)
 
 
-def finite_symbol(S: np.ndarray) -> np.ndarray:
-    """S, a symbol grid (L,)*d + (n, n), unless an entry is not finite: then a
-    NumericalFault naming the first such node, before an eigensolver reads
-    it."""
-    if not np.isfinite(S).all():
-        node = tuple(int(i) for i in np.argwhere(~np.isfinite(S).all(axis=(-2, -1)))[0])
-        raise NumericalFault(
-            f"the kernel's symbol is not finite at grid node {node} (L={S.shape[0]})")
-    return S
-
-
 def check_E123(kernel: InteractionKernel,
                symbol: np.ndarray | None = None) -> list[ConditionReport]:
     """Check the structural kernel conditions; returns reports for E1, E2, E3.
@@ -257,7 +245,7 @@ def check_E123(kernel: InteractionKernel,
     E1 (finite range): every stored offset lies in a finite Chebyshev ball and
     every entry is finite.  E2 (symmetry): V(-z) = V(z)^T bitwise over stored
     entries.  E3 (nonnegative symbol): min eigenvalue of Vhat over the theta
-    grid of the dimension's scan resolution (_SCAN_RESOLUTION), judged by
+    grid of the dimension's scan resolution (_scan_resolution), judged by
     :func:`e3_report`.  A dispersion grid of another resolution judges its own
     eigenvalues by the same rule.  symbol is a symbol grid of the kernel that
     the caller holds to diagonalise next; the check reads it when it is at

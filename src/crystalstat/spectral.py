@@ -19,6 +19,7 @@ import numpy as np
 
 from ._lattice import (
     eigen_compose,
+    finite_symbol,
     guarded_reciprocal,
     lowest_eigenvalue,
     one_node,
@@ -29,10 +30,12 @@ from .kernel import (
     ConditionReport,
     InteractionKernel,
     e3_report,
-    finite_symbol,
 )
 
 __all__ = [
+    "DELTA_CROSS",
+    "DELTA_HESS",
+    "DELTA_NULL",
     "DispersionGrid",
     "dispersion_grid",
     "check_E4_E5",

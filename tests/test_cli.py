@@ -599,6 +599,7 @@ def test_negative_seed_is_usage_error_before_output(tmp_path, monkeypatch, capsy
      "config kernel seed must be an integer, got 1.5"),
     ({"times": 5}, "config times must be a list of numbers, got 5"),
     ({"times": "12"}, "config times must be a list of numbers, got '12'"),
+    ({"times": []}, "config times must not be empty"),
     ({"kernel": {"type": "nn", "d": 1.7, "n": 1}}, "config kernel d must be an integer, got 1.7"),
     ({"kernel": {"type": "nn", "d": 1, "n": True}},
      "config kernel n must be an integer, got True"),

@@ -37,7 +37,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
-from crystalstat import _lattice, dynamics, spectral
+from crystalstat import _lattice, covariance, dynamics, spectral
 from crystalstat._lattice import eigen_compose, fourier_coefficient
 from crystalstat.kernel import ConditionReport
 from crystalstat.spectral import check_ES
@@ -827,6 +827,46 @@ def test_mixing_integral_reads_the_support_of_the_values():
         for psi1, psi2 in ((psi, psi), (psi, spread), (spread, psi)):
             assert (mixing_integral(limit, grid, psi1, psi2, t)
                     == full_mixing_integral(limit, grid, G, psi1, psi2))
+
+
+def support_first_mixing_integral(limit, grid, psi1, psi2, t):
+    """mixing_integral with the integrand's earlier first operand: the
+    conjugate of every component of Psihat1, sliced to the support after."""
+    I, K = covariance._support(psi1), covariance._support(psi2)
+    propagator = dynamics.Propagator(grid, t)
+
+    def integrand(rows, q, out):
+        p1, p2 = psi1.fourier(grid.L, rows), psi2.fourier(grid.L, rows)
+        np.einsum("...i,...ij,...jk,...k->...", np.conj(p1)[..., I],
+                  propagator.rows(I, nodes=rows), q[..., :, K], p2[..., K], out=out)
+
+    return complex(covariance._node_sum(limit, integrand) / float(grid.L) ** grid.d).real
+
+
+@pytest.mark.parametrize("kernel, L", [
+    (build_nn_kernel(1, 1, 1.0), 4096),
+    (build_nn_kernel(3, 2, [1.0, 2.0]), 32),
+    (build_nn_kernel(2, 2, [2.0, 1.0]), 64),
+    (build_nn_kernel(1, 2, [1.0, 2.0]), 64),
+    (random_finite_range_kernel(1, 2, 1, seed=3), 64),
+], ids=["nn-d1", "nn-d3", "nn-d2-basis", "nn-d1-n2", "random-d1-n2"])
+def test_mixing_integrand_conjugating_the_support_keeps_the_bits(kernel, L):
+    # the integrand conjugates only the kept components of Psihat1; the
+    # conjugate of all 2n components, sliced after, gave the same bits
+    d, n = kernel.d, kernel.n
+    grid = dispersion_grid(kernel, L)
+    limit = limit_density(_random_density(d, n, L, 7), grid)
+    rng = np.random.default_rng(L + n)
+    upper = rng.standard_normal((2, 2 * n))
+    upper[:, 0] = 0.0  # a support that starts past component 0
+    lower = np.zeros((1, 2 * n))
+    lower[0, :n + 1] = rng.standard_normal(n + 1)
+    psi1 = TestField(sites=[(0,) * d, (1,) + (0,) * (d - 1)], values=upper)
+    psi2 = TestField(sites=[(2,) + (-1,) * (d - 1)], values=lower)
+    for t in (0.0, 10.0, 40.0, 160.0):
+        for a, b in ((psi1, psi1), (psi2, psi2), (psi1, psi2), (psi2, psi1)):
+            want = support_first_mixing_integral(limit, grid, a, b, t)
+            assert mixing_integral(limit, grid, a, b, t).hex() == want.hex(), (t, a is b)
 
 
 # ------------------------------------------------------- slabbed propagator

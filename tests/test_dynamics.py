@@ -21,7 +21,7 @@ from crystalstat import (
     reference_evolve_ode,
 )
 from crystalstat import dynamics
-from crystalstat._lattice import real_part_checked, real_view
+from crystalstat._lattice import IMAG_TOL, real_part_checked, real_view
 
 
 def random_field(rng, L, d, n):
@@ -192,7 +192,7 @@ def test_green_function_transforms_its_rows_in_place():
     grid = dispersion_grid(build_nn_kernel(2, 1, 1.0), 256)
     t = 20.0
     want = real_part_checked(np.fft.fftn(Propagator(grid, t).rows(), axes=(0, 1)) / 256.0**2,
-                             dynamics._IMAG_TOL, "green_function")
+                             IMAG_TOL, "green_function")
     assert green_function(grid, t).tobytes() == want.tobytes()
     tracemalloc.start()
     try:

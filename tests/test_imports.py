@@ -1,10 +1,13 @@
 """Every top-level import of a package module is used or re-exported, and the
-package's public names match its modules' ``__all__`` lists.
+package's public names are its modules' ``__all__`` lists.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library: a name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module or be
-listed in its ``__all__``.  ``from __future__`` imports are exempt.
+listed in its ``__all__``.  ``from __future__`` imports are exempt, and so is
+a star import of a library module in the package's ``__init__.py``, whose
+``__all__`` is ``["__version__", "NumericalFault"]`` followed by each library
+module's ``__all__`` in layer order; a star import anywhere else is reported.
 
 Importing the CLI loads numpy and the package only: scipy, most of a cold
 start-up, is imported where the assignment solver is called.
@@ -35,10 +38,10 @@ verdict, the dispersion grid and the density's square root decide a negative
 eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
 since a guard on a computed number raises ``NumericalFault``.
 
-One way in for private names: a module reads an underscore name of another
-package module, by import or as an attribute of the imported module, only
-where ``PRIVATE_IMPORTS`` lists it; ``_lattice``'s names are shared by every
-module and exempt.
+One declaration per public name: a module reads a name of another package
+module, by import or as an attribute of the imported module, only when that
+module's ``__all__`` lists it, so no underscore name crosses; ``_lattice``'s
+names are shared by every module and exempt.
 
 One dependency order: no module imports one later in ``LAYERS``, at module
 level or inside a function, apart from ``cli``'s read of the package's
@@ -65,7 +68,7 @@ LIBRARY = sorted(path.stem for path in PACKAGE.glob("*.py")
                  if not path.stem.startswith("_") and path.stem != "cli")
 
 
-def unused_imports(source: str) -> list[str]:
+def unused_imports(source: str, init: bool = False) -> list[str]:
     tree = ast.parse(source)
     imported = []
     exported = set()
@@ -73,6 +76,11 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Import):
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.names[0].name == "*":
+                # the package re-exports a library module's __all__
+                if not (init and node.level == 1 and node.module in LIBRARY):
+                    imported.append(f"{node.module}.*")
+                continue
             imported += [alias.asname or alias.name for alias in node.names]
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -83,13 +91,23 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(), init=path.name == "__init__.py") == []
 
 
 def test_unused_import_is_found():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["path", "json"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_star_import_is_found_outside_the_package_init():
+    source = "from .kernel import *\nfrom .stats import *\n"
+    assert unused_imports(source, init=True) == []
+    assert unused_imports(source) == ["kernel.*", "stats.*"]
+    # in __init__.py too, a star import of what is not a library module is
+    assert unused_imports("from ._lattice import *\nfrom .cli import *\nfrom os import *\n"
+                          "from crystalstat.kernel import *\n", init=True) == [
+        "_lattice.*", "cli.*", "os.*", "crystalstat.kernel.*"]
 
 
 def convention_writes(source: str) -> list[str]:
@@ -345,17 +363,14 @@ def test_raise_and_table_read_are_found():
     assert reads_of(source, "A") == ["TABLE", "C.h"]
 
 
-def private_imports(source: str) -> list[str]:
-    """'module.name', sorted and once each, for every underscore name (not a
-    dunder) that the source imports from a package module other than
-    ``_lattice``, or reads as an attribute of a package module that it
-    imported; function bodies included.  The package itself counts as the
-    module ``crystalstat``."""
+def cross_module_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) for every name that the source imports from a package
+    module other than ``_lattice``, or reads as an attribute of a package
+    module that it imported; function bodies included.  The package itself
+    counts as the module ``crystalstat``; importing a module, or a star
+    import, reads no name."""
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     bound, found = {}, set()
-
-    def private(name):
-        return name.startswith("_") and not name.startswith("__")
 
     def origin(node):
         if node.level:
@@ -369,18 +384,29 @@ def private_imports(source: str) -> list[str]:
             for alias in node.names:
                 if origin(node) == "crystalstat" and alias.name in modules:
                     bound[alias.asname or alias.name] = alias.name
-                elif private(alias.name):
-                    found.add(f"{origin(node)}.{alias.name}")
+                elif alias.name != "*":
+                    found.add((origin(node), alias.name))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if alias.asname and parts[0] == "crystalstat" and len(parts) == 2:
                     bound[alias.asname] = parts[1]
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and private(node.attr)
+        if (isinstance(node, ast.Attribute)
                 and bound.get(getattr(node.value, "id", None), "_lattice") != "_lattice"):
-            found.add(f"{bound[node.value.id]}.{node.attr}")
-    return sorted(found)
+            found.add((bound[node.value.id], node.attr))
+    return found
+
+
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """'module.name', sorted, for every underscore name (not a dunder) among
+    the source's :func:`cross_module_reads`."""
+    return sorted(f"{module}.{name}" for module, name in cross_module_reads(source)
+                  if name.startswith("_") and not dunder(name))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -399,6 +425,47 @@ def test_private_import_is_found():
     # module are not
     assert private_imports(source) == ["dynamics._rotate", "fields._colouring_root",
                                        "kernel._scan", "spectral._require_match"]
+
+
+def unexported_reads(source: str, exports: dict) -> list[str]:
+    """'module.name', sorted, for every name other than a dunder among the
+    source's :func:`cross_module_reads` that is not in exports[module], the
+    module's ``__all__``."""
+    return sorted(f"{module}.{name}" for module, name in cross_module_reads(source)
+                  if not dunder(name) and name not in exports.get(module, ()))
+
+
+def package_exports() -> dict:
+    """The ``__all__`` of the package and of every package module that has
+    one; ``__main__`` runs the CLI when imported and exports nothing."""
+    exports = {"crystalstat": crystalstat.__all__}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            module = importlib.import_module(f"crystalstat.{path.stem}")
+            exports[path.stem] = getattr(module, "__all__", [])
+    return exports
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_another_outside_its_all(path):
+    assert unexported_reads(path.read_text(), package_exports()) == []
+
+
+def test_unexported_read_is_found():
+    exports = {"crystalstat": ["__version__", "check_ES"], "spectral": ["check_ES"],
+               "kernel": ["check_E123"], "fields": ["SpectralDensity"]}
+    source = ("from .spectral import DELTA_NULL, check_ES\nfrom .kernel import *\n"
+              "from ._lattice import finite_symbol\n"
+              "from . import fields, _lattice, __version__, check_ES as c\n"
+              "import crystalstat.kernel as k\nimport numpy as np\n"
+              "def f(x):\n    from crystalstat.spectral import e3_report\n"
+              "    return fields.SpectralDensity(x), fields.gaussian_ensemble, k.e3_report(1),\\\n"
+              "        k.check_E123, _lattice.IMAG_TOL, np.pi, fields.__all__, c\n")
+    # _lattice's names, star imports, dunders, and attributes of what is not
+    # a package module are not
+    assert unexported_reads(source, exports) == [
+        "fields.gaussian_ensemble", "kernel.e3_report", "spectral.DELTA_NULL",
+        "spectral.e3_report"]
 
 
 #: the package's modules in dependency order; the package itself comes last
@@ -461,6 +528,20 @@ def test_package_exports_resolve():
     missing = [name for name in crystalstat.__all__
                if name != "__version__" and not hasattr(crystalstat, name)]
     assert missing == []
+
+
+def test_package_exports_are_the_modules_exports_in_layer_order():
+    library = LAYERS[1:LAYERS.index("cli")]
+    assert sorted(library) == LIBRARY
+    modules = [importlib.import_module(f"crystalstat.{name}") for name in library]
+    want = ["__version__", "NumericalFault"] + [name for mod in modules for name in mod.__all__]
+    assert crystalstat.__all__ == want
+    assert len(set(want)) == len(want)
+    assert crystalstat.NumericalFault is importlib.import_module(
+        "crystalstat._lattice").NumericalFault
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(crystalstat, name) is getattr(module, name), name
 
 
 def test_cli_import_leaves_scipy_unloaded():

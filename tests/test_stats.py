@@ -1,6 +1,7 @@
 """Ensemble estimators, characteristic functionals, moment diagnostics."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -546,3 +547,21 @@ def test_gaussianity_report_calibration(rng):
     assert rep3["degenerate"]
     with pytest.raises(ValueError):
         gaussianity_report(np.zeros(10))
+
+
+def test_readme_python_blocks_run_and_stream_the_same_bytes():
+    # the README's python blocks run in order in one namespace, through the
+    # module imports they show; the streamed covariance is the one of the
+    # whole array, "same bytes as above"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        if "empirical_covariance(" in block:
+            whole = namespace["mean"].copy(), namespace["se"].copy()
+    assert "stream_ensemble(" in blocks[-1]
+    assert namespace["mean"].tobytes() == whole[0].tobytes()
+    assert namespace["se"].tobytes() == whole[1].tobytes()
+    assert namespace["G"].shape == (256, 2, 2) and namespace["mean"].shape == (2, 2, 2)
