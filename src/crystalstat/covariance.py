@@ -66,6 +66,15 @@ class TestField:
     def d(self) -> int:
         return self.sites.shape[1]
 
+    def require_fits(self, d: int, n: int, partner: str) -> None:
+        """Raise a ValueError unless the field has the dimension d and the
+        2n components of the partner (a density or an ensemble) it is read
+        against."""
+        if self.d != d:
+            raise ValueError(f"test field dimension does not match the {partner}")
+        if self.values.shape[1] != 2 * n:
+            raise ValueError("test field has wrong component count")
+
     @classmethod
     def delta(cls, d: int, n: int, component: int = 0, site=None) -> "TestField":
         """Unit mass on one site and one of the 2n components (u block first)."""
@@ -119,14 +128,15 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     supplied.
 
     The transform to the eigenbasis and back, A_ij = Bh q_ij B and B M_ij Bh,
-    runs as BLAS products, one node's on a one-node basis and density.  On
-    an identity basis (``grid.identity_basis``) with a one-node density the
-    back products are skipped and written as M_ij + 0.0: the output has the
-    bits of the products (a property test draws such densities, with
-    entries of both signs, exact-zero blocks and T0 = 0).  A stored density
-    keeps them: OpenBLAS can give a product's exact zero the sign bit that
-    x + 0.0 clears, and on stored densities at d = 3 that reached the output
-    at 10-66 entries per grid.
+    runs as BLAS products by one rule (:func:`_node_product`), a one-node
+    density or basis taking part as its one node.  On an identity basis
+    (``grid.identity_basis``) with a one-node density the back products are
+    skipped and written as M_ij + 0.0: the output has the bits of the
+    products (a property test draws such densities, with entries of both
+    signs, exact-zero blocks and T0 = 0).  A stored density keeps them:
+    OpenBLAS can give a product's exact zero the sign bit that x + 0.0
+    clears, and on stored densities at d = 3 that reached the output at
+    10-66 entries per grid.
     """
     grid.require_match(q0.L, q0.d, q0.n)
     if np.any(grid.c0):
@@ -143,35 +153,24 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         # block k of the four stacked along the row axis
         return (Ellipsis, slice(k * n, (k + 1) * n), slice(None))
 
+    def buffers(nodes):
+        # two arrays of the four blocks stacked along the row axis per node
+        return (np.empty(nodes + (4 * n, n), dtype=complex) for _ in range(2))
+
     blocks = ((0, 0), (0, 1), (1, 0), (1, 1))
-    # a one-node density's blocks are the right factor of every node's left
-    # product, so a slab's products of a block stack into one (see below)
-    node = one_node(q0.matrix)
-    node_blocks = (None if node is None
-                   else [np.ascontiguousarray(node[block(i, j)]) for i, j in blocks])
-    # a one-node basis is the right factor of every node's product by B and
-    # by Bh, which then run on the slab's stacked rows (_stacked_product);
-    # with a one-node density too, every A_ij is the one node's
-    basis, A_node = one_node(grid.basis), None
-    if basis is not None:
-        basis_h = np.ascontiguousarray(np.conj(basis.T))
-        if node_blocks is not None:
-            A_node = np.concatenate([basis_h @ b for b in node_blocks]) @ basis
+    node, basis = one_node(q0.matrix), one_node(grid.basis)
     # an identity basis with a one-node density makes no back products (see
     # the docstring)
-    identity = A_node is not None and grid.identity_basis
+    identity = node is not None and grid.identity_basis
     out = np.empty(q0.matrix.shape, dtype=complex)
     # every step below is nodewise, so it runs one slab of nodes at a time
     # with the same operations as on the whole grid
     for rows in node_slabs(out):
-        q = q0.matrix[rows]
-        if basis is None:
-            B = grid.basis[rows]
-            # the stacked matmuls read contiguous copies, not strided views:
-            # the same bits, in less time
-            Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
-        else:
-            B, Bh = basis, basis_h
+        q = q0.matrix[rows] if node is None else node
+        B = grid.basis[rows] if basis is None else basis
+        # the stacked matmuls read contiguous copies, not strided views:
+        # the same bits, in less time
+        Bh = np.ascontiguousarray(np.conj(np.swapaxes(B, -1, -2)))
         omega = grid.omega[rows]
         winv = guarded_reciprocal(omega, ~grid.null[rows])
         wl = omega[..., :, None]   # left factor index k
@@ -185,38 +184,31 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         # axis.  A row of a BLAS matrix product does not depend on the rows
         # stacked with it (a test checks this), so this keeps the bits of four
         # products; stacking along the column axis (a shared left factor) or
-        # a transposed form does not, so the left products stay one per block,
-        # bar a one-node density's, whose block is the right factor of every
-        # node's product: there the slab's rows of Bh stack into one product
-        if not identity:
-            left = np.empty(q.shape[:-2] + (4 * n, n), dtype=complex)
-            right = np.empty_like(left)
-        if A_node is not None:
-            stack = A_node
-        else:
-            for k, (i, j) in enumerate(blocks):
-                if node_blocks is None:
-                    np.matmul(Bh, np.ascontiguousarray(q[block(i, j)]), out=left[stacked(k)])
-                else:
-                    left[stacked(k)] = (Bh.reshape(-1, n) @ node_blocks[k]).reshape(Bh.shape)
-            stack = _stacked_product(left, B, right)
-        A = {b: stack[stacked(k)] for k, b in enumerate(blocks)}
+        # a transposed form does not, so the left products stay one per
+        # block.  With a one-node density and basis, A_ij is one node's
+        left, right = buffers(np.broadcast_shapes(q.shape[:-2], B.shape[:-2]))
+        for k, (i, j) in enumerate(blocks):
+            _node_product(Bh, np.ascontiguousarray(q[block(i, j)]), left[stacked(k)])
+        _node_product(left, B, right)
+        A = {b: right[stacked(k)] for k, b in enumerate(blocks)}
         M = {
             (0, 0): lambda: 0.5 * (A[0, 0] + wil * A[1, 1] * wir),
             (0, 1): lambda: 0.5 * (A[0, 1] - wil * A[1, 0] * wr),
             (1, 0): lambda: 0.5 * (A[1, 0] - wl * A[0, 1] * wir),
             (1, 1): lambda: 0.5 * (A[1, 1] + wl * A[0, 0] * wr),
         }
-        slab = np.empty(q.shape, dtype=complex)
+        slab = np.empty(out[rows].shape, dtype=complex)
         if identity:
             for i, j in blocks:
                 np.add(np.where(same_cluster, M[i, j](), 0.0), 0.0, out=slab[block(i, j)])
         else:
+            if left.ndim < slab.ndim:  # A is one node's, the back products the slab's
+                left, right = buffers(slab.shape[:-2])
             for k, (i, j) in enumerate(blocks):
-                np.matmul(B, np.where(same_cluster, M[i, j](), 0.0), out=left[stacked(k)])
-            back = _stacked_product(left, Bh, right)  # A is spent; its buffer takes the result
+                _node_product(B, np.where(same_cluster, M[i, j](), 0.0), left[stacked(k)])
+            _node_product(left, Bh, right)  # A is spent; its buffer takes the result
             for k, (i, j) in enumerate(blocks):
-                slab[block(i, j)] = back[stacked(k)]
+                slab[block(i, j)] = right[stacked(k)]
         hermitian_part(slab, out=out[rows])
     # a degenerate node is excluded if any inverse-weighted source block is
     # live there: the pseudoinverse silently dropped part of the measure.
@@ -236,21 +228,23 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
     )
 
 
-def _stacked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b at every node, written into out (C-contiguous, a's shape), a
-    holding the four blocks of limit_density stacked along its rows.  A
-    one-node b, a plain (k, k) matrix, right-multiplies the rows of every
-    node stacked, which has the bits of the per-node products (a test checks
-    this), in four BLAS calls of a quarter of the rows each: as many rows as
-    one block, the size of a one-node density's left products.  OpenBLAS
-    runs a product four times that size on its thread pool, and on a busy
-    host waking the pool cost 10-16 ms a call against 0.05 ms on one thread
-    (2-vCPU host, two BLAS threads)."""
+def _node_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b at every node, written into out; either operand is a nodewise
+    (*nodes, k, k) array or a one-node (k, k) matrix.  A one-node b
+    right-multiplies the rows of a's nodes stacked, which keeps the bits of
+    the per-node products (a test checks this), in at most four BLAS calls
+    of a quarter of the nodes each: whole nodes, since numpy sends a one-row
+    product to a BLAS kernel whose bits differ at k = 2, 3.  OpenBLAS runs a
+    product four times that size on its thread pool, and on a busy host
+    waking the pool cost 10-16 ms a call against 0.05 ms on one thread
+    (2-vCPU host, two BLAS threads).  Any other pair is one np.matmul."""
     if b.ndim == 2:
-        rows, into = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
-        step = rows.shape[0] // 4  # every node has 4n rows
+        rows = a.reshape(-1, a.shape[-1])
+        into = out.reshape(rows.shape[0], -1)  # a copy if out is a row block of a stack
+        step = a.shape[-2] * -(-rows.shape[0] // (4 * a.shape[-2]))
         for start in range(0, rows.shape[0], step):
             np.matmul(rows[start:start + step], b, out=into[start:start + step])
+        out[...] = into.reshape(out.shape)  # numpy skips the copy where into views out
         return out
     return np.matmul(a, b, out=out)
 
@@ -338,6 +332,7 @@ def quadratic_form(density: SpectralDensity, psi: TestField) -> float:
     NumericalFault, as is a form negative beyond 1e-8.
     """
     L, d = density.L, density.d
+    psi.require_fits(d, density.n, "density")
 
     def integrand(rows, q, out):
         psihat = psi.fourier(L, rows)
@@ -379,6 +374,8 @@ def mixing_integral(limit: SpectralDensity, grid: DispersionGrid, psi1: TestFiel
     fields' transforms and the :meth:`Propagator.rows` of that slab only.
     """
     grid.require_match(limit.L, limit.d, limit.n)
+    for psi in (psi1, psi2):
+        psi.require_fits(limit.d, limit.n, "density")
     L = grid.L
     I, K = _support(psi1), _support(psi2)
     propagator = Propagator(grid, t)

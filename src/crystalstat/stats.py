@@ -249,10 +249,7 @@ def linear_functional_samples(Y, psi) -> np.ndarray:
     Each sample's value does not depend on the other samples of the batch.
     """
     Y, L, d, n = check_ensemble(Y)
-    if psi.d != d:
-        raise ValueError("test field dimension does not match the ensemble")
-    if psi.values.shape[1] != 2 * n:
-        raise ValueError("test field has wrong component count")
+    psi.require_fits(d, n, "ensemble")
     half = L // 2
     out = np.zeros(Y.shape[0])
     for x, val in zip(psi.sites, psi.values):

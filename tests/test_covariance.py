@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import crystalstat
@@ -21,6 +21,7 @@ from crystalstat import (
     SpectralDensity,
     TestField,
     build_nn_kernel,
+    characteristic_functional,
     covariance_from_density,
     density_from_covariance,
     dispersion_grid,
@@ -39,7 +40,7 @@ from crystalstat import (
 )
 from crystalstat import _lattice, covariance, dynamics, spectral
 from crystalstat._lattice import eigen_compose, fourier_coefficient
-from crystalstat.kernel import ConditionReport
+from crystalstat.kernel import ConditionReport, InteractionKernel
 from crystalstat.spectral import check_ES
 from test_spectral import NN_MASSES
 
@@ -324,6 +325,36 @@ def test_resolution_mismatch_raises(nn1, grid64):
         limit_density(q0, grid64)
 
 
+#: test fields that do not fit a d=1 n=1 density or ensemble: a delta on a
+#: component of n=2, three value columns, and a site of d=2
+MISFITS = {
+    "component of n=2": (TestField.delta(1, 2, component=3), "wrong component count"),
+    "three components": (TestField(sites=[(0,)], values=[[1.0, 0.0, 0.0]]),
+                         "wrong component count"),
+    "d=2 site": (TestField.delta(2, 1), "dimension does not match"),
+}
+
+
+@pytest.mark.parametrize("misfit", MISFITS)
+@pytest.mark.parametrize("reader", ["quadratic_form", "mixing_integral psi1",
+                                    "mixing_integral psi2", "characteristic_functional",
+                                    "linear_functional_samples"])
+def test_readers_refuse_a_test_field_that_does_not_fit(grid64, reader, misfit):
+    # before each reader checked the field, quadratic_form and the d=2 field
+    # failed in numpy broadcasting and mixing_integral returned a number
+    psi, message = MISFITS[misfit]
+    q = white_noise_density(1.0, 1.0, 1, 1, 64)
+    fits = TestField.delta(1, 1)
+    Y = np.zeros((3, 2, 64))
+    read = {"quadratic_form": lambda: quadratic_form(q, psi),
+            "mixing_integral psi1": lambda: mixing_integral(q, grid64, psi, fits, 1.0),
+            "mixing_integral psi2": lambda: mixing_integral(q, grid64, fits, psi, 1.0),
+            "characteristic_functional": lambda: characteristic_functional(np.zeros(1000), q, psi),
+            "linear_functional_samples": lambda: linear_functional_samples(Y, psi)}[reader]
+    with pytest.raises(ValueError, match=message):
+        read()
+
+
 # ---------------------------------------------------------------- invariants
 # Properties of the exact transport over random kernels and random densities.
 # Tolerances are relative to the largest entry of the density compared.
@@ -388,6 +419,115 @@ def test_limit_is_a_fixed_point_of_transport(d, n, kernel_range, kernel_seed,
     moved = evolve_density(qinf, grid, t)
     gap = np.abs(moved.matrix[keep] - qinf.matrix[keep])
     assert float(gap.max()) <= 1e-10 * _scale(qinf)
+
+
+def energy_traces(density, grid):
+    """tr(Vhat q_uu) and tr(q_vv) at every node, Vhat the kernel's symbol."""
+    n, V = grid.n, grid.kernel.symbol_grid(grid.L)
+    q = density.matrix
+    return (np.einsum("...ij,...ji->...", V, q[..., :n, :n]).real,
+            np.einsum("...ii->...", q[..., n:, n:]).real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=_times, **_models)
+def test_transport_and_the_limit_keep_the_energy_and_the_limit_is_in_equipartition(
+        d, n, kernel_range, kernel_seed, density_seed, t):
+    # the mean energy density 1/2 <tr(Vhat q_uu + q_vv)> is conserved by the
+    # dynamics and so by its long-time average; at a C_0 node the limit's
+    # pseudoinverse drops part of the measure, so grids with one are skipped
+    grid = _random_grid(d, n, kernel_range, kernel_seed)
+    assume(not np.any(grid.c0))
+    q0 = _random_density(d, n, grid.L, density_seed)
+    limit = limit_density(q0, grid)
+
+    def energy(density):
+        return 0.5 * float(np.mean(sum(energy_traces(density, grid))))
+
+    for density in (evolve_density(q0, grid, t), limit):
+        assert abs(energy(density) - energy(q0)) <= 1e-12 * abs(energy(q0))
+    potential, kinetic = energy_traces(limit, grid)
+    assert float(np.max(np.abs(potential - kinetic))) <= 1e-12 * _scale(limit)
+
+
+# ------------------------------------------------- the limit as a time average
+# The limit is the long-time average of the transported density at each
+# node (Lanford-Lebowitz), which evolve_density computes by another route:
+# the propagator rows, with no cluster logic.
+
+def time_average(q0, grid, T):
+    """The average of evolve_density(q0, grid, t) over t in [0, T], weighted
+    by the bump exp(-1/(s (1 - s))), s = t/T, whose Fourier transform
+    decays faster than any power: Gauss-Legendre nodes, enough for the
+    fastest phase 2 omega_max, with the weights normalised to sum to 1."""
+    count = int(np.ceil(2.5 * grid.omega_max * T)) + 64
+    x, w = np.polynomial.legendre.leggauss(count)
+    s = 0.5 * (x + 1.0)
+    w = w * np.exp(-1.0 / (s * (1.0 - s)))
+    average = np.zeros(q0.matrix.shape, dtype=complex)
+    for sk, wk in zip(s, w / w.sum()):
+        average += wk * evolve_density(q0, grid, T * sk).matrix
+    return average
+
+
+def smooth_density(d, n, L):
+    """A stored density from a dominant PSD block at z = 0 and blocks of
+    0.3 times standard normals at three nonzero offsets."""
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((2 * n, 2 * n))
+    cov = {(0,) * d: F @ F.T + 2 * n * np.eye(2 * n)}
+    for k in range(3):
+        z = [0] * d
+        z[k % d] = k // d + 1
+        cov[tuple(z)] = 0.3 * rng.standard_normal((2 * n, 2 * n))
+    return density_from_covariance(cov, L)
+
+
+def stored_basis_kernel():
+    """random d=1 n=2 range 2 seed 3 with V(0) + I, a kernel whose basis
+    differs from node to node and whose grid at L=64 resolves it."""
+    kernel = random_finite_range_kernel(1, 2, 2, 3)
+    entries = dict(kernel.entries)
+    entries[(0,)] = entries[(0,)] + np.eye(2)
+    return InteractionKernel(1, 2, entries)
+
+
+#: the kernels with their grid size: an identity basis, a one-node
+#: permutation basis, and a stored basis
+AVERAGED_KERNELS = {"nn m=1,2": (lambda: build_nn_kernel(2, 2, [1.0, 2.0]), 16),
+                    "nn m=2,1": (lambda: build_nn_kernel(2, 2, [2.0, 1.0]), 16),
+                    "stored basis": (stored_basis_kernel, 64)}
+
+
+def averaging_gap(kernel, density, T):
+    """The worst nodewise gap between the time average up to T and the
+    limit, relative to the limit's largest entry."""
+    build, L = AVERAGED_KERNELS[kernel]
+    grid = dispersion_grid(build(), L)
+    q0 = (white_noise_density(1.0, 2.0, grid.n, grid.d, L) if density == "white"
+          else smooth_density(grid.d, grid.n, L))
+    limit = limit_density(q0, grid).matrix
+    return float(np.max(np.abs(time_average(q0, grid, T) - limit)) / np.max(np.abs(limit)))
+
+
+@pytest.mark.parametrize("kernel", AVERAGED_KERNELS)
+def test_the_limit_of_white_noise_is_its_time_average(kernel):
+    # white noise holds only the phases 2 omega, which the bump averages to
+    # roundoff by T = 200 (measured 3.9e-14 to 4.0e-14)
+    assert averaging_gap(kernel, "white", 200.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel, bound", [("nn m=1,2", 1e-6), ("nn m=2,1", 1e-6),
+                                           ("stored basis", 1e-4)])
+def test_the_limit_of_a_stored_density_is_its_time_average(kernel, bound):
+    # the slow phases are differences of two branches' frequencies; the gap
+    # measured 5.7e-5 and 6.2e-7 (m=1,2), 6.5e-5 and 4.0e-7 (m=2,1), and
+    # 7.5e-4 and 1.5e-5 (stored basis) at T = 100 and 200.  The random
+    # kernel without the + I converges far slower (its 2 omega_min is near
+    # 0.019), and a 1e-8 gate on it waits for a stated spectral gap
+    earlier, later = (averaging_gap(kernel, "smooth", T) for T in (100.0, 200.0))
+    assert later <= bound
+    assert later < earlier
 
 
 def strided_limit_matrix(q0, grid):
@@ -464,22 +604,32 @@ def test_row_stacked_products_keep_the_bits_of_per_block_products(n, count, node
 
 
 def shared_right_factor_products_keep_their_bits(n, nodes, seed):
-    """One (nodes n, n) @ (n, n) product, the form limit_density takes for a
-    one-node density, has the bits of the per-node products it replaces:
-    np.matmul of each node's left factor with a contiguous copy of the right
-    factor, written into a row block of a stack."""
+    """covariance._node_product of nodewise left factors by one (n, n) node,
+    the form limit_density takes for a one-node density or basis, has the
+    bits of the per-node products it replaces: np.matmul of each node's left
+    factor with a contiguous copy of the right factor, written into a row
+    block of a stack.  The left factors hold n rows a node (a left product)
+    or 4n (a right product of the four stacked blocks), and one node alone
+    is a plain (rows, n) matrix; the product goes into a whole buffer and
+    into a row block of a stack.  Four need not divide the node count."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
         scale = 10.0 ** rng.uniform(-8, 8, shape)
         return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    left, right = draw(nodes, n, n), draw(n, n)
-    stack = np.empty((nodes, 2 * n, n), dtype=complex)
-    np.matmul(left, np.ascontiguousarray(np.broadcast_to(right, left.shape)),
-              out=stack[:, n:])
-    one = (left.reshape(-1, n) @ right).reshape(left.shape)
-    assert one.tobytes() == np.ascontiguousarray(stack[:, n:]).tobytes(), (n, nodes, seed)
+    right = draw(n, n)
+    for rows in (n, 4 * n):
+        left = draw(nodes, rows, n)
+        stack = np.empty((nodes, rows + n, n), dtype=complex)
+        np.matmul(left, np.ascontiguousarray(np.broadcast_to(right, (nodes, n, n))),
+                  out=stack[:, n:])
+        want = np.ascontiguousarray(stack[:, n:])
+        whole = covariance._node_product(left, right, np.empty_like(left))
+        block = covariance._node_product(left, right, np.empty_like(stack)[:, n:])
+        node = covariance._node_product(left[-1], right, np.empty_like(left[-1]))
+        for got in (whole, block, node[None]):
+            assert got.tobytes() == want[-len(got):].tobytes(), (n, nodes, seed, rows)
 
 
 #: the property over n 1-3, entries over 16 decades and 1 to 4096 nodes (a

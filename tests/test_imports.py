@@ -38,6 +38,9 @@ verdict, the dispersion grid and the density's square root decide a negative
 eigenvalue by one ``_lattice`` rule; and no module raises ``AssertionError``,
 since a guard on a computed number raises ``NumericalFault``.
 
+One owner of the products in ``covariance.limit_density``: it writes no
+matrix product itself, and makes every one through ``_node_product``.
+
 One declaration per public name: a module reads a name of another package
 module, by import or as an attribute of the imported module, only when that
 module's ``__all__`` lists it, so no underscore name crosses; ``_lattice``'s
@@ -361,6 +364,38 @@ def test_raise_and_table_read_are_found():
     assert raises_of(source, "AssertionError") == ["f", "f", "C.g"]
     assert raises_of(source, "ValueError") == ["C.h"]
     assert reads_of(source, "A") == ["TABLE", "C.h"]
+
+
+def matrix_products(source: str, function: str) -> list[str]:
+    """The scope of each matrix product written in the named function or in
+    a function nested in it: the ``@`` operator, ``@=``, or a call of a
+    function or method called ``matmul``, ``dot``, ``einsum`` or
+    ``tensordot``."""
+    def is_product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in {
+                "matmul", "dot", "einsum", "tensordot"}
+
+    return [scope for scope, node in scoped_nodes(source)
+            if scope.split(".")[0] == function and is_product(node)]
+
+
+def test_limit_density_products_have_one_owner():
+    source = (PACKAGE / "covariance.py").read_text()
+    assert matrix_products(source, "limit_density") == []
+    assert set(calls_of(source, "_node_product")) == {"limit_density"}
+
+
+def test_matrix_product_is_found():
+    source = ("def f(a, b):\n    c = a @ b\n    c @= b\n    return np.matmul(a, b, out=c)\n"
+              "def g(a, b):\n"
+              "    def h():\n        return matmul(a, b) + a.dot(b) - np.einsum('ij', a)\n"
+              "    return h, a * b, np.multiply(a, b)\n"
+              "def f2(a, b):\n    return a @ b\n")
+    assert matrix_products(source, "f") == ["f", "f", "f"]
+    assert matrix_products(source, "g") == ["g.h", "g.h", "g.h"]
 
 
 def cross_module_reads(source: str) -> set[tuple[str, str]]:
