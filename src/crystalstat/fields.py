@@ -227,14 +227,21 @@ def _seed_states(seed, indices) -> np.ndarray:
 
     The seed's words fill the pool the same way for every sample, so only the
     spawn-key words (one below 2**32, two below 2**64, ...) are hashed per row.
+    When every index is one word, as in any stream of fewer than 2**32
+    samples, the keys are hashed straight from a uint64 array; only longer
+    keys are split into words through Python ints.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
-    index = np.array(indices, dtype=object)
-    if seed < 0 or (index < 0).any():
+    if seed < 0:
         raise ValueError("expected non-negative integer")
     entropy = _words(int(seed))
     entropy += [0] * (_POOL_SIZE - len(entropy))
+    if len(indices) and 0 <= min(indices) and max(indices) <= _MASK32:
+        return _hashed_state(entropy + [np.array(indices, dtype=np.uint64)])
+    index = np.array(indices, dtype=object)
+    if (index < 0).any():
+        raise ValueError("expected non-negative integer")
     key_words, rest = [], index
     lengths = np.ones(len(index), dtype=int)
     while True:
@@ -302,8 +309,9 @@ class GaussianSampler:
     The colouring root is read on construction: a C-contiguous copy of the
     density's nodewise Hermitian square root (2n, 2n, *grid), or of its
     diagonal (2n, *grid) when every off-diagonal entry is zero (white,
-    triangular).  :meth:`white_noise` calls no public function of the
-    package, so a worker thread may draw; a bad seed fails on the first draw.
+    triangular).  :meth:`white_noise` and :meth:`colour` call no public
+    function of the package, so a worker thread may draw and colour; a bad
+    seed fails on the first draw.
     """
 
     def __init__(self, density: SpectralDensity, seed: int):

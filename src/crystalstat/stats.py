@@ -10,15 +10,16 @@ reduction (offset_products, then covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
-It draws one chunk ahead: one worker thread fills the white noise of chunk
-k+1 into the second of two draw buffers while the calling thread colours,
-transforms, evolves and reduces chunk k, with the same bytes.
+It samples one chunk ahead: one worker thread, kept off the calling thread's
+CPU, draws and colours chunk k+1 into the second of two real slots while the
+calling thread transforms, evolves and reduces chunk k, with the same bytes.
 
 Every chunk-sized array of the loop is allocated once per stream and reused
-by each chunk: the two draw buffers, two complex work arrays in which the
-colouring and then the propagator (one dynamics.Propagator per stream)
-transform in place, and the real initial field; the evolved field is the
-real part written over the spent first work array.  offset_products, the
+by each chunk: the worker's white noise and two complex work arrays in which
+the colouring transforms in place, the two real slots of the coloured
+initial field, and two complex work arrays in which the propagator (one
+dynamics.Propagator per stream) transforms in place; the evolved field is
+the real part written over the spent first of these.  offset_products, the
 per-sample step of the covariance estimators as one callable, keeps its
 two sample-major arrays likewise.  So no chunk after the first allocates an
 array of its size, and malloc does not fault the same pages in again for
@@ -26,6 +27,8 @@ each chunk.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -59,18 +62,21 @@ LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
 # stream_ensemble aims for.  It allocates its working set once per stream:
-# two such complex arrays, the real Y0 and two real draw buffers of half that
-# size each (one chunk is drawn ahead); clt's statistics keep two more real
-# chunk arrays in offset_products.  For clt at d=1 L=256 (128 samples
-# a chunk) the whole stream of 1024 samples peaks at 4.9 MB traced, against
-# 5.9 MB when each chunk allocated its own arrays.
+# four such complex arrays (two for the colouring on the worker, two for the
+# propagator), the real white noise and two real slots for Y0 of half that
+# size each (one chunk is sampled ahead); clt's statistics keep two more real
+# chunk arrays in offset_products.  For clt at d=1 L=256 (128 samples a
+# chunk) the whole stream of 1024 samples peaks at 7.0 MB traced, against
+# 4.9 MB when only the draws ran on the worker and 5.9 MB when each chunk
+# allocated its own arrays.
 # The README's clt line (10000 samples at d=1 L=256) on a shared 2-vCPU
-# host, with every chunk reusing the stream's arrays, took 0.51-0.57 s at
-# 256 KiB, 0.40-0.42 s at 512 KiB, 0.34-0.38 s at 1 MiB and 0.32-0.39 s at
-# 2 MiB (best of eight in-process calls of cli.main, in three rounds): 2 MiB
-# is within the noise of 1 MiB and doubles the working set.  When each chunk
-# allocated its own arrays, 4 MiB was the slowest at d=1, and 1 MiB and
-# 4 MiB were within the noise at d=2 L=64 (white noise, n = 1 and 2).
+# host, with every chunk reusing the stream's arrays and only the draws on
+# the worker, took 0.51-0.57 s at 256 KiB, 0.40-0.42 s at 512 KiB,
+# 0.34-0.38 s at 1 MiB and 0.32-0.39 s at 2 MiB (best of eight in-process
+# calls of cli.main, in three rounds): 2 MiB is within the noise of 1 MiB
+# and doubles the working set.  When each chunk allocated its own arrays,
+# 4 MiB was the slowest at d=1, and 1 MiB and 4 MiB were within the noise
+# at d=2 L=64 (white noise, n = 1 and 2).
 CHUNK_BYTES = 2**20
 
 
@@ -98,18 +104,19 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     and the density against the grid, before the first draw.
 
     Every chunk-sized array is allocated once per call and reused by every
-    chunk, the short last one through its leading samples: two draw buffers,
-    two complex arrays that hold the colouring's and then the propagator's
-    transforms, and the real Y0.  Yt is the real part of the evolved field,
-    written over the first complex array once its transform is spent.  Y0
-    and Yt are overwritten by the next chunk, so a column that statistics
-    returns is copied when it may share memory with them.
-
-    The white noise of the next chunk is drawn on one worker thread while
-    this thread colours, transforms, evolves and reduces the current one.
-    The worker fills two draw buffers in turn, each only after the chunk
-    that read it is done, and touches nothing else; a failure on either
-    thread is raised here once the worker has stopped.
+    chunk, the short last one through its leading samples.  One worker
+    thread, kept off the CPU this thread runs on when the call begins,
+    draws and colours the next chunk while this thread transforms, evolves
+    and reduces the current one.  The worker owns the white noise and two
+    complex arrays for the colouring's transforms, and writes the coloured
+    Y0 into one of two real slots in turn, each only after the chunk that
+    read it is done.  This thread owns two complex arrays for the
+    propagator's transforms; Yt is the real part of the evolved field,
+    written over the first of them once its transform is spent.  Y0 and Yt
+    are overwritten by later chunks, so a column that statistics returns is
+    copied when it may share memory with them.  The worker calls only the
+    sampler's methods, and a failure on either thread is raised here once
+    the worker has stopped.
     """
     # imported here, not at module level: concurrent.futures loads logging,
     # about 5 ms of every CLI start-up
@@ -122,33 +129,64 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     starts = range(0, count, size)
     sampler = GaussianSampler(density, seed)
     propagator = Propagator(grid, t)
-    buffers = [np.empty((size,) + (L,) * d + (2 * n,)) for _ in starts[:2]]
-    work = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
-    initial = np.empty(work.shape[1:])
+    noise = np.empty((size,) + (L,) * d + (2 * n,))
+    colouring = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
+    work = np.empty(colouring.shape, dtype=complex)
+    slots = np.empty((len(starts[:2]),) + work.shape[1:])
 
-    def draw(k):
+    def sample(k):
         indices = range(starts[k], min(starts[k] + size, count))
-        return sampler.white_noise(indices, out=buffers[k % 2][:len(indices)])
+        W = sampler.white_noise(indices, out=noise[:len(indices)])
+        return sampler.colour(W, out=slots[k % 2, :len(W)], work=colouring[:, :len(W)])
 
     def kept(column):
-        reused = np.may_share_memory(column, work) or np.may_share_memory(column, initial)
+        reused = np.may_share_memory(column, work) or np.may_share_memory(column, slots)
         return np.copy(column) if reused else column
 
     parts = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(draw, 0)
+    with ThreadPoolExecutor(max_workers=1, initializer=_keep_off,
+                            initargs=(_current_cpu(),)) as worker:
+        ahead = worker.submit(sample, 0)
         for k in range(len(starts)):
-            W = ahead.result()
-            # buffer (k + 1) % 2 was read by chunk k - 1, which is done
+            Y0 = ahead.result()
+            # slot (k + 1) % 2 was read by chunk k - 1, which is done
             if k + 1 < len(starts):
-                ahead = worker.submit(draw, k + 1)
-            chunk = work[:, :len(W)]
-            Y0 = sampler.colour(W, out=initial[:len(W)], work=chunk)
+                ahead = worker.submit(sample, k + 1)
             if transform is not None:
                 Y0 = nonlinear_transform_sample(Y0, *transform, out=Y0)
+            chunk = work[:, :len(Y0)]
             Yt = propagator.apply(Y0, out=real_view(chunk[0]), work=chunk)
             parts.append(tuple(kept(column) for column in statistics(Y0, Yt)))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _current_cpu():
+    """The CPU this thread runs on now (field 39 of Linux's
+    /proc/thread-self/stat), or None where there is no such file."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _keep_off(cpu) -> None:
+    """Keep this thread off one CPU, when the process may run on another.
+
+    stream_ensemble's worker starts here, off the CPU of the thread that
+    streams: the kernel may wake a thread that sleeps between short bursts
+    on the CPU of the thread that wakes it, and the two then take turns on
+    one CPU while another stays idle.  Where the placement is unknown or
+    cannot be set, the thread runs where the kernel puts it.
+    """
+    if cpu is None:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:
+            pass
 
 
 def offset_products(offsets):

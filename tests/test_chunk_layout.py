@@ -223,8 +223,8 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
 
 def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
     # gaussian_ensemble is a GaussianSampler's draw and colouring; the stream
-    # runs the same two, the draw a chunk ahead on its worker thread, and
-    # evolves each chunk by the apply step of one prepared Propagator
+    # runs the same two a chunk ahead on its worker thread, and evolves each
+    # chunk by the apply step of one prepared Propagator
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
                          (dynamics, "_evolve_chunk"), (fields, "_white_noise_draws"),
                          (fields, "_colouring_root"), (fields, "_coloured_noise")):

@@ -439,6 +439,20 @@ def test_real_inverse_fft_has_the_bits_and_faults_of_the_division(grid, leading,
             assert str(raised.value) == fault
 
 
+@pytest.mark.parametrize("part", [np.inf, -np.inf])
+def test_real_inverse_fft_refuses_an_infinity_of_either_sign(part):
+    # A length-2 transform of (part, 0) is part at both points, with a zero
+    # imaginary part and no NaN, beside a finite component: the result's
+    # maximum or its minimum alone would pass one of the two signs.
+    a = np.array([[1.0 + 0j, 2.0 + 0j], [complex(part, 0.0), 0j]])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFault) as want:
+            divided_real_part(a, (1,), 1e-6, "probe")
+        with pytest.raises(NumericalFault) as got:
+            real_inverse_fft(a.copy(), (1,), 1e-6, "probe")
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 3), L=st.integers(1, 7), data=st.data())
 def test_translated_is_the_roll_by_minus_the_offset(d, L, data):

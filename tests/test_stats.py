@@ -19,6 +19,7 @@ import crystalstat.cli as cli
 import crystalstat.stats as stats
 from crystalstat import (
     GaussianSampler,
+    NumericalFault,
     TestField,
     build_nn_kernel,
     characteristic_functional,
@@ -140,7 +141,8 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     # The kept statistics, held once during the stream and once more while
     # concatenated, are all that may grow with the count.
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
-    # 6.3 MB at the 1 MiB chunk budget, 23 MB at a 4 MiB one.
+    # 7.4 MB at the 1 MiB chunk budget (4.9 MB at 1024 samples when only the
+    # draws ran on the worker), 28 MB at a 4 MiB one.
     assert large < 8e6
 
 
@@ -173,8 +175,9 @@ def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk():
     # n=2 random kernel whose eigenbasis is not the identity, each with a
     # short last chunk.  One chunk's real arrays take 512 KiB in both.  The
     # stream that allocated its arrays chunk by chunk exceeded its start by
-    # 3.7 MB (clt) and 5.3 MB (d=2) per chunk; what is left are transient
-    # buffers of a ufunc that broadcasts (64 KiB) and of an isfinite mask.
+    # 3.7 MB (clt) and 5.3 MB (d=2) per chunk; what is left is mostly the
+    # transient buffer of a ufunc that broadcasts (64 KiB).  The worker draws
+    # and colours the next chunk meanwhile, so its transients count too.
     L = 256
     clt = (triangular_density(2, 1, 1.0, 1.0, L), dispersion_grid(build_nn_kernel(1, 1, 1.0), L),
            50.0, 4 * 128 + 16, [(-1,), (0,), (1,)], TestField.delta(1, 1), (1.0, 1.0))
@@ -349,15 +352,79 @@ def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
     assert threading.active_count() == before
 
 
+def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path, capsys):
+    # the worker colours too: a fault in the third chunk's colouring reaches
+    # the caller as it was raised, once the second chunk is reduced and the
+    # worker has stopped, and the CLI maps it to its exit code
+    grid, dens, budget, minimum = _chunks_of(3)
+    colour, coloured, reduced = GaussianSampler.colour, [], []
+    message = ("gaussian_ensemble: imaginary residue 1.000e-03 exceeds 1.0e-06; "
+               "input violates the reality symmetry")
+
+    def third_colour_fails(sampler, W, out=None, work=None):
+        coloured.append(len(W))
+        if len(coloured) == 3:
+            raise NumericalFault(message)
+        return colour(sampler, W, out=out, work=work)
+
+    def statistics(Y0, Yt):
+        reduced.append(len(Y0))
+        return (Y0,)
+
+    before = threading.active_count()
+    with budget, minimum, mock.patch.object(GaussianSampler, "colour", third_colour_fails), \
+            pytest.raises(NumericalFault) as raised:
+        stream_ensemble(dens, 10, 0, grid, 1.0, statistics, "covariance error bars")
+    assert type(raised.value) is NumericalFault and str(raised.value) == message
+    assert coloured == [3, 3, 3] and reduced == [3, 3]
+    assert threading.active_count() == before
+
+    coloured.clear()
+    with budget, mock.patch.object(GaussianSampler, "colour", third_colour_fails):
+        code = cli.main(["clt", "--nn", "d=1", "n=1", "m=1", "--L", "32", "--ensemble", "1000",
+                         "--t", "2", "--output", str(tmp_path / "clt")])
+    assert code == 4
+    assert capsys.readouterr().err == f"numerical fault: {message}\n"
+    assert len(coloured) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a process that may run on two CPUs")
+def test_worker_runs_off_the_callers_cpu(monkeypatch):
+    # the worker keeps off the CPU that the calling thread ran on when the
+    # stream began, and the caller's own placement is left alone
+    grid, dens, budget, minimum = _chunks_of(3)
+    allowed = os.sched_getaffinity(0)
+    assert stats._current_cpu() in allowed
+    colour, placed = GaussianSampler.colour, []
+
+    def recorded(sampler, W, out=None, work=None):
+        placed.append(os.sched_getaffinity(0))
+        return colour(sampler, W, out=out, work=work)
+
+    monkeypatch.setattr(GaussianSampler, "colour", recorded)
+    first = min(allowed)
+    for cpu, want in ((first, allowed - {first}), (None, allowed)):
+        placed.clear()
+        monkeypatch.setattr(stats, "_current_cpu", lambda: cpu)
+        with budget, minimum:
+            kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda Y0, Yt: (Y0,),
+                                    "covariance error bars")
+        assert len(kept) == 10 and placed == [want] * 4
+        assert os.sched_getaffinity(0) == allowed
+
+
 def test_public_calls_stay_on_the_calling_thread(monkeypatch):
     # The benchmark's span tracer (bench/child.py) wraps every public function
     # and public-class constructor of the package in one span stack that all
     # threads share, rebinding each function in every package module that
-    # holds it.  So the stream's worker may call none of them: it draws
-    # through GaussianSampler.white_noise, a method, which is not wrapped.
+    # holds it.  So the stream's worker may call none of them: it draws and
+    # colours through GaussianSampler.white_noise and .colour, methods, which
+    # are not wrapped.
     grid, dens, budget, minimum = _chunks_of(3)
     psi = TestField.delta(1, 1)
-    here, traced, drawn = threading.get_ident(), [], []
+    here, traced, drawn, coloured = threading.get_ident(), [], [], []
     modules = {name: module for name, module in sys.modules.items()
                if name == "crystalstat" or name.startswith("crystalstat.")}
 
@@ -383,13 +450,18 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
                     for attr, value in list(vars(holder).items()):
                         if value is obj:
                             monkeypatch.setattr(holder, attr, wrapped)
-    white_noise = GaussianSampler.white_noise
+    white_noise, colour = GaussianSampler.white_noise, GaussianSampler.colour
 
     def recorded(sampler, indices, out=None):
         drawn.append(threading.get_ident())
         return white_noise(sampler, indices, out=out)
 
+    def recorded_colour(sampler, W, out=None, work=None):
+        coloured.append(threading.get_ident())
+        return colour(sampler, W, out=out, work=work)
+
     monkeypatch.setattr(GaussianSampler, "white_noise", recorded)
+    monkeypatch.setattr(GaussianSampler, "colour", recorded_colour)
     with budget, minimum:
         kept, = stats.stream_ensemble(
             dens, 10, 0, grid, 1.0, lambda Y0, Yt: (stats.linear_functional_samples(Yt, psi),),
@@ -399,8 +471,9 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
     assert {"stream_ensemble", "GaussianSampler", "Propagator", "nonlinear_transform_sample",
             "linear_functional_samples"} <= names
     assert [name for name, thread in traced if thread != here] == []
-    # four chunks of at most three samples, drawn ahead on the worker
-    assert len(drawn) == 4 and any(thread != here for thread in drawn)
+    # four chunks of at most three samples, each drawn and coloured on the worker
+    assert len(drawn) == len(coloured) == 4
+    assert here not in drawn and here not in coloured
 
 
 PROBE_NUMPY_MA = """
