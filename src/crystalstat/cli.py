@@ -343,12 +343,11 @@ class _MeasureRule(NamedTuple):
 
 
 class _Measure(NamedTuple):
-    """A run's initial measure: its spec, its Gaussian density (a transformed
-    measure's base density), the transform's (a0, a1) or None, and the
-    dependence radius it declares: 0 for white noise, nu0 - 1 for triangular,
-    a transform's base's, and None for a measure file."""
+    """A run's initial measure: its Gaussian density (a transformed measure's
+    base density), the transform's (a0, a1) or None, and the dependence
+    radius it declares: 0 for white noise, nu0 - 1 for triangular, a
+    transform's base's, and None for a measure file."""
 
-    spec: dict
     density: object
     transform: tuple | None
     radius: int | None
@@ -465,7 +464,7 @@ class _Run:
             if density.L != L or density.d != kernel.d or density.n != kernel.n:
                 raise UsageError("measure file does not match the lattice/kernel shape")
             density.hermitian_sqrt()  # an indefinite file is a numerical fault; cached
-        self.memo["measure"] = _Measure(spec, density, transform, radius)
+        self.memo["measure"] = _Measure(density, transform, radius)
         return self.memo["measure"]
 
     def limit(self):
@@ -543,17 +542,6 @@ def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def _floats(a) -> list:
-    """%.17g strings of the entries of a float array (or scalar), in C order.
-
-    Tables repeat values heavily, so each distinct float64 bit pattern is
-    formatted once and looked up per entry.  Keying on bits, not values,
-    keeps 0.0 and -0.0 apart: they compare equal but print as 0 and -0.
-    """
-    distinct, codes = _bit_codes(a)
-    return _lookup(_format17(distinct), codes)
 
 
 def _bit_codes(a):
@@ -722,7 +710,7 @@ def _cmd_dispersion(run) -> int:
     # one row per (node, branch); the flags of each of the 8 combinations of
     # a node's C0, Cstar and Ck sit at index C0 + 2 Cstar + 4 Ck
     shape = grid.branch_values.shape
-    theta = _floats(theta_axis(grid.L))
+    theta = _format17(theta_axis(grid.L))
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
     code = grid.c0 + 2 * grid.crossing + 4 * grid.ck
@@ -772,7 +760,7 @@ def _cmd_green(run, dump_radius) -> int:
     offset = [str(c) for c in range(-dump_radius, dump_radius + 1)]
     component = [str(c) for c in range(window.shape[-1])]
     _write_csv(outdir / "green.csv", window.shape,
-               [("t", _floats(times), _axis(window.shape, 0))]
+               [("t", _format17(np.array(times, dtype=float)), _axis(window.shape, 0))]
                + [(f"x{a + 1}", offset, _axis(window.shape, a + 1)) for a in range(grid.d)]
                + [("row", component, _axis(window.shape, grid.d + 1)),
                   ("col", component, _axis(window.shape, grid.d + 2)), ("value", window)])
@@ -800,7 +788,7 @@ def _cmd_evolve(run) -> int:
     shape = Mt.shape[:2] + (2, kernel.n, 2, kernel.n)
     component = [str(v) for v in range(max(2, kernel.n))]
     _write_csv(outdir / "convergence.csv", shape,
-               [("t", _floats(times), _axis(shape, 0))]
+               [("t", _format17(np.array(times, dtype=float)), _axis(shape, 0))]
                + [(f"z{a + 1}", [str(z[a]) for z in offsets], _axis(shape, 1))
                   for a in range(kernel.d)]
                + [(name, component, _axis(shape, a)) for name, a in zip("ijkl", (2, 4, 3, 5))]
@@ -820,8 +808,7 @@ def _sampled_covariance(run, q0, t, transform=None):
     products_at = offset_products(offsets)
     products, = stream_ensemble(
         q0, run.eff["ensemble"], run.eff["seed"], grid, t,
-        lambda Y0, Yt: (products_at(Yt),),
-        "covariance error bars", transform=transform)
+        lambda Y0, Yt: (products_at(Yt),), transform=transform)
     return (offsets,) + covariance_summary(products)
 
 
@@ -918,7 +905,7 @@ def _cmd_clt(run, component) -> int:
         lambda Y0, Yt: (products_at(Y0),
                         linear_functional_samples(Y0, psi),
                         linear_functional_samples(Yt, psi)),
-        "moment diagnostics", transform=measure.transform)
+        transform=measure.transform)
 
     gauss0 = gaussianity_report(samples0)
     platykurtic = (not gauss0["degenerate"]) and gauss0["z_kurtosis"] < -4.0

@@ -104,10 +104,7 @@ def evolve_density(q0: SpectralDensity, grid: DispersionGrid, t: float) -> Spect
     for rows, q in _slabs(q0):
         G = propagator.rows(nodes=rows)
         hermitian_part(np.einsum("...ij,...jk,...lk->...il", G, q, G.conj()), out=qt[rows])
-    return SpectralDensity(
-        L=q0.L, d=q0.d, n=q0.n, matrix=qt,
-        provenance=f"evolved(t={t}):{q0.provenance}",
-    )
+    return SpectralDensity(qt, provenance=f"evolved(t={t}):{q0.provenance}")
 
 
 def limit_density(q0: SpectralDensity, grid: DispersionGrid,
@@ -220,12 +217,8 @@ def limit_density(q0: SpectralDensity, grid: DispersionGrid,
         q = q0.matrix[grid.c0]
         excluded[grid.c0] = np.any([np.max(np.abs(q[block(i, j)]), axis=(-2, -1)) > tol
                                     for i, j in ((0, 1), (1, 0), (1, 1))], axis=0)
-    return SpectralDensity(
-        L=q0.L, d=q0.d, n=q0.n, matrix=out,
-        provenance=f"limit:{q0.provenance}",
-        excluded=excluded,
-        cluster_id=grid.cluster_id.copy(),
-    )
+    return SpectralDensity(out, provenance=f"limit:{q0.provenance}", excluded=excluded,
+                           cluster_id=grid.cluster_id.copy())
 
 
 def _node_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -263,12 +256,8 @@ def gibbs_density(T1: float, grid: DispersionGrid) -> SpectralDensity:
     out[..., :n, :n] = 0.5 * T1 * Vinv
     idx = np.arange(n)
     out[..., n + idx, n + idx] = 0.5 * T1
-    return SpectralDensity(
-        L=grid.L, d=grid.d, n=grid.n, matrix=out,
-        provenance=f"gibbs(T1={T1})",
-        excluded=grid.c0.copy(),
-        cluster_id=grid.cluster_id.copy(),
-    )
+    return SpectralDensity(out, provenance=f"gibbs(T1={T1})", excluded=grid.c0.copy(),
+                           cluster_id=grid.cluster_id.copy())
 
 
 def _slabs(density: SpectralDensity):

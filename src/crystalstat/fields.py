@@ -16,14 +16,19 @@ Sampling contract: the white noise of sample i under a seed is
 
     Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).standard_normal((*grid, 2n))
 
-coloured as above, so stock numpy reproduces any single sample.  The package
-computes the PCG64 seed words of a whole chunk with one vectorised pass of
-SeedSequence's hash (:func:`_seed_states`) and hands each generator its row.
+coloured as above, so stock numpy reproduces any single sample.  When every
+index of a chunk is below 2**32 the package computes the PCG64 seed words of
+the whole chunk with one vectorised pass of SeedSequence's hash
+(:func:`_seed_states`) and hands each generator its row; larger indices are
+seeded by stock SeedSequence.
+
+A density's grid size L, dimension d and component count n are those of its
+matrix, (L,)*d + (2n, 2n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -64,8 +69,9 @@ __all__ = [
 class SpectralDensity:
     """Spectral density of a translation-invariant measure on the L^d lattice.
 
-    matrix has shape (L,)*d + (2n, 2n); the (i, j) block (i, j in {0, 1}) is
-    the density of the (u, v) cross-covariance.
+    matrix has shape (L,)*d + (2n, 2n) with d >= 1 and n >= 1, and L, d and n
+    are read from it; the (i, j) block (i, j in {0, 1}) is the density of the
+    (u, v) cross-covariance.  Every field after matrix is keyword-only.
 
     excluded marks nodes that the integrals of the density count as zero: a
     long-time limit marks those where it needed an inverse frequency that the
@@ -75,20 +81,20 @@ class SpectralDensity:
     with all-False or all-0.
     """
 
-    L: int
-    d: int
-    n: int
     matrix: np.ndarray
+    _: KW_ONLY
     provenance: str = "analytic"
     excluded: Optional[np.ndarray] = None
     cluster_id: Optional[np.ndarray] = None
     _sqrt_cache: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        nodes = (self.L,) * self.d
-        expected = nodes + (2 * self.n, 2 * self.n)
-        if self.matrix.shape != expected:
-            raise ValueError(f"density matrix must have shape {expected}")
+        shape = self.matrix.shape
+        nodes = shape[:-2]
+        if (len(nodes) < 1 or len(set(nodes)) != 1 or shape[-1] != shape[-2]
+                or shape[-1] % 2 or not shape[-1]):
+            raise ValueError(f"density matrix must have shape (L,)*d + (2n, 2n) "
+                             f"with d, n >= 1, got {shape}")
         if self.excluded is not None or self.cluster_id is not None:
             if self.excluded is None:
                 self.excluded = np.zeros(nodes, dtype=bool)
@@ -127,6 +133,18 @@ class SpectralDensity:
         reality_gap = float(np.max(reality))
         if reality_gap > 1e-8 * scale:
             raise ValueError(f"density violates reality symmetry (gap {reality_gap:.3e})")
+
+    @property
+    def L(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.matrix.ndim - 2
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[-1] // 2
 
     @property
     def excluded_fraction(self) -> float:
@@ -178,10 +196,7 @@ def triangular_density(nu0: int, d: int, T0: float, T1: float, L: int) -> Spectr
     matrix = np.zeros((L,) * d + (2, 2), dtype=complex)
     matrix[..., 0, 0] = T0 * profile
     matrix[..., 1, 1] = T1 * profile
-    return SpectralDensity(
-        L=L, d=d, n=1, matrix=matrix,
-        provenance=f"analytic:triangular(nu0={nu0},T0={T0},T1={T1})",
-    )
+    return SpectralDensity(matrix, provenance=f"analytic:triangular(nu0={nu0},T0={T0},T1={T1})")
 
 
 def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> SpectralDensity:
@@ -192,10 +207,8 @@ def white_noise_density(T0: float, T1: float, n: int, d: int, L: int) -> Spectra
     if not (0 <= T0 < np.inf and 0 <= T1 < np.inf):
         raise ValueError(f"temperatures must be finite and nonnegative, got T0={T0} T1={T1}")
     node = np.diag(np.repeat([complex(T0), complex(T1)], n))
-    return SpectralDensity(
-        L=L, d=d, n=n, matrix=np.broadcast_to(node, (L,) * d + node.shape),
-        provenance=f"analytic:white(T0={T0},T1={T1})",
-    )
+    return SpectralDensity(np.broadcast_to(node, (L,) * d + node.shape),
+                           provenance=f"analytic:white(T0={T0},T1={T1})")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on Python ints
@@ -223,41 +236,25 @@ def _mix(x, y):
 
 def _seed_states(seed, indices) -> np.ndarray:
     """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
-    for every index i, shape (S, 4), from one vectorised hash per key length.
+    for every index i, shape (S, 4).
 
-    The seed's words fill the pool the same way for every sample, so only the
-    spawn-key words (one below 2**32, two below 2**64, ...) are hashed per row.
-    When every index is one word, as in any stream of fewer than 2**32
-    samples, the keys are hashed straight from a uint64 array; only longer
-    keys are split into words through Python ints.
+    When every index is one 32-bit word, as in any stream of fewer than 2**32
+    samples, the keys are hashed straight from a uint64 array in one
+    vectorised pass: the seed's words fill the pool the same way for every
+    sample, so only the key word is hashed per row.  Any other range is
+    seeded by stock SeedSequence, one index at a time.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    entropy = _words(int(seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))
     if len(indices) and 0 <= min(indices) and max(indices) <= _MASK32:
+        entropy = _words(int(seed))
+        entropy += [0] * (_POOL_SIZE - len(entropy))
         return _hashed_state(entropy + [np.array(indices, dtype=np.uint64)])
-    index = np.array(indices, dtype=object)
-    if (index < 0).any():
-        raise ValueError("expected non-negative integer")
-    key_words, rest = [], index
-    lengths = np.ones(len(index), dtype=int)
-    while True:
-        key_words.append((rest & _MASK32).astype(np.uint64))
-        rest = rest >> 32
-        longer = rest > 0
-        if not longer.any():
-            break
-        lengths += longer
-    states = np.empty((len(index), _POOL_SIZE), dtype=np.uint64)
-    # np.unique would import numpy.ma on every call (numpy 2.4)
-    for length in sorted(set(lengths.tolist())):
-        rows = lengths == length
-        words = entropy + [column[rows] for column in key_words[:length]]
-        states[rows] = _hashed_state(words)
-    return states
+    states = [np.random.SeedSequence(int(seed), spawn_key=(i,)).generate_state(4, np.uint64)
+              for i in indices]
+    return np.array(states, dtype=np.uint64).reshape(len(states), _POOL_SIZE)
 
 
 def _hasher(hash_const: int, mult: int):
@@ -445,7 +442,7 @@ def density_from_covariance(cov: dict, L: int,
             merged[mz] = mat.T
     w, U = np.linalg.eigh(hermitian_part(fourier_series(merged.items(), L, d, (two_n, two_n))))
     out = eigen_compose(U, np.clip(w, 0.0, None))
-    return SpectralDensity(L=L, d=d, n=n, matrix=out, provenance=provenance)
+    return SpectralDensity(out, provenance=provenance)
 
 
 def density_to_jsonable(density: SpectralDensity) -> dict:
@@ -480,15 +477,17 @@ def density_from_jsonable(doc: dict) -> SpectralDensity:
     if extra:
         raise ValueError(f"unknown density fields: {sorted(extra)}")
     check_integers(doc, ("L", "d", "n"), "density file")
-    matrix = number_array(doc["matrix_re"], "density file matrix_re") + 1j * number_array(
-        doc["matrix_im"], "density file matrix_im")
     nodes = (doc["L"],) * doc["d"]
+    expected = nodes + (2 * doc["n"], 2 * doc["n"])
+    real, imag = (number_array(doc[key], f"density file {key}")
+                  for key in ("matrix_re", "matrix_im"))
+    if real.shape != expected or imag.shape != expected:
+        raise ValueError(f"density matrix must have shape {expected}")
     if "excluded" in doc:
         _check_node_array(doc, "excluded", bool, nodes)
     if "cluster_id" in doc:
         _check_node_array(doc, "cluster_id", int, nodes + (doc["n"],))
-    return SpectralDensity(L=doc["L"], d=doc["d"], n=doc["n"], matrix=matrix,
-                           provenance=str(doc.get("provenance", "file")))
+    return SpectralDensity(real + 1j * imag, provenance=str(doc.get("provenance", "file")))
 
 
 def _check_node_array(doc: dict, key: str, kind: type, shape: tuple) -> None:

@@ -5,8 +5,10 @@ or plain sample arrays, and produces numbers with Monte Carlo error bars
 attached, so that comparisons against the transported and limiting densities
 can be gated at 3 sigma.
 
-Estimators that average over samples come as a per-sample step and one
-reduction (offset_products, then covariance_summary).  stream_ensemble
+Each estimator refuses fewer samples than MIN_SAMPLES names for what it
+estimates (require_samples).  Estimators that average over samples come as a
+per-sample step and one reduction (offset_products, then
+covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
@@ -87,8 +89,8 @@ def require_samples(count: int, purpose: str) -> None:
         raise ValueError(f"need at least {minimum} samples for {purpose}")
 
 
-def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
-                    purpose: str, transform=None) -> tuple:
+def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, *,
+                    transform=None) -> tuple:
     """Per-sample statistics of count samples, drawn and evolved chunk by chunk.
 
     Each chunk of consecutive sample indices holds the samples that a
@@ -99,9 +101,9 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     arrays with a leading sample axis; only these are kept, and each is
     concatenated over the chunks.  Since every step treats samples
     independently, the result does not depend on the chunk size, while peak
-    memory does not grow with count.  The count is checked against the
-    estimator that will consume the result (purpose, a key of MIN_SAMPLES),
-    and the density against the grid, before the first draw.
+    memory does not grow with count.  A count below 1 is refused, and the
+    density is checked against the grid, before the first draw; whether
+    count is enough for an estimator is that estimator's check.
 
     Every chunk-sized array is allocated once per call and reused by every
     chunk, the short last one through its leading samples.  One worker
@@ -122,7 +124,8 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics,
     # about 5 ms of every CLI start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    require_samples(count, purpose)
+    if count < 1:
+        raise ValueError("count must be positive")
     L, d, n = density.L, density.d, density.n
     grid.require_match(L, d, n, what="field")
     size = min(count, max(1, CHUNK_BYTES // (16 * L**d * 2 * n)))

@@ -259,7 +259,7 @@ def random_scalar_density(L, seed):
     matrix[:, 1, 1] = q11
     matrix[:, 0, 1] = q01
     matrix[:, 1, 0] = np.conj(q01)
-    return SpectralDensity(L=L, d=1, n=1, matrix=matrix)
+    return SpectralDensity(matrix)
 
 
 def test_criterion_06_scalar_closed_form():

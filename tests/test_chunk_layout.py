@@ -186,14 +186,12 @@ def assert_chunk_path_matches_the_oracle(grid, density, count, seed, t, transfor
     assert_same_bits(sample_major(evolve_ensemble(component_major(Y0), grid, t)),
                                   Yt)
 
-    # a few samples suffice to compare bits; the sample-count gate has its own tests
+    # a few samples suffice to compare bits; each estimator's sample minimum has its own tests
     sample_bytes = 16 * grid.L**d * 2 * n
     for size in (1, 7, count):
-        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
-                mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}):
+        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes):
             got0, gott = stream_ensemble(density, count, seed, grid, t,
-                                         lambda A, B: (A, B), "covariance error bars",
-                                         transform=transform)
+                                         lambda A, B: (A, B), transform=transform)
         assert_same_bits(sample_major(got0), Y0)
         assert_same_bits(sample_major(gott), Yt)
 
@@ -248,7 +246,6 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
             return wrapper
 
         with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
-                mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}), \
                 mock.patch.multiple(GaussianSampler, **{name: counted(GaussianSampler, name)
                                                         for name in steps[GaussianSampler]}), \
                 mock.patch.multiple(stats, **{name: counted(stats, name)
@@ -256,6 +253,6 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
                 mock.patch.object(dynamics.Propagator, "apply",
                                   counted(dynamics.Propagator, "apply")):
             stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
-                            "covariance error bars", transform=transform)
+                            transform=transform)
         assert calls == {"white_noise": 4, "colour": 4,
                          "nonlinear_transform_sample": transformed, "apply": 4}

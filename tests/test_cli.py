@@ -358,7 +358,7 @@ _AWKWARD = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 0
        picks=st.lists(st.integers(0, 5), max_size=48),
        view=st.sampled_from(["flat", "strided", "reversed", "transposed", "float32",
                              "list", "scalar"]))
-def test_floats_formats_each_entry_with_17g(pool, picks, view):
+def test_format17_formats_each_entry_of_a_flattened_array_with_17g(pool, picks, view):
     # heavy repeats: every entry is one of at most six values
     a = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
     if view == "strided":
@@ -374,12 +374,18 @@ def test_floats_formats_each_entry_with_17g(pool, picks, view):
         a = a.tolist()
     elif view == "scalar":
         a = np.asarray(pool[0])
-    assert cli._floats(a) == ["%.17g" % v for v in np.ravel(a).tolist()]
+    assert cli._format17(flat64(a)) == ["%.17g" % v for v in np.ravel(a).tolist()]
 
 
-def test_floats_keeps_the_sign_of_zero():
-    assert cli._floats(np.array([[0.0, -0.0], [-0.0, 0.0]])) == ["0", "-0", "-0", "0"]
-    assert cli._floats(-0.0) == ["-0"]
+def test_format17_keeps_the_sign_of_zero():
+    assert cli._format17(flat64([[0.0, -0.0], [-0.0, 0.0]])) == ["0", "-0", "-0", "0"]
+    assert cli._format17(flat64(-0.0)) == ["-0"]
+
+
+def flat64(a) -> np.ndarray:
+    """The entries of a float array, list or scalar as a flat float64 array,
+    in C order: the form in which the CLI formats its label arrays."""
+    return np.ravel(np.asarray(a, dtype=np.float64))
 
 
 def bit_patterns(values) -> list:
@@ -1204,6 +1210,12 @@ NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
        f"density file {key} must be an array of numbers")
       for key, matrix in (("matrix_re", {}), ("matrix_im", [[[True]]] * 16),
                           ("matrix_re", [[["1"]]] * 16), ("matrix_re", [[[10 ** 400]]] * 16))),
+    # a part of one node is refused, not broadcast to the grid; so is d = 0
+    *((["limit"] + nn_args() + ["--measure-file"], {key: [[1.0, 0.0], [0.0, 1.0]]},
+       "density matrix must have shape (16, 2, 2)") for key in ("matrix_re", "matrix_im")),
+    (["limit"] + nn_args() + ["--measure-file"],
+     {"d": 0, "matrix_re": [[1.0, 0.0], [0.0, 1.0]], "matrix_im": [[0.0, 0.0], [0.0, 0.0]]},
+     "density matrix must have shape (L,)*d + (2n, 2n) with d, n >= 1, got (2, 2)"),
     # an offset coordinate that no array index holds is refused, not a traceback
     (["dispersion", "--kernel-file"], dict(NN_KERNEL, N=10 ** 30, entries=[
         {"z": [0], "matrix": [[3.0]]}, {"z": [10 ** 30], "matrix": [[-1.0]]}]),
@@ -1213,7 +1225,8 @@ NN_KERNEL = {"d": 1, "n": 1, "N": 1, "entries": [{"z": [0], "matrix": [[3.0]]},
         "density-L-d-n", "density-n-bool", "density-excluded-shape", "density-excluded-float",
         "kernel-matrix-object", "kernel-matrix-string", "kernel-matrix-bool",
         "kernel-matrix-null", "kernel-matrix-huge-int", "density-re-object",
-        "density-im-bool", "density-re-string", "density-re-huge-int", "kernel-offset-huge"])
+        "density-im-bool", "density-re-string", "density-re-huge-int", "density-re-one-node",
+        "density-im-one-node", "density-d-0", "kernel-offset-huge"])
 def test_file_integers_are_checked_not_truncated(tmp_path, capsys, argv, doc, message):
     if argv[0] == "limit":
         doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **doc)
@@ -1621,8 +1634,7 @@ def test_ES_without_a_ratio_is_inconclusive_not_a_crash(tmp_path, capsys):
     matrix = np.zeros((16, 2, 2), dtype=complex)
     matrix[[1, 15]] = np.eye(2)
     path = tmp_path / "odd.json"
-    path.write_text(json.dumps(density_to_jsonable(
-        SpectralDensity(L=16, d=1, n=1, matrix=matrix))))
+    path.write_text(json.dumps(density_to_jsonable(SpectralDensity(matrix))))
     massless = ["--nn", "d=1", "n=1", "m=0", "--L", "16", "--measure-file", str(path)]
     for command, stage in (("limit", "."), ("report", "limit")):
         out = tmp_path / command

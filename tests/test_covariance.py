@@ -111,7 +111,7 @@ def test_quadratic_form_triangular_limit_hits_golden_ratio(grid256):
 def test_quadratic_form_of_indefinite_density_is_numerical_fault():
     matrix = white_noise_density(1.0, 1.0, 1, 1, 16).matrix.copy()
     matrix[..., 0, 0] = -1.0
-    dens = SpectralDensity(L=16, d=1, n=1, matrix=matrix)
+    dens = SpectralDensity(matrix)
     with pytest.raises(NumericalFault, match="quadratic form is negative"):
         quadratic_form(dens, TestField.delta(1, 1, component=0))
 
@@ -698,7 +698,7 @@ def traced_peak(call) -> int:
 def test_density_path_holds_few_whole_grid_temporaries():
     grid = _random_grid(3, 2, 1, 3)
     q0 = _random_density(3, 2, grid.L, 11)
-    calls = {"SpectralDensity": lambda: SpectralDensity(L=q0.L, d=3, n=2, matrix=q0.matrix),
+    calls = {"SpectralDensity": lambda: SpectralDensity(q0.matrix),
              "limit_density": lambda: limit_density(q0, grid),
              "evolve_density": lambda: evolve_density(q0, grid, 2.5),
              "fourier_coefficient": lambda: fourier_coefficient(q0.matrix, (1, 0, 0)),
@@ -731,7 +731,7 @@ def test_readers_zero_excluded_nodes_as_the_whole_matrix_copy_did():
     # the oracle: each reader on a plain density whose matrix is the
     # whole-matrix copy with the excluded nodes zeroed
     limit, grid = _excluding_limit()
-    zeroed = SpectralDensity(L=16, d=3, n=2, matrix=unexcluded_matrix(limit))
+    zeroed = SpectralDensity(unexcluded_matrix(limit))
     spread = TestField(sites=[(0, 0, 0), (1, 0, 0), (0, 2, -1)],
                        values=np.arange(12.0).reshape(3, 4) - 5.5)
     for psi in (TestField.delta(3, 2, component=0), TestField.delta(3, 2, component=3),
@@ -749,7 +749,7 @@ def test_readers_copy_no_whole_matrix_for_excluded_nodes():
     # the whole-matrix copy cost 1.0 (covariance_from_density), 2.0
     # (quadratic_form) and 0.63 (mixing_integral) matrices
     limit, grid = _excluding_limit()
-    plain = SpectralDensity(L=16, d=3, n=2, matrix=limit.matrix)
+    plain = SpectralDensity(limit.matrix)
     psi = TestField.delta(3, 2, component=0)
     excluding, none = _readers(limit, grid, psi), _readers(plain, grid, psi)
     with slab_rows(1, limit.matrix):
@@ -874,7 +874,7 @@ def test_excluded_nodes_are_found_at_c0_nodes_only(massless, d, masses, kernel_s
     velocity = node_factor(velocity_scale)
     matrix[..., n:, :] *= velocity
     matrix[..., :, n:] *= velocity
-    q0 = SpectralDensity(L=grid.L, d=grid.d, n=n, matrix=matrix)
+    q0 = SpectralDensity(matrix)
     limit = limit_density(q0, grid, es_report=ConditionReport("ES", "pass"))
     np.testing.assert_array_equal(limit.excluded, whole_grid_excluded(q0, grid))
 
@@ -1073,7 +1073,7 @@ def test_constant_density_readers_give_the_bits_of_the_stored_nodes(d, n, T0, T1
     broadcast = white_noise_density(T0, T1, n, d, 16)
     # np.array keeps the broadcast's axis order, which is not C order; the
     # C-order copy is the layout the density had before it was broadcast
-    stored = [SpectralDensity(L=16, d=d, n=n, matrix=np.array(broadcast.matrix, order=order))
+    stored = [SpectralDensity(np.array(broadcast.matrix, order=order))
               for order in ("K", "C")]
     rng = np.random.default_rng(seed)
     spread = TestField(sites=rng.integers(-4, 5, (3, d)), values=rng.standard_normal((3, 2 * n)))
@@ -1185,7 +1185,7 @@ def test_limit_of_a_one_node_density_on_an_identity_basis_keeps_the_bits(data, d
     node = data.draw(one_node_density(n))
     grid = dispersion_grid(build_nn_kernel(d, n, list(masses)), L)
     assert grid.identity_basis
-    q0 = SpectralDensity(L=L, d=d, n=n, matrix=np.broadcast_to(node, (L,) * d + node.shape))
+    q0 = SpectralDensity(np.broadcast_to(node, (L,) * d + node.shape))
     waived = ConditionReport("ES", "pass")
     with slab_rows(rows, q0.matrix):
         got = limit_density(q0, grid, es_report=waived)

@@ -65,7 +65,7 @@ def test_numerical_faults_are_named():
     matrix = white_noise_density(1.0, 1.0, 1, 1, 16).matrix.copy()
     matrix[..., 0, 0] = -1.0
     with pytest.raises(NumericalFault) as fault:
-        SpectralDensity(L=16, d=1, n=1, matrix=matrix).hermitian_sqrt()
+        SpectralDensity(matrix).hermitian_sqrt()
     # the node as plain ints, not numpy scalars
     assert str(fault.value) == ("density is not positive semidefinite at node (0,) "
                                 "(eigenvalue -1.000e+00)")
@@ -252,7 +252,7 @@ def flagged_density_doc():
     """The JSON form of a d=2, n=2 limit density with some nodes excluded and
     mixed cluster ids."""
     rng = np.random.default_rng(4)
-    lim = SpectralDensity(L=8, d=2, n=2, matrix=white_noise_density(1.0, 1.0, 2, 2, 8).matrix,
+    lim = SpectralDensity(white_noise_density(1.0, 1.0, 2, 2, 8).matrix,
                           excluded=rng.random((8, 8)) < 0.3,
                           cluster_id=rng.integers(0, 2, (8, 8, 2)))
     return lim, density_to_jsonable(lim)
@@ -333,17 +333,50 @@ def test_density_json_rejects_unknown_keys():
         density_from_jsonable(doc)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"matrix_re": [[1.0, 0.0], [0.0, 1.0]]}, "density matrix must have shape (16, 2, 2)"),
+    ({"matrix_im": [[0.0, 0.0], [0.0, 0.0]]}, "density matrix must have shape (16, 2, 2)"),
+    ({"d": 0, "matrix_re": [[1.0, 0.0], [0.0, 1.0]], "matrix_im": [[0.0, 0.0], [0.0, 0.0]]},
+     "density matrix must have shape (L,)*d + (2n, 2n) with d, n >= 1, got (2, 2)"),
+], ids=["re-one-node", "im-one-node", "d-0"])
+def test_density_json_refuses_a_matrix_of_another_shape(changes, message):
+    # a part of one node is refused, not broadcast to the grid
+    doc = dict(density_to_jsonable(white_noise_density(1.0, 1.0, 1, 1, 16)), **changes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        density_from_jsonable(doc)
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 2, 2), (4, 2, 4), (4, 3, 3), (4, 0, 0), (2, 2), (4,)],
+                         ids=["unequal-grid-axes", "non-square", "odd-components",
+                              "no-components", "no-grid-axis", "one-axis"])
+def test_density_refuses_a_matrix_of_another_shape(shape):
+    message = f"density matrix must have shape (L,)*d + (2n, 2n) with d, n >= 1, got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SpectralDensity(np.zeros(shape, dtype=complex))
+
+
+def test_density_shape_is_its_matrix_shape():
+    dens = SpectralDensity(np.broadcast_to(np.eye(4, dtype=complex), (8, 8, 4, 4)))
+    assert (dens.L, dens.d, dens.n) == (8, 2, 2)
+    # every field after the matrix is keyword-only: the old positional form
+    # (L, d, n, matrix) is refused, not read with L as the matrix
+    with pytest.raises(TypeError):
+        SpectralDensity(8, 2, 2, dens.matrix)
+    with pytest.raises(TypeError):
+        SpectralDensity(dens.matrix, "analytic")
+
+
 def test_density_validates_hermitian_and_reality():
     mat = np.zeros((32, 2, 2), dtype=complex)
     mat[:, 0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
-        SpectralDensity(L=32, d=1, n=1, matrix=mat)
+        SpectralDensity(mat)
     theta = 2.0 * np.pi * np.arange(32) / 32
     mat2 = np.zeros((32, 2, 2), dtype=complex)
     mat2[:, 0, 0] = 2.0 + np.sin(theta)  # Hermitian nodewise, not even in theta
     mat2[:, 1, 1] = 1.0
     with pytest.raises(ValueError, match="reality"):
-        SpectralDensity(L=32, d=1, n=1, matrix=mat2)
+        SpectralDensity(mat2)
 
 
 def whole_array_refusal(matrix, d):
@@ -396,10 +429,10 @@ def refuse_as_the_whole_array_checks(d, n, L, node, pair, size, phase, seed, dat
         matrix[at + (b, a)] += np.conj(delta)
     expected = whole_array_refusal(matrix, d)
     if expected is None:
-        SpectralDensity(L=L, d=d, n=n, matrix=matrix)
+        SpectralDensity(matrix)
     else:
         with pytest.raises(ValueError) as refused:
-            SpectralDensity(L=L, d=d, n=n, matrix=matrix)
+            SpectralDensity(matrix)
         assert str(refused.value) == expected
     # the drawn node, and one in the last slab, which is not the first
     # slab when it holds fewer than L rows
@@ -409,7 +442,7 @@ def refuse_as_the_whole_array_checks(d, n, L, node, pair, size, phase, seed, dat
             broken[where + (a, b)] = bad
             assert whole_array_refusal(broken, d) == "density matrix must be finite"
             with pytest.raises(ValueError, match="^density matrix must be finite$"):
-                SpectralDensity(L=L, d=d, n=n, matrix=broken)
+                SpectralDensity(broken)
 
 
 @pytest.mark.parametrize("d, L", [(1, 16), (2, 16), (3, 32)])
@@ -432,7 +465,7 @@ def test_one_node_density_refuses_as_its_stored_copy(d, L, defect, refusal):
     messages = []
     for matrix in (broadcast, np.ascontiguousarray(broadcast)):
         with pytest.raises(ValueError) as refused:
-            SpectralDensity(L=L, d=d, n=2, matrix=matrix)
+            SpectralDensity(matrix)
         messages.append(str(refused.value))
     assert messages[0] == messages[1] and messages[0].startswith(refusal)
 
@@ -442,7 +475,7 @@ def test_one_node_root_is_one_broadcast_node(d, n, L):
     white = white_noise_density(0.5, 2.0, n, d, L)
     root = white.hermitian_sqrt()
     assert _lattice.one_node(root) is not None and not root.flags.writeable
-    stored = SpectralDensity(L=L, d=d, n=n, matrix=np.ascontiguousarray(white.matrix))
+    stored = SpectralDensity(np.ascontiguousarray(white.matrix))
     assert _lattice.one_node(stored.matrix) is None
     assert root.tobytes() == stored.hermitian_sqrt().tobytes()
     assert gaussian_ensemble(white, 3, 11).tobytes() == gaussian_ensemble(stored, 3, 11).tobytes()
@@ -455,7 +488,7 @@ def test_one_node_root_refuses_as_its_stored_copy(d):
     messages = []
     for matrix in (broadcast, np.ascontiguousarray(broadcast)):
         with pytest.raises(NumericalFault) as refused:
-            SpectralDensity(L=16, d=d, n=1, matrix=matrix).hermitian_sqrt()
+            SpectralDensity(matrix).hermitian_sqrt()
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"density is not positive semidefinite at node {(0,) * d}")

@@ -503,6 +503,44 @@ def test_unexported_read_is_found():
         "spectral.e3_report"]
 
 
+def unread_exports(sources, exports: dict) -> list[str]:
+    """'module.name', sorted, for every name of a module's ``__all__`` in
+    exports that none of the sources reads, by :func:`cross_module_reads`."""
+    read = set().union(*map(cross_module_reads, sources))
+    return sorted(f"{module}.{name}" for module, names in exports.items() for name in names
+                  if (module, name) not in read)
+
+
+#: the public names that no other package module reads, each with the reason
+#: it is public
+UNREAD_EXPORTS = [
+    # the independent cross-checks of the propagator
+    "dynamics.hamiltonian", "dynamics.reference_evolve_ode",
+    # named by bench/child.py's MEMORY_FUNCTIONS, by the README blocks and by tests
+    "dynamics.evolve_ensemble", "fields.gaussian_ensemble", "stats.empirical_covariance",
+    # the mixing-support estimate, an open item of the ROADMAP
+    "stats.empirical_mixing_support",
+]
+
+
+def test_only_the_listed_exports_go_unread_in_the_package():
+    exports = package_exports()
+    assert unread_exports([path.read_text() for path in PACKAGE.glob("*.py")],
+                          {module: exports[module] for module in LIBRARY}) == \
+        sorted(UNREAD_EXPORTS)
+
+
+def test_unread_export_is_found():
+    exports = {"spectral": ["check_ES", "e3_report", "DELTA_NULL"],
+               "fields": ["SpectralDensity", "gaussian_ensemble"]}
+    sources = ["from .spectral import check_ES\nfrom .fields import *\n",
+               "from . import fields, spectral\nimport crystalstat.spectral as s\n"
+               "def f(x):\n    return fields.SpectralDensity(x), s.DELTA_NULL\n"]
+    # a star import, or an imported module that is not read, reads no name
+    assert unread_exports(sources, exports) == ["fields.gaussian_ensemble",
+                                                "spectral.e3_report"]
+
+
 #: the package's modules in dependency order; the package itself comes last
 LAYERS = ["_lattice", "kernel", "spectral", "dynamics", "fields", "covariance", "stats",
           "cli", "crystalstat"]

@@ -290,7 +290,7 @@ def odd_node_density(nodes, L=16):
     elsewhere."""
     matrix = np.zeros((L, 2, 2), dtype=complex)
     matrix[list(nodes)] = np.eye(2)
-    return SpectralDensity(L=L, d=1, n=1, matrix=matrix)
+    return SpectralDensity(matrix)
 
 
 def test_ES_without_a_ratio_is_inconclusive():

@@ -105,7 +105,7 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
                    count * sample_bytes):
         with mock.patch.object(stats, "CHUNK_BYTES", budget):
             streamed = stream_ensemble(dens, count, seed, grid, t, statistics,
-                                       "covariance error bars", transform=transform)
+                                       transform=transform)
         assert len(streamed) == len(whole)
         for got, want in zip(streamed, whole):
             np.testing.assert_array_equal(got, want)
@@ -129,7 +129,7 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
         tracemalloc.start()
         try:
             kept = stream_ensemble(dens, count, 3, grid, 50.0, statistics,
-                                   "moment diagnostics", transform=(1.0, 1.0))
+                                   transform=(1.0, 1.0))
             return tracemalloc.get_traced_memory()[1], sum(a.nbytes for a in kept) / count
         finally:
             tracemalloc.stop()
@@ -163,8 +163,7 @@ def chunk_excess(density, grid, t, count, offsets, psi, transform):
 
     tracemalloc.start()
     try:
-        stream_ensemble(density, count, 3, grid, t, statistics, "covariance error bars",
-                        transform=transform)
+        stream_ensemble(density, count, 3, grid, t, statistics, transform=transform)
     finally:
         tracemalloc.stop()
     return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
@@ -197,14 +196,14 @@ def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk():
 def test_stream_ensemble_copies_the_columns_that_share_its_arrays():
     # Y0 and Yt are overwritten by the next chunk: a column that is one of
     # them, or a view of one, is kept as a copy
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     t = 2.5
 
     def statistics(Y0, Yt):
         return (Y0, Yt[:, 1], Yt[:, :1], np.zeros(len(Y0)))
 
-    with budget, minimum:
-        streamed = stream_ensemble(dens, 10, 7, grid, t, statistics, "covariance error bars")
+    with budget:
+        streamed = stream_ensemble(dens, 10, 7, grid, t, statistics)
     want = sequential_stream(dens, 10, 7, grid, t, statistics, 3, None)
     for got, expected in zip(streamed, want):
         assert got.tobytes() == expected.tobytes()
@@ -243,10 +242,9 @@ def test_stream_ensemble_matches_a_sequential_chunk_loop(d, n, transform):
     count, seed, t = 10, 41, 2.5
     sample_bytes = 16 * grid.L**d * 2 * n
     for size in (1, 3, count):
-        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes), \
-                mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1}):
+        with mock.patch.object(stats, "CHUNK_BYTES", size * sample_bytes):
             streamed = stream_ensemble(dens, count, seed, grid, t, lambda A, B: (A, B),
-                                       "covariance error bars", transform=transform)
+                                       transform=transform)
         want = sequential_stream(dens, count, seed, grid, t, lambda A, B: (A, B), size,
                                  transform)
         for got, expected in zip(streamed, want):
@@ -254,19 +252,27 @@ def test_stream_ensemble_matches_a_sequential_chunk_loop(d, n, transform):
 
 
 def _chunks_of(samples, d=1):
-    """A d-dimensional model, with patches that stream it in chunks of this
-    many samples and lower the sample-count gate to one sample."""
+    """A d-dimensional model, with a patch that streams it in chunks of this
+    many samples."""
     grid, dens = _random_model(d, 1)
     budget = mock.patch.object(stats, "CHUNK_BYTES", samples * 16 * grid.L**d * 2)
-    minimum = mock.patch.dict(stats.MIN_SAMPLES, {"covariance error bars": 1})
-    return grid, dens, budget, minimum
+    return grid, dens, budget
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_stream_ensemble_refuses_a_count_below_one_before_the_first_draw(count):
+    grid, dens, budget = _chunks_of(3)
+    with budget, mock.patch.object(stats, "GaussianSampler") as sampler, \
+            pytest.raises(ValueError, match="^count must be positive$"):
+        stream_ensemble(dens, count, 0, grid, 1.0, lambda Y0, Yt: (Y0,))
+    sampler.assert_not_called()
 
 
 def test_concurrent_streams_keep_the_bits():
     # four streams at once, each with its own worker, on two cores: a draw
     # into the buffer still being coloured changed the bits of 11 of 12 such
     # streams at the default switch interval (3 of 12 at 1 us)
-    grid, dens, budget, minimum = _chunks_of(1, d=2)
+    grid, dens, budget = _chunks_of(1, d=2)
 
     def statistics(Y0, Yt):
         return (Y0, Yt)
@@ -276,10 +282,10 @@ def test_concurrent_streams_keep_the_bits():
 
     def run(i):
         results[i] = stream_ensemble(dens, 30, 5, grid, 1.0, statistics,
-                                     "covariance error bars", transform=(0.7, 1.3))
+                                     transform=(0.7, 1.3))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
-    with budget, minimum:
+    with budget:
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -292,7 +298,7 @@ def test_concurrent_streams_keep_the_bits():
 
 
 def test_stream_ensemble_leaves_no_thread_behind():
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     before = threading.active_count()
     calls = []
 
@@ -303,35 +309,32 @@ def test_stream_ensemble_leaves_no_thread_behind():
             raise RuntimeError("statistics failed")
         return (Y0,)
 
-    with budget, minimum:
-        kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,),
-                                "covariance error bars")
+    with budget:
+        kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,))
         assert len(kept) == 10
         assert threading.active_count() == before
         with pytest.raises(RuntimeError, match="^statistics failed$"):
-            stream_ensemble(dens, 10, 0, grid, 1.0, failing, "covariance error bars")
+            stream_ensemble(dens, 10, 0, grid, 1.0, failing)
         assert calls == [3, 3]
         assert threading.active_count() == before
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            stream_ensemble(dens, 10, -1, grid, 1.0, lambda A, B: (A,),
-                            "covariance error bars")
+            stream_ensemble(dens, 10, -1, grid, 1.0, lambda A, B: (A,))
         assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0])
 def test_worker_failure_is_the_samplers(seed):
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     with pytest.raises(Exception) as direct:
         gaussian_ensemble(dens, 3, seed)
-    with budget, minimum, pytest.raises(Exception) as streamed:
-        stream_ensemble(dens, 10, seed, grid, 1.0, lambda A, B: (A,),
-                        "covariance error bars")
+    with budget, pytest.raises(Exception) as streamed:
+        stream_ensemble(dens, 10, seed, grid, 1.0, lambda A, B: (A,))
     assert type(streamed.value) is type(direct.value)
     assert str(streamed.value) == str(direct.value)
 
 
 def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     draws, reduced = GaussianSampler.white_noise, []
 
     def third_draw_fails(sampler, indices, out=None):
@@ -344,9 +347,9 @@ def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
         return (Y0,)
 
     before = threading.active_count()
-    with budget, minimum, mock.patch.object(GaussianSampler, "white_noise", third_draw_fails), \
+    with budget, mock.patch.object(GaussianSampler, "white_noise", third_draw_fails), \
             pytest.raises(ValueError, match="^draw failed$"):
-        stream_ensemble(dens, 10, 0, grid, 1.0, statistics, "covariance error bars")
+        stream_ensemble(dens, 10, 0, grid, 1.0, statistics)
     # the third chunk's draw ran while the second was reduced
     assert reduced == [3, 3]
     assert threading.active_count() == before
@@ -356,7 +359,7 @@ def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path,
     # the worker colours too: a fault in the third chunk's colouring reaches
     # the caller as it was raised, once the second chunk is reduced and the
     # worker has stopped, and the CLI maps it to its exit code
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     colour, coloured, reduced = GaussianSampler.colour, [], []
     message = ("gaussian_ensemble: imaginary residue 1.000e-03 exceeds 1.0e-06; "
                "input violates the reality symmetry")
@@ -372,9 +375,9 @@ def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path,
         return (Y0,)
 
     before = threading.active_count()
-    with budget, minimum, mock.patch.object(GaussianSampler, "colour", third_colour_fails), \
+    with budget, mock.patch.object(GaussianSampler, "colour", third_colour_fails), \
             pytest.raises(NumericalFault) as raised:
-        stream_ensemble(dens, 10, 0, grid, 1.0, statistics, "covariance error bars")
+        stream_ensemble(dens, 10, 0, grid, 1.0, statistics)
     assert type(raised.value) is NumericalFault and str(raised.value) == message
     assert coloured == [3, 3, 3] and reduced == [3, 3]
     assert threading.active_count() == before
@@ -394,7 +397,7 @@ def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path,
 def test_worker_runs_off_the_callers_cpu(monkeypatch):
     # the worker keeps off the CPU that the calling thread ran on when the
     # stream began, and the caller's own placement is left alone
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     allowed = os.sched_getaffinity(0)
     assert stats._current_cpu() in allowed
     colour, placed = GaussianSampler.colour, []
@@ -408,9 +411,8 @@ def test_worker_runs_off_the_callers_cpu(monkeypatch):
     for cpu, want in ((first, allowed - {first}), (None, allowed)):
         placed.clear()
         monkeypatch.setattr(stats, "_current_cpu", lambda: cpu)
-        with budget, minimum:
-            kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda Y0, Yt: (Y0,),
-                                    "covariance error bars")
+        with budget:
+            kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda Y0, Yt: (Y0,))
         assert len(kept) == 10 and placed == [want] * 4
         assert os.sched_getaffinity(0) == allowed
 
@@ -422,7 +424,7 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
     # holds it.  So the stream's worker may call none of them: it draws and
     # colours through GaussianSampler.white_noise and .colour, methods, which
     # are not wrapped.
-    grid, dens, budget, minimum = _chunks_of(3)
+    grid, dens, budget = _chunks_of(3)
     psi = TestField.delta(1, 1)
     here, traced, drawn, coloured = threading.get_ident(), [], [], []
     modules = {name: module for name, module in sys.modules.items()
@@ -462,10 +464,10 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(GaussianSampler, "white_noise", recorded)
     monkeypatch.setattr(GaussianSampler, "colour", recorded_colour)
-    with budget, minimum:
+    with budget:
         kept, = stats.stream_ensemble(
             dens, 10, 0, grid, 1.0, lambda Y0, Yt: (stats.linear_functional_samples(Yt, psi),),
-            "covariance error bars", transform=(0.7, 1.3))
+            transform=(0.7, 1.3))
     assert len(kept) == 10
     names = {name for name, _ in traced}
     assert {"stream_ensemble", "GaussianSampler", "Propagator", "nonlinear_transform_sample",
@@ -483,8 +485,7 @@ from crystalstat import (TestField, build_nn_kernel, dispersion_grid, gaussian_e
 density = white_noise_density(1.0, 1.0, 1, 1, 16)
 psi = TestField.delta(1, 1)
 stream_ensemble(density, 100, 0, dispersion_grid(build_nn_kernel(1, 1, 1.0), 16), 1.0,
-                lambda Y0, Yt: (linear_functional_samples(Yt, psi),),
-                "covariance error bars")
+                lambda Y0, Yt: (linear_functional_samples(Yt, psi),))
 gaussian_ensemble(density, 2, 0, start_index=2**32 - 1)  # spawn keys of one and two words
 print("numpy.ma" in sys.modules)
 """
@@ -532,7 +533,7 @@ def test_mixing_support_radius_from_summary(measure, radius):
     offsets = offset_cube(3, 1)
     products, = stream_ensemble(declared.density, 400, 2, run.grid(32), 0.0,
                                 lambda Y0, Yt: (offset_products(offsets)(Y0),),
-                                "covariance error bars", transform=declared.transform)
+                                transform=declared.transform)
     rep = empirical_mixing_support(offsets, *covariance_summary(products))
     assert rep["radius"] == radius == declared.radius
     assert rep["per_radius_significant"] == {r: r <= radius for r in (1, 2, 3)}
