@@ -170,7 +170,9 @@ def check_ensemble(Y) -> tuple:
         raise ValueError(f"grid axes must have equal lengths, got {grid}")
     if Y.shape[1] % 2:
         raise ValueError("component axis must hold 2n entries (u block, then v block)")
-    if not np.all(np.isfinite(Y)):
+    # a NaN propagates through both reductions and an infinity sets one;
+    # the initial value lets an array with an empty axis pass, as before
+    if not (np.isfinite(Y.max(initial=0.0)) and np.isfinite(Y.min(initial=0.0))):
         raise ValueError("field values must be finite")
     return Y, grid[0], len(grid), Y.shape[1] // 2
 
@@ -392,15 +394,19 @@ def real_inverse_fft(ahat: np.ndarray, axes: tuple, tol: float, what: str,
     a complex a + ib by a real c as by c + 0j, which gives the real part
     (a + b*0) * (1/c) and the imaginary part (b - a*0) * (1/c); the first is
     written straight into out (a real array of ahat's shape that does not
-    overlap it, or a new one).  Where every a and b is finite, the modulus
-    of the second is |b| * (1/c), and since rounding is monotone its maximum
-    is max |b| * (1/c).  A result that is not finite, or a residue above
-    tol, is handed to the division and real_part_checked, which form the
-    fault's message; a result that is not finite has a NaN or infinite
-    residue, so under a finite tol every result returned is finite.  The
-    result is finite when its maximum and minimum are: a NaN propagates
-    through both reductions and an infinity sets one, and neither needs a
-    mask of the result's size.
+    overlap it, or a new one).  For a finite b and a != 0, a + b*0 = a, so
+    a * (1/c) is written in one pass; b*0 only decides the sign of a zero,
+    so the whole first form is taken over again only when that product
+    holds an exact zero (a = +-0, or an underflow).  A b that is not
+    finite gives a residue that is not finite.  Where every a and b is
+    finite, the modulus of the second is |b| * (1/c), and since rounding is
+    monotone its maximum is max |b| * (1/c).  A result that is not finite,
+    or a residue above tol, is handed to the division and
+    real_part_checked, which form the fault's message; a result that is not
+    finite has a NaN or infinite residue, so under a finite tol every
+    result returned is finite.  The result is finite when its maximum and
+    minimum are: a NaN propagates through both reductions and an infinity
+    sets one, and neither needs a mask of the result's size.
     """
     np.fft.fftn(ahat, axes=axes, out=ahat)
     scale = float(ahat.shape[axes[0]]) ** len(axes)
@@ -409,10 +415,13 @@ def real_inverse_fft(ahat: np.ndarray, axes: tuple, tol: float, what: str,
         out = np.empty(ahat.shape)
     # the moduli |b| are formed in out first, where their maximum reads fast
     resid = float(np.max(np.abs(ahat.imag, out=out))) * r
-    with np.errstate(invalid="ignore"):  # inf * 0: the division warns for it below
-        np.multiply(ahat.imag, 0.0, out=out)
-    np.add(ahat.real, out, out=out)
-    np.multiply(out, r, out=out)
+    np.multiply(ahat.real, r, out=out)
+    if not out.all():
+        # a zero's sign is (a + b*0)'s: a = +-0, or a product that underflowed
+        with np.errstate(invalid="ignore"):  # inf * 0: the division warns for it below
+            np.multiply(ahat.imag, 0.0, out=out)
+        np.add(ahat.real, out, out=out)
+        np.multiply(out, r, out=out)
     if resid <= tol and np.isfinite(out.max()) and np.isfinite(out.min()):
         return out
     return real_part_checked(ahat / scale, tol, what, out)

@@ -546,10 +546,21 @@ def _write_json(path: Path, obj) -> None:
 
 def _bit_codes(a):
     """The distinct float64 bit patterns of the entries of a float array, as
-    floats, and the int32 code of each entry in C order."""
+    floats in ascending order of their bits, and the int32 code of each entry
+    in C order, its pattern's place among them: np.unique's patterns and
+    inverse, from one argsort and no int64 codes.  Equal entries have equal
+    bits, so the codes do not depend on how the sort orders them."""
     bits = np.ravel(a).astype(np.float64, casting="safe", copy=False).view(np.uint64)
-    distinct, codes = np.unique(bits, return_inverse=True)
-    return distinct.view(np.float64), codes.astype(np.int32)
+    order = np.argsort(bits)
+    ordered = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.cumsum(new, dtype=np.int32)
+    rank -= 1
+    codes = np.empty(bits.size, dtype=np.int32)
+    codes[order] = rank
+    return ordered[new].view(np.float64), codes
 
 
 def _format17(values) -> list:

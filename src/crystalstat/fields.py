@@ -234,15 +234,32 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of value under the running hash constant xor,
+    whose successor is mult."""
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list:
+    """The calls + 1 running constants of a SeedSequence hash from init:
+    hashmix call j xors in constant j and multiplies by constant j + 1."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append((constants[-1] * mult) & _MASK32)
+    return constants
+
+
 def _seed_states(seed, indices) -> np.ndarray:
     """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
-    for every index i, shape (S, 4).
+    for every index i, shape (S, 4), C-contiguous.
 
     When every index is one 32-bit word, as in any stream of fewer than 2**32
     samples, the keys are hashed straight from a uint64 array in one
-    vectorised pass: the seed's words fill the pool the same way for every
-    sample, so only the key word is hashed per row.  Any other range is
-    seeded by stock SeedSequence, one index at a time.
+    vectorised pass (:func:`_hashed_state`): the seed's words fill the pool
+    the same way for every sample, so only the key word is hashed per row,
+    whatever the seed's length.  Any other range is seeded by stock
+    SeedSequence, one index at a time.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
@@ -251,40 +268,40 @@ def _seed_states(seed, indices) -> np.ndarray:
     if len(indices) and 0 <= min(indices) and max(indices) <= _MASK32:
         entropy = _words(int(seed))
         entropy += [0] * (_POOL_SIZE - len(entropy))
-        return _hashed_state(entropy + [np.array(indices, dtype=np.uint64)])
+        return _hashed_state(entropy, np.array(indices, dtype=np.uint64))
     states = [np.random.SeedSequence(int(seed), spawn_key=(i,)).generate_state(4, np.uint64)
               for i in indices]
     return np.array(states, dtype=np.uint64).reshape(len(states), _POOL_SIZE)
 
 
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix: each call xors in the running constant, steps
-    the constant and multiplies by it."""
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * mult) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-    return hashmix
-
-
-def _hashed_state(entropy: list) -> np.ndarray:
+def _hashed_state(entropy: list, keys: np.ndarray) -> np.ndarray:
     """SeedSequence's mix_entropy into a pool of 4, then generate_state(4,
-    np.uint64), over entropy words that are ints or equal-length uint64 arrays.
-    At least one word is an array, so every pool word is one after the mixing."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    np.uint64), for the entropy words (ints, at least four) followed by one
+    key word per row of keys, a uint64 array of 32-bit values; shape
+    (len(keys), 4), C-contiguous.
+
+    The pool of the first four words is mixed on Python ints.  Each later
+    word, the seed's or the keys, is hashed into all four pool words at once
+    under a column of four running constants, so the pool becomes a (4, S)
+    array; the eight output words are hashed as one (8, S) array."""
+    words = entropy + [keys]
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
+    pool = [_hashmix(word, a[j], a[j + 1]) for j, word in enumerate(entropy[:_POOL_SIZE])]
+    j = _POOL_SIZE
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    output = _hasher(_INIT_B, _MULT_B)
-    state = [output(pool[dst % _POOL_SIZE]) for dst in range(2 * _POOL_SIZE)]
-    return np.stack([lo | (hi << 32) for lo, hi in zip(state[0::2], state[1::2])], axis=-1)
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j], a[j + 1]))
+                j += 1
+    column = np.array(a, dtype=np.uint64)[:, None]
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    for word in words[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, column[j:j + _POOL_SIZE],
+                                   column[j + 1:j + _POOL_SIZE + 1]))
+        j += _POOL_SIZE
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint64)[:, None]
+    state = _hashmix(np.concatenate([pool, pool]), b[:-1], b[1:])
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
 
 
 class _Seeded(np.random.bit_generator.ISeedSequence):
@@ -294,9 +311,10 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         self._state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only the PCG64 seed request (4, np.uint64) is precomputed")
-        return self._state
+        # PCG64's own request is answered before any dtype conversion
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self._state
+        raise ValueError("only the PCG64 seed request (4, np.uint64) is precomputed")
 
 
 class GaussianSampler:
@@ -308,7 +326,11 @@ class GaussianSampler:
     diagonal (2n, *grid) when every off-diagonal entry is zero (white,
     triangular).  :meth:`white_noise` and :meth:`colour` call no public
     function of the package, so a worker thread may draw and colour; a bad
-    seed fails on the first draw.
+    seed fails on the first draw.  Each sample's generator is built on the
+    PCG64 seed words of :func:`_seed_states`, hashed once for the whole
+    batch, and fills its row of the output in place; :meth:`colour` may
+    write its result over the noise it reads, so one real array of a
+    batch's size holds both.
     """
 
     def __init__(self, density: SpectralDensity, seed: int):
@@ -324,13 +346,15 @@ class GaussianSampler:
     def white_noise(self, indices, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Stacked standard-normal fields, one generator per (seed, sample
         index), shape (S, *grid, 2n): each generator fills its sample in this
-        order, in out when it is given (an array of that shape)."""
+        order, in out when it is given (a C-contiguous array of that shape)."""
         states = _seed_states(self.seed, indices)
+        shape = (len(states),) + self.shape
         if out is None:
-            out = np.empty((len(states),) + self.shape)
-        for row, state in enumerate(states):
-            np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(
-                self.shape, out=out[row])
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
+        for state, row in zip(states, out):
+            np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(out=row)
         return out
 
     def colour(self, W: np.ndarray, out: Optional[np.ndarray] = None,
@@ -345,7 +369,8 @@ class GaussianSampler:
         transform and the coloured transform, whose values the inverse
         transform spends, and the result is written into out, a real
         (S, 2n, *grid) array; either is allocated when not given, with the
-        same bits."""
+        same bits.  out may share W's memory: the forward transform copies W
+        into work before any result is written."""
         noise = np.moveaxis(W, -1, 1)
         if work is None:
             work = np.empty((2,) + noise.shape, dtype=complex)

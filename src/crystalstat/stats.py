@@ -17,15 +17,15 @@ CPU, draws and colours chunk k+1 into the second of two real slots while the
 calling thread transforms, evolves and reduces chunk k, with the same bytes.
 
 Every chunk-sized array of the loop is allocated once per stream and reused
-by each chunk: the worker's white noise and two complex work arrays in which
-the colouring transforms in place, the two real slots of the coloured
-initial field, and two complex work arrays in which the propagator (one
-dynamics.Propagator per stream) transforms in place; the evolved field is
-the real part written over the spent first of these.  offset_products, the
-per-sample step of the covariance estimators as one callable, keeps its
-two sample-major arrays likewise.  So no chunk after the first allocates an
-array of its size, and malloc does not fault the same pages in again for
-each chunk.
+by each chunk: the worker's two complex work arrays in which the colouring
+transforms in place, the two real slots of the initial field, each of which
+takes a chunk's white noise and then its colouring, and two complex work
+arrays in which the propagator (one dynamics.Propagator per stream)
+transforms in place; the evolved field is the real part written over the
+spent first of these.  offset_products, the per-sample step of the
+covariance estimators as one callable, keeps its two sample-major arrays
+likewise.  So no chunk after the first allocates an array of its size, and
+malloc does not fault the same pages in again for each chunk.
 """
 
 from __future__ import annotations
@@ -65,12 +65,13 @@ LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
 # stream_ensemble aims for.  It allocates its working set once per stream:
 # four such complex arrays (two for the colouring on the worker, two for the
-# propagator), the real white noise and two real slots for Y0 of half that
-# size each (one chunk is sampled ahead); clt's statistics keep two more real
-# chunk arrays in offset_products.  For clt at d=1 L=256 (128 samples a
-# chunk) the whole stream of 1024 samples peaks at 7.0 MB traced, against
-# 4.9 MB when only the draws ran on the worker and 5.9 MB when each chunk
-# allocated its own arrays.
+# propagator) and two real slots of half that size each, which take a
+# chunk's white noise and then its coloured Y0 (one chunk is sampled ahead);
+# clt's statistics keep two more real chunk arrays in offset_products.  For
+# clt at d=1 L=256 (128 samples a chunk) the whole stream of 1024 samples
+# peaks at 6.5 MB traced, against 7.0 MB when the worker drew into a noise
+# array of its own, 4.9 MB when only the draws ran on the worker and 5.9 MB
+# when each chunk allocated its own arrays.
 # The README's clt line (10000 samples at d=1 L=256) on a shared 2-vCPU
 # host, with every chunk reusing the stream's arrays and only the draws on
 # the worker, took 0.51-0.57 s at 256 KiB, 0.40-0.42 s at 512 KiB,
@@ -109,10 +110,11 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     chunk, the short last one through its leading samples.  One worker
     thread, kept off the CPU this thread runs on when the call begins,
     draws and colours the next chunk while this thread transforms, evolves
-    and reduces the current one.  The worker owns the white noise and two
-    complex arrays for the colouring's transforms, and writes the coloured
-    Y0 into one of two real slots in turn, each only after the chunk that
-    read it is done.  This thread owns two complex arrays for the
+    and reduces the current one.  The worker owns two complex arrays for
+    the colouring's transforms, and uses one of two real slots in turn,
+    each only after the chunk that read it is done: it draws the chunk's
+    white noise into the slot, viewed as (S, *grid, 2n), and writes the
+    coloured Y0 over it.  This thread owns two complex arrays for the
     propagator's transforms; Yt is the real part of the evolved field,
     written over the first of them once its transform is spent.  Y0 and Yt
     are overwritten by later chunks, so a column that statistics returns is
@@ -132,15 +134,16 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     starts = range(0, count, size)
     sampler = GaussianSampler(density, seed)
     propagator = Propagator(grid, t)
-    noise = np.empty((size,) + (L,) * d + (2 * n,))
     colouring = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
     work = np.empty(colouring.shape, dtype=complex)
     slots = np.empty((len(starts[:2]),) + work.shape[1:])
 
     def sample(k):
         indices = range(starts[k], min(starts[k] + size, count))
-        W = sampler.white_noise(indices, out=noise[:len(indices)])
-        return sampler.colour(W, out=slots[k % 2, :len(W)], work=colouring[:, :len(W)])
+        slot = slots[k % 2, :len(indices)]
+        # the noise is drawn into the slot that its colouring overwrites
+        W = sampler.white_noise(indices, out=slot.reshape((len(indices),) + sampler.shape))
+        return sampler.colour(W, out=slot, work=colouring[:, :len(W)])
 
     def kept(column):
         reused = np.may_share_memory(column, work) or np.may_share_memory(column, slots)

@@ -393,6 +393,20 @@ def bit_patterns(values) -> list:
     return np.ravel(np.asarray(values, dtype=np.float64)).view(np.uint64).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(pool=st.lists(st.one_of(st.sampled_from(_AWKWARD), st.floats()), min_size=1,
+                     max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=64), columns=st.integers(1, 3))
+def test_bit_codes_are_the_patterns_and_inverse_of_np_unique(pool, picks, columns):
+    # heavy repeats and zeros of both signs, as 1-D or 2-D arrays
+    a = np.array([0.0, -0.0] + [pool[i % len(pool)] for i in picks])
+    a = a[:a.size - a.size % columns].reshape(-1, columns)
+    distinct, codes = cli._bit_codes(a)
+    patterns, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    assert distinct.dtype == np.float64 and distinct.view(np.uint64).tolist() == patterns.tolist()
+    assert codes.dtype == np.int32 and codes.tolist() == np.ravel(inverse).tolist()
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
 def test_write_csv_formats_each_bit_pattern_once_per_table(tmp_path, monkeypatch,
                                                            block_rows):

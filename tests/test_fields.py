@@ -100,12 +100,14 @@ def stock_white_noise(L, d, n, seed, indices):
     ])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 17])
-@pytest.mark.parametrize("indices", [range(64), range(1000, 1064),
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 3, 2**130 + 17])
+@pytest.mark.parametrize("indices", [range(64), range(1000, 1064), range(2**32 - 64, 2**32),
                                      range(2**32 - 2, 2**32 + 2)])
 def test_seed_states_match_seed_sequence(seed, indices):
+    # PCG64 reads each row's memory as four words, so the rows must be contiguous
     states = fields._seed_states(seed, indices)
     assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+    assert states.flags.c_contiguous
     np.testing.assert_array_equal(states, [
         np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
         for i in indices
@@ -568,6 +570,39 @@ def test_colouring_root_is_diagonal_only_when_the_root_is(d, n):
     assert R.shape == (4, 4) + (L,) * d
     assert R.tobytes() == np.ascontiguousarray(
         np.moveaxis(density.hermitian_sqrt(), (-2, -1), (0, 1))).tobytes()
+
+
+@pytest.mark.parametrize("root", ["diagonal", "full"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_colour_written_over_its_noise_keeps_the_bits(d, root):
+    # the stream draws a chunk's noise into the real slot (S, 2n, *grid),
+    # viewed as (S, *grid, 2n), and colours it into the same slot: out
+    # sharing W's memory must give the bits of separate arrays
+    L, S, n = 16, 4, 2
+    density = (white_noise_density(0.5, 2.0, n, d, L) if root == "diagonal" else
+               gibbs_density(1.0, dispersion_grid(random_finite_range_kernel(d, n, 1, seed=d), L)))
+    sampler = GaussianSampler(density, 7)
+    assert sampler.root.ndim == (d + 1 if root == "diagonal" else d + 2)
+    W = sampler.white_noise(range(S))
+    W[W < -1.5] = 0.0
+    W[W > 1.5] = -0.0
+    W[:, 0] = -5e-324
+    want = sampler.colour(W)
+    slot = np.full(want.shape, np.nan)
+    shared = slot.reshape(W.shape)
+    assert np.shares_memory(shared, slot)
+    np.copyto(shared, W)
+    work = np.full((2,) + want.shape, np.nan, dtype=complex)
+    assert sampler.colour(shared, out=slot, work=work) is slot
+    assert slot.tobytes() == want.tobytes()
+    # and with the noise drawn straight into the slot, through the view of
+    # the noise's shape: the slot itself is refused
+    drawn = sampler.colour(sampler.white_noise(range(S)))
+    slot[...] = np.nan
+    noise = sampler.white_noise(range(S), out=slot.reshape(W.shape))
+    assert sampler.colour(noise, out=slot, work=work).tobytes() == drawn.tobytes()
+    with pytest.raises(ValueError, match=r"^out must have shape \(4, 16"):
+        sampler.white_noise(range(S), out=slot)
 
 
 @pytest.mark.parametrize("n", [1, 2])

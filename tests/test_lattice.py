@@ -42,6 +42,7 @@ from crystalstat import (
 from crystalstat import _lattice
 from crystalstat._lattice import (
     NumericalFault,
+    check_ensemble,
     check_node_count,
     eigen_compose,
     forward_fft,
@@ -451,6 +452,18 @@ def test_real_inverse_fft_refuses_an_infinity_of_either_sign(part):
         with pytest.raises(NumericalFault) as got:
             real_inverse_fft(a.copy(), (1,), 1e-6, "probe")
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_check_ensemble_refuses_a_value_that_is_not_finite(value, where):
+    # the check reads the array's maximum and minimum: a NaN propagates
+    # through both, and an infinity of either sign sets one of them
+    Y = np.random.default_rng(19).standard_normal((3, 2, 8, 8))
+    check_ensemble(Y)
+    Y.reshape(-1)[{"first": 0, "middle": Y.size // 2, "last": -1}[where]] = value
+    with pytest.raises(ValueError, match="^field values must be finite$"):
+        check_ensemble(Y)
 
 
 @settings(max_examples=30, deadline=None)

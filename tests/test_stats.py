@@ -141,8 +141,8 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     # The kept statistics, held once during the stream and once more while
     # concatenated, are all that may grow with the count.
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
-    # 7.4 MB at the 1 MiB chunk budget (4.9 MB at 1024 samples when only the
-    # draws ran on the worker), 28 MB at a 4 MiB one.
+    # 6.8 MB at the 1 MiB chunk budget (4.9 MB at 1024 samples when only the
+    # draws ran on the worker), 26 MB at a 4 MiB one.
     assert large < 8e6
 
 
