@@ -12,25 +12,35 @@ covariance_summary).  stream_ensemble
 draws, transforms and evolves an ensemble in fixed-byte chunks and keeps only
 per-sample statistics, so that peak memory does not grow with the sample
 count and the reduction sees the same arrays as for the whole ensemble at once.
-It samples one chunk ahead: one worker thread, kept off the calling thread's
-CPU, draws and colours chunk k+1 into the second of two real slots while the
-calling thread transforms, evolves and reduces chunk k, with the same bytes.
+It samples one chunk ahead, with the same bytes: a helper process, forked
+for the call and kept off the calling thread's CPU, draws and colours chunk
+k+1 into the second of two real slots while the calling thread transforms,
+evolves and reduces chunk k.  The two processes do not share an interpreter
+lock, so the helper's per-sample generator fills do not wait on the calling
+thread's interpreter work, nor it on theirs.  Where there is no os.fork, or
+another Python thread is alive (forking then is unsafe), one worker thread
+of this process does the helper's part instead.
 
 Every chunk-sized array of the loop is allocated once per stream and reused
-by each chunk: the worker's two complex work arrays in which the colouring
-transforms in place, the two real slots of the initial field, each of which
-takes a chunk's white noise and then its colouring, and two complex work
-arrays in which the propagator (one dynamics.Propagator per stream)
-transforms in place; the evolved field is the real part written over the
-spent first of these.  offset_products, the per-sample step of the
-covariance estimators as one callable, keeps its two sample-major arrays
-likewise.  So no chunk after the first allocates an array of its size, and
-malloc does not fault the same pages in again for each chunk.
+by each chunk: on the sampling side, two complex work arrays in which the
+colouring transforms in place; the two real slots of the initial field, in
+one shared anonymous mapping, each of which takes a chunk's white noise and
+then its colouring; and on the calling side two complex work arrays in
+which the propagator (one dynamics.Propagator per stream) transforms in
+place; the evolved field is the real part written over the spent first of
+these.  offset_products, the per-sample step of the covariance estimators
+as one callable, keeps its two sample-major arrays likewise.  So no chunk
+after the first allocates an array of its size, and malloc does not fault
+the same pages in again for each chunk.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
+import pickle
+import threading
 
 import numpy as np
 
@@ -64,14 +74,17 @@ LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 
 # Bytes of one complex copy of a chunk, (chunk, 2n, *grid) complex128, that
 # stream_ensemble aims for.  It allocates its working set once per stream:
-# four such complex arrays (two for the colouring on the worker, two for the
-# propagator) and two real slots of half that size each, which take a
-# chunk's white noise and then its coloured Y0 (one chunk is sampled ahead);
-# clt's statistics keep two more real chunk arrays in offset_products.  For
-# clt at d=1 L=256 (128 samples a chunk) the whole stream of 1024 samples
-# peaks at 6.5 MB traced, against 7.0 MB when the worker drew into a noise
-# array of its own, 4.9 MB when only the draws ran on the worker and 5.9 MB
-# when each chunk allocated its own arrays.
+# four such complex arrays (two for the colouring on the sampling side, two
+# for the propagator) and two real slots of half that size each, in a shared
+# mapping, which take a chunk's white noise and then its coloured Y0 (one
+# chunk is sampled ahead); clt's statistics keep two more real chunk arrays
+# in offset_products.  tracemalloc sees only the calling process, and not
+# the mapping: for clt at d=1 L=256 (128 samples a chunk) the stream of 1024
+# samples peaks at 3.3 MB traced there when the helper process samples, and
+# at 5.4 MB on the worker-thread path, whose colouring arrays are traced too
+# (6.5 MB when the slots were traced as well, 7.0 MB when the worker drew
+# into a noise array of its own, 5.9 MB when each chunk allocated its own
+# arrays).
 # The README's clt line (10000 samples at d=1 L=256) on a shared 2-vCPU
 # host, with every chunk reusing the stream's arrays and only the draws on
 # the worker, took 0.51-0.57 s at 256 KiB, 0.40-0.42 s at 512 KiB,
@@ -107,25 +120,25 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     count is enough for an estimator is that estimator's check.
 
     Every chunk-sized array is allocated once per call and reused by every
-    chunk, the short last one through its leading samples.  One worker
-    thread, kept off the CPU this thread runs on when the call begins,
-    draws and colours the next chunk while this thread transforms, evolves
-    and reduces the current one.  The worker owns two complex arrays for
-    the colouring's transforms, and uses one of two real slots in turn,
-    each only after the chunk that read it is done: it draws the chunk's
-    white noise into the slot, viewed as (S, *grid, 2n), and writes the
-    coloured Y0 over it.  This thread owns two complex arrays for the
-    propagator's transforms; Yt is the real part of the evolved field,
-    written over the first of them once its transform is spent.  Y0 and Yt
-    are overwritten by later chunks, so a column that statistics returns is
-    copied when it may share memory with them.  The worker calls only the
-    sampler's methods, and a failure on either thread is raised here once
-    the worker has stopped.
+    chunk, the short last one through its leading samples.  The next chunk
+    is drawn and coloured while this thread transforms, evolves and reduces
+    the current one, kept off the CPU this thread runs on when the call
+    begins: by a helper process forked for the call (_forked), or, where
+    there is no os.fork or another Python thread is alive, by one worker
+    thread (_threaded).  Both call only the sampler's methods and give the
+    same bytes.  The sampling side owns two complex arrays for the
+    colouring's transforms, and uses one of two real slots, which sit in
+    one shared anonymous mapping, in turn, each only after the chunk that
+    read it is done: it draws the chunk's white noise into the slot, viewed
+    as (S, *grid, 2n), and writes the coloured Y0 over it.  This thread owns
+    two complex arrays for the propagator's transforms; Yt is the real part
+    of the evolved field, written over the first of them once its transform
+    is spent.  Y0 and Yt are overwritten by later chunks, so a column that
+    statistics returns is copied when it may share memory with them.  A
+    failure on either side is raised here once the sampling side has
+    stopped, and a helper process is reaped before this call returns or
+    raises.
     """
-    # imported here, not at module level: concurrent.futures loads logging,
-    # about 5 ms of every CLI start-up
-    from concurrent.futures import ThreadPoolExecutor
-
     if count < 1:
         raise ValueError("count must be positive")
     L, d, n = density.L, density.d, density.n
@@ -134,36 +147,176 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     starts = range(0, count, size)
     sampler = GaussianSampler(density, seed)
     propagator = Propagator(grid, t)
-    colouring = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
-    work = np.empty(colouring.shape, dtype=complex)
-    slots = np.empty((len(starts[:2]),) + work.shape[1:])
+    work = np.empty((2, size, 2 * n) + (L,) * d, dtype=complex)
+    shape = (len(starts[:2]),) + work.shape[1:]
+    # shared, so that what a forked helper writes there is seen here
+    slots = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    colouring = None  # allocated on the sampling side
+
+    def slot(k):
+        return slots[k % 2, :min(size, count - starts[k])]
 
     def sample(k):
-        indices = range(starts[k], min(starts[k] + size, count))
-        slot = slots[k % 2, :len(indices)]
+        nonlocal colouring
+        if colouring is None:
+            colouring = np.empty(work.shape, dtype=complex)
+        Y0 = slot(k)
         # the noise is drawn into the slot that its colouring overwrites
-        W = sampler.white_noise(indices, out=slot.reshape((len(indices),) + sampler.shape))
-        return sampler.colour(W, out=slot, work=colouring[:, :len(W)])
+        W = sampler.white_noise(range(starts[k], starts[k] + len(Y0)),
+                                out=Y0.reshape((len(Y0),) + sampler.shape))
+        sampler.colour(W, out=Y0, work=colouring[:, :len(Y0)])
 
     def kept(column):
         reused = np.may_share_memory(column, work) or np.may_share_memory(column, slots)
         return np.copy(column) if reused else column
 
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    ahead = (_forked if forks else _threaded)(sample, len(starts), _current_cpu())
     parts = []
-    with ThreadPoolExecutor(max_workers=1, initializer=_keep_off,
-                            initargs=(_current_cpu(),)) as worker:
-        ahead = worker.submit(sample, 0)
-        for k in range(len(starts)):
-            Y0 = ahead.result()
-            # slot (k + 1) % 2 was read by chunk k - 1, which is done
-            if k + 1 < len(starts):
-                ahead = worker.submit(sample, k + 1)
+    try:
+        for k in ahead:
+            Y0 = slot(k)
             if transform is not None:
                 Y0 = nonlinear_transform_sample(Y0, *transform, out=Y0)
             chunk = work[:, :len(Y0)]
             Yt = propagator.apply(Y0, out=real_view(chunk[0]), work=chunk)
             parts.append(tuple(kept(column) for column in statistics(Y0, Yt)))
+    finally:
+        ahead.close()
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _threaded(sample, chunks: int, cpu):
+    """Yield 0, ..., chunks - 1, each once sample(k) has run on one worker
+    thread, kept off cpu; sample(k + 1) runs while the caller handles chunk
+    k, and a failure of sample is raised at the chunk it failed on."""
+    # imported here, not at module level: concurrent.futures loads logging,
+    # about 5 ms of every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, initializer=_keep_off,
+                            initargs=(cpu,)) as worker:
+        ahead = worker.submit(sample, 0)
+        for k in range(chunks):
+            ahead.result()
+            # slot (k + 1) % 2 was read by chunk k - 1, which is done
+            if k + 1 < chunks:
+                ahead = worker.submit(sample, k + 1)
+            yield k
+
+
+def _forked(sample, chunks: int, cpu):
+    """Yield 0, ..., chunks - 1 as _threaded does, with sample run in a
+    helper process forked on the first chunk and kept off cpu.
+
+    The helper reports each chunk over one pipe, as an empty message or a
+    pickled failure, and waits on a second pipe for the caller's word that
+    chunk k is done before it samples chunk k + 2 into its slot.  A failure
+    is raised at the chunk it failed on, with its class and message; a
+    helper that exits before its chunks are reported raises RuntimeError
+    with its exit status.  The helper is reaped on every path, killed first
+    unless every chunk was reported.
+
+    threading.active_count sees Python threads only.  CPython 3.12 and
+    later emit a DeprecationWarning when os.fork runs while the process
+    has other OS threads, as OpenBLAS's pool threads are once BLAS has run
+    with more than one thread; the helper calls no BLAS.  That warning is
+    untested: every check of this path ran on CPython 3.11.
+    """
+    import signal
+
+    reports, reported = os.pipe()
+    go, told = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(reports)
+        os.close(told)
+        _help(sample, chunks, cpu, go, reported)
+    os.close(reported)
+    os.close(go)
+    reaped = finished = False
+    try:
+        for k in range(chunks):
+            header = _read(reports, 4)
+            failure = None if header is None else _read(reports, int.from_bytes(header, "little"))
+            if failure is None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                reaped = True
+                how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
+                raise RuntimeError(f"the sampling process {how} before chunk {k} of {chunks} "
+                                   "was drawn")
+            if failure:
+                raise pickle.loads(failure)
+            yield k
+            # chunk k is done with its slot, which chunk k + 2 takes
+            if k + 2 < chunks:
+                try:
+                    os.write(told, b"\0")
+                except BrokenPipeError:
+                    pass  # the helper has stopped; its last report or its exit says why
+        finished = True
+    finally:
+        os.close(reports)
+        os.close(told)
+        if not reaped:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _help(sample, chunks: int, cpu, go: int, reported: int):
+    """The body of _forked's helper: sample every chunk it is let, report
+    each, and leave by os._exit on every path (exit code 0 once it is done
+    or the caller has gone, 1 when a report cannot be sent)."""
+    code = 1
+    try:
+        import signal
+
+        # an interrupt is the caller's to handle; it kills the helper
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _keep_off(cpu)
+        for k in range(chunks):
+            if k >= 2 and not os.read(go, 1):
+                break  # the caller has gone
+            try:
+                sample(k)
+                failure = b""
+            except BaseException as exc:
+                failure = _pickled(exc)
+            _write(reported, len(failure).to_bytes(4, "little") + failure)
+            if failure:
+                break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """exc pickled, or a RuntimeError naming it where it does not unpickle
+    to its own class."""
+    try:
+        data = pickle.dumps(exc)
+        if type(pickle.loads(data)) is type(exc):
+            return data
+    except Exception:
+        pass
+    return pickle.dumps(RuntimeError(f"{type(exc).__qualname__} in the sampling process: {exc}"))
+
+
+def _write(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _read(fd: int, size: int):
+    """size bytes from fd, or None at the end of the stream before them."""
+    data = b""
+    while len(data) < size:
+        more = os.read(fd, size - len(data))
+        if not more:
+            return None
+        data += more
+    return data
 
 
 def _current_cpu():
@@ -179,11 +332,13 @@ def _current_cpu():
 def _keep_off(cpu) -> None:
     """Keep this thread off one CPU, when the process may run on another.
 
-    stream_ensemble's worker starts here, off the CPU of the thread that
-    streams: the kernel may wake a thread that sleeps between short bursts
-    on the CPU of the thread that wakes it, and the two then take turns on
-    one CPU while another stays idle.  Where the placement is unknown or
-    cannot be set, the thread runs where the kernel puts it.
+    stream_ensemble's sampling side, a helper process or a worker thread,
+    starts here, off the CPU of the thread that streams: the kernel may
+    wake a thread that sleeps between short bursts on the CPU of the thread
+    that wakes it, and the two then take turns on one CPU while another
+    stays idle.  In a forked helper this thread is the process's only one.
+    Where the placement is unknown or cannot be set, the thread runs where
+    the kernel puts it.
     """
     if cpu is None:
         return

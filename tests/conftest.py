@@ -1,3 +1,8 @@
+import json
+import os
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -23,3 +28,65 @@ def grid256(nn1):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260822)
+
+
+@contextmanager
+def _second_thread():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join()
+
+
+@pytest.fixture()
+def another_thread():
+    """A context manager that keeps a second Python thread alive, under
+    which stream_ensemble samples on a worker thread, not in a forked
+    helper process."""
+    return _second_thread
+
+
+@pytest.fixture(params=["fork", "thread"])
+def sampling_path(request):
+    """The side stream_ensemble samples on: "fork", a helper process forked
+    while this is the only Python thread, or "thread", a worker thread
+    while a second thread is alive."""
+    if request.param == "fork":
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork")
+        assert threading.active_count() == 1, "another thread selects the thread path"
+        yield "fork"
+    else:
+        with _second_thread():
+            yield "thread"
+
+
+class Records:
+    """Records appended as JSON lines to one file, so that what a forked
+    helper process records is read here too.  add(*fields) appends one
+    record; read() returns every record as a tuple, in order; clear()
+    removes them all."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, *fields):
+        with open(self.path, "a") as f:
+            f.write(json.dumps(fields) + "\n")
+
+    def read(self):
+        if not self.path.exists():
+            return []
+        return [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture()
+def records(tmp_path):
+    return Records(tmp_path / "records.jsonl")

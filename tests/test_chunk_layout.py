@@ -219,10 +219,12 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
                                   oracle_linear_functional_samples(Y, psi))
 
 
-def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
+def test_stream_ensemble_runs_the_public_steps_once_per_chunk(sampling_path, records):
     # gaussian_ensemble is a GaussianSampler's draw and colouring; the stream
-    # runs the same two a chunk ahead on its worker thread, and evolves each
-    # chunk by the apply step of one prepared Propagator
+    # runs the same two a chunk ahead on its sampling side, a forked helper
+    # process or a worker thread, and evolves each chunk by the apply step of
+    # one prepared Propagator.  Each call is recorded in a file, which a
+    # helper's records reach too.
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
                          (dynamics, "_evolve_chunk"), (fields, "_white_noise_draws"),
                          (fields, "_colouring_root"), (fields, "_coloured_noise")):
@@ -235,13 +237,13 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
              stats: ("nonlinear_transform_sample",),
              dynamics.Propagator: ("apply",)}
     for transform, transformed in ((None, 0), ((0.7, 1.3), 4)):
-        calls = {name: 0 for names in steps.values() for name in names}
+        records.clear()
 
         def counted(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                records.add(name)
                 return original(*args, **kwargs)
             return wrapper
 
@@ -254,5 +256,8 @@ def test_stream_ensemble_runs_the_public_steps_once_per_chunk():
                                   counted(dynamics.Propagator, "apply")):
             stream_ensemble(density, count, 0, grid, 1.0, lambda A, B: (A,),
                             transform=transform)
+        calls = {name: 0 for names in steps.values() for name in names}
+        for name, in records.read():
+            calls[name] += 1
         assert calls == {"white_noise": 4, "colour": 4,
                          "nonlinear_transform_sample": transformed, "apply": 4}

@@ -2,9 +2,11 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -113,7 +115,7 @@ def test_stream_ensemble_is_chunk_size_invariant(d, n, count, seed, transform, t
         np.testing.assert_array_equal(got, want)
 
 
-def test_stream_ensemble_peak_memory_does_not_grow_with_count():
+def test_stream_ensemble_peak_memory_does_not_grow_with_count(sampling_path):
     # clt's geometry and statistics: d=1 L=256 n=1, transformed triangular nu0=2
     d, n, L = 1, 1, 256
     grid = dispersion_grid(build_nn_kernel(d, n, 1.0), L)
@@ -141,8 +143,9 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count():
     # The kept statistics, held once during the stream and once more while
     # concatenated, are all that may grow with the count.
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
-    # 6.8 MB at the 1 MiB chunk budget (4.9 MB at 1024 samples when only the
-    # draws ran on the worker), 26 MB at a 4 MiB one.
+    # At the 1 MiB chunk budget: 3.7 MB with the helper process, whose
+    # arrays this process does not trace, and 5.8 MB on the thread path
+    # (6.8 MB when the slots were traced too); 13 and 22 MB at a 4 MiB one.
     assert large < 8e6
 
 
@@ -169,14 +172,15 @@ def chunk_excess(density, grid, t, count, offsets, psi, transform):
     return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
 
 
-def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk():
+def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk(sampling_path):
     # clt's geometry (d=1 L=256 n=1, transformed triangular nu0=2), and a d=2
     # n=2 random kernel whose eigenbasis is not the identity, each with a
     # short last chunk.  One chunk's real arrays take 512 KiB in both.  The
     # stream that allocated its arrays chunk by chunk exceeded its start by
     # 3.7 MB (clt) and 5.3 MB (d=2) per chunk; what is left is mostly the
-    # transient buffer of a ufunc that broadcasts (64 KiB).  The worker draws
-    # and colours the next chunk meanwhile, so its transients count too.
+    # transient buffer of a ufunc that broadcasts (64 KiB).  On the thread
+    # path the worker draws and colours the next chunk meanwhile, so its
+    # transients count too; a forked helper's are not traced here.
     L = 256
     clt = (triangular_density(2, 1, 1.0, 1.0, L), dispersion_grid(build_nn_kernel(1, 1, 1.0), L),
            50.0, 4 * 128 + 16, [(-1,), (0,), (1,)], TestField.delta(1, 1), (1.0, 1.0))
@@ -268,6 +272,22 @@ def test_stream_ensemble_refuses_a_count_below_one_before_the_first_draw(count):
     sampler.assert_not_called()
 
 
+def test_sampling_side_waits_for_the_slot_it_takes(sampling_path):
+    # statistics that read Y0 only after a pause: a chunk drawn into the slot
+    # before the chunk that read it was done would change Y0 meanwhile
+    grid, dens, budget = _chunks_of(2)
+
+    def statistics(Y0, Yt):
+        time.sleep(0.02)
+        return (Y0, Yt)
+
+    with budget:
+        streamed = stream_ensemble(dens, 9, 4, grid, 1.0, statistics)
+    want = sequential_stream(dens, 9, 4, grid, 1.0, statistics, 2, None)
+    for got, expected in zip(streamed, want):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_concurrent_streams_keep_the_bits():
     # four streams at once, each with its own worker, on two cores: a draw
     # into the buffer still being coloured changed the bits of 11 of 12 such
@@ -297,10 +317,16 @@ def test_concurrent_streams_keep_the_bits():
             assert got.tobytes() == expected.tobytes()
 
 
-def test_stream_ensemble_leaves_no_thread_behind():
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stream_ensemble_leaves_no_thread_behind(sampling_path, records):
     grid, dens, budget = _chunks_of(3)
     before = threading.active_count()
     calls = []
+    colour = GaussianSampler.colour
 
     def failing(Y0, Yt):
         # raised on the second chunk, while the worker draws the third
@@ -309,21 +335,84 @@ def test_stream_ensemble_leaves_no_thread_behind():
             raise RuntimeError("statistics failed")
         return (Y0,)
 
+    def second_colour(act):
+        def colours(sampler, W, out=None, work=None):
+            records.add(len(W))
+            if len(records.read()) == 2:
+                act()
+            return colour(sampler, W, out=out, work=work)
+        return colours
+
+    def fault():
+        raise NumericalFault("colour failed")
+
     with budget:
         kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,))
         assert len(kept) == 10
         assert threading.active_count() == before
+        assert_no_child_left()
         with pytest.raises(RuntimeError, match="^statistics failed$"):
             stream_ensemble(dens, 10, 0, grid, 1.0, failing)
         assert calls == [3, 3]
         assert threading.active_count() == before
+        assert_no_child_left()
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             stream_ensemble(dens, 10, -1, grid, 1.0, lambda A, B: (A,))
         assert threading.active_count() == before
+        assert_no_child_left()
+        calls.clear()
+        with mock.patch.object(GaussianSampler, "colour", second_colour(fault)), \
+                pytest.raises(NumericalFault, match="^colour failed$"):
+            stream_ensemble(dens, 10, 0, grid, 1.0, failing)
+        assert calls == [3] and records.read() == [(3,), (3,)]
+        assert threading.active_count() == before
+        assert_no_child_left()
+
+        def interrupted(Y0, Yt):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            stream_ensemble(dens, 10, 0, grid, 1.0, interrupted)
+        assert threading.active_count() == before
+        assert_no_child_left()
+    if sampling_path == "thread":
+        return
+    caller = os.getpid()
+
+    def in_the_helper(act):
+        def acts():
+            assert os.getpid() != caller, "sampled in the calling process"
+            act()
+        return acts
+
+    # an interrupt is the calling process's to handle: the helper ignores one
+    records.clear()
+    with budget, mock.patch.object(GaussianSampler, "colour", second_colour(
+            in_the_helper(lambda: os.kill(os.getpid(), signal.SIGINT)))):
+        try:
+            kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,))
+        except KeyboardInterrupt:
+            pytest.fail("the helper's interrupt reached the caller")
+    assert len(kept) == 10 and len(records.read()) == 4
+    assert_no_child_left()
+    # a helper that dies mid-stream: its exit is raised at the chunk it
+    # did not report, with no short result and no hang
+    for act, how in ((in_the_helper(lambda: os._exit(3)), "exited with code 3"),
+                     (in_the_helper(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+                      "was killed by signal 9")):
+        records.clear()
+        calls.clear()
+        with budget, mock.patch.object(GaussianSampler, "colour", second_colour(act)), \
+                pytest.raises(RuntimeError,
+                              match=f"^the sampling process {how} before chunk 1 of 4 was drawn$"):
+            stream_ensemble(dens, 10, 0, grid, 1.0, failing)
+        assert calls == [3] and records.read() == [(3,), (3,)]
+        assert threading.active_count() == before
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0])
-def test_worker_failure_is_the_samplers(seed):
+def test_worker_failure_is_the_samplers(seed, sampling_path):
     grid, dens, budget = _chunks_of(3)
     with pytest.raises(Exception) as direct:
         gaussian_ensemble(dens, 3, seed)
@@ -333,7 +422,7 @@ def test_worker_failure_is_the_samplers(seed):
     assert str(streamed.value) == str(direct.value)
 
 
-def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
+def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one(sampling_path):
     grid, dens, budget = _chunks_of(3)
     draws, reduced = GaussianSampler.white_noise, []
 
@@ -344,6 +433,9 @@ def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
 
     def statistics(Y0, Yt):
         reduced.append(len(Y0))
+        # long enough for the failed sampling side to have stopped before
+        # this chunk is done
+        time.sleep(0.2)
         return (Y0,)
 
     before = threading.active_count()
@@ -353,20 +445,49 @@ def test_worker_failure_on_a_later_chunk_is_raised_after_the_current_one():
     # the third chunk's draw ran while the second was reduced
     assert reduced == [3, 3]
     assert threading.active_count() == before
+    assert_no_child_left()
 
 
-def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path, capsys):
+class TwoPartFault(Exception):
+    """An exception that pickles but does not unpickle: its class takes two
+    arguments and keeps one message."""
+
+    def __init__(self, head, tail):
+        super().__init__(f"{head}, {tail}")
+
+
+def test_a_failure_that_does_not_unpickle_is_named(sampling_path):
+    # on the thread path the failure itself is raised; from a helper process
+    # a RuntimeError that names it and its message
+    grid, dens, budget = _chunks_of(3)
+
+    def fails(sampler, W, out=None, work=None):
+        raise TwoPartFault("colour", "failed")
+
+    with budget, mock.patch.object(GaussianSampler, "colour", fails), \
+            pytest.raises(Exception) as raised:
+        stream_ensemble(dens, 10, 0, grid, 1.0, lambda A, B: (A,))
+    if sampling_path == "fork":
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "TwoPartFault in the sampling process: colour, failed"
+    else:
+        assert type(raised.value) is TwoPartFault
+    assert_no_child_left()
+
+
+def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path, capsys,
+                                                                    sampling_path, records):
     # the worker colours too: a fault in the third chunk's colouring reaches
     # the caller as it was raised, once the second chunk is reduced and the
     # worker has stopped, and the CLI maps it to its exit code
     grid, dens, budget = _chunks_of(3)
-    colour, coloured, reduced = GaussianSampler.colour, [], []
+    colour, reduced = GaussianSampler.colour, []
     message = ("gaussian_ensemble: imaginary residue 1.000e-03 exceeds 1.0e-06; "
                "input violates the reality symmetry")
 
     def third_colour_fails(sampler, W, out=None, work=None):
-        coloured.append(len(W))
-        if len(coloured) == 3:
+        records.add(len(W))
+        if len(records.read()) == 3:
             raise NumericalFault(message)
         return colour(sampler, W, out=out, work=work)
 
@@ -379,60 +500,83 @@ def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path,
             pytest.raises(NumericalFault) as raised:
         stream_ensemble(dens, 10, 0, grid, 1.0, statistics)
     assert type(raised.value) is NumericalFault and str(raised.value) == message
-    assert coloured == [3, 3, 3] and reduced == [3, 3]
+    assert records.read() == [(3,), (3,), (3,)] and reduced == [3, 3]
     assert threading.active_count() == before
+    assert_no_child_left()
 
-    coloured.clear()
+    records.clear()
     with budget, mock.patch.object(GaussianSampler, "colour", third_colour_fails):
         code = cli.main(["clt", "--nn", "d=1", "n=1", "m=1", "--L", "32", "--ensemble", "1000",
                          "--t", "2", "--output", str(tmp_path / "clt")])
     assert code == 4
     assert capsys.readouterr().err == f"numerical fault: {message}\n"
-    assert len(coloured) == 3
+    assert len(records.read()) == 3
     assert threading.active_count() == before
+    assert_no_child_left()
+
+
+def sampled_where(records, sampling_path):
+    """The one (process id, thread id) that every record's first two fields
+    name, after checking that it is the sampling side's: another process
+    on the fork path, another thread of this one on the thread path."""
+    where = {tuple(record[:2]) for record in records}
+    assert len(where) == 1
+    (pid, thread), = where
+    if sampling_path == "fork":
+        assert pid != os.getpid()
+    else:
+        assert pid == os.getpid() and thread != threading.get_ident()
+    return pid, thread
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs a process that may run on two CPUs")
-def test_worker_runs_off_the_callers_cpu(monkeypatch):
+def test_worker_runs_off_the_callers_cpu(monkeypatch, sampling_path, records):
     # the worker keeps off the CPU that the calling thread ran on when the
-    # stream began, and the caller's own placement is left alone
+    # stream began, and the caller's own placement is left alone; each
+    # colouring records its thread's placement by its kernel thread id, which
+    # a forked helper's process id is
     grid, dens, budget = _chunks_of(3)
     allowed = os.sched_getaffinity(0)
     assert stats._current_cpu() in allowed
-    colour, placed = GaussianSampler.colour, []
+    colour = GaussianSampler.colour
 
     def recorded(sampler, W, out=None, work=None):
-        placed.append(os.sched_getaffinity(0))
+        records.add(os.getpid(), threading.get_ident(),
+                    sorted(os.sched_getaffinity(threading.get_native_id())))
         return colour(sampler, W, out=out, work=work)
 
     monkeypatch.setattr(GaussianSampler, "colour", recorded)
     first = min(allowed)
     for cpu, want in ((first, allowed - {first}), (None, allowed)):
-        placed.clear()
+        records.clear()
         monkeypatch.setattr(stats, "_current_cpu", lambda: cpu)
         with budget:
             kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda Y0, Yt: (Y0,))
-        assert len(kept) == 10 and placed == [want] * 4
+        placed = records.read()
+        assert len(kept) == 10 and [set(p) for *_, p in placed] == [want] * 4
+        sampled_where(placed, sampling_path)
         assert os.sched_getaffinity(0) == allowed
+        assert_no_child_left()
 
 
-def test_public_calls_stay_on_the_calling_thread(monkeypatch):
+def test_public_calls_stay_on_the_calling_thread(monkeypatch, sampling_path, records):
     # The benchmark's span tracer (bench/child.py) wraps every public function
     # and public-class constructor of the package in one span stack that all
     # threads share, rebinding each function in every package module that
     # holds it.  So the stream's worker may call none of them: it draws and
     # colours through GaussianSampler.white_noise and .colour, methods, which
-    # are not wrapped.
+    # are not wrapped.  Every call is recorded with its process and thread,
+    # so that a forked helper's calls are seen too.
     grid, dens, budget = _chunks_of(3)
     psi = TestField.delta(1, 1)
-    here, traced, drawn, coloured = threading.get_ident(), [], [], []
+    here = (os.getpid(), threading.get_ident())
     modules = {name: module for name, module in sys.modules.items()
                if name == "crystalstat" or name.startswith("crystalstat.")}
 
     def wrap(name, fn):
         def wrapped(*args, **kwargs):
-            traced.append((name, threading.get_ident()))
+            records.add(os.getpid(), threading.get_ident(), "traced", name)
             return fn(*args, **kwargs)
         return wrapped
 
@@ -455,11 +599,11 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
     white_noise, colour = GaussianSampler.white_noise, GaussianSampler.colour
 
     def recorded(sampler, indices, out=None):
-        drawn.append(threading.get_ident())
+        records.add(os.getpid(), threading.get_ident(), "drawn")
         return white_noise(sampler, indices, out=out)
 
     def recorded_colour(sampler, W, out=None, work=None):
-        coloured.append(threading.get_ident())
+        records.add(os.getpid(), threading.get_ident(), "coloured")
         return colour(sampler, W, out=out, work=work)
 
     monkeypatch.setattr(GaussianSampler, "white_noise", recorded)
@@ -469,13 +613,41 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch):
             dens, 10, 0, grid, 1.0, lambda Y0, Yt: (stats.linear_functional_samples(Yt, psi),),
             transform=(0.7, 1.3))
     assert len(kept) == 10
+    traced = [(r[3], r[:2]) for r in records.read() if r[2] == "traced"]
     names = {name for name, _ in traced}
     assert {"stream_ensemble", "GaussianSampler", "Propagator", "nonlinear_transform_sample",
             "linear_functional_samples"} <= names
-    assert [name for name, thread in traced if thread != here] == []
+    assert [name for name, where in traced if where != here] == []
     # four chunks of at most three samples, each drawn and coloured on the worker
+    drawn = [r for r in records.read() if r[2] == "drawn"]
+    coloured = [r for r in records.read() if r[2] == "coloured"]
     assert len(drawn) == len(coloured) == 4
-    assert here not in drawn and here not in coloured
+    assert sampled_where(drawn + coloured, sampling_path) != here
+
+
+@pytest.mark.parametrize("transform", [None, (0.7, 1.3)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_fork_and_thread_paths_give_the_same_bits(d, n, transform, another_thread):
+    # ten samples in chunks of three, the last chunk short
+    grid, dens = _random_model(d, n)
+    sample_bytes = 16 * grid.L**d * 2 * n
+
+    def stream():
+        return stream_ensemble(dens, 10, 23, grid, 2.5, lambda A, B: (A, B),
+                               transform=transform)
+
+    with mock.patch.object(stats, "CHUNK_BYTES", 3 * sample_bytes), \
+            mock.patch.object(stats, "_forked", wraps=stats._forked) as forked, \
+            mock.patch.object(stats, "_threaded", wraps=stats._threaded) as threaded:
+        from_helper = stream()
+        with another_thread():
+            from_worker = stream()
+    assert forked.call_count == threaded.call_count == 1
+    assert len(from_helper) == len(from_worker) == 2
+    for got, want in zip(from_helper, from_worker):
+        assert got.shape == (10, 2 * n) + (grid.L,) * d
+        assert got.tobytes() == want.tobytes()
 
 
 PROBE_NUMPY_MA = """
