@@ -38,11 +38,21 @@ hands it the buffer that it was given.
 place that forms the nodewise Hermitian part 0.5 (a + a^H).  The nodewise
 kernels that would otherwise hold whole-grid temporaries work through
 :func:`node_slabs`, slabs of the first grid axis of at most SLAB_BYTES each.
+
+This module also owns the one discipline for work run ahead in a forked
+helper process (``stats.stream_ensemble``'s sampling, ``report``'s
+dispersion writer): :func:`fork_is_safe` decides whether to fork, and where
+it is not the work runs in line instead; a :class:`Helper` is forked, kept
+off the caller's CPU (:func:`current_cpu`, :func:`keep_off`), talks over two
+pipes, sends a failure as :func:`pickled` bytes, and is reaped on every path.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -425,3 +435,156 @@ def real_inverse_fft(ahat: np.ndarray, axes: tuple, tol: float, what: str,
     if resid <= tol and np.isfinite(out.max()) and np.isfinite(out.min()):
         return out
     return real_part_checked(ahat / scale, tol, what, out)
+
+
+def fork_is_safe() -> bool:
+    """Whether this process may fork a helper: it has os.fork, and no other
+    Python thread is alive, whose locks the helper would inherit held.
+
+    threading.active_count sees Python threads only.  CPython 3.12 and later
+    emit a DeprecationWarning when os.fork runs while the process has other
+    OS threads, as OpenBLAS's pool threads are once BLAS has run with more
+    than one thread; no helper calls BLAS or LAPACK, whose pool does not
+    survive the fork.  That warning is untested: every check of the forked
+    paths ran on CPython 3.11.
+    """
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def current_cpu():
+    """The CPU this thread runs on now (field 39 of Linux's
+    /proc/thread-self/stat), or None where there is no such file."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def keep_off(cpu) -> None:
+    """Keep this thread off one CPU, when the process may run on another.
+
+    A helper starts here, off the CPU of the thread that forked it: the
+    kernel may wake a process that sleeps between short bursts on the CPU of
+    the one that wakes it, and the two then take turns on one CPU while
+    another stays idle.  In a forked helper this thread is the process's
+    only one.  Where the placement is unknown or cannot be set, the thread
+    runs where the kernel puts it.
+    """
+    if cpu is None:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:
+            pass
+
+
+def pickled(exc: BaseException, where: str) -> bytes:
+    """exc pickled; where it does not unpickle to its own class, a
+    RuntimeError that names it, its message and where it was raised."""
+    try:
+        data = pickle.dumps(exc)
+        if type(pickle.loads(data)) is type(exc):
+            return data
+    except Exception:
+        pass
+    return pickle.dumps(RuntimeError(f"{type(exc).__qualname__} in the {where}: {exc}"))
+
+
+class Helper:
+    """A helper process forked from this one, joined to it by two pipes.
+
+    The helper runs body(helper) with interrupts ignored (an interrupt is
+    the calling process's to handle) and kept off cpu (:func:`keep_off`),
+    and leaves by os._exit on every path: exit code 0 once body returns, 1
+    if it raises (a message that cannot be sent).  It sends messages
+    (:meth:`send`), which this process receives in order (:meth:`receive`);
+    this process tells it one-byte words (:meth:`tell`), each of which it
+    waits for (:meth:`heard`).  :meth:`ended` reaps it and says how it
+    exited; :meth:`close` reaps it, killing it first unless it is to finish.
+    """
+
+    def __init__(self, body, cpu):
+        reports, self._reported = os.pipe()
+        self._go, told = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(reports)
+            os.close(told)
+            code = 1
+            try:
+                # imported where used, not at module level: about 1 ms of
+                # every CLI start-up
+                import signal
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                keep_off(cpu)
+                body(self)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(self._reported)
+        os.close(self._go)
+        self._reports, self._told = reports, told
+        self._status = None
+
+    # the helper's side
+
+    def send(self, data: bytes) -> None:
+        """Send data as one message."""
+        data = len(data).to_bytes(4, "little") + data
+        while data:
+            data = data[os.write(self._reported, data):]
+
+    def heard(self) -> bool:
+        """Wait for the caller's next word; False once the caller has gone."""
+        return bool(os.read(self._go, 1))
+
+    # the calling process's side
+
+    def receive(self):
+        """The next message, or None once the helper has exited before it."""
+        header = self._read(4)
+        return None if header is None else self._read(int.from_bytes(header, "little"))
+
+    def tell(self) -> None:
+        """Send the helper one word, unless it has stopped: then its last
+        message or its exit says why."""
+        try:
+            os.write(self._told, b"\0")
+        except BrokenPipeError:
+            pass
+
+    def ended(self) -> str:
+        """Reap the helper, and say how it exited."""
+        code = os.waitstatus_to_exitcode(self._reap())
+        return f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
+
+    def close(self, finish: bool = False) -> None:
+        """Close this process's ends of the pipes and reap the helper, killed
+        first unless finish."""
+        os.close(self._reports)
+        os.close(self._told)
+        if self._status is None:
+            if not finish:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        if self._status is None:
+            self._status = os.waitpid(self.pid, 0)[1]
+        return self._status
+
+    def _read(self, size: int):
+        """size bytes from the helper, or None at the end of the stream before them."""
+        data = b""
+        while len(data) < size:
+            more = os.read(self._reports, size - len(data))
+            if not more:
+                return None
+            data += more
+        return data

@@ -16,7 +16,9 @@ _FAILURES, keyed by the class of the exception a check raises.
 
 The sampling commands (ensemble, gibbs, clt) stream their samples through
 stats.stream_ensemble in fixed-byte chunks, so their memory does not grow with
-the ensemble size.
+the ensemble size.  report writes its dispersion stage in a forked helper
+while its later stages run, with the bytes of the stages run in turn
+(_WrittenAhead).
 """
 
 from __future__ import annotations
@@ -24,14 +26,25 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ._lattice import NumericalFault, check_node_count, offset_cube, theta_axis
+from ._lattice import (
+    Helper,
+    NumericalFault,
+    check_node_count,
+    current_cpu,
+    fork_is_safe,
+    offset_cube,
+    pickled,
+    theta_axis,
+)
 from .covariance import (
     TestField,
     covariance_from_density,
@@ -714,7 +727,13 @@ def _power_fit(times, values):
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_dispersion(run) -> int:
+def _dispersion_table(run):
+    """The dispersion stage up to its writes: the grid, its E1-E5 reports and
+    every column of the table, built here; returns write(), which writes
+    dispersion.csv and conditions.json, prints the stage's line and returns
+    its exit code.  write formats and writes only: it evaluates no cached
+    grid property and calls no BLAS or LAPACK, so ``report`` may run it in
+    a forked helper."""
     outdir = run.outdir
     grid = run.grid(run.eff["grid_L"])
     reports = run.conditions(grid.L)
@@ -725,16 +744,25 @@ def _cmd_dispersion(run) -> int:
     flags = ["|".join(name for bit, name in enumerate(("C0", "Cstar", "Ck"))
                       if combo >> bit & 1) for combo in range(8)]
     code = grid.c0 + 2 * grid.crossing + 4 * grid.ck
-    _write_csv(outdir / "dispersion.csv", shape,
-               [(f"theta_{a + 1}", theta, _axis(shape, a)) for a in range(grid.d)]
+    columns = ([(f"theta_{a + 1}", theta, _axis(shape, a)) for a in range(grid.d)]
                + [("k", [str(b) for b in range(grid.n)], _axis(shape, grid.d)),
                   ("omega_k", grid.branch_values),
                   ("grad_norm", np.linalg.norm(grid.branch_gradients, axis=-1)),
                   ("D_k", grid.hessian_determinants), ("flags", flags, code[..., None])])
-    _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
-    print(f"dispersion: L={grid.L} branches={grid.n} "
-          f"omega_max={grid.omega_max:.6g} -> {outdir}")
-    return EXIT_OK
+    line = (f"dispersion: L={grid.L} branches={grid.n} "
+            f"omega_max={grid.omega_max:.6g} -> {outdir}")
+
+    def write() -> int:
+        _write_csv(outdir / "dispersion.csv", shape, columns)
+        _write_json(outdir / "conditions.json", [r.to_jsonable() for r in reports])
+        print(line)
+        return EXIT_OK
+
+    return write
+
+
+def _cmd_dispersion(run) -> int:
+    return _dispersion_table(run)()
 
 
 def _cmd_critical(run) -> int:
@@ -969,20 +997,122 @@ def _cmd_mixing(run, component) -> int:
 
 def _cmd_report(run) -> int:
     """Dispersion, critical, limit and mixing into subdirectories, on one kernel,
-    grid, measure and limit; each stage's manifest records the measure spec."""
-    stages = {}
-    for name, body, options in (
-        ("dispersion", _cmd_dispersion, {}),
-        ("critical", _cmd_critical, {}),
-        ("limit", _cmd_limit, {"dump_density": False}),
-        ("mixing", _cmd_mixing, {"component": 0}),
-    ):
-        stage = run.stage(command=name, output=str(run.outdir / name), measure=run.spec)
-        stages[name] = _exit_code(partial(_stage, body, stage, options), stage)
+    grid, measure and limit; each stage's manifest records the measure spec.
+
+    The dispersion stage builds its table here; where forking is safe, a
+    helper forked for the call (_WrittenAhead) writes it and finishes the
+    stage while this process runs the others, and the output streams keep
+    the order of the stages run in line.  A stage whose table fails to
+    build never forks."""
+    def stage(name):
+        return run.stage(command=name, output=str(run.outdir / name), measure=run.spec)
+
+    started = _dispersion_stage(stage("dispersion"))
+    ahead = started if isinstance(started, _WrittenAhead) else None
+    later = {}
+    with ahead or nullcontext():
+        for name, body, options in (
+            ("critical", _cmd_critical, {}),
+            ("limit", _cmd_limit, {"dump_density": False}),
+            ("mixing", _cmd_mixing, {"component": 0}),
+        ):
+            staged = stage(name)
+            later[name] = _exit_code(partial(_stage, body, staged, options), staged)
+    stages = {"dispersion": ahead.code if ahead else started, **later}
     worst = max(stages.values())
     _write_json(run.outdir / "summary.json", {"stages": stages, "exit": worst})
     print(f"report: stages {stages} -> {run.outdir}")
     return worst
+
+
+def _dispersion_stage(stage):
+    """report's dispersion stage on stage: its exit code once run here, or
+    the _WrittenAhead that finishes it.  The table is built here, and its
+    writes follow in a helper where forking is safe, else here; a table
+    that fails to build gives its stage's exit code, with no fork.  Once
+    forked, this process keeps no reference to the table's columns."""
+    write = _exit_code(partial(_dispersion_table, stage), stage)
+    if not callable(write):
+        return write
+    tail = partial(_exit_code, partial(_stage, lambda _: write(), stage, {}), stage)
+    return _WrittenAhead(tail) if fork_is_safe() else tail()
+
+
+class _Recorded:
+    """A text stream that appends each write to log as (which, text): which
+    is 1 for stdout, 2 for stderr."""
+
+    def __init__(self, log: list, which: int):
+        self.log, self.which = log, which
+
+    def write(self, text: str) -> int:
+        self.log.append((self.which, text))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _recording(log: list) -> None:
+    """Send sys.stdout and sys.stderr to log, in the order written."""
+    sys.stdout, sys.stderr = _Recorded(log, 1), _Recorded(log, 2)
+
+
+def _replay(log: list) -> None:
+    for which, text in log:
+        (sys.stdout if which == 1 else sys.stderr).write(text)
+
+
+class _WrittenAhead:
+    """tail(), the rest of a stage, run in a helper process forked here
+    (_lattice.Helper) and kept off this process's CPU, for the body of a
+    with statement to run meanwhile.
+
+    The helper records what tail writes to stdout and stderr, and sends it
+    back with tail's exit code, or with its failure pickled.  The body's
+    stdout and stderr are held while it runs.  On leaving, the helper is
+    joined and reaped, and its text is written out, then the body's, as if
+    tail had run before the body; a failure of tail is then raised in place
+    of anything the body raised, and the body's text dropped, as if the
+    body had never run.  A helper that exits before it reports raises
+    RuntimeError with its exit status.
+    """
+
+    def __init__(self, tail):
+        self.helper = Helper(partial(self._tail, tail), current_cpu())
+        self.code = None
+
+    @staticmethod
+    def _tail(tail, helper) -> None:
+        log = []
+        _recording(log)
+        try:
+            result = (tail(), None)
+        except BaseException as exc:
+            result = (None, pickled(exc, "dispersion process"))
+        helper.send(pickle.dumps(result + (log,)))
+
+    def __enter__(self):
+        self.streams, self.held = (sys.stdout, sys.stderr), []
+        _recording(self.held)
+        return self
+
+    def __exit__(self, *raised):
+        sys.stdout, sys.stderr = self.streams
+        finished = False
+        try:
+            message = self.helper.receive()
+            if message is None:
+                raise RuntimeError(f"the dispersion process {self.helper.ended()} "
+                                   "before it reported")
+            self.code, failure, log = pickle.loads(message)
+            finished = True
+        finally:
+            self.helper.close(finish=finished)
+        _replay(log)
+        if failure is not None:
+            raise pickle.loads(failure)
+        _replay(self.held)
 
 
 # ---------------------------------------------------------------- wiring

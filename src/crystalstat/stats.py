@@ -17,9 +17,9 @@ for the call and kept off the calling thread's CPU, draws and colours chunk
 k+1 into the second of two real slots while the calling thread transforms,
 evolves and reduces chunk k.  The two processes do not share an interpreter
 lock, so the helper's per-sample generator fills do not wait on the calling
-thread's interpreter work, nor it on theirs.  Where there is no os.fork, or
-another Python thread is alive (forking then is unsafe), one worker thread
-of this process does the helper's part instead.
+thread's interpreter work, nor it on theirs.  Where forking is unsafe
+(_lattice.fork_is_safe), the calling thread samples each chunk in line
+before it handles it, with the same bytes.
 
 Every chunk-sized array of the loop is allocated once per stream and reused
 by each chunk: on the sampling side, two complex work arrays in which the
@@ -38,13 +38,20 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
 import pickle
-import threading
+from functools import partial
 
 import numpy as np
 
-from ._lattice import check_ensemble, real_view, translated
+from ._lattice import (
+    Helper,
+    check_ensemble,
+    current_cpu,
+    fork_is_safe,
+    pickled,
+    real_view,
+    translated,
+)
 from .covariance import quadratic_form
 from .dynamics import Propagator
 from .fields import GaussianSampler, nonlinear_transform_sample
@@ -81,10 +88,10 @@ LAMBDAS = (0.25, 0.5, 1.0, 2.0)
 # in offset_products.  tracemalloc sees only the calling process, and not
 # the mapping: for clt at d=1 L=256 (128 samples a chunk) the stream of 1024
 # samples peaks at 3.3 MB traced there when the helper process samples, and
-# at 5.4 MB on the worker-thread path, whose colouring arrays are traced too
-# (6.5 MB when the slots were traced as well, 7.0 MB when the worker drew
-# into a noise array of its own, 5.9 MB when each chunk allocated its own
-# arrays).
+# at 5.4 MB when it samples in line, whose colouring arrays are traced too
+# (6.5 MB when the slots were traced as well, 7.0 MB when the sampling side
+# drew into a noise array of its own, 5.9 MB when each chunk allocated its
+# own arrays).
 # The README's clt line (10000 samples at d=1 L=256) on a shared 2-vCPU
 # host, with every chunk reusing the stream's arrays and only the draws on
 # the worker, took 0.51-0.57 s at 256 KiB, 0.40-0.42 s at 512 KiB,
@@ -122,11 +129,11 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     Every chunk-sized array is allocated once per call and reused by every
     chunk, the short last one through its leading samples.  The next chunk
     is drawn and coloured while this thread transforms, evolves and reduces
-    the current one, kept off the CPU this thread runs on when the call
-    begins: by a helper process forked for the call (_forked), or, where
-    there is no os.fork or another Python thread is alive, by one worker
-    thread (_threaded).  Both call only the sampler's methods and give the
-    same bytes.  The sampling side owns two complex arrays for the
+    the current one, by a helper process forked for the call (_forked) and
+    kept off the CPU this thread runs on when the call begins; where forking
+    is unsafe (_lattice.fork_is_safe), this thread samples each chunk before
+    it handles it (_inline).  Both call only the sampler's methods and give
+    the same bytes.  The sampling side owns two complex arrays for the
     colouring's transforms, and uses one of two real slots, which sit in
     one shared anonymous mapping, in turn, each only after the chunk that
     read it is done: it draws the chunk's white noise into the slot, viewed
@@ -170,8 +177,10 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
         reused = np.may_share_memory(column, work) or np.may_share_memory(column, slots)
         return np.copy(column) if reused else column
 
-    forks = hasattr(os, "fork") and threading.active_count() == 1
-    ahead = (_forked if forks else _threaded)(sample, len(starts), _current_cpu())
+    if fork_is_safe():
+        ahead = _forked(sample, len(starts), current_cpu())
+    else:
+        ahead = _inline(sample, len(starts))
     parts = []
     try:
         for k in ahead:
@@ -186,168 +195,59 @@ def stream_ensemble(density, count: int, seed: int, grid, t: float, statistics, 
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _threaded(sample, chunks: int, cpu):
-    """Yield 0, ..., chunks - 1, each once sample(k) has run on one worker
-    thread, kept off cpu; sample(k + 1) runs while the caller handles chunk
-    k, and a failure of sample is raised at the chunk it failed on."""
-    # imported here, not at module level: concurrent.futures loads logging,
-    # about 5 ms of every CLI start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, initializer=_keep_off,
-                            initargs=(cpu,)) as worker:
-        ahead = worker.submit(sample, 0)
-        for k in range(chunks):
-            ahead.result()
-            # slot (k + 1) % 2 was read by chunk k - 1, which is done
-            if k + 1 < chunks:
-                ahead = worker.submit(sample, k + 1)
-            yield k
+def _inline(sample, chunks: int):
+    """Yield 0, ..., chunks - 1, each once sample(k) has run on this thread."""
+    for k in range(chunks):
+        sample(k)
+        yield k
 
 
 def _forked(sample, chunks: int, cpu):
-    """Yield 0, ..., chunks - 1 as _threaded does, with sample run in a
-    helper process forked on the first chunk and kept off cpu.
+    """Yield 0, ..., chunks - 1 as _inline does, with sample run in a
+    helper process (_lattice.Helper) forked on the first chunk and kept off
+    cpu.
 
-    The helper reports each chunk over one pipe, as an empty message or a
-    pickled failure, and waits on a second pipe for the caller's word that
-    chunk k is done before it samples chunk k + 2 into its slot.  A failure
-    is raised at the chunk it failed on, with its class and message; a
-    helper that exits before its chunks are reported raises RuntimeError
-    with its exit status.  The helper is reaped on every path, killed first
-    unless every chunk was reported.
-
-    threading.active_count sees Python threads only.  CPython 3.12 and
-    later emit a DeprecationWarning when os.fork runs while the process
-    has other OS threads, as OpenBLAS's pool threads are once BLAS has run
-    with more than one thread; the helper calls no BLAS.  That warning is
-    untested: every check of this path ran on CPython 3.11.
+    The helper reports each chunk, as an empty message or a pickled
+    failure, and waits for the caller's word that chunk k is done before it
+    samples chunk k + 2 into its slot.  A failure is raised at the chunk it
+    failed on, with its class and message; a helper that exits before its
+    chunks are reported raises RuntimeError with its exit status.  The
+    helper is reaped on every path, killed first unless every chunk was
+    reported.
     """
-    import signal
-
-    reports, reported = os.pipe()
-    go, told = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(reports)
-        os.close(told)
-        _help(sample, chunks, cpu, go, reported)
-    os.close(reported)
-    os.close(go)
-    reaped = finished = False
+    helper = Helper(partial(_help, sample, chunks), cpu)
+    finished = False
     try:
         for k in range(chunks):
-            header = _read(reports, 4)
-            failure = None if header is None else _read(reports, int.from_bytes(header, "little"))
+            failure = helper.receive()
             if failure is None:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                reaped = True
-                how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
-                raise RuntimeError(f"the sampling process {how} before chunk {k} of {chunks} "
-                                   "was drawn")
+                raise RuntimeError(f"the sampling process {helper.ended()} before chunk {k} "
+                                   f"of {chunks} was drawn")
             if failure:
                 raise pickle.loads(failure)
             yield k
             # chunk k is done with its slot, which chunk k + 2 takes
             if k + 2 < chunks:
-                try:
-                    os.write(told, b"\0")
-                except BrokenPipeError:
-                    pass  # the helper has stopped; its last report or its exit says why
+                helper.tell()
         finished = True
     finally:
-        os.close(reports)
-        os.close(told)
-        if not reaped:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        helper.close(finish=finished)
 
 
-def _help(sample, chunks: int, cpu, go: int, reported: int):
-    """The body of _forked's helper: sample every chunk it is let, report
-    each, and leave by os._exit on every path (exit code 0 once it is done
-    or the caller has gone, 1 when a report cannot be sent)."""
-    code = 1
-    try:
-        import signal
-
-        # an interrupt is the caller's to handle; it kills the helper
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        _keep_off(cpu)
-        for k in range(chunks):
-            if k >= 2 and not os.read(go, 1):
-                break  # the caller has gone
-            try:
-                sample(k)
-                failure = b""
-            except BaseException as exc:
-                failure = _pickled(exc)
-            _write(reported, len(failure).to_bytes(4, "little") + failure)
-            if failure:
-                break
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _pickled(exc: BaseException) -> bytes:
-    """exc pickled, or a RuntimeError naming it where it does not unpickle
-    to its own class."""
-    try:
-        data = pickle.dumps(exc)
-        if type(pickle.loads(data)) is type(exc):
-            return data
-    except Exception:
-        pass
-    return pickle.dumps(RuntimeError(f"{type(exc).__qualname__} in the sampling process: {exc}"))
-
-
-def _write(fd: int, data: bytes) -> None:
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _read(fd: int, size: int):
-    """size bytes from fd, or None at the end of the stream before them."""
-    data = b""
-    while len(data) < size:
-        more = os.read(fd, size - len(data))
-        if not more:
-            return None
-        data += more
-    return data
-
-
-def _current_cpu():
-    """The CPU this thread runs on now (field 39 of Linux's
-    /proc/thread-self/stat), or None where there is no such file."""
-    try:
-        with open("/proc/thread-self/stat") as f:
-            return int(f.read().rsplit(")", 1)[1].split()[36])
-    except OSError:
-        return None
-
-
-def _keep_off(cpu) -> None:
-    """Keep this thread off one CPU, when the process may run on another.
-
-    stream_ensemble's sampling side, a helper process or a worker thread,
-    starts here, off the CPU of the thread that streams: the kernel may
-    wake a thread that sleeps between short bursts on the CPU of the thread
-    that wakes it, and the two then take turns on one CPU while another
-    stays idle.  In a forked helper this thread is the process's only one.
-    Where the placement is unknown or cannot be set, the thread runs where
-    the kernel puts it.
-    """
-    if cpu is None:
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
+def _help(sample, chunks: int, helper) -> None:
+    """The body of _forked's helper: sample every chunk it is let, and
+    report each; stop after a failure or once the caller has gone."""
+    for k in range(chunks):
+        if k >= 2 and not helper.heard():
+            break  # the caller has gone
         try:
-            os.sched_setaffinity(0, others)
-        except OSError:
-            pass
+            sample(k)
+            failure = b""
+        except BaseException as exc:
+            failure = pickled(exc, "sampling process")
+        helper.send(failure)
+        if failure:
+            break
 
 
 def offset_products(offsets):

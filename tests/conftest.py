@@ -45,24 +45,25 @@ def _second_thread():
 @pytest.fixture()
 def another_thread():
     """A context manager that keeps a second Python thread alive, under
-    which stream_ensemble samples on a worker thread, not in a forked
-    helper process."""
+    which forking is unsafe: stream_ensemble samples in line and report
+    writes its dispersion table in line, with no helper process."""
     return _second_thread
 
 
-@pytest.fixture(params=["fork", "thread"])
+@pytest.fixture(params=["fork", "inline"])
 def sampling_path(request):
-    """The side stream_ensemble samples on: "fork", a helper process forked
-    while this is the only Python thread, or "thread", a worker thread
-    while a second thread is alive."""
+    """Where the work that stream_ensemble and report run ahead runs:
+    "fork", in a helper process forked while this is the only Python
+    thread, or "inline", on the calling thread while a second thread is
+    alive."""
     if request.param == "fork":
         if not hasattr(os, "fork"):
             pytest.skip("no os.fork")
-        assert threading.active_count() == 1, "another thread selects the thread path"
+        assert threading.active_count() == 1, "another thread selects the in-line path"
         yield "fork"
     else:
         with _second_thread():
-            yield "thread"
+            yield "inline"
 
 
 class Records:

@@ -221,10 +221,10 @@ def test_estimators_match_the_sample_major_oracle(d, n, S):
 
 def test_stream_ensemble_runs_the_public_steps_once_per_chunk(sampling_path, records):
     # gaussian_ensemble is a GaussianSampler's draw and colouring; the stream
-    # runs the same two a chunk ahead on its sampling side, a forked helper
-    # process or a worker thread, and evolves each chunk by the apply step of
-    # one prepared Propagator.  Each call is recorded in a file, which a
-    # helper's records reach too.
+    # runs the same two on its sampling side, a forked helper process a
+    # chunk ahead or the calling thread in line, and evolves each chunk by
+    # the apply step of one prepared Propagator.  Each call is recorded in a
+    # file, which a helper's records reach too.
     for module, name in ((fields, "_gaussian_chunk"), (fields, "_transform_chunk"),
                          (dynamics, "_evolve_chunk"), (fields, "_white_noise_draws"),
                          (fields, "_colouring_root"), (fields, "_coloured_noise")):

@@ -10,10 +10,13 @@ import itertools
 import json
 import math
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from pathlib import Path
 
@@ -1053,6 +1056,178 @@ def test_report_records_value_error_per_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "limit: usage error: density is not Hermitian" in err
     assert "mixing: usage error: density is not Hermitian" in err
+
+
+# ------------------------------------------------- report's dispersion helper
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Tagged:
+    """A text stream that appends each write to log as (tag, text), so that
+    two streams sharing one log keep the order of their writes."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def write(self, text):
+        self.log.append((self.tag, text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def report_outputs(monkeypatch, argv, out):
+    """(exit code, every output file by relative path, stdout and stderr
+    writes in order, helpers forked) of report run in process into out."""
+    shutil.rmtree(out, ignore_errors=True)
+    log, forks, helper = [], [], cli.Helper
+    with monkeypatch.context() as patch, redirect_stdout(Tagged(log, "out")), \
+            redirect_stderr(Tagged(log, "err")):
+        patch.setattr(cli, "Helper", lambda *args: forks.append(args) or helper(*args))
+        code = main(["report"] + argv + ["--output", str(out)])
+    assert_no_child_left()
+    files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
+             if f.is_file()}
+    return code, files, log, len(forks)
+
+
+def report_case(tmp_path, case) -> list:
+    """report's argv, without --output, for each run whose bytes the helper keeps."""
+    if case == "readme":
+        argv = next(argv for argv in readme_command_lines() if argv[0] == "report")
+        at = argv.index("--output")
+        return argv[1:at] + argv[at + 2:]
+    if case == "grid-L":
+        return nn_args(L=16) + ["--grid-L", "32"]
+    if case == "flat":
+        return ["--kernel-file", str(flat_kernel_file(tmp_path)), "--L", "32"]
+    if case == "transformed":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"measure": {"type": "transformed", "base": {"type": "white"},
+                                               "a0": 2}}))
+        return nn_args(L=32) + ["--config", str(cfg)]
+    return NEGATIVE_BETWEEN_SCAN_NODES
+
+
+@pytest.mark.parametrize("case, stages, forks", [
+    ("readme", (0, 0, 0, 0), 1),
+    ("grid-L", (0, 0, 0, 0), 1),
+    ("flat", (0, 0, 2, 2), 1),
+    ("transformed", (0, 0, 1, 1), 1),
+    # E3 fails before the table exists: no helper
+    ("E3-between-nodes", (2, 2, 2, 2), 0),
+])
+def test_report_helper_keeps_every_byte(tmp_path, monkeypatch, another_thread, case, stages,
+                                        forks):
+    # the same run with the dispersion stage written by a forked helper and
+    # in line: the same files, and the same stdout and stderr writes in the
+    # same order
+    argv, out = report_case(tmp_path, case), tmp_path / "rep"
+    ahead = report_outputs(monkeypatch, argv, out)
+    with another_thread():
+        in_line = report_outputs(monkeypatch, argv, out)
+    assert ahead[3] == forks and in_line[3] == 0
+    assert ahead[:3] == in_line[:3]
+    assert report_stages(out) == dict(zip(STAGES, stages))
+    if case == "E3-between-nodes":
+        assert "".join(text for tag, text in ahead[2] if tag == "err") == "".join(
+            f"{stage}: condition failure: E3\n" for stage in STAGES)
+
+
+def test_report_helper_numerical_fault_is_the_stages(tmp_path, monkeypatch, sampling_path):
+    # a numerical fault in the dispersion stage's writes is its exit code 4,
+    # with no manifest, on both paths, and the later stages still run
+    def faulty(path, shape, columns):
+        raise NumericalFault("dispersion.csv: a value that is not finite")
+
+    monkeypatch.setattr(cli, "_write_csv", faulty)
+    out = tmp_path / "rep"
+    code, files, log, forks = report_outputs(monkeypatch, nn_args(L=32), out)
+    assert (code, forks) == (4, int(sampling_path == "fork"))
+    assert report_stages(out) == {"dispersion": 4, "critical": 0, "limit": 0, "mixing": 0}
+    assert not any(name.startswith("dispersion") for name in files)
+    assert log[:2] == [("err", "dispersion: numerical fault: dispersion.csv: a value that is "
+                               "not finite"), ("err", "\n")]
+    assert [text.split(":")[0] for tag, text in log[2:] if tag == "out" and text != "\n"] == [
+        "critical", "limit", "mixing", "report"]
+
+
+def test_report_helper_crash_is_raised_by_main(tmp_path, monkeypatch, sampling_path):
+    # an error outside the exit-code table, raised in the dispersion stage's
+    # writes, leaves main with its class and message on both paths; the
+    # helper's is raised once the later stages have written their files,
+    # whose text is dropped as if they had not run
+    out = tmp_path / "rep"
+    out.mkdir()
+    (out / "dispersion").write_text("a file where the stage's directory goes")
+    log = []
+    with redirect_stdout(Tagged(log, "out")), redirect_stderr(Tagged(log, "err")), \
+            pytest.raises(FileExistsError) as raised:
+        main(["report"] + nn_args(L=32) + ["--output", str(out)])
+    assert str(raised.value) == f"[Errno 17] File exists: '{out / 'dispersion'}'"
+    assert log == []
+    assert not (out / "summary.json").exists()
+    assert (out / "mixing" / "manifest.json").exists() == (sampling_path == "fork")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("sampling_path", ["fork"], indirect=True)
+def test_report_helper_that_dies_raises_its_status(tmp_path, monkeypatch, sampling_path):
+    caller = os.getpid()
+    for act, how in ((lambda: os._exit(3), "exited with code 3"),
+                     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")):
+        def dies(path, shape, columns):
+            assert os.getpid() != caller, "written in the calling process"
+            act()
+
+        monkeypatch.setattr(cli, "_write_csv", dies)
+        out = tmp_path / how.split()[-1]
+        with pytest.raises(RuntimeError,
+                           match=f"^the dispersion process {how} before it reported$"):
+            main(["report"] + nn_args(L=32) + ["--output", str(out)])
+        assert not (out / "summary.json").exists()
+        assert (out / "mixing" / "manifest.json").exists()
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("sampling_path", ["fork"], indirect=True)
+def test_report_helper_evaluates_no_grid_property(tmp_path, monkeypatch, sampling_path,
+                                                  records):
+    # every cached grid property that the dispersion table reads is set
+    # before the helper forks, so the helper evaluates none (nor the BLAS or
+    # LAPACK calls behind them); each evaluation is recorded in a file, which
+    # a helper's records reach too
+    cached = [name for name, value in vars(DispersionGrid).items()
+              if isinstance(value, cached_property)]
+    for name in cached:
+        prop = cached_property(lambda grid, name=name, f=getattr(DispersionGrid, name).func:
+                               records.add(os.getpid(), name) or f(grid))
+        prop.__set_name__(DispersionGrid, name)
+        monkeypatch.setattr(DispersionGrid, name, prop)
+    assert main(["dispersion"] + nn_args(L=32) + ["--output", str(tmp_path / "disp")]) == 0
+    table_reads = {name for _, name in records.read()}
+    assert {"branch_values", "branch_gradients", "hessian_determinants", "ck"} <= table_reads
+    records.clear()
+    grids, set_at_fork, helper = [], [], cli.Helper
+
+    def built(*args):
+        grids.append(crystalstat.dispersion_grid(*args))
+        return grids[-1]
+
+    def forked(*args):
+        [grid] = grids
+        set_at_fork.append({name for name in cached if name in vars(grid)})
+        return helper(*args)
+
+    monkeypatch.setattr(cli, "dispersion_grid", built)
+    monkeypatch.setattr(cli, "Helper", forked)
+    assert main(["report"] + nn_args(L=32) + ["--output", str(tmp_path / "rep")]) == 0
+    assert len(set_at_fork) == 1 and table_reads <= set_at_fork[0]
+    assert {pid for pid, _ in records.read()} == {os.getpid()}
 
 
 def test_one_dispersion_grid_per_run(tmp_path, monkeypatch):

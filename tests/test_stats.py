@@ -43,7 +43,7 @@ from crystalstat import (
     triangular_density,
     white_noise_density,
 )
-from crystalstat._lattice import offset_cube
+from crystalstat._lattice import current_cpu, offset_cube
 
 
 def test_empirical_covariance_against_inline_oracle(rng):
@@ -144,8 +144,9 @@ def test_stream_ensemble_peak_memory_does_not_grow_with_count(sampling_path):
     # concatenated, are all that may grow with the count.
     assert large - small <= 2 * per_sample * (4096 - 1024) + 2**16
     # At the 1 MiB chunk budget: 3.7 MB with the helper process, whose
-    # arrays this process does not trace, and 5.8 MB on the thread path
-    # (6.8 MB when the slots were traced too); 13 and 22 MB at a 4 MiB one.
+    # arrays this process does not trace, and 5.8 MB in line, as on the
+    # worker thread that sampled where forking is unsafe before (6.8 MB when
+    # the slots were traced too); 13 and 22 MB at a 4 MiB one.
     assert large < 8e6
 
 
@@ -178,9 +179,10 @@ def test_stream_ensemble_allocates_no_chunk_sized_array_after_the_first_chunk(sa
     # short last chunk.  One chunk's real arrays take 512 KiB in both.  The
     # stream that allocated its arrays chunk by chunk exceeded its start by
     # 3.7 MB (clt) and 5.3 MB (d=2) per chunk; what is left is mostly the
-    # transient buffer of a ufunc that broadcasts (64 KiB).  On the thread
-    # path the worker draws and colours the next chunk meanwhile, so its
-    # transients count too; a forked helper's are not traced here.
+    # transient buffer of a ufunc that broadcasts (64 KiB).  In line the
+    # chunk's own draws and colouring run within it, so their transients
+    # count too (67 KB a chunk, as with the helper); a forked helper's are
+    # not traced here.
     L = 256
     clt = (triangular_density(2, 1, 1.0, 1.0, L), dispersion_grid(build_nn_kernel(1, 1, 1.0), L),
            50.0, 4 * 128 + 16, [(-1,), (0,), (1,)], TestField.delta(1, 1), (1.0, 1.0))
@@ -289,9 +291,10 @@ def test_sampling_side_waits_for_the_slot_it_takes(sampling_path):
 
 
 def test_concurrent_streams_keep_the_bits():
-    # four streams at once, each with its own worker, on two cores: a draw
-    # into the buffer still being coloured changed the bits of 11 of 12 such
-    # streams at the default switch interval (3 of 12 at 1 us)
+    # four streams at once, on threads of this process, so each samples in
+    # line: when each had its own worker thread, a draw into the buffer still
+    # being coloured changed the bits of 11 of 12 such streams at the default
+    # switch interval (3 of 12 at 1 us)
     grid, dens, budget = _chunks_of(1, d=2)
 
     def statistics(Y0, Yt):
@@ -329,7 +332,7 @@ def test_stream_ensemble_leaves_no_thread_behind(sampling_path, records):
     colour = GaussianSampler.colour
 
     def failing(Y0, Yt):
-        # raised on the second chunk, while the worker draws the third
+        # raised on the second chunk, while a helper draws the third
         calls.append(len(Y0))
         if len(calls) == 2:
             raise RuntimeError("statistics failed")
@@ -375,7 +378,7 @@ def test_stream_ensemble_leaves_no_thread_behind(sampling_path, records):
             stream_ensemble(dens, 10, 0, grid, 1.0, interrupted)
         assert threading.active_count() == before
         assert_no_child_left()
-    if sampling_path == "thread":
+    if sampling_path == "inline":
         return
     caller = os.getpid()
 
@@ -457,8 +460,8 @@ class TwoPartFault(Exception):
 
 
 def test_a_failure_that_does_not_unpickle_is_named(sampling_path):
-    # on the thread path the failure itself is raised; from a helper process
-    # a RuntimeError that names it and its message
+    # in line the failure itself is raised; from a helper process a
+    # RuntimeError that names it and its message
     grid, dens, budget = _chunks_of(3)
 
     def fails(sampler, W, out=None, work=None):
@@ -477,9 +480,9 @@ def test_a_failure_that_does_not_unpickle_is_named(sampling_path):
 
 def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path, capsys,
                                                                     sampling_path, records):
-    # the worker colours too: a fault in the third chunk's colouring reaches
-    # the caller as it was raised, once the second chunk is reduced and the
-    # worker has stopped, and the CLI maps it to its exit code
+    # the sampling side colours too: a fault in the third chunk's colouring
+    # reaches the caller as it was raised, once the second chunk is reduced
+    # and the sampling side has stopped, and the CLI maps it to its exit code
     grid, dens, budget = _chunks_of(3)
     colour, reduced = GaussianSampler.colour, []
     message = ("gaussian_ensemble: imaginary residue 1.000e-03 exceeds 1.0e-06; "
@@ -515,30 +518,27 @@ def test_colour_fault_on_a_later_chunk_is_raised_after_the_current_one(tmp_path,
     assert_no_child_left()
 
 
-def sampled_where(records, sampling_path):
+def sampled_in_a_helper(records):
     """The one (process id, thread id) that every record's first two fields
-    name, after checking that it is the sampling side's: another process
-    on the fork path, another thread of this one on the thread path."""
+    name, after checking that it is another process's."""
     where = {tuple(record[:2]) for record in records}
     assert len(where) == 1
     (pid, thread), = where
-    if sampling_path == "fork":
-        assert pid != os.getpid()
-    else:
-        assert pid == os.getpid() and thread != threading.get_ident()
+    assert pid != os.getpid()
     return pid, thread
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs a process that may run on two CPUs")
+@pytest.mark.parametrize("sampling_path", ["fork"], indirect=True)
 def test_worker_runs_off_the_callers_cpu(monkeypatch, sampling_path, records):
-    # the worker keeps off the CPU that the calling thread ran on when the
+    # the helper keeps off the CPU that the calling thread ran on when the
     # stream began, and the caller's own placement is left alone; each
-    # colouring records its thread's placement by its kernel thread id, which
-    # a forked helper's process id is
+    # colouring records its placement by its kernel thread id, which a
+    # forked helper's process id is
     grid, dens, budget = _chunks_of(3)
     allowed = os.sched_getaffinity(0)
-    assert stats._current_cpu() in allowed
+    assert current_cpu() in allowed
     colour = GaussianSampler.colour
 
     def recorded(sampler, W, out=None, work=None):
@@ -550,21 +550,22 @@ def test_worker_runs_off_the_callers_cpu(monkeypatch, sampling_path, records):
     first = min(allowed)
     for cpu, want in ((first, allowed - {first}), (None, allowed)):
         records.clear()
-        monkeypatch.setattr(stats, "_current_cpu", lambda: cpu)
+        monkeypatch.setattr(stats, "current_cpu", lambda: cpu)
         with budget:
             kept, = stream_ensemble(dens, 10, 0, grid, 1.0, lambda Y0, Yt: (Y0,))
         placed = records.read()
         assert len(kept) == 10 and [set(p) for *_, p in placed] == [want] * 4
-        sampled_where(placed, sampling_path)
+        sampled_in_a_helper(placed)
         assert os.sched_getaffinity(0) == allowed
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("sampling_path", ["fork"], indirect=True)
 def test_public_calls_stay_on_the_calling_thread(monkeypatch, sampling_path, records):
     # The benchmark's span tracer (bench/child.py) wraps every public function
     # and public-class constructor of the package in one span stack that all
     # threads share, rebinding each function in every package module that
-    # holds it.  So the stream's worker may call none of them: it draws and
+    # holds it.  So the stream's helper may call none of them: it draws and
     # colours through GaussianSampler.white_noise and .colour, methods, which
     # are not wrapped.  Every call is recorded with its process and thread,
     # so that a forked helper's calls are seen too.
@@ -618,17 +619,17 @@ def test_public_calls_stay_on_the_calling_thread(monkeypatch, sampling_path, rec
     assert {"stream_ensemble", "GaussianSampler", "Propagator", "nonlinear_transform_sample",
             "linear_functional_samples"} <= names
     assert [name for name, where in traced if where != here] == []
-    # four chunks of at most three samples, each drawn and coloured on the worker
+    # four chunks of at most three samples, each drawn and coloured in the helper
     drawn = [r for r in records.read() if r[2] == "drawn"]
     coloured = [r for r in records.read() if r[2] == "coloured"]
     assert len(drawn) == len(coloured) == 4
-    assert sampled_where(drawn + coloured, sampling_path) != here
+    sampled_in_a_helper(drawn + coloured)
 
 
 @pytest.mark.parametrize("transform", [None, (0.7, 1.3)])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("d", [1, 2])
-def test_fork_and_thread_paths_give_the_same_bits(d, n, transform, another_thread):
+def test_fork_and_inline_paths_give_the_same_bits(d, n, transform, another_thread):
     # ten samples in chunks of three, the last chunk short
     grid, dens = _random_model(d, n)
     sample_bytes = 16 * grid.L**d * 2 * n
@@ -639,13 +640,13 @@ def test_fork_and_thread_paths_give_the_same_bits(d, n, transform, another_threa
 
     with mock.patch.object(stats, "CHUNK_BYTES", 3 * sample_bytes), \
             mock.patch.object(stats, "_forked", wraps=stats._forked) as forked, \
-            mock.patch.object(stats, "_threaded", wraps=stats._threaded) as threaded:
+            mock.patch.object(stats, "_inline", wraps=stats._inline) as inline:
         from_helper = stream()
         with another_thread():
-            from_worker = stream()
-    assert forked.call_count == threaded.call_count == 1
-    assert len(from_helper) == len(from_worker) == 2
-    for got, want in zip(from_helper, from_worker):
+            from_caller = stream()
+    assert forked.call_count == inline.call_count == 1
+    assert len(from_helper) == len(from_caller) == 2
+    for got, want in zip(from_helper, from_caller):
         assert got.shape == (10, 2 * n) + (grid.L,) * d
         assert got.tobytes() == want.tobytes()
 
